@@ -60,7 +60,7 @@ impl BidExchange {
     /// against fresh exchanges.
     pub fn pump_pending(&mut self, pending: &[PendingBid]) -> Result<usize, DecodeError> {
         for p in pending {
-            let (request, _) = BidRequest::decode(&p.frame)?;
+            let (request, _) = BidRequest::decode_slice(&p.frame)?;
             let response = self.network.serve_exchange(&request);
             self.stats.bid_requests += 1;
             match &response.seatbid {

@@ -12,10 +12,9 @@
 //! evaluation previously used survives only as a test fixture; the
 //! end-to-end experiments run the attack off these live observations.
 
-use bytes::Bytes;
 use privlocad_geo::Point;
 use privlocad_openrtb::{
-    BidExchangeLog, BidRequest, DecodeError, DeviceId, Frame, KIND_BID_REQUEST,
+    BidExchangeLog, BidRequest, DecodeError, DeviceId, FrameRef, KIND_BID_REQUEST,
 };
 use std::collections::BTreeMap;
 
@@ -39,18 +38,18 @@ impl ExchangeObservations {
     /// Returns the first [`DecodeError`] on a malformed or truncated
     /// frame; a real observer would resynchronize, but the evaluation
     /// demands bit-exact input.
-    pub fn from_wire(mut stream: Bytes) -> Result<Self, DecodeError> {
+    pub fn from_wire(mut stream: &[u8]) -> Result<Self, DecodeError> {
         let mut sequenced: BTreeMap<u64, Vec<(u64, Point)>> = BTreeMap::new();
         while !stream.is_empty() {
-            let (frame, consumed) = Frame::decode(&stream)?;
+            let (frame, consumed) = FrameRef::decode(stream)?;
             if frame.kind == KIND_BID_REQUEST {
-                let request = BidRequest::from_frame(&frame)?;
+                let request = BidRequest::from_frame_ref(frame)?;
                 sequenced
                     .entry(request.device.id.raw())
                     .or_default()
                     .push((request.seq, request.device.geo.point()));
             }
-            stream = stream.slice(consumed..stream.len());
+            stream = &stream[consumed..];
         }
         let per_device = sequenced
             .into_iter()
@@ -106,7 +105,7 @@ impl ExchangeObservations {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{Bytes, BytesMut};
     use privlocad_openrtb::{BidResponse, Geo};
 
     fn wire(frames: &[(u64, u64, f64)]) -> Bytes {
@@ -122,7 +121,7 @@ mod tests {
     #[test]
     fn wire_taps_rebuild_per_device_sequences() {
         let stream = wire(&[(2, 0, 20.0), (1, 0, 10.0), (1, 1, 11.0)]);
-        let obs = ExchangeObservations::from_wire(stream).unwrap();
+        let obs = ExchangeObservations::from_wire(&stream).unwrap();
         assert_eq!(obs.devices(), vec![DeviceId::new(1), DeviceId::new(2)]);
         assert_eq!(obs.len(), 3);
         let xs: Vec<f64> = obs.locations_of(DeviceId::new(1)).iter().map(|p| p.x).collect();
@@ -133,9 +132,8 @@ mod tests {
     #[test]
     fn truncated_streams_surface_a_decode_error() {
         let stream = wire(&[(1, 0, 1.0)]);
-        let cut = stream.slice(0..stream.len() - 3);
         assert!(matches!(
-            ExchangeObservations::from_wire(cut),
+            ExchangeObservations::from_wire(&stream[..stream.len() - 3]),
             Err(DecodeError::Truncated { .. })
         ));
     }
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn observations_sort_by_sequence_not_arrival() {
         let stream = wire(&[(1, 1, 11.0), (1, 0, 10.0)]);
-        let obs = ExchangeObservations::from_wire(stream).unwrap();
+        let obs = ExchangeObservations::from_wire(&stream).unwrap();
         let xs: Vec<f64> = obs.locations_of(DeviceId::new(1)).iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![10.0, 11.0]);
     }

@@ -13,17 +13,17 @@
 //!                    (default BENCH_repro.json in the working directory)
 //! ```
 //!
-//! The `auction/exchange` row is appended to the existing benchmark log
-//! (replacing any earlier `auction/...` rows, so reruns never accumulate)
-//! and the merged document is re-validated with the same schema check that
-//! `privlocad-lint --bench-json` applies in CI.
+//! The `auction/exchange` row and the exchange telemetry hub replace the
+//! `auction` family in the benchmark log ([`privlocad_bench::ledger`]);
+//! every other family's rows stay.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use privlocad_bench::auction::{self, AuctionRow, Config};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::ledger::{self, Header, Update};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -82,53 +82,16 @@ fn row_to_json(row: &AuctionRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `auction/...` rows, appends the new row plus the exchange telemetry
-/// hub, and returns the merged document.
-fn merge_log(
-    existing: Option<&str>,
-    opts: &Options,
-    row: &AuctionRow,
-    telemetry_json: &str,
-) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("auction".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(1.0));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(run.get("name").and_then(Json::as_str), Some(n) if n.starts_with("auction/"))
-    });
-    runs.push(row_to_json(row));
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.insert("auction".to_owned(), parse(telemetry_json)?);
-    Ok(doc)
+/// The `auction` family: the exchange row and its hub.
+fn update(row: &AuctionRow, telemetry_json: String) -> Update {
+    Update {
+        rows: vec![row_to_json(row)],
+        telemetry: vec![("auction".to_owned(), telemetry_json)],
+    }
 }
 
-fn write_log(opts: &Options, row: &AuctionRow, telemetry_json: &str) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, row, telemetry_json)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+fn header(opts: &Options) -> Header<'static> {
+    Header { experiment: "auction", seed: opts.config.seed, threads: 1 }
 }
 
 fn main() -> ExitCode {
@@ -173,16 +136,19 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if let Err(e) = write_log(&opts, &out.row, &out.telemetry.to_json()) {
+    let update = update(&out.row, out.telemetry.to_json());
+    if let Err(e) = ledger::write(&opts.bench_json, &header(&opts), update) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
+    println!("[bench] wrote {}", opts.bench_json.display());
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -222,45 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_stale_auction_rows_and_validates() {
-        let opts = parse_args(&[]).unwrap();
-        let existing = r#"{"experiment": "all", "seed": 0, "threads": 2, "runs": [
-            {"name": "fig9", "wall_ms": 80.0, "threads": 2, "users": null, "trials": 100},
-            {"name": "auction/exchange", "wall_ms": 1.0, "auctions_per_sec": 1.0,
-             "decode_ns_per_req": 1.0, "serve_overhead_pct": 1.0, "revenue_micros": 1,
-             "attack_success_live": 0.5, "attack_success_synthetic": 0.5,
-             "users": 1, "requests": 1, "shards": 1, "digest": "aa"}
-        ]}"#;
-        let hub = privlocad_telemetry::Telemetry::new();
-        hub.registry()
-            .counter("rtb.bid_requests", privlocad_telemetry::Determinism::Deterministic)
-            .add(9);
-        let doc = merge_log(Some(existing), &opts, &row(), &hub.to_json()).unwrap();
-        let runs = match doc.get("runs") {
-            Some(Json::Arr(runs)) => runs,
-            other => panic!("runs missing: {other:?}"),
-        };
-        let names: Vec<_> =
-            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
-        assert_eq!(names, ["fig9", "auction/exchange"]);
-        let fresh = runs.last().unwrap();
-        assert_eq!(fresh.get("requests").and_then(Json::as_num), Some(10_240.0));
-        let section = doc.get("telemetry").and_then(|t| t.get("auction")).expect("auction hub");
-        assert_eq!(
-            section
-                .get("counters")
-                .and_then(|c| c.get("rtb.bid_requests"))
-                .and_then(Json::as_num),
-            Some(9.0)
-        );
-        validate_bench_report(&render(&doc)).expect("merged log must validate");
-    }
-
-    #[test]
     fn fresh_log_carries_the_required_header() {
         let opts = parse_args(&args("--seed 5")).unwrap();
         let hub = privlocad_telemetry::Telemetry::new();
-        let doc = merge_log(None, &opts, &row(), &hub.to_json()).unwrap();
+        let doc = ledger::merge(None, &header(&opts), update(&row(), hub.to_json())).unwrap();
         validate_bench_report(&render(&doc)).expect("fresh log must validate");
     }
 }

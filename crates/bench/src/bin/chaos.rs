@@ -16,10 +16,9 @@
 //!                    (default BENCH_repro.json in the working directory)
 //! ```
 //!
-//! The chaos rows are appended to the existing benchmark log (replacing
-//! any earlier `chaos/...` rows, so reruns never accumulate), and the
-//! merged document is re-validated with the same schema check that
-//! `privlocad-lint --bench-json` applies in CI. The harness itself
+//! The chaos rows and their per-scenario telemetry hubs replace the
+//! `chaos` family in the benchmark log ([`privlocad_bench::ledger`]);
+//! every other family's rows stay. The harness itself
 //! asserts the survival contract — byte-identical outputs versus the
 //! fault-free run, zero candidate re-draws — so a successful exit *is*
 //! the robustness check; the log rows record how much abuse it took.
@@ -29,7 +28,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use privlocad_bench::chaos::{self, ChaosRow, Config};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::ledger::{self, Header, Update};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -87,53 +87,16 @@ fn row_to_json(row: &ChaosRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `chaos/...` rows, appends the new rows, and returns the merged document.
-fn merge_log(existing: Option<&str>, opts: &Options, rows: &[ChaosRow]) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("chaos".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(opts.config.threads as f64));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(run.get("name").and_then(Json::as_str), Some(n) if n.starts_with("chaos/"))
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    // Publish each scenario hub (metrics + privacy-budget ledger) under the
-    // top-level `telemetry` section, keyed by row name, replacing any stale
-    // `chaos/...` entries the same way the rows themselves are replaced.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.retain(|name, _| !name.starts_with("chaos/"));
-    for row in rows {
-        sections.insert(row.name.clone(), parse(&row.telemetry.to_json())?);
+/// The `chaos` family: one row and one telemetry hub per scenario.
+fn update(rows: &[ChaosRow]) -> Update {
+    Update {
+        rows: rows.iter().map(row_to_json).collect(),
+        telemetry: rows.iter().map(|row| (row.name.clone(), row.telemetry.to_json())).collect(),
     }
-    Ok(doc)
 }
 
-fn write_log(opts: &Options, rows: &[ChaosRow]) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+fn header(opts: &Options) -> Header<'static> {
+    Header { experiment: "chaos", seed: opts.config.seed, threads: opts.config.threads }
 }
 
 fn main() -> ExitCode {
@@ -155,16 +118,18 @@ fn main() -> ExitCode {
     );
     let spends: u64 = out.rows.iter().map(|r| r.telemetry.ledger().totals().candidate_sets).sum();
     println!("privacy ledger audit: {spends} candidate-set spends recorded, zero double-spends");
-    if let Err(e) = write_log(&opts, &out.rows) {
+    if let Err(e) = ledger::write(&opts.bench_json, &header(&opts), update(&out.rows)) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
+    println!("[bench] wrote {}", opts.bench_json.display());
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -209,42 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_stale_chaos_rows_and_validates() {
-        let opts = parse_args(&[]).unwrap();
-        let existing = r#"{"experiment": "all", "seed": 0, "threads": 2, "runs": [
-            {"name": "fig9", "wall_ms": 80.0, "threads": 2},
-            {"name": "chaos/flood/2", "wall_ms": 1.0, "faults_injected": 4,
-             "requests_survived": 100, "restarts": 0, "recovery_ns": 0, "threads": 2}
-        ], "telemetry": {
-            "serve": {"counters": {"edge.checkins": 3}, "gauges": {}, "histograms": {},
-                      "ledger": {"users": 1, "epsilon_total": 1.0, "delta_total": 0.0001,
-                                 "candidate_sets": 1, "window_closes": 1, "per_user": {}}},
-            "chaos/flood/2": {"counters": {}, "gauges": {}, "histograms": {},
-                              "ledger": {"users": 0, "epsilon_total": 0, "delta_total": 0,
-                                         "candidate_sets": 0, "window_closes": 0, "per_user": {}}}
-        }}"#;
-        let doc = merge_log(Some(existing), &opts, &[row("chaos/worker_kill/2")]).unwrap();
-        let runs = match doc.get("runs") {
-            Some(Json::Arr(runs)) => runs,
-            other => panic!("runs missing: {other:?}"),
-        };
-        let names: Vec<_> =
-            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
-        assert_eq!(names, ["fig9", "chaos/worker_kill/2"]);
-        // Telemetry sections follow the rows: stale chaos/ hubs are dropped,
-        // the new scenario hub lands keyed by row name, foreign sections stay.
-        let telemetry = doc.get("telemetry").expect("telemetry section");
-        assert!(telemetry.get("chaos/flood/2").is_none());
-        assert!(telemetry.get("serve").is_some());
-        let hub = telemetry.get("chaos/worker_kill/2").expect("new scenario hub");
-        assert!(hub.get("ledger").is_some());
-        validate_bench_report(&render(&doc)).expect("merged log must validate");
-    }
-
-    #[test]
     fn fresh_log_carries_the_required_header() {
         let opts = parse_args(&args("--seed 5 --threads 3")).unwrap();
-        let doc = merge_log(None, &opts, &[row("chaos/corruption/1")]).unwrap();
+        let doc =
+            ledger::merge(None, &header(&opts), update(&[row("chaos/corruption/1")])).unwrap();
         validate_bench_report(&render(&doc)).expect("fresh log must validate");
     }
 }

@@ -13,17 +13,17 @@
 //!                    (default BENCH_repro.json in the working directory)
 //! ```
 //!
-//! The `candidate_install/...` rows are appended to the existing benchmark
-//! log (replacing any earlier ones, so reruns never accumulate), and the
-//! merged document is re-validated with the same schema check that
-//! `privlocad-lint --bench-json` applies in CI.
+//! The `candidate_install/...` rows and the install telemetry hub replace
+//! the `candidate_install` family in the benchmark log
+//! ([`privlocad_bench::ledger`]); every other family's rows stay.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use privlocad_bench::candgen::{self, CandidateRow, Config};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::ledger::{self, Header, Update};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -75,58 +75,16 @@ fn row_to_json(row: &CandidateRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `candidate_install/...` rows, appends the new rows plus the install
-/// telemetry hub, and returns the merged document.
-fn merge_log(
-    existing: Option<&str>,
-    opts: &Options,
-    rows: &[CandidateRow],
-    telemetry_json: &str,
-) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("microbench".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(1.0));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(
-            run.get("name").and_then(Json::as_str),
-            Some(n) if n.starts_with("candidate_install/")
-        )
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    // Publish the install-path hub under the top-level `telemetry` section,
-    // replacing any stale `candidate_install` entry.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.insert("candidate_install".to_owned(), parse(telemetry_json)?);
-    Ok(doc)
+/// The `candidate_install` family: the install rows and the hub.
+fn update(rows: &[CandidateRow], telemetry_json: String) -> Update {
+    Update {
+        rows: rows.iter().map(row_to_json).collect(),
+        telemetry: vec![("candidate_install".to_owned(), telemetry_json)],
+    }
 }
 
-fn write_log(opts: &Options, rows: &[CandidateRow], telemetry_json: &str) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows, telemetry_json)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+fn header(opts: &Options) -> Header<'static> {
+    Header { experiment: "microbench", seed: opts.config.seed, threads: 1 }
 }
 
 fn main() -> ExitCode {
@@ -157,16 +115,19 @@ fn main() -> ExitCode {
         "telemetry: {fresh} fresh candidate sets, {spends} ledger spends over the \
          install profile"
     );
-    if let Err(e) = write_log(&opts, &out.rows, &out.telemetry.to_json()) {
+    let update = update(&out.rows, out.telemetry.to_json());
+    if let Err(e) = ledger::write(&opts.bench_json, &header(&opts), update) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
+    println!("[bench] wrote {}", opts.bench_json.display());
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -198,59 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_stale_candidate_rows_and_validates() {
-        let opts = parse_args(&[]).unwrap();
-        let existing = r#"{"experiment": "all", "seed": 0, "threads": 2, "runs": [
-            {"name": "fig9", "wall_ms": 80.0, "threads": 2, "users": null, "trials": 100},
-            {"name": "candidate_install/cold", "wall_ms": 9.9, "ns_per_op": 1.0,
-             "installs_per_sec": 10.0, "threads": 1}
-        ]}"#;
-        let hub = privlocad_telemetry::Telemetry::new();
-        hub.registry()
-            .counter("edge.fresh_candidate_sets", privlocad_telemetry::Determinism::Deterministic)
-            .add(4);
-        let doc = merge_log(
-            Some(existing),
-            &opts,
-            &[
-                row("candidate_install/cold", None),
-                row("candidate_install/batched", Some(4.4)),
-            ],
-            &hub.to_json(),
-        )
-        .unwrap();
-        let runs = match doc.get("runs") {
-            Some(Json::Arr(runs)) => runs,
-            other => panic!("runs missing: {other:?}"),
-        };
-        let names: Vec<_> =
-            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
-        assert_eq!(names, ["fig9", "candidate_install/cold", "candidate_install/batched"]);
-        let section = doc
-            .get("telemetry")
-            .and_then(|t| t.get("candidate_install"))
-            .expect("candidate_install hub");
-        assert_eq!(
-            section
-                .get("counters")
-                .and_then(|c| c.get("edge.fresh_candidate_sets"))
-                .and_then(Json::as_num),
-            Some(4.0)
-        );
-        validate_bench_report(&render(&doc)).expect("merged log must validate");
-    }
-
-    #[test]
     fn fresh_log_carries_the_required_header() {
         let opts = parse_args(&args("--seed 5")).unwrap();
         let hub = privlocad_telemetry::Telemetry::new();
-        let doc = merge_log(
-            None,
-            &opts,
-            &[row("candidate_install/batched", Some(5.0))],
-            &hub.to_json(),
-        )
-        .unwrap();
+        let update = update(&[row("candidate_install/batched", Some(5.0))], hub.to_json());
+        let doc = ledger::merge(None, &header(&opts), update).unwrap();
         validate_bench_report(&render(&doc)).expect("fresh log must validate");
     }
 }

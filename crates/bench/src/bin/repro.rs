@@ -32,16 +32,21 @@
 //!   --no-trimming    ablation: disable Algorithm 1's trimming stage (fig6)
 //!   --no-ablation    skip the uniform-selection ablation (fig9)
 //!   --csv DIR        also write each table as CSV under DIR
-//!   --bench-json F   write per-experiment wall-clock timings as JSON
-//!                    (default BENCH_repro.json in the working directory)
+//!   --bench-json F   benchmark log to record per-experiment wall-clock
+//!                    timings in (default BENCH_repro.json in the working
+//!                    directory); each experiment's row replaces its own
+//!                    earlier row, every other row stays
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use privlocad_bench::ledger::{self, Header, Update};
 use privlocad_bench::report::Table;
 use privlocad_bench::{fig2, fig3, fig4, fig6, fig7, fig8, fig9, tables, verify};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -128,8 +133,7 @@ struct BenchEntry {
     trials: Option<usize>,
 }
 
-/// Collects per-experiment wall-clock timings and renders them as JSON
-/// (hand-rolled — the workspace is offline and carries no JSON dependency).
+/// Collects per-experiment wall-clock timings for the benchmark log.
 #[derive(Debug, Default)]
 struct BenchLog {
     entries: Vec<BenchEntry>,
@@ -150,38 +154,33 @@ impl BenchLog {
         });
     }
 
-    fn to_json(&self, opts: &Options) -> String {
-        fn opt(v: Option<usize>) -> String {
-            v.map_or_else(|| "null".to_string(), |n| n.to_string())
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"experiment\": \"{}\",\n", opts.experiment));
-        out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-        out.push_str(&format!("  \"threads\": {},\n", opts.threads));
-        out.push_str("  \"runs\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \
-                 \"users\": {}, \"trials\": {}}}{}\n",
-                e.name,
-                e.wall_ms,
-                opts.threads,
-                opt(e.users),
-                opt(e.trials),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    fn rows(&self, opts: &Options) -> Vec<Json> {
+        let opt = |v: Option<usize>| v.map_or(Json::Null, |n| Json::Num(n as f64));
+        self.entries
+            .iter()
+            .map(|e| {
+                let mut row = BTreeMap::new();
+                row.insert("name".to_owned(), Json::Str(e.name.clone()));
+                row.insert("wall_ms".to_owned(), Json::Num(e.wall_ms));
+                row.insert("threads".to_owned(), Json::Num(opts.threads as f64));
+                row.insert("users".to_owned(), opt(e.users));
+                row.insert("trials".to_owned(), opt(e.trials));
+                Json::Obj(row)
+            })
+            .collect()
     }
 
+    /// Records the timings in the benchmark log, replacing only the rows
+    /// of the experiments that ran. The log is auxiliary telemetry, not
+    /// part of the experiment: a failed write warns and the run still
+    /// succeeds.
     fn write(&self, opts: &Options) {
-        let json = self.to_json(opts);
-        match std::fs::write(&opts.bench_json, &json) {
+        let header =
+            Header { experiment: &opts.experiment, seed: opts.seed, threads: opts.threads };
+        let update = Update { rows: self.rows(opts), telemetry: Vec::new() };
+        match ledger::write(&opts.bench_json, &header, update) {
             Ok(()) => println!("[bench] wrote {}", opts.bench_json.display()),
-            Err(e) => {
-                eprintln!("[bench] failed to write {}: {e}", opts.bench_json.display())
-            }
+            Err(e) => eprintln!("[bench] failed to write {}: {e}", opts.bench_json.display()),
         }
     }
 }
@@ -427,21 +426,49 @@ mod tests {
     }
 
     #[test]
-    fn bench_log_renders_json() {
+    fn bench_log_rows_carry_the_run_context() {
         let mut log = BenchLog::default();
         log.timed("fig7", || (None, Some(100)));
         log.timed("table2", || (Some(500), None));
         let opts = parse(&args("all --seed 3 --threads 2")).unwrap();
-        let json = log.to_json(&opts);
-        assert!(json.contains("\"experiment\": \"all\""));
-        assert!(json.contains("\"seed\": 3"));
-        assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"name\": \"fig7\""));
-        assert!(json.contains("\"trials\": 100"));
-        assert!(json.contains("\"users\": 500"));
-        assert!(json.contains("\"trials\": null"));
-        // Exactly one trailing comma between the two runs.
-        assert_eq!(json.matches("},\n").count(), 1);
-        assert!(json.trim_end().ends_with('}'));
+        let rows = log.rows(&opts);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("name").and_then(Json::as_str), Some("fig7"));
+        assert_eq!(rows[0].get("trials").and_then(Json::as_num), Some(100.0));
+        assert_eq!(rows[0].get("users"), Some(&Json::Null));
+        assert_eq!(rows[1].get("users").and_then(Json::as_num), Some(500.0));
+        assert_eq!(rows[1].get("threads").and_then(Json::as_num), Some(2.0));
+    }
+
+    #[test]
+    fn verify_run_keeps_the_serving_rows() {
+        let path =
+            std::env::temp_dir().join(format!("privlocad-repro-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"experiment": "serve", "seed": 0, "threads": 2, "runs": [
+                {"name": "serve/single_cached", "wall_ms": 2.5, "requests_per_sec": 3.0,
+                 "batch": 1, "threads": 1},
+                {"name": "verify", "wall_ms": 9.0, "threads": 0, "users": null, "trials": null}
+            ]}"#,
+        )
+        .unwrap();
+        let mut opts = parse(&args("verify")).unwrap();
+        opts.bench_json = path.clone();
+        let mut log = BenchLog::default();
+        log.timed("verify", || (None, None));
+        log.write(&opts);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let doc = privlocad_lint::json::parse(&text).unwrap();
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        let names: Vec<_> =
+            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
+        assert_eq!(
+            names,
+            ["serve/single_cached", "verify"],
+            "one fresh verify row, serving row kept"
+        );
+        assert_ne!(runs[1].get("wall_ms").and_then(Json::as_num), Some(9.0));
     }
 }

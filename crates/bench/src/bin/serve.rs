@@ -9,24 +9,24 @@
 //!   --requests N     requests per measured iteration (default 8192)
 //!   --batch N        requests drained per serving-loop wakeup (default 64)
 //!   --seed N         master seed (default 0)
-//!   --threads N      worker threads for the shared-device stage (default 2)
+//!   --threads N      worker threads for the partitioned stage (default 2)
 //!   --bench-json F   benchmark log to append serving rows to
 //!                    (default BENCH_repro.json in the working directory)
 //! ```
 //!
 //! The serving rows (latency stages plus the `serve/scale/{users}`
-//! capacity rows) are appended to the existing benchmark log (replacing
-//! any earlier `serve/...` rows, so reruns never accumulate), and the
-//! merged document is re-validated with the same schema check that
-//! `privlocad-lint --bench-json` applies in CI.
+//! capacity rows) and the serving-path telemetry hub replace the `serve`
+//! family in the benchmark log ([`privlocad_bench::ledger`]); every other
+//! family's rows stay.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use privlocad_bench::ledger::{self, Header, Update};
 use privlocad_bench::scale::{self, ScaleRow};
 use privlocad_bench::serve::{self, Config, ServeRow};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -97,62 +97,20 @@ fn scale_row_to_json(row: &ScaleRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `serve/...` rows, appends the new rows plus the serving-path telemetry
-/// hub (rendered by the deterministic pass), and returns the merged document.
-fn merge_log(
-    existing: Option<&str>,
-    opts: &Options,
-    rows: &[ServeRow],
-    scale_rows: &[ScaleRow],
-    telemetry_json: &str,
-) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("serve".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(opts.config.threads as f64));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(run.get("name").and_then(Json::as_str), Some(n) if n.starts_with("serve/"))
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    runs.extend(scale_rows.iter().map(scale_row_to_json));
-    // Publish the serving-path hub (metrics + privacy-budget ledger) under
-    // the top-level `telemetry` section, replacing any stale `serve` entry.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.insert("serve".to_owned(), parse(telemetry_json)?);
-    Ok(doc)
+/// The `serve` family: latency rows, capacity rows, and the hub.
+fn update(rows: &[ServeRow], scale_rows: &[ScaleRow], telemetry_json: String) -> Update {
+    Update {
+        rows: rows
+            .iter()
+            .map(row_to_json)
+            .chain(scale_rows.iter().map(scale_row_to_json))
+            .collect(),
+        telemetry: vec![("serve".to_owned(), telemetry_json)],
+    }
 }
 
-fn write_log(
-    opts: &Options,
-    rows: &[ServeRow],
-    scale_rows: &[ScaleRow],
-    telemetry_json: &str,
-) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows, scale_rows, telemetry_json)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+fn header(opts: &Options) -> Header<'static> {
+    Header { experiment: "serve", seed: opts.config.seed, threads: opts.config.threads }
 }
 
 fn main() -> ExitCode {
@@ -178,16 +136,19 @@ fn main() -> ExitCode {
     println!("telemetry: posterior cache {hits} hits / {misses} misses over the serving profile");
     let scale_out = scale::run(&opts.scale);
     print!("\n{}", scale_out.table().render());
-    if let Err(e) = write_log(&opts, &out.rows, &scale_out.rows, &out.telemetry.to_json()) {
+    let update = update(&out.rows, &scale_out.rows, out.telemetry.to_json());
+    if let Err(e) = ledger::write(&opts.bench_json, &header(&opts), update) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
+    println!("[bench] wrote {}", opts.bench_json.display());
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -239,55 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_stale_serve_rows_and_validates() {
-        let opts = parse_args(&[]).unwrap();
-        let existing = r#"{"experiment": "all", "seed": 0, "threads": 2, "runs": [
-            {"name": "fig9", "wall_ms": 80.0, "threads": 2, "users": null, "trials": 100},
-            {"name": "serve/legacy_single", "wall_ms": 9.9, "requests_per_sec": 1.0,
-             "batch": 1, "threads": 1},
-            {"name": "serve/scale/16", "wall_ms": 3.0, "users": 16, "shards": 1,
-             "bytes_per_user": 9.0, "checkpoint_encode_ms": 1.0, "recovery_ms": 1.0,
-             "per_shard_recovery_ms": 1.0, "digest": "aa"}
-        ]}"#;
-        let hub = privlocad_telemetry::Telemetry::new();
-        hub.registry()
-            .counter("edge.checkins", privlocad_telemetry::Determinism::Deterministic)
-            .add(7);
-        let doc = merge_log(
-            Some(existing),
-            &opts,
-            &[row("serve/batched_cached/64")],
-            &[scale_row("serve/scale/10000", 10_000)],
-            &hub.to_json(),
-        )
-        .unwrap();
-        let runs = match doc.get("runs") {
-            Some(Json::Arr(runs)) => runs,
-            other => panic!("runs missing: {other:?}"),
-        };
-        let names: Vec<_> =
-            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
-        assert_eq!(names, ["fig9", "serve/batched_cached/64", "serve/scale/10000"]);
-        let section = doc.get("telemetry").and_then(|t| t.get("serve")).expect("serve hub");
-        assert_eq!(
-            section.get("counters").and_then(|c| c.get("edge.checkins")).and_then(Json::as_num),
-            Some(7.0)
-        );
-        validate_bench_report(&render(&doc)).expect("merged log must validate");
-    }
-
-    #[test]
     fn fresh_log_carries_the_required_header() {
         let opts = parse_args(&args("--seed 5 --threads 3")).unwrap();
         let hub = privlocad_telemetry::Telemetry::new();
-        let doc = merge_log(
-            None,
-            &opts,
+        let update = update(
             &[row("serve/single_cached")],
             &[scale_row("serve/scale/10000", 10_000)],
-            &hub.to_json(),
-        )
-        .unwrap();
+            hub.to_json(),
+        );
+        let doc = ledger::merge(None, &header(&opts), update).unwrap();
         validate_bench_report(&render(&doc)).expect("fresh log must validate");
     }
 }

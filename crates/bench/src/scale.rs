@@ -31,6 +31,7 @@ use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 
 use crate::report::Table;
+use crate::{fnv1a, FNV_OFFSET};
 
 /// Users per shard: fleets are partitioned into `ceil(users / 10_000)`
 /// shards, so per-shard work (and recovery time) stays flat as the fleet
@@ -119,17 +120,6 @@ impl Outcome {
 /// The same deterministic top-location grid the serving stages use.
 fn home_of(user: usize) -> Point {
     Point::new((user % 1_000) as f64 * 2_000.0, (user / 1_000) as f64 * 2_000.0)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// One user's contribution to the stage digest: FNV-1a over the user id

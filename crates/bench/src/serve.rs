@@ -14,9 +14,10 @@
 //!    scheduling conditions).
 //! 3. `serve/single_cached` — one request per [`EdgeDevice::serve_batch`]
 //!    call, posterior tables served from the selection cache.
-//! 4. `serve/shared_batched/{B}x{T}` — the concurrent device, `T` worker
-//!    threads each draining `B`-request batches per slot-lock acquisition
-//!    via [`SharedEdgeDevice::reported_locations_with`].
+//! 4. `serve/partitioned_batched/{B}x{T}` — `T` worker threads, each
+//!    owning one per-user-stream [`EdgeDevice`] over a contiguous range of
+//!    users and serving `B`-request batches per
+//!    [`EdgeDevice::serve_batch`] call.
 //!
 //! Timing comes from [`crate::microbench::Runner`] (nine samples per
 //! stage, the legacy/batched pair interleaved; the fastest sample is the
@@ -25,11 +26,9 @@
 //! size and thread count that produced them — the `--bench-json` schema
 //! check refuses serving rows without that context.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use privlocad::protocol::{ClientRequest, EdgeResponse};
-use privlocad::{EdgeDevice, SharedEdgeDevice, SystemConfig};
+use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mechanisms::{NFoldGaussian, PosteriorSelector, SelectionStrategy};
@@ -38,6 +37,7 @@ use privlocad_telemetry::Telemetry;
 
 use crate::microbench::Runner;
 use crate::report::Table;
+use crate::tables::partition;
 
 /// Serving-benchmark parameters.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ pub struct Config {
     pub batch: usize,
     /// Master seed; all stage RNGs are derived from it.
     pub seed: u64,
-    /// Worker threads for the shared-device stage.
+    /// Worker threads (one edge device each) for the partitioned stage.
     pub threads: usize,
 }
 
@@ -275,38 +275,44 @@ pub fn run(config: &Config) -> Outcome {
         });
     }
 
-    // Stage 4: the concurrent device, per-user request batches under one
-    // slot lock, split across worker threads with per-user derived RNGs.
+    // Stage 4: one per-user-stream device per worker thread, each over a
+    // contiguous range of users, serving every user's requests in
+    // `batch`-sized `serve_batch` calls.
     let threads = config.threads.max(1);
     {
         let sys = SystemConfig::builder().build().expect("default config is valid");
-        let edge = Arc::new(SharedEdgeDevice::new(sys, config.seed));
-        for u in 0..config.users {
-            let user = UserId::new(u as u32);
-            for _ in 0..12 {
-                edge.report_checkin(user, home_of(u));
-            }
-            let mut rng = seeded(derive_seed(config.seed, u as u64));
-            edge.finalize_window_with(user, &mut rng);
-        }
         let per_user = (config.requests / config.users.max(1)).max(1);
-        let label = format!("serve/shared_batched/{}x{}", config.batch, threads);
+        let mut workers: Vec<(EdgeDevice, Vec<ClientRequest>)> = partition(config.users, threads)
+            .into_iter()
+            .map(|users| {
+                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                let mut requests = Vec::with_capacity(users.len() * per_user);
+                for u in users {
+                    let user = UserId::new(u as u32);
+                    for _ in 0..12 {
+                        edge.report_checkin(user, home_of(u));
+                    }
+                    edge.finalize_window(user);
+                    requests.extend(
+                        (0..per_user)
+                            .map(|_| ClientRequest::RequestLocation { user, location: home_of(u) }),
+                    );
+                }
+                (edge, requests)
+            })
+            .collect();
+        let label = format!("serve/partitioned_batched/{}x{}", config.batch, threads);
         let served = (per_user * config.users) as u64;
         runner.bench_throughput(&label, served, || {
             std::thread::scope(|scope| {
-                for w in 0..threads {
-                    let edge = Arc::clone(&edge);
+                for (edge, requests) in &mut workers {
                     scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for u in (w..config.users).step_by(threads) {
-                            let user = UserId::new(u as u32);
-                            let positions = vec![home_of(u); per_user];
-                            let mut rng =
-                                seeded(derive_seed(config.seed ^ 0x5e7e, u as u64));
-                            for chunk in positions.chunks(config.batch) {
-                                out.clear();
-                                edge.reported_locations_with(user, chunk, &mut rng, &mut out);
-                                std::hint::black_box(&out);
+                        let mut responses = Vec::new();
+                        for user_requests in requests.chunks(per_user) {
+                            for batch in user_requests.chunks(config.batch) {
+                                responses.clear();
+                                edge.serve_batch(batch, &mut responses);
+                                std::hint::black_box(&responses);
                             }
                         }
                     });
@@ -327,7 +333,7 @@ pub fn run(config: &Config) -> Outcome {
             let per_request = m.min_ns_per_iter / elements as f64;
             let (batch, threads) = match m.label.as_str() {
                 l if l.starts_with("serve/batched_cached") => (config.batch, 1),
-                l if l.starts_with("serve/shared_batched") => (config.batch, threads),
+                l if l.starts_with("serve/partitioned_batched") => (config.batch, threads),
                 _ => (1, 1),
             };
             ServeRow {

@@ -8,22 +8,27 @@
 //! 2,000 and 32,000 users); the reproduction target is the ~linear scaling
 //! shape, not the absolute numbers.
 //!
-//! Both sweeps drive a [`SharedEdgeDevice`] from a worker pool: users are
-//! index-sharded over the pool's threads and every user's randomness is
-//! derived from `(seed, user index)`, so the device's candidate tables and
+//! Both sweeps run one per-user-stream [`EdgeDevice`] per worker thread,
+//! each serving a contiguous range of user ids — one edge device per
+//! core, with no lock taken per request. Every user draws from a
+//! private stream derived from `(seed, user id)`, so candidate tables and
 //! reported locations are bit-for-bit identical for any thread count —
 //! only the wall-clock changes. [`Outcome::digest`] captures those
-//! deterministic outputs for exactly that cross-thread-count check.
+//! deterministic outputs for exactly that cross-thread-count check, and
+//! each [`Row`] carries the work the devices counted while timed.
 
+use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 
-use privlocad::{SharedEdgeDevice, SystemConfig};
+use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::Point;
 use privlocad_metrics::montecarlo::Fanout;
 use privlocad_mobility::{PopulationConfig, UserId, SECONDS_PER_DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
+use crate::{fnv1a, FNV_OFFSET};
 
 /// Configuration for the scalability experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,9 +37,9 @@ pub struct Config {
     pub user_counts: Vec<usize>,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads driving the shared edge device (0 = auto). The
-    /// measured wall-clock depends on this; the device outputs
-    /// ([`Outcome::digest`]) do not.
+    /// Worker threads, one edge device each (0 = auto). The measured
+    /// wall-clock depends on this; the device outputs
+    /// ([`Outcome::digest`]) and work counts do not.
     pub threads: usize,
 }
 
@@ -55,6 +60,10 @@ pub struct Row {
     pub users: usize,
     /// Wall-clock milliseconds.
     pub millis: f64,
+    /// Work the devices counted in the timed section
+    /// ([`privlocad::DeviceStats`]): fresh candidate sets for Table II,
+    /// location requests for Table III. A pure function of the seed.
+    pub work: u64,
 }
 
 /// Result of a scalability sweep.
@@ -71,26 +80,24 @@ pub struct Outcome {
     pub digest: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+fn fnv1a_point(hash: u64, p: Point) -> u64 {
+    fnv1a(fnv1a(hash, &p.x.to_bits().to_le_bytes()), &p.y.to_bits().to_le_bytes())
 }
 
-fn fnv1a_point(hash: u64, p: Point) -> u64 {
-    fnv1a(fnv1a(hash, p.x.to_bits()), p.y.to_bits())
+/// Splits users `0..count` into at most `workers` contiguous ranges, one
+/// per edge device.
+pub(crate) fn partition(count: usize, workers: usize) -> Vec<Range<usize>> {
+    let chunk = count.div_ceil(workers.max(1)).max(1);
+    (0..count).step_by(chunk).map(|start| start..(start + chunk).min(count)).collect()
 }
 
 /// Table II: profile building + candidate generation for every user.
 ///
 /// Dataset generation is excluded from the timing — the measured section
 /// is exactly the edge's periodic batch job: ingest the window's
-/// check-ins, rebuild the profile, obfuscate new top locations. The job
-/// is driven by [`Config::threads`] workers, one user at a time per
-/// worker, with per-user randomness derived from `(seed, user index)`.
+/// check-ins, rebuild the profile, obfuscate new top locations. Each of
+/// the [`Config::threads`] workers runs the job on its own device for its
+/// range of users.
 pub fn run_table2(config: &Config) -> Outcome {
     let max_users = config.user_counts.iter().copied().max().unwrap_or(0);
     let population = PopulationConfig::builder()
@@ -117,33 +124,37 @@ pub fn run_table2(config: &Config) -> Outcome {
                     .map(|c| c.location)
                     .collect()
             });
-            let edge = SharedEdgeDevice::new(sys, config.seed);
+            let ranges = partition(count, fan.threads());
             let start = Instant::now();
-            fan.map_seeded(&indices, |i, &u, rng| {
-                let user = UserId::new(u);
-                for &loc in &windows[i] {
-                    edge.report_checkin(user, loc);
+            let devices = fan.map(&ranges, |_, users| {
+                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                for u in users.clone() {
+                    let user = UserId::new(u as u32);
+                    for &loc in &windows[u] {
+                        edge.report_checkin(user, loc);
+                    }
+                    edge.finalize_window(user);
                 }
-                edge.finalize_window_with(user, rng)
+                edge
             });
             let millis = start.elapsed().as_secs_f64() * 1_000.0;
-            // Fold each user's candidate set into the determinism digest
-            // (untimed; pure reads).
-            let subs: Vec<u64> = fan.map(&indices, |i, &u| {
-                let mut h = FNV_OFFSET;
-                if let Some(&first) = windows[i].first() {
-                    if let Some(candidates) = edge.candidates(UserId::new(u), first) {
-                        for c in candidates {
-                            h = fnv1a_point(h, c);
+            // Fold each user's candidate set into the determinism digest,
+            // in user order (untimed; pure reads).
+            for (edge, users) in devices.iter().zip(&ranges) {
+                for u in users.clone() {
+                    let mut h = FNV_OFFSET;
+                    if let Some(&first) = windows[u].first() {
+                        if let Some(candidates) = edge.candidates(UserId::new(u as u32), first) {
+                            for &c in candidates {
+                                h = fnv1a_point(h, c);
+                            }
                         }
                     }
+                    digest = fnv1a(digest, &h.to_le_bytes());
                 }
-                h
-            });
-            for s in subs {
-                digest = fnv1a(digest, s);
             }
-            Row { users: count, millis }
+            let work = devices.iter().map(|d| d.stats().fresh_candidate_sets).sum();
+            Row { users: count, millis, work }
         })
         .collect();
     Outcome { table: "II", rows, digest }
@@ -151,45 +162,60 @@ pub fn run_table2(config: &Config) -> Outcome {
 
 /// Table III: one output-selection request per user.
 ///
-/// Every user's profile and candidate table are prepared beforehand
-/// (untimed); the measured section is `users` posterior selections issued
-/// from the worker pool.
+/// Every user's profile and candidate table are prepared beforehand on
+/// its worker's device (untimed); the measured section is `users`
+/// posterior selections, each worker serving its own range.
 pub fn run_table3(config: &Config) -> Outcome {
     let max_users = config.user_counts.iter().copied().max().unwrap_or(0);
     let sys = SystemConfig::builder().build().expect("default config is valid");
     let fan = Fanout::with_threads(config.seed, config.threads);
     // Synthetic homes on a grid: profile content does not matter for the
     // selection path, only that candidates exist.
-    let edge = SharedEdgeDevice::new(sys, config.seed);
     let homes: Vec<Point> = (0..max_users)
         .map(|i| Point::new((i % 1_000) as f64 * 1_000.0, (i / 1_000) as f64 * 1_000.0))
         .collect();
-    fan.map_seeded(&homes, |i, &home, rng| {
-        let user = UserId::new(i as u32);
-        for _ in 0..8 {
-            edge.report_checkin(user, home);
-        }
-        edge.finalize_window_with(user, rng)
-    });
 
-    // A distinct stream for the request phase so selections do not replay
-    // the preparation draws.
-    let request_fan = fan.reseeded(config.seed.wrapping_add(0x9e37_79b9));
     let mut digest = FNV_OFFSET;
     let rows = config
         .user_counts
         .iter()
         .map(|&count| {
-            let slice = &homes[..count];
+            let ranges = partition(count, fan.threads());
+            // Each worker owns its device for the whole sweep step; the
+            // mutex is taken once per worker, never per request.
+            let devices: Vec<Mutex<EdgeDevice>> = fan.map(&ranges, |_, users| {
+                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                for u in users.clone() {
+                    let user = UserId::new(u as u32);
+                    for _ in 0..8 {
+                        edge.report_checkin(user, homes[u]);
+                    }
+                    edge.finalize_window(user);
+                }
+                Mutex::new(edge)
+            });
             let start = Instant::now();
-            let reports: Vec<Point> = request_fan.map_seeded(slice, |i, &home, rng| {
-                edge.reported_location_with(UserId::new(i as u32), home, rng)
+            let reports: Vec<Vec<Point>> = fan.map(&devices, |i, edge| {
+                let mut edge = edge.lock().expect("no worker panicked holding a device");
+                ranges[i]
+                    .clone()
+                    .map(|u| edge.reported_location(UserId::new(u as u32), homes[u]))
+                    .collect()
             });
             let millis = start.elapsed().as_secs_f64() * 1_000.0;
-            for p in reports {
+            for p in reports.into_iter().flatten() {
                 digest = fnv1a_point(digest, p);
             }
-            Row { users: count, millis }
+            let work = devices
+                .into_iter()
+                .map(|d| {
+                    d.into_inner()
+                        .expect("no worker panicked holding a device")
+                        .stats()
+                        .location_requests
+                })
+                .sum();
+            Row { users: count, millis, work }
         })
         .collect();
     Outcome { table: "III", rows, digest }
@@ -219,24 +245,32 @@ mod tests {
     }
 
     #[test]
-    fn table2_time_grows_with_users() {
+    fn table2_work_grows_with_users() {
         let out = run_table2(&small());
         assert_eq!(out.rows.len(), 2);
         assert!(out.rows[0].millis > 0.0);
-        // 4× the users should take clearly more time (loose bound: ≥ 1.5×).
-        assert!(
-            out.rows[1].millis > out.rows[0].millis * 1.5,
-            "{:?}",
-            out.rows
-        );
+        // Seed-pure work counts, not wall-clock: every sampled user releases
+        // sets, and the 200-user sweep re-releases the first 50 users'
+        // sets bit-for-bit plus 150 more users' — at least 4× the work.
+        assert!(out.rows[0].work >= 50, "{:?}", out.rows);
+        assert!(out.rows[1].work >= 4 * out.rows[0].work, "{:?}", out.rows);
     }
 
     #[test]
-    fn table3_time_grows_with_users() {
+    fn table3_work_grows_with_users() {
         let out = run_table3(&small());
         assert_eq!(out.rows.len(), 2);
         assert!(out.rows[0].millis > 0.0);
-        assert!(out.rows[1].millis > out.rows[0].millis, "{:?}", out.rows);
+        // One selection per user: 4× the users is exactly 4× the requests.
+        assert_eq!(out.rows[0].work, 50);
+        assert_eq!(out.rows[1].work, 200);
+    }
+
+    #[test]
+    fn partition_covers_every_user_once_in_order() {
+        assert_eq!(partition(7, 3), vec![0..3, 3..6, 6..7]);
+        assert_eq!(partition(2, 4), vec![0..1, 1..2]);
+        assert!(partition(0, 2).is_empty());
     }
 
     #[test]

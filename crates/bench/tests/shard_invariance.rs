@@ -12,6 +12,7 @@
 use privlocad::protocol::ClientRequest;
 use privlocad::{FaultPlan, ServerOptions, ShardRouter, SystemConfig};
 use privlocad_bench::scale::user_workload;
+use privlocad_bench::{fnv1a, FNV_OFFSET};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 use privlocad_telemetry::{top_key, Telemetry, TopKey};
@@ -19,16 +20,6 @@ use privlocad_telemetry::{top_key, Telemetry, TopKey};
 const USERS: u32 = 48;
 const CHECKINS: usize = 6;
 const MASTER: u64 = 7;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// One user's contribution: id plus every reported coordinate, in the
 /// user's own operation order. XOR-folding the per-user hashes makes the

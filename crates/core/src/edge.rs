@@ -121,9 +121,9 @@ fn record_fresh_sets(
 /// posterior-selection cache, and performs output selection per ad
 /// request. All operations are deterministic given the construction seed.
 ///
-/// For a thread-shared variant used by the scalability evaluation see
-/// [`crate::system::LbaSimulation`] and the `concurrent` integration
-/// tests.
+/// Parallel serving runs one device per worker thread: with per-user
+/// streams ([`EdgeDevice::with_per_user_streams`]) outputs do not depend
+/// on how users are partitioned over the devices.
 #[derive(Debug)]
 pub struct EdgeDevice {
     config: SystemConfig,
@@ -407,7 +407,7 @@ impl EdgeDevice {
         for (user, state) in self.user_states() {
             builder.capture(user, state);
         }
-        builder.finish(self.rng.state(), 0, self.streams)
+        builder.finish(self.rng.state(), self.streams)
     }
 
     /// One user's live serving state, for the incremental committed log
@@ -444,14 +444,7 @@ impl EdgeDevice {
     /// devices with equal digests would resume identically; the chaos
     /// harness compares faulty against fault-free runs with it.
     pub fn state_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        for byte in self.checkpoint().iter() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        crate::recovery::fnv1a(&self.checkpoint())
     }
 
     /// Rebuilds a device from a checkpoint. The restored device continues

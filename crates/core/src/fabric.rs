@@ -514,7 +514,7 @@ pub struct FabricOptions {
     /// mean no injected kills).
     pub kill_plans: Vec<FaultPlan>,
     /// Template for each shard's [`ServerOptions`]; its telemetry hub
-    /// is shared by every shard, and `per_user_streams` is forced on.
+    /// is shared by every shard.
     pub server: ServerOptions,
 }
 
@@ -616,7 +616,6 @@ impl FabricRouter {
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let server_options = ServerOptions {
-                per_user_streams: true,
                 fault_plan: options.kill_plans.get(i).cloned().unwrap_or_default(),
                 telemetry: telemetry.clone(),
                 ..options.server.clone()
@@ -922,7 +921,6 @@ impl FabricRouter {
         // joining reaps the thread. Its WorkerFailed outcome is expected.
         let _ = server.join();
         let server_options = ServerOptions {
-            per_user_streams: true,
             // The predecessor's kill plan died with it: injected crash
             // schedules are not re-armed on the replacement.
             fault_plan: FaultPlan::none(),

@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod concurrent;
 mod config;
 mod edge;
 mod error;
@@ -75,7 +74,6 @@ mod system;
 mod user;
 
 pub use arena::{CandidateArena, PreparedSet};
-pub use concurrent::SharedEdgeDevice;
 pub use fabric::{
     BreakerConfig, BreakerEvent, BreakerState, ChannelFaultPlan, FabricError, FabricOptions,
     FabricRouter, FabricStats, LaneOutage, ServedLocation, StaleCache,
@@ -92,5 +90,5 @@ pub use error::SystemError;
 pub use filter::{filter_ads, filter_ads_by};
 pub use fleet::EdgeFleet;
 pub use management::{frequent_location_set, LocationManager};
-pub use obfuscation::{ObfuscationModule, ObfuscationTable, TableDecodeError};
+pub use obfuscation::{ObfuscationModule, ObfuscationTable};
 pub use system::{LbaSimulation, SimulationReport};

@@ -1,6 +1,5 @@
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_geo::Point;
 use privlocad_mechanisms::{BatchScratch, CandidateLanes, GeoIndParams, Lppm, NFoldGaussian};
 use rand::RngCore;
@@ -139,88 +138,7 @@ impl ObfuscationTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serializes the table to a compact binary image.
-    ///
-    /// **Permanence across restarts is a privacy property**: if the table
-    /// is lost, the next window would draw *fresh* candidates for the same
-    /// top locations, silently spending a second `(r, ε, δ, n)` budget. An
-    /// edge deployment must persist this image durably and restore it with
-    /// [`ObfuscationTable::decode`] on startup.
-    pub fn encode(&self) -> Bytes {
-        let candidate_count: usize = self.entries.iter().map(|(_, c)| c.len()).sum();
-        let mut buf =
-            BytesMut::with_capacity(16 + self.entries.len() * 24 + candidate_count * 16);
-        buf.put_f64(self.match_radius_m);
-        buf.put_u32(self.entries.len() as u32);
-        for (top, candidates) in &self.entries {
-            buf.put_f64(top.x);
-            buf.put_f64(top.y);
-            buf.put_u32(candidates.len() as u32);
-            for c in candidates.iter() {
-                buf.put_f64(c.x);
-                buf.put_f64(c.y);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Restores a table from its binary image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableDecodeError`] on truncated input or an invalid match
-    /// radius.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, TableDecodeError> {
-        let need = |buf: &[u8], n: usize| {
-            if buf.len() < n {
-                Err(TableDecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(buf, 12)?;
-        let match_radius_m = buf.get_f64();
-        if !match_radius_m.is_finite() || match_radius_m <= 0.0 {
-            return Err(TableDecodeError::InvalidRadius(match_radius_m));
-        }
-        let entry_count = buf.get_u32() as usize;
-        let mut entries = Vec::with_capacity(entry_count.min(1_024));
-        for _ in 0..entry_count {
-            need(buf, 20)?;
-            let top = Point::new(buf.get_f64(), buf.get_f64());
-            let candidate_count = buf.get_u32() as usize;
-            need(buf, candidate_count.saturating_mul(16))?;
-            let candidates = (0..candidate_count)
-                .map(|_| Point::new(buf.get_f64(), buf.get_f64()))
-                .collect();
-            entries.push((top, candidates));
-        }
-        Ok(ObfuscationTable { match_radius_m, entries })
-    }
 }
-
-/// Error restoring an [`ObfuscationTable`] from its binary image.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TableDecodeError {
-    /// The image ends before the declared content.
-    Truncated,
-    /// The stored match radius is not positive and finite.
-    InvalidRadius(f64),
-}
-
-impl std::fmt::Display for TableDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableDecodeError::Truncated => write!(f, "truncated obfuscation-table image"),
-            TableDecodeError::InvalidRadius(r) => {
-                write!(f, "stored match radius {r} is invalid")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TableDecodeError {}
 
 /// The location-obfuscation module: the n-fold Gaussian mechanism plus the
 /// permanent obfuscation table.
@@ -289,22 +207,6 @@ impl ObfuscationModule {
             }
         };
         self.table.candidates_at(idx)
-    }
-
-    /// Restores the module from a persisted table image (see
-    /// [`ObfuscationTable::encode`] for why persistence matters).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TableDecodeError`] from the image.
-    pub fn with_restored_table(
-        params: GeoIndParams,
-        image: &[u8],
-    ) -> Result<Self, TableDecodeError> {
-        Ok(ObfuscationModule {
-            mechanism: NFoldGaussian::new(params),
-            table: ObfuscationTable::decode(image)?,
-        })
     }
 
     /// Assembles the module around an already-populated table — the
@@ -582,60 +484,6 @@ mod tests {
     #[should_panic(expected = "match radius must be positive")]
     fn rejects_bad_match_radius() {
         let _ = ObfuscationTable::new(f64::NAN);
-    }
-
-    #[test]
-    fn table_image_round_trips() {
-        let mut m = module(4);
-        let mut rng = seeded(9);
-        m.candidates_for(Point::new(0.0, 0.0), &mut rng);
-        m.candidates_for(Point::new(9_000.0, -3.5), &mut rng);
-        let image = m.table().encode();
-        let restored = ObfuscationTable::decode(&image).unwrap();
-        assert_eq!(&restored, m.table());
-    }
-
-    #[test]
-    fn restored_module_does_not_re_release() {
-        // The privacy point of persistence: after a restart the same top
-        // location yields the SAME candidates, not fresh ones.
-        let params = GeoIndParams::new(500.0, 1.0, 0.01, 10).unwrap();
-        let mut m = ObfuscationModule::new(params, 200.0);
-        let mut rng = seeded(10);
-        let before = m.candidates_for(Point::new(1.0, 2.0), &mut rng).to_vec();
-        let image = m.table().encode();
-        let mut restored = ObfuscationModule::with_restored_table(params, &image).unwrap();
-        let after = restored.candidates_for(Point::new(1.0, 2.0), &mut rng).to_vec();
-        assert_eq!(before, after);
-        assert_eq!(restored.obfuscate_top_set(&[Point::new(1.0, 2.0)], &mut rng), 0);
-    }
-
-    #[test]
-    fn decode_rejects_corrupt_images() {
-        let mut m = module(2);
-        let mut rng = seeded(11);
-        m.candidates_for(Point::ORIGIN, &mut rng);
-        let image = m.table().encode();
-        assert_eq!(
-            ObfuscationTable::decode(&image[..image.len() - 1]),
-            Err(TableDecodeError::Truncated)
-        );
-        assert_eq!(ObfuscationTable::decode(&[]), Err(TableDecodeError::Truncated));
-        // Corrupt the radius field (first 8 bytes) to NaN.
-        let mut bad = image.to_vec();
-        bad[..8].copy_from_slice(&f64::NAN.to_be_bytes());
-        assert!(matches!(
-            ObfuscationTable::decode(&bad),
-            Err(TableDecodeError::InvalidRadius(_))
-        ));
-    }
-
-    #[test]
-    fn empty_table_round_trips() {
-        let t = ObfuscationTable::new(150.0);
-        let restored = ObfuscationTable::decode(&t.encode()).unwrap();
-        assert_eq!(restored, t);
-        assert_eq!(restored.match_radius_m(), 150.0);
     }
 
     #[test]

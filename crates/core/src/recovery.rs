@@ -21,14 +21,12 @@
 //! bytes/user budget flat as the fleet grows (DESIGN.md §16).
 //!
 //! The byte log ([`DeviceSnapshot::encode`]) is versioned,
-//! length-prefix-framed, and FNV-1a checksummed. Version 2 is the
-//! current format: one contiguous buffer per device, every pool entry
-//! and user record carried as a length-prefixed frame, decoded by an
-//! in-place slice reader — the only allocations on the decode path are
-//! the final owned state (one `Arc` per **distinct** candidate set, not
-//! one per user record). Version 1 logs (one embedded table image and
-//! private CDF vector per user) remain decodable behind the version
-//! field. Bit rot in persisted state surfaces as a structured
+//! length-prefix-framed, and FNV-1a checksummed. Version 2 is the only
+//! format: one contiguous buffer per device, every pool entry and user
+//! record carried as a length-prefixed frame, decoded by an in-place
+//! slice reader — the only allocations on the decode path are the final
+//! owned state (one `Arc` per **distinct** candidate set, not one per
+//! user record). Bit rot in persisted state surfaces as a structured
 //! [`RecoveryError`] instead of a corrupted privacy ledger.
 //!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
@@ -47,21 +45,19 @@ use privlocad_mechanisms::{PosteriorTable, SelectionCache};
 use privlocad_mobility::UserId;
 
 use crate::user::UserState;
-use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SystemConfig, TableDecodeError};
+use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SystemConfig};
 
 /// Log magic: `"PLAD"` big-endian.
 const MAGIC: u32 = 0x504C_4144;
-/// Current log format version: pooled, length-prefix-framed.
+/// Log format version: pooled, length-prefix-framed.
 const VERSION: u16 = 2;
-/// The original one-table-image-per-user format, still decodable.
-const VERSION_V1: u16 = 1;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over the log body — cheap, dependency-free, and plenty to catch
 /// truncation and bit rot in persisted snapshots.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -185,20 +181,8 @@ impl SnapshotBuilder {
     }
 
     /// Seals the builder into a snapshot.
-    pub(crate) fn finish(
-        self,
-        rng_state: [u64; 4],
-        op_counter: u64,
-        streams: StreamMode,
-    ) -> DeviceSnapshot {
-        DeviceSnapshot {
-            rng_state,
-            op_counter,
-            streams,
-            sets: self.sets,
-            cdfs: self.cdfs,
-            users: self.users,
-        }
+    pub(crate) fn finish(self, rng_state: [u64; 4], streams: StreamMode) -> DeviceSnapshot {
+        DeviceSnapshot { rng_state, streams, sets: self.sets, cdfs: self.cdfs, users: self.users }
     }
 }
 
@@ -236,7 +220,7 @@ pub(crate) struct CommittedLog {
 }
 
 /// Fixed header bytes of a v2 image: magic, version, stream byte +
-/// master, four RNG words, and the op counter.
+/// master, four RNG words, and the always-zero op-counter slot.
 const V2_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 32 + 8;
 
 impl CommittedLog {
@@ -372,8 +356,8 @@ impl CommittedLog {
         for word in self.rng_state {
             buf.put_u64(word);
         }
-        // The device op counter: always zero for `EdgeDevice` images,
-        // exactly as `DeviceSnapshot` records it.
+        // The op-counter slot: always zero, exactly as
+        // `DeviceSnapshot::encode` writes it.
         buf.put_u64(0);
         buf.put_u32(self.sets.len() as u32);
         for set in &self.sets {
@@ -413,19 +397,9 @@ pub(crate) struct RestorePools {
 /// Rebuilds one user's serving state from its checkpoint record: window
 /// state verbatim (profile entries in their recorded order — the order is
 /// load-bearing, `from_checkins` does not sort), the obfuscation table
-/// and posterior cache as shared handles into the restore pools.
-pub(crate) fn restore_user(
-    config: &SystemConfig,
-    record: &UserRecord,
-    pools: &RestorePools,
-) -> Result<UserState, RecoveryError> {
-    restore_user_owned(config, record.clone(), pools)
-}
-
-/// [`restore_user`], consuming the record: the check-in buffer, profile,
-/// and top set move straight into the rebuilt state with no intermediate
-/// clones. Restore paths that own the decoded snapshot (see
-/// [`crate::EdgeDevice::restore_from`]) should prefer this.
+/// and posterior cache as shared handles into the restore pools. The
+/// record is consumed: the check-in buffer, profile, and top set move
+/// straight into the rebuilt state with no intermediate clones.
 pub(crate) fn restore_user_owned(
     config: &SystemConfig,
     record: UserRecord,
@@ -440,7 +414,7 @@ pub(crate) fn restore_user_owned(
         record.windows_closed as usize,
     );
     if !(record.table_radius.is_finite() && record.table_radius > 0.0) {
-        return Err(RecoveryError::Table(TableDecodeError::InvalidRadius(record.table_radius)));
+        return Err(RecoveryError::InvalidRadius(record.table_radius));
     }
     let mut table = ObfuscationTable::new(record.table_radius);
     for (top, idx) in record.table {
@@ -461,14 +435,9 @@ pub(crate) fn restore_user_owned(
 /// A full checkpoint of one edge device: every user's state plus the
 /// generator position, captured by [`crate::EdgeDevice::snapshot`] and
 /// restored by [`crate::EdgeDevice::restore`].
-///
-/// For [`crate::SharedEdgeDevice`] the generator position is the
-/// operation counter (`op_counter`) instead of raw state words — both are
-/// carried so one log format serves both devices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
     pub(crate) rng_state: [u64; 4],
-    pub(crate) op_counter: u64,
     pub(crate) streams: StreamMode,
     /// Distinct permanent candidate sets, in first-seen capture order.
     pub(crate) sets: Vec<Arc<[Point]>>,
@@ -578,7 +547,9 @@ impl DeviceSnapshot {
         for word in self.rng_state {
             buf.put_u64(word);
         }
-        buf.put_u64(self.op_counter);
+        // The op-counter slot of the v2 header, kept so the byte layout
+        // stays fixed; no device draws from an operation counter.
+        buf.put_u64(0);
         buf.put_u32(self.sets.len() as u32);
         for set in &self.sets {
             buf.put_u32((4 + set.len() * 16) as u32);
@@ -624,7 +595,7 @@ impl DeviceSnapshot {
         buf.freeze()
     }
 
-    /// Restores a snapshot from its byte log (either format version).
+    /// Restores a snapshot from its v2 byte log.
     ///
     /// Total: truncated, oversized, bit-flipped, or wrong-format input
     /// yields a structured [`RecoveryError`], never a panic or an
@@ -652,9 +623,7 @@ impl DeviceSnapshot {
         if magic != MAGIC {
             return Err(RecoveryError::BadMagic(magic));
         }
-        let version = reader.get_u16()?;
-        match version {
-            VERSION_V1 => decode_v1(reader),
+        match reader.get_u16()? {
             VERSION => decode_v2(reader),
             v => Err(RecoveryError::UnsupportedVersion(v)),
         }
@@ -740,69 +709,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes the original v1 body (one embedded table image and private
-/// CDF vector per user) into the pooled representation: each user's
-/// payloads are appended to the pools without deduplication — v1 logs
-/// predate cross-user sharing, so there is nothing to share.
-fn decode_v1(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
-    r.need(4 * 8 + 8 + 4)?;
-    let mut rng_state = [0u64; 4];
-    for word in rng_state.iter_mut() {
-        *word = r.get_u64()?;
-    }
-    let op_counter = r.get_u64()?;
-    let user_count = r.get_u32()? as usize;
-    let mut sets: Vec<Arc<[Point]>> = Vec::new();
-    let mut cdfs: Vec<Vec<f64>> = Vec::new();
-    let mut users = Vec::with_capacity(user_count.min(1_024));
-    for _ in 0..user_count {
-        r.need(12)?;
-        let user = UserId::new(r.get_u32()?);
-        let windows_closed = r.get_u64()?;
-        let buffer = get_points(&mut r)?;
-        let profile = get_entries(&mut r)?;
-        let top_set = get_entries(&mut r)?;
-        let image_len = r.get_u32()? as usize;
-        r.need(image_len)?;
-        let (image, rest) = r.buf.split_at(image_len);
-        r.buf = rest;
-        let decoded = ObfuscationTable::decode(image).map_err(RecoveryError::Table)?;
-        let table_radius = decoded.match_radius_m();
-        let mut table = Vec::with_capacity(decoded.len());
-        for (top, shared) in decoded.shared_entries() {
-            table.push((top, sets.len() as u32));
-            sets.push(Arc::clone(shared));
-        }
-        let table_count = r.get_u32()? as usize;
-        let mut cache = Vec::with_capacity(table_count.min(1_024));
-        for _ in 0..table_count {
-            r.need(20)?;
-            let top = Point::new(r.get_f64()?, r.get_f64()?);
-            let cdf_len = r.get_u32()? as usize;
-            r.need(cdf_len.saturating_mul(8))?;
-            let mut cdf = Vec::with_capacity(cdf_len);
-            for _ in 0..cdf_len {
-                cdf.push(r.get_f64()?);
-            }
-            cache.push((top, cdfs.len() as u32));
-            cdfs.push(cdf);
-        }
-        users.push(UserRecord {
-            user,
-            windows_closed,
-            rng_words: [0; 4],
-            buffer,
-            profile,
-            top_set,
-            table_radius,
-            table,
-            cache,
-        });
-    }
-    r.finish()?;
-    Ok(DeviceSnapshot { rng_state, op_counter, streams: StreamMode::Device, sets, cdfs, users })
-}
-
 /// Decodes the pooled, framed v2 body.
 fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
     r.need(1 + 8 + 4 * 8 + 8 + 4)?;
@@ -818,7 +724,8 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
     for word in rng_state.iter_mut() {
         *word = r.get_u64()?;
     }
-    let op_counter = r.get_u64()?;
+    // The op-counter slot: written as zero, carries nothing.
+    r.get_u64()?;
 
     let set_count = r.get_u32()? as usize;
     let mut sets: Vec<Arc<[Point]>> = Vec::with_capacity(set_count.min(1_024));
@@ -862,7 +769,7 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
         let top_set = get_entries(&mut f)?;
         let table_radius = f.get_f64()?;
         if !(table_radius.is_finite() && table_radius > 0.0) {
-            return Err(RecoveryError::Table(TableDecodeError::InvalidRadius(table_radius)));
+            return Err(RecoveryError::InvalidRadius(table_radius));
         }
         let table_count = f.get_u32()? as usize;
         let mut table = Vec::with_capacity(table_count.min(1_024));
@@ -900,7 +807,7 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
         });
     }
     r.finish()?;
-    Ok(DeviceSnapshot { rng_state, op_counter, streams, sets, cdfs, users })
+    Ok(DeviceSnapshot { rng_state, streams, sets, cdfs, users })
 }
 
 fn put_points<B: BufMut>(buf: &mut B, points: &[Point]) {
@@ -998,8 +905,9 @@ pub enum RecoveryError {
     },
     /// The log continues past its declared content.
     TrailingBytes(usize),
-    /// An embedded obfuscation-table image failed to decode.
-    Table(TableDecodeError),
+    /// A user record's obfuscation-table match radius is not positive and
+    /// finite.
+    InvalidRadius(f64),
     /// A user record references a pooled candidate set or posterior
     /// table that is not present in the snapshot.
     BadPoolRef {
@@ -1039,7 +947,9 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::TrailingBytes(n) => {
                 write!(f, "snapshot log has {n} trailing bytes")
             }
-            RecoveryError::Table(e) => write!(f, "snapshot obfuscation table: {e}"),
+            RecoveryError::InvalidRadius(r) => {
+                write!(f, "snapshot obfuscation-table match radius {r} is invalid")
+            }
             RecoveryError::BadPoolRef { user } => {
                 write!(f, "user {user} references a missing snapshot pool entry")
             }
@@ -1055,14 +965,7 @@ impl std::fmt::Display for RecoveryError {
     }
 }
 
-impl std::error::Error for RecoveryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecoveryError::Table(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for RecoveryError {}
 
 #[cfg(test)]
 mod tests {
@@ -1072,7 +975,6 @@ mod tests {
         let set: Arc<[Point]> = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)].into();
         DeviceSnapshot {
             rng_state: [1, 2, 3, 4],
-            op_counter: 99,
             streams: StreamMode::Device,
             sets: vec![set],
             cdfs: vec![vec![0.5, 1.0]],
@@ -1136,46 +1038,6 @@ mod tests {
         );
     }
 
-    /// Hand-writes the snapshot in the original v1 layout (embedded
-    /// table image + private CDFs per user) — the compatibility fixture.
-    fn encode_v1(snap: &DeviceSnapshot) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION_V1);
-        for word in snap.rng_state {
-            buf.put_u64(word);
-        }
-        buf.put_u64(snap.op_counter);
-        buf.put_u32(snap.users.len() as u32);
-        for record in &snap.users {
-            buf.put_u32(record.user.raw());
-            buf.put_u64(record.windows_closed);
-            put_points(&mut buf, &record.buffer);
-            put_entries(&mut buf, &record.profile);
-            put_entries(&mut buf, &record.top_set);
-            let mut table = ObfuscationTable::new(record.table_radius);
-            for &(top, idx) in &record.table {
-                table.insert_shared(top, Arc::clone(&snap.sets[idx as usize]));
-            }
-            let image = table.encode();
-            buf.put_u32(image.len() as u32);
-            buf.put_slice(&image);
-            buf.put_u32(record.cache.len() as u32);
-            for &(top, idx) in &record.cache {
-                buf.put_f64(top.x);
-                buf.put_f64(top.y);
-                let cdf = &snap.cdfs[idx as usize];
-                buf.put_u32(cdf.len() as u32);
-                for &w in cdf {
-                    buf.put_f64(w);
-                }
-            }
-        }
-        let checksum = fnv1a(&buf);
-        buf.put_u64(checksum);
-        buf.to_vec()
-    }
-
     /// Corrupt a field, then re-stamp a valid checksum so the defect
     /// reaches the structural check.
     fn restamp(mut body: Vec<u8>) -> Vec<u8> {
@@ -1194,6 +1056,12 @@ mod tests {
         assert_eq!(back.user_count(), 1);
         assert_eq!(back.users().collect::<Vec<_>>(), vec![(UserId::new(7), 2)]);
         assert_eq!(back.distinct_candidate_sets(), 1);
+
+        // A user whose first window is still open: no table, no cache.
+        let mut open = snapshot();
+        open.users[0].table.clear();
+        open.users[0].cache.clear();
+        assert_eq!(DeviceSnapshot::decode(&open.encode()).unwrap(), open);
     }
 
     #[test]
@@ -1205,19 +1073,6 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.streams, StreamMode::PerUser { master: 0xfeed });
         assert_eq!(back.users[0].rng_words, [9, 8, 7, 6]);
-    }
-
-    #[test]
-    fn v1_log_round_trips_through_the_version_dispatch() {
-        // A snapshot whose pools carry no cross-user sharing and whose
-        // stream mode is the classic device-wide generator decodes from
-        // its v1 image to the *identical* pooled representation.
-        let snap = snapshot();
-        let log = encode_v1(&snap);
-        let back = DeviceSnapshot::decode(&log).unwrap();
-        assert_eq!(back, snap);
-        // And the re-encoded v2 image round-trips again.
-        assert_eq!(DeviceSnapshot::decode(&back.encode()).unwrap(), snap);
     }
 
     #[test]
@@ -1294,6 +1149,13 @@ mod tests {
             DeviceSnapshot::decode(&restamp(bad)),
             Err(RecoveryError::UnsupportedVersion(_))
         ));
+        // The retired v1 layout is refused by its version field.
+        let mut bad = log.clone();
+        bad[5] = 1;
+        assert_eq!(
+            DeviceSnapshot::decode(&restamp(bad)),
+            Err(RecoveryError::UnsupportedVersion(1))
+        );
         let mut bad = log;
         bad.splice(bad.len() - 8..bad.len() - 8, [0u8]);
         assert!(matches!(
@@ -1341,6 +1203,14 @@ mod tests {
             DeviceSnapshot::decode(&bad),
             Err(RecoveryError::BadPoolRef { user: 7 })
         ));
+
+        // A match radius that could not build an obfuscation table.
+        let mut snap = snapshot();
+        snap.users[0].table_radius = f64::NAN;
+        assert!(matches!(
+            DeviceSnapshot::decode(&snap.encode()),
+            Err(RecoveryError::InvalidRadius(r)) if r.is_nan()
+        ));
     }
 
     #[test]
@@ -1372,8 +1242,6 @@ mod tests {
     #[test]
     fn error_display_and_source() {
         use std::error::Error;
-        let table_err = RecoveryError::Table(TableDecodeError::Truncated);
-        assert!(table_err.source().is_some());
         for e in [
             RecoveryError::Truncated,
             RecoveryError::BadMagic(0xDEAD_BEEF),
@@ -1381,15 +1249,13 @@ mod tests {
             RecoveryError::BadStreamMode(3),
             RecoveryError::ChecksumMismatch { stored: 1, computed: 2 },
             RecoveryError::TrailingBytes(3),
-            table_err.clone(),
+            RecoveryError::InvalidRadius(f64::NAN),
             RecoveryError::BadPoolRef { user: 6 },
             RecoveryError::InvalidPosterior { user: 4 },
             RecoveryError::BudgetViolation { user: 5 },
         ] {
             assert!(!e.to_string().is_empty());
-            if !matches!(e, RecoveryError::Table(_)) {
-                assert!(e.source().is_none());
-            }
+            assert!(e.source().is_none());
         }
     }
 }

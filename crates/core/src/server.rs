@@ -344,12 +344,6 @@ pub struct ServerOptions {
     /// Deterministic crash schedule, for supervision tests and the chaos
     /// harness. Empty in production.
     pub fault_plan: FaultPlan,
-    /// Serve from per-user RNG streams
-    /// ([`EdgeDevice::with_per_user_streams`]) instead of one device
-    /// stream. Sharded fleets ([`crate::ShardRouter`]) set this so every
-    /// user's outputs are invariant to the user→shard partition; the
-    /// classic single-device mode keeps the default `false`.
-    pub per_user_streams: bool,
     /// The telemetry hub this server publishes into: serving metrics,
     /// logical-clock spans, and the privacy-budget ledger. Defaults to a
     /// private hub; hand several servers a clone of one hub to aggregate a
@@ -389,7 +383,6 @@ impl Default for ServerOptions {
             backoff_base: 16,
             backoff_cap: 4_096,
             fault_plan: FaultPlan::none(),
-            per_user_streams: false,
             telemetry: Telemetry::new(),
             dedup_window: 32,
             restore_from: None,
@@ -544,6 +537,12 @@ pub struct HealthSnapshot {
 /// client threads can then check in and request locations concurrently,
 /// with the loop serializing access — the deployment shape of Fig. 5
 /// where one edge node fronts many nearby mobile users.
+///
+/// The device serves per-user RNG streams derived from the spawn seed
+/// ([`EdgeDevice::with_per_user_streams`]): a user's outputs depend only
+/// on the seed and that user's own requests, never on how other clients'
+/// requests interleave with them or on which server of a fleet holds the
+/// user.
 ///
 /// The loop runs under a supervisor: worker panics are caught, the device
 /// is restored from its last committed recovery checkpoint (candidates,
@@ -721,11 +720,7 @@ fn serve(
     metrics: Arc<ServerMetrics>,
     checkpoint_cell: Arc<Mutex<Option<CommittedLog>>>,
 ) -> Result<EdgeDevice, SystemError> {
-    let mut edge = if options.per_user_streams {
-        EdgeDevice::with_per_user_streams(config, seed)
-    } else {
-        EdgeDevice::new(config, seed)
-    };
+    let mut edge = EdgeDevice::with_per_user_streams(config, seed);
     if let Some(snapshot) = options.restore_from.as_ref() {
         // Resume from the committed checkpoint of a failed predecessor.
         // An unreadable snapshot fails the spawn outright — serving from
@@ -1192,7 +1187,7 @@ mod tests {
         let pending = sink.drain();
         assert_eq!(pending.len(), 2);
         for (bid, reported) in pending.iter().zip([first, second]) {
-            let (decoded, _) = privlocad_openrtb::BidRequest::decode(&bid.frame).unwrap();
+            let (decoded, _) = privlocad_openrtb::BidRequest::decode_slice(&bid.frame).unwrap();
             assert_eq!(decoded.device.id.raw(), 3);
             assert_eq!(decoded.device.geo.point(), reported);
             assert_ne!(decoded.device.geo.point(), home);

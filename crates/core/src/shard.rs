@@ -118,7 +118,7 @@ impl ShardRouter {
     /// requests into one shared OpenRTB-lite bid sink
     /// ([`crate::ServerOptions::bid_sink`]). The sink outlives the
     /// shards, so per-device bid sequences are continuous across worker
-    /// restarts, and — with per-user streams forced on — the emitted
+    /// restarts, and — every shard serving per-user streams — the emitted
     /// stream is invariant to the shard count.
     pub fn spawn_with_sink(
         config: SystemConfig,
@@ -140,8 +140,8 @@ impl ShardRouter {
     /// [`ShardRouter::spawn`] with explicit per-shard options — fault
     /// plans, queue capacities, or a caller-owned hub. One shard is
     /// spawned per entry (at least one entry required, panics on an
-    /// empty list). `per_user_streams` is forced on: the router's
-    /// shard-count invariance only holds when users own their streams.
+    /// empty list). Every shard serves per-user streams from `master`,
+    /// which is what makes the router shard-count invariant.
     pub fn spawn_with(
         config: SystemConfig,
         master: u64,
@@ -151,11 +151,7 @@ impl ShardRouter {
         let mut servers = Vec::with_capacity(options.len());
         let mut handles = Vec::with_capacity(options.len());
         for shard_options in options {
-            let (server, handle) = EdgeServer::spawn_with(
-                config,
-                master,
-                ServerOptions { per_user_streams: true, ..shard_options },
-            );
+            let (server, handle) = EdgeServer::spawn_with(config, master, shard_options);
             servers.push(server);
             handles.push(handle);
         }

@@ -1,11 +1,7 @@
-//! Per-user serving state shared by [`crate::EdgeDevice`] (single-threaded)
-//! and [`crate::SharedEdgeDevice`] (slot-locked concurrent): the location
-//! manager, the permanent obfuscation table, and the posterior-weight
-//! selection cache.
-//!
-//! Keeping one implementation of the request hot path here guarantees the
-//! two devices stay behaviorally identical: given the same RNG stream they
-//! produce the same reported locations bit-for-bit.
+//! Per-user serving state of an [`crate::EdgeDevice`]: the location
+//! manager, the permanent obfuscation table, the posterior-weight
+//! selection cache, and (in per-user stream mode) the user's private RNG
+//! stream.
 
 use std::sync::Arc;
 
@@ -257,19 +253,9 @@ impl UserState {
     /// Closes the profile window, invalidates the selection cache (the
     /// top set — the cache keys — may drift), obfuscates any new top
     /// locations, and pre-warms the cache for the new top set. Returns
-    /// the number of freshly obfuscated top locations.
-    pub(crate) fn finalize_window(
-        &mut self,
-        config: &SystemConfig,
-        rng: &mut dyn RngCore,
-    ) -> usize {
-        let mut scratch = BatchScratch::new();
-        let mut lanes = CandidateLanes::new();
-        self.finalize_window_with(config, rng, &mut scratch, &mut lanes)
-    }
-
-    /// [`UserState::finalize_window`] with caller-owned generation buffers
-    /// (an edge device reuses one pair across every window close).
+    /// the number of freshly obfuscated top locations. The generation
+    /// buffers are caller-owned: an edge device reuses one pair across
+    /// every window close.
     pub(crate) fn finalize_window_with(
         &mut self,
         config: &SystemConfig,

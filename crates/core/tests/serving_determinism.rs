@@ -2,13 +2,12 @@
 //! with warm cached tables and serving with the cache flushed before every
 //! single request (forcing a from-scratch weight recompute) must produce
 //! bit-for-bit identical output streams — across multiple protection-window
-//! cycles, and on the concurrent device regardless of thread count.
+//! cycles, and with per-user streams regardless of how users are
+//! partitioned over worker threads. The checkpoint bytes both stream modes
+//! produce are pinned against golden digests.
 
-use std::sync::Arc;
-
-use privlocad::{AdDelivery, EdgeDevice, SharedEdgeDevice, SystemConfig};
+use privlocad::{AdDelivery, EdgeDevice, SystemConfig};
 use privlocad_adnet::{AdNetwork, Campaign, Targeting};
-use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 
@@ -73,24 +72,24 @@ fn cached_and_from_scratch_request_ads_streams_are_identical() {
     }
 }
 
-/// Drives the shared device with `threads` worker threads, each owning a
-/// disjoint set of users with a per-user derived RNG (the deterministic
-/// worker-pool pattern), through 3 window cycles. Returns the per-user
-/// reported-location streams, which must not depend on `threads` or on
-/// `flush`.
-fn drive_shared(seed: u64, threads: usize, flush: bool) -> Vec<Vec<Point>> {
+/// Serves 6 users through 3 window cycles on `threads` worker threads,
+/// each owning one per-user-stream device over a contiguous range of user
+/// ids. When `flush` is set, the worker drops its device's selection cache
+/// before every request. Returns the per-user reported-location streams,
+/// which must not depend on `threads` or on `flush`.
+fn drive_partitioned(seed: u64, threads: usize, flush: bool) -> Vec<Vec<Point>> {
     const USERS: u32 = 6;
-    let edge = Arc::new(SharedEdgeDevice::new(SystemConfig::builder().build().unwrap(), seed));
-    let handles: Vec<_> = (0..threads)
+    let config = SystemConfig::builder().build().unwrap();
+    let per_worker = USERS.div_ceil(threads as u32);
+    let handles: Vec<_> = (0..threads as u32)
         .map(|w| {
-            let edge = Arc::clone(&edge);
             std::thread::spawn(move || {
+                let mut edge = EdgeDevice::with_per_user_streams(config, seed);
                 let mut out = Vec::new();
-                for u in (w as u32..USERS).step_by(threads) {
+                for u in w * per_worker..((w + 1) * per_worker).min(USERS) {
                     let user = UserId::new(u);
-                    let home = Point::new(u as f64 * 4_000.0, 0.0);
+                    let home = Point::new(f64::from(u) * 4_000.0, 0.0);
                     let away = home + Point::new(0.0, 7_000.0);
-                    let mut rng = seeded(derive_seed(seed, u as u64));
                     let mut stream = Vec::new();
                     for cycle in 0..WINDOW_CYCLES {
                         for _ in 0..30 {
@@ -99,13 +98,13 @@ fn drive_shared(seed: u64, threads: usize, flush: bool) -> Vec<Vec<Point>> {
                         for _ in 0..(5 + 12 * cycle) {
                             edge.report_checkin(user, away);
                         }
-                        edge.finalize_window_with(user, &mut rng);
+                        edge.finalize_window(user);
                         for i in 0..REQUESTS_PER_CYCLE {
                             if flush {
                                 edge.flush_selection_cache();
                             }
                             let at = if i % 2 == 0 { home } else { away };
-                            stream.push(edge.reported_location_with(user, at, &mut rng));
+                            stream.push(edge.reported_location(user, at));
                         }
                     }
                     out.push((u, stream));
@@ -124,8 +123,8 @@ fn drive_shared(seed: u64, threads: usize, flush: bool) -> Vec<Vec<Point>> {
 }
 
 #[test]
-fn shared_device_streams_are_invariant_to_threads_and_cache_state() {
-    let baseline = drive_shared(77, 1, false);
+fn per_user_streams_are_invariant_to_partition_and_cache_state() {
+    let baseline = drive_partitioned(77, 1, false);
     for stream in &baseline {
         assert_eq!(stream.len(), WINDOW_CYCLES * REQUESTS_PER_CYCLE);
     }
@@ -134,11 +133,60 @@ fn shared_device_streams_are_invariant_to_threads_and_cache_state() {
             if threads == 1 && !flush {
                 continue;
             }
-            let got = drive_shared(77, threads, flush);
+            let got = drive_partitioned(77, threads, flush);
             assert_eq!(
                 got, baseline,
                 "threads={threads} flush={flush} diverged from the 1-thread cached run"
             );
         }
     }
+}
+
+/// A small seeded workload that touches every field of a v2 checkpoint:
+/// two top locations per user (candidate-set and posterior pools), served
+/// requests at both tops and at a nomadic position (RNG positions), and
+/// an open window of buffered check-ins.
+fn golden_workload(edge: &mut EdgeDevice) {
+    for u in 0..4u32 {
+        let user = UserId::new(u);
+        let home = Point::new(f64::from(u) * 7_000.0, 1_500.0);
+        let office = home + Point::new(3_000.0, 0.0);
+        for _ in 0..30 {
+            edge.report_checkin(user, home);
+        }
+        for _ in 0..12 {
+            edge.report_checkin(user, office);
+        }
+        edge.finalize_window(user);
+        for i in 0..6 {
+            let at = match i % 3 {
+                0 => home,
+                1 => office,
+                _ => Point::new(-40_000.0, 0.0),
+            };
+            edge.reported_location(user, at);
+        }
+        for _ in 0..5 {
+            edge.report_checkin(user, home);
+        }
+    }
+}
+
+/// The v2 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` (which
+/// is what `state_digest` hashes) and its length, pinned for one
+/// device-stream and one per-user-stream device. Any change to the byte
+/// layout, the header's op-counter slot, or either stream mode's draws
+/// shows up here.
+#[test]
+fn checkpoint_bytes_match_the_golden_digests() {
+    let config = SystemConfig::builder().build().unwrap();
+    let mut device = EdgeDevice::new(config, 2024);
+    golden_workload(&mut device);
+    assert_eq!(device.checkpoint().len(), 3_323);
+    assert_eq!(device.state_digest(), 0x8ef5_3243_d8b1_849c);
+
+    let mut per_user = EdgeDevice::with_per_user_streams(config, 2024);
+    golden_workload(&mut per_user);
+    assert_eq!(per_user.checkpoint().len(), 3_451);
+    assert_eq!(per_user.state_digest(), 0x0496_1cc9_7991_f31e);
 }

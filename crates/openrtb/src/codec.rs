@@ -286,23 +286,12 @@ impl BidRequest {
     }
 
     /// Decodes one framed request from the front of `bytes`, returning the
-    /// request and the number of bytes consumed.
-    pub fn decode(bytes: &Bytes) -> Result<(BidRequest, usize), DecodeError> {
-        BidRequest::decode_slice(bytes)
-    }
-
-    /// Decodes one framed request from the front of a plain byte slice —
-    /// the hot-path variant: no `Bytes` handle is constructed, so the body
-    /// view costs nothing beyond the checksum walk.
+    /// request and the number of bytes consumed. The body is read in place,
+    /// so decoding costs nothing beyond the checksum walk.
     pub fn decode_slice(bytes: &[u8]) -> Result<(BidRequest, usize), DecodeError> {
         let (frame, consumed) = FrameRef::decode(bytes)?;
         let request = BidRequest::from_frame_ref(frame)?;
         Ok((request, consumed))
-    }
-
-    /// Decodes the request body out of an already-verified [`Frame`].
-    pub fn from_frame(frame: &Frame) -> Result<BidRequest, DecodeError> {
-        BidRequest::from_frame_ref(frame.view())
     }
 
     /// Decodes the request body out of an already-verified [`FrameRef`].
@@ -404,21 +393,10 @@ impl BidResponse {
 
     /// Decodes one framed response from the front of `bytes`, returning the
     /// response and the number of bytes consumed.
-    pub fn decode(bytes: &Bytes) -> Result<(BidResponse, usize), DecodeError> {
-        BidResponse::decode_slice(bytes)
-    }
-
-    /// Decodes one framed response from the front of a plain byte slice —
-    /// the hot-path variant, see [`BidRequest::decode_slice`].
     pub fn decode_slice(bytes: &[u8]) -> Result<(BidResponse, usize), DecodeError> {
         let (frame, consumed) = FrameRef::decode(bytes)?;
         let response = BidResponse::from_frame_ref(frame)?;
         Ok((response, consumed))
-    }
-
-    /// Decodes the response body out of an already-verified [`Frame`].
-    pub fn from_frame(frame: &Frame) -> Result<BidResponse, DecodeError> {
-        BidResponse::from_frame_ref(frame.view())
     }
 
     /// Decodes the response body out of an already-verified [`FrameRef`].
@@ -453,14 +431,13 @@ impl BidResponse {
     }
 }
 
-/// A verified wire frame borrowed straight out of the input buffer: the
-/// hot-path twin of [`Frame`].
+/// A verified wire frame borrowed straight out of the input buffer.
 ///
-/// [`FrameRef::decode`] performs the same validation as [`Frame::decode`]
-/// (length, checksum, version, kind — in that order) but hands back a plain
-/// `&[u8]` body view, so decoding costs nothing beyond the checksum walk:
-/// no `Bytes` handle, no reference-count traffic. The batched serving loop
-/// and the codec microbenchmark decode through this type.
+/// [`FrameRef::decode`] validates framing (length, checksum, version, kind
+/// — in that order) and hands back a plain `&[u8]` body view, so decoding
+/// costs nothing beyond the checksum walk; the typed `from_frame_ref`
+/// constructors then parse the body. Every decode path goes through this
+/// type.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameRef<'a> {
     /// Frame version byte (`>= WIRE_VERSION`).
@@ -532,40 +509,6 @@ impl<'a> FrameRef<'a> {
     }
 }
 
-/// A verified wire frame: header fields plus a zero-copy body view.
-///
-/// `Frame::decode` validates framing (length, checksum, version, kind — in
-/// that order) and borrows the body out of the input `Bytes` without
-/// copying; the typed `from_frame` constructors then parse the body. When
-/// the decoded object does not need to outlive the input buffer, prefer
-/// [`FrameRef::decode`] — it performs identical validation but skips the
-/// `Bytes` reference-count bump.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Frame version byte (`>= WIRE_VERSION`).
-    pub version: u8,
-    /// Frame kind byte.
-    pub kind: u8,
-    /// Zero-copy view of the body bytes.
-    pub body: Bytes,
-}
-
-impl Frame {
-    /// Decodes and verifies one frame from the front of `bytes`, returning
-    /// the frame and the total bytes consumed (header + body + checksum).
-    pub fn decode(bytes: &Bytes) -> Result<(Frame, usize), DecodeError> {
-        let (frame, framed) = FrameRef::decode(bytes)?;
-        let body = bytes.slice(HEADER_LEN..HEADER_LEN + frame.body.len());
-        Ok((Frame { version: frame.version, kind: frame.kind, body }, framed))
-    }
-
-    /// The borrowed view of this frame, for the `from_frame_ref` parsers.
-    #[must_use]
-    pub fn view(&self) -> FrameRef<'_> {
-        FrameRef { version: self.version, kind: self.kind, body: &self.body }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,57 +522,9 @@ mod tests {
         let req = request();
         let wire = req.encode();
         assert_eq!(wire.len(), HEADER_LEN + REQUEST_BODY_LEN + CHECKSUM_LEN);
-        let (decoded, consumed) = BidRequest::decode(&wire).unwrap();
+        let (decoded, consumed) = BidRequest::decode_slice(&wire).unwrap();
         assert_eq!(decoded, req);
         assert_eq!(consumed, wire.len());
-    }
-
-    #[test]
-    fn slice_decode_matches_the_bytes_path() {
-        let req = request();
-        let wire = req.encode();
-        let (via_bytes, n_bytes) = BidRequest::decode(&wire).unwrap();
-        let (via_slice, n_slice) = BidRequest::decode_slice(&wire).unwrap();
-        assert_eq!((via_bytes, n_bytes), (via_slice, n_slice));
-        let resp = BidResponse::win(
-            req.id,
-            SeatBid { seat: 4, bid: Bid { imp: 1, price_micros: 2_500_000, adm: 77 } },
-        );
-        let wire = resp.encode();
-        assert_eq!(
-            BidResponse::decode(&wire).unwrap(),
-            BidResponse::decode_slice(&wire).unwrap()
-        );
-        // The two paths agree on errors too: every truncation and every
-        // single-byte corruption yields the identical typed failure.
-        let wire = req.encode();
-        for len in 0..wire.len() {
-            assert_eq!(
-                BidRequest::decode(&wire.slice(0..len)).unwrap_err(),
-                BidRequest::decode_slice(&wire[..len]).unwrap_err(),
-                "truncation at {len} diverged"
-            );
-        }
-        for i in 0..wire.len() {
-            let mut raw = wire.to_vec();
-            raw[i] ^= 0x01;
-            assert_eq!(
-                BidRequest::decode(&Bytes::from(raw.clone())).unwrap_err(),
-                BidRequest::decode_slice(&raw).unwrap_err(),
-                "corruption at {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_view_parses_like_the_owned_frame() {
-        let req = request();
-        let wire = req.encode();
-        let (frame, _) = Frame::decode(&wire).unwrap();
-        assert_eq!(
-            BidRequest::from_frame(&frame).unwrap(),
-            BidRequest::from_frame_ref(frame.view()).unwrap()
-        );
     }
 
     #[test]
@@ -641,7 +536,7 @@ mod tests {
         let no_bid = BidResponse::no_bid(9);
         for resp in [win, no_bid] {
             let wire = resp.encode();
-            let (decoded, consumed) = BidResponse::decode(&wire).unwrap();
+            let (decoded, consumed) = BidResponse::decode_slice(&wire).unwrap();
             assert_eq!(decoded, resp);
             assert_eq!(consumed, wire.len());
         }
@@ -662,9 +557,8 @@ mod tests {
         request().encode_into(&mut buf);
         BidResponse::no_bid(request().id).encode_into(&mut buf);
         let block = buf.freeze();
-        let (_, first) = BidRequest::decode(&block).unwrap();
-        let rest = block.slice(first..block.len());
-        let (resp, second) = BidResponse::decode(&rest).unwrap();
+        let (_, first) = BidRequest::decode_slice(&block).unwrap();
+        let (resp, second) = BidResponse::decode_slice(&block[first..]).unwrap();
         assert_eq!(first + second, block.len());
         assert!(!resp.is_win());
     }
@@ -673,7 +567,7 @@ mod tests {
     fn kind_mismatch_is_rejected() {
         let wire = request().encode();
         assert_eq!(
-            BidResponse::decode(&wire),
+            BidResponse::decode_slice(&wire),
             Err(DecodeError::UnknownKind(KIND_BID_REQUEST))
         );
     }
@@ -685,7 +579,7 @@ mod tests {
         let checksum_at = raw.len() - CHECKSUM_LEN;
         let fixed = fnv1a32(&raw[..checksum_at]);
         raw[checksum_at..].copy_from_slice(&fixed.to_be_bytes());
-        let err = BidRequest::decode(&Bytes::from(raw)).unwrap_err();
+        let err = BidRequest::decode_slice(&raw).unwrap_err();
         assert_eq!(err, DecodeError::UnsupportedVersion(0));
     }
 
@@ -703,7 +597,7 @@ mod tests {
         assert_eq!(raw.len() - body_start, REQUEST_BODY_LEN + 4);
         let checksum = fnv1a32(&raw);
         raw.put_u32(checksum);
-        let (decoded, consumed) = BidRequest::decode(&Bytes::from(raw.clone())).unwrap();
+        let (decoded, consumed) = BidRequest::decode_slice(&raw).unwrap();
         assert_eq!(decoded, req);
         assert_eq!(consumed, raw.len());
     }
@@ -719,7 +613,7 @@ mod tests {
         raw.extend_from_slice(&[0, 0]);
         let checksum = fnv1a32(&raw);
         raw.put_u32(checksum);
-        let err = BidRequest::decode(&Bytes::from(raw)).unwrap_err();
+        let err = BidRequest::decode_slice(&raw).unwrap_err();
         assert_eq!(
             err,
             DecodeError::BadBodyLen {
@@ -736,7 +630,7 @@ mod tests {
         for i in 0..wire.len() - CHECKSUM_LEN {
             let mut raw = wire.to_vec();
             raw[i] ^= 0x10;
-            let err = BidRequest::decode(&Bytes::from(raw)).unwrap_err();
+            let err = BidRequest::decode_slice(&raw).unwrap_err();
             // Flips in the length prefix may re-frame into a truncation
             // instead; everything else must die on the checksum, because the
             // semantic version/kind checks run only on intact frames.
@@ -754,7 +648,7 @@ mod tests {
     fn truncation_at_every_length_is_an_error_not_a_panic() {
         let wire = request().encode();
         for len in 0..wire.len() {
-            let err = BidRequest::decode(&wire.slice(0..len)).unwrap_err();
+            let err = BidRequest::decode_slice(&wire[..len]).unwrap_err();
             assert!(
                 matches!(err, DecodeError::Truncated { .. }),
                 "len {len}: unexpected error {err:?}"
@@ -772,7 +666,7 @@ mod tests {
         raw.put_u8(2);
         let checksum = fnv1a32(&raw);
         raw.put_u32(checksum);
-        let err = BidResponse::decode(&Bytes::from(raw)).unwrap_err();
+        let err = BidResponse::decode_slice(&raw).unwrap_err();
         assert_eq!(err, DecodeError::BadSeatBidFlag(2));
     }
 

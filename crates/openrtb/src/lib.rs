@@ -8,8 +8,8 @@
 //! - [`codec`]: a zero-copy OpenRTB-lite binary codec — [`BidRequest`] with
 //!   `imp`/`device`/`geo` objects carrying the released obfuscated
 //!   coordinate, [`BidResponse`] with `seatbid`/price/`adm`, framed with a
-//!   version byte, length prefix and FNV-1a checksum, decoded by borrowing
-//!   out of [`bytes::Bytes`].
+//!   version byte, length prefix and FNV-1a checksum, decoded in place from
+//!   a borrowed byte slice ([`FrameRef`]).
 //! - [`sink`]: the [`BidSink`] shards submit served locations into, with
 //!   per-device sequence numbering that keeps the stream shard-count
 //!   invariant.
@@ -24,7 +24,7 @@
 //!
 //! let request = BidRequest::new(DeviceId::new(7), 0, Geo { x: 120.0, y: -40.0 });
 //! let wire = request.encode();
-//! let (decoded, consumed) = BidRequest::decode(&wire)?;
+//! let (decoded, consumed) = BidRequest::decode_slice(&wire)?;
 //! assert_eq!(decoded, request);
 //! assert_eq!(consumed, wire.len());
 //! # Ok::<(), privlocad_openrtb::DecodeError>(())
@@ -38,8 +38,8 @@ pub mod log;
 pub mod sink;
 
 pub use codec::{
-    fnv1a32, fnv1a64, Bid, BidRequest, BidResponse, DecodeError, Device, DeviceId, Frame,
-    FrameRef, Geo, Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, KIND_BID_RESPONSE,
+    fnv1a32, fnv1a64, Bid, BidRequest, BidResponse, DecodeError, Device, DeviceId, FrameRef,
+    Geo, Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, KIND_BID_RESPONSE,
     REQUEST_BODY_LEN, RESPONSE_NOBID_BODY_LEN, RESPONSE_WIN_BODY_LEN, WIRE_VERSION,
 };
 pub use log::{BidExchangeLog, ExchangeRecord};

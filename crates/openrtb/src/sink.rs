@@ -132,7 +132,7 @@ mod tests {
         let geo = Geo { x: 10.0, y: -4.5 };
         sink.submit(DeviceId::new(5), geo);
         let drained = sink.drain();
-        let (req, consumed) = BidRequest::decode(&drained[0].frame).unwrap();
+        let (req, consumed) = BidRequest::decode_slice(&drained[0].frame).unwrap();
         assert_eq!(consumed, drained[0].frame.len());
         assert_eq!(req.device.id, DeviceId::new(5));
         assert_eq!(req.device.geo, geo);

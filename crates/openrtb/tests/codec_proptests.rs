@@ -4,9 +4,9 @@
 //! the forward-compatibility rule. Mirrors the frame-decode fuzzing the
 //! fault-tolerance PR established for the client protocol.
 
-use bytes::{BufMut, Bytes};
+use bytes::BufMut;
 use privlocad_openrtb::{
-    fnv1a32, Bid, BidRequest, BidResponse, DecodeError, DeviceId, Frame, Geo, SeatBid,
+    fnv1a32, Bid, BidRequest, BidResponse, DecodeError, DeviceId, FrameRef, Geo, SeatBid,
     CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, REQUEST_BODY_LEN, WIRE_VERSION,
 };
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
     ) {
         let req = request(device, seq, x, y);
         let wire = req.encode();
-        let (decoded, consumed) = BidRequest::decode(&wire).expect("round-trip decode");
+        let (decoded, consumed) = BidRequest::decode_slice(&wire).expect("round-trip decode");
         prop_assert_eq!(decoded, req);
         prop_assert_eq!(consumed, wire.len());
     }
@@ -50,7 +50,7 @@ proptest! {
     ) {
         let resp = response(id, win, seat, price, adm);
         let wire = resp.encode();
-        let (decoded, consumed) = BidResponse::decode(&wire).expect("round-trip decode");
+        let (decoded, consumed) = BidResponse::decode_slice(&wire).expect("round-trip decode");
         prop_assert_eq!(decoded, resp);
         prop_assert_eq!(consumed, wire.len());
     }
@@ -65,13 +65,13 @@ proptest! {
         let req = request(device, seq, 1.0, 2.0).encode();
         let cut_req = cut % req.len();
         prop_assert!(matches!(
-            BidRequest::decode(&req.slice(0..cut_req)),
+            BidRequest::decode_slice(&req[..cut_req]),
             Err(DecodeError::Truncated { .. })
         ));
         let resp = response(device, win, 1, 2, 3).encode();
         let cut_resp = cut % resp.len();
         prop_assert!(matches!(
-            BidResponse::decode(&resp.slice(0..cut_resp)),
+            BidResponse::decode_slice(&resp[..cut_resp]),
             Err(DecodeError::Truncated { .. })
         ));
     }
@@ -92,12 +92,11 @@ proptest! {
         let mut raw = wire.to_vec();
         let byte = byte % raw.len();
         raw[byte] ^= 1 << bit;
-        let bytes = Bytes::from(raw);
         // Either decoder must return a structured error (or, if the flip
         // landed in the float payload, possibly a clean different decode) —
         // never panic.
-        let _ = BidRequest::decode(&bytes);
-        let _ = BidResponse::decode(&bytes);
+        let _ = BidRequest::decode_slice(&raw);
+        let _ = BidResponse::decode_slice(&raw);
     }
 
     #[test]
@@ -112,10 +111,9 @@ proptest! {
         raw.extend_from_slice(&b.to_be_bytes());
         raw.extend_from_slice(&c.to_be_bytes());
         raw.truncate(len);
-        let bytes = Bytes::from(raw);
-        let _ = Frame::decode(&bytes);
-        let _ = BidRequest::decode(&bytes);
-        let _ = BidResponse::decode(&bytes);
+        let _ = FrameRef::decode(&raw);
+        let _ = BidRequest::decode_slice(&raw);
+        let _ = BidResponse::decode_slice(&raw);
     }
 
     #[test]
@@ -139,7 +137,7 @@ proptest! {
         raw.put_u32(checksum);
         let total = raw.len();
         let (decoded, consumed) =
-            BidRequest::decode(&Bytes::from(raw)).expect("forward-compat decode");
+            BidRequest::decode_slice(&raw).expect("forward-compat decode");
         prop_assert_eq!(decoded, req);
         prop_assert_eq!(consumed, total);
         prop_assert_eq!(total, HEADER_LEN + REQUEST_BODY_LEN + extension + CHECKSUM_LEN);
@@ -159,7 +157,7 @@ proptest! {
             let fixed = fnv1a32(&raw[..checksum_at]);
             raw[checksum_at..].copy_from_slice(&fixed.to_be_bytes());
             prop_assert_eq!(
-                BidRequest::decode(&Bytes::from(raw)),
+                BidRequest::decode_slice(&raw),
                 Err(DecodeError::UnsupportedVersion(version))
             );
         }

@@ -49,7 +49,7 @@ echo "==> bench serve (smoke, reduced sizes)"
 ./target/release/privlocad-lint --root . --bench-json "$smoke_dir/BENCH_serve.json"
 grep -q 'serve/legacy_single' "$smoke_dir/BENCH_serve.json"
 grep -q 'serve/batched_cached/16' "$smoke_dir/BENCH_serve.json"
-grep -q 'serve/shared_batched/16x2' "$smoke_dir/BENCH_serve.json"
+grep -q 'serve/partitioned_batched/16x2' "$smoke_dir/BENCH_serve.json"
 grep -q 'requests_per_sec' "$smoke_dir/BENCH_serve.json"
 # Scale-stage smoke at one 10k-user shard: row shape and the seed-pure
 # output digest only — encode/recovery wall-clock stays ungated here for
