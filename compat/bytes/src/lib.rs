@@ -39,6 +39,12 @@ impl Bytes {
         self.start == self.end
     }
 
+    /// Whether this is the only handle on the underlying storage — no
+    /// clone and no [`Bytes::slice`] view of it is alive elsewhere.
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+    }
+
     /// A sub-view of this buffer sharing the same storage — no copy, no
     /// allocation.
     ///
@@ -344,6 +350,19 @@ mod tests {
         assert_eq!(block.slice(5..5).len(), 0);
         // Content equality ignores how the view was produced.
         assert_eq!(head, Bytes::from(vec![10, 11]));
+    }
+
+    #[test]
+    fn uniqueness_counts_clones_and_slices() {
+        let block = Bytes::from(vec![1, 2, 3]);
+        assert!(block.is_unique());
+        let view = block.slice(1..2);
+        assert!(!block.is_unique() && !view.is_unique());
+        drop(view);
+        let copy = block.clone();
+        assert!(!copy.is_unique());
+        drop(block);
+        assert!(copy.is_unique());
     }
 
     #[test]

@@ -289,11 +289,17 @@ impl CommittedLog {
 
     /// Re-encodes one user's frame into the log, interning any candidate
     /// set or posterior table it references that the pools have not seen
-    /// yet. O(user state), independent of the fleet size.
+    /// yet. O(user state), independent of the fleet size. A re-capture
+    /// overwrites the user's existing frame buffer in place, so a commit
+    /// allocates only when the frame outgrows it.
     pub(crate) fn capture_user(&mut self, user: UserId, state: &UserState) {
         let per_user = matches!(self.streams, StreamMode::PerUser { .. });
         let table = state.obfuscation.table();
-        let mut frame: Vec<u8> = Vec::new();
+        let mut frame = std::mem::take(self.frames.entry(user.raw()).or_default());
+        if !frame.is_empty() {
+            self.frame_bytes -= 4 + frame.len();
+        }
+        frame.clear();
         frame.put_u32(user.raw());
         frame.put_u64(state.manager.windows_closed() as u64);
         if per_user {
@@ -324,9 +330,7 @@ impl CommittedLog {
         }
         frame[cache_count_at..cache_count_at + 4].copy_from_slice(&cache_count.to_be_bytes());
         self.frame_bytes += 4 + frame.len();
-        if let Some(old) = self.frames.insert(user.raw(), frame) {
-            self.frame_bytes -= 4 + old.len();
-        }
+        self.frames.insert(user.raw(), frame);
     }
 
     /// The byte length [`CommittedLog::materialize`] would produce —
@@ -995,11 +999,23 @@ mod tests {
     /// The committed log maintained per-batch must materialize an image
     /// that restores to exactly the state a full `checkpoint()` encode
     /// restores to — at every commit point, with users touched in an
-    /// order different from id order, with re-captures, and across a
-    /// simulated rollback-rebuild.
+    /// order different from id order, with re-captures (a long mid-window
+    /// frame re-encoded as a short post-close one in the same buffer), and
+    /// across a simulated rollback-rebuild.
     #[test]
     fn incremental_committed_log_matches_the_full_encoder() {
         let config = SystemConfig::builder().build().unwrap();
+        // Materializes the log and checks it against the full encoder,
+        // returning the device restored from the log's image.
+        let assert_matches = |log: &CommittedLog, edge: &crate::EdgeDevice, at: &str| {
+            let image = log.materialize();
+            assert_eq!(image.len(), log.encoded_len(), "tracked length must be exact ({at})");
+            let via_log = crate::EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
+            let via_full =
+                crate::EdgeDevice::restore_from_checkpoint(config, &edge.checkpoint()).unwrap();
+            assert_eq!(via_log.state_digest(), via_full.state_digest(), "{at}");
+            via_log
+        };
         let mut edge = crate::EdgeDevice::with_per_user_streams(config, 9);
         let mut log = CommittedLog::rebuild(&edge);
         let users: Vec<UserId> = [3u32, 0, 5, 1, 4, 2].iter().map(|&u| UserId::new(u)).collect();
@@ -1009,22 +1025,25 @@ mod tests {
                 // One "batch" per user: check-ins, a window close, and —
                 // from the second round — a served request, so the
                 // posterior cache and per-user stream positions move too.
+                // It commits twice: mid-window, with 20 buffered
+                // check-ins, and after the close has emptied the buffer.
                 for _ in 0..20 {
                     edge.report_checkin(user, home);
                 }
+                log.set_rng(edge.checkpoint_header().0);
+                log.capture_user(user, edge.user_state(user).unwrap());
+                let long = log.frames[&user.raw()].len();
+                assert_matches(&log, &edge, &format!("round {round}, user {user:?} mid-window"));
                 if round > 0 {
                     let _ = edge.reported_location(user, home);
                 }
                 edge.finalize_window(user);
                 log.set_rng(edge.checkpoint_header().0);
                 log.capture_user(user, edge.user_state(user).unwrap());
+                assert!(log.frames[&user.raw()].len() < long, "the close shortens the frame");
+                assert_matches(&log, &edge, &format!("round {round}, user {user:?} closed"));
             }
-            let image = log.materialize();
-            assert_eq!(image.len(), log.encoded_len(), "tracked length must be exact");
-            let via_log = crate::EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
-            let via_full =
-                crate::EdgeDevice::restore_from_checkpoint(config, &edge.checkpoint()).unwrap();
-            assert_eq!(via_log.state_digest(), via_full.state_digest(), "round {round}");
+            let via_log = assert_matches(&log, &edge, &format!("round {round}"));
             if round == 1 {
                 // A supervisor rollback replaces the device wholesale and
                 // rebuilds the log against the fresh allocation graph.

@@ -360,7 +360,10 @@ pub struct ServerOptions {
     /// re-drawing a single released candidate ([`crate::fabric`]). An
     /// unreadable checkpoint fails the spawn (the serving loop exits
     /// with the recovery error; clients observe a disconnect), never
-    /// silently serves from empty state.
+    /// silently serves from empty state. The serving loop reads the
+    /// image once and drops its reference as soon as the device is
+    /// restored, so the image is freed before the first request is served
+    /// unless the caller kept a clone.
     pub restore_from: Option<Bytes>,
     /// Where served ad requests are emitted as OpenRTB-lite bid requests.
     /// `None` (the default) serves without a bid pipeline. The sink is
@@ -716,16 +719,18 @@ fn serve(
     config: SystemConfig,
     seed: u64,
     rx: Receiver<Envelope>,
-    options: ServerOptions,
+    mut options: ServerOptions,
     metrics: Arc<ServerMetrics>,
     checkpoint_cell: Arc<Mutex<Option<CommittedLog>>>,
 ) -> Result<EdgeDevice, SystemError> {
     let mut edge = EdgeDevice::with_per_user_streams(config, seed);
-    if let Some(snapshot) = options.restore_from.as_ref() {
+    // Taken, not borrowed: the image is read once and freed here instead
+    // of living as long as the worker.
+    if let Some(snapshot) = options.restore_from.take() {
         // Resume from the committed checkpoint of a failed predecessor.
         // An unreadable snapshot fails the spawn outright — serving from
         // empty state here would silently re-draw released candidates.
-        restore_checkpoint(snapshot, config, &mut edge)?;
+        restore_checkpoint(&snapshot, config, &mut edge)?;
     }
     let telemetry = options.telemetry.clone();
     // Logical-clock tracer for the per-wakeup pipeline stages. The clock
@@ -1650,12 +1655,15 @@ mod tests {
         assert!(!snapshot.is_empty());
         handle.shutdown().unwrap();
         server.join().unwrap();
+        let image = snapshot.clone();
         let (server, handle) = EdgeServer::spawn_with(
             config,
             11,
             ServerOptions { restore_from: Some(snapshot), ..ServerOptions::default() },
         );
         split.push(handle.request_location(user, home).unwrap());
+        // The restored worker reads the image once and lets go of it.
+        assert!(image.is_unique(), "the serving loop still holds the restore image");
         handle.shutdown().unwrap();
         assert_eq!(server.join().unwrap().user_count(), 1);
         assert_eq!(split, continuous);

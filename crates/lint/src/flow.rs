@@ -131,6 +131,7 @@ const SINKS: &[FnPat] = &[
     // hand-off and the wire encoder are egress points.
     pat(Some("openrtb"), Some("BidSink"), "submit"),
     pat(Some("openrtb"), Some("BidRequest"), "encode"),
+    pat(Some("openrtb"), Some("BidRequest"), "encode_into"),
     pat(Some("telemetry"), None, "deterministic_json"),
     pat(Some("telemetry"), None, "to_json"),
 ];
@@ -808,6 +809,34 @@ mod tests {
             (
                 "crates/core/src/bid_ok.rs",
                 "impl Device {\n    fn emit(&self) {\n        let top = self.manager.top_set();\n        let c = self.module.candidates_for(top);\n        self.sink.submit(id, c)\n    }\n}\n",
+            ),
+        ]);
+        assert!(
+            findings.iter().all(|f| f.rule != "location-leak"),
+            "findings: {findings:?}"
+        );
+        // The sink's own encoder appends frames into a caller's buffer;
+        // that form is egress too, under the same rule.
+        let encoder = (
+            "crates/openrtb/src/codec.rs",
+            "impl BidRequest {\n    pub fn encode_into(&self, buf: &mut BytesMut) {\n    }\n}\n",
+        );
+        let findings = analyze_mini(&[
+            encoder,
+            (
+                "crates/core/src/frame_leak.rs",
+                "impl Device {\n    fn emit(&self, buf: &mut BytesMut) {\n        let top = self.manager.top_set();\n        BidRequest::new(id, 0, top).encode_into(buf)\n    }\n}\n",
+            ),
+        ]);
+        let leaks: Vec<&Finding> =
+            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        assert_eq!(leaks.len(), 1, "findings: {findings:?}");
+        assert!(leaks[0].message.contains("`BidRequest::encode_into`"), "{}", leaks[0].message);
+        let findings = analyze_mini(&[
+            encoder,
+            (
+                "crates/core/src/frame_ok.rs",
+                "impl Device {\n    fn emit(&self, buf: &mut BytesMut) {\n        let top = self.manager.top_set();\n        let c = self.module.candidates_for(top);\n        BidRequest::new(id, 0, c).encode_into(buf)\n    }\n}\n",
             ),
         ]);
         assert!(

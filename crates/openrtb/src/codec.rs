@@ -39,6 +39,9 @@ pub const CHECKSUM_LEN: usize = 4;
 /// Version-1 [`BidRequest`] body length: `id` + `seq` + [`Imp`] + [`Device`].
 pub const REQUEST_BODY_LEN: usize = 8 + 8 + 12 + 24;
 
+/// Length of one framed version-1 [`BidRequest`], as its encoders write it.
+pub(crate) const REQUEST_FRAME_LEN: usize = HEADER_LEN + REQUEST_BODY_LEN + CHECKSUM_LEN;
+
 /// Version-1 no-bid [`BidResponse`] body length: `id` + seatbid flag.
 pub const RESPONSE_NOBID_BODY_LEN: usize = 8 + 1;
 
@@ -263,7 +266,7 @@ impl BidRequest {
     /// Encodes the request as one framed wire message.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + REQUEST_BODY_LEN + CHECKSUM_LEN);
+        let mut buf = BytesMut::with_capacity(REQUEST_FRAME_LEN);
         self.encode_into(&mut buf);
         buf.freeze()
     }

@@ -12,11 +12,11 @@
 //! The flow-analysis lint models [`BidSink::submit`] as a wire sink: only
 //! released (obfuscated) coordinates may reach it.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-use crate::codec::{BidRequest, DeviceId, Geo};
+use crate::codec::{BidRequest, DeviceId, Geo, REQUEST_FRAME_LEN};
 
 /// One submitted-but-not-yet-auctioned bid request.
 #[derive(Debug, Clone)]
@@ -33,8 +33,13 @@ pub struct PendingBid {
 struct SinkState {
     /// Next `seq` to assign, per device.
     next_seq: BTreeMap<u64, u64>,
-    /// Encoded frames awaiting a pump, keyed for canonical drain order.
-    pending: BTreeMap<(u64, u64), Bytes>,
+    /// Encoded frames awaiting a pump, back to back in submission order.
+    arena: BytesMut,
+    /// `(device, seq, arena offset)` of each pending frame, in submission
+    /// order; [`BidSink::drain`] sorts it into canonical order. Every
+    /// request frame is [`REQUEST_FRAME_LEN`] bytes, so the offset alone
+    /// locates it.
+    index: Vec<(u64, u64, usize)>,
 }
 
 /// A shared, thread-safe collection point for emitted bid requests.
@@ -45,6 +50,9 @@ struct SinkState {
 /// layouts. The sink outlives individual servers (it is cloned into the
 /// fleet's `ServerOptions` template), so sequences stay continuous across
 /// worker restarts and fabric heals.
+///
+/// Pending frames live back to back in one arena, so a pending bid costs
+/// its 60 wire bytes plus one index entry — no allocation of its own.
 #[derive(Debug, Default)]
 pub struct BidSink {
     state: Mutex<SinkState>,
@@ -67,20 +75,27 @@ impl BidSink {
         let counter = state.next_seq.entry(device.raw()).or_insert(0);
         let seq = *counter;
         *counter += 1;
-        let frame = BidRequest::new(device, seq, geo).encode();
-        state.pending.insert((device.raw(), seq), frame);
+        let offset = state.arena.len();
+        BidRequest::new(device, seq, geo).encode_into(&mut state.arena);
+        state.index.push((device.raw(), seq, offset));
         seq
     }
 
     /// Drains every pending request in canonical `(device, seq)` order.
+    /// Each returned frame is a zero-copy view into the drained arena.
     pub fn drain(&self) -> Vec<PendingBid> {
-        let mut state = self.state.lock();
-        std::mem::take(&mut state.pending)
+        let (arena, mut index) = {
+            let mut state = self.state.lock();
+            (std::mem::take(&mut state.arena).freeze(), std::mem::take(&mut state.index))
+        };
+        // `(device, seq)` keys are unique, so an unstable sort is canonical.
+        index.sort_unstable_by_key(|&(device, seq, _)| (device, seq));
+        index
             .into_iter()
-            .map(|((device, seq), frame)| PendingBid {
+            .map(|(device, seq, offset)| PendingBid {
                 device: DeviceId::new(device),
                 seq,
-                frame,
+                frame: arena.slice(offset..offset + REQUEST_FRAME_LEN),
             })
             .collect()
     }
@@ -88,7 +103,7 @@ impl BidSink {
     /// Number of requests awaiting a drain.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.state.lock().pending.len()
+        self.state.lock().index.len()
     }
 
     /// Total requests submitted so far (drained or not).

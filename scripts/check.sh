@@ -10,6 +10,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> fleetbench self-test (reference-replay oracle, exchange-log digest, ledger audit)"
+# The only test that drives all three benchmark workloads through the live
+# fleet and checks them against the in-process reference replay, so it is
+# the one that catches a bid drain-order or commit-image regression.
+cargo test --release --offline -q --manifest-path fleetbench/Cargo.toml
+
 echo "==> cargo build --no-default-features (trace feature compiles out)"
 cargo build --workspace --no-default-features
 
