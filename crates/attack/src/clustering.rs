@@ -1,4 +1,3 @@
-use privlocad_geo::grid::SpatialGrid;
 use privlocad_geo::Point;
 
 /// A cluster of check-in indices produced by [`connectivity_clusters`].
@@ -49,9 +48,17 @@ impl Cluster {
 /// Clusters are returned sorted by size, largest first; ties are broken by
 /// the smallest member index so the output is deterministic.
 ///
-/// The implementation unions grid-accelerated neighbor pairs with a
-/// weighted-quick-union disjoint-set, so it runs in near-linear time in the
-/// number of neighbor pairs rather than O(m²) over all check-ins.
+/// Only check-ins whose θ-cells `(⌊x/θ⌋, ⌊y/θ⌋)` (cast to `i64`) differ by
+/// at most one per axis, wrapping at the `i64` bounds, are compared, with
+/// `distance_sq ≤ θ²`. The points are sorted by θ-cell and half-θ
+/// sub-cell. The points of one sub-cell are under 0.71·θ apart, so each
+/// sub-cell joins a weighted-quick-union disjoint set whole; two sub-cells
+/// in the same or adjacent θ-cells are scanned pair by pair only while
+/// their components differ, stopping at the first pair within θ. The cost
+/// is a sort plus, per neighbouring sub-cell pair whose components differ,
+/// at most the product of their sizes. A point with a NaN or infinite
+/// coordinate, or one 2^50 or more θ-cells from the origin, is compared
+/// with every point of its nine neighbouring θ-cells instead.
 ///
 /// # Panics
 ///
@@ -77,19 +84,36 @@ pub fn connectivity_clusters(points: &[Point], theta: f64) -> Vec<Cluster> {
     connectivity_clusters_with(points, theta, &mut ClusterScratch::default())
 }
 
-/// Reusable buffers for [`connectivity_clusters_with`]: the spatial grid
-/// and its per-query neighbor list survive across calls, so repeated
+/// Reusable buffers for [`connectivity_clusters_with`]: the sorted cell
+/// entries and their run boundaries survive across calls, so repeated
 /// clustering passes (one per extracted rank in Algorithm 1, one per trial
-/// in the Monte-Carlo sweeps) stop re-allocating the acceleration
-/// structure every time.
+/// in the Monte-Carlo sweeps) stop re-allocating them every time.
 ///
 /// The scratch is pure acceleration state — results are identical whether
 /// a scratch is fresh or carried over from any previous call.
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
-    grid: Option<SpatialGrid>,
-    neighbors: Vec<usize>,
+    /// `(θ-cell x, θ-cell y, half-θ sub-cell 0..4, point index)` of each
+    /// point the sub-cell shortcut covers, sorted by cell.
+    cells: Vec<(i64, i64, u8, usize)>,
+    /// Those points, in the same order.
+    sorted: Vec<Point>,
+    /// Start of each sub-cell run in `sorted`, then `sorted.len()`.
+    runs: Vec<usize>,
+    /// Each θ-cell's key and first run, then a sentinel holding the run count.
+    blocks: Vec<(i64, i64, usize)>,
+    /// `(θ-cell x, θ-cell y, point index)` of the other points, sorted.
+    others: Vec<(i64, i64, usize)>,
+    /// Each point's disjoint-set node: its run, or a node of its own for
+    /// the other points.
+    node: Vec<usize>,
 }
+
+/// `|x/θ|` and `|y/θ|` below which the sub-cell shortcut is exact: keys are
+/// exact integers whose ±1 neighbours cannot overflow, and two points of
+/// one sub-cell are at most half a θ-cell apart per axis. NaN and ±∞ fail
+/// the comparison.
+const SHORTCUT_LIMIT: f64 = (1u64 << 50) as f64;
 
 /// [`connectivity_clusters`] with caller-owned scratch buffers.
 ///
@@ -105,36 +129,141 @@ pub fn connectivity_clusters_with(
     if points.is_empty() {
         return Vec::new();
     }
-    let ClusterScratch { grid, neighbors } = scratch;
-    let grid = match grid {
-        Some(g) => {
-            g.rebuild(points, theta);
-            g
+    let theta_sq = theta * theta;
+    let ClusterScratch { cells, sorted, runs, blocks, others, node } = scratch;
+    cells.clear();
+    others.clear();
+    for (i, p) in points.iter().enumerate() {
+        let (qx, qy) = (p.x / theta, p.y / theta);
+        if qx.abs() < SHORTCUT_LIMIT && qy.abs() < SHORTCUT_LIMIT {
+            // ⌊2q⌋ is the half-θ sub-cell; shifted down one bit, ⌊q⌋.
+            let (sx, sy) = ((2.0 * qx).floor() as i64, (2.0 * qy).floor() as i64);
+            cells.push((sx >> 1, sy >> 1, ((sx & 1) << 1 | (sy & 1)) as u8, i));
+        } else {
+            others.push((qx.floor() as i64, qy.floor() as i64, i));
         }
-        None => grid.insert(SpatialGrid::build(points, theta)),
-    };
-    let mut dsu = DisjointSet::new(points.len());
-    for (i, &point) in points.iter().enumerate() {
-        grid.neighbors_within_into(point, theta, neighbors);
-        for &j in neighbors.iter() {
-            if j > i {
-                dsu.union(i, j);
+    }
+    cells.sort_unstable_by_key(|&(kx, ky, sub, _)| (kx, ky, sub));
+    others.sort_unstable();
+
+    sorted.clear();
+    runs.clear();
+    blocks.clear();
+    node.clear();
+    node.resize(points.len(), 0);
+    for (k, &(kx, ky, sub, i)) in cells.iter().enumerate() {
+        match k.checked_sub(1).map(|prev| cells[prev]) {
+            Some((px, py, ps, _)) if (px, py, ps) == (kx, ky, sub) => {}
+            Some((px, py, ..)) if (px, py) == (kx, ky) => runs.push(k),
+            _ => {
+                blocks.push((kx, ky, runs.len()));
+                runs.push(k);
+            }
+        }
+        sorted.push(points[i]);
+        node[i] = runs.len() - 1;
+    }
+    let n_runs = runs.len();
+    let n_blocks = blocks.len();
+    blocks.push((0, 0, n_runs));
+    runs.push(cells.len());
+    for (o, &(.., i)) in others.iter().enumerate() {
+        node[i] = n_runs + o;
+    }
+    let mut dsu = DisjointSet::new(
+        runs.windows(2).map(|w| w[1] - w[0]).chain(others.iter().map(|_| 1)).collect(),
+    );
+
+    let block_key = |b: usize| (blocks[b].0, blocks[b].1);
+    let block_runs = |b: usize| blocks[b].2..blocks[b + 1].2;
+    // Sub-cells within one θ-cell first: dense places then enter the
+    // neighbour pass as one component each, which one pair can join.
+    for b in 0..n_blocks {
+        let own = block_runs(b);
+        for r in own.clone() {
+            for s in r + 1..own.end {
+                link(&mut dsu, sorted, runs, theta_sq, r, s);
             }
         }
     }
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = std::collections::BTreeMap::new();
-    for i in 0..points.len() {
-        groups.entry(dsu.find(i)).or_default().push(i);
+    // Each adjacent θ-cell pair once, from its lower key: (x, y + 1), then
+    // (x + 1, y − 1 ..= y + 1), which a forward-only cursor finds.
+    let mut column = 0;
+    for (b, &(kx, ky, _)) in blocks[..n_blocks].iter().enumerate() {
+        let above = (b + 1..n_blocks).take_while(|&c| block_key(c) == (kx, ky + 1));
+        while column < n_blocks && block_key(column) < (kx + 1, ky - 1) {
+            column += 1;
+        }
+        let right = (column..n_blocks).take_while(|&c| block_key(c) <= (kx + 1, ky + 1));
+        for c in above.chain(right) {
+            for r in block_runs(b) {
+                for s in block_runs(c) {
+                    link(&mut dsu, sorted, runs, theta_sq, r, s);
+                }
+            }
+        }
     }
-    let mut clusters: Vec<Cluster> = groups
-        .into_values()
-        .map(|mut members| {
-            members.sort_unstable();
-            Cluster { members }
-        })
-        .collect();
+    // The other points keep the rule verbatim: every point of the nine
+    // neighbouring θ-cells, wrapping at the `i64` bounds.
+    for (o, &(kx, ky, i)) in others.iter().enumerate() {
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                let key = (kx.wrapping_add(dx), ky.wrapping_add(dy));
+                let b = blocks[..n_blocks].partition_point(|&(bx, by, _)| (bx, by) < key);
+                if b < n_blocks && block_key(b) == key {
+                    for r in block_runs(b) {
+                        for &q in &sorted[runs[r]..runs[r + 1]] {
+                            if points[i].distance_sq(q) <= theta_sq {
+                                dsu.union(n_runs + o, r);
+                            }
+                        }
+                    }
+                }
+                let first = others.partition_point(|&(x, y, _)| (x, y) < key);
+                let cell = others.iter().enumerate().skip(first);
+                for (p, &(.., j)) in cell.take_while(|&(_, &(x, y, _))| (x, y) == key) {
+                    if points[i].distance_sq(points[j]) <= theta_sq {
+                        dsu.union(n_runs + o, n_runs + p);
+                    }
+                }
+            }
+        }
+    }
+
+    let mut slot = vec![usize::MAX; dsu.parent.len()];
+    let mut clusters: Vec<Cluster> = Vec::new();
+    for (i, &n) in node.iter().enumerate() {
+        let root = dsu.find(n);
+        if slot[root] == usize::MAX {
+            slot[root] = clusters.len();
+            clusters.push(Cluster { members: Vec::with_capacity(dsu.size[root]) });
+        }
+        clusters[slot[root]].members.push(i);
+    }
     clusters.sort_by(|a, b| b.len().cmp(&a.len()).then(a.members[0].cmp(&b.members[0])));
     clusters
+}
+
+/// Joins the components of sub-cell runs `r` and `s` at the first pair of
+/// their points within θ.
+fn link(
+    dsu: &mut DisjointSet,
+    sorted: &[Point],
+    runs: &[usize],
+    theta_sq: f64,
+    r: usize,
+    s: usize,
+) {
+    if dsu.find(r) == dsu.find(s) {
+        return;
+    }
+    let theirs = &sorted[runs[s]..runs[s + 1]];
+    for &p in &sorted[runs[r]..runs[r + 1]] {
+        if theirs.iter().any(|&q| p.distance_sq(q) <= theta_sq) {
+            dsu.union(r, s);
+            return;
+        }
+    }
 }
 
 /// Weighted quick-union with path halving.
@@ -145,8 +274,9 @@ struct DisjointSet {
 }
 
 impl DisjointSet {
-    fn new(n: usize) -> Self {
-        DisjointSet { parent: (0..n).collect(), size: vec![1; n] }
+    /// One singleton set per entry of `size`, each of that many points.
+    fn new(size: Vec<usize>) -> Self {
+        DisjointSet { parent: (0..size.len()).collect(), size }
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -270,6 +400,25 @@ mod tests {
     #[should_panic(expected = "theta must be positive")]
     fn rejects_bad_theta() {
         let _ = connectivity_clusters(&[Point::ORIGIN], f64::NAN);
+    }
+
+    #[test]
+    fn out_of_range_points_keep_their_partition() {
+        // Non-finite and huge check-ins can arrive unvalidated from a
+        // client. Their keys saturate (NaN to 0) and neighbour keys wrap at
+        // the `i64` bounds without overflowing; only the duplicate pair is
+        // within θ.
+        let members = |coords: &[(f64, f64)]| -> Vec<Vec<usize>> {
+            let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            connectivity_clusters(&pts, 50.0).into_iter().map(|c| c.members).collect()
+        };
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        assert_eq!(members(&[(inf, 0.0), (0.0, 0.0)]), [[0], [1]]);
+        assert_eq!(members(&[(nan, 1.0), (nan, 2.0)]), [[0], [1]]);
+        assert_eq!(members(&[(nan, nan), (3.0, 4.0)]), [[0], [1]]);
+        assert_eq!(members(&[(1e300, 0.0), (2e300, 0.0)]), [[0], [1]]);
+        assert_eq!(members(&[(-inf, 0.0), (inf, 0.0)]), [[0], [1]]);
+        assert_eq!(members(&[(1e300, 0.0), (1e300, 0.0)]), [[0, 1]]);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl DeobfuscationAttack {
     ///
     /// Monte-Carlo sweeps run the attack once per trial over fresh
     /// check-in streams; passing the same [`AttackScratch`] keeps the
-    /// spatial grid and working buffers allocated across trials. The
+    /// clustering and working buffers allocated across trials. The
     /// scratch never changes results — it is pure acceleration state.
     pub fn infer_top_locations_with(
         &self,
@@ -239,7 +239,7 @@ fn mean_of(pool: &[Point], members: &[usize]) -> Option<Point> {
 }
 
 /// Reusable working memory for [`DeobfuscationAttack::infer_top_locations_with`]:
-/// the clustering grid, the mutable check-in pool, and the trimming
+/// the clustering buffers, the mutable check-in pool, and the trimming
 /// membership bitmap all survive across invocations.
 #[derive(Debug, Default)]
 pub struct AttackScratch {

@@ -2,14 +2,158 @@
 
 use privlocad_attack::evaluation::{rank_distances, AttackStats};
 use privlocad_attack::{
-    connectivity_clusters, AttackConfig, DeobfuscationAttack, InferredLocation, LocationProfile,
-    ProfileEntry,
+    connectivity_clusters, connectivity_clusters_with, AttackConfig, ClusterScratch,
+    DeobfuscationAttack, InferredLocation, LocationProfile, ProfileEntry,
 };
+use privlocad_geo::rng::seeded;
 use privlocad_geo::Point;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn point() -> impl Strategy<Value = Point> {
     (-20_000.0..20_000.0f64, -20_000.0..20_000.0f64).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// The connectivity rule checked over all pairs: θ-cells
+/// `(⌊x/θ⌋ as i64, ⌊y/θ⌋ as i64)` within ±1 per axis under wrapping
+/// arithmetic, and `distance_sq ≤ θ²`. Components come out in the
+/// clustering's order: size descending, then smallest member.
+fn reference_clusters(points: &[Point], theta: f64) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            x = parent[x];
+        }
+        x
+    }
+    let key = |p: Point| ((p.x / theta).floor() as i64, (p.y / theta).floor() as i64);
+    let near = |a: i64, b: i64| matches!(a.wrapping_sub(b), -1..=1);
+    let mut parent: Vec<usize> = (0..points.len()).collect();
+    for i in 0..points.len() {
+        for j in i + 1..points.len() {
+            let (ki, kj) = (key(points[i]), key(points[j]));
+            if near(ki.0, kj.0)
+                && near(ki.1, kj.1)
+                && points[i].distance_sq(points[j]) <= theta * theta
+            {
+                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                parent[ri.max(rj)] = ri.min(rj);
+            }
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut slot = vec![usize::MAX; points.len()];
+    for i in 0..points.len() {
+        let root = find(&mut parent, i);
+        if slot[root] == usize::MAX {
+            slot[root] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[slot[root]].push(i);
+    }
+    groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
+    groups
+}
+
+/// A window biased toward the clustering's edge cases: coordinates on and
+/// one ulp off multiples of θ/2, ±0.0 and tiny subnormals, pairs exactly θ
+/// apart along the axes and diagonals, duplicates, dense blobs (σ ≪ θ)
+/// including ones on cell corners, points on both sides of 2^50 θ-cells,
+/// and a few huge or non-finite points.
+fn edge_case_window(seed: u64) -> (f64, Vec<Point>) {
+    fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+        items[rng.gen_range(0..items.len())]
+    }
+    /// `v` on a random axis of `anchor`.
+    fn on_axis(rng: &mut StdRng, anchor: Point, v: f64) -> Point {
+        if rng.gen() {
+            Point::new(v, anchor.y)
+        } else {
+            Point::new(anchor.x, v)
+        }
+    }
+    let mut rng = seeded(seed);
+    let theta: f64 = pick(&mut rng, &[50.0, 50.0, 1.0, 0.1, 7.5, 3e5]);
+    let lattice = |rng: &mut StdRng| {
+        let v = f64::from(rng.gen_range(-12i32..=12)) * theta / 2.0;
+        match rng.gen_range(0..6) {
+            0 => -v,
+            1 => f64::from_bits(v.to_bits() + 1),
+            2 if v != 0.0 => f64::from_bits(v.to_bits() - 1),
+            3 => f64::from_bits(rng.gen_range(1..40)) * pick(rng, &[-1.0, 1.0]),
+            _ => v,
+        }
+    };
+    let h = 0.5f64.sqrt();
+    let steps =
+        [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (0.8, -0.6), (h, -h)];
+    let far = 2f64.powi(50) * theta;
+    let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300, f64::MAX];
+    let mut pts: Vec<Point> = Vec::new();
+    for _ in 0..rng.gen_range(1..14) {
+        let anchor = Point::new(lattice(&mut rng), lattice(&mut rng));
+        match rng.gen_range(0..8) {
+            0 => pts.push(anchor),
+            1 => {
+                let (dx, dy) = pick(&mut rng, &steps);
+                pts.extend([anchor, Point::new(anchor.x + dx * theta, anchor.y + dy * theta)]);
+            }
+            2 => {
+                let spread = theta / 20.0;
+                for _ in 0..rng.gen_range(2..25) {
+                    let (dx, dy) = (rng.gen_range(-spread..spread), rng.gen_range(-spread..spread));
+                    pts.push(Point::new(anchor.x + dx, anchor.y + dy));
+                }
+            }
+            3 if !pts.is_empty() => pts.push(pick(&mut rng, &pts)),
+            4 => {
+                let side = pick(&mut rng, &[far, -far]);
+                for _ in 0..rng.gen_range(1..4) {
+                    let v = side + f64::from(rng.gen_range(-4i32..=4)) * theta / 4.0;
+                    pts.push(on_axis(&mut rng, anchor, v));
+                }
+            }
+            5 => {
+                let v = pick(&mut rng, &odd);
+                pts.push(on_axis(&mut rng, anchor, v));
+            }
+            _ => {
+                let (x, y) = (rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0));
+                pts.push(Point::new(x * theta, y * theta));
+            }
+        }
+    }
+    (theta, pts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn clustering_matches_the_all_pairs_rule(seed in any::<u64>(), warm in any::<u64>()) {
+        let (theta, pts) = edge_case_window(seed);
+        let expected = reference_clusters(&pts, theta);
+        // A scratch that already clustered another window must not matter.
+        let mut scratch = ClusterScratch::default();
+        let (warm_theta, warm_pts) = edge_case_window(warm);
+        connectivity_clusters_with(&warm_pts, warm_theta, &mut scratch);
+        let clusters = connectivity_clusters_with(&pts, theta, &mut scratch);
+        let members: Vec<Vec<usize>> = clusters.into_iter().map(|c| c.members).collect();
+        prop_assert_eq!(&members, &expected, "theta {} points {:?}", theta, pts);
+
+        let profile = LocationProfile::from_checkins(&pts, theta);
+        prop_assert_eq!(profile.len(), expected.len());
+        for (entry, group) in profile.iter().zip(&expected) {
+            let mut sum = Point::ORIGIN;
+            for &i in group {
+                sum += pts[i];
+            }
+            let n = group.len() as f64;
+            prop_assert_eq!(entry.frequency, group.len());
+            prop_assert_eq!(entry.location.x.to_bits(), (sum.x / n).to_bits());
+            prop_assert_eq!(entry.location.y.to_bits(), (sum.y / n).to_bits());
+        }
+    }
 }
 
 proptest! {

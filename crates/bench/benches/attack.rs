@@ -33,8 +33,9 @@ fn bench_profiling(runner: &mut Runner) {
 }
 
 fn bench_clustering(runner: &mut Runner) {
-    // The clustering core with its scratch buffers (grid + neighbor list)
-    // reused across calls — the shape the attack pipeline runs it in.
+    // The clustering core with its scratch buffers (sorted cell entries and
+    // run bounds) reused across calls — the shape the attack pipeline runs
+    // it in.
     let mut scratch = ClusterScratch::default();
     for m in [500usize, 2_000] {
         let pts = workload(m);

@@ -284,6 +284,15 @@ mod tests {
     }
 
     #[test]
+    fn digests_match_the_golden_values() {
+        // Table II's digest covers the candidate sets released from each
+        // user's profiled first window, so it pins window profiling on
+        // jittered check-ins; Table III's covers the served locations.
+        assert_eq!(run_table2(&small()).digest, 0x2616_de91_3441_b429);
+        assert_eq!(run_table3(&small()).digest, 0x45d6_b453_bd7d_e552);
+    }
+
+    #[test]
     fn outcome_tables_render() {
         let out2 = run_table2(&Config { user_counts: vec![20], seed: 0, threads: 1 });
         assert!(out2.table().render().contains("Table II"));

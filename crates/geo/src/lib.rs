@@ -14,8 +14,6 @@
 //! - [`Circle`]: disc geometry including the exact circle–circle
 //!   intersection ("lens") area needed by the utilization-rate metric.
 //! - [`BoundingBox`]: the dataset's geographic extent.
-//! - [`grid::SpatialGrid`]: a uniform hash grid used to accelerate the
-//!   connectivity-based clustering of the longitudinal attack.
 //! - [`rng`]: seeded RNG construction and Gaussian sampling helpers (the
 //!   allowed dependency set has no `rand_distr`, so normal deviates are
 //!   produced with the Marsaglia polar method here).
@@ -41,7 +39,6 @@ mod bbox;
 mod circle;
 mod distance;
 mod error;
-pub mod grid;
 mod point;
 mod projection;
 pub mod rng;

@@ -1,6 +1,5 @@
 //! Property-based tests for the geometry substrate.
 
-use privlocad_geo::grid::SpatialGrid;
 use privlocad_geo::{centroid, Circle, GeoPoint, LocalProjection, Point};
 use proptest::prelude::*;
 
@@ -70,19 +69,5 @@ proptest! {
         let b1 = Circle::new(Point::new(d, 0.0), r).unwrap();
         let b2 = Circle::new(Point::new(d * angle.cos(), d * angle.sin()), r).unwrap();
         prop_assert!((a.intersection_area(&b1) - a.intersection_area(&b2)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn grid_matches_brute_force(
-        pts in proptest::collection::vec((-300.0..300.0f64, -300.0..300.0f64).prop_map(|(x, y)| Point::new(x, y)), 0..80),
-        qx in -300.0..300.0f64,
-        qy in -300.0..300.0f64,
-        theta in 1.0..60.0f64,
-    ) {
-        let grid = SpatialGrid::build(&pts, theta);
-        let q = Point::new(qx, qy);
-        let fast: Vec<usize> = grid.neighbors_within(q, theta).collect();
-        let brute: Vec<usize> = (0..pts.len()).filter(|&i| pts[i].distance(q) <= theta).collect();
-        prop_assert_eq!(fast, brute);
     }
 }

@@ -45,9 +45,9 @@ grep -q '"experiment": "all"' "$smoke_dir/BENCH_smoke.json"
 grep -q 'all configurations hold' "$smoke_dir/repro_all.out"
 
 echo "==> bench serve (smoke, reduced sizes)"
-# Shape/consistency only — no wall-clock thresholds: the CI container is a
-# shared single core, so absolute throughput (and even the speedup ratio at
-# these tiny sizes) is not meaningful here. The real numbers live in
+# Shape/consistency only — no wall-clock thresholds: the CI host is a shared
+# 2-vCPU VM, so absolute throughput (and even the speedup ratio at these
+# tiny sizes) is not meaningful here. The real numbers live in
 # BENCH_repro.json, regenerated at full size on a quiet host.
 ./target/release/serve \
     --users 10000 --requests 1024 --batch 16 --threads 2 --seed 1 \
@@ -59,7 +59,7 @@ grep -q 'serve/partitioned_batched/16x2' "$smoke_dir/BENCH_serve.json"
 grep -q 'requests_per_sec' "$smoke_dir/BENCH_serve.json"
 # Scale-stage smoke at one 10k-user shard: row shape and the seed-pure
 # output digest only — encode/recovery wall-clock stays ungated here for
-# the same single-core reason (the lint schema still checks the row's
+# the same shared-host reason (the lint schema still checks the row's
 # internal consistency above).
 grep -q 'serve/scale/10000' "$smoke_dir/BENCH_serve.json"
 grep -q '"bytes_per_user"' "$smoke_dir/BENCH_serve.json"
@@ -118,7 +118,7 @@ echo "==> bench auction (smoke, reduced sizes)"
 # commit-phase emission exactly-once) and refuses to write the row if
 # they fail. It also enforces the codec <10 % gate: the ratio is
 # scheduling-dependent, but decode (~56 ns) vs the live serving loop
-# (~µs) leaves >5× headroom even on a shared single core. Full-size
+# (~µs) leaves >5× headroom even on a shared 2-vCPU host. Full-size
 # numbers live in BENCH_repro.json, regenerated on a quiet host.
 ./target/release/auction \
     --users 6 --checkins 40 --campaigns 60 --kills 1 --seed 1 \
@@ -134,8 +134,8 @@ grep -q 'determinism: exchange log bit-identical across 4 fleet runs' "$smoke_di
 grep -q '"rtb.bid_requests"' "$smoke_dir/BENCH_auction.json"
 
 echo "==> bench microbench (smoke, reduced sizes)"
-# Shape/determinism only — no wall-clock or ratio gate: the CI container
-# is a shared single core, so the batched-vs-cold speedup at these tiny
+# Shape/determinism only — no wall-clock or ratio gate: the CI host is a
+# shared 2-vCPU VM, so the batched-vs-cold speedup at these tiny
 # sizes is not meaningful here. The binary itself asserts the hard
 # contract untimed (batched candidate streams bit-for-bit equal to the
 # scalar path, one ledger spend per set, permanence on re-install); the
