@@ -4,9 +4,9 @@
 //! crate implements: *advertisers* register campaigns with a business
 //! location and a targeting radius; the *ad network* matches incoming bid
 //! requests (carrying the user's reported location) against campaign
-//! targeting, runs a second-price auction among matching bidders, and logs
-//! every transaction — the bid log being exactly the observation channel of
-//! the longitudinal attacker.
+//! targeting, and runs a second-price auction among matching bidders. The
+//! OpenRTB-lite requests it settles ([`BidExchange`]) are exactly the
+//! observation channel of the longitudinal attacker.
 //!
 //! Provided pieces:
 //!
@@ -14,10 +14,12 @@
 //!   surveyed in Table I (Google, Microsoft, Facebook, Tencent).
 //! - [`Campaign`] / [`Targeting`]: advertiser campaigns with radius, area,
 //!   or country targeting.
-//! - [`AdNetwork`]: matching and second-price auctions over an inventory.
-//! - [`BidRequest`] / [`BidLog`]: the request stream and the transaction
-//!   log an honest-but-curious observer accumulates, including a compact
-//!   binary wire encoding.
+//! - [`AdNetwork`]: matching and second-price auctions over an inventory,
+//!   with budgets and frequency caps; [`BidRequest`] is what one auction
+//!   sees.
+//! - [`BidExchange`]: the network behind the OpenRTB-lite wire, settling
+//!   bid requests into the deterministic exchange log an
+//!   honest-but-curious observer accumulates.
 //! - [`inventory`]: a synthetic campaign generator for the evaluation.
 //!
 //! # Examples
@@ -54,5 +56,5 @@ pub use campaign::{Campaign, CampaignId, Targeting};
 pub use error::AdError;
 pub use exchange::BidExchange;
 pub use network::{AdNetwork, AuctionOutcome};
-pub use rtb::{BidLog, BidLogEntry, BidRequest, DeviceId, WireError};
+pub use rtb::{BidRequest, DeviceId};
 pub use serving::{ServingLedger, ServingPolicy, ServingState};

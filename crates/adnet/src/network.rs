@@ -2,7 +2,7 @@ use privlocad_geo::Point;
 use serde::{Deserialize, Serialize};
 
 use crate::serving::{ServingLedger, ServingPolicy, ServingState};
-use crate::{BidLog, BidLogEntry, BidRequest, Campaign, CampaignId};
+use crate::{BidRequest, Campaign, CampaignId};
 
 /// The result of one second-price auction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,7 +28,7 @@ pub struct AuctionOutcome {
 ///     Campaign::new(0, "high bidder", Targeting::radius(Point::ORIGIN, 5_000.0)?, 10.0)?,
 ///     Campaign::new(1, "low bidder", Targeting::radius(Point::ORIGIN, 5_000.0)?, 4.0)?,
 /// ]);
-/// let req = BidRequest { device: DeviceId::new(1), location: Point::ORIGIN, timestamp: 0 };
+/// let req = BidRequest { device: DeviceId::new(1), location: Point::ORIGIN };
 /// let outcome = network.auction(&req).unwrap();
 /// assert_eq!(outcome.winner.name(), "high bidder");
 /// assert_eq!(outcome.price, 4.0); // pays the second price
@@ -37,7 +37,6 @@ pub struct AuctionOutcome {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdNetwork {
     campaigns: Vec<Campaign>,
-    log: BidLog,
     ledger: ServingLedger,
     area_grid: Option<crate::AreaGrid>,
     country: u16,
@@ -51,7 +50,6 @@ impl AdNetwork {
     pub fn new(campaigns: Vec<Campaign>) -> Self {
         AdNetwork {
             campaigns,
-            log: BidLog::new(),
             ledger: ServingLedger::new(),
             area_grid: None,
             country: 0,
@@ -103,7 +101,7 @@ impl AdNetwork {
     }
 
     /// Runs a second-price auction among matching campaigns without
-    /// logging. Returns `None` when nothing matches.
+    /// recording it. Returns `None` when nothing matches.
     ///
     /// Campaigns over budget or over their per-device frequency cap for
     /// the requesting device do not participate.
@@ -127,26 +125,20 @@ impl AdNetwork {
         Some(AuctionOutcome { winner, price })
     }
 
-    /// Serves a request end-to-end: runs the auction, appends the
-    /// transaction to the bid log (the longitudinal attacker's feed), and
-    /// returns the outcome.
+    /// Serves a request: runs the auction and records the winner's spend
+    /// and impression in the serving ledger (budgets, frequency caps).
     pub fn serve(&mut self, request: BidRequest) -> Option<AuctionOutcome> {
         let outcome = self.auction(&request);
         if let Some(o) = &outcome {
             self.ledger.record(o.winner.id(), request.device, o.price);
         }
-        self.log.push(BidLogEntry {
-            request,
-            winner: outcome.as_ref().map(|o| o.winner.id()),
-            price: outcome.as_ref().map_or(0.0, |o| o.price),
-        });
         outcome
     }
 
-    /// Serves one OpenRTB-lite request end-to-end: the auction runs at the
-    /// request's reported geo with the requesting device's ledger
-    /// eligibility, spend and frequency caps are recorded exactly as for
-    /// [`AdNetwork::serve`], and the outcome comes back as a codec
+    /// Serves one OpenRTB-lite request — the wire adapter of
+    /// [`AdNetwork::serve`]: the auction runs at the request's reported geo
+    /// with the requesting device's ledger eligibility, spend and
+    /// frequency caps are recorded, and the outcome comes back as a codec
     /// [`BidResponse`](privlocad_openrtb::BidResponse) echoing the request
     /// id.
     ///
@@ -157,15 +149,9 @@ impl AdNetwork {
         &mut self,
         request: &privlocad_openrtb::BidRequest,
     ) -> privlocad_openrtb::BidResponse {
-        let legacy = BidRequest {
-            device: request.device.id,
-            location: request.device.geo.point(),
-            // The codec carries a per-device sequence number instead of
-            // wall time; reuse it as the log timestamp so per-device
-            // ordering survives in the legacy transaction log.
-            timestamp: request.seq as i64,
-        };
-        match self.serve(legacy) {
+        let auctioned =
+            BidRequest { device: request.device.id, location: request.device.geo.point() };
+        match self.serve(auctioned) {
             None => privlocad_openrtb::BidResponse::no_bid(request.id),
             Some(o) => {
                 let seat = o.winner.id().raw();
@@ -180,16 +166,6 @@ impl AdNetwork {
                 )
             }
         }
-    }
-
-    /// The accumulated transaction log.
-    pub fn log(&self) -> &BidLog {
-        &self.log
-    }
-
-    /// Hands the log to a (simulated) longitudinal observer and clears it.
-    pub fn take_log(&mut self) -> BidLog {
-        std::mem::take(&mut self.log)
     }
 }
 
@@ -209,7 +185,7 @@ mod tests {
     }
 
     fn req(x: f64) -> BidRequest {
-        BidRequest { device: DeviceId::new(1), location: Point::new(x, 0.0), timestamp: 0 }
+        BidRequest { device: DeviceId::new(1), location: Point::new(x, 0.0) }
     }
 
     #[test]
@@ -254,30 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn no_match_no_outcome_but_logged() {
+    fn no_match_no_outcome_and_no_spend() {
         let mut net = AdNetwork::new(vec![radius_campaign(0, 50_000.0, 100.0, 1.0)]);
         assert!(net.serve(req(0.0)).is_none());
-        assert_eq!(net.log().len(), 1);
-        assert_eq!(net.log().entries()[0].winner, None);
-        assert_eq!(net.log().entries()[0].price, 0.0);
-    }
-
-    #[test]
-    fn serve_logs_reported_location() {
-        let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 1.0)]);
-        net.serve(req(123.0));
-        net.serve(req(456.0));
-        let locs = net.log().locations_of(DeviceId::new(1));
-        assert_eq!(locs, vec![Point::new(123.0, 0.0), Point::new(456.0, 0.0)]);
-    }
-
-    #[test]
-    fn take_log_clears() {
-        let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 1.0)]);
-        net.serve(req(0.0));
-        let log = net.take_log();
-        assert_eq!(log.len(), 1);
-        assert!(net.log().is_empty());
+        let state = net.serving_state(CampaignId::new(0));
+        assert_eq!(state.total_impressions(), 0);
+        assert_eq!(state.spent(), 0.0);
     }
 
     #[test]
@@ -339,11 +297,7 @@ mod tests {
         net.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_frequency_cap(1));
         assert!(net.serve(req(0.0)).is_some());
         assert!(net.serve(req(0.0)).is_none(), "device 1 is capped");
-        let other = BidRequest {
-            device: DeviceId::new(2),
-            location: Point::ORIGIN,
-            timestamp: 0,
-        };
+        let other = BidRequest { device: DeviceId::new(2), location: Point::ORIGIN };
         assert!(net.serve(other).is_some(), "other devices still served");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 2);
     }
@@ -363,11 +317,10 @@ mod tests {
         assert_eq!(sb.seat, 0, "highest bidder wins");
         assert_eq!(sb.bid.price_micros, 5_000_000, "pays the second price in micros");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
-        assert_eq!(net.log().len(), 1, "legacy transaction log still appended");
         let far =
             privlocad_openrtb::BidRequest::new(Did::new(1), 1, Geo { x: 50_000.0, y: 0.0 });
         assert!(!net.serve_exchange(&far).is_win(), "out of radius is a no-bid");
-        assert_eq!(net.log().len(), 2);
+        assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
     }
 
     #[test]

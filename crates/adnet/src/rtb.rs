@@ -1,9 +1,5 @@
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_geo::Point;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-use crate::CampaignId;
 
 /// The advertising identifier of a device (Android ID / IDFA in the paper's
 /// attack model) — the stable key that lets a longitudinal attacker link
@@ -14,8 +10,10 @@ use crate::CampaignId;
 /// consumer compiling unchanged.
 pub use privlocad_openrtb::DeviceId;
 
-/// A real-time-bidding request as seen by the ad network: device id, the
-/// *reported* (possibly obfuscated) location, and a timestamp in seconds.
+/// A real-time-bidding request as the auction sees it: the device id and
+/// the *reported* (possibly obfuscated) location. The OpenRTB-lite request
+/// on the wire carries the same two fields plus its sequence number
+/// ([`AdNetwork::serve_exchange`](crate::AdNetwork::serve_exchange)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BidRequest {
     /// The requesting device.
@@ -23,251 +21,14 @@ pub struct BidRequest {
     /// Reported location — after Edge-PrivLocAd this is an obfuscated
     /// candidate, never the true position.
     pub location: Point,
-    /// Request time in seconds since the study epoch.
-    pub timestamp: i64,
-}
-
-/// Error decoding a wire-encoded bid request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    needed: usize,
-    got: usize,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "truncated bid request: need {} bytes, got {}", self.needed, self.got)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl BidRequest {
-    /// Size of the wire encoding in bytes.
-    pub const WIRE_LEN: usize = 8 + 8 + 8 + 8;
-
-    /// Encodes the request into the compact big-endian wire format used by
-    /// the bid log: `device (u64) ‖ timestamp (i64) ‖ x (f64) ‖ y (f64)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use privlocad_adnet::{BidRequest, DeviceId};
-    /// use privlocad_geo::Point;
-    ///
-    /// let req = BidRequest { device: DeviceId::new(7), location: Point::new(1.0, 2.0), timestamp: 99 };
-    /// let bytes = req.encode();
-    /// assert_eq!(BidRequest::decode(&bytes)?, req);
-    /// # Ok::<(), privlocad_adnet::WireError>(())
-    /// ```
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(Self::WIRE_LEN);
-        buf.put_u64(self.device.raw());
-        buf.put_i64(self.timestamp);
-        buf.put_f64(self.location.x);
-        buf.put_f64(self.location.y);
-        buf.freeze()
-    }
-
-    /// Decodes a request from its wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] if the buffer is shorter than
-    /// [`BidRequest::WIRE_LEN`].
-    pub fn decode(mut buf: &[u8]) -> Result<Self, WireError> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(WireError { needed: Self::WIRE_LEN, got: buf.len() });
-        }
-        let device = DeviceId::new(buf.get_u64());
-        let timestamp = buf.get_i64();
-        let x = buf.get_f64();
-        let y = buf.get_f64();
-        Ok(BidRequest { device, location: Point::new(x, y), timestamp })
-    }
-}
-
-/// One row of the ad network's transaction log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BidLogEntry {
-    /// The request that triggered the auction.
-    pub request: BidRequest,
-    /// The winning campaign, if any matched.
-    pub winner: Option<CampaignId>,
-    /// The (second-price) clearing price, 0 when no auction happened.
-    pub price: f64,
-}
-
-/// The accumulated transaction log — the longitudinal attacker's raw data.
-///
-/// Per Section III, "any advertisers or third-party traffic verification
-/// companies can observe the location updating from the billions of ad
-/// bidding logs per day". [`BidLog::locations_of`] extracts exactly what
-/// Algorithm 1 consumes: one user's reported locations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BidLog {
-    entries: Vec<BidLogEntry>,
-    /// Entry ordinals per device, maintained on push — [`BidLog::
-    /// locations_of`] and [`BidLog::devices`] answer from this index instead
-    /// of rescanning the whole log per device.
-    by_device: BTreeMap<u64, Vec<usize>>,
-}
-
-impl BidLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        BidLog::default()
-    }
-
-    /// Appends a transaction.
-    pub fn push(&mut self, entry: BidLogEntry) {
-        self.by_device
-            .entry(entry.request.device.raw())
-            .or_default()
-            .push(self.entries.len());
-        self.entries.push(entry);
-    }
-
-    /// All logged entries in arrival order.
-    pub fn entries(&self) -> &[BidLogEntry] {
-        &self.entries
-    }
-
-    /// Number of logged transactions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing has been logged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The reported locations of one device, in arrival order — the
-    /// attacker's per-victim observation sequence.
-    ///
-    /// One index lookup plus one gather; the per-device ordinal lists are
-    /// built on push, so this never rescans the whole log.
-    pub fn locations_of(&self, device: DeviceId) -> Vec<Point> {
-        self.by_device
-            .get(&device.raw())
-            .map(|ordinals| {
-                ordinals.iter().map(|&i| self.entries[i].request.location).collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The distinct devices seen in the log, ascending — the index key set.
-    pub fn devices(&self) -> Vec<DeviceId> {
-        self.by_device.keys().map(|&raw| DeviceId::new(raw)).collect()
-    }
-}
-
-impl Extend<BidLogEntry> for BidLog {
-    fn extend<T: IntoIterator<Item = BidLogEntry>>(&mut self, iter: T) {
-        for entry in iter {
-            self.push(entry);
-        }
-    }
-}
-
-impl FromIterator<BidLogEntry> for BidLog {
-    fn from_iter<T: IntoIterator<Item = BidLogEntry>>(iter: T) -> Self {
-        let mut log = BidLog::new();
-        log.extend(iter);
-        log
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(device: u64, x: f64, t: i64) -> BidLogEntry {
-        BidLogEntry {
-            request: BidRequest {
-                device: DeviceId::new(device),
-                location: Point::new(x, 0.0),
-                timestamp: t,
-            },
-            winner: None,
-            price: 0.0,
-        }
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let req = BidRequest {
-            device: DeviceId::new(0xDEADBEEF),
-            location: Point::new(-1234.5, 6789.25),
-            timestamp: 86_400 * 300 + 12_345,
-        };
-        let bytes = req.encode();
-        assert_eq!(bytes.len(), BidRequest::WIRE_LEN);
-        assert_eq!(BidRequest::decode(&bytes).unwrap(), req);
-    }
-
-    #[test]
-    fn wire_rejects_truncation() {
-        let req = BidRequest { device: DeviceId::new(1), location: Point::ORIGIN, timestamp: 0 };
-        let bytes = req.encode();
-        let err = BidRequest::decode(&bytes[..10]).unwrap_err();
-        assert_eq!(err.to_string(), "truncated bid request: need 32 bytes, got 10");
-    }
-
-    #[test]
-    fn log_filters_by_device() {
-        let mut log = BidLog::new();
-        log.push(entry(1, 10.0, 0));
-        log.push(entry(2, 20.0, 1));
-        log.push(entry(1, 30.0, 2));
-        assert_eq!(log.len(), 3);
-        let locs = log.locations_of(DeviceId::new(1));
-        assert_eq!(locs, vec![Point::new(10.0, 0.0), Point::new(30.0, 0.0)]);
-        assert!(log.locations_of(DeviceId::new(9)).is_empty());
-    }
-
-    #[test]
-    fn devices_are_deduped_and_sorted() {
-        let log: BidLog = [entry(5, 0.0, 0), entry(1, 0.0, 1), entry(5, 0.0, 2)]
-            .into_iter()
-            .collect();
-        assert_eq!(log.devices(), vec![DeviceId::new(1), DeviceId::new(5)]);
-    }
-
-    #[test]
-    fn extend_and_collect() {
-        let mut log = BidLog::new();
-        assert!(log.is_empty());
-        log.extend([entry(1, 0.0, 0), entry(2, 0.0, 1)]);
-        assert_eq!(log.len(), 2);
-    }
-
     #[test]
     fn device_display_is_hex() {
         assert_eq!(DeviceId::new(255).to_string(), "device-00000000000000ff");
-    }
-
-    #[test]
-    fn index_tracks_every_construction_path() {
-        // push, extend and collect must all maintain the per-device index;
-        // arrival order within a device is what the attacker consumes.
-        let mut pushed = BidLog::new();
-        for e in [entry(2, 1.0, 0), entry(1, 2.0, 1), entry(2, 3.0, 2)] {
-            pushed.push(e);
-        }
-        let mut extended = BidLog::new();
-        extended.extend([entry(2, 1.0, 0), entry(1, 2.0, 1), entry(2, 3.0, 2)]);
-        let collected: BidLog =
-            [entry(2, 1.0, 0), entry(1, 2.0, 1), entry(2, 3.0, 2)].into_iter().collect();
-        for log in [&pushed, &extended, &collected] {
-            assert_eq!(log.devices(), vec![DeviceId::new(1), DeviceId::new(2)]);
-            assert_eq!(
-                log.locations_of(DeviceId::new(2)),
-                vec![Point::new(1.0, 0.0), Point::new(3.0, 0.0)]
-            );
-        }
-        assert_eq!(pushed, extended);
-        assert_eq!(pushed, collected);
     }
 }

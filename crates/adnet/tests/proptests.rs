@@ -29,19 +29,9 @@ fn inventory() -> impl Strategy<Value = Vec<Campaign>> {
 
 proptest! {
     #[test]
-    fn wire_round_trip(device in any::<u64>(), x in -1e7..1e7f64, y in -1e7..1e7f64, t in 0i64..1_000_000_000) {
-        let req = BidRequest {
-            device: DeviceId::new(device),
-            location: Point::new(x, y),
-            timestamp: t,
-        };
-        prop_assert_eq!(BidRequest::decode(&req.encode()).unwrap(), req);
-    }
-
-    #[test]
     fn auction_winner_has_max_bid_among_matches(ads in inventory(), loc in point()) {
         let net = AdNetwork::new(ads);
-        let req = BidRequest { device: DeviceId::new(1), location: loc, timestamp: 0 };
+        let req = BidRequest { device: DeviceId::new(1), location: loc };
         let matched = net.matching(loc);
         match net.auction(&req) {
             None => prop_assert!(matched.is_empty()),
@@ -58,14 +48,24 @@ proptest! {
         }
     }
 
+    /// `serve` records every won auction in the serving ledger: one
+    /// impression and the clearing price per win, nothing for a no-match.
     #[test]
     fn serve_always_logs(ads in inventory(), locs in proptest::collection::vec(point(), 1..20)) {
         let mut net = AdNetwork::new(ads);
-        for (i, &loc) in locs.iter().enumerate() {
-            net.serve(BidRequest { device: DeviceId::new(7), location: loc, timestamp: i as i64 });
+        let mut wins = 0u32;
+        let mut paid = 0.0;
+        for &loc in &locs {
+            if let Some(o) = net.serve(BidRequest { device: DeviceId::new(7), location: loc }) {
+                wins += 1;
+                paid += o.price;
+            }
         }
-        prop_assert_eq!(net.log().len(), locs.len());
-        prop_assert_eq!(net.log().locations_of(DeviceId::new(7)).len(), locs.len());
+        let states: Vec<_> =
+            net.campaigns().iter().map(|c| net.serving_state(c.id())).collect();
+        prop_assert_eq!(states.iter().map(|s| s.total_impressions()).sum::<u32>(), wins);
+        let spent: f64 = states.iter().map(|s| s.spent()).sum();
+        prop_assert!((spent - paid).abs() < 1e-9);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! ([`ExchangeObservations::from_wire`], decoding request frames and
 //! skipping responses) or an already-settled
 //! [`BidExchangeLog`](privlocad_openrtb::BidExchangeLog)
-//! ([`ExchangeObservations::from_log`]). The synthetic `BidLog` path the
-//! evaluation previously used survives only as a test fixture; the
-//! end-to-end experiments run the attack off these live observations.
+//! ([`ExchangeObservations::from_log`]). Every experiment runs the attack
+//! off these observations; there is no other feed.
 
 use privlocad_geo::Point;
 use privlocad_openrtb::{

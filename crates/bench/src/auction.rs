@@ -20,9 +20,8 @@
 //! 2. **Fault invariance** — a run with seeded worker kills on every shard
 //!    settles the same digest: emission sits in the commit phase, so a
 //!    killed batch never half-emits and a retried batch emits exactly once.
-//! 3. **Attack parity** — Algorithm 1 run off the live exchange log is as
-//!    (un)successful as the synthetic [`LbaSimulation`] path it replaces;
-//!    both columns land in the defense regime.
+//! 3. **Attack outcome** — Algorithm 1 run off the live exchange log, the
+//!    attacker's only feed, lands in the defense regime.
 //! 4. **Codec overhead** — decoding a bid request from its wire frame
 //!    costs < 10 % of one request through the live serving loop (wire
 //!    decode → batched serve → commit-phase checkpoint capture → response
@@ -32,21 +31,20 @@
 //!
 //! One `auction/exchange` row summarizes the run for `BENCH_repro.json`;
 //! the `--bench-json` schema check refuses it without the decode cost,
-//! auction throughput and both attacker columns.
+//! auction throughput and the attacker column.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use privlocad::{
-    EdgeHandle, EdgeServer, FaultPlan, LbaSimulation, ServerOptions, ShardRouter, SystemConfig,
-};
+use privlocad::replay::schedule;
+use privlocad::{EdgeHandle, EdgeServer, FaultPlan, ServerOptions, ShardRouter, SystemConfig};
 use privlocad_adnet::inventory::{generate, InventoryConfig};
 use privlocad_adnet::{AdNetwork, BidExchange, Campaign, ServingPolicy};
 use privlocad_attack::evaluation::{rank_distances, AttackStats};
 use privlocad_attack::{DeobfuscationAttack, ExchangeObservations};
 use privlocad_geo::rng::derive_seed;
 use privlocad_mechanisms::NFoldGaussian;
-use privlocad_mobility::{shanghai, PopulationConfig, UserId, UserTrace, SECONDS_PER_DAY};
+use privlocad_mobility::{shanghai, PopulationConfig, UserId, UserTrace};
 use privlocad_openrtb::{BidRequest, BidSink, DeviceId, PendingBid};
 use privlocad_telemetry::Telemetry;
 
@@ -96,8 +94,6 @@ pub struct AuctionRow {
     pub revenue_micros: u64,
     /// Top-1 attack success within 500 m off the live exchange log.
     pub attack_success_live: f64,
-    /// Top-1 attack success within 500 m off the synthetic simulation.
-    pub attack_success_synthetic: f64,
     /// Users driven through the fleet.
     pub users: usize,
     /// Bid requests emitted (one per served ad request).
@@ -131,7 +127,7 @@ impl Outcome {
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "auction: OpenRTB-lite pipeline, fleet to attacker",
-            &["row", "auctions/s", "decode ns/req", "overhead", "revenue µ", "live", "synthetic"],
+            &["row", "auctions/s", "decode ns/req", "overhead", "revenue µ", "attack"],
         );
         table.push_row(vec![
             self.row.name.clone(),
@@ -140,7 +136,6 @@ impl Outcome {
             format!("{:.2}%", self.row.serve_overhead_pct),
             self.row.revenue_micros.to_string(),
             pct(self.row.attack_success_live),
-            pct(self.row.attack_success_synthetic),
         ]);
         table
     }
@@ -182,21 +177,10 @@ fn marketplace(config: &Config) -> (Vec<Campaign>, ServingPolicy) {
     (campaigns, ServingPolicy::unlimited().with_budget(200.0).with_frequency_cap(24))
 }
 
-/// Serving operations one trace sends a shard: check-in + ad request per
-/// check-in, plus the time-triggered window closes between them — the
-/// shard's fault-plan clock ticks once per operation.
+/// Serving operations one trace sends a shard: its request
+/// [`schedule`] — the shard's fault-plan clock ticks once per operation.
 fn ops_of(trace: &UserTrace, window_days: u32) -> u64 {
-    let window = i64::from(window_days) * SECONDS_PER_DAY;
-    let mut window_end = window;
-    let mut ops = 0;
-    for checkin in &trace.checkins {
-        while checkin.time.seconds() >= window_end {
-            ops += 1;
-            window_end += window;
-        }
-        ops += 2;
-    }
-    ops
+    schedule(trace, window_days).count() as u64
 }
 
 /// Drives the population through a fleet of `shards` serving loops, every
@@ -249,19 +233,9 @@ fn fleet_pending(
         .collect();
     let router = ShardRouter::spawn_with(sys, derive_seed(config.seed, 0xf1ee7), options);
     for trace in traces {
-        let window = i64::from(sys.window_days()) * SECONDS_PER_DAY;
-        let mut window_end = window;
-        for checkin in &trace.checkins {
-            while checkin.time.seconds() >= window_end {
-                router.finalize_window(trace.user).expect("window close survives the fleet");
-                window_end += window;
-            }
-            router
-                .check_in(trace.user, checkin.location, checkin.time.seconds())
-                .expect("check-in survives the fleet");
-            router
-                .request_location(trace.user, checkin.location)
-                .expect("ad request survives the fleet");
+        let shard = router.handle(trace.user);
+        for request in schedule(trace, sys.window_days()) {
+            shard.call(request).expect("every scheduled request survives the fleet");
         }
     }
     router.shutdown().expect("fleet shuts down cleanly");
@@ -283,12 +257,12 @@ fn settle(campaigns: &[Campaign], policy: ServingPolicy, pending: &[PendingBid])
 }
 
 /// Top-1 attack success within `threshold_m`, aggregated over the
-/// population, for a closure producing each user's observation sequence.
+/// population, off the attacker's observations of the exchange.
 fn attack_success(
     config: &Config,
     traces: &[UserTrace],
     threshold_m: f64,
-    mut observed: impl FnMut(&UserTrace) -> Vec<privlocad_geo::Point>,
+    observations: &ExchangeObservations,
 ) -> f64 {
     let sys = SystemConfig::builder().build().expect("default config is valid");
     let gaussian = NFoldGaussian::new(sys.geo_ind());
@@ -296,7 +270,8 @@ fn attack_success(
         .expect("valid trimming confidence");
     let mut stats = AttackStats::new(1);
     for trace in traces {
-        let inferred = attack.infer_top_locations(&observed(trace), 1);
+        let device = DeviceId::new(u64::from(trace.user.raw()));
+        let inferred = observations.infer_top_locations(&attack, device, 1);
         let d = rank_distances(&inferred, &trace.truth.top_locations[..1]);
         stats.record(&d);
     }
@@ -373,22 +348,9 @@ pub fn run(config: &Config) -> Outcome {
         );
     }
 
-    // Attack parity: Algorithm 1 off the live exchange log vs the
-    // synthetic single-device simulation it replaces.
+    // Algorithm 1 off the live exchange log.
     let observations = ExchangeObservations::from_log(exchange.log());
-    let live = attack_success(config, &traces, 500.0, |trace| {
-        observations.locations_of(DeviceId::new(u64::from(trace.user.raw()))).to_vec()
-    });
-    let mut simulation = LbaSimulation::new(
-        SystemConfig::builder().build().expect("default config is valid"),
-        Vec::new(),
-        derive_seed(config.seed, 0x51b),
-    );
-    for trace in &traces {
-        simulation.run_user(trace);
-    }
-    let synthetic =
-        attack_success(config, &traces, 500.0, |trace| simulation.observed_locations(trace.user.raw()));
+    let live = attack_success(config, &traces, 500.0, &observations);
 
     // Timing. The decode cost and its serve-path baseline are sampled
     // interleaved: their ratio is the acceptance gate. The baseline drives
@@ -467,7 +429,6 @@ pub fn run(config: &Config) -> Outcome {
         serve_overhead_pct: (decode_ns / serve_ns * 100.0).max(0.0),
         revenue_micros: exchange.log().revenue_micros(),
         attack_success_live: live,
-        attack_success_synthetic: synthetic,
         users: config.users,
         requests: pending.len(),
         shards: 16,
@@ -498,7 +459,6 @@ mod tests {
         assert!(out.row.decode_ns_per_req > 0.0);
         assert!(out.row.serve_overhead_pct >= 0.0);
         assert!((0.0..=1.0).contains(&out.row.attack_success_live));
-        assert!((0.0..=1.0).contains(&out.row.attack_success_synthetic));
         let metrics = out.telemetry.registry().snapshot();
         assert_eq!(metrics.counter("rtb.bid_requests"), Some(out.row.requests as u64));
         assert_eq!(metrics.counter("rtb.bids_won"), Some(out.wins));

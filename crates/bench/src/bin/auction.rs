@@ -71,10 +71,6 @@ fn row_to_json(row: &AuctionRow) -> Json {
     obj.insert("serve_overhead_pct".to_owned(), Json::Num(row.serve_overhead_pct));
     obj.insert("revenue_micros".to_owned(), Json::Num(row.revenue_micros as f64));
     obj.insert("attack_success_live".to_owned(), Json::Num(row.attack_success_live));
-    obj.insert(
-        "attack_success_synthetic".to_owned(),
-        Json::Num(row.attack_success_synthetic),
-    );
     obj.insert("users".to_owned(), Json::Num(row.users as f64));
     obj.insert("requests".to_owned(), Json::Num(row.requests as f64));
     obj.insert("shards".to_owned(), Json::Num(row.shards as f64));
@@ -121,9 +117,8 @@ fn main() -> ExitCode {
         out.row.decode_ns_per_req, out.row.serve_overhead_pct
     );
     println!(
-        "attack: top-1 within 500 m — live exchange log {:.1}%, synthetic simulation {:.1}%",
-        out.row.attack_success_live * 100.0,
-        out.row.attack_success_synthetic * 100.0
+        "attack: top-1 within 500 m off the live exchange log {:.1}%",
+        out.row.attack_success_live * 100.0
     );
     if !out.digests_agree() {
         eprintln!("[bench] exchange logs diverged across fleet runs");
@@ -163,7 +158,6 @@ mod tests {
             serve_overhead_pct: 1.2,
             revenue_micros: 123_456_789,
             attack_success_live: 0.02,
-            attack_success_synthetic: 0.03,
             users: 64,
             requests: 10_240,
             shards: 16,

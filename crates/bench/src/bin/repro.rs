@@ -17,8 +17,8 @@
 //!   all      everything above, paper-style
 //!
 //! Options:
-//!   --users N        population size (fig3/fig6)
-//!   --trials N       Monte-Carlo trials per cell (fig7/fig8/fig9)
+//!   --users N        population size, at least 1 (fig3/fig6)
+//!   --trials N       Monte-Carlo trials per cell, at least 1 (fig7/fig8/fig9)
 //!   --seed N         master seed (default 0)
 //!   --threads N      worker threads for the parallel experiments
 //!                    (fig7/fig8/fig9/table2/table3/verify; default 0 =
@@ -89,11 +89,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
         match arg.as_str() {
             "--users" => {
                 let v = it.next().ok_or("--users needs a value")?;
-                opts.users = Some(v.parse().map_err(|_| format!("bad --users {v}"))?);
+                opts.users = Some(positive(v).ok_or(format!("bad --users {v}"))?);
             }
             "--trials" => {
                 let v = it.next().ok_or("--trials needs a value")?;
-                opts.trials = Some(v.parse().map_err(|_| format!("bad --trials {v}"))?);
+                opts.trials = Some(positive(v).ok_or(format!("bad --trials {v}"))?);
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -122,6 +122,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// A population or trial count: a positive integer, since every
+/// experiment needs at least one user or trial to report a rate.
+fn positive(v: &str) -> Option<usize> {
+    v.parse::<std::num::NonZeroUsize>().ok().map(std::num::NonZeroUsize::get)
 }
 
 /// One timed experiment for the machine-readable benchmark log.
@@ -418,6 +424,8 @@ mod tests {
     #[test]
     fn bad_values_are_errors() {
         assert!(parse(&args("fig3 --users nope")).unwrap_err().contains("bad --users"));
+        assert!(parse(&args("fig6 --users 0")).unwrap_err().contains("bad --users"));
+        assert!(parse(&args("fig7 --trials 0")).unwrap_err().contains("bad --trials"));
         assert!(parse(&args("fig3 --seed -1")).unwrap_err().contains("bad --seed"));
         assert!(parse(&args("fig3 --trials")).unwrap_err().contains("needs a value"));
         assert!(parse(&args("fig3 --theta x")).unwrap_err().contains("bad --theta"));

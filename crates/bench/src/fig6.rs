@@ -7,14 +7,21 @@
 //! within 200 m; under Edge-PrivLocAd's permanent 10-fold Gaussian
 //! obfuscation (`r = 500 m`, `ε ∈ {1, 1.5}`) less than 1 % within 200 m
 //! and ~5–7 % within 500 m.
+//!
+//! The defense arms observe what the ad network receives: each user's trace
+//! is replayed through a per-user-stream edge device whose ad requests go
+//! out as OpenRTB-lite bids, and Algorithm 1 runs on the request frames as
+//! the attacker taps them ([`privlocad::replay`]).
 
-use privlocad::{LbaSimulation, SystemConfig};
+use privlocad::replay::{observe, replay_trace};
+use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_attack::evaluation::{rank_distances, AttackStats};
 use privlocad_attack::DeobfuscationAttack;
 use privlocad_geo::rng::derive_seed;
 use privlocad_mechanisms::{NFoldGaussian, PlanarLaplace, PlanarLaplaceParams};
 use privlocad_metrics::montecarlo::run_trials;
 use privlocad_mobility::PopulationConfig;
+use privlocad_openrtb::{BidSink, DeviceId};
 use serde::{Deserialize, Serialize};
 
 use crate::report::{pct, Table};
@@ -132,13 +139,13 @@ pub fn run(config: &Config) -> Outcome {
             }
 
             for (k, sys) in defenses.iter().enumerate() {
-                let mut sim = LbaSimulation::new(
-                    *sys,
-                    Vec::new(),
-                    derive_seed(config.seed, (i * 31 + k + 1) as u64),
-                );
-                sim.run_user(&user);
-                let observed = sim.observed_locations(user.user.raw());
+                // Arm k is one fleet on master derive_seed(seed, k + 1);
+                // per-user streams make a device per user equivalent.
+                let mut edge = EdgeDevice::new(*sys, derive_seed(config.seed, (k + 1) as u64));
+                let sink = BidSink::new();
+                replay_trace(&mut edge, &user, &sink);
+                let seen = observe(&sink).expect("frames the sink encoded decode");
+                let observed = seen.locations_of(DeviceId::new(u64::from(user.user.raw())));
                 let gaussian = NFoldGaussian::new(sys.geo_ind());
                 let mut attack_cfg = DeobfuscationAttack::for_gaussian(&gaussian, alpha)
                     .expect("valid alpha")
@@ -147,7 +154,7 @@ pub fn run(config: &Config) -> Outcome {
                     attack_cfg = attack_cfg.without_trimming();
                 }
                 let inferred =
-                    DeobfuscationAttack::new(attack_cfg).infer_top_locations(&observed, 2);
+                    DeobfuscationAttack::new(attack_cfg).infer_top_locations(observed, 2);
                 let d = rank_distances(&inferred, &truth);
                 rows.push([d[0], d[1]]);
             }

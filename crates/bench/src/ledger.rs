@@ -154,8 +154,8 @@ mod tests {
              "installs_per_sec": 10.0, "threads": 1}},
             {{"name": "auction/exchange", "wall_ms": 1.0, "auctions_per_sec": 1.0,
              "decode_ns_per_req": 1.0, "serve_overhead_pct": 1.0, "revenue_micros": 1,
-             "attack_success_live": 0.5, "attack_success_synthetic": 0.5,
-             "users": 1, "requests": 1, "shards": 1, "digest": "aa"}}
+             "attack_success_live": 0.5, "users": 1, "requests": 1, "shards": 1,
+             "digest": "aa"}}
             ], "telemetry": {{"serve": {hub}, "chaos/flood/2": {hub},
                              "candidate_install": {hub}, "auction": {hub}}}}}"#,
             hub = hub()
@@ -234,8 +234,8 @@ mod tests {
                 vec![row(r#"{"name": "auction/exchange", "wall_ms": 900.0,
                              "auctions_per_sec": 250000.0, "decode_ns_per_req": 14.0,
                              "serve_overhead_pct": 1.2, "revenue_micros": 123456789,
-                             "attack_success_live": 0.02, "attack_success_synthetic": 0.03,
-                             "users": 64, "requests": 10240, "shards": 16,
+                             "attack_success_live": 0.02, "users": 64,
+                             "requests": 10240, "shards": 16,
                              "digest": "00f00ba900f00ba9"}"#)],
                 vec!["auction"],
                 vec![

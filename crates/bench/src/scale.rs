@@ -18,7 +18,7 @@
 //! The digest is an XOR accumulation of per-user FNV-1a hashes over
 //! `(user, report)`, so it is insensitive to user order and shard
 //! partition — with per-user RNG streams
-//! ([`EdgeDevice::with_per_user_streams`]) it is bit-for-bit identical at
+//! ([`EdgeDevice::new`]) it is bit-for-bit identical at
 //! any shard count, which [`run`] asserts on a small probe fleet (direct
 //! devices at 1 vs 4 shards, plus an end-to-end
 //! [`privlocad::ShardRouter`]) before timing anything.
@@ -135,7 +135,7 @@ fn user_digest(user: u32, report: Point) -> u64 {
 /// home, then a window close.
 fn settled_shard(config: &Config, size: usize, shard: usize, shards: usize) -> EdgeDevice {
     let sys = SystemConfig::builder().build().expect("default config is valid");
-    let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+    let mut edge = EdgeDevice::new(sys, config.seed);
     for u in (shard..size).step_by(shards) {
         let user = UserId::new(u as u32);
         for _ in 0..CHECKINS {

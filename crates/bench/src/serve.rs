@@ -285,7 +285,7 @@ pub fn run(config: &Config) -> Outcome {
         let mut workers: Vec<(EdgeDevice, Vec<ClientRequest>)> = partition(config.users, threads)
             .into_iter()
             .map(|users| {
-                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                let mut edge = EdgeDevice::new(sys, config.seed);
                 let mut requests = Vec::with_capacity(users.len() * per_user);
                 for u in users {
                     let user = UserId::new(u as u32);

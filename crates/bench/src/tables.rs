@@ -127,7 +127,7 @@ pub fn run_table2(config: &Config) -> Outcome {
             let ranges = partition(count, fan.threads());
             let start = Instant::now();
             let devices = fan.map(&ranges, |_, users| {
-                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                let mut edge = EdgeDevice::new(sys, config.seed);
                 for u in users.clone() {
                     let user = UserId::new(u as u32);
                     for &loc in &windows[u] {
@@ -184,7 +184,7 @@ pub fn run_table3(config: &Config) -> Outcome {
             // Each worker owns its device for the whole sweep step; the
             // mutex is taken once per worker, never per request.
             let devices: Vec<Mutex<EdgeDevice>> = fan.map(&ranges, |_, users| {
-                let mut edge = EdgeDevice::with_per_user_streams(sys, config.seed);
+                let mut edge = EdgeDevice::new(sys, config.seed);
                 for u in users.clone() {
                     let user = UserId::new(u as u32);
                     for _ in 0..8 {

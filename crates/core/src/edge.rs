@@ -2,12 +2,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use privlocad_adnet::{AdNetwork, AuctionOutcome, BidRequest, Campaign, DeviceId};
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mechanisms::{PlanarLaplace, PosteriorTable};
 use privlocad_mobility::UserId;
-use rand::rngs::StdRng;
 
 use privlocad_telemetry::{top_key, Determinism, SpendEvent, SpendKind, Telemetry};
 
@@ -15,7 +13,7 @@ use crate::protocol::{ClientRequest, EdgeResponse};
 use crate::recovery::{restore_user_owned, DeviceSnapshot, RecoveryError, SnapshotBuilder};
 use crate::shard::StateFootprint;
 use crate::user::{RequestStats, UserMap, UserState};
-use crate::{filter_ads_by, CandidateArena, PreparedSet, StreamMode, SystemConfig};
+use crate::{CandidateArena, PreparedSet, SystemConfig};
 
 /// Domain separator for per-user stream derivation: streams are drawn
 /// from `derive_seed(derive_seed(master, DOMAIN), user)`, so they can
@@ -23,29 +21,18 @@ use crate::{filter_ads_by, CandidateArena, PreparedSet, StreamMode, SystemConfig
 /// same master.
 const USER_STREAM_DOMAIN: u64 = 0x7573_6572_5f73_7472; // "user_str"
 
-/// The private generator for `user` under `streams`, if the mode
-/// assigns one.
-fn user_stream(streams: StreamMode, user: UserId) -> Option<StdRng> {
-    match streams {
-        StreamMode::Device => None,
-        StreamMode::PerUser { master } => Some(seeded(derive_seed(
-            derive_seed(master, USER_STREAM_DOMAIN),
-            u64::from(user.raw()),
-        ))),
-    }
-}
-
-/// What the edge hands back to the mobile device for one ad request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdDelivery {
-    /// The obfuscated location that was reported to the ad network.
-    pub reported: Point,
-    /// The auction outcome at the ad network, if any campaign matched the
-    /// reported location.
-    pub auction: Option<AuctionOutcome>,
-    /// Ads that survived the edge's AOI filter — what the user actually
-    /// sees.
-    pub delivered: Vec<Campaign>,
+/// The user's state on a device with master seed `master`, created on
+/// first sight with the user's private generator.
+fn user_entry<'a>(
+    users: &'a mut UserMap<UserState>,
+    config: &SystemConfig,
+    master: u64,
+    user: UserId,
+) -> &'a mut UserState {
+    users.entry_or_insert_with(user, || {
+        let stream = derive_seed(derive_seed(master, USER_STREAM_DOMAIN), u64::from(user.raw()));
+        UserState::new(config, seeded(stream))
+    })
 }
 
 /// Serving observations accumulated by an [`EdgeDevice`] since its last
@@ -119,17 +106,16 @@ fn record_fresh_sets(
 ///
 /// Owns every user's location-management state, obfuscation table, and
 /// posterior-selection cache, and performs output selection per ad
-/// request. All operations are deterministic given the construction seed.
-///
-/// Parallel serving runs one device per worker thread: with per-user
-/// streams ([`EdgeDevice::with_per_user_streams`]) outputs do not depend
-/// on how users are partitioned over the devices.
+/// request. Every user draws from a private RNG stream derived from the
+/// device's master seed, so a user's outputs depend only on `(master, user
+/// id, that user's own operation sequence)`: parallel serving runs one
+/// device per worker thread, and outputs do not depend on how users are
+/// partitioned over the devices ([`crate::ShardRouter`]).
 #[derive(Debug)]
 pub struct EdgeDevice {
     config: SystemConfig,
     nomadic: PlanarLaplace,
     users: UserMap<UserState>,
-    rng: StdRng,
     /// Serving observations since the last [`EdgeDevice::drain_telemetry`].
     /// Deliberately *not* part of [`DeviceSnapshot`]: telemetry describes a
     /// run, not the recoverable device state.
@@ -144,37 +130,30 @@ pub struct EdgeDevice {
     /// window close on this device. Pure scratch: never part of a
     /// snapshot, never observable in outputs.
     arena: CandidateArena,
-    /// How serving operations draw randomness — one shared generator
-    /// ([`StreamMode::Device`], the classic mode) or a private stream
-    /// per user ([`StreamMode::PerUser`], the sharded-fleet mode whose
-    /// outputs are invariant to the user→shard partition).
-    streams: StreamMode,
+    /// The master seed every user's private stream derives from.
+    master: u64,
 }
 
 impl EdgeDevice {
-    /// Creates an edge device.
-    pub fn new(config: SystemConfig, seed: u64) -> Self {
+    /// Creates an edge device whose users draw from private RNG streams
+    /// derived from `master` — a fleet partitioned over any number of
+    /// devices on the same master produces bit-for-bit the same responses
+    /// per user.
+    pub fn new(config: SystemConfig, master: u64) -> Self {
         EdgeDevice {
             nomadic: PlanarLaplace::new(config.nomadic()),
             config,
             users: UserMap::new(),
-            rng: seeded(seed),
             stats: DeviceStats::default(),
             pending_spends: Vec::new(),
             arena: CandidateArena::new(),
-            streams: StreamMode::Device,
+            master,
         }
     }
 
-    /// Creates an edge device whose users draw from private RNG streams
-    /// derived from `master` — every user's outputs depend only on
-    /// `(master, user id, that user's own operation sequence)`, so a
-    /// fleet partitioned over any number of such shards produces
-    /// bit-for-bit the same responses per user ([`crate::ShardRouter`]).
+    /// Alias of [`EdgeDevice::new`]: every device serves per-user streams.
     pub fn with_per_user_streams(config: SystemConfig, master: u64) -> Self {
-        let mut device = EdgeDevice::new(config, master);
-        device.streams = StreamMode::PerUser { master };
-        device
+        EdgeDevice::new(config, master)
     }
 
     /// The device configuration.
@@ -187,11 +166,13 @@ impl EdgeDevice {
         self.users.len()
     }
 
+    /// The master seed of this device's per-user streams.
+    pub(crate) fn master(&self) -> u64 {
+        self.master
+    }
+
     fn state_mut(&mut self, user: UserId) -> &mut UserState {
-        let config = &self.config;
-        let streams = self.streams;
-        self.users
-            .entry_or_insert_with(user, || UserState::with_stream(config, user_stream(streams, user)))
+        user_entry(&mut self.users, &self.config, self.master, user)
     }
 
     /// Records a true-location check-in into the user's current profile
@@ -207,23 +188,13 @@ impl EdgeDevice {
     /// top set. Returns the number of freshly obfuscated top locations.
     pub fn finalize_window(&mut self, user: UserId) -> usize {
         let config = self.config;
-        let streams = self.streams;
-        let state = self
-            .users
-            .entry_or_insert_with(user, || UserState::with_stream(&config, user_stream(streams, user)));
+        let state = user_entry(&mut self.users, &config, self.master, user);
         let sets_before = state.obfuscation.table().len();
         let (scratch, lanes) = self.arena.buffers();
-        // Candidate generation draws from the user's private stream in
-        // per-user mode, so the sets a user receives never depend on how
-        // other users' operations interleave on this shard.
-        let mut taken = state.stream.take();
-        let fresh = match taken.as_mut() {
-            Some(private) => state.finalize_window_with(&config, private, scratch, lanes),
-            None => state.finalize_window_with(&config, &mut self.rng, scratch, lanes),
-        };
-        if taken.is_some() {
-            state.stream = taken;
-        }
+        // Candidate generation draws from the user's private stream, so the
+        // sets a user receives never depend on how other users' operations
+        // interleave on this shard.
+        let fresh = state.finalize_window_with(&config, scratch, lanes);
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -274,10 +245,7 @@ impl EdgeDevice {
         sets: &[PreparedSet],
     ) {
         let config = self.config;
-        let streams = self.streams;
-        let state = self
-            .users
-            .entry_or_insert_with(user, || UserState::with_stream(&config, user_stream(streams, user)));
+        let state = user_entry(&mut self.users, &config, self.master, user);
         state.manager.set_top_set(tops);
         state.selection.invalidate();
         let sets_before = state.obfuscation.table().len();
@@ -340,22 +308,11 @@ impl EdgeDevice {
     /// planar-Laplace obfuscation for nomadic positions.
     pub fn reported_location(&mut self, user: UserId, current_true: Point) -> Point {
         // Split borrows: no per-request copy of the config.
-        let Self { users, config, nomadic, rng, stats, pending_spends, streams, .. } = self;
-        let streams = *streams;
-        let state =
-            users.entry_or_insert_with(user, || UserState::with_stream(config, user_stream(streams, user)));
+        let Self { users, config, nomadic, stats, pending_spends, master, .. } = self;
+        let state = user_entry(users, config, *master, user);
         let sets_before = state.obfuscation.table().len();
         let mut request = RequestStats::default();
-        let mut taken = state.stream.take();
-        let point = match taken.as_mut() {
-            Some(private) => {
-                state.reported_location(config, nomadic, current_true, private, &mut request)
-            }
-            None => state.reported_location(config, nomadic, current_true, rng, &mut request),
-        };
-        if taken.is_some() {
-            state.stream = taken;
-        }
+        let point = state.reported_location(config, nomadic, current_true, &mut request);
         stats.location_requests += 1;
         stats.absorb(request);
         // A first request at a freshly merged top can draw its permanent
@@ -398,16 +355,16 @@ impl EdgeDevice {
     }
 
     /// Captures a full recovery checkpoint: every user's window state,
-    /// permanent candidate sets, and posterior tables, plus the raw RNG
-    /// state words — enough to resume serving bit-for-bit where the device
-    /// stood, without re-drawing a single released candidate (see
-    /// [`crate::recovery`] for why re-drawing is a privacy violation).
+    /// permanent candidate sets, and posterior tables, plus each user's
+    /// raw RNG stream words — enough to resume serving bit-for-bit where
+    /// the device stood, without re-drawing a single released candidate
+    /// (see [`crate::recovery`] for why re-drawing is a privacy violation).
     pub fn snapshot(&self) -> DeviceSnapshot {
         let mut builder = SnapshotBuilder::new();
         for (user, state) in self.user_states() {
             builder.capture(user, state);
         }
-        builder.finish(self.rng.state(), self.streams)
+        builder.finish(self.master)
     }
 
     /// One user's live serving state, for the incremental committed log
@@ -420,12 +377,6 @@ impl EdgeDevice {
     /// order of [`EdgeDevice::snapshot`].
     pub(crate) fn user_states(&self) -> impl Iterator<Item = (UserId, &UserState)> {
         self.users.keys().zip(self.users.values())
-    }
-
-    /// The device-wide generator words and stream mode — the snapshot
-    /// header fields that are not per-user state.
-    pub(crate) fn checkpoint_header(&self) -> ([u64; 4], StreamMode) {
-        (self.rng.state(), self.streams)
     }
 
     /// Encodes the current [`EdgeDevice::snapshot`] into one contiguous
@@ -447,10 +398,10 @@ impl EdgeDevice {
         crate::recovery::fnv1a(&self.checkpoint())
     }
 
-    /// Rebuilds a device from a checkpoint. The restored device continues
-    /// the exact RNG stream of the captured one, so any draw that was in
-    /// flight when the original crashed is re-executed identically — a
-    /// mid-window restart never re-draws candidates.
+    /// Rebuilds a device from a checkpoint. Every user's RNG stream
+    /// resumes exactly where the captured device left it, so any draw that
+    /// was in flight when the original crashed is re-executed identically —
+    /// a mid-window restart never re-draws candidates.
     ///
     /// # Errors
     ///
@@ -477,22 +428,10 @@ impl EdgeDevice {
         snapshot: DeviceSnapshot,
     ) -> Result<EdgeDevice, RecoveryError> {
         let pools = snapshot.pools()?;
-        // lint:allow(seed-flow): placeholder seed — the stream is replaced by the snapshot's saved RNG state on the next line, so no draw ever comes from it
-        let mut device = EdgeDevice::new(config, 0);
-        device.rng = StdRng::from_state(snapshot.rng_state);
-        device.streams = snapshot.streams;
-        let per_user = matches!(snapshot.streams, StreamMode::PerUser { .. });
+        let mut device = EdgeDevice::new(config, snapshot.master);
         for record in snapshot.users {
             let user = record.user;
-            let words = record.rng_words;
-            let mut state = restore_user_owned(&config, record, &pools)?;
-            if per_user {
-                // Resume the user's private stream at its exact saved
-                // position — a restored shard never re-draws anything a
-                // user already received.
-                state.stream = Some(StdRng::from_state(words));
-            }
-            *device.users.entry_or_insert_with(user, || UserState::new(&config)) = state;
+            device.users.insert(user, restore_user_owned(&config, record, &pools)?);
             device.stats.restores += 1;
             device
                 .pending_spends
@@ -654,42 +593,14 @@ impl EdgeDevice {
             fp.user_bytes += bytes as u64;
         }
     }
-
-    /// Serves one end-to-end ad request: selects the reported location,
-    /// forwards a bid request to the ad network (which logs it — the
-    /// longitudinal attacker's feed), and filters the matching ads down to
-    /// the user's true area of interest.
-    pub fn request_ads(
-        &mut self,
-        user: UserId,
-        current_true: Point,
-        timestamp: i64,
-        network: &mut AdNetwork,
-    ) -> AdDelivery {
-        let reported = self.reported_location(user, current_true);
-        let request = BidRequest {
-            device: DeviceId::new(user.raw() as u64),
-            location: reported,
-            timestamp,
-        };
-        let auction = network.serve(request);
-        let delivered = filter_ads_by(
-            network.matching(reported),
-            current_true,
-            self.config.targeting_radius_m(),
-        )
-        .into_iter()
-        .cloned()
-        .collect();
-        AdDelivery { reported, auction, delivered }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privlocad_adnet::Targeting;
+    use privlocad_adnet::{AdNetwork, Campaign, Targeting};
     use privlocad_mechanisms::{NFoldGaussian, PosteriorSelector};
+    use privlocad_openrtb::BidSink;
 
     use crate::SelectionKind;
 
@@ -817,28 +728,31 @@ mod tests {
             )
             .unwrap(),
         ]);
+        let requests = [ClientRequest::RequestLocation { user, location: home }; 20];
+        let mut responses = Vec::new();
+        e.serve_batch(&requests, &mut responses);
+        let sink = BidSink::new();
+        crate::replay::emit_bids(&sink, &requests, &responses);
+        let bids = sink.drain();
+        assert_eq!(bids.len(), 20);
+        let candidates = e.candidates(user, home).unwrap();
         let mut saw_local = false;
-        for t in 0..20 {
-            let delivery = e.request_ads(user, home, t, &mut network);
+        for bid in &bids {
+            let (request, _) = privlocad_openrtb::BidRequest::decode_slice(&bid.frame).unwrap();
+            network.serve_exchange(&request);
+            // The wire carries only obfuscated candidates, never `home`.
+            let reported = request.device.geo.point();
+            assert!(candidates.contains(&reported), "leaked non-candidate location");
+            assert!(reported.distance(home) > 0.0);
             // Everything delivered must be inside the true AOI.
-            for ad in &delivery.delivered {
+            let radius = e.config().targeting_radius_m();
+            for ad in crate::filter_ads_by(network.matching(reported), home, radius) {
                 let loc = ad.business_location().unwrap();
-                assert!(loc.distance(home) <= e.config().targeting_radius_m());
-                if ad.name() == "local" {
-                    saw_local = true;
-                }
+                assert!(loc.distance(home) <= radius);
+                saw_local |= ad.name() == "local";
             }
         }
         assert!(saw_local, "the relevant local ad should be delivered");
-        // The bid log recorded only obfuscated candidates, never `home`.
-        let device = DeviceId::new(5);
-        let reports = network.log().locations_of(device);
-        assert_eq!(reports.len(), 20);
-        let candidates = e.candidates(user, home).unwrap();
-        for r in &reports {
-            assert!(candidates.contains(r), "leaked non-candidate location");
-            assert!(r.distance(home) > 0.0);
-        }
     }
 
     #[test]
@@ -1062,7 +976,7 @@ mod tests {
         let home_of = |u: UserId| Point::new(f64::from(u.raw()) * 12_000.0, 500.0);
 
         // One shard serving all three users, operations interleaved.
-        let mut combined = EdgeDevice::with_per_user_streams(config, master);
+        let mut combined = EdgeDevice::new(config, master);
         for _ in 0..60 {
             for &u in &users {
                 combined.report_checkin(u, home_of(u));
@@ -1082,7 +996,7 @@ mod tests {
         // Three single-user shards from the same master: bit-identical
         // per-user outputs regardless of the partition.
         for (i, &u) in users.iter().enumerate() {
-            let mut solo = EdgeDevice::with_per_user_streams(config, master);
+            let mut solo = EdgeDevice::new(config, master);
             for _ in 0..60 {
                 solo.report_checkin(u, home_of(u));
             }
@@ -1094,7 +1008,7 @@ mod tests {
     #[test]
     fn per_user_snapshot_restore_resumes_private_streams() {
         let config = SystemConfig::builder().build().unwrap();
-        let mut original = EdgeDevice::with_per_user_streams(config, 7);
+        let mut original = EdgeDevice::new(config, 7);
         let users = [UserId::new(4), UserId::new(9)];
         for &u in &users {
             settle_home(&mut original, u, Point::new(f64::from(u.raw()) * 1_000.0, 0.0));

@@ -67,6 +67,10 @@ impl EdgeFleet {
     pub fn new(config: SystemConfig, sites: Vec<Point>, seed: u64) -> Self {
         assert!(!sites.is_empty(), "a fleet needs at least one edge site");
         assert!(sites.iter().all(|s| s.is_finite()), "sites must be finite");
+        // Every site serves per-user streams from a master of its own: a
+        // commuter's nomadic reports at two sites must never share a noise
+        // draw, or subtracting them would cancel the noise and reveal the
+        // true displacement between the two places.
         let edges = (0..sites.len())
             .map(|i| EdgeDevice::new(config, derive_seed(seed, i as u64)))
             .collect();
@@ -346,6 +350,28 @@ mod tests {
         // Sanity: summing per-edge footprints double counts the pools.
         let naive: u64 = (0..f.len()).map(|i| f.edge(i).footprint().shared_bytes).sum();
         assert_eq!(naive, 2 * fp.shared_bytes);
+    }
+
+    #[test]
+    fn a_commuters_nomadic_reports_at_two_sites_never_share_a_noise_draw() {
+        let mut f = fleet();
+        let user = UserId::new(6);
+        // No window has closed, so every report is a fresh one-time
+        // planar-Laplace draw from the serving site's stream for the user.
+        let near_a = Point::new(300.0, 200.0);
+        let near_b = Point::new(11_800.0, -150.0);
+        let mut noise = |at: Point| -> Vec<Point> {
+            (0..20).map(|_| f.reported_location(user, at) - at).collect()
+        };
+        let (at_a, at_b) = (noise(near_a), noise(near_b));
+        for (i, a) in at_a.iter().enumerate() {
+            for (j, b) in at_b.iter().enumerate() {
+                assert!(
+                    a.distance(*b) > 1e-6,
+                    "report {i} at site 0 and report {j} at site 1 share a noise draw"
+                );
+            }
+        }
     }
 
     #[test]

@@ -67,10 +67,10 @@ mod management;
 mod obfuscation;
 pub mod protocol;
 pub mod recovery;
+pub mod replay;
 mod risk;
 mod server;
 mod shard;
-mod system;
 mod user;
 
 pub use arena::{CandidateArena, PreparedSet};
@@ -78,17 +78,16 @@ pub use fabric::{
     BreakerConfig, BreakerEvent, BreakerState, ChannelFaultPlan, FabricError, FabricOptions,
     FabricRouter, FabricStats, LaneOutage, ServedLocation, StaleCache,
 };
-pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError, StreamMode};
+pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
 pub use shard::{ShardRouter, StateFootprint};
 pub use risk::{LocationRisk, Recommendation, RiskAssessor, RiskReport};
 pub use server::{
     EdgeHandle, EdgeServer, FaultPlan, HealthSnapshot, RetryPolicy, ServerOptions, TransportError,
 };
 pub use config::{EtaThreshold, SelectionKind, SystemConfig, SystemConfigBuilder};
-pub use edge::{AdDelivery, DeviceStats, EdgeDevice};
+pub use edge::{DeviceStats, EdgeDevice};
 pub use error::SystemError;
 pub use filter::{filter_ads, filter_ads_by};
 pub use fleet::EdgeFleet;
 pub use management::{frequent_location_set, LocationManager};
 pub use obfuscation::{ObfuscationModule, ObfuscationTable};
-pub use system::{LbaSimulation, SimulationReport};

@@ -40,9 +40,11 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_attack::{LocationProfile, ProfileEntry};
+use privlocad_geo::rng::seeded;
 use privlocad_geo::Point;
 use privlocad_mechanisms::{PosteriorTable, SelectionCache};
 use privlocad_mobility::UserId;
+use rand::rngs::StdRng;
 
 use crate::user::UserState;
 use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SystemConfig};
@@ -66,20 +68,26 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// How the captured device assigns RNG streams to serving operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// One device-wide generator advanced in operation order (the
-    /// classic single-device mode).
-    Device,
-    /// An independent generator per user, derived from the fleet master
-    /// seed — serving outputs become invariant to how the population is
-    /// partitioned across shards, because no user's draws depend on any
-    /// other user's operation interleaving.
-    PerUser {
-        /// The fleet master seed the per-user streams derive from.
-        master: u64,
-    },
+/// The v2 header's stream byte: per-user RNG streams derived from the
+/// master seed, the only mode a device has. Any other value — 0 marks an
+/// image of a device-wide generator — is refused as
+/// [`RecoveryError::BadStreamMode`].
+const PER_USER_STREAMS: u8 = 1;
+
+/// Writes the fixed v2 header: magic, version, stream byte, master, four
+/// RNG words and the op-counter slot. The words are the untouched
+/// device-wide generator of a per-user device, `seeded(master)`, so they
+/// are a function of the master and the decoder skips them; the op-counter
+/// slot is always zero. Both stay so the byte layout is unchanged.
+fn put_header<B: BufMut>(buf: &mut B, master: u64) {
+    buf.put_u32(MAGIC);
+    buf.put_u16(VERSION);
+    buf.put_u8(PER_USER_STREAMS);
+    buf.put_u64(master);
+    for word in seeded(master).state() {
+        buf.put_u64(word);
+    }
+    buf.put_u64(0);
 }
 
 /// One user's checkpointed serving state. Bulky payloads (candidate
@@ -90,8 +98,7 @@ pub(crate) struct UserRecord {
     pub(crate) user: UserId,
     /// Window epoch: how many profile windows this user has closed.
     pub(crate) windows_closed: u64,
-    /// The user's private RNG stream position ([`StreamMode::PerUser`]
-    /// devices only; all zeros otherwise).
+    /// The user's private RNG stream position.
     pub(crate) rng_words: [u64; 4],
     /// The open window's buffered check-ins, oldest first.
     pub(crate) buffer: Vec<Point>,
@@ -170,7 +177,7 @@ impl SnapshotBuilder {
         self.users.push(UserRecord {
             user,
             windows_closed: state.manager.windows_closed() as u64,
-            rng_words: state.stream.as_ref().map_or([0; 4], |r| r.state()),
+            rng_words: state.stream.state(),
             buffer: state.manager.buffered().to_vec(),
             profile: state.manager.profile().entries().to_vec(),
             top_set: state.manager.top_set().to_vec(),
@@ -180,9 +187,9 @@ impl SnapshotBuilder {
         });
     }
 
-    /// Seals the builder into a snapshot.
-    pub(crate) fn finish(self, rng_state: [u64; 4], streams: StreamMode) -> DeviceSnapshot {
-        DeviceSnapshot { rng_state, streams, sets: self.sets, cdfs: self.cdfs, users: self.users }
+    /// Seals the builder into a snapshot of a device on `master`.
+    pub(crate) fn finish(self, master: u64) -> DeviceSnapshot {
+        DeviceSnapshot { master, sets: self.sets, cdfs: self.cdfs, users: self.users }
     }
 }
 
@@ -204,8 +211,7 @@ impl SnapshotBuilder {
 /// pool growth accumulated from re-captures.
 #[derive(Debug)]
 pub(crate) struct CommittedLog {
-    streams: StreamMode,
-    rng_state: [u64; 4],
+    master: u64,
     sets: Vec<Arc<[Point]>>,
     set_index: BTreeMap<usize, u32>,
     /// Encoded bytes of the set pool section (length prefixes included).
@@ -224,10 +230,9 @@ pub(crate) struct CommittedLog {
 const V2_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 32 + 8;
 
 impl CommittedLog {
-    pub(crate) fn new(streams: StreamMode) -> Self {
+    pub(crate) fn new(master: u64) -> Self {
         CommittedLog {
-            streams,
-            rng_state: [0; 4],
+            master,
             sets: Vec::new(),
             set_index: BTreeMap::new(),
             set_bytes: 0,
@@ -243,20 +248,11 @@ impl CommittedLog {
     /// point. Per-batch maintenance goes through
     /// [`CommittedLog::capture_user`] instead.
     pub(crate) fn rebuild(edge: &crate::EdgeDevice) -> Self {
-        let (rng_state, streams) = edge.checkpoint_header();
-        let mut log = CommittedLog::new(streams);
-        log.rng_state = rng_state;
+        let mut log = CommittedLog::new(edge.master());
         for (user, state) in edge.user_states() {
             log.capture_user(user, state);
         }
         log
-    }
-
-    /// Refreshes the device-wide generator words (the only non-per-user
-    /// state a v2 image carries; in [`StreamMode::Device`] every serving
-    /// op advances them).
-    pub(crate) fn set_rng(&mut self, rng_state: [u64; 4]) {
-        self.rng_state = rng_state;
     }
 
     fn intern_set(&mut self, shared: &Arc<[Point]>) -> u32 {
@@ -293,7 +289,6 @@ impl CommittedLog {
     /// overwrites the user's existing frame buffer in place, so a commit
     /// allocates only when the frame outgrows it.
     pub(crate) fn capture_user(&mut self, user: UserId, state: &UserState) {
-        let per_user = matches!(self.streams, StreamMode::PerUser { .. });
         let table = state.obfuscation.table();
         let mut frame = std::mem::take(self.frames.entry(user.raw()).or_default());
         if !frame.is_empty() {
@@ -302,10 +297,8 @@ impl CommittedLog {
         frame.clear();
         frame.put_u32(user.raw());
         frame.put_u64(state.manager.windows_closed() as u64);
-        if per_user {
-            for word in state.stream.as_ref().map_or([0; 4], |r| r.state()) {
-                frame.put_u64(word);
-            }
+        for word in state.stream.state() {
+            frame.put_u64(word);
         }
         put_points(&mut frame, state.manager.buffered());
         put_entries(&mut frame, state.manager.profile().entries());
@@ -345,24 +338,7 @@ impl CommittedLog {
     /// per commit.
     pub(crate) fn materialize(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION);
-        match self.streams {
-            StreamMode::Device => {
-                buf.put_u8(0);
-                buf.put_u64(0);
-            }
-            StreamMode::PerUser { master } => {
-                buf.put_u8(1);
-                buf.put_u64(master);
-            }
-        }
-        for word in self.rng_state {
-            buf.put_u64(word);
-        }
-        // The op-counter slot: always zero, exactly as
-        // `DeviceSnapshot::encode` writes it.
-        buf.put_u64(0);
+        put_header(&mut buf, self.master);
         buf.put_u32(self.sets.len() as u32);
         for set in &self.sets {
             buf.put_u32((4 + set.len() * 16) as u32);
@@ -400,8 +376,9 @@ pub(crate) struct RestorePools {
 
 /// Rebuilds one user's serving state from its checkpoint record: window
 /// state verbatim (profile entries in their recorded order — the order is
-/// load-bearing, `from_checkins` does not sort), the obfuscation table
-/// and posterior cache as shared handles into the restore pools. The
+/// load-bearing, `from_checkins` does not sort), the private RNG stream at
+/// its saved position, and the obfuscation table and posterior cache as
+/// shared handles into the restore pools. The
 /// record is consumed: the check-in buffer, profile, and top set move
 /// straight into the rebuilt state with no intermediate clones.
 pub(crate) fn restore_user_owned(
@@ -433,16 +410,20 @@ pub(crate) fn restore_user_owned(
             pools.tables.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
         selection.install_shared(top, Arc::clone(shared));
     }
-    Ok(UserState { manager, obfuscation, selection, stream: None })
+    // Resume the user's private stream at its exact saved position — a
+    // restored shard never re-draws anything a user already received.
+    let stream = StdRng::from_state(record.rng_words);
+    Ok(UserState { manager, obfuscation, selection, stream })
 }
 
-/// A full checkpoint of one edge device: every user's state plus the
-/// generator position, captured by [`crate::EdgeDevice::snapshot`] and
-/// restored by [`crate::EdgeDevice::restore`].
+/// A full checkpoint of one edge device: every user's state plus each
+/// user's stream position and the master seed the streams derive from,
+/// captured by [`crate::EdgeDevice::snapshot`] and restored by
+/// [`crate::EdgeDevice::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
-    pub(crate) rng_state: [u64; 4],
-    pub(crate) streams: StreamMode,
+    /// The master seed of the captured device's per-user streams.
+    pub(crate) master: u64,
     /// Distinct permanent candidate sets, in first-seen capture order.
     pub(crate) sets: Vec<Arc<[Point]>>,
     /// Distinct posterior cumulative-weight tables, first-seen order.
@@ -524,7 +505,6 @@ impl DeviceSnapshot {
     /// durably and restores it with [`DeviceSnapshot::decode`] on
     /// startup.
     pub fn encode(&self) -> Bytes {
-        let per_user = matches!(self.streams, StreamMode::PerUser { .. });
         let mut capacity = 64 + 8;
         for set in &self.sets {
             capacity += 8 + set.len() * 16;
@@ -533,27 +513,10 @@ impl DeviceSnapshot {
             capacity += 8 + cdf.len() * 8;
         }
         for record in &self.users {
-            capacity += 4 + user_frame_len(record, per_user);
+            capacity += 4 + user_frame_len(record);
         }
         let mut buf = BytesMut::with_capacity(capacity);
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION);
-        match self.streams {
-            StreamMode::Device => {
-                buf.put_u8(0);
-                buf.put_u64(0);
-            }
-            StreamMode::PerUser { master } => {
-                buf.put_u8(1);
-                buf.put_u64(master);
-            }
-        }
-        for word in self.rng_state {
-            buf.put_u64(word);
-        }
-        // The op-counter slot of the v2 header, kept so the byte layout
-        // stays fixed; no device draws from an operation counter.
-        buf.put_u64(0);
+        put_header(&mut buf, self.master);
         buf.put_u32(self.sets.len() as u32);
         for set in &self.sets {
             buf.put_u32((4 + set.len() * 16) as u32);
@@ -569,13 +532,11 @@ impl DeviceSnapshot {
         }
         buf.put_u32(self.users.len() as u32);
         for record in &self.users {
-            buf.put_u32(user_frame_len(record, per_user) as u32);
+            buf.put_u32(user_frame_len(record) as u32);
             buf.put_u32(record.user.raw());
             buf.put_u64(record.windows_closed);
-            if per_user {
-                for word in record.rng_words {
-                    buf.put_u64(word);
-                }
+            for word in record.rng_words {
+                buf.put_u64(word);
             }
             put_points(&mut buf, &record.buffer);
             put_entries(&mut buf, &record.profile);
@@ -635,9 +596,9 @@ impl DeviceSnapshot {
 }
 
 /// The byte length of one user record's v2 frame body.
-fn user_frame_len(record: &UserRecord, per_user: bool) -> usize {
+fn user_frame_len(record: &UserRecord) -> usize {
     4 + 8
-        + if per_user { 32 } else { 0 }
+        + 32
         + 4
         + record.buffer.len() * 16
         + 4
@@ -716,20 +677,16 @@ impl<'a> Reader<'a> {
 /// Decodes the pooled, framed v2 body.
 fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
     r.need(1 + 8 + 4 * 8 + 8 + 4)?;
-    let mode = r.get_u8()?;
-    let master = r.get_u64()?;
-    let streams = match mode {
-        0 => StreamMode::Device,
-        1 => StreamMode::PerUser { master },
+    match r.get_u8()? {
+        PER_USER_STREAMS => {}
         m => return Err(RecoveryError::BadStreamMode(m)),
-    };
-    let per_user = matches!(streams, StreamMode::PerUser { .. });
-    let mut rng_state = [0u64; 4];
-    for word in rng_state.iter_mut() {
-        *word = r.get_u64()?;
     }
-    // The op-counter slot: written as zero, carries nothing.
-    r.get_u64()?;
+    let master = r.get_u64()?;
+    // The four device-wide generator words (`seeded(master)`, see
+    // `put_header`) and the op-counter slot carry nothing to restore.
+    for _ in 0..5 {
+        r.get_u64()?;
+    }
 
     let set_count = r.get_u32()? as usize;
     let mut sets: Vec<Arc<[Point]>> = Vec::with_capacity(set_count.min(1_024));
@@ -763,10 +720,8 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
         let raw = user.raw();
         let windows_closed = f.get_u64()?;
         let mut rng_words = [0u64; 4];
-        if per_user {
-            for word in rng_words.iter_mut() {
-                *word = f.get_u64()?;
-            }
+        for word in rng_words.iter_mut() {
+            *word = f.get_u64()?;
         }
         let buffer = get_points(&mut f)?;
         let profile = get_entries(&mut f)?;
@@ -811,7 +766,7 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
         });
     }
     r.finish()?;
-    Ok(DeviceSnapshot { rng_state, streams, sets, cdfs, users })
+    Ok(DeviceSnapshot { master, sets, cdfs, users })
 }
 
 fn put_points<B: BufMut>(buf: &mut B, points: &[Point]) {
@@ -897,7 +852,8 @@ pub enum RecoveryError {
     BadMagic(u32),
     /// The log was written by an unknown format version.
     UnsupportedVersion(u16),
-    /// The log carries an unknown stream-mode discriminant.
+    /// The log carries a stream byte other than per-user streams — an
+    /// unknown value, or 0 from the retired device-wide generator mode.
     BadStreamMode(u8),
     /// The FNV-1a checksum does not match the body — bit rot or
     /// truncation in persisted state.
@@ -975,17 +931,18 @@ impl std::error::Error for RecoveryError {}
 mod tests {
     use super::*;
 
+    /// A one-user image in the layout every device commits: the per-user
+    /// header and a user frame carrying its stream words.
     fn snapshot() -> DeviceSnapshot {
         let set: Arc<[Point]> = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)].into();
         DeviceSnapshot {
-            rng_state: [1, 2, 3, 4],
-            streams: StreamMode::Device,
+            master: 0xfeed,
             sets: vec![set],
             cdfs: vec![vec![0.5, 1.0]],
             users: vec![UserRecord {
                 user: UserId::new(7),
                 windows_closed: 2,
-                rng_words: [0; 4],
+                rng_words: [9, 8, 7, 6],
                 buffer: vec![Point::new(5.0, 6.0)],
                 profile: vec![ProfileEntry { location: Point::new(10.0, 20.0), frequency: 30 }],
                 top_set: vec![ProfileEntry { location: Point::new(10.0, 20.0), frequency: 30 }],
@@ -1016,7 +973,7 @@ mod tests {
             assert_eq!(via_log.state_digest(), via_full.state_digest(), "{at}");
             via_log
         };
-        let mut edge = crate::EdgeDevice::with_per_user_streams(config, 9);
+        let mut edge = crate::EdgeDevice::new(config, 9);
         let mut log = CommittedLog::rebuild(&edge);
         let users: Vec<UserId> = [3u32, 0, 5, 1, 4, 2].iter().map(|&u| UserId::new(u)).collect();
         for round in 0..3 {
@@ -1030,7 +987,6 @@ mod tests {
                 for _ in 0..20 {
                     edge.report_checkin(user, home);
                 }
-                log.set_rng(edge.checkpoint_header().0);
                 log.capture_user(user, edge.user_state(user).unwrap());
                 let long = log.frames[&user.raw()].len();
                 assert_matches(&log, &edge, &format!("round {round}, user {user:?} mid-window"));
@@ -1038,7 +994,6 @@ mod tests {
                     let _ = edge.reported_location(user, home);
                 }
                 edge.finalize_window(user);
-                log.set_rng(edge.checkpoint_header().0);
                 log.capture_user(user, edge.user_state(user).unwrap());
                 assert!(log.frames[&user.raw()].len() < long, "the close shortens the frame");
                 assert_matches(&log, &edge, &format!("round {round}, user {user:?} closed"));
@@ -1085,13 +1040,27 @@ mod tests {
 
     #[test]
     fn per_user_stream_log_round_trips() {
+        // The master and each user's own stream position survive the
+        // log independently: users at different positions of their
+        // streams come back at exactly those positions.
         let mut snap = snapshot();
-        snap.streams = StreamMode::PerUser { master: 0xfeed };
-        snap.users[0].rng_words = [9, 8, 7, 6];
-        let back = DeviceSnapshot::decode(&snap.encode()).unwrap();
+        snap.master = 0xbeef;
+        let mut second = snap.users[0].clone();
+        second.user = UserId::new(8);
+        second.rng_words = [1, 2, 3, 4];
+        snap.users.push(second);
+        let log = snap.encode();
+        let back = DeviceSnapshot::decode(&log).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.streams, StreamMode::PerUser { master: 0xfeed });
+        assert_eq!(back.master, 0xbeef);
         assert_eq!(back.users[0].rng_words, [9, 8, 7, 6]);
+        assert_eq!(back.users[1].rng_words, [1, 2, 3, 4]);
+        // The header's generator words are the master's untouched
+        // device-wide stream, which the decoder skips.
+        for (i, word) in seeded(0xbeef).state().into_iter().enumerate() {
+            let at = 4 + 2 + 1 + 8 + 8 * i;
+            assert_eq!(log[at..at + 8], word.to_be_bytes(), "header word {i}");
+        }
     }
 
     #[test]
@@ -1185,10 +1154,9 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_structural_errors() {
-        // Byte offset of the first set frame's length prefix: header is
-        // magic(4) + version(2) + mode(1) + master(8) + rng(32) + op(8)
-        // + set_count(4).
-        let frame_len_at = 4 + 2 + 1 + 8 + 32 + 8 + 4;
+        // Byte offset of the first set frame's length prefix: the header
+        // plus set_count(4).
+        let frame_len_at = V2_HEADER_LEN + 4;
         let log = snapshot().encode().to_vec();
 
         // Frame length pointing past the end of the buffer.
@@ -1213,6 +1181,15 @@ mod tests {
             DeviceSnapshot::decode(&restamp(bad)),
             Err(RecoveryError::BadStreamMode(9))
         ));
+
+        // Stream byte 0 marks an image of the retired device-wide
+        // generator mode: refused, like the v1 layout.
+        let mut bad = log.clone();
+        bad[6] = 0;
+        assert_eq!(
+            DeviceSnapshot::decode(&restamp(bad)),
+            Err(RecoveryError::BadStreamMode(0))
+        );
 
         // A pool reference past the pool bounds.
         let mut snap = snapshot();

@@ -542,7 +542,7 @@ pub struct HealthSnapshot {
 /// where one edge node fronts many nearby mobile users.
 ///
 /// The device serves per-user RNG streams derived from the spawn seed
-/// ([`EdgeDevice::with_per_user_streams`]): a user's outputs depend only
+/// ([`EdgeDevice::new`]): a user's outputs depend only
 /// on the seed and that user's own requests, never on how other clients'
 /// requests interleave with them or on which server of a fleet holds the
 /// user.
@@ -723,7 +723,7 @@ fn serve(
     metrics: Arc<ServerMetrics>,
     checkpoint_cell: Arc<Mutex<Option<CommittedLog>>>,
 ) -> Result<EdgeDevice, SystemError> {
-    let mut edge = EdgeDevice::with_per_user_streams(config, seed);
+    let mut edge = EdgeDevice::new(config, seed);
     // Taken, not borrowed: the image is read once and freed here instead
     // of living as long as the worker.
     if let Some(snapshot) = options.restore_from.take() {
@@ -947,9 +947,9 @@ fn serve(
         // the two replays the batch from the *old* checkpoint without
         // having exposed anything, so clients never observe rolled-back
         // state. The committed log is updated incrementally: only the
-        // users this batch touched are re-captured (plus the device-wide
-        // generator words), so the commit costs O(batch) — the full
-        // encode happens only if someone actually restores or reads it.
+        // users this batch touched are re-captured, so the commit costs
+        // O(batch) — the full encode happens only if someone actually
+        // restores or reads it.
         touched.clear();
         touched.extend(requests.iter().filter_map(ClientRequest::user));
         touched.sort_unstable();
@@ -957,7 +957,6 @@ fn serve(
         {
             let mut cell = checkpoint_cell.lock();
             let committed = cell.get_or_insert_with(|| CommittedLog::rebuild(&edge));
-            committed.set_rng(edge.checkpoint_header().0);
             for &user in &touched {
                 if let Some(state) = edge.user_state(user) {
                     committed.capture_user(user, state);
@@ -976,7 +975,7 @@ fn serve(
         // (replays and same-batch duplicates never enter them; a killed
         // batch rolls back before reaching here).
         if let Some(sink) = options.bid_sink.as_ref() {
-            emit_bids(sink, &requests, &responses);
+            crate::replay::emit_bids(sink, &requests, &responses);
         }
 
         // One encode block per wakeup: every response frame lands in
@@ -1080,34 +1079,6 @@ fn restore_checkpoint(
 ) -> Result<(), crate::recovery::RecoveryError> {
     *edge = EdgeDevice::restore_from_checkpoint(config, log)?;
     Ok(())
-}
-
-/// Emits one OpenRTB-lite bid request per applied ad request in a
-/// committed batch. `requests` and `responses` are the serving loop's
-/// parallel vectors, so the `(request, response)` pairs line up
-/// one-to-one; only `RequestLocation` entries answered with a
-/// `ReportedLocation` produce a bid, and the coordinate that crosses into
-/// the sink is the *released* obfuscated candidate out of the response —
-/// never the true position. The sink assigns the per-device sequence
-/// number (submission count), which the per-user in-order serving
-/// contract makes invariant to the user→shard partition.
-fn emit_bids(
-    sink: &privlocad_openrtb::BidSink,
-    requests: &[ClientRequest],
-    responses: &[EdgeResponse],
-) {
-    for (request, response) in requests.iter().zip(responses) {
-        if let (
-            ClientRequest::RequestLocation { user, .. },
-            EdgeResponse::ReportedLocation { location },
-        ) = (request, response)
-        {
-            sink.submit(
-                privlocad_openrtb::DeviceId::new(u64::from(user.raw())),
-                privlocad_openrtb::Geo::from_point(*location),
-            );
-        }
-    }
 }
 
 /// Fails pending replies with an explicit error frame instead of leaving

@@ -7,7 +7,7 @@
 //! dispatches each request to the owning shard in O(1). Two properties
 //! make the partition *invisible* in outputs:
 //!
-//! 1. **Per-user RNG streams** ([`crate::StreamMode::PerUser`]): every
+//! 1. **Per-user RNG streams** ([`crate::EdgeDevice::new`]): every
 //!    shard serves its users from private generators derived from one
 //!    fleet master, so a user's responses depend only on the master,
 //!    their id, and their own operation sequence — never on which shard

@@ -1,18 +1,16 @@
 //! Per-user serving state of an [`crate::EdgeDevice`]: the location
 //! manager, the permanent obfuscation table, the posterior-weight
-//! selection cache, and (in per-user stream mode) the user's private RNG
-//! stream.
+//! selection cache, and the user's private RNG stream.
 
 use std::sync::Arc;
 
 use privlocad_geo::Point;
 use privlocad_mechanisms::{
-    BatchScratch, CandidateLanes, PlanarLaplace, PosteriorSelector, PosteriorTable,
-    SelectionCache, SelectionStrategy, UniformSelector,
+    BatchScratch, CandidateLanes, PlanarLaplace, PosteriorSelector, SelectionCache,
+    SelectionStrategy, UniformSelector,
 };
 use privlocad_mobility::UserId;
 use rand::rngs::StdRng;
-use rand::RngCore;
 
 use crate::{LocationManager, ObfuscationModule, PreparedSet, SelectionKind, SystemConfig};
 
@@ -75,24 +73,36 @@ impl<S> UserMap<S> {
         let idx = match self.position(user) {
             Ok(i) => i,
             Err(i) => {
-                self.keys.insert(i, user);
-                self.slots.insert(i, init());
-                let raw = user.raw() as usize;
-                if raw < DENSE_INDEX_CAP && self.index.len() <= raw {
-                    self.index.resize(raw + 1, 0);
-                }
-                // The insert shifted every later slot by one; re-point the
-                // dense index for the tail (inserts happen once per user).
-                for (pos, key) in self.keys.iter().enumerate().skip(i) {
-                    let r = key.raw() as usize;
-                    if r < self.index.len() {
-                        self.index[r] = (pos + 1) as u32;
-                    }
-                }
+                self.insert_at(i, user, init());
                 i
             }
         };
         &mut self.slots[idx]
+    }
+
+    /// Stores `slot` as the user's, replacing any existing one.
+    pub(crate) fn insert(&mut self, user: UserId, slot: S) {
+        match self.position(user) {
+            Ok(i) => self.slots[i] = slot,
+            Err(i) => self.insert_at(i, user, slot),
+        }
+    }
+
+    fn insert_at(&mut self, i: usize, user: UserId, slot: S) {
+        self.keys.insert(i, user);
+        self.slots.insert(i, slot);
+        let raw = user.raw() as usize;
+        if raw < DENSE_INDEX_CAP && self.index.len() <= raw {
+            self.index.resize(raw + 1, 0);
+        }
+        // The insert shifted every later slot by one; re-point the dense
+        // index for the tail (inserts happen once per user).
+        for (pos, key) in self.keys.iter().enumerate().skip(i) {
+            let r = key.raw() as usize;
+            if r < self.index.len() {
+                self.index[r] = (pos + 1) as u32;
+            }
+        }
     }
 
     /// All known users, ascending.
@@ -139,6 +149,13 @@ mod usermap_tests {
             *v = 0;
         }
         assert!(map.values().all(|&v| v == 0));
+        // `insert` replaces an existing slot and places a new one in order.
+        map.insert(UserId::new(5), 50);
+        map.insert(UserId::new(2), 20);
+        assert_eq!(map.get(UserId::new(5)), Some(&50));
+        assert_eq!(map.get(UserId::new(2)), Some(&20));
+        assert_eq!(map.keys().nth(1), Some(UserId::new(2)));
+        assert_eq!(map.len(), 7);
     }
 }
 
@@ -171,20 +188,16 @@ pub(crate) struct UserState {
     /// acceleration: entries are derived from the permanent candidate
     /// sets, so the cache never changes outputs — only cost.
     pub(crate) selection: SelectionCache,
-    /// The user's private RNG stream ([`crate::StreamMode::PerUser`]
-    /// devices). `None` on classic devices, which advance one shared
-    /// generator in operation order.
-    pub(crate) stream: Option<StdRng>,
+    /// The user's private RNG stream: every draw serving this user comes
+    /// from it, so the user's outputs never depend on other users'
+    /// operations on the same device.
+    pub(crate) stream: StdRng,
 }
 
 impl UserState {
-    pub(crate) fn new(config: &SystemConfig) -> Self {
-        UserState::with_stream(config, None)
-    }
-
-    /// [`UserState::new`] with an explicit private stream (per-user
-    /// stream mode assigns one at first sight of the user).
-    pub(crate) fn with_stream(config: &SystemConfig, stream: Option<StdRng>) -> Self {
+    /// Fresh state for a user first seen by the device, drawing from
+    /// `stream`.
+    pub(crate) fn new(config: &SystemConfig, stream: StdRng) -> Self {
         UserState {
             manager: LocationManager::new(config.profile_theta_m(), config.eta()),
             obfuscation: ObfuscationModule::new(config.geo_ind(), config.top_match_radius_m()),
@@ -193,48 +206,34 @@ impl UserState {
         }
     }
 
-    /// Split-borrow accessor for the posterior hot path: the permanent
-    /// candidates covering `top` (generated on first use, spending the
-    /// one-and-only budget) plus their cached cumulative weight table
-    /// (built on first use, free post-processing).
-    fn posterior_ctx(
-        &mut self,
-        top: Point,
-        rng: &mut dyn RngCore,
-        stats: &mut RequestStats,
-    ) -> (&[Point], &PosteriorTable) {
-        let selector = PosteriorSelector::new(self.obfuscation.mechanism().sigma());
-        let candidates = self.obfuscation.candidates_for(top, rng);
-        let (hit, table) = self.selection.lookup_or_build(top, &selector, candidates);
-        if hit {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
-        }
-        (candidates, table)
-    }
-
     /// The serving hot path: a posterior- (or uniform-) selected permanent
     /// candidate when `current_true` is at a protected top location, a
-    /// fresh one-time planar-Laplace sample otherwise.
+    /// fresh one-time planar-Laplace sample otherwise. The permanent
+    /// candidates are generated on first use (spending the one-and-only
+    /// budget), their cumulative weight table built on first use (free
+    /// post-processing).
     ///
     /// Allocation-free after the first request per top location.
-    ///
-    /// Generic over the RNG so a concrete generator inlines into the
-    /// cached draw; pass `&mut &mut dyn RngCore` from type-erased callers.
-    pub(crate) fn reported_location<R: RngCore>(
+    pub(crate) fn reported_location(
         &mut self,
         config: &SystemConfig,
         nomadic: &PlanarLaplace,
         current_true: Point,
-        rng: &mut R,
         stats: &mut RequestStats,
     ) -> Point {
+        let rng = &mut self.stream;
         match self.manager.matching_top(current_true, config.top_match_radius_m()) {
             Some(top) => match config.selection() {
                 SelectionKind::Posterior => {
                     stats.posterior_draws += 1;
-                    let (candidates, table) = self.posterior_ctx(top, rng, stats);
+                    let selector = PosteriorSelector::new(self.obfuscation.mechanism().sigma());
+                    let candidates = self.obfuscation.candidates_for(top, rng);
+                    let (hit, table) = self.selection.lookup_or_build(top, &selector, candidates);
+                    if hit {
+                        stats.cache_hits += 1;
+                    } else {
+                        stats.cache_misses += 1;
+                    }
                     candidates[table.draw(rng)]
                 }
                 SelectionKind::Uniform => {
@@ -259,14 +258,14 @@ impl UserState {
     pub(crate) fn finalize_window_with(
         &mut self,
         config: &SystemConfig,
-        rng: &mut dyn RngCore,
         scratch: &mut BatchScratch,
         lanes: &mut CandidateLanes,
     ) -> usize {
         let tops: Vec<Point> =
             self.manager.finalize_window().iter().map(|e| e.location).collect();
         self.selection.invalidate();
-        let fresh = self.obfuscation.obfuscate_top_set_with(&tops, rng, scratch, lanes);
+        let fresh =
+            self.obfuscation.obfuscate_top_set_with(&tops, &mut self.stream, scratch, lanes);
         self.warm_selection(config);
         fresh
     }

@@ -3,13 +3,14 @@
 //! single request (forcing a from-scratch weight recompute) must produce
 //! bit-for-bit identical output streams — across multiple protection-window
 //! cycles, and with per-user streams regardless of how users are
-//! partitioned over worker threads. The checkpoint bytes both stream modes
-//! produce are pinned against golden digests.
+//! partitioned over worker threads. The checkpoint bytes a device
+//! produces are pinned against a golden digest.
 
-use privlocad::{AdDelivery, EdgeDevice, SystemConfig};
+use privlocad::{filter_ads_by, EdgeDevice, SystemConfig};
 use privlocad_adnet::{AdNetwork, Campaign, Targeting};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{BidRequest, BidResponse, DeviceId, Geo};
 
 const WINDOW_CYCLES: usize = 3;
 const REQUESTS_PER_CYCLE: usize = 25;
@@ -24,18 +25,26 @@ fn network() -> AdNetwork {
     ])
 }
 
+/// One served ad request: the reported location, the exchange's response
+/// to the bid carrying it, and the names of the ads that pass the AOI
+/// filter at the true location.
+type AdOutput = (Point, BidResponse, Vec<String>);
+
 /// Drives one edge device through 3 protection-window cycles, recording the
-/// full `request_ads` output stream. When `flush` is set, the selection
-/// cache is dropped before every request, so every draw recomputes its
-/// posterior weights from scratch.
-fn drive_edge(seed: u64, flush: bool) -> Vec<AdDelivery> {
+/// full ad output stream: each reported location goes to the exchange as
+/// an OpenRTB-lite bid, and the matching ads are filtered to the true area
+/// of interest. When `flush` is set, the selection cache is dropped before
+/// every request, so every draw recomputes its posterior weights from
+/// scratch.
+fn drive_edge(seed: u64, flush: bool) -> Vec<AdOutput> {
     let mut edge = EdgeDevice::new(SystemConfig::builder().build().unwrap(), seed);
+    let radius = edge.config().targeting_radius_m();
     let mut net = network();
     let user = UserId::new(1);
     let home = Point::new(0.0, 0.0);
     let office = Point::new(9_000.0, 0.0);
     let mut stream = Vec::new();
-    let mut t = 0i64;
+    let mut seq = 0u64;
     for cycle in 0..WINDOW_CYCLES {
         // The office grows more prominent every cycle, so the top set (and
         // with it the cache keys) genuinely changes across windows.
@@ -55,15 +64,22 @@ fn drive_edge(seed: u64, flush: bool) -> Vec<AdDelivery> {
                 1 => office,
                 _ => Point::new(40_000.0, 40_000.0), // nomadic
             };
-            stream.push(edge.request_ads(user, at, t, &mut net));
-            t += 1;
+            let reported = edge.reported_location(user, at);
+            let bid = BidRequest::new(DeviceId::new(1), seq, Geo::from_point(reported));
+            let response = net.serve_exchange(&bid);
+            let delivered = filter_ads_by(net.matching(reported), at, radius)
+                .into_iter()
+                .map(|ad| ad.name().to_owned())
+                .collect();
+            stream.push((reported, response, delivered));
+            seq += 1;
         }
     }
     stream
 }
 
 #[test]
-fn cached_and_from_scratch_request_ads_streams_are_identical() {
+fn cached_and_from_scratch_ad_streams_are_identical() {
     for seed in [3, 17, 4242] {
         let cached = drive_edge(seed, false);
         let uncached = drive_edge(seed, true);
@@ -84,7 +100,7 @@ fn drive_partitioned(seed: u64, threads: usize, flush: bool) -> Vec<Vec<Point>> 
     let handles: Vec<_> = (0..threads as u32)
         .map(|w| {
             std::thread::spawn(move || {
-                let mut edge = EdgeDevice::with_per_user_streams(config, seed);
+                let mut edge = EdgeDevice::new(config, seed);
                 let mut out = Vec::new();
                 for u in w * per_worker..((w + 1) * per_worker).min(USERS) {
                     let user = UserId::new(u);
@@ -173,20 +189,14 @@ fn golden_workload(edge: &mut EdgeDevice) {
 }
 
 /// The v2 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` (which
-/// is what `state_digest` hashes) and its length, pinned for one
-/// device-stream and one per-user-stream device. Any change to the byte
-/// layout, the header's op-counter slot, or either stream mode's draws
-/// shows up here.
+/// is what `state_digest` hashes) and its length, pinned for a device with
+/// per-user streams. Any change to the byte layout, the header's generator
+/// words or op-counter slot, or the per-user draws shows up here.
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {
     let config = SystemConfig::builder().build().unwrap();
     let mut device = EdgeDevice::new(config, 2024);
     golden_workload(&mut device);
-    assert_eq!(device.checkpoint().len(), 3_323);
-    assert_eq!(device.state_digest(), 0x8ef5_3243_d8b1_849c);
-
-    let mut per_user = EdgeDevice::with_per_user_streams(config, 2024);
-    golden_workload(&mut per_user);
-    assert_eq!(per_user.checkpoint().len(), 3_451);
-    assert_eq!(per_user.state_digest(), 0x0496_1cc9_7991_f31e);
+    assert_eq!(device.checkpoint().len(), 3_451);
+    assert_eq!(device.state_digest(), 0x0496_1cc9_7991_f31e);
 }

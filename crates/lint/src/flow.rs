@@ -122,10 +122,8 @@ const SINKS: &[FnPat] = &[
     // here is deferred wire egress. Only decoded *released* responses may
     // populate it (the live call site is qualified so this resolves).
     pat(Some("core"), Some("StaleCache"), "insert"),
-    pat(Some("adnet"), Some("BidRequest"), "encode"),
     pat(Some("adnet"), Some("AdNetwork"), "serve"),
     pat(Some("adnet"), Some("AdNetwork"), "auction"),
-    pat(Some("adnet"), Some("BidLog"), "push"),
     // The OpenRTB-lite bid emission path: a location submitted to the sink is
     // framed and shipped to the ad exchange verbatim, so both the sink
     // hand-off and the wire encoder are egress points.
@@ -148,8 +146,8 @@ const MAX_WITNESS_HOPS: usize = 8;
 /// unqualified `.name(` call must never resolve to a same-named workspace
 /// function — the receiver is almost certainly a std type, and letting e.g.
 /// every `.collect()` alias a workspace helper named `collect` wires the
-/// whole call graph together. Qualified calls (`BidLog::push(..)`) still
-/// resolve. Sorted for binary search.
+/// whole call graph together. Qualified calls (`StaleCache::insert(..)`)
+/// still resolve. Sorted for binary search.
 const UBIQUITOUS_METHODS: &[&str] = &[
     "all", "and_then", "any", "append", "as_bytes", "as_mut", "as_ref", "as_slice",
     "as_str", "borrow", "borrow_mut", "chain", "chars", "chunks", "clear", "clone",

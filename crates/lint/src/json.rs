@@ -675,12 +675,11 @@ fn validate_lint_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
 /// named `auction/...` — and, symmetrically, any run that claims an
 /// `auctions_per_sec` figure — must carry the full exchange record
 /// (`auctions_per_sec` > 0, `decode_ns_per_req` > 0, finite
-/// `serve_overhead_pct` ≥ 0, integral `revenue_micros` ≥ 0, both attacker
-/// columns in [0, 1], integral `users`/`requests`/`shards` ≥ 1, and a
-/// non-empty `digest`), so the live pipeline's throughput is never
-/// published without the codec cost, the revenue it settled, and the
-/// live-vs-synthetic attacker comparison that justifies replacing the
-/// synthetic log.
+/// `serve_overhead_pct` ≥ 0, integral `revenue_micros` ≥ 0, the attacker
+/// column `attack_success_live` in [0, 1], integral
+/// `users`/`requests`/`shards` ≥ 1, and a non-empty `digest`), so the live
+/// pipeline's throughput is never published without the codec cost, the
+/// revenue it settled, and what the attacker recovers from it.
 fn validate_auction_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
     let is_auction = name == "auction" || name.starts_with("auction/");
     let has_aps = run.get("auctions_per_sec").is_some();
@@ -715,16 +714,14 @@ fn validate_auction_row(i: usize, name: &str, run: &Json) -> Result<(), String> 
             "runs[{i}] (`{name}`) has invalid `revenue_micros` {revenue} (want integer >= 0)"
         ));
     }
-    for key in ["attack_success_live", "attack_success_synthetic"] {
-        let v = run
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!(
-                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want a rate in [0, 1])"
-            ));
-        }
+    let attack = run
+        .get("attack_success_live")
+        .and_then(Json::as_num)
+        .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `attack_success_live`"))?;
+    if !(0.0..=1.0).contains(&attack) {
+        return Err(format!(
+            "runs[{i}] (`{name}`) has invalid `attack_success_live` {attack} (want a rate in [0, 1])"
+        ));
     }
     for key in ["users", "requests", "shards"] {
         let v = run
@@ -926,8 +923,8 @@ mod tests {
                 r#"{{"name": "auction/exchange", "wall_ms": 900.0, "auctions_per_sec": 2.5e5,
                     "decode_ns_per_req": 14.2, "serve_overhead_pct": 1.2,
                     "revenue_micros": 123456789, "attack_success_live": 0.02,
-                    "attack_success_synthetic": 0.03, "users": 64, "requests": 10240,
-                    "shards": 16, "digest": "00f00ba900f00ba9"{patch}}}"#
+                    "users": 64, "requests": 10240, "shards": 16,
+                    "digest": "00f00ba900f00ba9"{patch}}}"#
             ))
         };
         assert!(validate_bench_report(&base("")).is_ok());
@@ -954,9 +951,8 @@ mod tests {
         assert!(validate_bench_report(&base(r#", "attack_success_live": 1.2"#))
             .unwrap_err()
             .contains("attack_success_live"));
-        assert!(validate_bench_report(&base(r#", "attack_success_synthetic": -0.5"#))
-            .unwrap_err()
-            .contains("attack_success_synthetic"));
+        let no_attack = base("").replace(r#""attack_success_live": 0.02,"#, "");
+        assert!(validate_bench_report(&no_attack).unwrap_err().contains("attack_success_live"));
         assert!(validate_bench_report(&base(r#", "shards": 0"#)).unwrap_err().contains("shards"));
         assert!(validate_bench_report(&base(r#", "requests": 2.5"#))
             .unwrap_err()

@@ -138,7 +138,7 @@ impl std::error::Error for DecodeError {}
 /// The ad network observes this identifier on every request — it is the
 /// longitudinal linkage handle of the paper's threat model (§II). It lives
 /// in this crate because it is a *wire* concept; `privlocad-adnet` re-exports
-/// it for its serving ledger and bid log.
+/// it for its serving ledger and auction requests.
 #[derive(
     Debug,
     Clone,

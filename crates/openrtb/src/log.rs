@@ -37,9 +37,8 @@ impl ExchangeRecord {
 
 /// An append-only log of every request/response pair an exchange settled.
 ///
-/// This is the live replacement for the synthetic `BidLog` the attack crate
-/// used to consume: re-identification now runs over the exact bytes the
-/// fleet put on the wire.
+/// This is what the attack crate consumes: re-identification runs over the
+/// exact bytes the fleet put on the wire.
 #[derive(Debug, Clone, Default)]
 pub struct BidExchangeLog {
     records: BTreeMap<(u64, u64), ExchangeRecord>,

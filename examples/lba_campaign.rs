@@ -10,10 +10,12 @@
 //! cargo run --release --example lba_campaign
 //! ```
 
-use privlocad::{LbaSimulation, SystemConfig};
+use privlocad::replay::replay_trace;
+use privlocad::{filter_ads_by, EdgeDevice, SystemConfig};
 use privlocad_adnet::inventory::{generate, InventoryConfig};
-use privlocad_adnet::platforms;
+use privlocad_adnet::{platforms, AdNetwork, BidExchange};
 use privlocad_mobility::{shanghai, PopulationConfig};
+use privlocad_openrtb::{BidSink, DeviceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Platform-conformant campaigns scattered over the study area.
@@ -34,31 +36,51 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .checkin_log_normal(5.0, 0.3) // lighter users keep the demo quick
         .build();
     let config = SystemConfig::builder().build()?;
-    let mut sim = LbaSimulation::new(config, inventory, 8);
+    let mut edge = EdgeDevice::new(config, 8);
+    let sink = BidSink::new();
+    let mut exchange = BidExchange::new(AdNetwork::new(inventory));
 
     let mut requests = 0usize;
     let mut won = 0usize;
     let mut delivered = 0usize;
     for i in 0..population.num_users() as u32 {
         let user = population.generate_user(i);
-        let report = sim.run_user(&user);
-        requests += report.requests;
-        won += report.auctions_won;
-        delivered += report.ads_delivered;
+        // The user's ad requests leave the edge as bids and settle at the
+        // exchange; bid `seq` k is check-in k.
+        replay_trace(&mut edge, &user, &sink);
+        let user_requests = exchange.pump(&sink)?;
+        let device = DeviceId::new(u64::from(user.user.raw()));
+        let (mut user_won, mut user_delivered) = (0, 0);
+        let mut exposed = exchange.log().locations_of(device);
+        for record in exchange.log().records().filter(|r| r.request.device.id == device) {
+            user_won += usize::from(record.response.is_win());
+            let truth = user.checkins[record.request.seq as usize].location;
+            let matching = exchange.network().matching(record.location());
+            user_delivered +=
+                filter_ads_by(matching, truth, config.targeting_radius_m()).len();
+        }
+        exposed.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+        exposed.dedup();
+        requests += user_requests;
+        won += user_won;
+        delivered += user_delivered;
         println!(
             "user {:>2}: {:>5} requests, {:>5} auctions won, {:>6} relevant ads delivered, \
              {:>3} distinct locations exposed",
-            i, report.requests, report.auctions_won, report.ads_delivered, report.distinct_reported
+            i,
+            user_requests,
+            user_won,
+            user_delivered,
+            exposed.len()
         );
     }
 
-    let log = sim.bid_log();
-    let revenue: f64 = log.entries().iter().map(|e| e.price).sum();
+    let log = exchange.log();
     println!("\ntotals: {requests} requests, {won} auctions won, {delivered} ads delivered");
     println!(
-        "ad network log: {} transactions, {:.0} total clearing price units",
+        "exchange log: {} transactions, {:.0} total clearing price units",
         log.len(),
-        revenue
+        log.revenue_micros() as f64 / 1e6
     );
     println!(
         "average relevant ads per request after the edge's AOI filter: {:.2}",

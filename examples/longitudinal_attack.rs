@@ -6,11 +6,13 @@
 //! cargo run --release --example longitudinal_attack
 //! ```
 
-use privlocad::{LbaSimulation, SystemConfig};
+use privlocad::replay::{observe, replay_trace};
+use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_attack::DeobfuscationAttack;
 use privlocad_geo::rng::seeded;
 use privlocad_mechanisms::{NFoldGaussian, PlanarLaplace, PlanarLaplaceParams};
 use privlocad_mobility::PopulationConfig;
+use privlocad_openrtb::{BidSink, DeviceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let population = PopulationConfig::builder().num_users(1).seed(11).build();
@@ -45,13 +47,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Arm 2: the same victim behind Edge-PrivLocAd ---
+    // The attacker reads the bid requests the edge put on the wire.
     let config = SystemConfig::builder().build()?;
-    let mut sim = LbaSimulation::new(config, Vec::new(), 2);
-    sim.run_user(&victim);
-    let observed = sim.observed_locations(victim.user.raw());
+    let mut edge = EdgeDevice::new(config, 2);
+    let sink = BidSink::new();
+    replay_trace(&mut edge, &victim, &sink);
+    let seen = observe(&sink)?;
+    let observed = seen.locations_of(DeviceId::new(u64::from(victim.user.raw())));
     let gaussian = NFoldGaussian::new(config.geo_ind());
     let attack = DeobfuscationAttack::for_gaussian(&gaussian, 0.05)?;
-    let inferred = attack.infer_top_locations(&observed, 2);
+    let inferred = attack.infer_top_locations(observed, 2);
     println!("\nEdge-PrivLocAd (permanent 10-fold Gaussian candidates):");
     for i in &inferred {
         let truth = victim.truth.top_locations[i.rank];

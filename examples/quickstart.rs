@@ -5,10 +5,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use privlocad::{EdgeDevice, SystemConfig};
-use privlocad_adnet::{AdNetwork, Campaign, Targeting};
+use privlocad::protocol::ClientRequest;
+use privlocad::replay::emit_bids;
+use privlocad::{filter_ads_by, EdgeDevice, SystemConfig};
+use privlocad_adnet::{AdNetwork, BidExchange, Campaign, Targeting};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{BidSink, DeviceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Configure the system with the paper's defaults:
@@ -28,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    campaigns: a coffee shop near home and a gym across town.
     let mut edge = EdgeDevice::new(config, 7);
     let home = Point::new(1_000.0, 2_000.0);
-    let mut network = AdNetwork::new(vec![
+    let network = AdNetwork::new(vec![
         Campaign::new(0, "coffee near home", Targeting::radius(home, 25_000.0)?, 2.5)?,
         Campaign::new(
             1,
@@ -54,23 +57,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for c in &candidates {
         println!("  {c}  ({:.0} m from home)", c.distance(home));
     }
-    for t in 0..5 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
-        println!(
-            "request {t}: reported {} -> {} ad(s) delivered{}",
-            delivery.reported,
-            delivery.delivered.len(),
-            delivery
-                .delivered
-                .first()
-                .map(|a| format!(" (top: {})", a.name()))
-                .unwrap_or_default(),
+    // Each served request leaves the edge as an OpenRTB-lite bid carrying
+    // only the reported location; the exchange auctions it, and the edge
+    // filters the matching ads to the user's true area of interest.
+    let requests = [ClientRequest::RequestLocation { user, location: home }; 5];
+    let mut responses = Vec::new();
+    edge.serve_batch(&requests, &mut responses);
+    let sink = BidSink::new();
+    emit_bids(&sink, &requests, &responses);
+    let mut exchange = BidExchange::new(network);
+    exchange.pump(&sink)?;
+    for record in exchange.log().records() {
+        let reported = record.location();
+        let delivered = filter_ads_by(
+            exchange.network().matching(reported),
+            home,
+            config.targeting_radius_m(),
         );
-        assert!(candidates.contains(&delivery.reported));
+        println!(
+            "request {}: reported {} -> {} ad(s) delivered{}",
+            record.request.seq,
+            reported,
+            delivered.len(),
+            delivered.first().map(|a| format!(" (top: {})", a.name())).unwrap_or_default(),
+        );
+        assert!(candidates.contains(&reported));
     }
 
     // 5. What the curious network learned: only candidate points.
-    let observed = network.log().locations_of(privlocad_adnet::DeviceId::new(42));
+    let observed = exchange.log().locations_of(DeviceId::new(42));
     println!(
         "ad network observed {} reports, {} distinct locations, none equal to home",
         observed.len(),

@@ -127,7 +127,6 @@ echo "==> bench auction (smoke, reduced sizes)"
 grep -q 'auction/exchange' "$smoke_dir/BENCH_auction.json"
 grep -q '"decode_ns_per_req"' "$smoke_dir/BENCH_auction.json"
 grep -q '"attack_success_live"' "$smoke_dir/BENCH_auction.json"
-grep -q '"attack_success_synthetic"' "$smoke_dir/BENCH_auction.json"
 grep -q '"digest"' "$smoke_dir/BENCH_auction.json"
 grep -q 'determinism: exchange log bit-identical across 4 fleet runs' "$smoke_dir/auction.out"
 # Telemetry smoke: the rtb.* exchange counters land next to the row.

@@ -1,12 +1,13 @@
 //! Integration: the full advertising marketplace (mixed targeting, budgets,
 //! frequency caps, area grid) served through the Edge-PrivLocAd pipeline.
 
-use privlocad::{EdgeDevice, SystemConfig};
+use privlocad::{filter_ads_by, EdgeDevice, SystemConfig};
 use privlocad_adnet::{
     AdNetwork, AreaGrid, Campaign, CampaignId, ServingPolicy, Targeting,
 };
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{BidRequest, DeviceId, Geo};
 
 fn settled_edge(home: Point) -> (EdgeDevice, UserId) {
     let mut edge = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 31);
@@ -16,6 +17,24 @@ fn settled_edge(home: Point) -> (EdgeDevice, UserId) {
     }
     edge.finalize_window(user);
     (edge, user)
+}
+
+/// Serves ad request `seq` at `at`: the reported location goes to the
+/// exchange as an OpenRTB-lite bid, and the ads matching it are filtered to
+/// the true area of interest. Returns the winning campaign, if any, and
+/// the delivered ads.
+fn serve_ad<'n>(
+    edge: &mut EdgeDevice,
+    network: &'n mut AdNetwork,
+    user: UserId,
+    at: Point,
+    seq: u64,
+) -> (Option<u64>, Vec<&'n Campaign>) {
+    let reported = edge.reported_location(user, at);
+    let bid = BidRequest::new(DeviceId::new(u64::from(user.raw())), seq, Geo::from_point(reported));
+    let winner = network.serve_exchange(&bid).seatbid.map(|won| won.seat);
+    let network: &'n AdNetwork = network;
+    (winner, filter_ads_by(network.matching(reported), at, edge.config().targeting_radius_m()))
 }
 
 #[test]
@@ -43,23 +62,25 @@ fn mixed_targeting_marketplace_over_obfuscated_requests() {
     network.set_area_grid(AreaGrid::new(40_000.0));
 
     let mut winners = std::collections::HashSet::new();
-    for t in 0..50 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
-        if let Some(o) = &delivery.auction {
-            winners.insert(o.winner.id().raw());
-        }
+    let mut auctions = 0;
+    for seq in 0..50 {
+        let (winner, delivered) = serve_ad(&mut edge, &mut network, user, home, seq);
         // Non-geographic ads always pass the AOI filter; radius ads only
         // when truly relevant.
-        for ad in &delivery.delivered {
+        for ad in delivered {
             if let Some(loc) = ad.business_location() {
                 assert!(loc.distance(home) <= 5_000.0);
             }
+        }
+        if let Some(seat) = winner {
+            winners.insert(seat);
+            auctions += 1;
         }
     }
     // The high-bid radius campaign wins whenever the obfuscated request
     // lands in range; auctions always have at least the national bidder.
     assert!(winners.contains(&0) || winners.contains(&2) || winners.contains(&1));
-    assert_eq!(network.log().len(), 50);
+    assert_eq!(auctions, 50);
 }
 
 #[test]
@@ -76,14 +97,14 @@ fn budgets_rotate_winners_under_the_edge_pipeline() {
 
     let mut first_wins = 0;
     let mut later_wins = 0;
-    for t in 0..10 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
-        let winner = delivery.auction.expect("country campaign always matches").winner;
-        if t < 3 {
-            assert_eq!(winner.id().raw(), 0, "budget should last 3 wins");
+    for seq in 0..10 {
+        let (winner, _) = serve_ad(&mut edge, &mut network, user, home, seq);
+        let winner = winner.expect("country campaign always matches");
+        if seq < 3 {
+            assert_eq!(winner, 0, "budget should last 3 wins");
             first_wins += 1;
         } else {
-            assert_eq!(winner.id().raw(), 1, "runner-up takes over after exhaustion");
+            assert_eq!(winner, 1, "runner-up takes over after exhaustion");
             later_wins += 1;
         }
     }
@@ -102,8 +123,8 @@ fn frequency_caps_limit_per_user_exposure_through_the_edge() {
     network.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_frequency_cap(2));
 
     let mut wins = 0;
-    for t in 0..6 {
-        if edge.request_ads(user, home, t, &mut network).auction.is_some() {
+    for seq in 0..6 {
+        if serve_ad(&mut edge, &mut network, user, home, seq).0.is_some() {
             wins += 1;
         }
     }
