@@ -10,7 +10,7 @@ use privlocad_mobility::UserId;
 use privlocad_telemetry::{top_key, Determinism, SpendEvent, SpendKind, Telemetry};
 
 use crate::protocol::{ClientRequest, EdgeResponse};
-use crate::recovery::{restore_user_owned, DeviceSnapshot, RecoveryError, SnapshotBuilder};
+use crate::recovery::{restore_user_owned, DeviceSnapshot, RecoveryError};
 use crate::shard::StateFootprint;
 use crate::user::{RequestStats, UserMap, UserState};
 use crate::{CandidateArena, PreparedSet, SystemConfig};
@@ -359,12 +359,12 @@ impl EdgeDevice {
     /// raw RNG stream words — enough to resume serving bit-for-bit where
     /// the device stood, without re-drawing a single released candidate
     /// (see [`crate::recovery`] for why re-drawing is a privacy violation).
+    ///
+    /// This is the decode of [`EdgeDevice::checkpoint`]'s image, so the
+    /// snapshot and the committed bytes cannot disagree.
     pub fn snapshot(&self) -> DeviceSnapshot {
-        let mut builder = SnapshotBuilder::new();
-        for (user, state) in self.user_states() {
-            builder.capture(user, state);
-        }
-        builder.finish(self.master)
+        // lint:allow(panic-hygiene): provably infallible — the image was streamed from this device just now, so its checksum and every frame and pool reference are intact
+        DeviceSnapshot::decode(&self.checkpoint()).expect("a freshly streamed checkpoint decodes")
     }
 
     /// One user's live serving state, for the incremental committed log
@@ -373,20 +373,24 @@ impl EdgeDevice {
         self.users.get(user)
     }
 
-    /// Every user's live serving state, ascending by id — the capture
-    /// order of [`EdgeDevice::snapshot`].
+    /// Every user's live serving state, ascending by id — the order a
+    /// checkpoint image lists them in.
     pub(crate) fn user_states(&self) -> impl Iterator<Item = (UserId, &UserState)> {
         self.users.keys().zip(self.users.values())
     }
 
-    /// Encodes the current [`EdgeDevice::snapshot`] into one contiguous
-    /// checkpoint buffer (the length-prefixed frame format of
-    /// [`crate::recovery`]) — the unit the serving loop commits to its
-    /// write-ahead log and [`EdgeDevice::restore_from_checkpoint`] decodes
-    /// without per-record allocation.
+    /// Encodes the device into one contiguous checkpoint buffer (the
+    /// length-prefixed frame format of [`crate::recovery`]) — the unit the
+    /// serving loop commits to its write-ahead log and
+    /// [`EdgeDevice::restore_from_checkpoint`] decodes without per-record
+    /// allocation.
+    ///
+    /// The image is streamed straight from the live user states into one
+    /// buffer allocated once at its exact length: a first pass interns the
+    /// candidate-set and posterior-table pools and sums the frame lengths,
+    /// a second writes. No [`DeviceSnapshot`] is built on the way.
     pub fn checkpoint(&self) -> Bytes {
-        // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; it goes only into the trusted edge store and the restore paths are the only consumers (DESIGN.md §12)
-        self.snapshot().encode()
+        crate::recovery::stream_image(self)
     }
 
     /// A 64-bit FNV-1a digest of the committed checkpoint bytes — a
@@ -395,7 +399,7 @@ impl EdgeDevice {
     /// devices with equal digests would resume identically; the chaos
     /// harness compares faulty against fault-free runs with it.
     pub fn state_digest(&self) -> u64 {
-        crate::recovery::fnv1a(&self.checkpoint())
+        privlocad_openrtb::fnv1a64(&self.checkpoint())
     }
 
     /// Rebuilds a device from a checkpoint. Every user's RNG stream

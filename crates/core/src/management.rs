@@ -93,6 +93,13 @@ impl LocationManager {
         &self.buffer
     }
 
+    /// How many check-ins are buffered, profile entries recorded and
+    /// η-frequent entries held — the shape a checkpoint frame is sized by,
+    /// read without touching a location.
+    pub(crate) fn window_lens(&self) -> (usize, usize, usize) {
+        (self.buffer.len(), self.profile.len(), self.top_set.len())
+    }
+
     /// Reinstates checkpointed window state verbatim: the open window's
     /// buffer, the last computed profile (in its recorded entry order),
     /// the η-frequent set, and the window epoch. θ and η keep their
@@ -114,12 +121,16 @@ impl LocationManager {
     /// Closes the window: rebuilds the profile from the buffered check-ins
     /// and recomputes the η-frequent location set. Returns the new set.
     ///
+    /// The closed window's buffer is freed, not cleared: a device holds
+    /// thousands of users between windows, and each kept buffer would pin
+    /// its high-water capacity until the user's next window fills it.
+    ///
     /// An empty window leaves the previous profile in place.
     pub fn finalize_window(&mut self) -> &[ProfileEntry] {
         if !self.buffer.is_empty() {
             self.profile = LocationProfile::from_checkins(&self.buffer, self.theta_m);
             self.top_set = frequent_location_set(&self.profile, self.eta);
-            self.buffer.clear();
+            self.buffer = Vec::new();
         }
         self.windows_closed += 1;
         &self.top_set
@@ -225,6 +236,29 @@ mod tests {
         assert_eq!(tops.len(), 1); // 80 ≥ 0.8·100
         assert!(tops[0].location.distance(Point::ORIGIN) < 1.0);
         assert_eq!(m.profile().len(), 2);
+    }
+
+    #[test]
+    fn closed_window_frees_its_buffer() {
+        let fill = |m: &mut LocationManager, x: f64| {
+            for i in 0..200 {
+                m.record(Point::new(x + f64::from(i % 7) * 10.0, 0.0));
+            }
+            for _ in 0..50 {
+                m.record(Point::new(x + 9_000.0, 0.0));
+            }
+        };
+        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        fill(&mut m, 0.0);
+        m.finalize_window();
+        assert_eq!(m.buffer.capacity(), 0, "a closed window owns no allocation");
+        // A refilled window profiles exactly like a fresh manager's.
+        fill(&mut m, 30_000.0);
+        let mut fresh = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        fill(&mut fresh, 30_000.0);
+        assert_eq!(m.finalize_window(), fresh.finalize_window());
+        assert_eq!(m.profile(), fresh.profile());
+        assert_eq!(m.buffer.capacity(), 0);
     }
 
     #[test]

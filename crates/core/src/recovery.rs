@@ -27,7 +27,9 @@
 //! slice reader — the only allocations on the decode path are the final
 //! owned state (one `Arc` per **distinct** candidate set, not one per
 //! user record). Bit rot in persisted state surfaces as a structured
-//! [`RecoveryError`] instead of a corrupted privacy ledger.
+//! [`RecoveryError`] instead of a corrupted privacy ledger. A live device
+//! streams the same image straight from its user states
+//! ([`crate::EdgeDevice::checkpoint`]); one frame writer serves both.
 //!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
 //! live device refuses to adopt a snapshot that has *forgotten* any of
@@ -44,6 +46,7 @@ use privlocad_geo::rng::seeded;
 use privlocad_geo::Point;
 use privlocad_mechanisms::{PosteriorTable, SelectionCache};
 use privlocad_mobility::UserId;
+use privlocad_openrtb::fnv1a64;
 use rand::rngs::StdRng;
 
 use crate::user::UserState;
@@ -54,25 +57,19 @@ const MAGIC: u32 = 0x504C_4144;
 /// Log format version: pooled, length-prefix-framed.
 const VERSION: u16 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over the log body — cheap, dependency-free, and plenty to catch
-/// truncation and bit rot in persisted snapshots.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The v2 header's stream byte: per-user RNG streams derived from the
 /// master seed, the only mode a device has. Any other value — 0 marks an
 /// image of a device-wide generator — is refused as
 /// [`RecoveryError::BadStreamMode`].
 const PER_USER_STREAMS: u8 = 1;
+
+/// Fixed header bytes of a v2 image: magic, version, stream byte +
+/// master, four RNG words, and the always-zero op-counter slot.
+const V2_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 32 + 8;
+
+/// Fixed bytes of every v2 image: the header, the set-pool, CDF-pool and
+/// user counts, and the trailing FNV-1a checksum.
+const IMAGE_FIXED_LEN: usize = V2_HEADER_LEN + 3 * 4 + 8;
 
 /// Writes the fixed v2 header: magic, version, stream byte, master, four
 /// RNG words and the op-counter slot. The words are the untouched
@@ -88,6 +85,117 @@ fn put_header<B: BufMut>(buf: &mut B, master: u64) {
         buf.put_u64(word);
     }
     buf.put_u64(0);
+}
+
+/// Appends the FNV-1a checksum of everything written so far and freezes
+/// the image.
+fn seal(mut buf: BytesMut) -> Bytes {
+    let checksum = fnv1a64(&buf);
+    buf.put_u64(checksum);
+    buf.freeze()
+}
+
+/// Encoded bytes of one set-pool entry: length prefix, point count and
+/// `points` points.
+fn set_entry_len(points: usize) -> usize {
+    4 + 4 + points * 16
+}
+
+/// Encoded bytes of one CDF-pool entry: length prefix, weight count and
+/// `weights` weights.
+fn cdf_entry_len(weights: usize) -> usize {
+    4 + 4 + weights * 8
+}
+
+/// Writes the two pool sections: each a count, then one length-prefixed
+/// frame per entry.
+fn put_pools<'a, B: BufMut>(
+    buf: &mut B,
+    sets: impl ExactSizeIterator<Item = &'a [Point]>,
+    cdfs: impl ExactSizeIterator<Item = &'a [f64]>,
+) {
+    buf.put_u32(sets.len() as u32);
+    for set in sets {
+        buf.put_u32((set_entry_len(set.len()) - 4) as u32);
+        put_points(buf, set);
+    }
+    buf.put_u32(cdfs.len() as u32);
+    for cdf in cdfs {
+        buf.put_u32((cdf_entry_len(cdf.len()) - 4) as u32);
+        buf.put_u32(cdf.len() as u32);
+        for &w in cdf {
+            buf.put_f64(w);
+        }
+    }
+}
+
+/// Encoded bytes of one user frame, its length prefix included: the
+/// fixed fields plus `buffer` check-ins, `profile` and `top_set` entries,
+/// and `table` and `cache` pool references.
+fn user_frame_len(
+    buffer: usize,
+    profile: usize,
+    top_set: usize,
+    table: usize,
+    cache: usize,
+) -> usize {
+    // Length prefix, user id, window epoch, four RNG words, match radius
+    // and the five section counts; then 16-byte points, 24-byte profile
+    // entries and 20-byte pool references.
+    4 + 4 + 8 + 32 + 8 + 5 * 4 + buffer * 16 + (profile + top_set) * 24 + (table + cache) * 20
+}
+
+/// One user frame's fields, borrowed from live serving state
+/// ([`Pools::put_user`]) or from a decoded record ([`UserRecord::frame`]).
+/// Both go through [`put_user_frame`], so the v2 user layout is written in
+/// one place.
+struct UserFrame<'a> {
+    user: u32,
+    windows_closed: u64,
+    rng_words: [u64; 4],
+    buffer: &'a [Point],
+    profile: &'a [ProfileEntry],
+    top_set: &'a [ProfileEntry],
+    table_radius: f64,
+    table: &'a [(Point, u32)],
+    cache: &'a [(Point, u32)],
+}
+
+impl UserFrame<'_> {
+    fn len(&self) -> usize {
+        user_frame_len(
+            self.buffer.len(),
+            self.profile.len(),
+            self.top_set.len(),
+            self.table.len(),
+            self.cache.len(),
+        )
+    }
+}
+
+/// Writes one user frame, length prefix first — the one writer of the v2
+/// user layout, behind the streamed checkpoint, the committed log and
+/// [`DeviceSnapshot::encode`]. The flow lint models it as a sink: it
+/// serializes true window state.
+fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
+    buf.put_u32((frame.len() - 4) as u32);
+    buf.put_u32(frame.user);
+    buf.put_u64(frame.windows_closed);
+    for word in frame.rng_words {
+        buf.put_u64(word);
+    }
+    put_points(buf, frame.buffer);
+    put_entries(buf, frame.profile);
+    put_entries(buf, frame.top_set);
+    buf.put_f64(frame.table_radius);
+    for refs in [frame.table, frame.cache] {
+        buf.put_u32(refs.len() as u32);
+        for &(top, idx) in refs {
+            buf.put_f64(top.x);
+            buf.put_f64(top.y);
+            buf.put_u32(idx);
+        }
+    }
 }
 
 /// One user's checkpointed serving state. Bulky payloads (candidate
@@ -116,81 +224,123 @@ pub(crate) struct UserRecord {
     pub(crate) cache: Vec<(Point, u32)>,
 }
 
-/// Accumulates user captures into a pooled [`DeviceSnapshot`]:
-/// candidate sets and posterior tables are deduplicated by `Arc`
-/// identity, so state installed fleet-wide through
-/// [`crate::CandidateArena`] sharing is stored once per **distinct**
-/// set, not once per user. Pool indices are assigned in first-seen
-/// order over the (ascending) capture sequence, which keeps the
-/// resulting snapshot — and its encoded bytes — deterministic.
-pub(crate) struct SnapshotBuilder {
-    sets: Vec<Arc<[Point]>>,
-    /// `Arc` data-pointer → pool index; lookup only, never iterated.
-    set_index: BTreeMap<usize, u32>,
-    cdfs: Vec<Vec<f64>>,
-    cdf_index: BTreeMap<usize, u32>,
-    users: Vec<UserRecord>,
+impl UserRecord {
+    fn frame(&self) -> UserFrame<'_> {
+        UserFrame {
+            user: self.user.raw(),
+            windows_closed: self.windows_closed,
+            rng_words: self.rng_words,
+            buffer: &self.buffer,
+            profile: &self.profile,
+            top_set: &self.top_set,
+            table_radius: self.table_radius,
+            table: &self.table,
+            cache: &self.cache,
+        }
+    }
 }
 
-impl SnapshotBuilder {
-    pub(crate) fn new() -> Self {
-        SnapshotBuilder {
-            sets: Vec::new(),
-            set_index: BTreeMap::new(),
-            cdfs: Vec::new(),
-            cdf_index: BTreeMap::new(),
-            users: Vec::new(),
+/// The two pools of a v2 image built from live devices: candidate sets
+/// and posterior tables deduplicated by `Arc` identity, so state
+/// installed fleet-wide through [`crate::CandidateArena`] sharing is
+/// stored once per **distinct** allocation, not once per user. Indices
+/// are assigned in first-seen order over the (ascending) user sequence,
+/// which keeps the image deterministic.
+///
+/// Entries are **pinned**: the pool holds its own `Arc` clone of every
+/// indexed allocation, so none can be freed and its address reused while
+/// the index is live — the pointer-identity dedup stays sound for the
+/// pools' whole lifetime.
+#[derive(Debug, Default)]
+struct Pools {
+    sets: Vec<Arc<[Point]>>,
+    /// `Arc` data pointer → pool index; lookup only, never iterated.
+    set_index: BTreeMap<usize, u32>,
+    cdfs: Vec<Arc<PosteriorTable>>,
+    cdf_index: BTreeMap<usize, u32>,
+    /// Encoded bytes of every entry of both pool sections.
+    bytes: usize,
+    /// The pool references of the user interned last.
+    table: Vec<(Point, u32)>,
+    cache: Vec<(Point, u32)>,
+}
+
+impl Pools {
+    /// Interns every candidate set and posterior table `state` cites,
+    /// leaves the user's pool references in `self.table` and
+    /// `self.cache`, and returns the user's frame length.
+    fn intern(&mut self, state: &UserState) -> usize {
+        self.table.clear();
+        for (top, shared) in state.obfuscation.table().shared_entries() {
+            let next = self.sets.len() as u32;
+            let idx = *self.set_index.entry(shared.as_ptr() as usize).or_insert(next);
+            if idx == next {
+                self.bytes += set_entry_len(shared.len());
+                self.sets.push(Arc::clone(shared));
+            }
+            self.table.push((top, idx));
         }
+        self.cache.clear();
+        for (top, shared) in state.selection.shared_entries() {
+            let next = self.cdfs.len() as u32;
+            let idx = *self.cdf_index.entry(Arc::as_ptr(shared) as usize).or_insert(next);
+            if idx == next {
+                self.bytes += cdf_entry_len(shared.cdf().len());
+                self.cdfs.push(Arc::clone(shared));
+            }
+            self.cache.push((top, idx));
+        }
+        let (buffer, profile, top_set) = state.manager.window_lens();
+        user_frame_len(buffer, profile, top_set, self.table.len(), self.cache.len())
     }
 
-    /// Captures one user's live serving state into the pools.
-    pub(crate) fn capture(&mut self, user: UserId, state: &UserState) {
-        let table = state.obfuscation.table();
-        let mut table_refs = Vec::with_capacity(table.len());
-        for (top, shared) in table.shared_entries() {
-            let key = shared.as_ptr() as usize;
-            let idx = match self.set_index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = self.sets.len() as u32;
-                    self.sets.push(Arc::clone(shared));
-                    self.set_index.insert(key, i);
-                    i
-                }
-            };
-            table_refs.push((top, idx));
-        }
-        let mut cache_refs = Vec::new();
-        for (top, shared) in state.selection.shared_entries() {
-            let key = Arc::as_ptr(shared) as usize;
-            let idx = match self.cdf_index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = self.cdfs.len() as u32;
-                    self.cdfs.push(shared.cdf().to_vec());
-                    self.cdf_index.insert(key, i);
-                    i
-                }
-            };
-            cache_refs.push((top, idx));
-        }
-        self.users.push(UserRecord {
-            user,
+    /// Writes both pool sections.
+    fn put_sections<B: BufMut>(&self, buf: &mut B) {
+        put_pools(buf, self.sets.iter().map(|s| &**s), self.cdfs.iter().map(|t| t.cdf()));
+    }
+
+    /// Interns `state` and writes its frame: the one place live true state
+    /// reaches [`put_user_frame`], for the streamed checkpoint and the
+    /// committed log alike.
+    fn put_user<B: BufMut>(&mut self, buf: &mut B, user: UserId, state: &UserState) {
+        self.intern(state);
+        let frame = UserFrame {
+            user: user.raw(),
             windows_closed: state.manager.windows_closed() as u64,
             rng_words: state.stream.state(),
-            buffer: state.manager.buffered().to_vec(),
-            profile: state.manager.profile().entries().to_vec(),
-            top_set: state.manager.top_set().to_vec(),
-            table_radius: table.match_radius_m(),
-            table: table_refs,
-            cache: cache_refs,
-        });
+            buffer: state.manager.buffered(),
+            profile: state.manager.profile().entries(),
+            top_set: state.manager.top_set(),
+            table_radius: state.obfuscation.table().match_radius_m(),
+            table: &self.table,
+            cache: &self.cache,
+        };
+        // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; it goes only into the trusted edge store and the restore paths are the only consumers (DESIGN.md §12)
+        put_user_frame(buf, &frame);
     }
+}
 
-    /// Seals the builder into a snapshot of a device on `master`.
-    pub(crate) fn finish(self, master: u64) -> DeviceSnapshot {
-        DeviceSnapshot { master, sets: self.sets, cdfs: self.cdfs, users: self.users }
+/// Streams a v2 image of `edge` straight from its live state into one
+/// buffer allocated once at its exact length. Pass 1 interns both pools
+/// and sums the frame lengths; pass 2 writes. Byte-identical to
+/// `edge.snapshot().encode()` without building the snapshot.
+pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
+    let mut pools = Pools::default();
+    let mut frames = 0;
+    for (_, state) in edge.user_states() {
+        frames += pools.intern(state);
     }
+    let len = IMAGE_FIXED_LEN + pools.bytes + frames;
+    let mut buf = BytesMut::with_capacity(len);
+    put_header(&mut buf, edge.master());
+    pools.put_sections(&mut buf);
+    buf.put_u32(edge.user_count() as u32);
+    for (user, state) in edge.user_states() {
+        pools.put_user(&mut buf, user, state);
+    }
+    let image = seal(buf);
+    debug_assert_eq!(image.len(), len, "pass 1 sized the image exactly");
+    image
 }
 
 /// The serving loop's committed checkpoint, maintained **incrementally**:
@@ -202,85 +352,34 @@ impl SnapshotBuilder {
 /// caught panic, respawn of a dead shard,
 /// [`crate::EdgeServer::last_checkpoint`]).
 ///
-/// Pool entries are append-only and **pinned**: the pool holds its own
-/// `Arc` clone of every indexed candidate set and posterior table, so an
-/// indexed allocation can never be freed and its address reused while
-/// the index is live — the pointer-identity dedup stays sound for the
-/// log's whole lifetime. Restore paths rebuild the log wholesale (the
-/// restored device is a fresh allocation graph), which also sheds any
-/// pool growth accumulated from re-captures.
+/// The pools are append-only and pinned (see [`Pools`]). Restore paths
+/// rebuild the log wholesale (the restored device is a fresh allocation
+/// graph), which also sheds any pool growth accumulated from re-captures.
 #[derive(Debug)]
 pub(crate) struct CommittedLog {
     master: u64,
-    sets: Vec<Arc<[Point]>>,
-    set_index: BTreeMap<usize, u32>,
-    /// Encoded bytes of the set pool section (length prefixes included).
-    set_bytes: usize,
-    cdfs: Vec<Arc<PosteriorTable>>,
-    cdf_index: BTreeMap<usize, u32>,
-    cdf_bytes: usize,
-    /// Per-user encoded frame bodies, ascending by raw id — the same
-    /// order [`crate::EdgeDevice::snapshot`] captures in.
+    pools: Pools,
+    /// Per-user encoded frames, length prefix included, ascending by raw
+    /// id — the order [`stream_image`] writes in.
     frames: BTreeMap<u32, Vec<u8>>,
     frame_bytes: usize,
 }
 
-/// Fixed header bytes of a v2 image: magic, version, stream byte +
-/// master, four RNG words, and the always-zero op-counter slot.
-const V2_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 32 + 8;
-
 impl CommittedLog {
-    pub(crate) fn new(master: u64) -> Self {
-        CommittedLog {
-            master,
-            sets: Vec::new(),
-            set_index: BTreeMap::new(),
-            set_bytes: 0,
-            cdfs: Vec::new(),
-            cdf_index: BTreeMap::new(),
-            cdf_bytes: 0,
-            frames: BTreeMap::new(),
-            frame_bytes: 0,
-        }
-    }
-
     /// Captures the device wholesale — spawn, restore, and test entry
     /// point. Per-batch maintenance goes through
     /// [`CommittedLog::capture_user`] instead.
     pub(crate) fn rebuild(edge: &crate::EdgeDevice) -> Self {
-        let mut log = CommittedLog::new(edge.master());
+        let mut log = CommittedLog {
+            master: edge.master(),
+            pools: Pools::default(),
+            frames: BTreeMap::new(),
+            frame_bytes: 0,
+        };
         for (user, state) in edge.user_states() {
             log.capture_user(user, state);
         }
         log
-    }
-
-    fn intern_set(&mut self, shared: &Arc<[Point]>) -> u32 {
-        let key = shared.as_ptr() as usize;
-        match self.set_index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.sets.len() as u32;
-                self.set_bytes += 4 + 4 + shared.len() * 16;
-                self.sets.push(Arc::clone(shared));
-                self.set_index.insert(key, i);
-                i
-            }
-        }
-    }
-
-    fn intern_cdf(&mut self, shared: &Arc<PosteriorTable>) -> u32 {
-        let key = Arc::as_ptr(shared) as usize;
-        match self.cdf_index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.cdfs.len() as u32;
-                self.cdf_bytes += 4 + 4 + shared.cdf().len() * 8;
-                self.cdfs.push(Arc::clone(shared));
-                self.cdf_index.insert(key, i);
-                i
-            }
-        }
     }
 
     /// Re-encodes one user's frame into the log, interning any candidate
@@ -289,40 +388,11 @@ impl CommittedLog {
     /// overwrites the user's existing frame buffer in place, so a commit
     /// allocates only when the frame outgrows it.
     pub(crate) fn capture_user(&mut self, user: UserId, state: &UserState) {
-        let table = state.obfuscation.table();
         let mut frame = std::mem::take(self.frames.entry(user.raw()).or_default());
-        if !frame.is_empty() {
-            self.frame_bytes -= 4 + frame.len();
-        }
+        self.frame_bytes -= frame.len();
         frame.clear();
-        frame.put_u32(user.raw());
-        frame.put_u64(state.manager.windows_closed() as u64);
-        for word in state.stream.state() {
-            frame.put_u64(word);
-        }
-        put_points(&mut frame, state.manager.buffered());
-        put_entries(&mut frame, state.manager.profile().entries());
-        put_entries(&mut frame, state.manager.top_set());
-        frame.put_f64(table.match_radius_m());
-        frame.put_u32(table.len() as u32);
-        for (top, shared) in table.shared_entries() {
-            let idx = self.intern_set(shared);
-            frame.put_f64(top.x);
-            frame.put_f64(top.y);
-            frame.put_u32(idx);
-        }
-        let cache_count_at = frame.len();
-        frame.put_u32(0);
-        let mut cache_count: u32 = 0;
-        for (top, shared) in state.selection.shared_entries() {
-            let idx = self.intern_cdf(shared);
-            frame.put_f64(top.x);
-            frame.put_f64(top.y);
-            frame.put_u32(idx);
-            cache_count += 1;
-        }
-        frame[cache_count_at..cache_count_at + 4].copy_from_slice(&cache_count.to_be_bytes());
-        self.frame_bytes += 4 + frame.len();
+        self.pools.put_user(&mut frame, user, state);
+        self.frame_bytes += frame.len();
         self.frames.insert(user.raw(), frame);
     }
 
@@ -330,7 +400,7 @@ impl CommittedLog {
     /// tracked incrementally so the commit path can export it without
     /// encoding anything.
     pub(crate) fn encoded_len(&self) -> usize {
-        V2_HEADER_LEN + 4 + self.set_bytes + 4 + self.cdf_bytes + 4 + self.frame_bytes + 8
+        IMAGE_FIXED_LEN + self.pools.bytes + self.frame_bytes
     }
 
     /// Encodes the committed image as a [`DeviceSnapshot::decode`]-able
@@ -339,28 +409,12 @@ impl CommittedLog {
     pub(crate) fn materialize(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         put_header(&mut buf, self.master);
-        buf.put_u32(self.sets.len() as u32);
-        for set in &self.sets {
-            buf.put_u32((4 + set.len() * 16) as u32);
-            put_points(&mut buf, set);
-        }
-        buf.put_u32(self.cdfs.len() as u32);
-        for table in &self.cdfs {
-            let cdf = table.cdf();
-            buf.put_u32((4 + cdf.len() * 8) as u32);
-            buf.put_u32(cdf.len() as u32);
-            for &w in cdf {
-                buf.put_f64(w);
-            }
-        }
+        self.pools.put_sections(&mut buf);
         buf.put_u32(self.frames.len() as u32);
         for frame in self.frames.values() {
-            buf.put_u32(frame.len() as u32);
             buf.put_slice(frame);
         }
-        let checksum = fnv1a(&buf);
-        buf.put_u64(checksum);
-        buf.freeze()
+        seal(buf)
     }
 }
 
@@ -505,59 +559,23 @@ impl DeviceSnapshot {
     /// durably and restores it with [`DeviceSnapshot::decode`] on
     /// startup.
     pub fn encode(&self) -> Bytes {
-        let mut capacity = 64 + 8;
-        for set in &self.sets {
-            capacity += 8 + set.len() * 16;
-        }
-        for cdf in &self.cdfs {
-            capacity += 8 + cdf.len() * 8;
-        }
-        for record in &self.users {
-            capacity += 4 + user_frame_len(record);
-        }
-        let mut buf = BytesMut::with_capacity(capacity);
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         put_header(&mut buf, self.master);
-        buf.put_u32(self.sets.len() as u32);
-        for set in &self.sets {
-            buf.put_u32((4 + set.len() * 16) as u32);
-            put_points(&mut buf, set);
-        }
-        buf.put_u32(self.cdfs.len() as u32);
-        for cdf in &self.cdfs {
-            buf.put_u32((4 + cdf.len() * 8) as u32);
-            buf.put_u32(cdf.len() as u32);
-            for &w in cdf {
-                buf.put_f64(w);
-            }
-        }
+        put_pools(&mut buf, self.sets.iter().map(|s| &**s), self.cdfs.iter().map(Vec::as_slice));
         buf.put_u32(self.users.len() as u32);
         for record in &self.users {
-            buf.put_u32(user_frame_len(record) as u32);
-            buf.put_u32(record.user.raw());
-            buf.put_u64(record.windows_closed);
-            for word in record.rng_words {
-                buf.put_u64(word);
-            }
-            put_points(&mut buf, &record.buffer);
-            put_entries(&mut buf, &record.profile);
-            put_entries(&mut buf, &record.top_set);
-            buf.put_f64(record.table_radius);
-            buf.put_u32(record.table.len() as u32);
-            for &(top, idx) in &record.table {
-                buf.put_f64(top.x);
-                buf.put_f64(top.y);
-                buf.put_u32(idx);
-            }
-            buf.put_u32(record.cache.len() as u32);
-            for &(top, idx) in &record.cache {
-                buf.put_f64(top.x);
-                buf.put_f64(top.y);
-                buf.put_u32(idx);
-            }
+            put_user_frame(&mut buf, &record.frame());
         }
-        let checksum = fnv1a(&buf);
-        buf.put_u64(checksum);
-        buf.freeze()
+        seal(buf)
+    }
+
+    /// The exact byte length of [`DeviceSnapshot::encode`]'s image, which
+    /// it reserves up front.
+    pub(crate) fn encoded_len(&self) -> usize {
+        IMAGE_FIXED_LEN
+            + self.sets.iter().map(|s| set_entry_len(s.len())).sum::<usize>()
+            + self.cdfs.iter().map(|c| cdf_entry_len(c.len())).sum::<usize>()
+            + self.users.iter().map(|r| r.frame().len()).sum::<usize>()
     }
 
     /// Restores a snapshot from its v2 byte log.
@@ -578,7 +596,7 @@ impl DeviceSnapshot {
         let stored = u64::from_be_bytes([
             tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
         ]);
-        let computed = fnv1a(body);
+        let computed = fnv1a64(body);
         if stored != computed {
             return Err(RecoveryError::ChecksumMismatch { stored, computed });
         }
@@ -593,23 +611,6 @@ impl DeviceSnapshot {
             v => Err(RecoveryError::UnsupportedVersion(v)),
         }
     }
-}
-
-/// The byte length of one user record's v2 frame body.
-fn user_frame_len(record: &UserRecord) -> usize {
-    4 + 8
-        + 32
-        + 4
-        + record.buffer.len() * 16
-        + 4
-        + record.profile.len() * 24
-        + 4
-        + record.top_set.len() * 24
-        + 8
-        + 4
-        + record.table.len() * 20
-        + 4
-        + record.cache.len() * 20
 }
 
 /// Bounds-checked big-endian reader over a borrowed log body. Frames
@@ -958,7 +959,8 @@ mod tests {
     /// restores to — at every commit point, with users touched in an
     /// order different from id order, with re-captures (a long mid-window
     /// frame re-encoded as a short post-close one in the same buffer), and
-    /// across a simulated rollback-rebuild.
+    /// across a simulated rollback-rebuild. A freshly rebuilt log and the
+    /// streamed checkpoint are the same bytes.
     #[test]
     fn incremental_committed_log_matches_the_full_encoder() {
         let config = SystemConfig::builder().build().unwrap();
@@ -973,8 +975,17 @@ mod tests {
             assert_eq!(via_log.state_digest(), via_full.state_digest(), "{at}");
             via_log
         };
+        // Rebuilds the log and checks it byte for byte against the
+        // streamed checkpoint and the snapshot encoder.
+        let rebuild = |edge: &crate::EdgeDevice| {
+            let log = CommittedLog::rebuild(edge);
+            let image = log.materialize();
+            assert_eq!(image, edge.checkpoint(), "rebuilt log = streamed checkpoint");
+            assert_eq!(image, edge.snapshot().encode(), "rebuilt log = snapshot encode");
+            log
+        };
         let mut edge = crate::EdgeDevice::new(config, 9);
-        let mut log = CommittedLog::rebuild(&edge);
+        let mut log = rebuild(&edge);
         let users: Vec<UserId> = [3u32, 0, 5, 1, 4, 2].iter().map(|&u| UserId::new(u)).collect();
         for round in 0..3 {
             for &user in &users {
@@ -1003,8 +1014,9 @@ mod tests {
                 // A supervisor rollback replaces the device wholesale and
                 // rebuilds the log against the fresh allocation graph.
                 edge = via_log;
-                log = CommittedLog::rebuild(&edge);
+                log = rebuild(&edge);
             }
+            rebuild(&edge);
         }
         assert_eq!(
             DeviceSnapshot::decode(&log.materialize()).unwrap().user_count(),
@@ -1016,9 +1028,50 @@ mod tests {
     /// reaches the structural check.
     fn restamp(mut body: Vec<u8>) -> Vec<u8> {
         let split = body.len() - 8;
-        let sum = fnv1a(&body[..split]);
+        let sum = fnv1a64(&body[..split]);
         body[split..].copy_from_slice(&sum.to_be_bytes());
         body
+    }
+
+    /// `encode` reserves exactly the image it writes — no growth on the
+    /// way — for the fixtures and for a settled device's snapshot, and
+    /// the streamed checkpoint is the same bytes.
+    #[test]
+    fn encode_reserves_exactly_its_image() {
+        let mut open = snapshot();
+        open.users[0].table.clear();
+        open.users[0].cache.clear();
+        let mut two = snapshot();
+        let mut second = two.users[0].clone();
+        second.user = UserId::new(8);
+        second.rng_words = [1, 2, 3, 4];
+        two.users.push(second);
+        for snap in [snapshot(), open, two] {
+            assert_eq!(snap.encoded_len(), snap.encode().len());
+        }
+
+        let config = SystemConfig::builder().build().unwrap();
+        let mut edge = crate::EdgeDevice::new(config, 5);
+        for u in 0..4u32 {
+            let user = UserId::new(u);
+            let home = Point::new(f64::from(u) * 4_000.0, 0.0);
+            for i in 0..40 {
+                edge.report_checkin(user, home);
+                edge.report_checkin(user, Point::new(-9_000.0, f64::from(i) * 900.0));
+            }
+            edge.finalize_window(user);
+            let _ = edge.reported_location(user, home);
+            // Users 0 and 2 leave a half-filled window open.
+            if u % 2 == 0 {
+                for _ in 0..7 {
+                    edge.report_checkin(user, home);
+                }
+            }
+        }
+        let snap = edge.snapshot();
+        let image = snap.encode();
+        assert_eq!(snap.encoded_len(), image.len());
+        assert_eq!(image, edge.checkpoint());
     }
 
     #[test]

@@ -100,8 +100,9 @@ const SANITIZERS: &[FnPat] = &[
     // the bytes it returns hold true window state by design (restores must
     // be bit-identical), go only into the supervisor's in-memory log, and
     // their sole consumers are the restore paths (DESIGN.md §12). The one
-    // true-state serialization inside it carries its own documented inline
-    // allow; callers holding the opaque log are on the sanitized side.
+    // place live true state reaches the frame writer behind it
+    // (`Pools::put_user`) carries its own documented inline allow; callers
+    // holding the opaque log are on the sanitized side.
     pat(Some("core"), Some("EdgeDevice"), "checkpoint"),
     // The incremental committed log is the same trusted-store boundary in
     // per-user pieces: `capture_user`/`rebuild` re-encode only the users a
@@ -117,6 +118,10 @@ const SINKS: &[FnPat] = &[
     pat(Some("core"), Some("EdgeResponse"), "encode"),
     pat(Some("core"), Some("EdgeResponse"), "encode_into"),
     pat(Some("core"), Some("DeviceSnapshot"), "encode"),
+    // The one v2 user-frame writer behind `DeviceSnapshot::encode`, the
+    // streamed checkpoint and the committed log: it serializes a user's true
+    // window state, so it is a sink in its own right.
+    pat(Some("core"), None, "put_user_frame"),
     // The degraded-serving stale cache: entries are replayed verbatim to
     // clients while a shard's breaker is open, so writing a true location
     // here is deferred wire egress. Only decoded *released* responses may
@@ -841,6 +846,41 @@ mod tests {
             findings.iter().all(|f| f.rule != "location-leak"),
             "findings: {findings:?}"
         );
+    }
+
+    #[test]
+    fn true_state_reaching_the_checkpoint_frame_writer_is_reported() {
+        let writer = (
+            "crates/core/src/recovery.rs",
+            "fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {\n    buf.put_u32(frame.user)\n}\n",
+        );
+        // A window read handed to the writer outside the checkpoint
+        // boundary is a leak...
+        let findings = analyze_mini(&[
+            writer,
+            (
+                "crates/core/src/dump.rs",
+                "impl Device {\n    fn dump(&self, buf: &mut Vec<u8>) {\n        let frame = UserFrame {\n            top_set: self.manager.top_set(),\n        };\n        put_user_frame(buf, &frame)\n    }\n}\n",
+            ),
+        ]);
+        let leaks: Vec<&Finding> =
+            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        assert_eq!(leaks.len(), 1, "findings: {findings:?}");
+        assert_eq!((leaks[0].file.as_str(), leaks[0].line), ("crates/core/src/dump.rs", 6));
+        assert!(leaks[0].message.contains("`put_user_frame`"), "{}", leaks[0].message);
+        // ...and so is a caller reaching it through a helper.
+        let findings = analyze_mini(&[
+            writer,
+            (
+                "crates/core/src/dump.rs",
+                "impl Device {\n    fn emit(&self, buf: &mut Vec<u8>, frame: &UserFrame) {\n        put_user_frame(buf, frame)\n    }\n    fn dump(&self, buf: &mut Vec<u8>) {\n        let tops = self.manager.top_set();\n        self.emit(buf, &tops)\n    }\n}\n",
+            ),
+        ]);
+        let leaks: Vec<&Finding> =
+            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        assert_eq!(leaks.len(), 1, "findings: {findings:?}");
+        assert!(leaks[0].message.contains("`Device::emit`"), "{}", leaks[0].message);
+        assert!(leaks[0].message.contains("`put_user_frame`"), "{}", leaks[0].message);
     }
 
     #[test]

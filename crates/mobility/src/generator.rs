@@ -228,7 +228,7 @@ impl PopulationConfig {
             }
         }
 
-        checkins.sort_by_key(|c| c.time);
+        let mut checkins = time_ordered(&checkins);
 
         // 8. Optional mid-study relocation: home check-ins after the move
         //    day shift to a fresh home location.
@@ -276,6 +276,25 @@ impl PopulationConfig {
         let users = (0..self.num_users as u32).map(|i| self.generate_user(i)).collect();
         Dataset { users }
     }
+}
+
+/// `checkins` in timestamp order, ties in generation order — what a stable
+/// sort by time gives, from an unstable sort of unique `u64` keys
+/// (`seconds << 32 | index`) and one gather.
+fn time_ordered(checkins: &[CheckIn]) -> Vec<CheckIn> {
+    let mut keys: Vec<u64> = checkins
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            // Study timestamps are non-negative and below 2^32 seconds
+            // (731 days), and a trace holds fewer than 2^32 check-ins, so
+            // both halves fit and the keys order exactly as `(time, i)`.
+            assert!((0..1 << 32).contains(&c.time.seconds()) && i >> 32 == 0);
+            (c.time.seconds() as u64) << 32 | i as u64
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.iter().map(|&key| checkins[key as u32 as usize]).collect()
 }
 
 #[derive(Clone, Copy)]
@@ -490,6 +509,24 @@ mod tests {
 
     fn small_config() -> PopulationConfig {
         PopulationConfig::builder().num_users(50).seed(42).build()
+    }
+
+    #[test]
+    fn time_ordering_matches_a_stable_sort() {
+        let mut rng = seeded(11);
+        for len in [0usize, 1, 2, 17, 500, 4_000] {
+            // Few distinct seconds, so most check-ins tie with others.
+            let checkins: Vec<CheckIn> = (0..len)
+                .map(|i| CheckIn {
+                    user: UserId::new(3),
+                    time: Timestamp::new(rng.gen_range(0..1 + len as i64 / 8) * 3_600),
+                    location: Point::new(i as f64, 0.0),
+                })
+                .collect();
+            let mut stable = checkins.clone();
+            stable.sort_by_key(|c| c.time);
+            assert_eq!(time_ordered(&checkins), stable, "{len} check-ins");
+        }
     }
 
     #[test]

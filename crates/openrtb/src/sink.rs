@@ -18,6 +18,12 @@ use std::collections::BTreeMap;
 
 use crate::codec::{BidRequest, DeviceId, Geo, REQUEST_FRAME_LEN};
 
+/// Request frames per arena chunk.
+pub const CHUNK_FRAMES: usize = 1_024;
+
+/// Bytes of one arena chunk, allocated in full when the chunk opens.
+const CHUNK_BYTES: usize = CHUNK_FRAMES * REQUEST_FRAME_LEN;
+
 /// One submitted-but-not-yet-auctioned bid request.
 #[derive(Debug, Clone)]
 pub struct PendingBid {
@@ -33,13 +39,9 @@ pub struct PendingBid {
 struct SinkState {
     /// Next `seq` to assign, per device.
     next_seq: BTreeMap<u64, u64>,
-    /// Encoded frames awaiting a pump, back to back in submission order.
-    arena: BytesMut,
-    /// `(device, seq, arena offset)` of each pending frame, in submission
-    /// order; [`BidSink::drain`] sorts it into canonical order. Every
-    /// request frame is [`REQUEST_FRAME_LEN`] bytes, so the offset alone
-    /// locates it.
-    index: Vec<(u64, u64, usize)>,
+    /// Encoded frames awaiting a pump, back to back in submission order
+    /// across fixed-size chunks; every chunk but the last is full.
+    chunks: Vec<BytesMut>,
 }
 
 /// A shared, thread-safe collection point for emitted bid requests.
@@ -51,8 +53,11 @@ struct SinkState {
 /// fleet's `ServerOptions` template), so sequences stay continuous across
 /// worker restarts and fabric heals.
 ///
-/// Pending frames live back to back in one arena, so a pending bid costs
-/// its 60 wire bytes plus one index entry — no allocation of its own.
+/// Pending frames live back to back in chunks of [`CHUNK_FRAMES`] frames,
+/// each allocated once at full size and never grown, so a pending bid
+/// costs exactly its 60 wire bytes and the backlog never copies itself.
+/// No index is kept: [`BidSink::drain`] reads each frame's `(device,
+/// seq)` key back from the frame.
 #[derive(Debug, Default)]
 pub struct BidSink {
     state: Mutex<SinkState>,
@@ -75,27 +80,46 @@ impl BidSink {
         let counter = state.next_seq.entry(device.raw()).or_insert(0);
         let seq = *counter;
         *counter += 1;
-        let offset = state.arena.len();
-        BidRequest::new(device, seq, geo).encode_into(&mut state.arena);
-        state.index.push((device.raw(), seq, offset));
+        let request = BidRequest::new(device, seq, geo);
+        match state.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_BYTES => request.encode_into(chunk),
+            _ => {
+                let mut chunk = BytesMut::with_capacity(CHUNK_BYTES);
+                request.encode_into(&mut chunk);
+                state.chunks.push(chunk);
+            }
+        }
         seq
     }
 
     /// Drains every pending request in canonical `(device, seq)` order.
-    /// Each returned frame is a zero-copy view into the drained arena.
+    /// Each returned frame is a zero-copy view into a drained chunk.
     pub fn drain(&self) -> Vec<PendingBid> {
-        let (arena, mut index) = {
-            let mut state = self.state.lock();
-            (std::mem::take(&mut state.arena).freeze(), std::mem::take(&mut state.index))
-        };
-        // `(device, seq)` keys are unique, so an unstable sort is canonical.
-        index.sort_unstable_by_key(|&(device, seq, _)| (device, seq));
-        index
+        let chunks: Vec<Bytes> = std::mem::take(&mut self.state.lock().chunks)
             .into_iter()
-            .map(|(device, seq, offset)| PendingBid {
-                device: DeviceId::new(device),
-                seq,
-                frame: arena.slice(offset..offset + REQUEST_FRAME_LEN),
+            .map(BytesMut::freeze)
+            .collect();
+        // `(device, seq, submission position)`, positions counted across
+        // the chunks in order.
+        let mut keys: Vec<(u64, u64, usize)> = chunks
+            .iter()
+            .flat_map(|chunk| chunk.chunks_exact(REQUEST_FRAME_LEN))
+            .enumerate()
+            .map(|(at, frame)| {
+                let (device, seq) = BidRequest::frame_key(frame);
+                (device, seq, at)
+            })
+            .collect();
+        // `(device, seq)` keys are unique, so an unstable sort is canonical.
+        keys.sort_unstable_by_key(|&(device, seq, _)| (device, seq));
+        keys.into_iter()
+            .map(|(device, seq, at)| {
+                let offset = at % CHUNK_FRAMES * REQUEST_FRAME_LEN;
+                PendingBid {
+                    device: DeviceId::new(device),
+                    seq,
+                    frame: chunks[at / CHUNK_FRAMES].slice(offset..offset + REQUEST_FRAME_LEN),
+                }
             })
             .collect()
     }
@@ -103,7 +127,8 @@ impl BidSink {
     /// Number of requests awaiting a drain.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.state.lock().index.len()
+        let bytes: usize = self.state.lock().chunks.iter().map(|c| c.len()).sum();
+        bytes / REQUEST_FRAME_LEN
     }
 
     /// Total requests submitted so far (drained or not).
