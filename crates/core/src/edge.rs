@@ -7,10 +7,12 @@ use privlocad_geo::Point;
 use privlocad_mechanisms::{PlanarLaplace, PosteriorTable};
 use privlocad_mobility::UserId;
 
-use privlocad_telemetry::{top_key, Determinism, SpendEvent, SpendKind, Telemetry};
+use privlocad_telemetry::{
+    top_key, Counter, Determinism, Ledger, SpendEvent, SpendKind, Telemetry,
+};
 
 use crate::protocol::{ClientRequest, EdgeResponse};
-use crate::recovery::{restore_user_owned, DeviceSnapshot, RecoveryError};
+use crate::recovery::{DeviceSnapshot, RecoveryError};
 use crate::shard::StateFootprint;
 use crate::user::{RequestStats, UserMap, UserState};
 use crate::{CandidateArena, PreparedSet, SystemConfig};
@@ -73,6 +75,57 @@ impl DeviceStats {
         self.posterior_draws += request.posterior_draws;
         self.uniform_draws += request.uniform_draws;
         self.nomadic_draws += request.nomadic_draws;
+    }
+
+    /// Every field, in [`DEVICE_COUNTERS`] order.
+    fn counts(self) -> [u64; DEVICE_COUNTERS.len()] {
+        [
+            self.checkins,
+            self.location_requests,
+            self.windows_closed,
+            self.fresh_candidate_sets,
+            self.posterior_cache_hits,
+            self.posterior_cache_misses,
+            self.posterior_draws,
+            self.uniform_draws,
+            self.nomadic_draws,
+            self.restores,
+        ]
+    }
+}
+
+/// The exported counter behind each [`DeviceStats`] field.
+const DEVICE_COUNTERS: [(&str, Determinism); 10] = [
+    ("edge.checkins", Determinism::Deterministic),
+    ("edge.location_requests", Determinism::Deterministic),
+    ("edge.windows_closed", Determinism::Deterministic),
+    ("edge.fresh_candidate_sets", Determinism::Deterministic),
+    ("edge.posterior_cache_hits", Determinism::Deterministic),
+    ("edge.posterior_cache_misses", Determinism::Deterministic),
+    ("edge.posterior_draws", Determinism::Deterministic),
+    ("edge.uniform_draws", Determinism::Deterministic),
+    ("edge.nomadic_draws", Determinism::Deterministic),
+    // Restore counts depend on where kills land relative to wakeup
+    // boundaries (how many users existed at each restore), so they are
+    // scheduling-dependent, not workload-deterministic.
+    ("recovery.restores", Determinism::Scheduling),
+];
+
+/// The telemetry an [`EdgeDevice`] drains into: its counters, registered
+/// when opened, and the hub's ledger. The serving loop opens them once and
+/// drains into them every wakeup ([`EdgeDevice::drain_into`]).
+#[derive(Debug)]
+pub(crate) struct DeviceCounters {
+    counters: [Counter; DEVICE_COUNTERS.len()],
+    ledger: Ledger,
+}
+
+impl DeviceCounters {
+    pub(crate) fn open(telemetry: &Telemetry) -> Self {
+        DeviceCounters {
+            counters: DEVICE_COUNTERS.map(|(name, class)| telemetry.registry().counter(name, class)),
+            ledger: telemetry.ledger().clone(),
+        }
     }
 }
 
@@ -419,9 +472,8 @@ impl EdgeDevice {
     }
 
     /// [`EdgeDevice::restore`], consuming the snapshot: every user record's
-    /// buffers, profile, top set, and posterior CDFs are moved into the
-    /// rebuilt device instead of cloned. Prefer this on paths that own the
-    /// decoded snapshot (checkpoint restores decode a fresh one anyway).
+    /// buffers, profile, top set, and the pooled sets and posterior CDFs
+    /// are moved into the rebuilt device instead of cloned.
     ///
     /// # Errors
     ///
@@ -431,33 +483,39 @@ impl EdgeDevice {
         config: SystemConfig,
         snapshot: DeviceSnapshot,
     ) -> Result<EdgeDevice, RecoveryError> {
-        let pools = snapshot.pools()?;
-        let mut device = EdgeDevice::new(config, snapshot.master);
-        for record in snapshot.users {
-            let user = record.user;
-            device.users.insert(user, restore_user_owned(&config, record, &pools)?);
-            device.stats.restores += 1;
-            device
-                .pending_spends
-                .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::Restore });
-        }
-        Ok(device)
+        snapshot.restore_users(&config).map(|restored| Self::restored(config, restored))
     }
 
-    /// Decodes an encoded checkpoint and rebuilds the device from it —
-    /// the zero-copy recovery path: pooled candidate sets and posterior
-    /// tables are materialized once each and shared by every user record
-    /// that cites them.
+    /// Rebuilds the device straight from an encoded checkpoint, reading
+    /// the image once: each pooled candidate set and posterior table is
+    /// materialized once and shared by every user record that cites it,
+    /// and each user frame becomes its serving state as soon as it is
+    /// read — no [`DeviceSnapshot`] is built. Restores and fails exactly
+    /// like [`DeviceSnapshot::decode`] followed by
+    /// [`EdgeDevice::restore_from`].
     ///
     /// # Errors
     ///
     /// Returns [`RecoveryError`] on a corrupt or truncated checkpoint, or
-    /// any restore error from the decoded snapshot.
+    /// on an invalid posterior table.
     pub fn restore_from_checkpoint(
         config: SystemConfig,
         log: &[u8],
     ) -> Result<EdgeDevice, RecoveryError> {
-        Self::restore_from(config, DeviceSnapshot::decode(log)?)
+        crate::recovery::restore_image(&config, log).map(|restored| Self::restored(config, restored))
+    }
+
+    /// A device serving restored `users` under seed `master`; each user's
+    /// restore is counted and queued for the ledger.
+    fn restored(config: SystemConfig, (master, users): (u64, UserMap<UserState>)) -> EdgeDevice {
+        let mut device = EdgeDevice::new(config, master);
+        device.stats.restores = users.len() as u64;
+        device.pending_spends = users
+            .keys()
+            .map(|user| SpendEvent { user: u64::from(user.raw()), kind: SpendKind::Restore })
+            .collect();
+        device.users = users;
+        device
     }
 
     /// Serving observations accumulated since the last
@@ -475,33 +533,28 @@ impl EdgeDevice {
     /// registry and the pending budget events into its ledger, resetting
     /// both device-local buffers.
     ///
-    /// The supervised serving loop ([`crate::EdgeServer`]) calls this right
+    /// The supervised serving loop ([`crate::EdgeServer`]) drains right
     /// *after* each checkpoint commit — see the `pending_spends` field for
     /// why that ordering gives ledger events exactly-once semantics across
-    /// crashes. Every metric is registered on every drain, so the exported
-    /// schema is stable even when a counter never fires.
+    /// crashes — into counter handles it opens once per loop, the same
+    /// drain without the per-call registration. Every metric is registered
+    /// before its first drain, so the exported schema is stable even when
+    /// a counter never fires.
     pub fn drain_telemetry(&mut self, telemetry: &Telemetry) {
+        self.drain_into(&DeviceCounters::open(telemetry));
+    }
+
+    /// [`EdgeDevice::drain_telemetry`] into handles opened beforehand: no
+    /// name lookup, and a counter with nothing to add is not touched.
+    pub(crate) fn drain_into(&mut self, counters: &DeviceCounters) {
         let stats = std::mem::take(&mut self.stats);
-        let registry = telemetry.registry();
-        let class = Determinism::Deterministic;
-        registry.counter("edge.checkins", class).add(stats.checkins);
-        registry.counter("edge.location_requests", class).add(stats.location_requests);
-        registry.counter("edge.windows_closed", class).add(stats.windows_closed);
-        registry.counter("edge.fresh_candidate_sets", class).add(stats.fresh_candidate_sets);
-        registry.counter("edge.posterior_cache_hits", class).add(stats.posterior_cache_hits);
-        registry.counter("edge.posterior_cache_misses", class).add(stats.posterior_cache_misses);
-        registry.counter("edge.posterior_draws", class).add(stats.posterior_draws);
-        registry.counter("edge.uniform_draws", class).add(stats.uniform_draws);
-        registry.counter("edge.nomadic_draws", class).add(stats.nomadic_draws);
-        // Restore counts depend on where kills land relative to wakeup
-        // boundaries (how many users existed at each restore), so they are
-        // scheduling-dependent, not workload-deterministic.
-        registry
-            .counter("recovery.restores", Determinism::Scheduling)
-            .add(stats.restores);
-        let ledger = telemetry.ledger();
+        for (counter, delta) in counters.counters.iter().zip(stats.counts()) {
+            if delta > 0 {
+                counter.add(delta);
+            }
+        }
         for event in self.pending_spends.drain(..) {
-            ledger.record(event);
+            counters.ledger.record(event);
         }
     }
 

@@ -23,13 +23,16 @@
 //! The byte log ([`DeviceSnapshot::encode`]) is versioned,
 //! length-prefix-framed, and FNV-1a checksummed. Version 2 is the only
 //! format: one contiguous buffer per device, every pool entry and user
-//! record carried as a length-prefixed frame, decoded by an in-place
-//! slice reader — the only allocations on the decode path are the final
-//! owned state (one `Arc` per **distinct** candidate set, not one per
-//! user record). Bit rot in persisted state surfaces as a structured
-//! [`RecoveryError`] instead of a corrupted privacy ledger. A live device
-//! streams the same image straight from its user states
-//! ([`crate::EdgeDevice::checkpoint`]); one frame writer serves both.
+//! record carried as a length-prefixed frame. One in-place slice reader
+//! reads it, for [`DeviceSnapshot::decode`] and for
+//! [`crate::EdgeDevice::restore_from_checkpoint`] alike; the restore takes
+//! each pool entry and user frame straight into live serving state as it
+//! is read, so the only allocations are that state (one `Arc` per
+//! **distinct** candidate set, not one per user record). Bit rot in
+//! persisted state surfaces as a structured [`RecoveryError`] instead of
+//! a corrupted privacy ledger. A live device streams the same image
+//! straight from its user states ([`crate::EdgeDevice::checkpoint`]); one
+//! frame writer serves both.
 //!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
 //! live device refuses to adopt a snapshot that has *forgotten* any of
@@ -49,7 +52,7 @@ use privlocad_mobility::UserId;
 use privlocad_openrtb::fnv1a64;
 use rand::rngs::StdRng;
 
-use crate::user::UserState;
+use crate::user::{UserMap, UserState};
 use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SystemConfig};
 
 /// Log magic: `"PLAD"` big-endian.
@@ -299,11 +302,11 @@ impl Pools {
         put_pools(buf, self.sets.iter().map(|s| &**s), self.cdfs.iter().map(|t| t.cdf()));
     }
 
-    /// Interns `state` and writes its frame: the one place live true state
-    /// reaches [`put_user_frame`], for the streamed checkpoint and the
-    /// committed log alike.
-    fn put_user<B: BufMut>(&mut self, buf: &mut B, user: UserId, state: &UserState) {
-        self.intern(state);
+    /// Writes the frame of `state`, which must be the state interned last:
+    /// its pool references are the ones [`Pools::intern`] left behind. The
+    /// one place live true state reaches [`put_user_frame`], for the
+    /// streamed checkpoint and the committed log alike.
+    fn put_user<B: BufMut>(&self, buf: &mut B, user: UserId, state: &UserState) {
         let frame = UserFrame {
             user: user.raw(),
             windows_closed: state.manager.windows_closed() as u64,
@@ -336,6 +339,7 @@ pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
     pools.put_sections(&mut buf);
     buf.put_u32(edge.user_count() as u32);
     for (user, state) in edge.user_states() {
+        pools.intern(state);
         pools.put_user(&mut buf, user, state);
     }
     let image = seal(buf);
@@ -384,16 +388,18 @@ impl CommittedLog {
 
     /// Re-encodes one user's frame into the log, interning any candidate
     /// set or posterior table it references that the pools have not seen
-    /// yet. O(user state), independent of the fleet size. A re-capture
-    /// overwrites the user's existing frame buffer in place, so a commit
-    /// allocates only when the frame outgrows it.
+    /// yet. O(user state), independent of the fleet size. A user's first
+    /// frame — every frame of a rebuild — is allocated at its exact
+    /// length. A re-capture overwrites the existing frame buffer in place,
+    /// so a commit allocates only when the frame outgrows it, and then
+    /// with the amortized growth of a `Vec`.
     pub(crate) fn capture_user(&mut self, user: UserId, state: &UserState) {
-        let mut frame = std::mem::take(self.frames.entry(user.raw()).or_default());
-        self.frame_bytes -= frame.len();
+        let len = self.pools.intern(state);
+        let frame = self.frames.entry(user.raw()).or_insert_with(|| Vec::with_capacity(len));
+        self.frame_bytes = self.frame_bytes - frame.len() + len;
         frame.clear();
-        self.pools.put_user(&mut frame, user, state);
-        self.frame_bytes += frame.len();
-        self.frames.insert(user.raw(), frame);
+        self.pools.put_user(frame, user, state);
+        debug_assert_eq!(frame.len(), len, "intern sized the frame exactly");
     }
 
     /// The byte length [`CommittedLog::materialize`] would produce —
@@ -422,10 +428,116 @@ impl CommittedLog {
 /// posterior table materialized **once**, then handed to each user
 /// record as two `Arc` bumps. Validation (CDF invariants) also happens
 /// once per distinct table instead of once per user.
-#[derive(Debug)]
-pub(crate) struct RestorePools {
-    pub(crate) sets: Vec<Arc<[Point]>>,
-    pub(crate) tables: Vec<Arc<PosteriorTable>>,
+#[derive(Debug, Default)]
+struct RestorePools {
+    sets: Vec<Arc<[Point]>>,
+    tables: Vec<Arc<PosteriorTable>>,
+}
+
+/// A section of a v2 image, announced to an [`ImageSink`] before its
+/// entries arrive.
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    Sets,
+    Cdfs,
+    Users,
+}
+
+/// Receives the parts of a v2 image in image order: the set pool, the CDF
+/// pool, then one record per user frame, each bounds-checked by
+/// [`read_image`]. [`DeviceSnapshot`] collects them; [`Restore`] builds
+/// live serving state from them as they arrive.
+trait ImageSink {
+    /// Reserves for the `count` entries of the section about to arrive.
+    fn reserve(&mut self, section: Section, count: usize);
+    fn set(&mut self, set: Arc<[Point]>);
+    fn cdf(&mut self, cdf: Vec<f64>);
+    fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError>;
+}
+
+/// A restore in progress: each pooled set is kept as the shared handle it
+/// arrives in, each CDF is validated once into its [`PosteriorTable`], and
+/// each user record becomes its [`UserState`] at once
+/// ([`restore_user_owned`]). Both restore paths — from bytes
+/// ([`restore_image`]) and from an owned snapshot
+/// ([`DeviceSnapshot::restore_users`]) — run this one body, so they fail
+/// alike.
+struct Restore<'c> {
+    config: &'c SystemConfig,
+    pools: RestorePools,
+    users: UserMap<UserState>,
+    /// The first pooled CDF that is not a valid posterior table, and the first
+    /// user whose cache cites it. The restore fails once the image has
+    /// been read to its end; until then records are only checked for the
+    /// citation, so a later structural defect is still the error reported.
+    invalid: Option<(usize, Option<u32>)>,
+}
+
+impl ImageSink for Restore<'_> {
+    fn reserve(&mut self, section: Section, count: usize) {
+        match section {
+            Section::Sets => self.pools.sets.reserve_exact(count),
+            Section::Cdfs => self.pools.tables.reserve_exact(count),
+            Section::Users => self.users.reserve(count),
+        }
+    }
+
+    fn set(&mut self, set: Arc<[Point]>) {
+        self.pools.sets.push(set);
+    }
+
+    fn cdf(&mut self, cdf: Vec<f64>) {
+        if self.invalid.is_some() {
+            return;
+        }
+        match PosteriorTable::from_cdf(cdf) {
+            Some(table) => self.pools.tables.push(Arc::new(table)),
+            None => self.invalid = Some((self.pools.tables.len(), None)),
+        }
+    }
+
+    fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError> {
+        if let Some((idx, blamed)) = &mut self.invalid {
+            if blamed.is_none() && record.cache.iter().any(|&(_, i)| i as usize == *idx) {
+                *blamed = Some(record.user.raw());
+            }
+            return Ok(());
+        }
+        let user = record.user;
+        let state = restore_user_owned(self.config, record, &self.pools)?;
+        self.users.insert(user, state);
+        Ok(())
+    }
+}
+
+impl<'c> Restore<'c> {
+    fn new(config: &'c SystemConfig) -> Self {
+        Restore { config, pools: RestorePools::default(), users: UserMap::new(), invalid: None }
+    }
+
+    /// The restored users of a device with seed `master`, once every part
+    /// has arrived — or [`RecoveryError::InvalidPosterior`] naming the
+    /// first user whose cache cites the first invalid pooled CDF
+    /// (`u32::MAX` if none does).
+    fn finish(self, master: u64) -> Result<(u64, UserMap<UserState>), RecoveryError> {
+        match self.invalid {
+            Some((_, user)) => {
+                Err(RecoveryError::InvalidPosterior { user: user.unwrap_or(u32::MAX) })
+            }
+            None => Ok((master, self.users)),
+        }
+    }
+}
+
+/// Restores the users of a v2 image straight into live serving state,
+/// reading the image once; returns its master seed with the users.
+pub(crate) fn restore_image(
+    config: &SystemConfig,
+    buf: &[u8],
+) -> Result<(u64, UserMap<UserState>), RecoveryError> {
+    let mut restore = Restore::new(config);
+    let master = read_image(buf, &mut restore)?;
+    restore.finish(master)
 }
 
 /// Rebuilds one user's serving state from its checkpoint record: window
@@ -435,7 +547,7 @@ pub(crate) struct RestorePools {
 /// shared handles into the restore pools. The
 /// record is consumed: the check-in buffer, profile, and top set move
 /// straight into the rebuilt state with no intermediate clones.
-pub(crate) fn restore_user_owned(
+fn restore_user_owned(
     config: &SystemConfig,
     record: UserRecord,
     pools: &RestorePools,
@@ -513,24 +625,24 @@ impl DeviceSnapshot {
             .ok_or(RecoveryError::BadPoolRef { user })
     }
 
-    /// Builds the restore pools: every pooled CDF validated and
-    /// materialized as a shared [`PosteriorTable`] exactly once.
-    pub(crate) fn pools(&self) -> Result<RestorePools, RecoveryError> {
-        let mut tables = Vec::with_capacity(self.cdfs.len());
-        for (idx, cdf) in self.cdfs.iter().enumerate() {
-            let table = PosteriorTable::from_cdf(cdf.clone()).ok_or_else(|| {
-                // Error context: the first user whose cache cites the
-                // defective pool entry (error path only — never hot).
-                let user = self
-                    .users
-                    .iter()
-                    .find(|r| r.cache.iter().any(|&(_, i)| i as usize == idx))
-                    .map_or(u32::MAX, |r| r.user.raw());
-                RecoveryError::InvalidPosterior { user }
-            })?;
-            tables.push(Arc::new(table));
+    /// Restores the snapshot's users, moving every pooled set, CDF and
+    /// record out of it — nothing is cloned — through the same restore
+    /// body as [`restore_image`]; returns the master seed with the users.
+    pub(crate) fn restore_users(
+        self,
+        config: &SystemConfig,
+    ) -> Result<(u64, UserMap<UserState>), RecoveryError> {
+        let DeviceSnapshot { master, sets, cdfs, users } = self;
+        let mut restore = Restore::new(config);
+        restore.reserve(Section::Sets, sets.len());
+        sets.into_iter().for_each(|set| restore.set(set));
+        restore.reserve(Section::Cdfs, cdfs.len());
+        cdfs.into_iter().for_each(|cdf| restore.cdf(cdf));
+        restore.reserve(Section::Users, users.len());
+        for record in users {
+            restore.user(record)?;
         }
-        Ok(RestorePools { sets: self.sets.clone(), tables })
+        restore.finish(master)
     }
 
     /// Every `(user, top location)` pair holding a released permanent
@@ -578,7 +690,8 @@ impl DeviceSnapshot {
             + self.users.iter().map(|r| r.frame().len()).sum::<usize>()
     }
 
-    /// Restores a snapshot from its v2 byte log.
+    /// Restores a snapshot from its v2 byte log: the records of the one
+    /// image reader, collected.
     ///
     /// Total: truncated, oversized, bit-flipped, or wrong-format input
     /// yields a structured [`RecoveryError`], never a panic or an
@@ -589,27 +702,33 @@ impl DeviceSnapshot {
     ///
     /// Returns [`RecoveryError`] describing the first defect found.
     pub fn decode(buf: &[u8]) -> Result<Self, RecoveryError> {
-        if buf.len() < 8 {
-            return Err(RecoveryError::Truncated);
+        let mut snapshot =
+            DeviceSnapshot { master: 0, sets: Vec::new(), cdfs: Vec::new(), users: Vec::new() };
+        snapshot.master = read_image(buf, &mut snapshot)?;
+        Ok(snapshot)
+    }
+}
+
+impl ImageSink for DeviceSnapshot {
+    fn reserve(&mut self, section: Section, count: usize) {
+        match section {
+            Section::Sets => self.sets.reserve_exact(count),
+            Section::Cdfs => self.cdfs.reserve_exact(count),
+            Section::Users => self.users.reserve_exact(count),
         }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let stored = u64::from_be_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(RecoveryError::ChecksumMismatch { stored, computed });
-        }
-        let mut reader = Reader { buf: body };
-        reader.need(6)?;
-        let magic = reader.get_u32()?;
-        if magic != MAGIC {
-            return Err(RecoveryError::BadMagic(magic));
-        }
-        match reader.get_u16()? {
-            VERSION => decode_v2(reader),
-            v => Err(RecoveryError::UnsupportedVersion(v)),
-        }
+    }
+
+    fn set(&mut self, set: Arc<[Point]>) {
+        self.sets.push(set);
+    }
+
+    fn cdf(&mut self, cdf: Vec<f64>) {
+        self.cdfs.push(cdf);
+    }
+
+    fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError> {
+        self.users.push(record);
+        Ok(())
     }
 }
 
@@ -665,6 +784,15 @@ impl<'a> Reader<'a> {
         Ok(Reader { buf: head })
     }
 
+    /// Reads a `u32` count and splits off that many `width`-byte items.
+    fn items(&mut self, width: usize) -> Result<&'a [u8], RecoveryError> {
+        let len = (self.get_u32()? as usize).saturating_mul(width);
+        self.need(len)?;
+        let (head, tail) = self.buf.split_at(len);
+        self.buf = tail;
+        Ok(head)
+    }
+
     /// Asserts the reader was fully consumed.
     fn finish(self) -> Result<(), RecoveryError> {
         if self.buf.is_empty() {
@@ -675,8 +803,32 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes the pooled, framed v2 body.
-fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
+/// Reads a v2 image into `sink` and returns its master seed — the one
+/// reader of the layout, behind [`DeviceSnapshot::decode`] and
+/// [`restore_image`]. The checksum is verified before any field is
+/// trusted; every frame and pool reference is bounds-checked before its
+/// part reaches the sink; and no section count is reserved for beyond what
+/// the remaining bytes can hold.
+fn read_image(buf: &[u8], sink: &mut impl ImageSink) -> Result<u64, RecoveryError> {
+    if buf.len() < 8 {
+        return Err(RecoveryError::Truncated);
+    }
+    let (body, mut tail) = buf.split_at(buf.len() - 8);
+    let stored = tail.get_u64();
+    let computed = fnv1a64(body);
+    if stored != computed {
+        return Err(RecoveryError::ChecksumMismatch { stored, computed });
+    }
+    let mut r = Reader { buf: body };
+    r.need(6)?;
+    let magic = r.get_u32()?;
+    if magic != MAGIC {
+        return Err(RecoveryError::BadMagic(magic));
+    }
+    match r.get_u16()? {
+        VERSION => {}
+        v => return Err(RecoveryError::UnsupportedVersion(v)),
+    }
     r.need(1 + 8 + 4 * 8 + 8 + 4)?;
     match r.get_u8()? {
         PER_USER_STREAMS => {}
@@ -689,85 +841,87 @@ fn decode_v2(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
         r.get_u64()?;
     }
 
-    let set_count = r.get_u32()? as usize;
-    let mut sets: Vec<Arc<[Point]>> = Vec::with_capacity(set_count.min(1_024));
-    for _ in 0..set_count {
+    let sets = r.get_u32()? as usize;
+    sink.reserve(Section::Sets, sets.min(r.buf.len() / set_entry_len(0)));
+    for _ in 0..sets {
         let mut f = r.frame()?;
-        let points = get_points(&mut f)?;
+        let set = get_points(&mut f)?;
         f.finish()?;
-        sets.push(Arc::from(points));
+        sink.set(set);
     }
 
-    let cdf_count = r.get_u32()? as usize;
-    let mut cdfs: Vec<Vec<f64>> = Vec::with_capacity(cdf_count.min(1_024));
-    for _ in 0..cdf_count {
+    let cdfs = r.get_u32()? as usize;
+    sink.reserve(Section::Cdfs, cdfs.min(r.buf.len() / cdf_entry_len(0)));
+    for _ in 0..cdfs {
         let mut f = r.frame()?;
-        let len = f.get_u32()? as usize;
-        f.need(len.saturating_mul(8))?;
-        let mut cdf = Vec::with_capacity(len);
-        for _ in 0..len {
-            cdf.push(f.get_f64()?);
-        }
+        let cdf = f.items(8)?.chunks_exact(8).map(|mut w| w.get_f64()).collect();
         f.finish()?;
-        cdfs.push(cdf);
+        sink.cdf(cdf);
     }
 
-    let user_count = r.get_u32()? as usize;
-    let mut users = Vec::with_capacity(user_count.min(1_024));
-    for _ in 0..user_count {
+    let users = r.get_u32()? as usize;
+    sink.reserve(Section::Users, users.min(r.buf.len() / user_frame_len(0, 0, 0, 0, 0)));
+    for _ in 0..users {
         let mut f = r.frame()?;
-        f.need(12)?;
-        let user = UserId::new(f.get_u32()?);
-        let raw = user.raw();
-        let windows_closed = f.get_u64()?;
-        let mut rng_words = [0u64; 4];
-        for word in rng_words.iter_mut() {
-            *word = f.get_u64()?;
-        }
-        let buffer = get_points(&mut f)?;
-        let profile = get_entries(&mut f)?;
-        let top_set = get_entries(&mut f)?;
-        let table_radius = f.get_f64()?;
-        if !(table_radius.is_finite() && table_radius > 0.0) {
-            return Err(RecoveryError::InvalidRadius(table_radius));
-        }
-        let table_count = f.get_u32()? as usize;
-        let mut table = Vec::with_capacity(table_count.min(1_024));
-        for _ in 0..table_count {
-            f.need(20)?;
-            let top = Point::new(f.get_f64()?, f.get_f64()?);
-            let idx = f.get_u32()?;
-            if idx as usize >= sets.len() {
-                return Err(RecoveryError::BadPoolRef { user: raw });
-            }
-            table.push((top, idx));
-        }
-        let cache_count = f.get_u32()? as usize;
-        let mut cache = Vec::with_capacity(cache_count.min(1_024));
-        for _ in 0..cache_count {
-            f.need(20)?;
-            let top = Point::new(f.get_f64()?, f.get_f64()?);
-            let idx = f.get_u32()?;
-            if idx as usize >= cdfs.len() {
-                return Err(RecoveryError::BadPoolRef { user: raw });
-            }
-            cache.push((top, idx));
-        }
+        let record = get_user(&mut f, sets, cdfs)?;
         f.finish()?;
-        users.push(UserRecord {
-            user,
-            windows_closed,
-            rng_words,
-            buffer,
-            profile,
-            top_set,
-            table_radius,
-            table,
-            cache,
-        });
+        sink.user(record)?;
     }
     r.finish()?;
-    Ok(DeviceSnapshot { master, sets, cdfs, users })
+    Ok(master)
+}
+
+/// Reads one user frame's body; its pool references must fall inside
+/// pools of `sets` and `cdfs` entries.
+fn get_user(f: &mut Reader<'_>, sets: usize, cdfs: usize) -> Result<UserRecord, RecoveryError> {
+    f.need(12)?;
+    let user = UserId::new(f.get_u32()?);
+    let windows_closed = f.get_u64()?;
+    let mut rng_words = [0u64; 4];
+    for word in rng_words.iter_mut() {
+        *word = f.get_u64()?;
+    }
+    let buffer = get_points(f)?;
+    let profile = get_entries(f)?;
+    let top_set = get_entries(f)?;
+    let table_radius = f.get_f64()?;
+    if !(table_radius.is_finite() && table_radius > 0.0) {
+        return Err(RecoveryError::InvalidRadius(table_radius));
+    }
+    let table = get_refs(f, sets, user)?;
+    let cache = get_refs(f, cdfs, user)?;
+    Ok(UserRecord {
+        user,
+        windows_closed,
+        rng_words,
+        buffer,
+        profile,
+        top_set,
+        table_radius,
+        table,
+        cache,
+    })
+}
+
+/// Reads a counted list of `(top, pool index)` references into a pool of
+/// `pool` entries.
+fn get_refs(
+    f: &mut Reader<'_>,
+    pool: usize,
+    user: UserId,
+) -> Result<Vec<(Point, u32)>, RecoveryError> {
+    let count = f.get_u32()? as usize;
+    let mut refs = Vec::with_capacity(count.min(f.buf.len() / 20));
+    for _ in 0..count {
+        f.need(20)?;
+        let top = Point::new(f.get_f64()?, f.get_f64()?);
+        let idx = f.get_u32()?;
+        if idx as usize >= pool {
+            return Err(RecoveryError::BadPoolRef { user: user.raw() });
+        }
+        refs.push((top, idx));
+    }
+    Ok(refs)
 }
 
 fn put_points<B: BufMut>(buf: &mut B, points: &[Point]) {
@@ -778,14 +932,11 @@ fn put_points<B: BufMut>(buf: &mut B, points: &[Point]) {
     }
 }
 
-fn get_points(r: &mut Reader<'_>) -> Result<Vec<Point>, RecoveryError> {
-    let count = r.get_u32()? as usize;
-    r.need(count.saturating_mul(16))?;
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        points.push(Point::new(r.get_f64()?, r.get_f64()?));
-    }
-    Ok(points)
+/// Reads a counted point list straight into its final collection — a
+/// window buffer's `Vec`, or a pooled set's `Arc<[Point]>` — allocated
+/// once at its exact length.
+fn get_points<C: FromIterator<Point>>(r: &mut Reader<'_>) -> Result<C, RecoveryError> {
+    Ok(r.items(16)?.chunks_exact(16).map(|mut p| Point::new(p.get_f64(), p.get_f64())).collect())
 }
 
 fn put_entries<B: BufMut>(buf: &mut B, entries: &[ProfileEntry]) {
@@ -798,16 +949,13 @@ fn put_entries<B: BufMut>(buf: &mut B, entries: &[ProfileEntry]) {
 }
 
 fn get_entries(r: &mut Reader<'_>) -> Result<Vec<ProfileEntry>, RecoveryError> {
-    let count = r.get_u32()? as usize;
-    r.need(count.saturating_mul(24))?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(ProfileEntry {
-            location: Point::new(r.get_f64()?, r.get_f64()?),
-            frequency: r.get_u64()? as usize,
-        });
-    }
-    Ok(entries)
+    Ok(r.items(24)?
+        .chunks_exact(24)
+        .map(|mut e| ProfileEntry {
+            location: Point::new(e.get_f64(), e.get_f64()),
+            frequency: e.get_u64() as usize,
+        })
+        .collect())
 }
 
 /// Counts candidate re-draws between two snapshots of the same device: a
@@ -976,9 +1124,13 @@ mod tests {
             via_log
         };
         // Rebuilds the log and checks it byte for byte against the
-        // streamed checkpoint and the snapshot encoder.
+        // streamed checkpoint and the snapshot encoder, with every frame
+        // allocated at exactly its length.
         let rebuild = |edge: &crate::EdgeDevice| {
             let log = CommittedLog::rebuild(edge);
+            for (user, frame) in &log.frames {
+                assert_eq!(frame.capacity(), frame.len(), "user {user}'s rebuilt frame is exact");
+            }
             let image = log.materialize();
             assert_eq!(image, edge.checkpoint(), "rebuilt log = streamed checkpoint");
             assert_eq!(image, edge.snapshot().encode(), "rebuilt log = snapshot encode");
@@ -1031,6 +1183,92 @@ mod tests {
         let sum = fnv1a64(&body[..split]);
         body[split..].copy_from_slice(&sum.to_be_bytes());
         body
+    }
+
+    /// Restores `image` through the one-pass reader and through
+    /// `DeviceSnapshot::decode` + `restore_from`, asserts that the two
+    /// agree — on the error, or on the restored device's checkpoint bytes
+    /// — and returns the outcome. Errors compare by `Debug`, so a NaN
+    /// radius matches itself.
+    fn restore_both(image: &[u8]) -> Result<Bytes, String> {
+        let config = SystemConfig::builder().build().unwrap();
+        let outcome = |restored: Result<crate::EdgeDevice, RecoveryError>| {
+            restored.map(|device| device.checkpoint()).map_err(|e| format!("{e:?}"))
+        };
+        let streamed = outcome(crate::EdgeDevice::restore_from_checkpoint(config, image));
+        let decoded = outcome(
+            DeviceSnapshot::decode(image)
+                .and_then(|snap| crate::EdgeDevice::restore_from(config, snap)),
+        );
+        assert_eq!(streamed, decoded, "the two restore paths disagree");
+        streamed
+    }
+
+    /// `DeviceSnapshot::decode`'s error for `image`, asserted to be what
+    /// both restore paths report too.
+    fn decode_err(image: &[u8]) -> RecoveryError {
+        let err = DeviceSnapshot::decode(image).expect_err("a defective image must not decode");
+        assert_eq!(restore_both(image), Err(format!("{err:?}")));
+        err
+    }
+
+    /// The one-pass restore rebuilds exactly what decoding a snapshot and
+    /// restoring it does, and the restored device checkpoints back to
+    /// the image it came from: for the fixtures and for a settled device
+    /// with several closed windows per user, open windows, served and
+    /// nomadic requests, and a candidate set shared by two users.
+    #[test]
+    fn streamed_restore_matches_decode_and_restore_from() {
+        let mut open = snapshot();
+        open.users[0].table.clear();
+        open.users[0].cache.clear();
+        open.sets.clear();
+        open.cdfs.clear();
+        let mut two = snapshot();
+        let mut second = two.users[0].clone();
+        second.user = UserId::new(8);
+        second.rng_words = [1, 2, 3, 4];
+        two.users.push(second);
+        for snap in [snapshot(), open, two] {
+            let image = snap.encode();
+            assert_eq!(restore_both(&image), Ok(image));
+        }
+
+        let config = SystemConfig::builder().build().unwrap();
+        let mut edge = crate::EdgeDevice::new(config, 17);
+        for window in 0..3 {
+            for u in 0..5u32 {
+                let user = UserId::new(u);
+                let home = Point::new(f64::from(u) * 5_000.0, 0.0);
+                let away = Point::new(-9_000.0, f64::from(window) * 4_000.0);
+                for _ in 0..30 {
+                    edge.report_checkin(user, home);
+                }
+                for _ in 0..15 {
+                    edge.report_checkin(user, away);
+                }
+                edge.finalize_window(user);
+                let _ = edge.reported_location(user, home);
+                let _ = edge.reported_location(user, Point::new(60_000.0, 60_000.0));
+            }
+        }
+        for _ in 0..9 {
+            edge.report_checkin(UserId::new(1), Point::ORIGIN);
+        }
+        let top = Point::new(800.0, -300.0);
+        let mut authority =
+            crate::ObfuscationModule::new(config.geo_ind(), config.top_match_radius_m());
+        let mut arena = crate::CandidateArena::new();
+        arena.prepare(&mut authority, &[top], 11, &mut 0);
+        let tops = vec![ProfileEntry { location: top, frequency: 60 }];
+        for u in [20, 21] {
+            edge.install_protection(UserId::new(u), tops.clone(), arena.sets());
+        }
+        let image = edge.checkpoint();
+        let snap = DeviceSnapshot::decode(&image).unwrap();
+        let shared = |u: u32| snap.record(UserId::new(u)).unwrap().table[0].1;
+        assert_eq!(shared(20), shared(21), "one pooled set for both installs");
+        assert_eq!(restore_both(&image), Ok(image));
     }
 
     /// `encode` reserves exactly the image it writes — no growth on the
@@ -1208,66 +1446,90 @@ mod tests {
     #[test]
     fn corrupt_frames_are_structural_errors() {
         // Byte offset of the first set frame's length prefix: the header
-        // plus set_count(4).
+        // plus set_count(4). Every case is refused alike by the decoder
+        // and by both restore paths (`decode_err`).
         let frame_len_at = V2_HEADER_LEN + 4;
         let log = snapshot().encode().to_vec();
 
         // Frame length pointing past the end of the buffer.
         let mut bad = log.clone();
         bad[frame_len_at..frame_len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::Truncated)
-        ));
+        assert!(matches!(decode_err(&restamp(bad)), RecoveryError::Truncated));
 
         // Frame declared longer than its own content: the sub-reader
         // keeps trailing bytes.
         let mut bad = log.clone();
         let declared = u32::from_be_bytes(bad[frame_len_at..frame_len_at + 4].try_into().unwrap());
         bad[frame_len_at..frame_len_at + 4].copy_from_slice(&(declared + 1).to_be_bytes());
-        assert!(DeviceSnapshot::decode(&restamp(bad)).is_err());
+        decode_err(&restamp(bad));
 
         // Unknown stream-mode discriminant.
         let mut bad = log.clone();
         bad[6] = 9;
-        assert!(matches!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::BadStreamMode(9))
-        ));
+        assert!(matches!(decode_err(&restamp(bad)), RecoveryError::BadStreamMode(9)));
 
         // Stream byte 0 marks an image of the retired device-wide
         // generator mode: refused, like the v1 layout.
         let mut bad = log.clone();
         bad[6] = 0;
-        assert_eq!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::BadStreamMode(0))
-        );
+        assert_eq!(decode_err(&restamp(bad)), RecoveryError::BadStreamMode(0));
 
         // A pool reference past the pool bounds.
         let mut snap = snapshot();
         snap.users[0].table[0].1 = 5;
-        let bad = snap.encode().to_vec();
-        assert!(matches!(
-            DeviceSnapshot::decode(&bad),
-            Err(RecoveryError::BadPoolRef { user: 7 })
-        ));
+        assert!(matches!(decode_err(&snap.encode()), RecoveryError::BadPoolRef { user: 7 }));
 
         // A match radius that could not build an obfuscation table.
         let mut snap = snapshot();
         snap.users[0].table_radius = f64::NAN;
         assert!(matches!(
-            DeviceSnapshot::decode(&snap.encode()),
-            Err(RecoveryError::InvalidRadius(r)) if r.is_nan()
+            decode_err(&snap.encode()),
+            RecoveryError::InvalidRadius(r) if r.is_nan()
         ));
     }
 
     #[test]
     fn invalid_pooled_posterior_is_caught_at_pool_build() {
+        // The decoder takes any CDF bytes; both restore paths refuse a
+        // pooled table that is not a CDF and blame the first user whose
+        // cache cites it.
+        let refused = |snap: &DeviceSnapshot| {
+            let image = snap.encode();
+            assert_eq!(&DeviceSnapshot::decode(&image).unwrap(), snap);
+            let config = SystemConfig::builder().build().unwrap();
+            let err = crate::EdgeDevice::restore(config, snap).expect_err("invalid CDF restored");
+            assert_eq!(restore_both(&image), Err(format!("{err:?}")));
+            err
+        };
         let mut snap = snapshot();
         snap.cdfs[0] = vec![1.0, 0.5]; // decreasing — not a CDF
-        let err = snap.pools().expect_err("invalid CDF must not build a table");
-        assert_eq!(err, RecoveryError::InvalidPosterior { user: 7 });
+        assert_eq!(refused(&snap), RecoveryError::InvalidPosterior { user: 7 });
+
+        // Of two invalid entries the first is blamed, on the first user
+        // citing it — though an earlier user cites only the second.
+        let top = Point::new(10.0, 20.0);
+        let mut many = snapshot();
+        many.cdfs.push(vec![2.0, 1.0]);
+        many.cdfs.push(vec![0.0]);
+        many.users[0].cache = vec![(top, 2)];
+        for (raw, cdf) in [(8, 0), (9, 1), (10, 1)] {
+            let mut user = many.users[0].clone();
+            user.user = UserId::new(raw);
+            user.cache = vec![(top, cdf)];
+            many.users.push(user);
+        }
+        assert_eq!(refused(&many), RecoveryError::InvalidPosterior { user: 9 });
+
+        // An invalid entry no user cites is blamed on no user.
+        let mut orphan = snapshot();
+        orphan.cdfs.push(vec![0.0]);
+        assert_eq!(refused(&orphan), RecoveryError::InvalidPosterior { user: u32::MAX });
+
+        // A structural defect in a later frame is still the error reported.
+        let mut image = orphan.encode().to_vec();
+        let radius_at = image.len() - 8 - 2 * (4 + 20) - 8;
+        image[radius_at..radius_at + 8].copy_from_slice(&(-1.0f64).to_be_bytes());
+        assert_eq!(decode_err(&restamp(image)), RecoveryError::InvalidRadius(-1.0));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use privlocad_telemetry::{Counter, Determinism, Gauge, Histogram, Telemetry, Tra
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::edge::DeviceCounters;
 use crate::protocol::{split_sequenced, ClientRequest, EdgeResponse, ErrorCode, FrameError};
 use crate::recovery::CommittedLog;
 use crate::{EdgeDevice, SystemConfig, SystemError};
@@ -732,7 +733,9 @@ fn serve(
         // empty state here would silently re-draw released candidates.
         restore_checkpoint(&snapshot, config, &mut edge)?;
     }
-    let telemetry = options.telemetry.clone();
+    // The device's counters and ledger, opened once: every wakeup drains
+    // into the same handles with no registration by name.
+    let device_counters = DeviceCounters::open(&options.telemetry);
     // Logical-clock tracer for the per-wakeup pipeline stages. The clock
     // advances one tick per decoded request — never wall time — so span
     // boundaries are reproducible. With the `trace` feature off this is a
@@ -968,7 +971,7 @@ fn serve(
         // Telemetry drains strictly after the commit: a crash wipes any
         // undelivered ledger events together with the device state they
         // described, keeping budget-spend delivery exactly-once.
-        edge.drain_telemetry(&telemetry);
+        edge.drain_into(&device_counters);
         // Bid emission shares the same post-commit slot and therefore the
         // same exactly-once guarantee: `requests`/`responses` are parallel
         // and hold only the non-duplicate requests this batch *applied*
@@ -1045,7 +1048,7 @@ fn serve(
     // Final drain: a restore whose batch was then abandoned (the poisoned
     // twice-crashing case) leaves its restore events pending with no later
     // commit to carry them.
-    edge.drain_telemetry(&telemetry);
+    edge.drain_into(&device_counters);
     Ok(edge)
 }
 

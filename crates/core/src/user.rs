@@ -45,6 +45,12 @@ impl<S> UserMap<S> {
         self.keys.len()
     }
 
+    /// Reserves room for exactly `additional` more users.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.keys.reserve_exact(additional);
+        self.slots.reserve_exact(additional);
+    }
+
     fn position(&self, user: UserId) -> Result<usize, usize> {
         let raw = user.raw() as usize;
         if raw < self.index.len() {

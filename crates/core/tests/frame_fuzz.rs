@@ -2,12 +2,15 @@
 //! length-prefix lies, and bit flips must always yield a structured
 //! `FrameError` (or a clean decode of a different valid frame), never a
 //! panic — a malformed radio frame must cost the sender a strike, not the
-//! edge worker its life.
+//! edge worker its life. A checkpoint image, truncated or flipped, must be
+//! refused (or restored) alike by both restore paths.
 
 use privlocad::protocol::{deframe, frame, ClientRequest, EdgeResponse, MAX_FRAME_LEN};
 use privlocad::recovery::DeviceSnapshot;
+use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::fnv1a64;
 use proptest::prelude::*;
 
 fn request(kind: usize, user: u32, x: f64, y: f64, ts: i64) -> ClientRequest {
@@ -132,5 +135,77 @@ proptest! {
             rest = tail;
         }
         prop_assert_eq!(decoded, requests);
+    }
+}
+
+/// A small checkpoint image touching every section: a settled user (a
+/// candidate set, a posterior table, a served stream position) with an
+/// open window, and a user whose first window is still open.
+fn checkpoint_image(config: SystemConfig) -> Vec<u8> {
+    let mut edge = EdgeDevice::new(config, 3);
+    let (settled, fresh) = (UserId::new(0), UserId::new(1));
+    let home = Point::new(1_000.0, -2_000.0);
+    for _ in 0..40 {
+        edge.report_checkin(settled, home);
+    }
+    edge.finalize_window(settled);
+    edge.reported_location(settled, home);
+    edge.reported_location(settled, Point::new(50_000.0, 0.0));
+    for i in 0..3 {
+        edge.report_checkin(settled, home + Point::new(f64::from(i), 0.0));
+    }
+    for i in 0..5 {
+        edge.report_checkin(fresh, Point::new(-7_000.0, f64::from(i) * 10.0));
+    }
+    edge.checkpoint().to_vec()
+}
+
+/// `body` with a valid checksum appended, so its defects reach the
+/// structural checks.
+fn sealed(body: &[u8]) -> Vec<u8> {
+    let mut image = body.to_vec();
+    image.extend_from_slice(&fnv1a64(body).to_be_bytes());
+    image
+}
+
+/// Restores `image` through the one-pass reader and through
+/// `DeviceSnapshot::decode` + `restore_from`, and returns the outcome once
+/// both agree: the same error, or devices with the same checkpoint bytes.
+fn restore_both(config: SystemConfig, image: &[u8]) -> Result<Vec<u8>, String> {
+    let outcome = |restored: Result<EdgeDevice, _>| {
+        restored.map(|device| device.checkpoint().to_vec()).map_err(|e| format!("{e:?}"))
+    };
+    let streamed = outcome(EdgeDevice::restore_from_checkpoint(config, image));
+    let decoded = outcome(
+        DeviceSnapshot::decode(image).and_then(|snap| EdgeDevice::restore_from(config, snap)),
+    );
+    assert_eq!(streamed, decoded, "restore paths disagree on {image:?}");
+    streamed
+}
+
+#[test]
+fn restore_paths_agree_on_every_truncation_and_bit_flip() {
+    let config = SystemConfig::builder().build().unwrap();
+    let image = checkpoint_image(config);
+    assert_eq!(restore_both(config, &image), Ok(image.clone()));
+    let body = &image[..image.len() - 8];
+    for len in 0..image.len() {
+        assert!(restore_both(config, &image[..len]).is_err(), "prefix of {len} bytes");
+    }
+    // Resealed prefixes pass the checksum and stop inside a section.
+    for len in 0..body.len() {
+        assert!(restore_both(config, &sealed(&body[..len])).is_err(), "sealed prefix {len}");
+    }
+    for byte in 0..image.len() {
+        for bit in 0..8 {
+            let mut flipped = image.clone();
+            flipped[byte] ^= 1 << bit;
+            assert!(restore_both(config, &flipped).is_err(), "byte {byte} bit {bit}");
+            // Resealed, the flip reaches the reader: it may land on a
+            // structural defect, an invalid table, or another valid image.
+            if byte < body.len() {
+                restore_both(config, &sealed(&flipped[..body.len()])).ok();
+            }
+        }
     }
 }

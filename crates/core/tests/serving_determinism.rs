@@ -199,4 +199,10 @@ fn checkpoint_bytes_match_the_golden_digests() {
     golden_workload(&mut device);
     assert_eq!(device.checkpoint().len(), 3_451);
     assert_eq!(device.state_digest(), 0x0496_1cc9_7991_f31e);
+    // Both restore paths bring the device back to the same bytes.
+    let image = device.checkpoint();
+    let streamed = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
+    assert_eq!(streamed.checkpoint(), image);
+    let snapshot = privlocad::recovery::DeviceSnapshot::decode(&image).unwrap();
+    assert_eq!(EdgeDevice::restore_from(config, snapshot).unwrap().checkpoint(), image);
 }

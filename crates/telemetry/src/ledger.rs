@@ -6,12 +6,18 @@
 //! enters a user's profile and then replayed forever, and posterior output
 //! selection is free post-processing. The ledger turns that invariant into
 //! an auditable record: every spend (candidate-set draw, window close,
-//! checkpoint restore) is appended as a [`SpendEvent`], running per-user
-//! totals are composed with basic composition (k draws at `(ε, δ)` cost
-//! `(kε, kδ)`), and [`Ledger::assert_no_double_spend`] cross-checks the
+//! checkpoint restore) is recorded as a [`SpendEvent`] and folded into
+//! per-user aggregates — running totals composed with basic composition
+//! (k draws at `(ε, δ)` cost `(kε, kδ)`) and a pay count per `(user, top)`
+//! candidate set — and [`Ledger::assert_no_double_spend`] cross-checks the
 //! recovery layer's `candidate_redraws == 0` invariant from the other
 //! side: a candidate set that exists on a device but was never (or more
 //! than once) paid for in the ledger is an audit failure.
+//!
+//! The events themselves are counted, not kept. Every export and audit
+//! reads only the aggregates, and a log would grow with every window close
+//! and restore a long-running fleet performs; the aggregates grow only
+//! with users and released sets.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -56,7 +62,7 @@ pub enum SpendKind {
     Restore,
 }
 
-/// One append-only ledger entry.
+/// One privacy-budget spend, as recorded into the ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpendEvent {
     /// The user whose budget the event touches.
@@ -85,7 +91,7 @@ pub struct UserTotals {
 pub struct LedgerTotals {
     /// Users with at least one event.
     pub users: u64,
-    /// Total events appended.
+    /// Total events recorded.
     pub events: u64,
     /// Summed ε across all users.
     pub epsilon: f64,
@@ -148,13 +154,15 @@ impl std::error::Error for LedgerError {}
 
 #[derive(Debug, Default)]
 struct LedgerInner {
-    events: Vec<SpendEvent>,
+    /// Events recorded so far.
+    events: u64,
+    /// How many times each `(user, top)` candidate set was paid for.
     spends: BTreeMap<(u64, TopKey), u64>,
     totals: BTreeMap<u64, UserTotals>,
 }
 
-/// The append-only privacy-budget ledger; a cheaply cloneable handle to
-/// shared state.
+/// The privacy-budget ledger: per-user aggregates of every recorded spend;
+/// a cheaply cloneable handle to shared state.
 ///
 /// # Examples
 ///
@@ -179,7 +187,7 @@ impl Ledger {
         Ledger::default()
     }
 
-    /// Appends one event and folds it into the running totals.
+    /// Records one event: counts it and folds it into the aggregates.
     pub fn record(&self, event: SpendEvent) {
         let mut inner = self.inner.lock();
         let totals = inner.totals.entry(event.user).or_default();
@@ -193,7 +201,7 @@ impl Ledger {
             SpendKind::WindowClose => totals.window_closes += 1,
             SpendKind::Restore => totals.restores += 1,
         }
-        inner.events.push(event);
+        inner.events += 1;
     }
 
     /// Records a fresh candidate-set draw.
@@ -211,19 +219,14 @@ impl Ledger {
         self.record(SpendEvent { user, kind: SpendKind::Restore });
     }
 
-    /// Number of events appended so far.
+    /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.inner.lock().events as usize
     }
 
     /// Whether the ledger is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A copy of the append-only event log, in append order.
-    pub fn events(&self) -> Vec<SpendEvent> {
-        self.inner.lock().events.clone()
     }
 
     /// Composed per-user totals, sorted by user id.
@@ -234,7 +237,7 @@ impl Ledger {
     /// Ledger-wide aggregate totals.
     pub fn totals(&self) -> LedgerTotals {
         let inner = self.inner.lock();
-        let mut out = LedgerTotals { events: inner.events.len() as u64, ..LedgerTotals::default() };
+        let mut out = LedgerTotals { events: inner.events, ..LedgerTotals::default() };
         for totals in inner.totals.values() {
             out.users += 1;
             out.epsilon += totals.epsilon;
@@ -351,13 +354,22 @@ mod tests {
     }
 
     #[test]
-    fn event_log_preserves_append_order() {
+    fn every_record_is_counted() {
+        // Each kind counts as one event, restores included, though only
+        // the aggregates keep what the events said.
         let ledger = Ledger::new();
+        assert!(ledger.is_empty());
         ledger.record_window_close(2);
         ledger.record_candidate_set(1, top_key(0.0, 0.0), 1.0, 1e-4, 10);
-        let events = ledger.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].user, 2);
-        assert!(matches!(events[1].kind, SpendKind::CandidateSet { .. }));
+        ledger.record_restore(2);
+        ledger.record_restore(3);
+        ledger.record(SpendEvent { user: 1, kind: SpendKind::Restore });
+        assert_eq!(ledger.len(), 5);
+        let totals = ledger.totals();
+        assert_eq!(totals.events, 5);
+        assert_eq!(totals.users, 3);
+        assert_eq!(totals.restores, 3);
+        assert_eq!(totals.candidate_sets, 1);
+        assert_eq!(totals.window_closes, 1);
     }
 }

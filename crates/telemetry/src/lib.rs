@@ -17,10 +17,12 @@
 //!   compiles to zero-cost no-ops; the optional `wallclock` feature adds
 //!   real tick timings for interactive profiling and is banned from
 //!   test/CI builds.
-//! * [`Ledger`] — an append-only per-user record of every privacy-budget
-//!   spend (candidate-set draws, window closes, checkpoint restores) with
-//!   composed running totals and a double-spend audit that cross-checks
-//!   the recovery layer's `candidate_redraws == 0` invariant.
+//! * [`Ledger`] — per-user aggregates of every privacy-budget spend
+//!   (candidate-set draws, window closes, checkpoint restores): composed
+//!   running totals, a pay count per candidate set, and a double-spend
+//!   audit that cross-checks the recovery layer's `candidate_redraws == 0`
+//!   invariant. Events are counted, not kept, so the ledger grows with
+//!   users and released sets, not with a fleet's uptime.
 //!
 //! [`Telemetry`] bundles a registry and a ledger into the hub the serving
 //! stack threads through its layers; [`TelemetrySink`] + [`JsonSink`]
