@@ -37,6 +37,11 @@ fn user_entry<'a>(
     })
 }
 
+/// The pre-batch state of each user a batch in flight touches — `None`
+/// for a first contact — from which [`EdgeDevice::roll_back`] undoes the
+/// batch.
+pub(crate) type BatchUndo = Vec<(UserId, Option<UserState>)>;
+
 /// Serving observations accumulated by an [`EdgeDevice`] since its last
 /// [`EdgeDevice::drain_telemetry`] call.
 ///
@@ -420,12 +425,6 @@ impl EdgeDevice {
         DeviceSnapshot::decode(&self.checkpoint()).expect("a freshly streamed checkpoint decodes")
     }
 
-    /// One user's live serving state, for the incremental committed log
-    /// (see [`crate::recovery::CommittedLog`]).
-    pub(crate) fn user_state(&self, user: UserId) -> Option<&UserState> {
-        self.users.get(user)
-    }
-
     /// Every user's live serving state, ascending by id — the order a
     /// checkpoint image lists them in.
     pub(crate) fn user_states(&self) -> impl Iterator<Item = (UserId, &UserState)> {
@@ -433,8 +432,9 @@ impl EdgeDevice {
     }
 
     /// Encodes the device into one contiguous checkpoint buffer (the
-    /// length-prefixed frame format of [`crate::recovery`]) — the unit the
-    /// serving loop commits to its write-ahead log and
+    /// length-prefixed frame format of [`crate::recovery`]) — what a
+    /// serving loop hands out as its committed state
+    /// ([`crate::EdgeServer::last_checkpoint`]) and
     /// [`EdgeDevice::restore_from_checkpoint`] decodes without per-record
     /// allocation.
     ///
@@ -505,17 +505,59 @@ impl EdgeDevice {
         crate::recovery::restore_image(&config, log).map(|restored| Self::restored(config, restored))
     }
 
-    /// A device serving restored `users` under seed `master`; each user's
-    /// restore is counted and queued for the ledger.
+    /// A device serving restored `users` under seed `master`.
     fn restored(config: SystemConfig, (master, users): (u64, UserMap<UserState>)) -> EdgeDevice {
         let mut device = EdgeDevice::new(config, master);
-        device.stats.restores = users.len() as u64;
-        device.pending_spends = users
-            .keys()
-            .map(|user| SpendEvent { user: u64::from(user.raw()), kind: SpendKind::Restore })
-            .collect();
         device.users = users;
+        device.restart_run();
         device
+    }
+
+    /// Starts the run-local buffers afresh after the user states were
+    /// restored: the stats count one restore per user, the pending spends
+    /// hold one [`SpendKind::Restore`] per user and nothing else, and the
+    /// scratch arena is new. The one body behind a restore from bytes and
+    /// a rollback ([`EdgeDevice::roll_back`]), so both read alike in the
+    /// exported counters and the ledger.
+    fn restart_run(&mut self) {
+        self.stats = DeviceStats { restores: self.users.len() as u64, ..DeviceStats::default() };
+        self.pending_spends.clear();
+        self.pending_spends.extend(
+            self.users
+                .keys()
+                .map(|user| SpendEvent { user: u64::from(user.raw()), kind: SpendKind::Restore }),
+        );
+        self.arena = CandidateArena::new();
+    }
+
+    /// Saves into `undo` the pre-batch state of each of `users` — a clone
+    /// of the user's state, or `None` for a user the device has not seen —
+    /// replacing what `undo` held. O(batch): only the users a batch
+    /// touches are saved, never the device.
+    pub(crate) fn save_undo(&self, users: &[UserId], undo: &mut BatchUndo) {
+        undo.clear();
+        undo.extend(users.iter().map(|&user| (user, self.users.get(user).cloned())));
+    }
+
+    /// Rolls back a batch that died part-way: every user saved in `undo`
+    /// gets its saved state back, every first contact is removed, and the
+    /// run-local buffers restart as after a restore of the rolled-back
+    /// device. Empties `undo`.
+    ///
+    /// Serving a batch changes nothing else — the users it touches, the
+    /// user map's key set (first contacts), and the stats, pending spends
+    /// and scratch arena — so after this the device equals its state
+    /// before the batch, whatever the batch did before it died.
+    pub(crate) fn roll_back(&mut self, undo: &mut BatchUndo) {
+        for (user, saved) in undo.drain(..) {
+            match saved {
+                Some(state) => self.users.insert(user, state),
+                None => {
+                    self.users.remove(user);
+                }
+            }
+        }
+        self.restart_run();
     }
 
     /// Serving observations accumulated since the last

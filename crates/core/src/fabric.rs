@@ -904,9 +904,11 @@ impl FabricRouter {
     }
 
     /// Respawns a permanently failed shard from its last committed
-    /// checkpoint, swapping the fresh handle into the slot. Pending
-    /// stale duplicates are discarded: the respawned shard's dedup
-    /// window is empty, so re-delivering them would double-apply.
+    /// checkpoint, swapping the fresh handle into the slot. The dead
+    /// worker rolled its last batch back before it failed, so the image
+    /// is streamed from its committed device. Pending stale duplicates
+    /// are discarded: the respawned shard's dedup window is empty, so
+    /// re-delivering them would double-apply.
     fn heal(&self, shard_idx: usize, state: &mut ShardState) -> Result<(), FabricError> {
         if state.heals >= self.max_heals {
             state.breaker.record_failure(shard_idx, &mut self.trace.lock());

@@ -193,6 +193,10 @@ const TAG_WINDOW_CLOSED: u8 = 0x82;
 const TAG_ACK: u8 = 0x83;
 const TAG_ERROR: u8 = 0x84;
 
+/// Bytes of the longest request frame, a check-in: tag, user, two
+/// coordinates and a timestamp.
+const MAX_REQUEST_LEN: usize = 1 + 4 + 8 + 8 + 8;
+
 /// Largest legal frame body in bytes. The biggest fixed layout is a
 /// check-in (29 bytes); anything larger declared by a length prefix is
 /// corruption, rejected before any read or allocation happens.
@@ -303,17 +307,17 @@ fn sequenced_checksum(lane: u32, seq: u32, inner: &[u8]) -> u32 {
 /// Panics if the wrapped frame would exceed [`MAX_FRAME_LEN`] — inner
 /// frames produced by [`ClientRequest::encode`] never do.
 pub fn encode_sequenced(lane: u32, seq: u32, request: &ClientRequest) -> Vec<u8> {
-    let inner = request.encode();
-    assert!(
-        SEQUENCED_HEADER_LEN + inner.len() <= MAX_FRAME_LEN,
-        "sequenced frame exceeds MAX_FRAME_LEN"
-    );
-    let mut buf = Vec::with_capacity(SEQUENCED_HEADER_LEN + inner.len());
+    // One buffer, written once: the header with a zeroed checksum slot,
+    // then the inner frame, then the checksum over what was written.
+    let mut buf = Vec::with_capacity(SEQUENCED_HEADER_LEN + MAX_REQUEST_LEN);
     buf.push(TAG_SEQUENCED);
     buf.extend_from_slice(&lane.to_be_bytes());
     buf.extend_from_slice(&seq.to_be_bytes());
-    buf.extend_from_slice(&sequenced_checksum(lane, seq, &inner).to_be_bytes());
-    buf.extend_from_slice(&inner);
+    buf.extend_from_slice(&[0; 4]);
+    request.encode_into(&mut buf);
+    assert!(buf.len() <= MAX_FRAME_LEN, "sequenced frame exceeds MAX_FRAME_LEN");
+    let checksum = sequenced_checksum(lane, seq, &buf[SEQUENCED_HEADER_LEN..]);
+    buf[SEQUENCED_HEADER_LEN - 4..SEQUENCED_HEADER_LEN].copy_from_slice(&checksum.to_be_bytes());
     buf
 }
 
@@ -352,9 +356,9 @@ pub fn split_sequenced(buf: &[u8]) -> Result<Option<(SequenceHeader, &[u8])>, Fr
 
 impl ClientRequest {
     /// The user this request operates on — `None` only for
-    /// [`ClientRequest::Shutdown`]. The serving loop uses this to limit
-    /// its per-batch checkpoint maintenance to the users a batch
-    /// actually touched.
+    /// [`ClientRequest::Shutdown`]. The serving loop uses this to save,
+    /// before each batch, the state of only the users the batch touches
+    /// — all a rollback of the batch needs.
     pub fn user(&self) -> Option<UserId> {
         match *self {
             ClientRequest::CheckIn { user, .. }
@@ -366,7 +370,15 @@ impl ClientRequest {
 
     /// Encodes the request into its wire frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(29);
+        let mut buf = BytesMut::with_capacity(MAX_REQUEST_LEN);
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the wire frame to `buf` without allocating a fresh buffer —
+    /// how a client writes a frame once into the buffer it sends, and how
+    /// [`encode_sequenced`] writes the inner frame behind its header.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         match *self {
             ClientRequest::CheckIn { user, location, timestamp } => {
                 buf.put_u8(TAG_CHECK_IN);
@@ -387,7 +399,14 @@ impl ClientRequest {
             }
             ClientRequest::Shutdown => buf.put_u8(TAG_SHUTDOWN),
         }
-        buf.freeze()
+    }
+
+    /// The wire frame in a buffer of its own, written once — what an
+    /// [`crate::EdgeHandle`] sends.
+    pub(crate) fn encode_vec(&self) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(MAX_REQUEST_LEN);
+        self.encode_into(&mut frame);
+        frame
     }
 
     /// Decodes a request frame. Strict: the frame must be exactly its

@@ -34,6 +34,14 @@
 //! straight from its user states ([`crate::EdgeDevice::checkpoint`]); one
 //! frame writer serves both.
 //!
+//! The serving loop ([`crate::EdgeServer`]) keeps no image between
+//! batches. It commits by **undo**: before a batch it saves the state of
+//! the users the batch touches, and a batch that dies is rolled back from
+//! that save in place, O(batch). Its device is therefore its committed
+//! state between batches, and an image is streamed from it only when one
+//! is read ([`crate::EdgeServer::last_checkpoint`], which the fabric's
+//! heal feeds to the replacement shard).
+//!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
 //! live device refuses to adopt a snapshot that has *forgotten* any of
 //! its released candidates ([`RecoveryError::BudgetViolation`]), because
@@ -177,7 +185,7 @@ impl UserFrame<'_> {
 }
 
 /// Writes one user frame, length prefix first — the one writer of the v2
-/// user layout, behind the streamed checkpoint, the committed log and
+/// user layout, behind the streamed checkpoint and
 /// [`DeviceSnapshot::encode`]. The flow lint models it as a sink: it
 /// serializes true window state.
 fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
@@ -243,8 +251,8 @@ impl UserRecord {
     }
 }
 
-/// The two pools of a v2 image built from live devices: candidate sets
-/// and posterior tables deduplicated by `Arc` identity, so state
+/// The two pools of a v2 image streamed from a live device: candidate
+/// sets and posterior tables deduplicated by `Arc` identity, so state
 /// installed fleet-wide through [`crate::CandidateArena`] sharing is
 /// stored once per **distinct** allocation, not once per user. Indices
 /// are assigned in first-seen order over the (ascending) user sequence,
@@ -252,8 +260,8 @@ impl UserRecord {
 ///
 /// Entries are **pinned**: the pool holds its own `Arc` clone of every
 /// indexed allocation, so none can be freed and its address reused while
-/// the index is live — the pointer-identity dedup stays sound for the
-/// pools' whole lifetime.
+/// the index is live. The pools live only inside one [`stream_image`]
+/// call, over a device that call borrows.
 #[derive(Debug, Default)]
 struct Pools {
     sets: Vec<Arc<[Point]>>,
@@ -304,8 +312,8 @@ impl Pools {
 
     /// Writes the frame of `state`, which must be the state interned last:
     /// its pool references are the ones [`Pools::intern`] left behind. The
-    /// one place live true state reaches [`put_user_frame`], for the
-    /// streamed checkpoint and the committed log alike.
+    /// one place live true state reaches [`put_user_frame`], behind the
+    /// streamed checkpoint.
     fn put_user<B: BufMut>(&self, buf: &mut B, user: UserId, state: &UserState) {
         let frame = UserFrame {
             user: user.raw(),
@@ -318,7 +326,7 @@ impl Pools {
             table: &self.table,
             cache: &self.cache,
         };
-        // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; it goes only into the trusted edge store and the restore paths are the only consumers (DESIGN.md §12)
+        // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; the image is streamed on demand inside the trusted edge and its only consumers are the restore paths (DESIGN.md §12)
         put_user_frame(buf, &frame);
     }
 }
@@ -345,83 +353,6 @@ pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
     let image = seal(buf);
     debug_assert_eq!(image.len(), len, "pass 1 sized the image exactly");
     image
-}
-
-/// The serving loop's committed checkpoint, maintained **incrementally**:
-/// instead of re-encoding the whole device after every delivered batch —
-/// O(fleet) work per commit, which is what caps a shard's sustainable
-/// request rate once the fleet is large — the loop re-captures only the
-/// users the batch touched, and the full byte image is materialized
-/// lazily on the rare paths that actually read it (rollback after a
-/// caught panic, respawn of a dead shard,
-/// [`crate::EdgeServer::last_checkpoint`]).
-///
-/// The pools are append-only and pinned (see [`Pools`]). Restore paths
-/// rebuild the log wholesale (the restored device is a fresh allocation
-/// graph), which also sheds any pool growth accumulated from re-captures.
-#[derive(Debug)]
-pub(crate) struct CommittedLog {
-    master: u64,
-    pools: Pools,
-    /// Per-user encoded frames, length prefix included, ascending by raw
-    /// id — the order [`stream_image`] writes in.
-    frames: BTreeMap<u32, Vec<u8>>,
-    frame_bytes: usize,
-}
-
-impl CommittedLog {
-    /// Captures the device wholesale — spawn, restore, and test entry
-    /// point. Per-batch maintenance goes through
-    /// [`CommittedLog::capture_user`] instead.
-    pub(crate) fn rebuild(edge: &crate::EdgeDevice) -> Self {
-        let mut log = CommittedLog {
-            master: edge.master(),
-            pools: Pools::default(),
-            frames: BTreeMap::new(),
-            frame_bytes: 0,
-        };
-        for (user, state) in edge.user_states() {
-            log.capture_user(user, state);
-        }
-        log
-    }
-
-    /// Re-encodes one user's frame into the log, interning any candidate
-    /// set or posterior table it references that the pools have not seen
-    /// yet. O(user state), independent of the fleet size. A user's first
-    /// frame — every frame of a rebuild — is allocated at its exact
-    /// length. A re-capture overwrites the existing frame buffer in place,
-    /// so a commit allocates only when the frame outgrows it, and then
-    /// with the amortized growth of a `Vec`.
-    pub(crate) fn capture_user(&mut self, user: UserId, state: &UserState) {
-        let len = self.pools.intern(state);
-        let frame = self.frames.entry(user.raw()).or_insert_with(|| Vec::with_capacity(len));
-        self.frame_bytes = self.frame_bytes - frame.len() + len;
-        frame.clear();
-        self.pools.put_user(frame, user, state);
-        debug_assert_eq!(frame.len(), len, "intern sized the frame exactly");
-    }
-
-    /// The byte length [`CommittedLog::materialize`] would produce —
-    /// tracked incrementally so the commit path can export it without
-    /// encoding anything.
-    pub(crate) fn encoded_len(&self) -> usize {
-        IMAGE_FIXED_LEN + self.pools.bytes + self.frame_bytes
-    }
-
-    /// Encodes the committed image as a [`DeviceSnapshot::decode`]-able
-    /// v2 byte log. O(total state) — called only on the read paths, never
-    /// per commit.
-    pub(crate) fn materialize(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        put_header(&mut buf, self.master);
-        self.pools.put_sections(&mut buf);
-        buf.put_u32(self.frames.len() as u32);
-        for frame in self.frames.values() {
-            buf.put_slice(frame);
-        }
-        seal(buf)
-    }
 }
 
 /// The shared-state side of a restore: every pooled candidate set and
@@ -1100,80 +1031,6 @@ mod tests {
                 cache: vec![(Point::new(10.0, 20.0), 0)],
             }],
         }
-    }
-
-    /// The committed log maintained per-batch must materialize an image
-    /// that restores to exactly the state a full `checkpoint()` encode
-    /// restores to — at every commit point, with users touched in an
-    /// order different from id order, with re-captures (a long mid-window
-    /// frame re-encoded as a short post-close one in the same buffer), and
-    /// across a simulated rollback-rebuild. A freshly rebuilt log and the
-    /// streamed checkpoint are the same bytes.
-    #[test]
-    fn incremental_committed_log_matches_the_full_encoder() {
-        let config = SystemConfig::builder().build().unwrap();
-        // Materializes the log and checks it against the full encoder,
-        // returning the device restored from the log's image.
-        let assert_matches = |log: &CommittedLog, edge: &crate::EdgeDevice, at: &str| {
-            let image = log.materialize();
-            assert_eq!(image.len(), log.encoded_len(), "tracked length must be exact ({at})");
-            let via_log = crate::EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
-            let via_full =
-                crate::EdgeDevice::restore_from_checkpoint(config, &edge.checkpoint()).unwrap();
-            assert_eq!(via_log.state_digest(), via_full.state_digest(), "{at}");
-            via_log
-        };
-        // Rebuilds the log and checks it byte for byte against the
-        // streamed checkpoint and the snapshot encoder, with every frame
-        // allocated at exactly its length.
-        let rebuild = |edge: &crate::EdgeDevice| {
-            let log = CommittedLog::rebuild(edge);
-            for (user, frame) in &log.frames {
-                assert_eq!(frame.capacity(), frame.len(), "user {user}'s rebuilt frame is exact");
-            }
-            let image = log.materialize();
-            assert_eq!(image, edge.checkpoint(), "rebuilt log = streamed checkpoint");
-            assert_eq!(image, edge.snapshot().encode(), "rebuilt log = snapshot encode");
-            log
-        };
-        let mut edge = crate::EdgeDevice::new(config, 9);
-        let mut log = rebuild(&edge);
-        let users: Vec<UserId> = [3u32, 0, 5, 1, 4, 2].iter().map(|&u| UserId::new(u)).collect();
-        for round in 0..3 {
-            for &user in &users {
-                let home = Point::new(f64::from(user.raw()) * 3_000.0, 500.0);
-                // One "batch" per user: check-ins, a window close, and —
-                // from the second round — a served request, so the
-                // posterior cache and per-user stream positions move too.
-                // It commits twice: mid-window, with 20 buffered
-                // check-ins, and after the close has emptied the buffer.
-                for _ in 0..20 {
-                    edge.report_checkin(user, home);
-                }
-                log.capture_user(user, edge.user_state(user).unwrap());
-                let long = log.frames[&user.raw()].len();
-                assert_matches(&log, &edge, &format!("round {round}, user {user:?} mid-window"));
-                if round > 0 {
-                    let _ = edge.reported_location(user, home);
-                }
-                edge.finalize_window(user);
-                log.capture_user(user, edge.user_state(user).unwrap());
-                assert!(log.frames[&user.raw()].len() < long, "the close shortens the frame");
-                assert_matches(&log, &edge, &format!("round {round}, user {user:?} closed"));
-            }
-            let via_log = assert_matches(&log, &edge, &format!("round {round}"));
-            if round == 1 {
-                // A supervisor rollback replaces the device wholesale and
-                // rebuilds the log against the fresh allocation graph.
-                edge = via_log;
-                log = rebuild(&edge);
-            }
-            rebuild(&edge);
-        }
-        assert_eq!(
-            DeviceSnapshot::decode(&log.materialize()).unwrap().user_count(),
-            users.len()
-        );
     }
 
     /// Corrupt a field, then re-stamp a valid checksum so the defect

@@ -13,9 +13,8 @@ use privlocad_telemetry::{Counter, Determinism, Gauge, Histogram, Telemetry, Tra
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::edge::DeviceCounters;
+use crate::edge::{BatchUndo, DeviceCounters};
 use crate::protocol::{split_sequenced, ClientRequest, EdgeResponse, ErrorCode, FrameError};
-use crate::recovery::CommittedLog;
 use crate::{EdgeDevice, SystemConfig, SystemError};
 
 /// RNG stream index reserved for the supervisor's backoff jitter, far
@@ -175,14 +174,14 @@ impl EdgeHandle {
     /// Sends one request frame and waits for the response frame, blocking
     /// while the request queue is full.
     pub fn call(&self, request: ClientRequest) -> Result<EdgeResponse, TransportError> {
-        self.call_raw(request.encode().to_vec())
+        self.call_raw(request.encode_vec())
     }
 
     /// [`EdgeHandle::call`] with reject-instead-of-block overload
     /// semantics: a full request queue fails fast with
     /// [`TransportError::Overloaded`] instead of parking the caller.
     pub fn try_call(&self, request: ClientRequest) -> Result<EdgeResponse, TransportError> {
-        self.try_call_raw(request.encode().to_vec())
+        self.try_call_raw(request.encode_vec())
     }
 
     /// [`EdgeHandle::try_call`] with a deterministic retry budget: on
@@ -197,7 +196,7 @@ impl EdgeHandle {
         request: ClientRequest,
         policy: &RetryPolicy,
     ) -> Result<EdgeResponse, TransportError> {
-        let frame = request.encode().to_vec();
+        let frame = request.encode_vec();
         let overload_budget = policy.max_attempts.max(1);
         let disconnect_budget = policy.disconnect_attempts.max(1);
         let mut overloads = 0;
@@ -454,7 +453,6 @@ struct ServerMetrics {
     disconnect_retries: Counter,
     queue_depth: Gauge,
     batch_size: Histogram,
-    checkpoint_bytes: Histogram,
 }
 
 impl ServerMetrics {
@@ -489,7 +487,6 @@ impl ServerMetrics {
             disconnect_retries: registry.counter("server.disconnect_retries", Scheduling),
             queue_depth: registry.gauge("server.queue_depth", Scheduling),
             batch_size: registry.histogram("server.batch_size", Scheduling),
-            checkpoint_bytes: registry.histogram("server.checkpoint_bytes", Scheduling),
         }
     }
 
@@ -527,10 +524,12 @@ pub struct HealthSnapshot {
     pub overload_rejections: u64,
     /// Requests currently queued (approximate under concurrency).
     pub queue_depth: u64,
-    /// Recovery checkpoints committed (one per delivered batch).
+    /// Batches committed (one per delivered batch): each is a recovery
+    /// point the device can be read back at
+    /// ([`EdgeServer::last_checkpoint`]).
     pub checkpoints: u64,
     /// Duplicate sequenced deliveries answered from the dedup window's
-    /// cached response frames instead of being re-applied.
+    /// cached responses instead of being re-applied.
     pub duplicates_suppressed: u64,
 }
 
@@ -548,12 +547,12 @@ pub struct HealthSnapshot {
 /// requests interleave with them or on which server of a fleet holds the
 /// user.
 ///
-/// The loop runs under a supervisor: worker panics are caught, the device
-/// is restored from its last committed recovery checkpoint (candidates,
-/// posterior tables, window buffers, and RNG position — see
+/// The loop runs under a supervisor: worker panics are caught, the batch
+/// in flight is rolled back to the device's last committed state
+/// (candidates, posterior tables, window buffers, and RNG position — see
 /// [`crate::recovery`]), and the interrupted batch is retried once,
 /// bit-for-bit. Responses are delivered only after a batch commits, so a
-/// crash can never expose state that the restore then rolls back. A
+/// crash can never expose state that the rollback then undoes. A
 /// worker that keeps dying fails pending replies explicitly
 /// ([`TransportError::WorkerFailed`]) rather than hanging its clients.
 ///
@@ -579,10 +578,15 @@ pub struct HealthSnapshot {
 /// ```
 #[derive(Debug)]
 pub struct EdgeServer {
-    thread: std::thread::JoinHandle<Result<EdgeDevice, SystemError>>,
+    thread: std::thread::JoinHandle<Result<(), SystemError>>,
     metrics: Arc<ServerMetrics>,
     telemetry: Telemetry,
-    checkpoint: Arc<Mutex<Option<CommittedLog>>>,
+    tracer: Tracer,
+    /// The device the serving loop owns. The loop holds the lock for a
+    /// whole wakeup and releases it before it blocks for the next one, so
+    /// anyone else who locks it sees the device committed. Empty until the
+    /// loop has built (or restored) its device.
+    device: Arc<Mutex<Option<EdgeDevice>>>,
 }
 
 impl EdgeServer {
@@ -602,11 +606,12 @@ impl EdgeServer {
             sync_channel(options.queue_capacity.max(1));
         let telemetry = options.telemetry.clone();
         let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let worker_metrics = Arc::clone(&metrics);
-        let checkpoint = Arc::new(Mutex::new(None));
-        let worker_checkpoint = Arc::clone(&checkpoint);
-        let thread = std::thread::spawn(move || {
-            serve(config, seed, rx, options, worker_metrics, worker_checkpoint)
+        let tracer = Tracer::default();
+        let device = Arc::new(Mutex::new(None));
+        let thread = std::thread::spawn({
+            let (metrics, tracer, device) =
+                (Arc::clone(&metrics), tracer.clone(), Arc::clone(&device));
+            move || serve(config, seed, rx, options, metrics, tracer, device)
         });
         let handle = EdgeHandle {
             tx,
@@ -615,20 +620,24 @@ impl EdgeServer {
             next_client: Arc::new(AtomicU64::new(1)),
             metrics: Arc::clone(&metrics),
         };
-        (EdgeServer { thread, metrics, telemetry, checkpoint }, handle)
+        (EdgeServer { thread, metrics, telemetry, tracer, device }, handle)
     }
 
     /// The last committed recovery checkpoint (empty until the serving
-    /// loop has started). The loop maintains the committed state
-    /// incrementally — O(batch) per commit, not O(device) — and this
-    /// call materializes it into the versioned v2 byte image on demand.
+    /// loop has built its device): the versioned v2 byte image, streamed
+    /// on demand from the device as it stood after its last committed
+    /// batch. The loop keeps no image — a batch that dies is undone in
+    /// place — so this waits out a wakeup in progress rather than read a
+    /// batch half-served. It is also what a worker that failed past its
+    /// restart budget leaves behind, its last batch rolled back.
+    ///
     /// This is what the fabric feeds back through
     /// [`ServerOptions::restore_from`] to respawn a permanently failed
     /// shard from its committed state — released candidate sets, window
     /// buffers, and RNG positions all resume exactly, so not a single
     /// released candidate is ever re-drawn by the replacement.
     pub fn last_checkpoint(&self) -> Bytes {
-        self.checkpoint.lock().as_ref().map_or_else(Bytes::new, CommittedLog::materialize)
+        self.device.lock().as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
     }
 
     /// The server's current health counters, read from the telemetry
@@ -643,6 +652,17 @@ impl EdgeServer {
         &self.telemetry
     }
 
+    /// The serving loop's span tracer. Every wakeup records seven spans
+    /// that tile it in order — `server.decode`, `server.serve_batch`,
+    /// `server.commit`, `server.drain`, `server.emit`, `server.encode`,
+    /// `server.reply` — on a logical clock that advances one tick per
+    /// decoded request, never wall time. A retried batch records one
+    /// `server.serve_batch` span over all its attempts. The ring keeps
+    /// the latest spans only, and is empty with the `trace` feature off.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
     /// Waits for the serving loop to finish (after a shutdown request or
     /// once every handle is dropped) and returns the edge device with its
     /// final state for inspection.
@@ -655,7 +675,9 @@ impl EdgeServer {
     pub fn join(self) -> Result<EdgeDevice, SystemError> {
         let restarts = self.metrics.restarts.value() as u32;
         match self.thread.join() {
-            Ok(outcome) => outcome,
+            // A loop that ended cleanly left its device in the cell.
+            Ok(Ok(())) => self.device.lock().take().ok_or(SystemError::WorkerFailed { restarts }),
+            Ok(Err(e)) => Err(e),
             // The supervisor itself never panics by design; if it somehow
             // does, surface a structured error instead of re-panicking.
             Err(_) => Err(SystemError::WorkerFailed { restarts }),
@@ -670,9 +692,10 @@ enum Verdict {
     /// original's index, so both clients receive the one response.
     Serve(usize),
     /// A duplicate of an already-committed sequenced request: reply with
-    /// the cached response frame, byte-for-byte what the original got,
-    /// without re-applying anything.
-    Replay(Bytes),
+    /// the cached response, re-encoded — byte-for-byte the frame the
+    /// original got, since encoding is deterministic — without
+    /// re-applying anything.
+    Replay(EdgeResponse),
     /// A sequenced request older than the dedup window: the cached
     /// response is gone and re-serving would double-apply, so reject it
     /// explicitly with [`ErrorCode::StaleSequence`].
@@ -686,11 +709,34 @@ enum Verdict {
 
 /// Per-user exactly-once state: the next expected sequence number (one
 /// past the highest committed) and the window of recently committed
-/// `(seq, response frame)` pairs available for duplicate replay.
-#[derive(Debug, Default)]
+/// `(seq, response)` pairs available for duplicate replay. The window is
+/// allocated once at the dedup depth, and a commit makes room before it
+/// adds, so the window never reallocates.
+#[derive(Debug)]
 struct LaneState {
     next_seq: u32,
-    window: VecDeque<(u32, Bytes)>,
+    window: VecDeque<(u32, EdgeResponse)>,
+}
+
+impl LaneState {
+    fn new(dedup_window: usize) -> Self {
+        LaneState { next_seq: 0, window: VecDeque::with_capacity(dedup_window) }
+    }
+
+    /// The committed response to `seq`, while it is still in the window.
+    fn cached(&self, seq: u32) -> Option<EdgeResponse> {
+        self.window.iter().find(|(s, _)| *s == seq).map(|&(_, response)| response)
+    }
+
+    /// Records `response` as the committed reply to `seq`, evicting the
+    /// oldest entry first once the window holds `dedup_window`.
+    fn commit(&mut self, seq: u32, response: EdgeResponse, dedup_window: usize) {
+        if self.window.len() >= dedup_window {
+            self.window.pop_front();
+        }
+        self.window.push_back((seq, response));
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+    }
 }
 
 /// Books one malformed frame against its sender: a strike with an
@@ -716,40 +762,37 @@ fn book_malformed(
     }
 }
 
+/// The serving loop of an [`EdgeServer`], sharing its metrics, its span
+/// tracer and the cell its device lives in.
 fn serve(
     config: SystemConfig,
     seed: u64,
     rx: Receiver<Envelope>,
     mut options: ServerOptions,
     metrics: Arc<ServerMetrics>,
-    checkpoint_cell: Arc<Mutex<Option<CommittedLog>>>,
-) -> Result<EdgeDevice, SystemError> {
-    let mut edge = EdgeDevice::new(config, seed);
-    // Taken, not borrowed: the image is read once and freed here instead
-    // of living as long as the worker.
-    if let Some(snapshot) = options.restore_from.take() {
-        // Resume from the committed checkpoint of a failed predecessor.
-        // An unreadable snapshot fails the spawn outright — serving from
-        // empty state here would silently re-draw released candidates.
-        restore_checkpoint(&snapshot, config, &mut edge)?;
-    }
+    tracer: Tracer,
+    device: Arc<Mutex<Option<EdgeDevice>>>,
+) -> Result<(), SystemError> {
+    // Resume from the committed checkpoint of a failed predecessor. An
+    // unreadable snapshot fails the spawn outright — serving from empty
+    // state here would silently re-draw released candidates. Taken, not
+    // borrowed: the image is read once and freed here instead of living
+    // as long as the worker.
+    let edge = match options.restore_from.take() {
+        Some(snapshot) => EdgeDevice::restore_from_checkpoint(config, &snapshot)?,
+        None => EdgeDevice::new(config, seed),
+    };
+    // The device lives in the shared cell from here on. Between wakeups it
+    // holds the committed state — the recovery checkpoint: replies go out
+    // only after a batch commits, and a batch that dies is undone in place
+    // from the pre-batch state of the users it touched, so nothing a
+    // client has observed is ever rolled back. No byte image is kept; one
+    // is streamed only when someone reads it
+    // (`EdgeServer::last_checkpoint`).
+    *device.lock() = Some(edge);
     // The device's counters and ledger, opened once: every wakeup drains
     // into the same handles with no registration by name.
     let device_counters = DeviceCounters::open(&options.telemetry);
-    // Logical-clock tracer for the per-wakeup pipeline stages. The clock
-    // advances one tick per decoded request — never wall time — so span
-    // boundaries are reproducible. With the `trace` feature off this is a
-    // zero-sized no-op.
-    let tracer = Tracer::default();
-    // The committed recovery checkpoint: the state behind the versioned,
-    // checksummed byte log described in `crate::recovery`, maintained
-    // incrementally — every delivered batch re-captures only the users it
-    // touched (O(batch) per commit, not O(device)) and the byte image is
-    // materialized only on the read paths (rollback after a caught panic,
-    // shard respawn, `EdgeServer::last_checkpoint`). Replies go out only
-    // after the commit, so restoring it can never roll back state a
-    // client has already observed.
-    *checkpoint_cell.lock() = Some(CommittedLog::rebuild(&edge));
     let mut backoff_rng = seeded(derive_seed(seed, SUPERVISOR_STREAM));
     let mut fault_plan = options.fault_plan.clone();
     let malformed_limit = options.malformed_limit.max(1);
@@ -763,9 +806,10 @@ fn serve(
     let mut strikes: BTreeMap<u64, u32> = BTreeMap::new();
     let mut banned: BTreeSet<u64> = BTreeSet::new();
     // Exactly-once state: one lane per user carrying its sequence
-    // horizon and replay window. Committed response frames are inserted
-    // at commit time only, so a batch the supervisor rolls back leaves
-    // no trace here and its retry is a first application.
+    // horizon and replay window, created at a lane's first commit.
+    // Committed responses are inserted at commit time only, so a batch
+    // the supervisor rolls back leaves no trace here and its retry is a
+    // first application.
     let mut lanes: BTreeMap<u32, LaneState> = BTreeMap::new();
     // Per-batch scratch: first index of each fresh (lane, seq) in the
     // batch, and the (lane, seq, response index) triples to cache at
@@ -780,11 +824,20 @@ fn serve(
     let mut verdicts: Vec<Verdict> = Vec::new();
     let mut requests: Vec<ClientRequest> = Vec::new();
     let mut touched: Vec<UserId> = Vec::new();
+    let mut undo: BatchUndo = Vec::new();
     let mut responses: Vec<EdgeResponse> = Vec::new();
     let mut frame_buf: Vec<u8> = Vec::new();
     let mut offsets: Vec<std::ops::Range<usize>> = Vec::new();
 
     'accept: while let Ok(first) = rx.recv() {
+        // Locked for the whole wakeup and released before the next
+        // blocking receive, so whoever else locks the cell finds the
+        // device committed.
+        let mut cell = device.lock();
+        let Some(edge) = cell.as_mut() else {
+            // Only `EdgeServer::join` empties the cell, after this loop.
+            break;
+        };
         batch.clear();
         batch.push(first);
         while let Ok(next) = rx.try_recv() {
@@ -828,15 +881,13 @@ fn serve(
                     }
                 };
                 if let Some(header) = sequenced {
-                    let lane = lanes.entry(header.lane).or_default();
-                    if let Some((_, cached)) =
-                        lane.window.iter().find(|(seq, _)| *seq == header.seq)
-                    {
-                        // Committed duplicate: replay the exact response
-                        // frame the original received.
+                    let lane = lanes.get(&header.lane);
+                    if let Some(cached) = lane.and_then(|lane| lane.cached(header.seq)) {
+                        // Committed duplicate: replay the response the
+                        // original received.
                         strikes.remove(&envelope.client);
                         metrics.duplicates_suppressed.inc();
-                        verdicts.push(Verdict::Replay(cached.clone()));
+                        verdicts.push(Verdict::Replay(cached));
                         continue;
                     }
                     if let Some(&index) = batch_seen.get(&(header.lane, header.seq)) {
@@ -847,7 +898,7 @@ fn serve(
                         verdicts.push(Verdict::Serve(index));
                         continue;
                     }
-                    if header.seq < lane.next_seq {
+                    if header.seq < lane.map_or(0, |lane| lane.next_seq) {
                         // Older than the replay window: re-serving would
                         // double-apply, so reject explicitly instead.
                         strikes.remove(&envelope.client);
@@ -881,139 +932,121 @@ fn serve(
                     }
                 }
             }
+            // The tracer's logical clock: one tick per decoded request,
+            // never wall time.
+            tracer.advance(requests.len() as u64);
         }
 
-        // Serve phase, under the supervisor. A panic rolls the device
-        // back to the committed checkpoint (unwinding leaves `edge` in an
-        // unknown state, which is exactly why it is replaced wholesale —
-        // that is what makes the `AssertUnwindSafe` sound) and retries
-        // the batch once: the restored RNG position makes the retry
+        // Serve phase, under the supervisor. Each attempt first saves the
+        // pre-batch state of the users the batch touches; a panic rolls
+        // back only those (`serve_attempt`), and the retry runs on exactly
+        // the committed state: the restored RNG positions make it
         // bit-for-bit identical, and injected fault points have already
         // been consumed. A second panic on the same batch fails its
         // replies explicitly and drops the batch.
-        let mut attempt = 0;
-        loop {
-            responses.clear();
-            let outcome = {
-                let _span = tracer.span("server.serve_batch");
-                catch_unwind(AssertUnwindSafe(|| {
-                    serve_requests(&mut edge, &requests, &mut responses, &mut fault_plan, served)
-                }))
-            };
-            if outcome.is_ok() {
-                break;
-            }
-            restarts += 1;
-            metrics.restarts.inc();
-            // Materialize the committed image only here, on the rollback
-            // path — the hot loop never pays for the full encode.
-            let restored = restarts <= options.max_restarts
-                && checkpoint_cell
-                    .lock()
-                    .as_ref()
-                    .map(CommittedLog::materialize)
-                    .is_some_and(|log| restore_checkpoint(&log, config, &mut edge).is_ok());
-            if restored {
-                // The restored device is a fresh allocation graph, so the
-                // committed log is rebuilt wholesale: pool pointer
-                // identities must track the live `Arc`s.
-                *checkpoint_cell.lock() = Some(CommittedLog::rebuild(&edge));
-            }
-            if !restored {
-                // Past the restart budget (or the checkpoint itself is
-                // unreadable): fail every pending reply explicitly and
-                // surface a structured error — never a hang, never an
-                // escaped panic. The device is in an unknown post-panic
-                // state, so its undrained telemetry dies with it — only
-                // committed batches ever reach the ledger.
-                fail_replies(batch.drain(..), restarts, &metrics);
-                while let Ok(envelope) = rx.try_recv() {
-                    metrics.queue_depth.sub(1);
-                    fail_replies(std::iter::once(envelope), restarts, &metrics);
+        touched_users(&requests, &mut touched);
+        {
+            let _span = tracer.span("server.serve_batch");
+            let mut attempt = 0;
+            while !serve_attempt(
+                edge,
+                &requests,
+                &touched,
+                &mut undo,
+                &mut responses,
+                &mut fault_plan,
+                served,
+            ) {
+                restarts += 1;
+                metrics.restarts.inc();
+                if restarts > options.max_restarts {
+                    // Past the restart budget: fail every pending reply
+                    // explicitly and surface a structured error — never a
+                    // hang, never an escaped panic. The rollback already
+                    // returned the device to its committed state, which
+                    // the cell keeps for `last_checkpoint`; its undrained
+                    // telemetry dies with the worker — only committed
+                    // batches ever reach the ledger.
+                    fail_replies(batch.drain(..), restarts, &metrics);
+                    while let Ok(envelope) = rx.try_recv() {
+                        metrics.queue_depth.sub(1);
+                        fail_replies(std::iter::once(envelope), restarts, &metrics);
+                    }
+                    return Err(SystemError::WorkerFailed { restarts });
                 }
-                return Err(SystemError::WorkerFailed { restarts });
-            }
-            backoff(&mut backoff_rng, restarts, &options);
-            attempt += 1;
-            if attempt >= 2 {
-                // The batch poisoned the worker twice: reply with an
-                // explicit failure and move on with the restored device.
-                fail_replies(batch.drain(..), restarts, &metrics);
-                continue 'accept;
+                backoff(&mut backoff_rng, restarts, &options);
+                attempt += 1;
+                if attempt >= 2 {
+                    // The batch poisoned the worker twice: reply with an
+                    // explicit failure and move on with the rolled-back
+                    // device.
+                    fail_replies(batch.drain(..), restarts, &metrics);
+                    continue 'accept;
+                }
             }
         }
         served += requests.len() as u64;
         metrics.requests.add(requests.len() as u64);
-        tracer.advance(requests.len() as u64);
 
-        // Commit phase: checkpoint first, deliver second. A crash between
-        // the two replays the batch from the *old* checkpoint without
-        // having exposed anything, so clients never observe rolled-back
-        // state. The committed log is updated incrementally: only the
-        // users this batch touched are re-captured, so the commit costs
-        // O(batch) — the full encode happens only if someone actually
-        // restores or reads it.
-        touched.clear();
-        touched.extend(requests.iter().filter_map(ClientRequest::user));
-        touched.sort_unstable();
-        touched.dedup();
+        // Commit phase: the batch stands, so its undo is dropped, and the
+        // dedup windows learn its responses — before any reply leaves and
+        // before the cell is unlocked, so neither a client nor a reader of
+        // the cell can observe state a rollback would undo, and a
+        // duplicate racing in behind its original can only ever observe
+        // the committed response. O(batch) in time and memory.
         {
-            let mut cell = checkpoint_cell.lock();
-            let committed = cell.get_or_insert_with(|| CommittedLog::rebuild(&edge));
-            for &user in &touched {
-                if let Some(state) = edge.user_state(user) {
-                    committed.capture_user(user, state);
-                }
+            let _span = tracer.span("server.commit");
+            undo.clear();
+            for &(lane_id, seq, index) in &pending_cache {
+                lanes
+                    .entry(lane_id)
+                    .or_insert_with(|| LaneState::new(dedup_window))
+                    .commit(seq, responses[index], dedup_window);
             }
-            metrics.checkpoint_bytes.observe(committed.encoded_len() as u64);
+            metrics.checkpoints.inc();
         }
-        metrics.checkpoints.inc();
         // Telemetry drains strictly after the commit: a crash wipes any
         // undelivered ledger events together with the device state they
         // described, keeping budget-spend delivery exactly-once.
-        edge.drain_into(&device_counters);
+        {
+            let _span = tracer.span("server.drain");
+            edge.drain_into(&device_counters);
+        }
         // Bid emission shares the same post-commit slot and therefore the
         // same exactly-once guarantee: `requests`/`responses` are parallel
         // and hold only the non-duplicate requests this batch *applied*
         // (replays and same-batch duplicates never enter them; a killed
         // batch rolls back before reaching here).
-        if let Some(sink) = options.bid_sink.as_ref() {
-            crate::replay::emit_bids(sink, &requests, &responses);
+        {
+            let _span = tracer.span("server.emit");
+            if let Some(sink) = options.bid_sink.as_ref() {
+                crate::replay::emit_bids(sink, &requests, &responses);
+            }
         }
 
         // One encode block per wakeup: every response frame lands in
         // `frame_buf`, is frozen into a single shared allocation, and each
-        // client gets a zero-copy slice — no per-response allocation.
+        // client gets a zero-copy slice — no per-response allocation. The
+        // block lives until the last client drops its reply.
         frame_buf.clear();
         offsets.clear();
-        {
+        let block = {
             let _span = tracer.span("server.encode");
             for response in &responses {
                 let start = frame_buf.len();
                 response.encode_into(&mut frame_buf);
                 offsets.push(start..frame_buf.len());
             }
-        }
-        let block = Bytes::copy_from_slice(&frame_buf);
-        // Dedup-window commit, strictly before any reply leaves: the
-        // cached frames are the exact bytes the clients are about to
-        // receive, so a duplicate racing in behind its original can only
-        // ever observe the committed response.
-        for &(lane_id, seq, index) in &pending_cache {
-            let lane = lanes.entry(lane_id).or_default();
-            lane.window.push_back((seq, block.slice(offsets[index].clone())));
-            while lane.window.len() > dedup_window {
-                lane.window.pop_front();
-            }
-            lane.next_seq = lane.next_seq.max(seq.saturating_add(1));
-        }
+            Bytes::copy_from_slice(&frame_buf)
+        };
+        let _span = tracer.span("server.reply");
         for (envelope, verdict) in batch.iter().zip(verdicts.iter()) {
             match verdict {
                 Verdict::Serve(i) => {
                     let _ = envelope.reply.send(block.slice(offsets[*i].clone()));
                 }
-                Verdict::Replay(frame) => {
-                    let _ = envelope.reply.send(frame.clone());
+                Verdict::Replay(response) => {
+                    let _ = envelope.reply.send(response.encode());
                 }
                 Verdict::RejectStale(seq) => {
                     let _ = envelope.reply.send(
@@ -1045,17 +1078,60 @@ fn serve(
         // for the next wakeup.
         batch.clear();
     }
-    // Final drain: a restore whose batch was then abandoned (the poisoned
+    // Final drain: a rollback whose batch was then abandoned (the poisoned
     // twice-crashing case) leaves its restore events pending with no later
     // commit to carry them.
-    edge.drain_into(&device_counters);
-    Ok(edge)
+    if let Some(edge) = device.lock().as_mut() {
+        edge.drain_into(&device_counters);
+    }
+    Ok(())
+}
+
+/// Lists in `touched` the users `requests` name, sorted and distinct: the
+/// users a batch can change, so the only ones its undo saves.
+fn touched_users(requests: &[ClientRequest], touched: &mut Vec<UserId>) {
+    touched.clear();
+    touched.extend(requests.iter().filter_map(ClientRequest::user));
+    touched.sort_unstable();
+    touched.dedup();
+}
+
+/// One supervised attempt at a decoded batch: saves the pre-batch state
+/// of every user in `touched` (the users `requests` name, sorted and
+/// distinct), serves the batch, and rolls the device back to that state
+/// if it panics. Returns whether the batch was served.
+fn serve_attempt(
+    edge: &mut EdgeDevice,
+    requests: &[ClientRequest],
+    touched: &[UserId],
+    undo: &mut BatchUndo,
+    responses: &mut Vec<EdgeResponse>,
+    fault_plan: &mut FaultPlan,
+    served_before: u64,
+) -> bool {
+    responses.clear();
+    edge.save_undo(touched, undo);
+    // `AssertUnwindSafe` is sound because the rollback repairs whatever
+    // the unwind leaves torn. Serving a batch changes three things: the
+    // slots of the users it names, the user map's key set (a first contact
+    // adds a slot), and the device's stats, pending spends and scratch
+    // arena. `roll_back` puts every saved slot back, removes every first
+    // contact, and restarts the stats, pending spends and arena as a
+    // restore does. `responses` is cleared before its next use, and
+    // `fault_plan` gives up a kill point before the panic it causes.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        serve_requests(edge, requests, responses, fault_plan, served_before)
+    }));
+    if outcome.is_err() {
+        edge.roll_back(undo);
+    }
+    outcome.is_ok()
 }
 
 /// Serves one decoded batch, injecting any scheduled crash: requests
 /// before the kill point are served (mutating device state — the
-/// realistic partial-failure shape the checkpoint restore must undo),
-/// then the worker dies.
+/// realistic partial-failure shape the rollback must undo), then the
+/// worker dies.
 fn serve_requests(
     edge: &mut EdgeDevice,
     requests: &[ClientRequest],
@@ -1068,20 +1144,10 @@ fn serve_requests(
         Some(kill_at) => {
             let prefix = (kill_at - served_before) as usize;
             edge.serve_batch(&requests[..prefix], responses);
-            // lint:allow(panic-hygiene): the injected fault IS a panic — the supervisor's catch_unwind/restore path is what it exercises
+            // lint:allow(panic-hygiene): the injected fault IS a panic — the supervisor's catch_unwind/rollback path is what it exercises
             panic!("injected fault: worker killed before request {kill_at}");
         }
     }
-}
-
-/// Decodes the committed checkpoint and swaps the restored device in.
-fn restore_checkpoint(
-    log: &Bytes,
-    config: SystemConfig,
-    edge: &mut EdgeDevice,
-) -> Result<(), crate::recovery::RecoveryError> {
-    *edge = EdgeDevice::restore_from_checkpoint(config, log)?;
-    Ok(())
 }
 
 /// Fails pending replies with an explicit error frame instead of leaving
@@ -1117,6 +1183,7 @@ fn backoff(rng: &mut StdRng, restarts: u32, options: &ServerOptions) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeviceStats;
 
     fn spawn() -> (EdgeServer, EdgeHandle) {
         EdgeServer::spawn(SystemConfig::builder().build().unwrap(), 11)
@@ -1383,15 +1450,10 @@ mod tests {
             replies.push(reply_rx);
         }
         drop(tx);
-        let edge = serve(
-            config,
-            7,
-            rx,
-            options,
-            Arc::clone(&metrics),
-            Arc::new(Mutex::new(None)),
-        )
-        .unwrap();
+        let device = Arc::new(Mutex::new(None));
+        serve(config, 7, rx, options, Arc::clone(&metrics), Tracer::default(), Arc::clone(&device))
+            .unwrap();
+        let edge = device.lock().take().unwrap();
         for reply_rx in replies {
             let frame = reply_rx.recv().unwrap();
             assert_eq!(
@@ -1399,7 +1461,7 @@ mod tests {
                 EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: 2 }
             );
         }
-        // The batch was dropped after the restore: no check-in survived.
+        // The batch was dropped after the rollback: no check-in survived.
         assert_eq!(edge.user_count(), 0);
         assert_eq!(metrics.restarts.value(), 2);
         assert_eq!(metrics.failed_replies.value(), 4);
@@ -1683,5 +1745,296 @@ mod tests {
         assert_eq!(policy.spins(0), 8);
         assert_eq!(policy.spins(1), 16);
         assert_eq!(policy.spins(30), 100);
+    }
+
+    /// A device with committed state to roll back to: user 1 settled at
+    /// home with a released set and a served draw, user 2 with an open
+    /// window dense enough to close onto a fresh top. Telemetry drained,
+    /// as after a commit.
+    fn committed_device() -> EdgeDevice {
+        let mut edge = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 11);
+        for _ in 0..40 {
+            edge.report_checkin(UserId::new(1), Point::new(100.0, 100.0));
+        }
+        edge.finalize_window(UserId::new(1));
+        edge.reported_location(UserId::new(1), Point::new(100.0, 100.0));
+        for _ in 0..40 {
+            edge.report_checkin(UserId::new(2), Point::new(-3_000.0, 500.0));
+        }
+        edge.drain_telemetry(&Telemetry::new());
+        edge
+    }
+
+    /// Batches the supervisor must be able to undo, each killed before its
+    /// fourth request: one that first-contacts a user (3), one that closes
+    /// a window drawing a fresh set and draws from it, and one that touches
+    /// one user three times.
+    fn killed_batches() -> [(&'static str, Vec<ClientRequest>); 3] {
+        let (home_1, home_2) = (Point::new(100.0, 100.0), Point::new(-3_000.0, 500.0));
+        let stranger = Point::new(9_000.0, 9_000.0);
+        let (one, two, three) = (UserId::new(1), UserId::new(2), UserId::new(3));
+        [
+            (
+                "first contact",
+                vec![
+                    ClientRequest::CheckIn { user: one, location: home_1, timestamp: 0 },
+                    ClientRequest::CheckIn { user: three, location: stranger, timestamp: 1 },
+                    ClientRequest::RequestLocation { user: three, location: stranger },
+                    ClientRequest::RequestLocation { user: one, location: home_1 },
+                ],
+            ),
+            (
+                "window close with a fresh set",
+                vec![
+                    ClientRequest::CheckIn { user: two, location: home_2, timestamp: 0 },
+                    ClientRequest::FinalizeWindow { user: two },
+                    ClientRequest::RequestLocation { user: two, location: home_2 },
+                    ClientRequest::CheckIn { user: two, location: home_2, timestamp: 1 },
+                ],
+            ),
+            (
+                "one user touched thrice",
+                vec![
+                    ClientRequest::RequestLocation { user: one, location: home_1 },
+                    ClientRequest::CheckIn { user: one, location: stranger, timestamp: 0 },
+                    ClientRequest::RequestLocation { user: one, location: stranger },
+                    ClientRequest::FinalizeWindow { user: one },
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_killed_batch_rolls_back_to_the_committed_device() {
+        for (case, batch) in killed_batches() {
+            let mut edge = committed_device();
+            let before = edge.checkpoint();
+            let mut touched = Vec::new();
+            touched_users(&batch, &mut touched);
+            let mut undo = BatchUndo::new();
+            let mut responses = Vec::new();
+            let mut plan = FaultPlan::kill_at([3]);
+            let served =
+                serve_attempt(&mut edge, &batch, &touched, &mut undo, &mut responses, &mut plan, 0);
+            assert!(!served, "{case}: the kill fires");
+            // The device is back at its pre-batch bytes, and it reads as
+            // freshly restored: one restore and one `Restore` spend per
+            // committed user, nothing the killed prefix did.
+            assert_eq!(edge.checkpoint(), before, "{case}");
+            assert_eq!(edge.user_count(), 2, "{case}");
+            let restored = DeviceStats { restores: 2, ..DeviceStats::default() };
+            assert_eq!(edge.stats(), restored, "{case}");
+            assert_eq!(edge.pending_spends(), 2, "{case}");
+            let telemetry = Telemetry::new();
+            edge.drain_telemetry(&telemetry);
+            let totals = telemetry.ledger().totals();
+            assert_eq!((totals.events, totals.restores), (2, 2), "{case}");
+            let restores: Vec<(u64, u64)> = telemetry
+                .ledger()
+                .user_totals()
+                .into_iter()
+                .map(|(user, totals)| (user, totals.restores))
+                .collect();
+            assert_eq!(restores, vec![(1, 1), (2, 1)], "{case}");
+
+            // The retry answers exactly as a run the kill never touched,
+            // and leaves the same device behind.
+            let served =
+                serve_attempt(&mut edge, &batch, &touched, &mut undo, &mut responses, &mut plan, 0);
+            assert!(served, "{case}: the retry is served");
+            let mut clean = committed_device();
+            let mut expected = Vec::new();
+            clean.serve_batch(&batch, &mut expected);
+            assert_eq!(responses, expected, "{case}");
+            assert_eq!(edge.checkpoint(), clean.checkpoint(), "{case}");
+        }
+        // The close case really drew a fresh set before the kill.
+        let mut clean = committed_device();
+        let mut responses = Vec::new();
+        clean.serve_batch(&killed_batches()[1].1, &mut responses);
+        assert_eq!(responses[1], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
+    }
+
+    /// Runs a serving loop over `requests` queued as one batch before the
+    /// loop starts, so all of them are served in a single wakeup, and
+    /// returns the server with one reply receiver per request.
+    fn spawn_one_batch(
+        options: ServerOptions,
+        requests: &[ClientRequest],
+    ) -> (EdgeServer, Vec<Receiver<Bytes>>) {
+        let (tx, rx) = sync_channel::<Envelope>(requests.len().max(1));
+        let telemetry = options.telemetry.clone();
+        let metrics = Arc::new(ServerMetrics::new(&telemetry));
+        let replies = requests
+            .iter()
+            .map(|request| {
+                let (reply_tx, reply_rx) = sync_channel(1);
+                metrics.queue_depth.add(1);
+                let envelope = Envelope { client: 0, frame: request.encode_vec(), reply: reply_tx };
+                tx.send(envelope).unwrap();
+                reply_rx
+            })
+            .collect();
+        drop(tx);
+        let tracer = Tracer::default();
+        let device = Arc::new(Mutex::new(None));
+        let config = SystemConfig::builder().build().unwrap();
+        let thread = std::thread::spawn({
+            let (metrics, tracer, device) =
+                (Arc::clone(&metrics), tracer.clone(), Arc::clone(&device));
+            move || serve(config, 11, rx, options, metrics, tracer, device)
+        });
+        (EdgeServer { thread, metrics, telemetry, tracer, device }, replies)
+    }
+
+    #[test]
+    fn past_the_budget_the_server_keeps_its_committed_device() {
+        let committed = committed_device().checkpoint();
+        for (case, batch) in killed_batches() {
+            let (server, replies) = spawn_one_batch(
+                ServerOptions {
+                    fault_plan: FaultPlan::kill_at([3]),
+                    max_restarts: 0,
+                    restore_from: Some(committed.clone()),
+                    ..ServerOptions::default()
+                },
+                &batch,
+            );
+            for reply in replies {
+                let frame = reply.recv().unwrap();
+                assert_eq!(
+                    EdgeResponse::decode(&frame).unwrap(),
+                    EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: 1 },
+                    "{case}"
+                );
+            }
+            // The worker rolled the batch back before it gave up: what it
+            // leaves is the committed device, byte for byte.
+            let last = server.last_checkpoint();
+            assert_eq!(last, committed, "{case}");
+            assert_eq!(server.join().unwrap_err(), SystemError::WorkerFailed { restarts: 1 });
+
+            // A server restored from it continues every stream bit for
+            // bit: the batch, then one more draw per user.
+            let follow_up: Vec<ClientRequest> = batch
+                .iter()
+                .filter_map(ClientRequest::user)
+                .map(|user| ClientRequest::RequestLocation { user, location: Point::ORIGIN })
+                .collect();
+            let (server, handle) =
+                spawn_with(ServerOptions { restore_from: Some(last), ..ServerOptions::default() });
+            let responses: Vec<EdgeResponse> = batch
+                .iter()
+                .chain(&follow_up)
+                .map(|&request| handle.call(request).unwrap())
+                .collect();
+            handle.shutdown().unwrap();
+            let resumed = server.join().unwrap();
+            let mut continuous = committed_device();
+            let mut expected = Vec::new();
+            continuous.serve_batch(&batch, &mut expected);
+            continuous.serve_batch(&follow_up, &mut expected);
+            assert_eq!(responses, expected, "{case}");
+            assert_eq!(resumed.checkpoint(), continuous.checkpoint(), "{case}");
+        }
+    }
+
+    /// Sends `frame` as this handle's client and returns the reply frame
+    /// as the server sent it.
+    fn call_frame(handle: &EdgeHandle, frame: Vec<u8>) -> Bytes {
+        let (reply_tx, reply_rx) = sync_channel(1);
+        handle.metrics.queue_depth.add(1);
+        handle.tx.send(Envelope { client: handle.client, frame, reply: reply_tx }).unwrap();
+        reply_rx.recv().unwrap()
+    }
+
+    #[test]
+    fn replayed_duplicates_are_the_original_frames_byte_for_byte() {
+        use crate::protocol::encode_sequenced;
+        let (server, handle) = spawn();
+        let user = UserId::new(5);
+        let home = Point::new(25.0, 75.0);
+        let checkin = |seq: u32| {
+            encode_sequenced(
+                5,
+                seq,
+                &ClientRequest::CheckIn { user, location: home, timestamp: i64::from(seq) },
+            )
+        };
+        for seq in 0..29 {
+            call_frame(&handle, checkin(seq));
+        }
+        let frames = [
+            checkin(29),
+            encode_sequenced(5, 30, &ClientRequest::FinalizeWindow { user }),
+            encode_sequenced(5, 31, &ClientRequest::RequestLocation { user, location: home }),
+        ];
+        let originals: Vec<Bytes> = frames.iter().map(|f| call_frame(&handle, f.clone())).collect();
+        let decoded: Vec<EdgeResponse> =
+            originals.iter().map(|f| EdgeResponse::decode(f).unwrap()).collect();
+        assert_eq!(decoded[0], EdgeResponse::Ack);
+        assert_eq!(decoded[1], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
+        assert!(matches!(decoded[2], EdgeResponse::ReportedLocation { .. }));
+        // Each duplicate is answered from the window with the very bytes
+        // its original got, however many times it comes back.
+        for _ in 0..2 {
+            for (frame, original) in frames.iter().zip(&originals) {
+                assert_eq!(&call_frame(&handle, frame.clone()), original);
+            }
+        }
+        assert_eq!(server.health().duplicates_suppressed, 6);
+        handle.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_lane_window_never_outgrows_its_first_allocation() {
+        let dedup_window = ServerOptions::default().dedup_window;
+        let mut lane = LaneState::new(dedup_window);
+        let capacity = lane.window.capacity();
+        assert!(capacity >= dedup_window);
+        let response = |seq: u32| EdgeResponse::WindowClosed { fresh_obfuscations: seq };
+        for seq in 0..3 * dedup_window as u32 {
+            lane.commit(seq, response(seq), dedup_window);
+            assert_eq!(lane.window.capacity(), capacity, "commit {seq} reallocated the window");
+        }
+        // It holds the last `dedup_window` commits, oldest first.
+        assert_eq!(lane.window.len(), dedup_window);
+        let last = 3 * dedup_window as u32 - 1;
+        let oldest = last + 1 - dedup_window as u32;
+        assert_eq!(lane.next_seq, last + 1);
+        assert_eq!(lane.cached(last), Some(response(last)));
+        assert_eq!(lane.cached(oldest), Some(response(oldest)));
+        assert_eq!(lane.cached(oldest - 1), None);
+    }
+
+    #[test]
+    #[cfg(feature = "trace")]
+    fn seven_spans_tile_every_wakeup() {
+        const STAGES: [&str; 7] = [
+            "server.decode",
+            "server.serve_batch",
+            "server.commit",
+            "server.drain",
+            "server.emit",
+            "server.encode",
+            "server.reply",
+        ];
+        let (server, handle) = spawn();
+        handle.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
+        handle.shutdown().unwrap();
+        let tracer = server.tracer().clone();
+        server.join().unwrap();
+        let records = tracer.records();
+        // Two wakeups — the check-in, then the shutdown — each recorded
+        // as the seven stages in order.
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+        assert_eq!(names, [STAGES, STAGES].concat());
+        // The first covers the logical-clock interval of its one request,
+        // each stage starting where the one before it ended; the shutdown
+        // serves nothing, so its stages all sit at the clock it found.
+        let intervals: Vec<(u64, u64)> = records.iter().map(|r| (r.seq_start, r.seq_end)).collect();
+        assert_eq!(intervals[0], (0, 1));
+        assert!(intervals[1..].iter().all(|&interval| interval == (1, 1)), "{intervals:?}");
     }
 }

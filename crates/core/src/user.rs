@@ -101,8 +101,27 @@ impl<S> UserMap<S> {
         if raw < DENSE_INDEX_CAP && self.index.len() <= raw {
             self.index.resize(raw + 1, 0);
         }
-        // The insert shifted every later slot by one; re-point the dense
-        // index for the tail (inserts happen once per user).
+        // The insert shifted every later slot by one (inserts happen once
+        // per user).
+        self.repoint_from(i);
+    }
+
+    /// Removes the user's slot, if any — how a rolled-back batch forgets
+    /// a first contact.
+    pub(crate) fn remove(&mut self, user: UserId) -> Option<S> {
+        let i = self.position(user).ok()?;
+        self.keys.remove(i);
+        let slot = self.slots.remove(i);
+        if let Some(entry) = self.index.get_mut(user.raw() as usize) {
+            *entry = 0;
+        }
+        // The removal shifted every later slot back by one.
+        self.repoint_from(i);
+        Some(slot)
+    }
+
+    /// Re-points the dense index at every slot from position `i` on.
+    fn repoint_from(&mut self, i: usize) {
         for (pos, key) in self.keys.iter().enumerate().skip(i) {
             let r = key.raw() as usize;
             if r < self.index.len() {
@@ -162,6 +181,22 @@ mod usermap_tests {
         assert_eq!(map.get(UserId::new(2)), Some(&20));
         assert_eq!(map.keys().nth(1), Some(UserId::new(2)));
         assert_eq!(map.len(), 7);
+        // `remove` drops a dense and a sparse id; every other lookup still
+        // lands on its own slot, and a re-insert goes back in order.
+        assert_eq!(map.remove(UserId::new(2)), Some(20));
+        assert_eq!(map.remove(UserId::new(1 << 21)), Some(0));
+        assert_eq!(map.remove(UserId::new(2)), None);
+        assert_eq!(map.remove(UserId::new(4)), None);
+        assert_eq!(map.len(), 5);
+        for (raw, value) in [(0u32, 0u64), (3, 0), (5, 50), (7, 0), (u32::MAX, 0)] {
+            assert_eq!(map.get(UserId::new(raw)), Some(&value), "raw {raw}");
+        }
+        assert_eq!(map.get(UserId::new(2)), None);
+        assert_eq!(map.get(UserId::new(1 << 21)), None);
+        map.insert(UserId::new(2), 21);
+        let keys: Vec<u32> = map.keys().map(|u| u.raw()).collect();
+        assert_eq!(keys, vec![0, 2, 3, 5, 7, u32::MAX]);
+        assert_eq!(map.get(UserId::new(5)), Some(&50));
     }
 }
 

@@ -96,21 +96,14 @@ const SANITIZERS: &[FnPat] = &[
     // already-released candidate sets — the sanitized side of the boundary.
     pat(Some("core"), Some("UserState"), "warm_selection"),
     pat(Some("core"), Some("UserState"), "warm_selection_prepared"),
-    // The checkpoint commit is a trusted-store boundary, not a wire egress:
-    // the bytes it returns hold true window state by design (restores must
-    // be bit-identical), go only into the supervisor's in-memory log, and
-    // their sole consumers are the restore paths (DESIGN.md §12). The one
-    // place live true state reaches the frame writer behind it
+    // The checkpoint is a trusted-store boundary, not a wire egress: the
+    // bytes it returns hold true window state by design (restores must be
+    // bit-identical), are streamed on demand from the committed device, and
+    // their sole consumers are the restore paths (DESIGN.md §12, §17). The
+    // one place live true state reaches the frame writer behind it
     // (`Pools::put_user`) carries its own documented inline allow; callers
-    // holding the opaque log are on the sanitized side.
+    // holding the opaque image are on the sanitized side.
     pat(Some("core"), Some("EdgeDevice"), "checkpoint"),
-    // The incremental committed log is the same trusted-store boundary in
-    // per-user pieces: `capture_user`/`rebuild` re-encode only the users a
-    // committed batch touched, the frames live in the supervisor's in-memory
-    // log, and the only consumers are `materialize()` → the restore paths
-    // (DESIGN.md §12, §17). Same policy, same rationale as `checkpoint`.
-    pat(Some("core"), Some("CommittedLog"), "capture_user"),
-    pat(Some("core"), Some("CommittedLog"), "rebuild"),
 ];
 
 /// Serialization points where data leaves the trusted edge runtime.
@@ -118,9 +111,9 @@ const SINKS: &[FnPat] = &[
     pat(Some("core"), Some("EdgeResponse"), "encode"),
     pat(Some("core"), Some("EdgeResponse"), "encode_into"),
     pat(Some("core"), Some("DeviceSnapshot"), "encode"),
-    // The one v2 user-frame writer behind `DeviceSnapshot::encode`, the
-    // streamed checkpoint and the committed log: it serializes a user's true
-    // window state, so it is a sink in its own right.
+    // The one v2 user-frame writer behind `DeviceSnapshot::encode` and the
+    // streamed checkpoint: it serializes a user's true window state, so it
+    // is a sink in its own right.
     pat(Some("core"), None, "put_user_frame"),
     // The degraded-serving stale cache: entries are replayed verbatim to
     // clients while a shard's breaker is open, so writing a true location

@@ -13,7 +13,7 @@ cargo test -q
 echo "==> fleetbench self-test (reference-replay oracle, exchange-log digest, ledger audit)"
 # The only test that drives all three benchmark workloads through the live
 # fleet and checks them against the in-process reference replay, so it is
-# the one that catches a bid drain-order or commit-image regression.
+# the one that catches a bid drain-order or kill-rollback regression.
 cargo test --release --offline -q --manifest-path fleetbench/Cargo.toml
 
 echo "==> cargo build --no-default-features (trace feature compiles out)"
