@@ -49,7 +49,6 @@ mod clustering;
 mod deobfuscation;
 pub mod evaluation;
 pub mod exchange;
-mod online;
 pub mod patterns;
 mod profiling;
 pub mod semantics;
@@ -57,5 +56,4 @@ pub mod semantics;
 pub use clustering::{connectivity_clusters, connectivity_clusters_with, Cluster, ClusterScratch};
 pub use deobfuscation::{AttackConfig, AttackScratch, DeobfuscationAttack, InferredLocation};
 pub use exchange::ExchangeObservations;
-pub use online::OnlineAttack;
 pub use profiling::{LocationProfile, ProfileEntry};

@@ -19,13 +19,14 @@
 //!    sequence numbers).
 //! 2. **Fault invariance** — a run with seeded worker kills on every shard
 //!    settles the same digest: emission sits in the commit phase, so a
-//!    killed batch never half-emits and a retried batch emits exactly once.
+//!    killed request never emits and its retry emits exactly once.
 //! 3. **Attack outcome** — Algorithm 1 run off the live exchange log, the
 //!    attacker's only feed, lands in the defense regime.
 //! 4. **Codec overhead** — decoding a bid request from its wire frame
-//!    costs < 10 % of one request through the live serving loop (wire
-//!    decode → batched serve → commit-phase checkpoint capture → response
-//!    encode, driven by pipelining clients over the client↔edge protocol),
+//!    costs < 10 % of one request through a live shard (wire decode →
+//!    supervised serve → commit → telemetry drain → response encode, run
+//!    on the calling thread of pipelining clients over the client↔edge
+//!    protocol),
 //!    measured with interleaved samples so the ratio is taken under
 //!    identical scheduling conditions.
 //!
@@ -87,8 +88,8 @@ pub struct AuctionRow {
     pub auctions_per_sec: f64,
     /// Nanoseconds to decode one bid request from its wire frame.
     pub decode_ns_per_req: f64,
-    /// Decode cost as a percentage of one request through the live
-    /// serving loop — the codec acceptance gate holds this under 10 %.
+    /// Decode cost as a percentage of one request through a live shard —
+    /// the codec acceptance gate holds this under 10 %.
     pub serve_overhead_pct: f64,
     /// Total second-price revenue settled, in integer micro-CPM units.
     pub revenue_micros: u64,
@@ -183,7 +184,7 @@ fn ops_of(trace: &UserTrace, window_days: u32) -> u64 {
     schedule(trace, window_days).count() as u64
 }
 
-/// Drives the population through a fleet of `shards` serving loops, every
+/// Drives the population through a fleet of `shards` serving shards, every
 /// shard submitting into one shared [`BidSink`]. With `kills > 0` each
 /// shard's supervisor additionally executes that many seeded worker kills
 /// spread across its operation stream. Returns the drained pending batch
@@ -278,12 +279,13 @@ fn attack_success(
     stats.success_rate(0, threshold_m)
 }
 
-/// The serve-path baseline the codec gate is taken against: the live
-/// supervised serving loop — wire decode, batched serve, commit-phase
-/// checkpoint capture, response encode — driven over the client↔edge
-/// protocol by pipelining clients, the exact path every bid-emitting ad
-/// request rides. Returns the settled loop plus the prebuilt ad-request
-/// targets the timed closure replays.
+/// The serve-path baseline the codec gate is taken against: a live
+/// supervised shard — wire decode, supervised serve with its undo save,
+/// commit, telemetry drain, response encode, all run on the calling
+/// thread — driven over the client↔edge protocol by pipelining clients,
+/// the exact path every bid-emitting ad request rides. Returns the
+/// settled shard plus the prebuilt ad-request targets the timed closure
+/// replays.
 fn serve_baseline(seed: u64) -> (EdgeServer, EdgeHandle, Vec<(UserId, privlocad_geo::Point)>) {
     const USERS: usize = 16;
     const REQUESTS: usize = 4_096;
@@ -354,10 +356,10 @@ pub fn run(config: &Config) -> Outcome {
 
     // Timing. The decode cost and its serve-path baseline are sampled
     // interleaved: their ratio is the acceptance gate. The baseline drives
-    // the live serving loop with two pipelining clients, so each sample
-    // pays the whole per-request path (transport, wire decode, batched
-    // serve, commit-phase checkpoint capture, response encode) — the cost a
-    // bid-request decode would actually be riding on.
+    // a live shard with two pipelining clients, so each sample pays the
+    // whole per-request path (lock hand-over, wire decode, supervised
+    // serve with its undo save, commit, telemetry drain, response encode)
+    // — the cost a bid-request decode would actually be riding on.
     let mut runner = Runner::new();
     {
         let (server, handle, targets) = serve_baseline(derive_seed(config.seed, 0x5e12e));
@@ -397,8 +399,8 @@ pub fn run(config: &Config) -> Outcome {
                 sink
             }),
         );
-        handle.shutdown().expect("baseline loop shuts down");
-        server.join().expect("baseline loop exits cleanly");
+        handle.shutdown().expect("baseline shard shuts down");
+        server.join().expect("baseline shard stops cleanly");
     }
     let auctions = pending.len() as u64;
     runner.bench_throughput("auction/settle", auctions, || {

@@ -112,7 +112,7 @@ fn main() -> ExitCode {
             .join(", "),
     );
     println!(
-        "codec: decode {:.1} ns/req = {:.2}% of one request through the live serving loop \
+        "codec: decode {:.1} ns/req = {:.2}% of one request through a live shard \
          (acceptance ceiling: 10%)",
         out.row.decode_ns_per_req, out.row.serve_overhead_pct
     );

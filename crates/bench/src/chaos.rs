@@ -3,7 +3,7 @@
 //! checked bit-for-bit against a fault-free run.
 //!
 //! Four fault families, each run at every shard count (1 and `threads`
-//! serving loops, users partitioned round-robin across them):
+//! shards, users partitioned round-robin across them):
 //!
 //! 1. `chaos/corruption/{T}` — seeded malformed frames (truncations, tag
 //!    bit flips, trailing garbage) interleaved with the valid workload,
@@ -62,7 +62,7 @@ pub struct Config {
     pub corruptions: usize,
     /// Master seed; every schedule and device RNG is derived from it.
     pub seed: u64,
-    /// Upper shard count; scenarios run at 1 and `threads` serving loops.
+    /// Upper shard count; scenarios run at 1 and `threads` shards.
     pub threads: usize,
 }
 

@@ -117,8 +117,8 @@ const DEVICE_COUNTERS: [(&str, Determinism); 10] = [
 ];
 
 /// The telemetry an [`EdgeDevice`] drains into: its counters, registered
-/// when opened, and the hub's ledger. The serving loop opens them once and
-/// drains into them every wakeup ([`EdgeDevice::drain_into`]).
+/// when opened, and the hub's ledger. A serving shard opens them once and
+/// drains into them every step ([`EdgeDevice::drain_into`]).
 #[derive(Debug)]
 pub(crate) struct DeviceCounters {
     counters: [Counter; DEVICE_COUNTERS.len()],
@@ -381,8 +381,8 @@ impl EdgeDevice {
 
     /// Serves a batch of protocol requests in order, pushing exactly one
     /// response per request onto `responses` (appended; the caller owns
-    /// clearing). One `serve_batch` call is one serving-loop wakeup — see
-    /// [`crate::EdgeServer`], which drains its queue into this.
+    /// clearing). [`crate::EdgeServer`] serves each request it steps
+    /// through a one-request call.
     ///
     /// `Shutdown` is a transport-level concern; at the device level it is
     /// a no-op acknowledged with [`EdgeResponse::Ack`].
@@ -433,7 +433,7 @@ impl EdgeDevice {
 
     /// Encodes the device into one contiguous checkpoint buffer (the
     /// length-prefixed frame format of [`crate::recovery`]) — what a
-    /// serving loop hands out as its committed state
+    /// serving shard hands out as its committed state
     /// ([`crate::EdgeServer::last_checkpoint`]) and
     /// [`EdgeDevice::restore_from_checkpoint`] decodes without per-record
     /// allocation.
@@ -575,10 +575,10 @@ impl EdgeDevice {
     /// registry and the pending budget events into its ledger, resetting
     /// both device-local buffers.
     ///
-    /// The supervised serving loop ([`crate::EdgeServer`]) drains right
-    /// *after* each checkpoint commit — see the `pending_spends` field for
-    /// why that ordering gives ledger events exactly-once semantics across
-    /// crashes — into counter handles it opens once per loop, the same
+    /// A supervised serving shard ([`crate::EdgeServer`]) drains right
+    /// *after* each commit — see the `pending_spends` field for why that
+    /// ordering gives ledger events exactly-once semantics across
+    /// crashes — into counter handles it opens once per shard, the same
     /// drain without the per-call registration. Every metric is registered
     /// before its first drain, so the exported schema is stable even when
     /// a counter never fires.

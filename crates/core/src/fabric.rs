@@ -34,7 +34,9 @@
 //!    ([`crate::ServerOptions::restore_from`]), resuming every user's
 //!    RNG stream bit-for-bit — the replacement never re-draws a
 //!    released candidate (the longitudinal-privacy violation
-//!    `crate::recovery` exists to prevent).
+//!    `crate::recovery` exists to prevent). A shard with no committed
+//!    checkpoint is lost ([`FabricError::ShardLost`]), never replaced by
+//!    an empty one.
 //!
 //! Fault draws are keyed per *lane* (user) and per-lane delivery
 //! ordinal, not per link: the same master seed injects the same faults
@@ -44,6 +46,7 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
@@ -904,30 +907,36 @@ impl FabricRouter {
     }
 
     /// Respawns a permanently failed shard from its last committed
-    /// checkpoint, swapping the fresh handle into the slot. The dead
-    /// worker rolled its last batch back before it failed, so the image
-    /// is streamed from its committed device. Pending stale duplicates
-    /// are discarded: the respawned shard's dedup window is empty, so
-    /// re-delivering them would double-apply.
+    /// checkpoint, restoring it on the calling thread and swapping the
+    /// fresh handle into the slot. The failed shard rolled its last
+    /// request back before it gave up, so the image is streamed from its
+    /// committed device. A shard with no committed image — its own restore
+    /// image was unreadable — is lost, not healed: an empty replacement
+    /// would answer that image's users with fresh draws from a device that
+    /// forgot their released candidate sets.
+    /// Pending stale duplicates are discarded: the respawned shard's dedup
+    /// window is empty, so re-delivering them would double-apply.
     fn heal(&self, shard_idx: usize, state: &mut ShardState) -> Result<(), FabricError> {
-        if state.heals >= self.max_heals {
+        let checkpoint = match &state.server {
+            Some(server) if state.heals < self.max_heals => server.last_checkpoint(),
+            _ => Bytes::new(),
+        };
+        if checkpoint.is_empty() {
             state.breaker.record_failure(shard_idx, &mut self.trace.lock());
             return Err(FabricError::ShardLost { shard: shard_idx });
         }
-        let Some(server) = state.server.take() else {
-            state.breaker.record_failure(shard_idx, &mut self.trace.lock());
-            return Err(FabricError::ShardLost { shard: shard_idx });
-        };
-        let checkpoint = server.last_checkpoint();
-        // The dead worker already failed its pending replies explicitly;
-        // joining reaps the thread. Its WorkerFailed outcome is expected.
-        let _ = server.join();
+        if let Some(server) = state.server.take() {
+            // The failed shard already answered its failing request
+            // explicitly, so its WorkerFailed outcome is expected; joining
+            // frees its device before the replacement restores.
+            let _ = server.join();
+        }
         let server_options = ServerOptions {
             // The predecessor's kill plan died with it: injected crash
             // schedules are not re-armed on the replacement.
             fault_plan: FaultPlan::none(),
             telemetry: self.telemetry.clone(),
-            restore_from: (!checkpoint.is_empty()).then_some(checkpoint),
+            restore_from: Some(checkpoint),
             ..self.server_template.clone()
         };
         let (server, handle) = EdgeServer::spawn_with(self.config, self.master, server_options);
@@ -988,13 +997,13 @@ impl FabricRouter {
         }
     }
 
-    /// Waits for every shard to finish and returns the final devices in
-    /// shard order.
+    /// Stops every shard still serving and returns the final devices in
+    /// shard order. Nothing waits: the shards have no threads.
     ///
     /// # Errors
     ///
     /// Returns the first shard's [`SystemError`]; later shards are
-    /// still joined so no worker thread leaks.
+    /// still joined, so each hands its device out.
     pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
         let mut devices = Vec::with_capacity(self.shards.len());
         let mut first_err = None;
@@ -1329,6 +1338,36 @@ mod tests {
         assert_eq!(fabric.stats().heals, 0);
         let _ = fabric.shutdown();
         assert!(fabric.join().is_err());
+    }
+
+    #[test]
+    fn a_shard_without_a_committed_image_is_lost_not_healed() {
+        // An image releasing user 0's candidates at home, its last byte
+        // flipped: the shard cannot restore it.
+        let user = UserId::new(0);
+        let mut edge = EdgeDevice::new(config(), 3);
+        for _ in 0..40 {
+            edge.report_checkin(user, home_of(user));
+        }
+        edge.finalize_window(user);
+        let mut image = edge.checkpoint().to_vec();
+        *image.last_mut().unwrap() ^= 1;
+        let fabric = FabricRouter::spawn(config(), 3, FabricOptions {
+            server: ServerOptions {
+                restore_from: Some(Bytes::from(image)),
+                ..ServerOptions::default()
+            },
+            ..FabricOptions::default()
+        });
+        // No fresh draw from a device that forgot the user's candidates:
+        // the call fails, and nothing was healed.
+        assert_eq!(
+            fabric.request_location(user, home_of(user)).unwrap_err(),
+            FabricError::ShardLost { shard: 0 }
+        );
+        assert_eq!(fabric.stats().heals, 0);
+        let _ = fabric.shutdown();
+        assert!(matches!(fabric.join().unwrap_err(), SystemError::Recovery(_)));
     }
 
     #[test]

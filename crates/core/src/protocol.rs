@@ -4,9 +4,10 @@
 //! device; this module defines the message set exchanged between them and
 //! a compact binary framing so the pair can run over any byte transport.
 //! [`EdgeHandle`](crate::EdgeHandle) (the client side) and
-//! [`EdgeServer`](crate::EdgeServer) implement the two endpoints over an
-//! in-process channel; a production deployment would move the same frames
-//! over the radio link.
+//! [`EdgeServer`](crate::EdgeServer) implement the two endpoints in
+//! process: a call hands its request frame to the shard and gets the
+//! response frame back on the same thread; a production deployment would
+//! move the same frames over the radio link.
 //!
 //! Frames carry a one-byte tag followed by a fixed layout per message
 //! type, all integers big-endian. Decoding is *total*: every parse path
@@ -469,9 +470,8 @@ impl EdgeResponse {
         buf.freeze()
     }
 
-    /// Appends the wire frame to `buf` without allocating a fresh buffer —
-    /// the batched serving loop encodes a whole wakeup's responses into one
-    /// block and hands each client a [`Bytes::slice`] of it.
+    /// Appends the wire frame to `buf` without allocating a fresh buffer,
+    /// for a caller that writes several frames into one buffer.
     pub fn encode_into(&self, buf: &mut impl BufMut) {
         // Each frame is assembled in a stack array and appended with one
         // `put_slice`: a single length check and copy per response, which

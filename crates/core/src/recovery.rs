@@ -34,11 +34,11 @@
 //! straight from its user states ([`crate::EdgeDevice::checkpoint`]); one
 //! frame writer serves both.
 //!
-//! The serving loop ([`crate::EdgeServer`]) keeps no image between
-//! batches. It commits by **undo**: before a batch it saves the state of
-//! the users the batch touches, and a batch that dies is rolled back from
-//! that save in place, O(batch). Its device is therefore its committed
-//! state between batches, and an image is streamed from it only when one
+//! A serving shard ([`crate::EdgeServer`]) keeps no image between
+//! requests. It commits by **undo**: before a request it saves the state
+//! of the user the request touches, and a request that dies is rolled
+//! back from that save in place. Its device is therefore its committed
+//! state between requests, and an image is streamed from it only when one
 //! is read ([`crate::EdgeServer::last_checkpoint`], which the fabric's
 //! heal feeds to the replacement shard).
 //!

@@ -1,7 +1,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -9,51 +8,38 @@ use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
-use privlocad_telemetry::{Counter, Determinism, Gauge, Histogram, Telemetry, Tracer};
+use privlocad_telemetry::{Counter, Determinism, Gauge, Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::edge::{BatchUndo, DeviceCounters};
-use crate::protocol::{split_sequenced, ClientRequest, EdgeResponse, ErrorCode, FrameError};
+use crate::protocol::{
+    split_sequenced, ClientRequest, EdgeResponse, ErrorCode, FrameError, SequenceHeader,
+};
 use crate::{EdgeDevice, SystemConfig, SystemError};
 
 /// RNG stream index reserved for the supervisor's backoff jitter, far
 /// away from the per-operation streams the devices derive.
 const SUPERVISOR_STREAM: u64 = u64::MAX - 1;
 
-/// An encoded request frame, tagged with the sending client's identity
-/// (for per-connection malformed-frame accounting) and paired with the
-/// channel its response frame is sent back on. Responses travel as
-/// [`Bytes`] so a batched wakeup can encode every response into one block
-/// and send O(1) slices of it.
-#[derive(Debug)]
-struct Envelope {
-    client: u64,
-    frame: Vec<u8>,
-    reply: SyncSender<Bytes>,
-}
-
-/// A handle for talking to a running [`EdgeServer`] from any thread.
+/// A handle for calling an [`EdgeServer`] from any thread.
 ///
-/// Cloneable; all clones feed the same serving loop, and each clone has
-/// its own client identity for the server's per-connection error
-/// accounting. Requests and responses cross the transport in their
-/// binary frame encoding, exactly as they would over a radio link.
+/// Cloneable; all clones call the same shard, and each clone has its own
+/// client identity for the server's per-connection error accounting. A
+/// call serves its request on the calling thread. Requests and responses
+/// cross in their binary frame encoding, exactly as they would over a
+/// radio link.
 #[derive(Debug)]
 pub struct EdgeHandle {
-    tx: SyncSender<Envelope>,
+    shard: Arc<Shard>,
     client: u64,
-    next_client: Arc<AtomicU64>,
-    metrics: Arc<ServerMetrics>,
 }
 
 impl Clone for EdgeHandle {
     fn clone(&self) -> Self {
         EdgeHandle {
-            tx: self.tx.clone(),
-            client: self.next_client.fetch_add(1, Ordering::Relaxed),
-            next_client: Arc::clone(&self.next_client),
-            metrics: Arc::clone(&self.metrics),
+            shard: Arc::clone(&self.shard),
+            client: self.shard.next_client.fetch_add(1, Ordering::Relaxed),
         }
     }
 }
@@ -61,7 +47,8 @@ impl Clone for EdgeHandle {
 /// Errors surfaced by [`EdgeHandle`] calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransportError {
-    /// The serving loop has shut down.
+    /// The shard no longer serves this client: it was shut down or
+    /// joined, it failed, or it dropped the client.
     Disconnected,
     /// A frame failed to decode.
     Frame(FrameError),
@@ -75,14 +62,15 @@ pub enum TransportError {
         /// this client.
         strikes_left: u32,
     },
-    /// The request queue is full; back off and retry
-    /// ([`EdgeHandle::call_with_retry`]) or shed the request.
+    /// [`ServerOptions::queue_capacity`] callers already wait on the
+    /// shard; back off and retry ([`EdgeHandle::call_with_retry`]) or
+    /// shed the request.
     Overloaded,
-    /// The serving worker failed permanently after `restarts` supervised
-    /// restarts.
+    /// The request failed after `restarts` supervised restarts: it killed
+    /// its step twice, or the shard went past its restart budget.
     WorkerFailed {
-        /// How many times the supervisor restarted the worker before
-        /// giving up.
+        /// How many times the supervisor restarted the shard's serving
+        /// so far.
         restarts: u32,
     },
     /// The server rejected a sequenced frame as older than its dedup
@@ -103,9 +91,9 @@ impl std::fmt::Display for TransportError {
             TransportError::Malformed { strikes_left } => {
                 write!(f, "server rejected malformed frame ({strikes_left} strikes left)")
             }
-            TransportError::Overloaded => write!(f, "edge server request queue is full"),
+            TransportError::Overloaded => write!(f, "edge server has too many waiting callers"),
             TransportError::WorkerFailed { restarts } => {
-                write!(f, "edge worker failed permanently after {restarts} restarts")
+                write!(f, "edge serving failed after {restarts} restarts")
             }
             TransportError::StaleSequence { seq } => {
                 write!(f, "server rejected sequence number {seq} as older than its dedup window")
@@ -171,15 +159,17 @@ impl RetryPolicy {
 }
 
 impl EdgeHandle {
-    /// Sends one request frame and waits for the response frame, blocking
-    /// while the request queue is full.
+    /// Sends one request frame and returns the response: the request is
+    /// served on the calling thread once it holds the shard's lock, however
+    /// many callers wait ahead of it.
     pub fn call(&self, request: ClientRequest) -> Result<EdgeResponse, TransportError> {
         self.call_raw(request.encode_vec())
     }
 
-    /// [`EdgeHandle::call`] with reject-instead-of-block overload
-    /// semantics: a full request queue fails fast with
-    /// [`TransportError::Overloaded`] instead of parking the caller.
+    /// [`EdgeHandle::call`] with reject-instead-of-wait overload semantics:
+    /// once [`ServerOptions::queue_capacity`] callers already wait on the
+    /// shard, fails fast with [`TransportError::Overloaded`] instead of
+    /// waiting too.
     pub fn try_call(&self, request: ClientRequest) -> Result<EdgeResponse, TransportError> {
         self.try_call_raw(request.encode_vec())
     }
@@ -217,7 +207,7 @@ impl EdgeHandle {
                     if disconnects >= disconnect_budget {
                         return Err(TransportError::Disconnected);
                     }
-                    self.metrics.disconnect_retries.inc();
+                    self.shard.metrics.disconnect_retries.inc();
                     for _ in 0..policy.spins(disconnects - 1) {
                         std::thread::yield_now();
                     }
@@ -229,43 +219,38 @@ impl EdgeHandle {
 
     /// Sends a pre-encoded request frame — possibly corrupted, which is
     /// exactly what the chaos harness does to exercise the server's
-    /// hardened decode path — and waits for the response frame.
+    /// hardened decode path — and returns the decoded response frame.
     pub fn call_raw(&self, frame: Vec<u8>) -> Result<EdgeResponse, TransportError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.metrics.queue_depth.add(1);
-        if self
-            .tx
-            .send(Envelope { client: self.client, frame, reply: reply_tx })
-            .is_err()
-        {
-            self.metrics.queue_depth.sub(1);
-            return Err(TransportError::Disconnected);
-        }
-        self.receive(&reply_rx)
+        self.shard.waiting.fetch_add(1, Ordering::Relaxed);
+        self.step(&frame)
     }
 
-    /// [`EdgeHandle::call_raw`] with reject-instead-of-block overload
+    /// [`EdgeHandle::call_raw`] with reject-instead-of-wait overload
     /// semantics.
     pub fn try_call_raw(&self, frame: Vec<u8>) -> Result<EdgeResponse, TransportError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.metrics.queue_depth.add(1);
-        match self.tx.try_send(Envelope { client: self.client, frame, reply: reply_tx }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.metrics.queue_depth.sub(1);
-                self.metrics.overload_rejections.inc();
-                return Err(TransportError::Overloaded);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.metrics.queue_depth.sub(1);
-                return Err(TransportError::Disconnected);
-            }
+        let capacity = self.shard.queue_capacity;
+        let admitted = self.shard.waiting.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < capacity).then_some(n + 1)
+        });
+        if admitted.is_err() {
+            self.shard.metrics.overload_rejections.inc();
+            return Err(TransportError::Overloaded);
         }
-        self.receive(&reply_rx)
+        self.step(&frame)
     }
 
-    fn receive(&self, reply_rx: &Receiver<Bytes>) -> Result<EdgeResponse, TransportError> {
-        let frame = reply_rx.recv().map_err(|_| TransportError::Disconnected)?;
+    /// Waits as an admitted caller for the shard's lock, steps `frame` on
+    /// this thread, and decodes the reply once the lock is released.
+    fn step(&self, frame: &[u8]) -> Result<EdgeResponse, TransportError> {
+        let shard = &self.shard;
+        shard.metrics.queue_depth.add(1);
+        let reply = {
+            let mut core = shard.core.lock();
+            shard.waiting.fetch_sub(1, Ordering::Relaxed);
+            shard.metrics.queue_depth.sub(1);
+            core.step(self.client, frame)
+        };
+        let frame = reply.ok_or(TransportError::Disconnected)?;
         match EdgeResponse::decode(&frame)? {
             EdgeResponse::Error { code: ErrorCode::Malformed, detail } => {
                 Err(TransportError::Malformed { strikes_left: detail })
@@ -314,7 +299,7 @@ impl EdgeHandle {
         }
     }
 
-    /// Stops the serving loop.
+    /// Stops the shard: every later call observes a disconnect.
     pub fn shutdown(&self) -> Result<(), TransportError> {
         match self.call(ClientRequest::Shutdown)? {
             EdgeResponse::Ack => Ok(()),
@@ -326,15 +311,17 @@ impl EdgeHandle {
 /// Tuning knobs for a supervised [`EdgeServer`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Request-queue capacity; beyond it, [`EdgeHandle::try_call`]
-    /// rejects with [`TransportError::Overloaded`] (and [`EdgeHandle::call`]
-    /// blocks).
+    /// How many callers may wait on the shard's lock before
+    /// [`EdgeHandle::try_call`] rejects with [`TransportError::Overloaded`]
+    /// ([`EdgeHandle::call`] waits regardless). Counted per shard, even
+    /// when shards share a hub.
     pub queue_capacity: usize,
     /// Consecutive malformed frames from one client before the server
     /// drops that client instead of answering it.
     pub malformed_limit: u32,
-    /// Worker restarts the supervisor attempts before failing the server
-    /// permanently with [`SystemError::WorkerFailed`].
+    /// Supervised restarts (a caught panic, rolled back and retried) the
+    /// shard survives before it fails permanently with
+    /// [`SystemError::WorkerFailed`].
     pub max_restarts: u32,
     /// Backoff spins (cooperative yields) before the first restart;
     /// doubles every restart.
@@ -358,22 +345,22 @@ pub struct ServerOptions {
     /// Start the device from this committed checkpoint instead of empty
     /// — how the fabric respawns a permanently failed shard without
     /// re-drawing a single released candidate ([`crate::fabric`]). An
-    /// unreadable checkpoint fails the spawn (the serving loop exits
-    /// with the recovery error; clients observe a disconnect), never
-    /// silently serves from empty state. The serving loop reads the
-    /// image once and drops its reference as soon as the device is
-    /// restored, so the image is freed before the first request is served
+    /// unreadable checkpoint fails the shard (every call observes a
+    /// disconnect and [`EdgeServer::join`] returns the recovery error),
+    /// never silently serves from empty state. The spawn reads the image
+    /// once, on the calling thread, and drops its reference as soon as the
+    /// device is restored, so the image is freed before the spawn returns
     /// unless the caller kept a clone.
     pub restore_from: Option<Bytes>,
     /// Where served ad requests are emitted as OpenRTB-lite bid requests.
     /// `None` (the default) serves without a bid pipeline. The sink is
     /// shared — hand every shard of a fleet a clone of one `Arc` — and it
-    /// outlives individual workers, so per-device sequence numbers stay
+    /// outlives individual shards, so per-device sequence numbers stay
     /// continuous across restarts and fabric heals. Emission happens in
-    /// the commit phase, strictly after the checkpoint, giving each
-    /// *applied* request exactly one bid (duplicates and rolled-back
-    /// batches never emit); only the released obfuscated candidate from
-    /// the response crosses into the sink.
+    /// the commit phase, strictly after the commit, giving each *applied*
+    /// request exactly one bid (duplicates and rolled-back requests never
+    /// emit); only the released obfuscated candidate from the response
+    /// crosses into the sink.
     pub bid_sink: Option<Arc<privlocad_openrtb::BidSink>>,
 }
 
@@ -394,11 +381,11 @@ impl Default for ServerOptions {
     }
 }
 
-/// A deterministic schedule of injected worker crashes: the worker
-/// panics just before serving request ordinal `k` (0-based, counted over
-/// successfully decoded, non-shutdown requests across the server's
-/// lifetime). Each point fires exactly once — the retry after the
-/// supervised restart proceeds past it, like a real transient fault.
+/// A deterministic schedule of injected crashes: serving panics just
+/// before request ordinal `k` (0-based, counted over successfully decoded,
+/// non-shutdown requests across the server's lifetime). Each point fires
+/// exactly once — the retry after the supervised restart proceeds past it,
+/// like a real transient fault.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     kill_at: Vec<u64>,
@@ -410,7 +397,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A schedule crashing the worker at each listed request ordinal.
+    /// A schedule crashing serving at each listed request ordinal.
     pub fn kill_at<I: IntoIterator<Item = u64>>(points: I) -> Self {
         let mut kill_at: Vec<u64> = points.into_iter().collect();
         kill_at.sort_unstable();
@@ -431,13 +418,8 @@ impl FaultPlan {
 }
 
 /// Registry-backed serving metrics: one set of pre-registered handles
-/// shared by the serving loop and every client handle, publishing into
+/// shared by the shard's core and every client handle, publishing into
 /// the hub carried by [`ServerOptions::telemetry`].
-///
-/// Replaces the old hand-rolled atomic `HealthCounters` — the same
-/// numbers now come out of the telemetry registry, so they appear in the
-/// JSON export alongside everything else while [`EdgeServer::health`]
-/// keeps its [`HealthSnapshot`] API.
 #[derive(Debug)]
 struct ServerMetrics {
     requests: Counter,
@@ -452,7 +434,6 @@ struct ServerMetrics {
     stale_rejections: Counter,
     disconnect_retries: Counter,
     queue_depth: Gauge,
-    batch_size: Histogram,
 }
 
 impl ServerMetrics {
@@ -460,33 +441,32 @@ impl ServerMetrics {
         let registry = telemetry.registry();
         use Determinism::{Deterministic, Scheduling};
         // Request, decode, and restart counts are pure functions of the
-        // workload and seed; anything keyed to wakeup boundaries (batch
-        // shapes, checkpoint cadence) or cross-thread races (overload,
-        // failed replies) is scheduling-dependent and excluded from the
-        // deterministic export.
+        // workload and seed; anything that counts steps (checkpoints,
+        // wakeups) or cross-thread races (overload, failed replies) is
+        // scheduling-dependent and excluded from the deterministic export.
         ServerMetrics {
             requests: registry.counter("server.requests", Deterministic),
             // Restarts count *caught crashes*, which land wherever the
-            // fault plan (or the real world) puts them relative to wakeup
-            // boundaries — scheduling-dependent, like the recovery
-            // restores they trigger.
+            // fault plan (or the real world) puts them — scheduling-
+            // dependent, like the recovery restores they trigger.
             restarts: registry.counter("server.restarts", Scheduling),
             malformed_frames: registry.counter("server.malformed_frames", Deterministic),
             dropped_clients: registry.counter("server.dropped_clients", Deterministic),
             failed_replies: registry.counter("server.failed_replies", Scheduling),
             overload_rejections: registry.counter("server.overload_rejections", Scheduling),
             checkpoints: registry.counter("server.checkpoints", Scheduling),
+            // One per step, so `server.requests / server.wakeups` reads the
+            // requests served per step.
             wakeups: registry.counter("server.wakeups", Scheduling),
             // Duplicate suppression counts logical re-deliveries, which a
             // deterministic per-lane fault plan places independently of
-            // batch boundaries and the user→shard partition.
+            // the user→shard partition.
             duplicates_suppressed: registry.counter("server.duplicates_suppressed", Deterministic),
             stale_rejections: registry.counter("server.stale_rejections", Deterministic),
             // Reconnect retries land wherever a restart races the caller —
             // scheduling-dependent, like the restarts that cause them.
             disconnect_retries: registry.counter("server.disconnect_retries", Scheduling),
             queue_depth: registry.gauge("server.queue_depth", Scheduling),
-            batch_size: registry.histogram("server.batch_size", Scheduling),
         }
     }
 
@@ -511,35 +491,39 @@ impl ServerMetrics {
 /// (see [`ServerOptions::telemetry`]), the numbers are hub-wide totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSnapshot {
-    /// Supervised worker restarts so far.
+    /// Supervised restarts so far.
     pub restarts: u64,
     /// Malformed request frames rejected by the hardened decode path.
     pub malformed_frames: u64,
     /// Clients dropped for exceeding the consecutive-malformed limit.
     pub dropped_clients: u64,
-    /// Pending replies failed explicitly (worker gave up or queue was
-    /// abandoned) instead of left hanging.
+    /// Requests answered with an explicit `WorkerFailed` (one that killed
+    /// its step twice, or the one that took the shard past its restart
+    /// budget) instead of left hanging.
     pub failed_replies: u64,
-    /// Requests rejected with `Overloaded` by a full queue.
+    /// Requests rejected with `Overloaded` because
+    /// [`ServerOptions::queue_capacity`] callers already waited.
     pub overload_rejections: u64,
-    /// Requests currently queued (approximate under concurrency).
+    /// Callers currently waiting for a shard's lock (approximate under
+    /// concurrency).
     pub queue_depth: u64,
-    /// Batches committed (one per delivered batch): each is a recovery
-    /// point the device can be read back at
-    /// ([`EdgeServer::last_checkpoint`]).
+    /// Steps committed (one per frame stepped): each is a recovery point
+    /// the device can be read back at ([`EdgeServer::last_checkpoint`]).
     pub checkpoints: u64,
     /// Duplicate sequenced deliveries answered from the dedup window's
     /// cached responses instead of being re-applied.
     pub duplicates_suppressed: u64,
 }
 
-/// An edge device behind a supervised message-passing serving loop.
+/// An edge device behind a supervised serving core that its callers run.
 ///
-/// [`EdgeServer::spawn`] starts a dedicated thread owning an
-/// [`EdgeDevice`] and returns a cloneable [`EdgeHandle`]; any number of
-/// client threads can then check in and request locations concurrently,
-/// with the loop serializing access — the deployment shape of Fig. 5
-/// where one edge node fronts many nearby mobile users.
+/// [`EdgeServer::spawn`] builds an [`EdgeDevice`] and returns a cloneable
+/// [`EdgeHandle`]; any number of client threads can then check in and
+/// request locations concurrently — the deployment shape of Fig. 5 where
+/// one edge node fronts many nearby mobile users. There is no serving
+/// thread: each call takes the shard's lock and runs its own request to
+/// completion on the calling thread, so the lock is what serializes
+/// access to the device.
 ///
 /// The device serves per-user RNG streams derived from the spawn seed
 /// ([`EdgeDevice::new`]): a user's outputs depend only
@@ -547,14 +531,14 @@ pub struct HealthSnapshot {
 /// requests interleave with them or on which server of a fleet holds the
 /// user.
 ///
-/// The loop runs under a supervisor: worker panics are caught, the batch
-/// in flight is rolled back to the device's last committed state
+/// Each request is served under a supervisor: a panic is caught, the
+/// request is rolled back to the device's last committed state
 /// (candidates, posterior tables, window buffers, and RNG position — see
-/// [`crate::recovery`]), and the interrupted batch is retried once,
-/// bit-for-bit. Responses are delivered only after a batch commits, so a
-/// crash can never expose state that the rollback then undoes. A
-/// worker that keeps dying fails pending replies explicitly
-/// ([`TransportError::WorkerFailed`]) rather than hanging its clients.
+/// [`crate::recovery`]), and it is retried once, bit-for-bit. A reply
+/// leaves only after its request commits, so a crash can never expose
+/// state that the rollback then undoes. A request that fails twice, and
+/// the one that takes the shard past its restart budget, is answered
+/// explicitly ([`TransportError::WorkerFailed`]), never left hanging.
 ///
 /// # Examples
 ///
@@ -578,58 +562,52 @@ pub struct HealthSnapshot {
 /// ```
 #[derive(Debug)]
 pub struct EdgeServer {
-    thread: std::thread::JoinHandle<Result<(), SystemError>>,
-    metrics: Arc<ServerMetrics>,
+    shard: Arc<Shard>,
     telemetry: Telemetry,
     tracer: Tracer,
-    /// The device the serving loop owns. The loop holds the lock for a
-    /// whole wakeup and releases it before it blocks for the next one, so
-    /// anyone else who locks it sees the device committed. Empty until the
-    /// loop has built (or restored) its device.
-    device: Arc<Mutex<Option<EdgeDevice>>>,
 }
 
 impl EdgeServer {
-    /// Spawns the serving loop with default [`ServerOptions`] and returns
-    /// the server plus a client handle.
+    /// Starts a shard with default [`ServerOptions`] and returns the
+    /// server plus a client handle.
     pub fn spawn(config: SystemConfig, seed: u64) -> (EdgeServer, EdgeHandle) {
         EdgeServer::spawn_with(config, seed, ServerOptions::default())
     }
 
-    /// Spawns the serving loop with explicit options.
+    /// Starts a shard with explicit options. A
+    /// [`ServerOptions::restore_from`] image is restored here, on the
+    /// calling thread.
     pub fn spawn_with(
         config: SystemConfig,
         seed: u64,
         options: ServerOptions,
     ) -> (EdgeServer, EdgeHandle) {
-        let (tx, rx): (SyncSender<Envelope>, Receiver<_>) =
-            sync_channel(options.queue_capacity.max(1));
         let telemetry = options.telemetry.clone();
         let metrics = Arc::new(ServerMetrics::new(&telemetry));
         let tracer = Tracer::default();
-        let device = Arc::new(Mutex::new(None));
-        let thread = std::thread::spawn({
-            let (metrics, tracer, device) =
-                (Arc::clone(&metrics), tracer.clone(), Arc::clone(&device));
-            move || serve(config, seed, rx, options, metrics, tracer, device)
-        });
-        let handle = EdgeHandle {
-            tx,
-            client: 0,
+        let queue_capacity = options.queue_capacity.max(1);
+        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics), tracer.clone());
+        let shard = Arc::new(Shard {
+            core: Mutex::new(core),
+            metrics,
+            // lint:allow(telemetry-hygiene): per-shard admission count that `try_call` bounds, not a metric — the hub-wide `server.queue_depth` gauge is the exported view
+            waiting: AtomicUsize::new(0),
+            queue_capacity,
             // lint:allow(telemetry-hygiene): client-identity allocator, not a metric — never exported
-            next_client: Arc::new(AtomicU64::new(1)),
-            metrics: Arc::clone(&metrics),
-        };
-        (EdgeServer { thread, metrics, telemetry, tracer, device }, handle)
+            next_client: AtomicU64::new(1),
+        });
+        let handle = EdgeHandle { shard: Arc::clone(&shard), client: 0 };
+        (EdgeServer { shard, telemetry, tracer }, handle)
     }
 
-    /// The last committed recovery checkpoint (empty until the serving
-    /// loop has built its device): the versioned v2 byte image, streamed
-    /// on demand from the device as it stood after its last committed
-    /// batch. The loop keeps no image — a batch that dies is undone in
-    /// place — so this waits out a wakeup in progress rather than read a
-    /// batch half-served. It is also what a worker that failed past its
-    /// restart budget leaves behind, its last batch rolled back.
+    /// The last committed recovery checkpoint (empty when the shard has no
+    /// device: its restore image was unreadable): the versioned v2 byte
+    /// image, streamed on demand from the device as it stood after its
+    /// last committed step. The shard keeps no image — a request that
+    /// dies is undone in place — so this waits out a step in progress
+    /// rather than read one half-served. It is also what a shard that
+    /// failed past its restart budget leaves behind, its last request
+    /// rolled back.
     ///
     /// This is what the fabric feeds back through
     /// [`ServerOptions::restore_from`] to respawn a permanently failed
@@ -637,13 +615,13 @@ impl EdgeServer {
     /// buffers, and RNG positions all resume exactly, so not a single
     /// released candidate is ever re-drawn by the replacement.
     pub fn last_checkpoint(&self) -> Bytes {
-        self.device.lock().as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
+        self.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
     }
 
     /// The server's current health counters, read from the telemetry
     /// registry. Hub-wide totals when servers share a hub.
     pub fn health(&self) -> HealthSnapshot {
-        self.metrics.snapshot()
+        self.shard.metrics.snapshot()
     }
 
     /// The telemetry hub this server publishes into (the one passed via
@@ -652,58 +630,111 @@ impl EdgeServer {
         &self.telemetry
     }
 
-    /// The serving loop's span tracer. Every wakeup records seven spans
-    /// that tile it in order — `server.decode`, `server.serve_batch`,
-    /// `server.commit`, `server.drain`, `server.emit`, `server.encode`,
-    /// `server.reply` — on a logical clock that advances one tick per
-    /// decoded request, never wall time. A retried batch records one
-    /// `server.serve_batch` span over all its attempts. The ring keeps
-    /// the latest spans only, and is empty with the `trace` feature off.
+    /// The shard's span tracer. Every step records six spans that tile it
+    /// in order — `server.decode`, `server.serve_batch`, `server.commit`,
+    /// `server.drain`, `server.emit`, `server.encode` — on a logical clock
+    /// that advances one tick per decoded request, never wall time. A
+    /// retried request records one `server.serve_batch` span over all its
+    /// attempts. The ring keeps the latest spans only, and is empty with
+    /// the `trace` feature off.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// Waits for the serving loop to finish (after a shutdown request or
-    /// once every handle is dropped) and returns the edge device with its
-    /// final state for inspection.
+    /// Stops the shard, if no client has shut it down yet, and returns the
+    /// edge device with its final state for inspection. Nothing waits:
+    /// there is no serving thread, and a call in progress finishes first.
+    /// Calls made afterwards observe a disconnect.
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::WorkerFailed`] if the worker died past its
-    /// restart budget (its clients all received explicit failures, never
-    /// a hung channel).
+    /// Returns [`SystemError::WorkerFailed`] if the shard failed past its
+    /// restart budget (the failing request got an explicit failure, later
+    /// ones a disconnect), or the recovery error if its
+    /// [`ServerOptions::restore_from`] image was unreadable.
     pub fn join(self) -> Result<EdgeDevice, SystemError> {
-        let restarts = self.metrics.restarts.value() as u32;
-        match self.thread.join() {
-            // A loop that ended cleanly left its device in the cell.
-            Ok(Ok(())) => self.device.lock().take().ok_or(SystemError::WorkerFailed { restarts }),
-            Ok(Err(e)) => Err(e),
-            // The supervisor itself never panics by design; if it somehow
-            // does, surface a structured error instead of re-panicking.
-            Err(_) => Err(SystemError::WorkerFailed { restarts }),
-        }
+        self.shard.core.lock().finish()
     }
 }
 
-/// What the serving loop decided to do with one envelope of a batch.
+/// One shard as its callers share it: the serving core behind its lock,
+/// and what callers touch without the lock.
+#[derive(Debug)]
+struct Shard {
+    core: Mutex<ShardCore>,
+    metrics: Arc<ServerMetrics>,
+    /// Callers admitted to wait for the lock that do not hold it yet —
+    /// what [`ServerOptions::queue_capacity`] bounds for `try_call`.
+    waiting: AtomicUsize,
+    queue_capacity: usize,
+    next_client: AtomicU64,
+}
+
+/// Whether a shard still serves.
+#[derive(Debug)]
+enum Status {
+    Serving,
+    /// A client shut it down; [`EdgeServer::join`] hands its device out.
+    Stopped,
+    /// It went past its restart budget, or its restore image was
+    /// unreadable.
+    Failed(SystemError),
+}
+
+/// A shard's serving state: the device and everything that decides how a
+/// frame is answered. [`ShardCore::step`] serves one frame to completion,
+/// and whichever caller holds the shard's lock runs it.
+#[derive(Debug)]
+struct ShardCore {
+    /// The device. Between steps it holds the committed state — the
+    /// recovery checkpoint: a reply leaves only after its request commits,
+    /// and a request that dies is undone in place from the pre-request
+    /// state of its user, so nothing a client has observed is ever rolled
+    /// back. No byte image is kept; one is streamed only when someone
+    /// reads it ([`EdgeServer::last_checkpoint`]). `None` once
+    /// [`EdgeServer::join`] took it, or when the restore image was
+    /// unreadable.
+    device: Option<EdgeDevice>,
+    status: Status,
+    /// The options, with `restore_from` taken, `fault_plan` consumed as
+    /// its points fire, and `malformed_limit` and `dedup_window` clamped.
+    options: ServerOptions,
+    /// The device's counters and ledger, opened once: every step drains
+    /// into the same handles with no registration by name.
+    device_counters: DeviceCounters,
+    backoff_rng: StdRng,
+    /// Served-request ordinal (successfully decoded, non-shutdown), the
+    /// clock the fault plan runs on.
+    served: u64,
+    restarts: u32,
+    /// Per-client consecutive-malformed counts and the ban set. BTree
+    /// keeps health iteration order deterministic.
+    strikes: BTreeMap<u64, u32>,
+    banned: BTreeSet<u64>,
+    /// Exactly-once state: one lane per user carrying its sequence
+    /// horizon and replay window, created at a lane's first commit.
+    /// Committed responses are inserted at commit time only, so a request
+    /// the supervisor rolls back leaves no trace here and its retry is a
+    /// first application.
+    lanes: BTreeMap<u32, LaneState>,
+    /// Scratch reused across steps.
+    undo: BatchUndo,
+    responses: Vec<EdgeResponse>,
+    metrics: Arc<ServerMetrics>,
+    tracer: Tracer,
+}
+
+/// What a step does with its frame.
 enum Verdict {
-    /// Serve it: reply with response at this index of the batch output.
-    /// A same-batch duplicate of a sequenced request shares its
-    /// original's index, so both clients receive the one response.
-    Serve(usize),
-    /// A duplicate of an already-committed sequenced request: reply with
-    /// the cached response, re-encoded — byte-for-byte the frame the
-    /// original got, since encoding is deterministic — without
-    /// re-applying anything.
-    Replay(EdgeResponse),
-    /// A sequenced request older than the dedup window: the cached
-    /// response is gone and re-serving would double-apply, so reject it
-    /// explicitly with [`ErrorCode::StaleSequence`].
-    RejectStale(u32),
-    /// Reject it as malformed, with this many strikes left.
-    Reject(u32),
-    /// Drop it silently (banned client): the reply channel closes and the
-    /// client observes a disconnect.
+    /// Serve the request. A sequenced one carries its header, whose lane
+    /// learns the response at commit.
+    Serve(ClientRequest, Option<SequenceHeader>),
+    /// Answer without serving: a committed duplicate's cached response
+    /// (re-encoded, byte-for-byte the frame the original got, since
+    /// encoding is deterministic), a stale-sequence or malformed-frame
+    /// rejection, or a shutdown's acknowledgement.
+    Answer(EdgeResponse),
+    /// Answer nothing (banned client): the client observes a disconnect.
     Drop,
 }
 
@@ -739,367 +770,245 @@ impl LaneState {
     }
 }
 
-/// Books one malformed frame against its sender: a strike with an
-/// explicit countdown reply while under the limit, a ban (silent drop,
-/// the client observes a disconnect) once the limit is reached.
-fn book_malformed(
-    client: u64,
-    strikes: &mut BTreeMap<u64, u32>,
-    banned: &mut BTreeSet<u64>,
-    malformed_limit: u32,
-    metrics: &ServerMetrics,
-) -> Verdict {
-    metrics.malformed_frames.inc();
-    let count = strikes.entry(client).or_insert(0);
-    *count += 1;
-    if *count >= malformed_limit {
-        strikes.remove(&client);
-        banned.insert(client);
-        metrics.dropped_clients.inc();
-        Verdict::Drop
-    } else {
-        Verdict::Reject(malformed_limit - *count)
-    }
-}
-
-/// The serving loop of an [`EdgeServer`], sharing its metrics, its span
-/// tracer and the cell its device lives in.
-fn serve(
-    config: SystemConfig,
-    seed: u64,
-    rx: Receiver<Envelope>,
-    mut options: ServerOptions,
-    metrics: Arc<ServerMetrics>,
-    tracer: Tracer,
-    device: Arc<Mutex<Option<EdgeDevice>>>,
-) -> Result<(), SystemError> {
-    // Resume from the committed checkpoint of a failed predecessor. An
-    // unreadable snapshot fails the spawn outright — serving from empty
-    // state here would silently re-draw released candidates. Taken, not
-    // borrowed: the image is read once and freed here instead of living
-    // as long as the worker.
-    let edge = match options.restore_from.take() {
-        Some(snapshot) => EdgeDevice::restore_from_checkpoint(config, &snapshot)?,
-        None => EdgeDevice::new(config, seed),
-    };
-    // The device lives in the shared cell from here on. Between wakeups it
-    // holds the committed state — the recovery checkpoint: replies go out
-    // only after a batch commits, and a batch that dies is undone in place
-    // from the pre-batch state of the users it touched, so nothing a
-    // client has observed is ever rolled back. No byte image is kept; one
-    // is streamed only when someone reads it
-    // (`EdgeServer::last_checkpoint`).
-    *device.lock() = Some(edge);
-    // The device's counters and ledger, opened once: every wakeup drains
-    // into the same handles with no registration by name.
-    let device_counters = DeviceCounters::open(&options.telemetry);
-    let mut backoff_rng = seeded(derive_seed(seed, SUPERVISOR_STREAM));
-    let mut fault_plan = options.fault_plan.clone();
-    let malformed_limit = options.malformed_limit.max(1);
-    let dedup_window = options.dedup_window.max(1);
-    // Served-request ordinal (successfully decoded, non-shutdown), the
-    // clock the fault plan runs on.
-    let mut served: u64 = 0;
-    let mut restarts: u32 = 0;
-    // Per-client consecutive-malformed counts and the ban set. BTree
-    // keeps health iteration order deterministic.
-    let mut strikes: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut banned: BTreeSet<u64> = BTreeSet::new();
-    // Exactly-once state: one lane per user carrying its sequence
-    // horizon and replay window, created at a lane's first commit.
-    // Committed responses are inserted at commit time only, so a batch
-    // the supervisor rolls back leaves no trace here and its retry is a
-    // first application.
-    let mut lanes: BTreeMap<u32, LaneState> = BTreeMap::new();
-    // Per-batch scratch: first index of each fresh (lane, seq) in the
-    // batch, and the (lane, seq, response index) triples to cache at
-    // commit.
-    let mut batch_seen: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    let mut pending_cache: Vec<(u32, u32, usize)> = Vec::new();
-
-    // Scratch reused across wakeups: one blocking recv per batch, then the
-    // queue is drained non-blocking and handed to `EdgeDevice::serve_batch`
-    // in one call, so the per-wakeup cost is amortized over the batch.
-    let mut batch: Vec<Envelope> = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    let mut requests: Vec<ClientRequest> = Vec::new();
-    let mut touched: Vec<UserId> = Vec::new();
-    let mut undo: BatchUndo = Vec::new();
-    let mut responses: Vec<EdgeResponse> = Vec::new();
-    let mut frame_buf: Vec<u8> = Vec::new();
-    let mut offsets: Vec<std::ops::Range<usize>> = Vec::new();
-
-    'accept: while let Ok(first) = rx.recv() {
-        // Locked for the whole wakeup and released before the next
-        // blocking receive, so whoever else locks the cell finds the
-        // device committed.
-        let mut cell = device.lock();
-        let Some(edge) = cell.as_mut() else {
-            // Only `EdgeServer::join` empties the cell, after this loop.
-            break;
+impl ShardCore {
+    /// A core serving a fresh device, or one restored from
+    /// `options.restore_from`. An unreadable image fails the core
+    /// outright — serving from empty state here would silently re-draw
+    /// released candidates. Taken, not borrowed: the image is read once
+    /// and freed here.
+    fn new(
+        config: SystemConfig,
+        seed: u64,
+        mut options: ServerOptions,
+        metrics: Arc<ServerMetrics>,
+        tracer: Tracer,
+    ) -> ShardCore {
+        let (device, status) = match options.restore_from.take() {
+            Some(image) => match EdgeDevice::restore_from_checkpoint(config, &image) {
+                Ok(edge) => (Some(edge), Status::Serving),
+                Err(e) => (None, Status::Failed(e.into())),
+            },
+            None => (Some(EdgeDevice::new(config, seed)), Status::Serving),
         };
-        batch.clear();
-        batch.push(first);
-        while let Ok(next) = rx.try_recv() {
-            batch.push(next);
+        options.malformed_limit = options.malformed_limit.max(1);
+        options.dedup_window = options.dedup_window.max(1);
+        ShardCore {
+            device,
+            status,
+            device_counters: DeviceCounters::open(&options.telemetry),
+            backoff_rng: seeded(derive_seed(seed, SUPERVISOR_STREAM)),
+            options,
+            served: 0,
+            restarts: 0,
+            strikes: BTreeMap::new(),
+            banned: BTreeSet::new(),
+            lanes: BTreeMap::new(),
+            undo: BatchUndo::new(),
+            responses: Vec::new(),
+            metrics,
+            tracer,
         }
-        metrics.wakeups.inc();
-        metrics.batch_size.observe(batch.len() as u64);
-        metrics.queue_depth.sub(batch.len() as i64);
+    }
 
+    /// Serves `frame` from `client` to completion and returns the reply
+    /// frame, or `None` when the client gets none: the shard no longer
+    /// serves, or it has banned the client.
+    fn step(&mut self, client: u64, frame: &[u8]) -> Option<Bytes> {
+        if !matches!(self.status, Status::Serving) {
+            return None;
+        }
+        self.metrics.wakeups.inc();
         // Decode phase — total: every frame passes the hardened strict
         // decode, and malformed input costs its sender strikes, never the
-        // worker its life.
-        verdicts.clear();
-        requests.clear();
-        batch_seen.clear();
-        pending_cache.clear();
-        let mut shutdown_at = None;
-        {
-            let _span = tracer.span("server.decode");
-            for (i, envelope) in batch.iter().enumerate() {
-                if banned.contains(&envelope.client) {
-                    verdicts.push(Verdict::Drop);
-                    continue;
-                }
-                // Peel the exactly-once envelope first. The checksum over
-                // (lane, seq, inner) fails closed: a corrupted header can
-                // never alias another lane's cached response, it lands on
-                // the malformed path like any other damaged frame.
-                let (sequenced, inner) = match split_sequenced(&envelope.frame) {
-                    Ok(Some((header, inner))) => (Some(header), inner),
-                    Ok(None) => (None, envelope.frame.as_slice()),
-                    Err(_) => {
-                        verdicts.push(book_malformed(
-                            envelope.client,
-                            &mut strikes,
-                            &mut banned,
-                            malformed_limit,
-                            &metrics,
-                        ));
-                        continue;
-                    }
-                };
-                if let Some(header) = sequenced {
-                    let lane = lanes.get(&header.lane);
-                    if let Some(cached) = lane.and_then(|lane| lane.cached(header.seq)) {
-                        // Committed duplicate: replay the response the
-                        // original received.
-                        strikes.remove(&envelope.client);
-                        metrics.duplicates_suppressed.inc();
-                        verdicts.push(Verdict::Replay(cached));
-                        continue;
-                    }
-                    if let Some(&index) = batch_seen.get(&(header.lane, header.seq)) {
-                        // Same-batch duplicate: share the original's
-                        // response slot; it is applied exactly once.
-                        strikes.remove(&envelope.client);
-                        metrics.duplicates_suppressed.inc();
-                        verdicts.push(Verdict::Serve(index));
-                        continue;
-                    }
-                    if header.seq < lane.map_or(0, |lane| lane.next_seq) {
-                        // Older than the replay window: re-serving would
-                        // double-apply, so reject explicitly instead.
-                        strikes.remove(&envelope.client);
-                        metrics.stale_rejections.inc();
-                        verdicts.push(Verdict::RejectStale(header.seq));
-                        continue;
-                    }
-                }
-                match ClientRequest::decode(inner) {
-                    Ok(ClientRequest::Shutdown) => {
-                        shutdown_at = Some(i);
-                        break;
-                    }
-                    Ok(request) => {
-                        strikes.remove(&envelope.client);
-                        if let Some(header) = sequenced {
-                            batch_seen.insert((header.lane, header.seq), requests.len());
-                            pending_cache.push((header.lane, header.seq, requests.len()));
-                        }
-                        verdicts.push(Verdict::Serve(requests.len()));
-                        requests.push(request);
-                    }
-                    Err(_) => {
-                        verdicts.push(book_malformed(
-                            envelope.client,
-                            &mut strikes,
-                            &mut banned,
-                            malformed_limit,
-                            &metrics,
-                        ));
-                    }
-                }
-            }
+        // shard its life.
+        let verdict = {
+            let _span = self.tracer.span("server.decode");
+            let verdict = self.decode(client, frame);
             // The tracer's logical clock: one tick per decoded request,
             // never wall time.
-            tracer.advance(requests.len() as u64);
-        }
+            self.tracer.advance(u64::from(matches!(verdict, Verdict::Serve(..))));
+            verdict
+        };
+        let edge = self.device.as_mut()?;
 
         // Serve phase, under the supervisor. Each attempt first saves the
-        // pre-batch state of the users the batch touches; a panic rolls
-        // back only those (`serve_attempt`), and the retry runs on exactly
-        // the committed state: the restored RNG positions make it
-        // bit-for-bit identical, and injected fault points have already
-        // been consumed. A second panic on the same batch fails its
-        // replies explicitly and drops the batch.
-        touched_users(&requests, &mut touched);
+        // pre-request state of the user the request names; a panic rolls
+        // back only that (`serve_attempt`), and the retry runs on exactly
+        // the committed state: the restored RNG position makes it
+        // bit-for-bit identical, and an injected fault point has already
+        // been consumed. A second panic on the same request fails it
+        // explicitly and drops it.
         {
-            let _span = tracer.span("server.serve_batch");
-            let mut attempt = 0;
-            while !serve_attempt(
-                edge,
-                &requests,
-                &touched,
-                &mut undo,
-                &mut responses,
-                &mut fault_plan,
-                served,
-            ) {
-                restarts += 1;
-                metrics.restarts.inc();
-                if restarts > options.max_restarts {
-                    // Past the restart budget: fail every pending reply
-                    // explicitly and surface a structured error — never a
-                    // hang, never an escaped panic. The rollback already
-                    // returned the device to its committed state, which
-                    // the cell keeps for `last_checkpoint`; its undrained
-                    // telemetry dies with the worker — only committed
-                    // batches ever reach the ledger.
-                    fail_replies(batch.drain(..), restarts, &metrics);
-                    while let Ok(envelope) = rx.try_recv() {
-                        metrics.queue_depth.sub(1);
-                        fail_replies(std::iter::once(envelope), restarts, &metrics);
+            let _span = self.tracer.span("server.serve_batch");
+            if let Verdict::Serve(request, _) = &verdict {
+                let touched = request.user();
+                let mut attempts = 0;
+                while !serve_attempt(
+                    edge,
+                    std::slice::from_ref(request),
+                    touched.as_slice(),
+                    &mut self.undo,
+                    &mut self.responses,
+                    &mut self.options.fault_plan,
+                    self.served,
+                ) {
+                    self.restarts += 1;
+                    self.metrics.restarts.inc();
+                    if self.restarts > self.options.max_restarts {
+                        // Past the restart budget: fail this request
+                        // explicitly and stop serving — never a hang, never
+                        // an escaped panic. The rollback already returned
+                        // the device to its committed state, which the core
+                        // keeps for `last_checkpoint`; its undrained
+                        // telemetry is never drained — only committed
+                        // requests ever reach the ledger.
+                        let restarts = self.restarts;
+                        self.status = Status::Failed(SystemError::WorkerFailed { restarts });
+                        return Some(failed_reply(restarts, &self.metrics));
                     }
-                    return Err(SystemError::WorkerFailed { restarts });
+                    backoff(&mut self.backoff_rng, self.restarts, &self.options);
+                    attempts += 1;
+                    if attempts >= 2 {
+                        // The request killed its step twice: answer it with
+                        // an explicit failure and serve on with the
+                        // rolled-back device.
+                        return Some(failed_reply(self.restarts, &self.metrics));
+                    }
                 }
-                backoff(&mut backoff_rng, restarts, &options);
-                attempt += 1;
-                if attempt >= 2 {
-                    // The batch poisoned the worker twice: reply with an
-                    // explicit failure and move on with the rolled-back
-                    // device.
-                    fail_replies(batch.drain(..), restarts, &metrics);
-                    continue 'accept;
-                }
+                self.served += 1;
+                self.metrics.requests.inc();
             }
         }
-        served += requests.len() as u64;
-        metrics.requests.add(requests.len() as u64);
 
-        // Commit phase: the batch stands, so its undo is dropped, and the
-        // dedup windows learn its responses — before any reply leaves and
-        // before the cell is unlocked, so neither a client nor a reader of
-        // the cell can observe state a rollback would undo, and a
-        // duplicate racing in behind its original can only ever observe
-        // the committed response. O(batch) in time and memory.
+        // Commit phase: the request stands, so its undo is dropped, and its
+        // lane's dedup window learns its response — before the reply
+        // leaves and before the lock is released, so neither a client nor
+        // a reader of the device can observe state a rollback would undo,
+        // and a duplicate behind its original can only ever observe the
+        // committed response.
         {
-            let _span = tracer.span("server.commit");
-            undo.clear();
-            for &(lane_id, seq, index) in &pending_cache {
-                lanes
-                    .entry(lane_id)
+            let _span = self.tracer.span("server.commit");
+            self.undo.clear();
+            if let Verdict::Serve(_, Some(header)) = verdict {
+                let dedup_window = self.options.dedup_window;
+                self.lanes
+                    .entry(header.lane)
                     .or_insert_with(|| LaneState::new(dedup_window))
-                    .commit(seq, responses[index], dedup_window);
+                    .commit(header.seq, self.responses[0], dedup_window);
             }
-            metrics.checkpoints.inc();
+            self.metrics.checkpoints.inc();
         }
         // Telemetry drains strictly after the commit: a crash wipes any
         // undelivered ledger events together with the device state they
-        // described, keeping budget-spend delivery exactly-once.
+        // described, keeping budget-spend delivery exactly-once. The drain
+        // of a shutdown's step is the shard's last.
         {
-            let _span = tracer.span("server.drain");
-            edge.drain_into(&device_counters);
+            let _span = self.tracer.span("server.drain");
+            edge.drain_into(&self.device_counters);
         }
         // Bid emission shares the same post-commit slot and therefore the
-        // same exactly-once guarantee: `requests`/`responses` are parallel
-        // and hold only the non-duplicate requests this batch *applied*
-        // (replays and same-batch duplicates never enter them; a killed
-        // batch rolls back before reaching here).
+        // same exactly-once guarantee: only an applied request emits
+        // (replays never reach `Serve`; a killed request rolls back before
+        // reaching here).
         {
-            let _span = tracer.span("server.emit");
-            if let Some(sink) = options.bid_sink.as_ref() {
-                crate::replay::emit_bids(sink, &requests, &responses);
+            let _span = self.tracer.span("server.emit");
+            if let (Some(sink), Verdict::Serve(request, _)) = (&self.options.bid_sink, &verdict) {
+                crate::replay::emit_bids(sink, std::slice::from_ref(request), &self.responses);
             }
         }
+        let _span = self.tracer.span("server.encode");
+        match verdict {
+            Verdict::Serve(..) => Some(self.responses[0].encode()),
+            Verdict::Answer(response) => Some(response.encode()),
+            Verdict::Drop => None,
+        }
+    }
 
-        // One encode block per wakeup: every response frame lands in
-        // `frame_buf`, is frozen into a single shared allocation, and each
-        // client gets a zero-copy slice — no per-response allocation. The
-        // block lives until the last client drops its reply.
-        frame_buf.clear();
-        offsets.clear();
-        let block = {
-            let _span = tracer.span("server.encode");
-            for response in &responses {
-                let start = frame_buf.len();
-                response.encode_into(&mut frame_buf);
-                offsets.push(start..frame_buf.len());
-            }
-            Bytes::copy_from_slice(&frame_buf)
+    /// Decides what the step does with `frame`, booking strikes, bans,
+    /// suppressed duplicates and stale rejections as it goes.
+    fn decode(&mut self, client: u64, frame: &[u8]) -> Verdict {
+        if self.banned.contains(&client) {
+            return Verdict::Drop;
+        }
+        // Peel the exactly-once envelope first. The checksum over (lane,
+        // seq, inner) fails closed: a corrupted header can never alias
+        // another lane's cached response, it lands on the malformed path
+        // like any other damaged frame.
+        let (header, inner) = match split_sequenced(frame) {
+            Ok(Some((header, inner))) => (Some(header), inner),
+            Ok(None) => (None, frame),
+            Err(_) => return self.book_malformed(client),
         };
-        let _span = tracer.span("server.reply");
-        for (envelope, verdict) in batch.iter().zip(verdicts.iter()) {
-            match verdict {
-                Verdict::Serve(i) => {
-                    let _ = envelope.reply.send(block.slice(offsets[*i].clone()));
-                }
-                Verdict::Replay(response) => {
-                    let _ = envelope.reply.send(response.encode());
-                }
-                Verdict::RejectStale(seq) => {
-                    let _ = envelope.reply.send(
-                        EdgeResponse::Error { code: ErrorCode::StaleSequence, detail: *seq }
-                            .encode(),
-                    );
-                }
-                Verdict::Reject(strikes_left) => {
-                    let _ = envelope.reply.send(
-                        EdgeResponse::Error {
-                            code: ErrorCode::Malformed,
-                            detail: *strikes_left,
-                        }
-                        .encode(),
-                    );
-                }
-                Verdict::Drop => {}
+        if let Some(header) = header {
+            let lane = self.lanes.get(&header.lane);
+            if let Some(cached) = lane.and_then(|lane| lane.cached(header.seq)) {
+                // Committed duplicate: replay the response the original
+                // received.
+                self.strikes.remove(&client);
+                self.metrics.duplicates_suppressed.inc();
+                return Verdict::Answer(cached);
+            }
+            if header.seq < lane.map_or(0, |lane| lane.next_seq) {
+                // Older than the replay window: re-serving would
+                // double-apply, so reject explicitly instead.
+                self.strikes.remove(&client);
+                self.metrics.stale_rejections.inc();
+                let code = ErrorCode::StaleSequence;
+                return Verdict::Answer(EdgeResponse::Error { code, detail: header.seq });
             }
         }
-        if let Some(i) = shutdown_at {
-            // Ack the shutdown itself; envelopes queued behind it are
-            // dropped, so their clients observe a disconnect — the same
-            // outcome as racing a shutdown in the unbatched loop.
-            let _ = batch[i].reply.send(EdgeResponse::Ack.encode());
-            break;
+        match ClientRequest::decode(inner) {
+            Ok(ClientRequest::Shutdown) => {
+                // The shard stops once this step completes.
+                self.status = Status::Stopped;
+                Verdict::Answer(EdgeResponse::Ack)
+            }
+            Ok(request) => {
+                self.strikes.remove(&client);
+                Verdict::Serve(request, header)
+            }
+            Err(_) => self.book_malformed(client),
         }
-        // Drop the batch's envelopes now: a `Drop` verdict answers its
-        // banned client by closing the reply channel, which must not wait
-        // for the next wakeup.
-        batch.clear();
     }
-    // Final drain: a rollback whose batch was then abandoned (the poisoned
-    // twice-crashing case) leaves its restore events pending with no later
-    // commit to carry them.
-    if let Some(edge) = device.lock().as_mut() {
-        edge.drain_into(&device_counters);
+
+    /// Books one malformed frame against its sender: a strike with an
+    /// explicit countdown reply while under the limit, a ban (silent drop,
+    /// the client observes a disconnect) once the limit is reached.
+    fn book_malformed(&mut self, client: u64) -> Verdict {
+        self.metrics.malformed_frames.inc();
+        let limit = self.options.malformed_limit;
+        let count = self.strikes.entry(client).or_insert(0);
+        *count += 1;
+        if *count >= limit {
+            self.strikes.remove(&client);
+            self.banned.insert(client);
+            self.metrics.dropped_clients.inc();
+            Verdict::Drop
+        } else {
+            let detail = limit - *count;
+            Verdict::Answer(EdgeResponse::Error { code: ErrorCode::Malformed, detail })
+        }
     }
-    Ok(())
+
+    /// Stops serving, if the shard still serves, and hands the device out.
+    /// The final drain carries what no commit did: the restore events of
+    /// a request that killed its step twice and was dropped.
+    fn finish(&mut self) -> Result<EdgeDevice, SystemError> {
+        if let Status::Failed(e) = &self.status {
+            return Err(e.clone());
+        }
+        self.status = Status::Stopped;
+        let mut edge =
+            self.device.take().ok_or(SystemError::WorkerFailed { restarts: self.restarts })?;
+        edge.drain_into(&self.device_counters);
+        Ok(edge)
+    }
 }
 
-/// Lists in `touched` the users `requests` name, sorted and distinct: the
-/// users a batch can change, so the only ones its undo saves.
-fn touched_users(requests: &[ClientRequest], touched: &mut Vec<UserId>) {
-    touched.clear();
-    touched.extend(requests.iter().filter_map(ClientRequest::user));
-    touched.sort_unstable();
-    touched.dedup();
-}
-
-/// One supervised attempt at a decoded batch: saves the pre-batch state
-/// of every user in `touched` (the users `requests` name, sorted and
-/// distinct), serves the batch, and rolls the device back to that state
-/// if it panics. Returns whether the batch was served.
+/// One supervised attempt at decoded requests: saves the pre-request
+/// state of every user in `touched` (the users `requests` name, sorted
+/// and distinct), serves the requests, and rolls the device back to that
+/// state if serving panics. Returns whether the requests were served.
 fn serve_attempt(
     edge: &mut EdgeDevice,
     requests: &[ClientRequest],
@@ -1112,8 +1021,8 @@ fn serve_attempt(
     responses.clear();
     edge.save_undo(touched, undo);
     // `AssertUnwindSafe` is sound because the rollback repairs whatever
-    // the unwind leaves torn. Serving a batch changes three things: the
-    // slots of the users it names, the user map's key set (a first contact
+    // the unwind leaves torn. Serving changes three things: the slots of
+    // the users the requests name, the user map's key set (a first contact
     // adds a slot), and the device's stats, pending spends and scratch
     // arena. `roll_back` puts every saved slot back, removes every first
     // contact, and restarts the stats, pending spends and arena as a
@@ -1128,10 +1037,10 @@ fn serve_attempt(
     outcome.is_ok()
 }
 
-/// Serves one decoded batch, injecting any scheduled crash: requests
+/// Serves decoded requests, injecting any scheduled crash: requests
 /// before the kill point are served (mutating device state — the
-/// realistic partial-failure shape the rollback must undo), then the
-/// worker dies.
+/// realistic partial-failure shape the rollback must undo), then serving
+/// dies.
 fn serve_requests(
     edge: &mut EdgeDevice,
     requests: &[ClientRequest],
@@ -1150,19 +1059,10 @@ fn serve_requests(
     }
 }
 
-/// Fails pending replies with an explicit error frame instead of leaving
-/// the clients hanging on dead channels.
-fn fail_replies(
-    envelopes: impl Iterator<Item = Envelope>,
-    restarts: u32,
-    metrics: &ServerMetrics,
-) {
-    for envelope in envelopes {
-        metrics.failed_replies.inc();
-        let _ = envelope.reply.send(
-            EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: restarts }.encode(),
-        );
-    }
+/// The explicit failure reply for a request its step could not serve.
+fn failed_reply(restarts: u32, metrics: &ServerMetrics) -> Bytes {
+    metrics.failed_replies.inc();
+    EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: restarts }.encode()
 }
 
 /// Bounded, deterministic, wall-clock-free backoff between restarts:
@@ -1244,26 +1144,39 @@ mod tests {
 
     #[test]
     fn many_client_threads_share_one_edge() {
+        // Each user's script: a settling window, then ad requests.
+        let replies = |handle: &EdgeHandle, user: UserId| -> Vec<EdgeResponse> {
+            let home = Point::new(f64::from(user.raw()) * 3_000.0, 0.0);
+            (0..30)
+                .map(|t| ClientRequest::CheckIn { user, location: home, timestamp: t })
+                .chain([ClientRequest::FinalizeWindow { user }])
+                .chain((0..5).map(|_| ClientRequest::RequestLocation { user, location: home }))
+                .map(|request| handle.call(request).unwrap())
+                .collect()
+        };
+        let users: Vec<UserId> = (0..6).map(UserId::new).collect();
+        // Serial: one caller, one user after another.
         let (server, handle) = spawn();
-        let handles: Vec<_> = (0..6u32)
-            .map(|u| {
-                let h = handle.clone();
-                std::thread::spawn(move || {
-                    let user = UserId::new(u);
-                    let home = Point::new(u as f64 * 3_000.0, 0.0);
-                    for t in 0..30 {
-                        h.check_in(user, home, t).unwrap();
-                    }
-                    assert_eq!(h.finalize_window(user).unwrap(), 1);
-                    h.request_location(user, home).unwrap()
+        let serial: Vec<Vec<EdgeResponse>> = users.iter().map(|&u| replies(&handle, u)).collect();
+        let serial_device = server.join().unwrap();
+        // Concurrent: one thread per user, all calling one shard, get
+        // every user the replies of the serial run.
+        let (server, handle) = spawn();
+        let concurrent: Vec<Vec<EdgeResponse>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = users
+                .iter()
+                .map(|&u| {
+                    let handle = handle.clone();
+                    scope.spawn(move || replies(&handle, u))
                 })
-            })
-            .collect();
-        for h in handles {
-            assert!(h.join().unwrap().is_finite());
-        }
+                .collect();
+            callers.into_iter().map(|caller| caller.join().unwrap()).collect()
+        });
+        assert_eq!(concurrent, serial);
         handle.shutdown().unwrap();
-        assert_eq!(server.join().unwrap().user_count(), 6);
+        let edge = server.join().unwrap();
+        assert_eq!(edge.user_count(), 6);
+        assert_eq!(edge.checkpoint(), serial_device.checkpoint());
     }
 
     #[test]
@@ -1422,66 +1335,43 @@ mod tests {
 
     #[test]
     fn poisoned_batch_fails_its_replies_and_worker_recovers() {
-        // Two kill points inside one batch: the retry dies too, so the
-        // supervisor fails the batch's replies explicitly and keeps the
-        // (restored) worker alive for later traffic. Queue the whole batch
-        // before running `serve` so it drains in a single wakeup.
-        let config = SystemConfig::builder().build().unwrap();
-        let (tx, rx) = sync_channel::<Envelope>(16);
-        let options = ServerOptions {
-            fault_plan: FaultPlan::kill_at([0, 2]),
+        // A request that kills its step on the retry too — its kill point
+        // scheduled twice, which `FaultPlan::kill_at` cannot build: the
+        // supervisor answers it with an explicit failure and the shard
+        // serves on with the rolled-back device.
+        let (server, handle) = spawn_with(ServerOptions {
+            fault_plan: FaultPlan { kill_at: vec![0, 0] },
             backoff_base: 1,
             backoff_cap: 1,
             ..ServerOptions::default()
+        });
+        let check_in = |t| ClientRequest::CheckIn {
+            user: UserId::new(1),
+            location: Point::ORIGIN,
+            timestamp: t,
         };
-        let metrics = Arc::new(ServerMetrics::new(&options.telemetry));
-        let mut replies = Vec::new();
-        for t in 0..4 {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let frame = ClientRequest::CheckIn {
-                user: UserId::new(1),
-                location: Point::ORIGIN,
-                timestamp: t,
-            }
-            .encode()
-            .to_vec();
-            metrics.queue_depth.add(1);
-            tx.send(Envelope { client: 0, frame, reply: reply_tx }).unwrap();
-            replies.push(reply_rx);
-        }
-        drop(tx);
-        let device = Arc::new(Mutex::new(None));
-        serve(config, 7, rx, options, Arc::clone(&metrics), Tracer::default(), Arc::clone(&device))
-            .unwrap();
-        let edge = device.lock().take().unwrap();
-        for reply_rx in replies {
-            let frame = reply_rx.recv().unwrap();
-            assert_eq!(
-                EdgeResponse::decode(&frame).unwrap(),
-                EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: 2 }
-            );
-        }
-        // The batch was dropped after the rollback: no check-in survived.
-        assert_eq!(edge.user_count(), 0);
-        assert_eq!(metrics.restarts.value(), 2);
-        assert_eq!(metrics.failed_replies.value(), 4);
+        let err = handle.call(check_in(0)).unwrap_err();
+        assert_eq!(err, TransportError::WorkerFailed { restarts: 2 });
+        // The request was dropped after the rollback: no check-in survived.
+        let fresh = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 11);
+        assert_eq!(server.last_checkpoint(), fresh.checkpoint());
+        let health = server.health();
+        assert_eq!((health.restarts, health.failed_replies), (2, 1));
+        // The shard serves on: the next request is its first.
+        handle.call(check_in(1)).unwrap();
+        assert_eq!(handle.shard.metrics.requests.value(), 1);
+        handle.shutdown().unwrap();
+        assert_eq!(server.join().unwrap().user_count(), 1);
     }
 
     #[test]
     fn overload_rejects_and_retry_budget_is_bounded() {
-        // Client-side path against a full queue: a capacity-1 channel with
-        // no consumer, its single slot occupied directly.
-        let (tx, _rx) = sync_channel::<Envelope>(1);
-        let telemetry = Telemetry::new();
-        let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let handle = EdgeHandle {
-            tx,
-            client: 0,
-            next_client: Arc::new(AtomicU64::new(1)),
-            metrics: Arc::clone(&metrics),
-        };
-        let (reply_tx, _parked) = sync_channel(1);
-        handle.tx.send(Envelope { client: 9, frame: Vec::new(), reply: reply_tx }).unwrap();
+        // Client-side path against a full shard: capacity 1, its one
+        // waiting slot occupied directly.
+        let (_server, handle) =
+            spawn_with(ServerOptions { queue_capacity: 1, ..ServerOptions::default() });
+        let metrics = Arc::clone(&handle.shard.metrics);
+        handle.shard.waiting.fetch_add(1, Ordering::Relaxed);
         let err = handle.try_call(ClientRequest::Shutdown).unwrap_err();
         assert_eq!(err, TransportError::Overloaded);
         let policy = RetryPolicy {
@@ -1493,9 +1383,52 @@ mod tests {
         let err = handle.call_with_retry(ClientRequest::Shutdown, &policy).unwrap_err();
         assert_eq!(err, TransportError::Overloaded);
         assert_eq!(metrics.overload_rejections.value(), 4);
-        // Rejected sends roll their depth increment back; the only queued
-        // envelope went around the handle, so the depth reads zero.
+        // Rejected callers never wait; the only waiter went around the
+        // handle, so the depth reads zero.
         assert_eq!(metrics.queue_depth.value(), 0);
+    }
+
+    #[test]
+    fn try_call_is_overloaded_once_queue_capacity_callers_wait_on_the_shard() {
+        // Two shards on one hub, each admitting two waiting callers.
+        let hub = Telemetry::new();
+        let options =
+            ServerOptions { queue_capacity: 2, telemetry: hub.clone(), ..ServerOptions::default() };
+        let (busy, busy_handle) = spawn_with(options.clone());
+        let (_idle, idle_handle) = spawn_with(options);
+        let check_in = |t| ClientRequest::CheckIn {
+            user: UserId::new(1),
+            location: Point::ORIGIN,
+            timestamp: t,
+        };
+        std::thread::scope(|scope| {
+            // The test holds the busy shard's lock, so the callers it
+            // admits wait.
+            let held = busy_handle.shard.core.lock();
+            let waiters: Vec<_> = (0..2)
+                .map(|t| {
+                    let handle = busy_handle.clone();
+                    scope.spawn(move || handle.try_call(check_in(t)))
+                })
+                .collect();
+            let waiting = || busy_handle.shard.waiting.load(Ordering::Relaxed);
+            while waiting() < 2 && !waiters.iter().any(|w| w.is_finished()) {
+                std::thread::yield_now();
+            }
+            assert_eq!(waiting(), 2, "both callers under the capacity are admitted");
+            // Two callers wait: the third is shed at once...
+            assert_eq!(busy_handle.try_call(check_in(2)).unwrap_err(), TransportError::Overloaded);
+            // ...while the other shard still admits, though the hub-wide
+            // gauge already counts two waiters.
+            assert_eq!(busy.health().queue_depth, 2);
+            assert_eq!(idle_handle.try_call(check_in(0)).unwrap(), EdgeResponse::Ack);
+            drop(held);
+            for waiter in waiters {
+                assert_eq!(waiter.join().unwrap().unwrap(), EdgeResponse::Ack);
+            }
+        });
+        let health = busy.health();
+        assert_eq!((health.queue_depth, health.overload_rejections), (0, 1));
     }
 
     #[test]
@@ -1707,17 +1640,10 @@ mod tests {
 
     #[test]
     fn disconnect_retries_have_their_own_budget() {
-        // A dead endpoint: every attempt observes Disconnected.
-        let (tx, rx) = sync_channel::<Envelope>(4);
-        drop(rx);
-        let telemetry = Telemetry::new();
-        let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let handle = EdgeHandle {
-            tx,
-            client: 0,
-            next_client: Arc::new(AtomicU64::new(1)),
-            metrics: Arc::clone(&metrics),
-        };
+        // A joined shard: every attempt observes Disconnected.
+        let (server, handle) = spawn();
+        server.join().unwrap();
+        let metrics = Arc::clone(&handle.shard.metrics);
         let policy = RetryPolicy {
             max_attempts: 1,
             disconnect_attempts: 3,
@@ -1804,6 +1730,15 @@ mod tests {
         ]
     }
 
+    /// Lists in `touched` the users `requests` name, sorted and distinct:
+    /// the users a batch can change, so the only ones its undo saves.
+    fn touched_users(requests: &[ClientRequest], touched: &mut Vec<UserId>) {
+        touched.clear();
+        touched.extend(requests.iter().filter_map(ClientRequest::user));
+        touched.sort_unstable();
+        touched.dedup();
+    }
+
     #[test]
     fn a_killed_batch_rolls_back_to_the_committed_device() {
         for (case, batch) in killed_batches() {
@@ -1855,67 +1790,36 @@ mod tests {
         assert_eq!(responses[1], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
     }
 
-    /// Runs a serving loop over `requests` queued as one batch before the
-    /// loop starts, so all of them are served in a single wakeup, and
-    /// returns the server with one reply receiver per request.
-    fn spawn_one_batch(
-        options: ServerOptions,
-        requests: &[ClientRequest],
-    ) -> (EdgeServer, Vec<Receiver<Bytes>>) {
-        let (tx, rx) = sync_channel::<Envelope>(requests.len().max(1));
-        let telemetry = options.telemetry.clone();
-        let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let replies = requests
-            .iter()
-            .map(|request| {
-                let (reply_tx, reply_rx) = sync_channel(1);
-                metrics.queue_depth.add(1);
-                let envelope = Envelope { client: 0, frame: request.encode_vec(), reply: reply_tx };
-                tx.send(envelope).unwrap();
-                reply_rx
-            })
-            .collect();
-        drop(tx);
-        let tracer = Tracer::default();
-        let device = Arc::new(Mutex::new(None));
-        let config = SystemConfig::builder().build().unwrap();
-        let thread = std::thread::spawn({
-            let (metrics, tracer, device) =
-                (Arc::clone(&metrics), tracer.clone(), Arc::clone(&device));
-            move || serve(config, 11, rx, options, metrics, tracer, device)
-        });
-        (EdgeServer { thread, metrics, telemetry, tracer, device }, replies)
-    }
-
     #[test]
     fn past_the_budget_the_server_keeps_its_committed_device() {
         let committed = committed_device().checkpoint();
         for (case, batch) in killed_batches() {
-            let (server, replies) = spawn_one_batch(
-                ServerOptions {
-                    fault_plan: FaultPlan::kill_at([3]),
-                    max_restarts: 0,
-                    restore_from: Some(committed.clone()),
-                    ..ServerOptions::default()
-                },
-                &batch,
-            );
-            for reply in replies {
-                let frame = reply.recv().unwrap();
-                assert_eq!(
-                    EdgeResponse::decode(&frame).unwrap(),
-                    EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: 1 },
-                    "{case}"
-                );
+            // No restart to spare: the kill at the batch's fourth request
+            // fails the shard.
+            let (server, handle) = spawn_with(ServerOptions {
+                fault_plan: FaultPlan::kill_at([3]),
+                max_restarts: 0,
+                restore_from: Some(committed.clone()),
+                ..ServerOptions::default()
+            });
+            let (served, killed) = batch.split_at(3);
+            let mut expected = committed_device();
+            let mut responses = Vec::new();
+            expected.serve_batch(served, &mut responses);
+            for (&request, response) in served.iter().zip(&responses) {
+                assert_eq!(handle.call(request).unwrap(), *response, "{case}");
             }
-            // The worker rolled the batch back before it gave up: what it
-            // leaves is the committed device, byte for byte.
+            let failed = TransportError::WorkerFailed { restarts: 1 };
+            assert_eq!(handle.call(killed[0]).unwrap_err(), failed, "{case}");
+            assert_eq!(handle.call(killed[0]).unwrap_err(), TransportError::Disconnected, "{case}");
+            // The step rolled its request back before the shard gave up:
+            // what it leaves is the committed device, byte for byte.
             let last = server.last_checkpoint();
-            assert_eq!(last, committed, "{case}");
+            assert_eq!(last, expected.checkpoint(), "{case}");
             assert_eq!(server.join().unwrap_err(), SystemError::WorkerFailed { restarts: 1 });
 
             // A server restored from it continues every stream bit for
-            // bit: the batch, then one more draw per user.
+            // bit: the killed request, then one more draw per user.
             let follow_up: Vec<ClientRequest> = batch
                 .iter()
                 .filter_map(ClientRequest::user)
@@ -1923,7 +1827,7 @@ mod tests {
                 .collect();
             let (server, handle) =
                 spawn_with(ServerOptions { restore_from: Some(last), ..ServerOptions::default() });
-            let responses: Vec<EdgeResponse> = batch
+            let responses: Vec<EdgeResponse> = killed
                 .iter()
                 .chain(&follow_up)
                 .map(|&request| handle.call(request).unwrap())
@@ -1934,18 +1838,33 @@ mod tests {
             let mut expected = Vec::new();
             continuous.serve_batch(&batch, &mut expected);
             continuous.serve_batch(&follow_up, &mut expected);
-            assert_eq!(responses, expected, "{case}");
+            assert_eq!(responses, expected[3..], "{case}");
             assert_eq!(resumed.checkpoint(), continuous.checkpoint(), "{case}");
         }
     }
 
-    /// Sends `frame` as this handle's client and returns the reply frame
-    /// as the server sent it.
+    #[test]
+    fn an_unreadable_restore_image_fails_every_call_and_join() {
+        let mut image = committed_device().checkpoint().to_vec();
+        *image.last_mut().unwrap() ^= 1;
+        let (server, handle) = spawn_with(ServerOptions {
+            restore_from: Some(Bytes::from(image)),
+            ..ServerOptions::default()
+        });
+        // Never an empty device in its place: no call is served, and there
+        // is no committed image to heal from.
+        for user in [1, 3] {
+            let err = handle.request_location(UserId::new(user), Point::ORIGIN).unwrap_err();
+            assert_eq!(err, TransportError::Disconnected);
+        }
+        assert!(server.last_checkpoint().is_empty());
+        assert!(matches!(server.join().unwrap_err(), SystemError::Recovery(_)));
+    }
+
+    /// Steps `frame` as this handle's client on the test thread and
+    /// returns the reply frame as the shard encoded it.
     fn call_frame(handle: &EdgeHandle, frame: Vec<u8>) -> Bytes {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        handle.metrics.queue_depth.add(1);
-        handle.tx.send(Envelope { client: handle.client, frame, reply: reply_tx }).unwrap();
-        reply_rx.recv().unwrap()
+        handle.shard.core.lock().step(handle.client, &frame).unwrap()
     }
 
     #[test]
@@ -2010,15 +1929,14 @@ mod tests {
 
     #[test]
     #[cfg(feature = "trace")]
-    fn seven_spans_tile_every_wakeup() {
-        const STAGES: [&str; 7] = [
+    fn six_spans_tile_every_step() {
+        const STAGES: [&str; 6] = [
             "server.decode",
             "server.serve_batch",
             "server.commit",
             "server.drain",
             "server.emit",
             "server.encode",
-            "server.reply",
         ];
         let (server, handle) = spawn();
         handle.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
@@ -2026,8 +1944,8 @@ mod tests {
         let tracer = server.tracer().clone();
         server.join().unwrap();
         let records = tracer.records();
-        // Two wakeups — the check-in, then the shutdown — each recorded
-        // as the seven stages in order.
+        // Two steps — the check-in, then the shutdown — each recorded as
+        // the six stages in order.
         let names: Vec<&str> = records.iter().map(|r| r.name).collect();
         assert_eq!(names, [STAGES, STAGES].concat());
         // The first covers the logical-clock interval of its one request,

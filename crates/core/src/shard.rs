@@ -138,9 +138,11 @@ impl ShardRouter {
     }
 
     /// [`ShardRouter::spawn`] with explicit per-shard options — fault
-    /// plans, queue capacities, or a caller-owned hub. One shard is
-    /// spawned per entry (at least one entry required, panics on an
-    /// empty list). Every shard serves per-user streams from `master`,
+    /// plans, queue capacities, restore images, or a caller-owned hub. One
+    /// shard is spawned per entry (at least one entry required, panics on
+    /// an empty list), each on its own scoped thread, so the shards'
+    /// [`ServerOptions::restore_from`] restores overlap instead of running
+    /// back to back. Every shard serves per-user streams from `master`,
     /// which is what makes the router shard-count invariant.
     pub fn spawn_with(
         config: SystemConfig,
@@ -148,13 +150,18 @@ impl ShardRouter {
         options: Vec<ServerOptions>,
     ) -> ShardRouter {
         assert!(!options.is_empty(), "a shard router needs at least one shard");
-        let mut servers = Vec::with_capacity(options.len());
-        let mut handles = Vec::with_capacity(options.len());
-        for shard_options in options {
-            let (server, handle) = EdgeServer::spawn_with(config, master, shard_options);
-            servers.push(server);
-            handles.push(handle);
-        }
+        let (servers, handles) = std::thread::scope(|scope| {
+            let spawns: Vec<_> = options
+                .into_iter()
+                .map(|shard_options| {
+                    scope.spawn(move || EdgeServer::spawn_with(config, master, shard_options))
+                })
+                .collect();
+            spawns
+                .into_iter()
+                .map(|spawn| spawn.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .unzip()
+        });
         ShardRouter { servers, handles }
     }
 
@@ -258,8 +265,8 @@ impl ShardRouter {
         results.into_iter().map(|r| r.expect("every request answered")).collect()
     }
 
-    /// Stops every shard's serving loop (first failure wins, remaining
-    /// shards are still asked to stop).
+    /// Stops every shard (first failure wins, remaining shards are still
+    /// asked to stop).
     ///
     /// # Errors
     ///
@@ -277,14 +284,14 @@ impl ShardRouter {
         }
     }
 
-    /// Waits for every shard to finish and returns the final per-shard
+    /// Stops every shard still serving and returns the final per-shard
     /// devices, in shard order, for inspection (footprints, snapshots,
-    /// released-set audits).
+    /// released-set audits). Nothing waits: the shards have no threads.
     ///
     /// # Errors
     ///
     /// Returns the first shard's [`SystemError`]; later shards are still
-    /// joined so no worker thread leaks.
+    /// joined, so each hands its device out.
     pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
         drop(self.handles);
         let mut devices = Vec::with_capacity(self.servers.len());

@@ -1,6 +1,7 @@
-//! The client ↔ edge wire protocol in action: an edge serving loop on its
-//! own thread, several concurrent mobile-client threads talking to it in
-//! binary frames, and a look at what the frames carry.
+//! The client ↔ edge wire protocol in action: an edge shard, several
+//! concurrent mobile-client threads talking to it in binary frames (each
+//! call is served on its client's thread), and a look at what the frames
+//! carry.
 //!
 //! ```sh
 //! cargo run --release --example edge_protocol
