@@ -206,7 +206,7 @@ pub mod collection {
     use super::{Strategy, StdRng};
     use rand::Rng;
 
-    /// A half-open or inclusive length range for [`vec`].
+    /// A half-open or inclusive length range for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -231,7 +231,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

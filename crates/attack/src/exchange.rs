@@ -7,7 +7,7 @@
 //! material: either the raw concatenated wire frames
 //! ([`ExchangeObservations::from_wire`], decoding request frames and
 //! skipping responses) or an already-settled
-//! [`BidExchangeLog`](privlocad_openrtb::BidExchangeLog)
+//! [`BidExchangeLog`]
 //! ([`ExchangeObservations::from_log`]). Every experiment runs the attack
 //! off these observations; there is no other feed.
 

@@ -9,7 +9,7 @@
 //! frequency caps, and appends the settled pair to a deterministic
 //! [`BidExchangeLog`](privlocad_openrtb::BidExchangeLog) — the byte stream
 //! the attacker ingests via
-//! [`ExchangeObservations`](privlocad_attack::ExchangeObservations).
+//! [`ExchangeObservations`].
 //!
 //! The workload drives one synthetic population through that pipeline and
 //! checks four claims in one pass:

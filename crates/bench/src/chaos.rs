@@ -479,8 +479,7 @@ fn flood_scenario(config: &Config, shards: usize) -> ChaosRow {
 
     let clients = (shards * 2).max(2);
     let per_client = (config.requests.max(1)) * 4;
-    let policy =
-        RetryPolicy { max_attempts: 5, backoff_base: 8, backoff_cap: 256, disconnect_attempts: 1 };
+    let policy = RetryPolicy { max_attempts: 5, backoff_base: 8, backoff_cap: 256 };
     let (mut served, mut shed) = (0u64, 0u64);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..clients)

@@ -4,7 +4,7 @@
 //! `auction` — owns some *families* of rows. A family is a row name up to
 //! its first `/`: `serve/scale/10000` belongs to `serve`, `verify` to
 //! `verify`. Top-level `telemetry` sections are keyed the same way
-//! (`chaos/flood/2` belongs to `chaos`). [`write`] reads the existing
+//! (`chaos/flood/2` belongs to `chaos`). [`write()`] reads the existing
 //! log, drops the rows and telemetry sections of every family the update
 //! carries, appends the update, and validates the merged document with
 //! the schema check `privlocad-lint --bench-json` applies in CI. It then

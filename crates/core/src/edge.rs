@@ -37,10 +37,10 @@ fn user_entry<'a>(
     })
 }
 
-/// The pre-batch state of each user a batch in flight touches — `None`
+/// The pre-request state of the user a request in flight names — `None`
 /// for a first contact — from which [`EdgeDevice::roll_back`] undoes the
-/// batch.
-pub(crate) type BatchUndo = Vec<(UserId, Option<UserState>)>;
+/// request. `None` outright for a request that names no user.
+pub(crate) type RequestUndo = Option<(UserId, Option<UserState>)>;
 
 /// Serving observations accumulated by an [`EdgeDevice`] since its last
 /// [`EdgeDevice::drain_telemetry`] call.
@@ -381,8 +381,10 @@ impl EdgeDevice {
 
     /// Serves a batch of protocol requests in order, pushing exactly one
     /// response per request onto `responses` (appended; the caller owns
-    /// clearing). [`crate::EdgeServer`] serves each request it steps
-    /// through a one-request call.
+    /// clearing) — the unsupervised path trace replays take
+    /// ([`crate::replay`]). A serving shard ([`crate::EdgeServer`]) runs
+    /// the same per-request body one request per step, under its
+    /// supervisor.
     ///
     /// `Shutdown` is a transport-level concern; at the device level it is
     /// a no-op acknowledged with [`EdgeResponse::Ack`].
@@ -391,24 +393,23 @@ impl EdgeDevice {
         requests: &[ClientRequest],
         responses: &mut Vec<EdgeResponse>,
     ) {
-        responses.reserve(requests.len());
-        for request in requests {
-            let response = match *request {
-                ClientRequest::CheckIn { user, location, .. } => {
-                    self.report_checkin(user, location);
-                    EdgeResponse::Ack
-                }
-                ClientRequest::RequestLocation { user, location } => {
-                    EdgeResponse::ReportedLocation {
-                        location: self.reported_location(user, location),
-                    }
-                }
-                ClientRequest::FinalizeWindow { user } => EdgeResponse::WindowClosed {
-                    fresh_obfuscations: self.finalize_window(user) as u32,
-                },
-                ClientRequest::Shutdown => EdgeResponse::Ack,
-            };
-            responses.push(response);
+        responses.extend(requests.iter().map(|&request| self.serve(request)));
+    }
+
+    /// Serves one protocol request and returns its response.
+    pub(crate) fn serve(&mut self, request: ClientRequest) -> EdgeResponse {
+        match request {
+            ClientRequest::CheckIn { user, location, .. } => {
+                self.report_checkin(user, location);
+                EdgeResponse::Ack
+            }
+            ClientRequest::RequestLocation { user, location } => {
+                EdgeResponse::ReportedLocation { location: self.reported_location(user, location) }
+            }
+            ClientRequest::FinalizeWindow { user } => {
+                EdgeResponse::WindowClosed { fresh_obfuscations: self.finalize_window(user) as u32 }
+            }
+            ClientRequest::Shutdown => EdgeResponse::Ack,
         }
     }
 
@@ -516,10 +517,10 @@ impl EdgeDevice {
     /// Starts the run-local buffers afresh after the user states were
     /// restored: the stats count one restore per user, the pending spends
     /// hold one [`SpendKind::Restore`] per user and nothing else, and the
-    /// scratch arena is new. The one body behind a restore from bytes and
-    /// a rollback ([`EdgeDevice::roll_back`]), so both read alike in the
-    /// exported counters and the ledger.
-    fn restart_run(&mut self) {
+    /// scratch arena is new. The one body behind a restore from bytes, a
+    /// rollback ([`EdgeDevice::roll_back`]) and a shard revived in place,
+    /// so all three read alike in the exported counters and the ledger.
+    pub(crate) fn restart_run(&mut self) {
         self.stats = DeviceStats { restores: self.users.len() as u64, ..DeviceStats::default() };
         self.pending_spends.clear();
         self.pending_spends.extend(
@@ -530,32 +531,29 @@ impl EdgeDevice {
         self.arena = CandidateArena::new();
     }
 
-    /// Saves into `undo` the pre-batch state of each of `users` — a clone
-    /// of the user's state, or `None` for a user the device has not seen —
-    /// replacing what `undo` held. O(batch): only the users a batch
-    /// touches are saved, never the device.
-    pub(crate) fn save_undo(&self, users: &[UserId], undo: &mut BatchUndo) {
-        undo.clear();
-        undo.extend(users.iter().map(|&user| (user, self.users.get(user).cloned())));
+    /// Saves the pre-request state of the user `request` names — a clone
+    /// of the user's state, or `None` for a user the device has not seen.
+    /// O(1) in the device: only that user is saved, never the device.
+    pub(crate) fn save_undo(&self, request: &ClientRequest) -> RequestUndo {
+        request.user().map(|user| (user, self.users.get(user).cloned()))
     }
 
-    /// Rolls back a batch that died part-way: every user saved in `undo`
-    /// gets its saved state back, every first contact is removed, and the
+    /// Rolls back a request that died part-way: the saved user gets its
+    /// saved state back, or is removed if it was a first contact, and the
     /// run-local buffers restart as after a restore of the rolled-back
-    /// device. Empties `undo`.
+    /// device.
     ///
-    /// Serving a batch changes nothing else — the users it touches, the
-    /// user map's key set (first contacts), and the stats, pending spends
+    /// Serving a request changes nothing else — the user it names, the
+    /// user map's key set (a first contact), and the stats, pending spends
     /// and scratch arena — so after this the device equals its state
-    /// before the batch, whatever the batch did before it died.
-    pub(crate) fn roll_back(&mut self, undo: &mut BatchUndo) {
-        for (user, saved) in undo.drain(..) {
-            match saved {
-                Some(state) => self.users.insert(user, state),
-                None => {
-                    self.users.remove(user);
-                }
+    /// before the request, whatever the request did before it died.
+    pub(crate) fn roll_back(&mut self, undo: RequestUndo) {
+        match undo {
+            Some((user, Some(state))) => self.users.insert(user, state),
+            Some((user, None)) => {
+                self.users.remove(user);
             }
+            None => {}
         }
         self.restart_run();
     }

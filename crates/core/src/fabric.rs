@@ -3,8 +3,10 @@
 //! circuit breakers, and a privacy-safe degradation ladder.
 //!
 //! [`crate::ShardRouter`] (DESIGN.md §16) assumes its shards answer;
-//! this module drops that assumption. A [`FabricRouter`] drives every
-//! router↔shard call through a fault-injectable link governed by a
+//! this module drops that assumption. A [`FabricRouter`] is a seeded
+//! link in front of one `ShardRouter`: it spawns, routes, shuts down and
+//! joins its shards through the router, and drives every router↔shard
+//! call through a fault-injectable link governed by a
 //! [`ChannelFaultPlan`] — frames are dropped, duplicated after a delay,
 //! or corrupted in flight under a schedule derived from the master seed
 //! — and keeps the paper's privacy contract intact anyway:
@@ -30,13 +32,13 @@
 //!    closed in the geo-indistinguishability sense: nothing leaves the
 //!    fabric that the adversary has not already seen.
 //! 4. **Self-healing.** A shard that dies past its restart budget is
-//!    respawned from its last committed checkpoint
-//!    ([`crate::ServerOptions::restore_from`]), resuming every user's
-//!    RNG stream bit-for-bit — the replacement never re-draws a
-//!    released candidate (the longitudinal-privacy violation
-//!    `crate::recovery` exists to prevent). A shard with no committed
-//!    checkpoint is lost ([`FabricError::ShardLost`]), never replaced by
-//!    an empty one.
+//!    healed in place: its serving core is rebuilt around its committed
+//!    device, exactly as a shard restored from that device's checkpoint
+//!    would start, so every user's RNG stream resumes bit-for-bit and
+//!    not one released candidate is re-drawn (the longitudinal-privacy
+//!    violation [`crate::recovery`] exists to prevent). No image is
+//!    streamed and no server spawned. A shard with no device is lost
+//!    ([`FabricError::ShardLost`]), never replaced by an empty one.
 //!
 //! Fault draws are keyed per *lane* (user) and per-lane delivery
 //! ordinal, not per link: the same master seed injects the same faults
@@ -46,7 +48,6 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
@@ -55,8 +56,8 @@ use privlocad_telemetry::Telemetry;
 use rand::Rng;
 
 use crate::protocol::{encode_sequenced, ClientRequest, EdgeResponse};
-use crate::server::{EdgeHandle, EdgeServer, FaultPlan, ServerOptions, TransportError};
-use crate::{EdgeDevice, SystemConfig, SystemError};
+use crate::server::{FaultPlan, ServerOptions, TransportError};
+use crate::{EdgeDevice, ShardRouter, SystemConfig, SystemError};
 
 /// Domain separator for fault-schedule RNG streams, far from the
 /// per-user serving streams derived in `crate::edge`.
@@ -122,14 +123,6 @@ impl ChannelFaultPlan {
     /// The quiet plan: no faults, no outages.
     pub fn none() -> Self {
         ChannelFaultPlan::default()
-    }
-
-    /// True when the plan can never inject anything.
-    pub fn is_quiet(&self) -> bool {
-        self.drop_per_mille == 0
-            && self.duplicate_per_mille == 0
-            && self.corrupt_per_mille == 0
-            && self.outages.is_empty()
     }
 
     /// True when `ordinal` on `lane` falls inside a scheduled outage.
@@ -491,7 +484,7 @@ pub struct FabricStats {
     pub degraded_serves: u64,
     /// Calls shed with an explicit [`FabricError::Degraded`] instead.
     pub degraded_rejections: u64,
-    /// Shards respawned from their last committed checkpoint.
+    /// Failed shards healed in place around their committed devices.
     pub heals: u64,
     /// Breaker transition events recorded (length of the trace).
     pub breaker_transitions: u64,
@@ -511,13 +504,13 @@ pub struct FabricOptions {
     /// Transmissions allowed per logical call before it fails with
     /// [`FabricError::DeadlineExceeded`] (clamped ≥ 1).
     pub call_budget: u32,
-    /// Checkpoint-respawn attempts allowed per shard.
+    /// In-place heals allowed per shard.
     pub max_heals: u32,
     /// Per-shard worker crash schedules (index = shard; missing entries
     /// mean no injected kills).
     pub kill_plans: Vec<FaultPlan>,
-    /// Template for each shard's [`ServerOptions`]; its telemetry hub
-    /// is shared by every shard.
+    /// Template for each shard's [`ServerOptions`], its fault plan taken
+    /// from `kill_plans`; its telemetry hub is shared by every shard.
     pub server: ServerOptions,
 }
 
@@ -543,13 +536,10 @@ struct PendingDup {
     frame: Vec<u8>,
 }
 
-/// Everything owned by one shard slot: the supervised server, its link
-/// state (client-side sequence numbers, fault ordinals, pending
-/// duplicates), and its breaker.
+/// One shard's link state: client-side sequence numbers, fault ordinals,
+/// pending duplicates, its breaker and its heal count.
 #[derive(Debug)]
-struct ShardState {
-    server: Option<EdgeServer>,
-    handle: EdgeHandle,
+struct LinkState {
     breaker: CircuitBreaker,
     lane_seq: BTreeMap<u32, u32>,
     lane_ordinal: BTreeMap<u32, u64>,
@@ -557,11 +547,12 @@ struct ShardState {
     heals: u32,
 }
 
-/// The self-healing fleet front: [`crate::ShardRouter`] semantics (O(1)
-/// user→shard routing, per-user streams, one shared telemetry hub) plus
-/// the fault model — every call crosses a [`ChannelFaultPlan`]-governed
-/// link in a sequenced envelope, under a per-shard circuit breaker,
-/// with checkpoint respawn for shards that die permanently.
+/// The self-healing fleet front: a seeded faulty link in front of one
+/// [`ShardRouter`], keeping its semantics (O(1) user→shard routing,
+/// per-user streams, one shared telemetry hub) under the fault model —
+/// every call crosses a [`ChannelFaultPlan`]-governed link in a
+/// sequenced envelope, under a per-shard circuit breaker, with in-place
+/// healing for shards that die permanently.
 ///
 /// # Examples
 ///
@@ -596,68 +587,61 @@ struct ShardState {
 /// ```
 #[derive(Debug)]
 pub struct FabricRouter {
-    config: SystemConfig,
-    master: u64,
-    shards: Vec<Mutex<ShardState>>,
+    router: ShardRouter,
+    links: Vec<Mutex<LinkState>>,
     stale: Mutex<StaleCache>,
     stats: Mutex<FabricStats>,
     trace: Mutex<Vec<BreakerEvent>>,
     fault_plan: ChannelFaultPlan,
     call_budget: u32,
     max_heals: u32,
-    server_template: ServerOptions,
-    telemetry: Telemetry,
 }
 
 impl FabricRouter {
-    /// Spawns `options.shards` supervised shards behind faulty links.
-    /// Every shard serves per-user streams from `master` and publishes
-    /// into the hub carried by `options.server.telemetry`.
+    /// Spawns `options.shards` supervised shards behind faulty links, one
+    /// [`ServerOptions`] per shard: `options.server` with that shard's
+    /// entry of `options.kill_plans`. Every shard serves per-user streams
+    /// from `master` and publishes into the hub carried by
+    /// `options.server.telemetry`.
     pub fn spawn(config: SystemConfig, master: u64, options: FabricOptions) -> FabricRouter {
-        let shard_count = options.shards.max(1);
-        let telemetry = options.server.telemetry.clone();
-        let mut shards = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            let server_options = ServerOptions {
+        let shard_options = (0..options.shards.max(1))
+            .map(|i| ServerOptions {
                 fault_plan: options.kill_plans.get(i).cloned().unwrap_or_default(),
-                telemetry: telemetry.clone(),
                 ..options.server.clone()
-            };
-            let (server, handle) = EdgeServer::spawn_with(config, master, server_options);
-            shards.push(Mutex::new(ShardState {
-                server: Some(server),
-                handle,
-                breaker: CircuitBreaker::new(options.breaker),
-                lane_seq: BTreeMap::new(),
-                lane_ordinal: BTreeMap::new(),
-                pending: Vec::new(),
-                heals: 0,
-            }));
-        }
+            })
+            .collect();
+        let router = ShardRouter::spawn_with(config, master, shard_options);
+        let links = (0..router.shards())
+            .map(|_| {
+                Mutex::new(LinkState {
+                    breaker: CircuitBreaker::new(options.breaker),
+                    lane_seq: BTreeMap::new(),
+                    lane_ordinal: BTreeMap::new(),
+                    pending: Vec::new(),
+                    heals: 0,
+                })
+            })
+            .collect();
         FabricRouter {
-            config,
-            master,
-            shards,
+            router,
+            links,
             stale: Mutex::new(StaleCache::new(options.stale_capacity)),
             stats: Mutex::new(FabricStats::default()),
             trace: Mutex::new(Vec::new()),
             fault_plan: options.fault_plan,
             call_budget: options.call_budget.max(1),
             max_heals: options.max_heals,
-            server_template: options.server,
-            telemetry,
         }
     }
 
     /// Number of shards behind this fabric.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.router.shards()
     }
 
-    /// The shard owning `user` — the same stateless modulo as
-    /// [`crate::ShardRouter::route`].
+    /// The shard owning `user` ([`ShardRouter::route`]).
     pub fn route(&self, user: UserId) -> usize {
-        user.raw() as usize % self.shards.len()
+        self.router.route(user)
     }
 
     /// Injected-fault and recovery totals so far.
@@ -675,7 +659,7 @@ impl FabricRouter {
 
     /// The telemetry hub every shard publishes into.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.router.telemetry()
     }
 
     /// Routes one typed request through the faulty link, the breaker,
@@ -686,9 +670,9 @@ impl FabricRouter {
     /// See [`FabricError`]; shed reads are *not* degraded here — use
     /// [`FabricRouter::request_location`] for the degradation ladder.
     pub fn call(&self, user: UserId, request: ClientRequest) -> Result<EdgeResponse, FabricError> {
-        let shard_idx = self.route(user);
-        let mut state = self.shards[shard_idx].lock();
-        self.drive(shard_idx, &mut state, user.raw(), request)
+        let shard = self.route(user);
+        let mut link = self.links[shard].lock();
+        self.drive(shard, &mut link, user.raw(), request)
     }
 
     /// Routes a check-in. Writes have no privacy-safe degraded answer:
@@ -774,86 +758,42 @@ impl FabricRouter {
         outcome
     }
 
-    /// Dispatches a batch of pre-routed requests concurrently, one
-    /// worker per shard, preserving each shard's input order — the
-    /// fabric analogue of [`crate::ShardRouter::dispatch`]. Shed calls
-    /// surface as [`FabricError::Degraded`]; the stale-cache ladder is
-    /// only consulted by the typed [`FabricRouter::request_location`].
-    pub fn dispatch(
-        &self,
-        requests: &[(UserId, ClientRequest)],
-    ) -> Vec<Result<EdgeResponse, FabricError>> {
-        let mut lanes: Vec<Vec<(usize, u32, ClientRequest)>> =
-            vec![Vec::new(); self.shards.len()];
-        for (i, &(user, request)) in requests.iter().enumerate() {
-            lanes[self.route(user)].push((i, user.raw(), request));
-        }
-        let mut results: Vec<Option<Result<EdgeResponse, FabricError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut answered: Vec<Vec<(usize, Result<EdgeResponse, FabricError>)>> =
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(shard_idx, lane)| {
-                        scope.spawn(move || {
-                            let mut state = self.shards[shard_idx].lock();
-                            lane.iter()
-                                .map(|&(i, lane_id, request)| {
-                                    (i, self.drive(shard_idx, &mut state, lane_id, request))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    // lint:allow(panic-hygiene): provably infallible — the worker closure only forwards `drive` results (errors travel as values) and cannot itself panic
-                    .map(|w| w.join().expect("fabric dispatch worker panicked"))
-                    .collect()
-            });
-        for (i, outcome) in answered.iter_mut().flat_map(|lane| lane.drain(..)) {
-            results[i] = Some(outcome);
-        }
-        // lint:allow(panic-hygiene): provably infallible — every input index was pushed into exactly one lane above, so every slot is filled
-        results.into_iter().map(|r| r.expect("every request answered")).collect()
-    }
-
     /// The full link + exactly-once + breaker pipeline for one call.
     fn drive(
         &self,
-        shard_idx: usize,
-        state: &mut ShardState,
+        shard: usize,
+        link: &mut LinkState,
         lane: u32,
         request: ClientRequest,
     ) -> Result<EdgeResponse, FabricError> {
-        let admission = state.breaker.admit(shard_idx, &mut self.trace.lock());
+        let admission = link.breaker.admit(shard, &mut self.trace.lock());
         if matches!(admission, Admission::Shed) {
-            return Err(FabricError::Degraded { shard: shard_idx });
+            return Err(FabricError::Degraded { shard });
         }
         // One lane-ordinal per admitted call: the clock outages and
         // fault draws run on, invariant to the user→shard partition.
         let ordinal = {
-            let next = state.lane_ordinal.entry(lane).or_insert(0);
+            let next = link.lane_ordinal.entry(lane).or_insert(0);
             let current = *next;
             *next += 1;
             current
         };
         if self.fault_plan.outage_active(lane, ordinal) {
             self.stats.lock().outage_failures += 1;
-            state.breaker.record_failure(shard_idx, &mut self.trace.lock());
-            return Err(FabricError::Unreachable { shard: shard_idx });
+            link.breaker.record_failure(shard, &mut self.trace.lock());
+            return Err(FabricError::Unreachable { shard });
         }
         let profile = self.fault_plan.draw(lane, ordinal);
-        let seq = *state.lane_seq.entry(lane).or_insert(0);
+        let seq = *link.lane_seq.entry(lane).or_insert(0);
         let frame = encode_sequenced(lane, seq, &request);
+        let handle = self.router.handle_at(shard);
         let mut drops_left = profile.drops;
         let mut corrupts_left = profile.corrupts;
         let mut budget = self.call_budget;
         let response = loop {
             if budget == 0 {
                 self.stats.lock().deadline_misses += 1;
-                state.breaker.record_failure(shard_idx, &mut self.trace.lock());
+                link.breaker.record_failure(shard, &mut self.trace.lock());
                 return Err(FabricError::DeadlineExceeded { budget: self.call_budget });
             }
             budget -= 1;
@@ -869,12 +809,12 @@ impl FabricRouter {
                 self.stats.lock().corruptions_injected += 1;
                 let mut damaged = frame.clone();
                 corrupt_checksum(&mut damaged, profile.corrupt_salt);
-                match state.handle.call_raw(damaged) {
+                match handle.call_raw(damaged) {
                     // The checksum caught the damage; the strike reply is
                     // the link's cue to retransmit cleanly.
                     Err(TransportError::Malformed { .. }) => continue,
                     Err(TransportError::WorkerFailed { .. } | TransportError::Disconnected) => {
-                        self.heal(shard_idx, state)?;
+                        self.heal(shard, link)?;
                         continue;
                     }
                     // Decode of a checksum-flipped frame cannot succeed;
@@ -882,68 +822,47 @@ impl FabricRouter {
                     _ => continue,
                 }
             }
-            match state.handle.call_raw(frame.clone()) {
+            match handle.call_raw(frame.clone()) {
                 Ok(response) => break response,
                 Err(TransportError::WorkerFailed { .. } | TransportError::Disconnected) => {
                     // Commit-before-reply means the failed call was never
                     // applied: the healed shard sees the same seq as a
                     // first (and only) application.
-                    self.heal(shard_idx, state)?;
+                    self.heal(shard, link)?;
                     continue;
                 }
                 Err(e) => {
-                    state.breaker.record_failure(shard_idx, &mut self.trace.lock());
+                    link.breaker.record_failure(shard, &mut self.trace.lock());
                     return Err(FabricError::Transport(e));
                 }
             }
         };
-        state.lane_seq.insert(lane, seq.wrapping_add(1));
-        state.breaker.record_success(shard_idx, &mut self.trace.lock());
+        link.lane_seq.insert(lane, seq.wrapping_add(1));
+        link.breaker.record_success(shard, &mut self.trace.lock());
         if let Some(delay) = profile.duplicate {
-            state.pending.push(PendingDup { countdown: delay, frame });
+            link.pending.push(PendingDup { countdown: delay, frame });
         }
-        self.flush_due(state);
+        self.flush_due(shard, link);
         Ok(response)
     }
 
-    /// Respawns a permanently failed shard from its last committed
-    /// checkpoint, restoring it on the calling thread and swapping the
-    /// fresh handle into the slot. The failed shard rolled its last
-    /// request back before it gave up, so the image is streamed from its
-    /// committed device. A shard with no committed image — its own restore
-    /// image was unreadable — is lost, not healed: an empty replacement
-    /// would answer that image's users with fresh draws from a device that
-    /// forgot their released candidate sets.
-    /// Pending stale duplicates are discarded: the respawned shard's dedup
+    /// Heals a shard that failed past its restart budget in place: its
+    /// serving core is rebuilt around its committed device — the failed
+    /// step rolled its request back before the shard gave up — exactly as
+    /// a shard restored from that device's checkpoint would start. A shard
+    /// with no device — its own restore image was unreadable — is lost,
+    /// not healed: an empty replacement would answer that image's users
+    /// with fresh draws from a device that forgot their released
+    /// candidate sets.
+    /// Pending stale duplicates are discarded: the healed shard's dedup
     /// window is empty, so re-delivering them would double-apply.
-    fn heal(&self, shard_idx: usize, state: &mut ShardState) -> Result<(), FabricError> {
-        let checkpoint = match &state.server {
-            Some(server) if state.heals < self.max_heals => server.last_checkpoint(),
-            _ => Bytes::new(),
-        };
-        if checkpoint.is_empty() {
-            state.breaker.record_failure(shard_idx, &mut self.trace.lock());
-            return Err(FabricError::ShardLost { shard: shard_idx });
+    fn heal(&self, shard: usize, link: &mut LinkState) -> Result<(), FabricError> {
+        if link.heals >= self.max_heals || !self.router.revive(shard) {
+            link.breaker.record_failure(shard, &mut self.trace.lock());
+            return Err(FabricError::ShardLost { shard });
         }
-        if let Some(server) = state.server.take() {
-            // The failed shard already answered its failing request
-            // explicitly, so its WorkerFailed outcome is expected; joining
-            // frees its device before the replacement restores.
-            let _ = server.join();
-        }
-        let server_options = ServerOptions {
-            // The predecessor's kill plan died with it: injected crash
-            // schedules are not re-armed on the replacement.
-            fault_plan: FaultPlan::none(),
-            telemetry: self.telemetry.clone(),
-            restore_from: Some(checkpoint),
-            ..self.server_template.clone()
-        };
-        let (server, handle) = EdgeServer::spawn_with(self.config, self.master, server_options);
-        state.server = Some(server);
-        state.handle = handle;
-        state.pending.clear();
-        state.heals += 1;
+        link.pending.clear();
+        link.heals += 1;
         self.stats.lock().heals += 1;
         Ok(())
     }
@@ -951,78 +870,51 @@ impl FabricRouter {
     /// Ticks pending duplicates by one delivery and re-sends the due
     /// ones. The shard replays each from its dedup window (or rejects
     /// it as stale) — never a second application.
-    fn flush_due(&self, state: &mut ShardState) {
+    fn flush_due(&self, shard: usize, link: &mut LinkState) {
         let mut i = 0;
-        while i < state.pending.len() {
-            if state.pending[i].countdown > 1 {
-                state.pending[i].countdown -= 1;
+        while i < link.pending.len() {
+            if link.pending[i].countdown > 1 {
+                link.pending[i].countdown -= 1;
                 i += 1;
             } else {
-                let dup = state.pending.remove(i);
+                let dup = link.pending.remove(i);
                 self.stats.lock().duplicates_injected += 1;
-                let _ = state.handle.call_raw(dup.frame);
+                let _ = self.router.handle_at(shard).call_raw(dup.frame);
             }
         }
     }
 
-    /// Delivers every still-pending duplicate immediately (shutdown
-    /// path: delayed copies must not silently disappear, or the
-    /// injected/suppressed accounting would depend on timing).
-    fn flush_all(&self, state: &mut ShardState) {
-        for dup in state.pending.drain(..) {
-            self.stats.lock().duplicates_injected += 1;
-            let _ = state.handle.call_raw(dup.frame);
-        }
-    }
-
-    /// Flushes pending duplicates and stops every shard (first failure
-    /// wins; remaining shards are still asked to stop).
+    /// Flushes every shard's pending duplicates, then stops every shard
+    /// through the router (first failure wins; remaining shards are still
+    /// asked to stop). Delayed copies must not silently disappear, or the
+    /// injected/suppressed accounting would depend on timing; every link
+    /// stays locked until the shards stop, so no call queues another.
     ///
     /// # Errors
     ///
     /// Returns the first shard's [`TransportError`], if any — a shard
     /// already lost permanently reports `Disconnected`.
     pub fn shutdown(&self) -> Result<(), TransportError> {
-        let mut first_err = None;
-        for slot in &self.shards {
-            let mut state = slot.lock();
-            self.flush_all(&mut state);
-            if let Err(e) = state.handle.shutdown() {
-                first_err.get_or_insert(e);
+        let mut links: Vec<_> = self.links.iter().map(|link| link.lock()).collect();
+        for (shard, link) in links.iter_mut().enumerate() {
+            for dup in link.pending.drain(..) {
+                self.stats.lock().duplicates_injected += 1;
+                let _ = self.router.handle_at(shard).call_raw(dup.frame);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.router.shutdown()
     }
 
     /// Stops every shard still serving and returns the final devices in
-    /// shard order. Nothing waits: the shards have no threads.
+    /// shard order ([`ShardRouter::join`]). Nothing waits: the shards
+    /// have no threads.
     ///
     /// # Errors
     ///
     /// Returns the first shard's [`SystemError`]; later shards are
     /// still joined, so each hands its device out.
     pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
-        let mut devices = Vec::with_capacity(self.shards.len());
-        let mut first_err = None;
-        for slot in self.shards {
-            let state = slot.into_inner();
-            drop(state.handle);
-            if let Some(server) = state.server {
-                match server.join() {
-                    Ok(device) => devices.push(device),
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(devices),
-        }
+        self.router.join()
     }
 }
 
@@ -1062,7 +954,6 @@ mod tests {
         let a: Vec<_> = (0..64).map(|o| plan.draw(1, o)).collect();
         let b: Vec<_> = (0..64).map(|o| plan.draw(2, o)).collect();
         assert_ne!(a, b);
-        assert!(ChannelFaultPlan::none().is_quiet());
         assert_eq!(ChannelFaultPlan::none().draw(5, 5), DeliveryProfile::default());
     }
 
@@ -1275,6 +1166,7 @@ mod tests {
 
     #[test]
     fn healed_shard_resumes_bit_for_bit() {
+        use privlocad_telemetry::top_key;
         let drive = |kill_plans: Vec<FaultPlan>, max_restarts: u32| {
             let fabric = FabricRouter::spawn(config(), 13, FabricOptions {
                 kill_plans,
@@ -1301,18 +1193,30 @@ mod tests {
                 .collect();
             let stats = fabric.stats();
             fabric.shutdown().unwrap();
-            let digests: Vec<u64> =
-                fabric.join().unwrap().iter().map(EdgeDevice::state_digest).collect();
-            (reports, digests, stats)
+            let ledger = fabric.telemetry().ledger().clone();
+            let devices = fabric.join().unwrap();
+            // Every candidate set the final devices released was charged
+            // to the hub's ledger exactly once, across the heal too.
+            let released = devices.iter().flat_map(|device| {
+                let sets = device.snapshot().released_sets().unwrap();
+                sets.into_iter().map(|(user, top)| (u64::from(user.raw()), top_key(top.x, top.y)))
+            });
+            ledger.assert_no_double_spend(released).unwrap();
+            let charged = ledger.totals().candidate_sets;
+            let digests: Vec<u64> = devices.iter().map(EdgeDevice::state_digest).collect();
+            (reports, digests, stats, charged)
         };
         let clean = drive(Vec::new(), 8);
         // Kill ordinals 60 and 61 with a zero restart budget: the shard
-        // dies permanently mid-run and the fabric must respawn it from
-        // its last committed checkpoint.
+        // dies permanently mid-run and the fabric must heal it in place
+        // around its committed device.
         let healed = drive(vec![FaultPlan::kill_at([60, 61])], 0);
         assert_eq!(healed.2.heals, 1);
         assert_eq!(healed.0, clean.0);
         assert_eq!(healed.1, clean.1);
+        // The heal charged no candidate set the clean run did not.
+        assert_eq!(clean.3, 3);
+        assert_eq!(healed.3, clean.3);
     }
 
     #[test]
@@ -1354,7 +1258,7 @@ mod tests {
         *image.last_mut().unwrap() ^= 1;
         let fabric = FabricRouter::spawn(config(), 3, FabricOptions {
             server: ServerOptions {
-                restore_from: Some(Bytes::from(image)),
+                restore_from: Some(bytes::Bytes::from(image)),
                 ..ServerOptions::default()
             },
             ..FabricOptions::default()

@@ -2,21 +2,20 @@
 //!
 //! Edge-PrivLocAd's deployment separates the mobile client from the edge
 //! device; this module defines the message set exchanged between them and
-//! a compact binary framing so the pair can run over any byte transport.
+//! its compact binary frames.
 //! [`EdgeHandle`](crate::EdgeHandle) (the client side) and
 //! [`EdgeServer`](crate::EdgeServer) implement the two endpoints in
 //! process: a call hands its request frame to the shard and gets the
 //! response frame back on the same thread; a production deployment would
-//! move the same frames over the radio link.
+//! move the same frames over the radio link, one message per frame.
 //!
 //! Frames carry a one-byte tag followed by a fixed layout per message
 //! type, all integers big-endian. Decoding is *total*: every parse path
-//! is bounds-checked and rejects truncated, oversized, trailing-garbage,
-//! and unknown-tag input with a [`FrameError`] — corrupted bytes can
-//! never panic the serving loop. For byte-stream transports that do not
-//! preserve message boundaries, [`frame`]/[`deframe`] add a length
-//! prefix that is itself validated against [`MAX_FRAME_LEN`], so a lying
-//! length field cannot trigger unbounded reads or allocations.
+//! is bounds-checked and rejects truncated, trailing-garbage, and
+//! unknown-tag input with a [`FrameError`] — corrupted bytes can never
+//! panic the serving loop. The fabric's sequenced envelope
+//! ([`encode_sequenced`], [`split_sequenced`]) wraps a request frame in
+//! its lane, its sequence number and a checksum over all three.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_geo::Point;
@@ -135,13 +134,6 @@ pub enum FrameError {
         /// Bytes past the end of the layout.
         extra: usize,
     },
-    /// A length prefix declares a frame larger than any legal message.
-    Oversized {
-        /// The declared body length.
-        declared: usize,
-        /// The largest legal body length ([`MAX_FRAME_LEN`]).
-        max: usize,
-    },
     /// An [`EdgeResponse::Error`] frame carries an unknown failure code.
     UnknownErrorCode(u8),
     /// A sequenced frame's header checksum does not match its contents —
@@ -165,9 +157,6 @@ impl std::fmt::Display for FrameError {
             FrameError::Empty => write!(f, "empty frame"),
             FrameError::TrailingBytes { tag, extra } => {
                 write!(f, "frame with tag {tag:#04x} has {extra} trailing bytes")
-            }
-            FrameError::Oversized { declared, max } => {
-                write!(f, "length prefix declares {declared} bytes, max frame is {max}")
             }
             FrameError::UnknownErrorCode(c) => {
                 write!(f, "unknown error code {c:#04x} in error frame")
@@ -198,9 +187,8 @@ const TAG_ERROR: u8 = 0x84;
 /// coordinates and a timestamp.
 const MAX_REQUEST_LEN: usize = 1 + 4 + 8 + 8 + 8;
 
-/// Largest legal frame body in bytes. The biggest fixed layout is a
-/// check-in (29 bytes); anything larger declared by a length prefix is
-/// corruption, rejected before any read or allocation happens.
+/// Upper bound on a frame's length in bytes, sequenced envelope included:
+/// the longest, a sequenced check-in, is 42 bytes.
 pub const MAX_FRAME_LEN: usize = 64;
 
 fn need(buf: &[u8], needed: usize) -> Result<(), FrameError> {
@@ -219,45 +207,6 @@ fn finish(tag: u8, rest: &[u8]) -> Result<(), FrameError> {
     } else {
         Err(FrameError::TrailingBytes { tag, extra: rest.len() })
     }
-}
-
-/// Length-prefixes a frame body for byte-stream transports: a big-endian
-/// `u16` length followed by the body.
-///
-/// # Panics
-///
-/// Panics if `body` exceeds [`MAX_FRAME_LEN`] — encoders in this module
-/// never produce such a frame.
-pub fn frame(body: &[u8]) -> Bytes {
-    assert!(body.len() <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
-    let mut buf = BytesMut::with_capacity(2 + body.len());
-    buf.put_u16(body.len() as u16);
-    buf.put_slice(body);
-    buf.freeze()
-}
-
-/// Splits one length-prefixed frame off the front of `buf`, returning
-/// `(body, rest)`.
-///
-/// Total: a lying length prefix yields [`FrameError::Oversized`] (declared
-/// length past [`MAX_FRAME_LEN`]) or [`FrameError::Truncated`] (declared
-/// length past the available bytes) — never a panic or an out-of-bounds
-/// read. The body still has to pass its own tag-layout decode.
-///
-/// # Errors
-///
-/// Returns a [`FrameError`] for empty, truncated, or oversized input.
-pub fn deframe(buf: &[u8]) -> Result<(&[u8], &[u8]), FrameError> {
-    if buf.is_empty() {
-        return Err(FrameError::Empty);
-    }
-    need(buf, 2)?;
-    let declared = usize::from(u16::from_be_bytes([buf[0], buf[1]]));
-    if declared > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { declared, max: MAX_FRAME_LEN });
-    }
-    need(&buf[2..], declared)?;
-    Ok((&buf[2..2 + declared], &buf[2 + declared..]))
 }
 
 /// The delivery header of a sequenced request frame: which per-user lane
@@ -324,7 +273,7 @@ pub fn encode_sequenced(lane: u32, seq: u32, request: &ClientRequest) -> Vec<u8>
 
 /// Splits a sequenced frame into its verified [`SequenceHeader`] and the
 /// inner request frame. Returns `Ok(None)` for frames that are not
-/// sequenced (no leading [`TAG_SEQUENCED`]), so plain unsequenced frames
+/// sequenced (no leading envelope tag), so plain unsequenced frames
 /// keep working unchanged.
 ///
 /// Total like every other decode path: truncated headers and checksum
@@ -357,9 +306,9 @@ pub fn split_sequenced(buf: &[u8]) -> Result<Option<(SequenceHeader, &[u8])>, Fr
 
 impl ClientRequest {
     /// The user this request operates on — `None` only for
-    /// [`ClientRequest::Shutdown`]. The serving loop uses this to save,
-    /// before each batch, the state of only the users the batch touches
-    /// — all a rollback of the batch needs.
+    /// [`ClientRequest::Shutdown`]. A serving shard uses this to save,
+    /// before each attempt at a request, the state of the one user the
+    /// request can change — all a rollback of it needs.
     pub fn user(&self) -> Option<UserId> {
         match *self {
             ClientRequest::CheckIn { user, .. }
@@ -415,7 +364,7 @@ impl ClientRequest {
     ///
     /// # Errors
     ///
-    /// Returns a [`FrameError`] for empty, truncated, oversized, or
+    /// Returns a [`FrameError`] for empty, truncated, over-long, or
     /// unknown frames.
     pub fn decode(mut buf: &[u8]) -> Result<Self, FrameError> {
         if buf.is_empty() {
@@ -447,18 +396,6 @@ impl ClientRequest {
         };
         finish(tag, buf)?;
         Ok(decoded)
-    }
-
-    /// Decodes one length-prefixed request off the front of a byte
-    /// stream, returning the request and the unconsumed rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] from either the prefix ([`deframe`]) or
-    /// the strict body decode.
-    pub fn decode_framed(buf: &[u8]) -> Result<(Self, &[u8]), FrameError> {
-        let (body, rest) = deframe(buf)?;
-        Ok((ClientRequest::decode(body)?, rest))
     }
 }
 
@@ -506,7 +443,7 @@ impl EdgeResponse {
     ///
     /// # Errors
     ///
-    /// Returns a [`FrameError`] for empty, truncated, oversized, or
+    /// Returns a [`FrameError`] for empty, truncated, over-long, or
     /// unknown frames.
     pub fn decode(mut buf: &[u8]) -> Result<Self, FrameError> {
         if buf.is_empty() {
@@ -536,18 +473,6 @@ impl EdgeResponse {
         };
         finish(tag, buf)?;
         Ok(decoded)
-    }
-
-    /// Decodes one length-prefixed response off the front of a byte
-    /// stream, returning the response and the unconsumed rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] from either the prefix ([`deframe`]) or
-    /// the strict body decode.
-    pub fn decode_framed(buf: &[u8]) -> Result<(Self, &[u8]), FrameError> {
-        let (body, rest) = deframe(buf)?;
-        Ok((EdgeResponse::decode(body)?, rest))
     }
 }
 
@@ -644,9 +569,6 @@ mod tests {
         assert!(FrameError::TrailingBytes { tag: 0x01, extra: 4 }
             .to_string()
             .contains("4 trailing"));
-        assert!(FrameError::Oversized { declared: 900, max: MAX_FRAME_LEN }
-            .to_string()
-            .contains("900"));
         assert!(FrameError::UnknownErrorCode(0x7F).to_string().contains("0x7f"));
     }
 
@@ -672,57 +594,6 @@ mod tests {
             EdgeResponse::Error { code: ErrorCode::Malformed, detail: 0 }.encode().to_vec();
         bytes[1] = 0x7F;
         assert_eq!(EdgeResponse::decode(&bytes), Err(FrameError::UnknownErrorCode(0x7F)));
-    }
-
-    #[test]
-    fn framed_round_trips_and_splits_streams() {
-        // Several frames back to back in one byte stream.
-        let reqs = requests();
-        let mut stream = Vec::new();
-        for r in &reqs {
-            stream.extend_from_slice(&frame(&r.encode()));
-        }
-        let mut rest: &[u8] = &stream;
-        let mut decoded = Vec::new();
-        while !rest.is_empty() {
-            let (req, r) = ClientRequest::decode_framed(rest).unwrap();
-            decoded.push(req);
-            rest = r;
-        }
-        assert_eq!(decoded, reqs);
-
-        let resp = EdgeResponse::WindowClosed { fresh_obfuscations: 7 };
-        let framed = frame(&resp.encode());
-        let (back, rest) = EdgeResponse::decode_framed(&framed).unwrap();
-        assert_eq!(back, resp);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn deframe_rejects_lying_length_prefixes() {
-        assert_eq!(deframe(&[]), Err(FrameError::Empty));
-        assert!(matches!(deframe(&[0x00]), Err(FrameError::Truncated { .. })));
-        // Declared body longer than the bytes present.
-        assert!(matches!(deframe(&[0x00, 0x10, 0x04]), Err(FrameError::Truncated { .. })));
-        // Declared body longer than any legal frame.
-        let huge = [0xFF, 0xFF, 0x00, 0x00];
-        assert_eq!(
-            deframe(&huge),
-            Err(FrameError::Oversized { declared: 0xFFFF, max: MAX_FRAME_LEN })
-        );
-        // A prefix that lies *short* leaves trailing garbage in the body.
-        let body = ClientRequest::Shutdown.encode();
-        let mut framed = frame(&body).to_vec();
-        framed.extend_from_slice(&ClientRequest::Shutdown.encode());
-        let (req, rest) = ClientRequest::decode_framed(&framed).unwrap();
-        assert_eq!(req, ClientRequest::Shutdown);
-        assert_eq!(rest.len(), 1); // the second, unframed frame is left over
-    }
-
-    #[test]
-    #[should_panic(expected = "frame body exceeds MAX_FRAME_LEN")]
-    fn frame_rejects_oversized_bodies() {
-        let _ = frame(&[0u8; MAX_FRAME_LEN + 1]);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! of the user the request touches, and a request that dies is rolled
 //! back from that save in place. Its device is therefore its committed
 //! state between requests, and an image is streamed from it only when one
-//! is read ([`crate::EdgeServer::last_checkpoint`], which the fabric's
-//! heal feeds to the replacement shard).
+//! is read ([`crate::EdgeServer::last_checkpoint`]); the fabric heals a
+//! failed shard in place around that same device, with no image at all.
 //!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
 //! live device refuses to adopt a snapshot that has *forgotten* any of

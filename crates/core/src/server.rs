@@ -12,7 +12,7 @@ use privlocad_telemetry::{Counter, Determinism, Gauge, Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::edge::{BatchUndo, DeviceCounters};
+use crate::edge::DeviceCounters;
 use crate::protocol::{
     split_sequenced, ClientRequest, EdgeResponse, ErrorCode, FrameError, SequenceHeader,
 };
@@ -126,14 +126,6 @@ pub struct RetryPolicy {
     /// Total attempts, including the first (minimum 1), for
     /// [`TransportError::Overloaded`] rejections.
     pub max_attempts: u32,
-    /// Total attempts, including the first (minimum 1), for
-    /// [`TransportError::Disconnected`] — its own budget, separate from
-    /// the overload one: during a supervised shard restart the transport
-    /// briefly has no live endpoint, and a bounded reconnect retry
-    /// bridges the gap (the fabric swaps the healed shard's handle in
-    /// between attempts — see [`crate::fabric`]). `1` fails fast, the
-    /// pre-fabric behaviour.
-    pub disconnect_attempts: u32,
     /// Yield spins before the first retry; doubles every retry.
     pub backoff_base: u32,
     /// Upper bound on spins for one backoff step.
@@ -142,12 +134,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            disconnect_attempts: 2,
-            backoff_base: 32,
-            backoff_cap: 4_096,
-        }
+        RetryPolicy { max_attempts: 4, backoff_base: 32, backoff_cap: 4_096 }
     }
 }
 
@@ -177,10 +164,9 @@ impl EdgeHandle {
     /// [`EdgeHandle::try_call`] with a deterministic retry budget: on
     /// [`TransportError::Overloaded`], backs off (bounded exponential
     /// yield spins — no wall clock) and retries until `policy` is
-    /// exhausted. A transient [`TransportError::Disconnected`] — the
-    /// window where a supervised restart has torn the old endpoint down
-    /// — is retried too, on its own
-    /// [`RetryPolicy::disconnect_attempts`] budget.
+    /// exhausted. Every other outcome, a disconnect included, is returned
+    /// as it comes: nothing revives a stopped or failed shard between
+    /// attempts.
     pub fn call_with_retry(
         &self,
         request: ClientRequest,
@@ -188,9 +174,7 @@ impl EdgeHandle {
     ) -> Result<EdgeResponse, TransportError> {
         let frame = request.encode_vec();
         let overload_budget = policy.max_attempts.max(1);
-        let disconnect_budget = policy.disconnect_attempts.max(1);
         let mut overloads = 0;
-        let mut disconnects = 0;
         loop {
             match self.try_call_raw(frame.clone()) {
                 Err(TransportError::Overloaded) => {
@@ -199,16 +183,6 @@ impl EdgeHandle {
                         return Err(TransportError::Overloaded);
                     }
                     for _ in 0..policy.spins(overloads - 1) {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(TransportError::Disconnected) => {
-                    disconnects += 1;
-                    if disconnects >= disconnect_budget {
-                        return Err(TransportError::Disconnected);
-                    }
-                    self.shard.metrics.disconnect_retries.inc();
-                    for _ in 0..policy.spins(disconnects - 1) {
                         std::thread::yield_now();
                     }
                 }
@@ -343,8 +317,9 @@ pub struct ServerOptions {
     /// of being double-applied. Clamped to at least 1.
     pub dedup_window: usize,
     /// Start the device from this committed checkpoint instead of empty
-    /// — how the fabric respawns a permanently failed shard without
-    /// re-drawing a single released candidate ([`crate::fabric`]). An
+    /// — how a shard resumes a persisted device (an earlier shard's
+    /// [`EdgeServer::last_checkpoint`], say) without re-drawing a single
+    /// released candidate ([`crate::recovery`]). An
     /// unreadable checkpoint fails the shard (every call observes a
     /// disconnect and [`EdgeServer::join`] returns the recovery error),
     /// never silently serves from empty state. The spawn reads the image
@@ -381,9 +356,10 @@ impl Default for ServerOptions {
     }
 }
 
-/// A deterministic schedule of injected crashes: serving panics just
-/// before request ordinal `k` (0-based, counted over successfully decoded,
-/// non-shutdown requests across the server's lifetime). Each point fires
+/// A deterministic schedule of injected crashes: serving panics after
+/// request ordinal `k` is served and before its step commits it (0-based,
+/// counted over served requests across the shard's lifetime), so the
+/// rollback undoes state the request really changed. Each point fires
 /// exactly once — the retry after the supervised restart proceeds past it,
 /// like a real transient fault.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -410,10 +386,14 @@ impl FaultPlan {
         self.kill_at.len()
     }
 
-    /// Removes and returns the first crash point in `[start, end)`.
-    fn take(&mut self, start: u64, end: u64) -> Option<u64> {
-        let i = self.kill_at.iter().position(|&k| start <= k && k < end)?;
-        Some(self.kill_at.remove(i))
+    /// Removes one crash point at `ordinal`, if any is scheduled, and
+    /// reports whether it did.
+    fn take(&mut self, ordinal: u64) -> bool {
+        let Some(i) = self.kill_at.iter().position(|&k| k == ordinal) else {
+            return false;
+        };
+        self.kill_at.remove(i);
+        true
     }
 }
 
@@ -432,7 +412,6 @@ struct ServerMetrics {
     wakeups: Counter,
     duplicates_suppressed: Counter,
     stale_rejections: Counter,
-    disconnect_retries: Counter,
     queue_depth: Gauge,
 }
 
@@ -463,9 +442,6 @@ impl ServerMetrics {
             // the user→shard partition.
             duplicates_suppressed: registry.counter("server.duplicates_suppressed", Deterministic),
             stale_rejections: registry.counter("server.stale_rejections", Deterministic),
-            // Reconnect retries land wherever a restart races the caller —
-            // scheduling-dependent, like the restarts that cause them.
-            disconnect_retries: registry.counter("server.disconnect_retries", Scheduling),
             queue_depth: registry.gauge("server.queue_depth", Scheduling),
         }
     }
@@ -609,13 +585,21 @@ impl EdgeServer {
     /// failed past its restart budget leaves behind, its last request
     /// rolled back.
     ///
-    /// This is what the fabric feeds back through
-    /// [`ServerOptions::restore_from`] to respawn a permanently failed
-    /// shard from its committed state — released candidate sets, window
-    /// buffers, and RNG positions all resume exactly, so not a single
-    /// released candidate is ever re-drawn by the replacement.
+    /// A shard started from it ([`ServerOptions::restore_from`]) resumes
+    /// the committed state exactly — released candidate sets, window
+    /// buffers, and RNG positions — so not a single released candidate is
+    /// ever re-drawn. The fabric needs no image: it revives a failed shard
+    /// in place around the same committed device ([`crate::fabric`]).
     pub fn last_checkpoint(&self) -> Bytes {
         self.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
+    }
+
+    /// Revives a stopped or failed shard in place around its committed
+    /// device, as a shard restored from [`EdgeServer::last_checkpoint`]
+    /// would start. Returns `false`, and leaves the shard as it is, when
+    /// there is no device to revive.
+    pub(crate) fn revive(&self) -> bool {
+        self.shard.core.lock().revive()
     }
 
     /// The server's current health counters, read from the telemetry
@@ -717,14 +701,12 @@ struct ShardCore {
     /// the supervisor rolls back leaves no trace here and its retry is a
     /// first application.
     lanes: BTreeMap<u32, LaneState>,
-    /// Scratch reused across steps.
-    undo: BatchUndo,
-    responses: Vec<EdgeResponse>,
     metrics: Arc<ServerMetrics>,
     tracer: Tracer,
 }
 
 /// What a step does with its frame.
+#[derive(Clone, Copy)]
 enum Verdict {
     /// Serve the request. A sequenced one carries its header, whose lane
     /// learns the response at commit.
@@ -783,12 +765,25 @@ impl ShardCore {
         metrics: Arc<ServerMetrics>,
         tracer: Tracer,
     ) -> ShardCore {
-        let (device, status) = match options.restore_from.take() {
-            Some(image) => match EdgeDevice::restore_from_checkpoint(config, &image) {
-                Ok(edge) => (Some(edge), Status::Serving),
-                Err(e) => (None, Status::Failed(e.into())),
-            },
-            None => (Some(EdgeDevice::new(config, seed)), Status::Serving),
+        let device = match options.restore_from.take() {
+            Some(image) => EdgeDevice::restore_from_checkpoint(config, &image).map_err(Into::into),
+            None => Ok(EdgeDevice::new(config, seed)),
+        };
+        ShardCore::around(device, seed, options, metrics, tracer)
+    }
+
+    /// A core with nothing served yet around `device`, or failed with its
+    /// error and no device.
+    fn around(
+        device: Result<EdgeDevice, SystemError>,
+        seed: u64,
+        mut options: ServerOptions,
+        metrics: Arc<ServerMetrics>,
+        tracer: Tracer,
+    ) -> ShardCore {
+        let (device, status) = match device {
+            Ok(edge) => (Some(edge), Status::Serving),
+            Err(e) => (None, Status::Failed(e)),
         };
         options.malformed_limit = options.malformed_limit.max(1);
         options.dedup_window = options.dedup_window.max(1);
@@ -803,11 +798,26 @@ impl ShardCore {
             strikes: BTreeMap::new(),
             banned: BTreeSet::new(),
             lanes: BTreeMap::new(),
-            undo: BatchUndo::new(),
-            responses: Vec::new(),
             metrics,
             tracer,
         }
+    }
+
+    /// Rebuilds the core around its committed device exactly as a core
+    /// restored from that device's checkpoint would start: serving, no
+    /// restarts, the kill plan disarmed, fresh lanes, strikes and bans,
+    /// and the device's run-local buffers restarted as after a restore.
+    /// Returns `false`, changing nothing, when there is no device.
+    fn revive(&mut self) -> bool {
+        let Some(mut edge) = self.device.take() else {
+            return false;
+        };
+        edge.restart_run();
+        let seed = edge.master();
+        let options = ServerOptions { fault_plan: FaultPlan::none(), ..self.options.clone() };
+        let (metrics, tracer) = (Arc::clone(&self.metrics), self.tracer.clone());
+        *self = ShardCore::around(Ok(edge), seed, options, metrics, tracer);
+        true
     }
 
     /// Serves `frame` from `client` to completion and returns the reply
@@ -838,63 +848,63 @@ impl ShardCore {
         // bit-for-bit identical, and an injected fault point has already
         // been consumed. A second panic on the same request fails it
         // explicitly and drops it.
-        {
+        let served = {
             let _span = self.tracer.span("server.serve_batch");
-            if let Verdict::Serve(request, _) = &verdict {
-                let touched = request.user();
-                let mut attempts = 0;
-                while !serve_attempt(
-                    edge,
-                    std::slice::from_ref(request),
-                    touched.as_slice(),
-                    &mut self.undo,
-                    &mut self.responses,
-                    &mut self.options.fault_plan,
-                    self.served,
-                ) {
-                    self.restarts += 1;
-                    self.metrics.restarts.inc();
-                    if self.restarts > self.options.max_restarts {
-                        // Past the restart budget: fail this request
-                        // explicitly and stop serving — never a hang, never
-                        // an escaped panic. The rollback already returned
-                        // the device to its committed state, which the core
-                        // keeps for `last_checkpoint`; its undrained
-                        // telemetry is never drained — only committed
-                        // requests ever reach the ledger.
-                        let restarts = self.restarts;
-                        self.status = Status::Failed(SystemError::WorkerFailed { restarts });
-                        return Some(failed_reply(restarts, &self.metrics));
-                    }
-                    backoff(&mut self.backoff_rng, self.restarts, &self.options);
-                    attempts += 1;
-                    if attempts >= 2 {
-                        // The request killed its step twice: answer it with
-                        // an explicit failure and serve on with the
-                        // rolled-back device.
-                        return Some(failed_reply(self.restarts, &self.metrics));
-                    }
+            match verdict {
+                Verdict::Serve(request, _) => {
+                    let mut attempts = 0;
+                    let response = loop {
+                        let ordinal = self.served;
+                        let plan = &mut self.options.fault_plan;
+                        if let Some(response) = serve_attempt(edge, request, plan, ordinal) {
+                            break response;
+                        }
+                        self.restarts += 1;
+                        self.metrics.restarts.inc();
+                        if self.restarts > self.options.max_restarts {
+                            // Past the restart budget: fail this request
+                            // explicitly and stop serving — never a hang,
+                            // never an escaped panic. The rollback already
+                            // returned the device to its committed state,
+                            // which the core keeps for `last_checkpoint` and
+                            // `revive`; its undrained telemetry is never
+                            // drained — only committed requests ever reach
+                            // the ledger.
+                            let restarts = self.restarts;
+                            self.status = Status::Failed(SystemError::WorkerFailed { restarts });
+                            return Some(failed_reply(restarts, &self.metrics));
+                        }
+                        backoff(&mut self.backoff_rng, self.restarts, &self.options);
+                        attempts += 1;
+                        if attempts >= 2 {
+                            // The request killed its step twice: answer it
+                            // with an explicit failure and serve on with the
+                            // rolled-back device.
+                            return Some(failed_reply(self.restarts, &self.metrics));
+                        }
+                    };
+                    self.served += 1;
+                    self.metrics.requests.inc();
+                    Some(response)
                 }
-                self.served += 1;
-                self.metrics.requests.inc();
+                Verdict::Answer(_) | Verdict::Drop => None,
             }
-        }
+        };
 
-        // Commit phase: the request stands, so its undo is dropped, and its
-        // lane's dedup window learns its response — before the reply
-        // leaves and before the lock is released, so neither a client nor
-        // a reader of the device can observe state a rollback would undo,
-        // and a duplicate behind its original can only ever observe the
-        // committed response.
+        // Commit phase: the request stands, so its undo is gone with its
+        // attempt, and its lane's dedup window learns its response — before
+        // the reply leaves and before the lock is released, so neither a
+        // client nor a reader of the device can observe state a rollback
+        // would undo, and a duplicate behind its original can only ever
+        // observe the committed response.
         {
             let _span = self.tracer.span("server.commit");
-            self.undo.clear();
-            if let Verdict::Serve(_, Some(header)) = verdict {
+            if let (Verdict::Serve(_, Some(header)), Some(response)) = (verdict, served) {
                 let dedup_window = self.options.dedup_window;
                 self.lanes
                     .entry(header.lane)
                     .or_insert_with(|| LaneState::new(dedup_window))
-                    .commit(header.seq, self.responses[0], dedup_window);
+                    .commit(header.seq, response, dedup_window);
             }
             self.metrics.checkpoints.inc();
         }
@@ -912,15 +922,20 @@ impl ShardCore {
         // reaching here).
         {
             let _span = self.tracer.span("server.emit");
-            if let (Some(sink), Verdict::Serve(request, _)) = (&self.options.bid_sink, &verdict) {
-                crate::replay::emit_bids(sink, std::slice::from_ref(request), &self.responses);
+            if let (Some(sink), Verdict::Serve(request, _), Some(response)) =
+                (&self.options.bid_sink, verdict, served)
+            {
+                crate::replay::emit_bids(
+                    sink,
+                    std::slice::from_ref(&request),
+                    std::slice::from_ref(&response),
+                );
             }
         }
         let _span = self.tracer.span("server.encode");
-        match verdict {
-            Verdict::Serve(..) => Some(self.responses[0].encode()),
-            Verdict::Answer(response) => Some(response.encode()),
-            Verdict::Drop => None,
+        match (served, verdict) {
+            (Some(response), _) | (None, Verdict::Answer(response)) => Some(response.encode()),
+            (None, _) => None,
         }
     }
 
@@ -1005,58 +1020,48 @@ impl ShardCore {
     }
 }
 
-/// One supervised attempt at decoded requests: saves the pre-request
-/// state of every user in `touched` (the users `requests` name, sorted
-/// and distinct), serves the requests, and rolls the device back to that
-/// state if serving panics. Returns whether the requests were served.
+/// One supervised attempt at a decoded request: saves the pre-request
+/// state of the user it names, serves it, and rolls the device back to
+/// that state if serving panics. Returns the response once served.
 fn serve_attempt(
     edge: &mut EdgeDevice,
-    requests: &[ClientRequest],
-    touched: &[UserId],
-    undo: &mut BatchUndo,
-    responses: &mut Vec<EdgeResponse>,
+    request: ClientRequest,
     fault_plan: &mut FaultPlan,
-    served_before: u64,
-) -> bool {
-    responses.clear();
-    edge.save_undo(touched, undo);
+    ordinal: u64,
+) -> Option<EdgeResponse> {
+    let undo = edge.save_undo(&request);
     // `AssertUnwindSafe` is sound because the rollback repairs whatever
-    // the unwind leaves torn. Serving changes three things: the slots of
-    // the users the requests name, the user map's key set (a first contact
+    // the unwind leaves torn. Serving changes three things: the slot of
+    // the user the request names, the user map's key set (a first contact
     // adds a slot), and the device's stats, pending spends and scratch
-    // arena. `roll_back` puts every saved slot back, removes every first
+    // arena. `roll_back` puts the saved slot back, removes a first
     // contact, and restarts the stats, pending spends and arena as a
-    // restore does. `responses` is cleared before its next use, and
-    // `fault_plan` gives up a kill point before the panic it causes.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        serve_requests(edge, requests, responses, fault_plan, served_before)
-    }));
+    // restore does. `fault_plan` gives up a kill point before the panic it
+    // causes.
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| serve_request(edge, request, fault_plan, ordinal)));
     if outcome.is_err() {
         edge.roll_back(undo);
     }
-    outcome.is_ok()
+    outcome.ok()
 }
 
-/// Serves decoded requests, injecting any scheduled crash: requests
-/// before the kill point are served (mutating device state — the
-/// realistic partial-failure shape the rollback must undo), then serving
-/// dies.
-fn serve_requests(
+/// Serves a decoded request, injecting any crash scheduled at its
+/// ordinal: the request is served — mutating device state, the realistic
+/// partial-failure shape the rollback must undo — and then serving dies,
+/// before the step can commit it.
+fn serve_request(
     edge: &mut EdgeDevice,
-    requests: &[ClientRequest],
-    responses: &mut Vec<EdgeResponse>,
+    request: ClientRequest,
     fault_plan: &mut FaultPlan,
-    served_before: u64,
-) {
-    match fault_plan.take(served_before, served_before + requests.len() as u64) {
-        None => edge.serve_batch(requests, responses),
-        Some(kill_at) => {
-            let prefix = (kill_at - served_before) as usize;
-            edge.serve_batch(&requests[..prefix], responses);
-            // lint:allow(panic-hygiene): the injected fault IS a panic — the supervisor's catch_unwind/rollback path is what it exercises
-            panic!("injected fault: worker killed before request {kill_at}");
-        }
+    ordinal: u64,
+) -> EdgeResponse {
+    let response = edge.serve(request);
+    if fault_plan.take(ordinal) {
+        // lint:allow(panic-hygiene): the injected fault IS a panic — the supervisor's catch_unwind/rollback path is what it exercises
+        panic!("injected fault: worker killed after serving request {ordinal}, before its commit");
     }
+    response
 }
 
 /// The explicit failure reply for a request its step could not serve.
@@ -1270,8 +1275,8 @@ mod tests {
         });
         let user = UserId::new(2);
         let home = Point::new(50.0, 50.0);
-        // Every call succeeds: the supervisor restores the checkpoint and
-        // retries the interrupted batch.
+        // Every call succeeds: the supervisor rolls the killed request back
+        // and retries it.
         for t in 0..30 {
             handle.check_in(user, home, t).unwrap();
         }
@@ -1374,12 +1379,7 @@ mod tests {
         handle.shard.waiting.fetch_add(1, Ordering::Relaxed);
         let err = handle.try_call(ClientRequest::Shutdown).unwrap_err();
         assert_eq!(err, TransportError::Overloaded);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            disconnect_attempts: 1,
-            backoff_base: 4,
-            backoff_cap: 64,
-        };
+        let policy = RetryPolicy { max_attempts: 3, backoff_base: 4, backoff_cap: 64 };
         let err = handle.call_with_retry(ClientRequest::Shutdown, &policy).unwrap_err();
         assert_eq!(err, TransportError::Overloaded);
         assert_eq!(metrics.overload_rejections.value(), 4);
@@ -1495,10 +1495,11 @@ mod tests {
     fn fault_plan_take_consumes_points_in_order() {
         let mut plan = FaultPlan::kill_at([5, 2, 9, 2]);
         assert_eq!(plan.remaining(), 3);
-        assert_eq!(plan.take(0, 3), Some(2));
-        assert_eq!(plan.take(0, 3), None);
-        assert_eq!(plan.take(4, 10), Some(5));
-        assert_eq!(plan.take(4, 10), Some(9));
+        assert!(plan.take(2));
+        assert!(!plan.take(2), "a point fires once");
+        assert!(!plan.take(4));
+        assert!(plan.take(5));
+        assert!(plan.take(9));
         assert_eq!(plan.remaining(), 0);
         assert_eq!(FaultPlan::none(), FaultPlan::default());
     }
@@ -1639,35 +1640,8 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_retries_have_their_own_budget() {
-        // A joined shard: every attempt observes Disconnected.
-        let (server, handle) = spawn();
-        server.join().unwrap();
-        let metrics = Arc::clone(&handle.shard.metrics);
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            disconnect_attempts: 3,
-            backoff_base: 1,
-            backoff_cap: 4,
-        };
-        let err = handle.call_with_retry(ClientRequest::Shutdown, &policy).unwrap_err();
-        assert_eq!(err, TransportError::Disconnected);
-        // Two retries ran before the third attempt gave up.
-        assert_eq!(metrics.disconnect_retries.value(), 2);
-        // The pre-fabric fail-fast shape: a budget of 1 never retries.
-        let policy = RetryPolicy { disconnect_attempts: 1, ..policy };
-        handle.call_with_retry(ClientRequest::Shutdown, &policy).unwrap_err();
-        assert_eq!(metrics.disconnect_retries.value(), 2);
-    }
-
-    #[test]
     fn retry_policy_backoff_is_capped() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            disconnect_attempts: 1,
-            backoff_base: 8,
-            backoff_cap: 100,
-        };
+        let policy = RetryPolicy { max_attempts: 10, backoff_base: 8, backoff_cap: 100 };
         assert_eq!(policy.spins(0), 8);
         assert_eq!(policy.spins(1), 16);
         assert_eq!(policy.spins(30), 100);
@@ -1691,70 +1665,43 @@ mod tests {
         edge
     }
 
-    /// Batches the supervisor must be able to undo, each killed before its
-    /// fourth request: one that first-contacts a user (3), one that closes
-    /// a window drawing a fresh set and draws from it, and one that touches
-    /// one user three times.
-    fn killed_batches() -> [(&'static str, Vec<ClientRequest>); 3] {
-        let (home_1, home_2) = (Point::new(100.0, 100.0), Point::new(-3_000.0, 500.0));
+    /// Requests the supervisor must be able to undo, each killed after it
+    /// is served: one that first-contacts a user (3), a window close that
+    /// draws a fresh set (2), and a draw from a released set (1).
+    fn killed_requests() -> [(&'static str, ClientRequest); 3] {
         let stranger = Point::new(9_000.0, 9_000.0);
-        let (one, two, three) = (UserId::new(1), UserId::new(2), UserId::new(3));
+        let home_1 = Point::new(100.0, 100.0);
         [
             (
                 "first contact",
-                vec![
-                    ClientRequest::CheckIn { user: one, location: home_1, timestamp: 0 },
-                    ClientRequest::CheckIn { user: three, location: stranger, timestamp: 1 },
-                    ClientRequest::RequestLocation { user: three, location: stranger },
-                    ClientRequest::RequestLocation { user: one, location: home_1 },
-                ],
+                ClientRequest::CheckIn { user: UserId::new(3), location: stranger, timestamp: 0 },
             ),
             (
                 "window close with a fresh set",
-                vec![
-                    ClientRequest::CheckIn { user: two, location: home_2, timestamp: 0 },
-                    ClientRequest::FinalizeWindow { user: two },
-                    ClientRequest::RequestLocation { user: two, location: home_2 },
-                    ClientRequest::CheckIn { user: two, location: home_2, timestamp: 1 },
-                ],
+                ClientRequest::FinalizeWindow { user: UserId::new(2) },
             ),
             (
-                "one user touched thrice",
-                vec![
-                    ClientRequest::RequestLocation { user: one, location: home_1 },
-                    ClientRequest::CheckIn { user: one, location: stranger, timestamp: 0 },
-                    ClientRequest::RequestLocation { user: one, location: stranger },
-                    ClientRequest::FinalizeWindow { user: one },
-                ],
+                "draw from a released set",
+                ClientRequest::RequestLocation { user: UserId::new(1), location: home_1 },
             ),
         ]
     }
 
-    /// Lists in `touched` the users `requests` name, sorted and distinct:
-    /// the users a batch can change, so the only ones its undo saves.
-    fn touched_users(requests: &[ClientRequest], touched: &mut Vec<UserId>) {
-        touched.clear();
-        touched.extend(requests.iter().filter_map(ClientRequest::user));
-        touched.sort_unstable();
-        touched.dedup();
-    }
-
     #[test]
     fn a_killed_batch_rolls_back_to_the_committed_device() {
-        for (case, batch) in killed_batches() {
+        for (case, request) in killed_requests() {
             let mut edge = committed_device();
             let before = edge.checkpoint();
-            let mut touched = Vec::new();
-            touched_users(&batch, &mut touched);
-            let mut undo = BatchUndo::new();
-            let mut responses = Vec::new();
-            let mut plan = FaultPlan::kill_at([3]);
-            let served =
-                serve_attempt(&mut edge, &batch, &touched, &mut undo, &mut responses, &mut plan, 0);
-            assert!(!served, "{case}: the kill fires");
-            // The device is back at its pre-batch bytes, and it reads as
+            // Served in full, the request changes the committed device.
+            let mut clean = committed_device();
+            let expected = clean.serve(request);
+            assert_ne!(clean.checkpoint(), before, "{case}: nothing to undo");
+            let mut plan = FaultPlan::kill_at([0]);
+            let served = serve_attempt(&mut edge, request, &mut plan, 0);
+            assert_eq!(served, None, "{case}: the kill fires");
+            // The device is back at its pre-request bytes, and it reads as
             // freshly restored: one restore and one `Restore` spend per
-            // committed user, nothing the killed prefix did.
+            // committed user, nothing the killed request did.
             assert_eq!(edge.checkpoint(), before, "{case}");
             assert_eq!(edge.user_count(), 2, "{case}");
             let restored = DeviceStats { restores: 2, ..DeviceStats::default() };
@@ -1774,44 +1721,35 @@ mod tests {
 
             // The retry answers exactly as a run the kill never touched,
             // and leaves the same device behind.
-            let served =
-                serve_attempt(&mut edge, &batch, &touched, &mut undo, &mut responses, &mut plan, 0);
-            assert!(served, "{case}: the retry is served");
-            let mut clean = committed_device();
-            let mut expected = Vec::new();
-            clean.serve_batch(&batch, &mut expected);
-            assert_eq!(responses, expected, "{case}");
+            let served = serve_attempt(&mut edge, request, &mut plan, 0);
+            assert_eq!(served, Some(expected), "{case}: the retry is served");
             assert_eq!(edge.checkpoint(), clean.checkpoint(), "{case}");
         }
         // The close case really drew a fresh set before the kill.
-        let mut clean = committed_device();
-        let mut responses = Vec::new();
-        clean.serve_batch(&killed_batches()[1].1, &mut responses);
-        assert_eq!(responses[1], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
+        let close = killed_requests()[1].1;
+        let fresh = EdgeResponse::WindowClosed { fresh_obfuscations: 1 };
+        assert_eq!(committed_device().serve(close), fresh);
     }
 
     #[test]
     fn past_the_budget_the_server_keeps_its_committed_device() {
         let committed = committed_device().checkpoint();
-        for (case, batch) in killed_batches() {
-            // No restart to spare: the kill at the batch's fourth request
-            // fails the shard.
+        let settle =
+            ClientRequest::CheckIn { user: UserId::new(1), location: Point::ORIGIN, timestamp: 0 };
+        for (case, request) in killed_requests() {
+            // No restart to spare: the kill after the second request fails
+            // the shard.
             let (server, handle) = spawn_with(ServerOptions {
-                fault_plan: FaultPlan::kill_at([3]),
+                fault_plan: FaultPlan::kill_at([1]),
                 max_restarts: 0,
                 restore_from: Some(committed.clone()),
                 ..ServerOptions::default()
             });
-            let (served, killed) = batch.split_at(3);
             let mut expected = committed_device();
-            let mut responses = Vec::new();
-            expected.serve_batch(served, &mut responses);
-            for (&request, response) in served.iter().zip(&responses) {
-                assert_eq!(handle.call(request).unwrap(), *response, "{case}");
-            }
+            assert_eq!(handle.call(settle).unwrap(), expected.serve(settle), "{case}");
             let failed = TransportError::WorkerFailed { restarts: 1 };
-            assert_eq!(handle.call(killed[0]).unwrap_err(), failed, "{case}");
-            assert_eq!(handle.call(killed[0]).unwrap_err(), TransportError::Disconnected, "{case}");
+            assert_eq!(handle.call(request).unwrap_err(), failed, "{case}");
+            assert_eq!(handle.call(request).unwrap_err(), TransportError::Disconnected, "{case}");
             // The step rolled its request back before the shard gave up:
             // what it leaves is the committed device, byte for byte.
             let last = server.last_checkpoint();
@@ -1820,15 +1758,14 @@ mod tests {
 
             // A server restored from it continues every stream bit for
             // bit: the killed request, then one more draw per user.
-            let follow_up: Vec<ClientRequest> = batch
+            let follow_up: Vec<ClientRequest> = [settle, request]
                 .iter()
                 .filter_map(ClientRequest::user)
                 .map(|user| ClientRequest::RequestLocation { user, location: Point::ORIGIN })
                 .collect();
             let (server, handle) =
                 spawn_with(ServerOptions { restore_from: Some(last), ..ServerOptions::default() });
-            let responses: Vec<EdgeResponse> = killed
-                .iter()
+            let responses: Vec<EdgeResponse> = std::iter::once(&request)
                 .chain(&follow_up)
                 .map(|&request| handle.call(request).unwrap())
                 .collect();
@@ -1836,11 +1773,53 @@ mod tests {
             let resumed = server.join().unwrap();
             let mut continuous = committed_device();
             let mut expected = Vec::new();
-            continuous.serve_batch(&batch, &mut expected);
+            continuous.serve_batch(&[settle, request], &mut expected);
             continuous.serve_batch(&follow_up, &mut expected);
-            assert_eq!(responses, expected[3..], "{case}");
+            assert_eq!(responses, expected[1..], "{case}");
             assert_eq!(resumed.checkpoint(), continuous.checkpoint(), "{case}");
         }
+    }
+
+    #[test]
+    fn a_revived_core_is_a_core_restored_from_its_checkpoint() {
+        let committed = committed_device().checkpoint();
+        let core = |restore_from: Bytes, fault_plan: FaultPlan| {
+            let options = ServerOptions {
+                fault_plan,
+                max_restarts: 0,
+                restore_from: Some(restore_from),
+                ..ServerOptions::default()
+            };
+            let metrics = Arc::new(ServerMetrics::new(&options.telemetry));
+            let telemetry = options.telemetry.clone();
+            let config = SystemConfig::builder().build().unwrap();
+            (ShardCore::new(config, 11, options, metrics, Tracer::default()), telemetry)
+        };
+        let (close, draw) = (killed_requests()[1].1, killed_requests()[2].1);
+        // A kill past the zero restart budget fails the core.
+        let (mut revived, revived_hub) = core(committed.clone(), FaultPlan::kill_at([0]));
+        let reply = revived.step(0, &close.encode_vec()).unwrap();
+        let failed = EdgeResponse::Error { code: ErrorCode::WorkerFailed, detail: 1 };
+        assert_eq!(EdgeResponse::decode(&reply).unwrap(), failed);
+        assert!(revived.step(0, &draw.encode_vec()).is_none());
+        assert!(revived.revive());
+        // Revived, it serves as a core restored from the committed image
+        // with no kill plan: the same replies, device and deterministic
+        // telemetry, the ledger's `Restore` spends included.
+        let (mut restored, restored_hub) = core(committed.clone(), FaultPlan::none());
+        for request in [close, draw] {
+            let frame = request.encode_vec();
+            assert_eq!(revived.step(0, &frame), restored.step(0, &frame));
+        }
+        let revived = revived.finish().unwrap();
+        assert_eq!(revived.checkpoint(), restored.finish().unwrap().checkpoint());
+        assert_eq!(revived_hub.deterministic_json(), restored_hub.deterministic_json());
+        // A core with no device has nothing to revive.
+        let mut image = committed.to_vec();
+        *image.last_mut().unwrap() ^= 1;
+        let (mut lost, _) = core(Bytes::from(image), FaultPlan::none());
+        assert!(!lost.revive());
+        assert!(matches!(lost.finish().unwrap_err(), SystemError::Recovery(_)));
     }
 
     #[test]

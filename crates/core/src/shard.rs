@@ -28,7 +28,6 @@ use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 use privlocad_telemetry::Telemetry;
 
-use crate::protocol::{ClientRequest, EdgeResponse};
 use crate::server::{EdgeHandle, EdgeServer, ServerOptions, TransportError};
 use crate::{EdgeDevice, SystemConfig, SystemError};
 
@@ -114,29 +113,6 @@ impl ShardRouter {
         ShardRouter::spawn_with(config, master, options)
     }
 
-    /// [`ShardRouter::spawn`] with every shard submitting served ad
-    /// requests into one shared OpenRTB-lite bid sink
-    /// ([`crate::ServerOptions::bid_sink`]). The sink outlives the
-    /// shards, so per-device bid sequences are continuous across worker
-    /// restarts, and — every shard serving per-user streams — the emitted
-    /// stream is invariant to the shard count.
-    pub fn spawn_with_sink(
-        config: SystemConfig,
-        master: u64,
-        shards: usize,
-        sink: std::sync::Arc<privlocad_openrtb::BidSink>,
-    ) -> ShardRouter {
-        let hub = Telemetry::new();
-        let options = (0..shards.max(1))
-            .map(|_| ServerOptions {
-                telemetry: hub.clone(),
-                bid_sink: Some(std::sync::Arc::clone(&sink)),
-                ..ServerOptions::default()
-            })
-            .collect();
-        ShardRouter::spawn_with(config, master, options)
-    }
-
     /// [`ShardRouter::spawn`] with explicit per-shard options — fault
     /// plans, queue capacities, restore images, or a caller-owned hub. One
     /// shard is spawned per entry (at least one entry required, panics on
@@ -178,7 +154,18 @@ impl ShardRouter {
 
     /// The client handle of the shard owning `user`.
     pub fn handle(&self, user: UserId) -> &EdgeHandle {
-        &self.handles[self.route(user)]
+        self.handle_at(self.route(user))
+    }
+
+    /// The client handle of shard `index`.
+    pub(crate) fn handle_at(&self, index: usize) -> &EdgeHandle {
+        &self.handles[index]
+    }
+
+    /// Revives shard `index` in place around its committed device
+    /// ([`EdgeServer::revive`]); `false` when it has no device.
+    pub(crate) fn revive(&self, index: usize) -> bool {
+        self.servers[index].revive()
     }
 
     /// Routes a check-in to the owning shard
@@ -218,51 +205,6 @@ impl ShardRouter {
     /// Propagates the shard's [`TransportError`].
     pub fn finalize_window(&self, user: UserId) -> Result<u32, TransportError> {
         self.handle(user).finalize_window(user)
-    }
-
-    /// Dispatches a batch of pre-routed requests: partitions by owning
-    /// shard, drives every shard concurrently (each shard sees its own
-    /// requests strictly in input order), and returns one result per
-    /// request in the original order.
-    ///
-    /// This is the fleet analogue of [`EdgeDevice::serve_batch`] — the
-    /// shape a load balancer in front of the fleet would produce. With
-    /// per-user streams, responses are identical whatever the shard
-    /// count, because each user's sub-sequence is preserved.
-    pub fn dispatch(
-        &self,
-        requests: &[(UserId, ClientRequest)],
-    ) -> Vec<Result<EdgeResponse, TransportError>> {
-        let mut lanes: Vec<Vec<(usize, ClientRequest)>> = vec![Vec::new(); self.handles.len()];
-        for (i, &(user, request)) in requests.iter().enumerate() {
-            lanes[self.route(user)].push((i, request));
-        }
-        let mut results: Vec<Option<Result<EdgeResponse, TransportError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut answered: Vec<Vec<(usize, Result<EdgeResponse, TransportError>)>> =
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = lanes
-                    .iter()
-                    .zip(&self.handles)
-                    .map(|(lane, handle)| {
-                        scope.spawn(move || {
-                            lane.iter()
-                                .map(|&(i, request)| (i, handle.call(request)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    // lint:allow(panic-hygiene): provably infallible — the worker closure only forwards `handle.call` results (errors travel as values) and cannot itself panic
-                    .map(|w| w.join().expect("shard dispatch worker panicked"))
-                    .collect()
-            });
-        for (i, outcome) in answered.iter_mut().flat_map(|lane| lane.drain(..)) {
-            results[i] = Some(outcome);
-        }
-        // lint:allow(panic-hygiene): provably infallible — every input index was pushed into exactly one lane above, so every slot is filled
-        results.into_iter().map(|r| r.expect("every request answered")).collect()
     }
 
     /// Stops every shard (first failure wins, remaining shards are still
@@ -367,42 +309,6 @@ mod tests {
         let one = reports_at(1);
         assert_eq!(one, reports_at(3));
         assert_eq!(one, reports_at(12));
-    }
-
-    #[test]
-    fn dispatch_preserves_input_order_and_matches_typed_calls() {
-        let user_a = UserId::new(0);
-        let user_b = UserId::new(1);
-        let batch: Vec<(UserId, ClientRequest)> = (0..40)
-            .flat_map(|t| {
-                [
-                    (user_a, ClientRequest::CheckIn { user: user_a, location: home_of(user_a), timestamp: t }),
-                    (user_b, ClientRequest::CheckIn { user: user_b, location: home_of(user_b), timestamp: t }),
-                ]
-            })
-            .chain([
-                (user_a, ClientRequest::FinalizeWindow { user: user_a }),
-                (user_b, ClientRequest::FinalizeWindow { user: user_b }),
-                (user_a, ClientRequest::RequestLocation { user: user_a, location: home_of(user_a) }),
-                (user_b, ClientRequest::RequestLocation { user: user_b, location: home_of(user_b) }),
-            ])
-            .collect();
-
-        let run = |shards: usize| {
-            let router = ShardRouter::spawn(config(), 7, shards);
-            let responses: Vec<EdgeResponse> =
-                router.dispatch(&batch).into_iter().map(|r| r.unwrap()).collect();
-            router.shutdown().unwrap();
-            router.join().unwrap();
-            responses
-        };
-        let sharded = run(2);
-        assert_eq!(sharded.len(), batch.len());
-        assert_eq!(sharded[80], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
-        assert_eq!(sharded[81], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
-        assert!(matches!(sharded[82], EdgeResponse::ReportedLocation { .. }));
-        // Same batch on one shard: identical responses in identical order.
-        assert_eq!(sharded, run(1));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Adversarial fuzz of the hardened wire decoders: random truncation,
-//! length-prefix lies, and bit flips must always yield a structured
-//! `FrameError` (or a clean decode of a different valid frame), never a
-//! panic — a malformed radio frame must cost the sender a strike, not the
-//! edge worker its life. A checkpoint image, truncated or flipped, must be
+//! bit flips and byte soup must always yield a structured `FrameError`
+//! (or a clean decode of a different valid frame), never a panic — a
+//! malformed radio frame must cost the sender a strike, not the edge
+//! worker its life. A checkpoint image, truncated or flipped, must be
 //! refused (or restored) alike by both restore paths.
 
-use privlocad::protocol::{deframe, frame, ClientRequest, EdgeResponse, MAX_FRAME_LEN};
+use privlocad::protocol::{split_sequenced, ClientRequest, EdgeResponse};
 use privlocad::recovery::DeviceSnapshot;
 use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::Point;
@@ -43,10 +43,6 @@ proptest! {
         // decoder rejects both missing and trailing bytes.
         let cut = cut % encoded.len();
         prop_assert!(ClientRequest::decode(&encoded[..cut]).is_err());
-        // The framed stream decoder agrees on its own truncations.
-        let framed = frame(&encoded);
-        let cut = cut % framed.len();
-        prop_assert!(ClientRequest::decode_framed(&framed[..cut]).is_err());
     }
 
     #[test]
@@ -71,70 +67,22 @@ proptest! {
     }
 
     #[test]
-    fn lying_length_prefixes_error_and_never_panic(
-        declared in any::<u16>(),
-        body in proptest::collection::vec(any::<u8>(), 0..80),
-    ) {
-        // A hand-forged length prefix over arbitrary body bytes: deframe
-        // must bound-check the declared length against both the buffer and
-        // the protocol maximum.
-        let mut stream = (declared as usize).to_be_bytes()[6..].to_vec();
-        stream.extend_from_slice(&body);
-        match deframe(&stream) {
-            Ok((frame_body, rest)) => {
-                prop_assert_eq!(frame_body.len(), declared as usize);
-                prop_assert!(frame_body.len() <= MAX_FRAME_LEN);
-                prop_assert_eq!(frame_body.len() + rest.len(), body.len());
-            }
-            Err(_) => {
-                prop_assert!(declared as usize > body.len().min(MAX_FRAME_LEN));
-            }
-        }
-        // And the typed stream decoders stay total on the same soup.
-        let _ = ClientRequest::decode_framed(&stream);
-        let _ = EdgeResponse::decode_framed(&stream);
-    }
-
-    #[test]
     fn arbitrary_byte_soup_never_panics_any_decoder(
         bytes in proptest::collection::vec(any::<u8>(), 0..160),
     ) {
         let _ = ClientRequest::decode(&bytes);
         let _ = EdgeResponse::decode(&bytes);
-        let _ = ClientRequest::decode_framed(&bytes);
-        let _ = EdgeResponse::decode_framed(&bytes);
-        let _ = deframe(&bytes);
+        // The fabric's envelope decoder, on the soup as it comes and
+        // behind a sequenced tag; an envelope that opens hands its inner
+        // frame to the strict decoder, as a shard does.
+        for frame in [bytes.clone(), [&[0x05][..], &bytes].concat()] {
+            if let Ok(Some((_, inner))) = split_sequenced(&frame) {
+                let _ = ClientRequest::decode(inner);
+            }
+        }
         // The recovery log decoder is part of the same trust boundary: a
         // corrupt persisted snapshot must error, never poison a device.
         prop_assert!(DeviceSnapshot::decode(&bytes).is_err());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(500))]
-
-    #[test]
-    fn valid_framed_streams_round_trip(
-        kinds in proptest::collection::vec(0usize..4, 1..12),
-        user in any::<u32>(),
-        x in -1e6f64..1e6,
-        y in -1e6f64..1e6,
-        ts in 0i64..1_000_000,
-    ) {
-        let requests: Vec<ClientRequest> =
-            kinds.iter().map(|&k| request(k, user, x, y, ts)).collect();
-        let mut stream = Vec::new();
-        for r in &requests {
-            stream.extend_from_slice(&frame(&r.encode()));
-        }
-        let mut rest: &[u8] = &stream;
-        let mut decoded = Vec::new();
-        while !rest.is_empty() {
-            let (req, tail) = ClientRequest::decode_framed(rest).unwrap();
-            decoded.push(req);
-            rest = tail;
-        }
-        prop_assert_eq!(decoded, requests);
     }
 }
 

@@ -63,7 +63,7 @@ pub struct CallSite {
     /// 1-indexed line of the callee identifier.
     pub line: usize,
     /// Top-level comma-split argument texts (receiver excluded for method
-    /// calls), truncated past [`ARG_CAP`] characters.
+    /// calls), truncated past `ARG_CAP` (400) characters.
     pub args: Vec<String>,
 }
 

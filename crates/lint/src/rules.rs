@@ -242,7 +242,7 @@ pub fn test_mask(file: &LexedFile, kind: FileKind) -> Vec<bool> {
 }
 
 /// Runs every source rule over one lexed file. Returned findings are not yet
-/// suppression-resolved; [`crate::suppress`] handles that.
+/// suppression-resolved; [`crate::allowlist::apply_suppressions`] handles that.
 pub fn check_file(ctx: &FileContext, file: &LexedFile) -> Vec<Finding> {
     let mut out = Vec::new();
     let tests = test_mask(file, ctx.kind);

@@ -25,6 +25,11 @@ cargo build --workspace --no-default-features
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Neither the build nor clippy resolves doc links: a doc that still links
+# to a deleted or private item only shows up here.
+RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps
+
 echo "==> privlocad-lint (workspace invariants + bench report shape)"
 ./target/release/privlocad-lint --root . --bench-json BENCH_repro.json
 
