@@ -297,7 +297,7 @@ fn drive_shard(
                         transcript: &mut Vec<(Vec<u8>, Vec<u8>)>| {
         let frame = request.encode().to_vec();
         let response = handle
-            .call_raw(frame.clone())
+            .call_raw(&frame)
             .unwrap_or_else(|e| panic!("valid request must survive the faults: {e}"));
         transcript.push((frame, response.encode().to_vec()));
     };
@@ -369,7 +369,7 @@ fn drive_shard(
         EdgeServer::spawn_with(sys, shard_seed, ServerOptions::default());
     for (request_frame, response_frame) in &transcript {
         let response = clean_handle
-            .call_raw(request_frame.clone())
+            .call_raw(request_frame)
             .expect("fault-free replay must serve every request");
         assert_eq!(
             response.encode().as_ref(),

@@ -822,7 +822,7 @@ impl FabricRouter {
                     _ => continue,
                 }
             }
-            match handle.call_raw(frame.clone()) {
+            match handle.call_raw(&frame) {
                 Ok(response) => break response,
                 Err(TransportError::WorkerFailed { .. } | TransportError::Disconnected) => {
                     // Commit-before-reply means the failed call was never

@@ -176,7 +176,7 @@ impl EdgeHandle {
         let overload_budget = policy.max_attempts.max(1);
         let mut overloads = 0;
         loop {
-            match self.try_call_raw(frame.clone()) {
+            match self.try_call_raw(&frame) {
                 Err(TransportError::Overloaded) => {
                     overloads += 1;
                     if overloads >= overload_budget {
@@ -194,14 +194,14 @@ impl EdgeHandle {
     /// Sends a pre-encoded request frame — possibly corrupted, which is
     /// exactly what the chaos harness does to exercise the server's
     /// hardened decode path — and returns the decoded response frame.
-    pub fn call_raw(&self, frame: Vec<u8>) -> Result<EdgeResponse, TransportError> {
+    pub fn call_raw(&self, frame: impl AsRef<[u8]>) -> Result<EdgeResponse, TransportError> {
         self.shard.waiting.fetch_add(1, Ordering::Relaxed);
-        self.step(&frame)
+        self.step(frame.as_ref())
     }
 
     /// [`EdgeHandle::call_raw`] with reject-instead-of-wait overload
     /// semantics.
-    pub fn try_call_raw(&self, frame: Vec<u8>) -> Result<EdgeResponse, TransportError> {
+    pub fn try_call_raw(&self, frame: impl AsRef<[u8]>) -> Result<EdgeResponse, TransportError> {
         let capacity = self.shard.queue_capacity;
         let admitted = self.shard.waiting.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
             (n < capacity).then_some(n + 1)
@@ -210,7 +210,7 @@ impl EdgeHandle {
             self.shard.metrics.overload_rejections.inc();
             return Err(TransportError::Overloaded);
         }
-        self.step(&frame)
+        self.step(frame.as_ref())
     }
 
     /// Waits as an admitted caller for the shard's lock, steps `frame` on
@@ -1523,12 +1523,12 @@ mod tests {
             assert_eq!(handle.call_raw(frame).unwrap(), EdgeResponse::Ack);
         }
         let finalize = encode_sequenced(5, 30, &ClientRequest::FinalizeWindow { user });
-        let first = handle.call_raw(finalize.clone()).unwrap();
+        let first = handle.call_raw(&finalize).unwrap();
         assert_eq!(first, EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
         // Re-delivering the committed finalize replays its cached
         // response — no second window ever closes.
         for _ in 0..3 {
-            assert_eq!(handle.call_raw(finalize.clone()).unwrap(), first);
+            assert_eq!(handle.call_raw(&finalize).unwrap(), first);
         }
         assert_eq!(server.health().duplicates_suppressed, 3);
         handle.shutdown().unwrap();
@@ -1584,7 +1584,7 @@ mod tests {
             0,
             &ClientRequest::CheckIn { user, location: Point::ORIGIN, timestamp: 0 },
         );
-        handle.call_raw(good.clone()).unwrap();
+        handle.call_raw(&good).unwrap();
         // A corrupted duplicate of seq 0: the checksum catches the damage
         // before the dedup window is ever consulted.
         let mut corrupt = good;

@@ -297,16 +297,6 @@ impl BidRequest {
         Ok((request, consumed))
     }
 
-    /// The raw `(device, seq)` key of a request frame this codec encoded,
-    /// read straight from its fixed body offsets without verifying the
-    /// frame — for a holder of its own frames, such as the bid sink
-    /// ordering its pending requests.
-    pub(crate) fn frame_key(frame: &[u8]) -> (u64, u64) {
-        let mut seq = &frame[HEADER_LEN + 8..];
-        let mut device = &frame[HEADER_LEN + 8 + 8 + 12..];
-        (device.get_u64(), seq.get_u64())
-    }
-
     /// Decodes the request body out of an already-verified [`FrameRef`].
     pub fn from_frame_ref(frame: FrameRef<'_>) -> Result<BidRequest, DecodeError> {
         if frame.kind != KIND_BID_REQUEST {

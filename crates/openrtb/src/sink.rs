@@ -4,7 +4,7 @@
 //! A [`BidSink`] is shared (`Arc`) between every shard of a serving fleet
 //! and the exchange pump. Shards call [`BidSink::submit`] once per *applied*
 //! request — the server's commit phase guarantees exactly-once emission —
-//! and the exchange drains pending encoded requests in canonical
+//! and the exchange drains the pending requests, encoded, in canonical
 //! `(device, seq)` order, which makes the downstream auction stream a pure
 //! function of the per-device request sequences and therefore invariant
 //! across shard counts and fault schedules.
@@ -18,30 +18,41 @@ use std::collections::BTreeMap;
 
 use crate::codec::{BidRequest, DeviceId, Geo, REQUEST_FRAME_LEN};
 
-/// Request frames per arena chunk.
+/// Pending bids per backlog chunk: a chunk holds this many 24-byte
+/// records, and is allocated once at full size when it opens.
 pub const CHUNK_FRAMES: usize = 1_024;
 
-/// Bytes of one arena chunk, allocated in full when the chunk opens.
-const CHUNK_BYTES: usize = CHUNK_FRAMES * REQUEST_FRAME_LEN;
-
-/// One submitted-but-not-yet-auctioned bid request.
+/// One drained, not yet auctioned bid request.
 #[derive(Debug, Clone)]
 pub struct PendingBid {
     /// Submitting device.
     pub device: DeviceId,
     /// Per-device request ordinal (0-based submission count).
     pub seq: u64,
-    /// The encoded OpenRTB-lite request frame.
+    /// The encoded OpenRTB-lite request frame: a zero-copy view into the
+    /// one buffer its [`BidSink::drain`] encoded every frame into.
     pub frame: Bytes,
 }
+
+/// A pending bid as the sink holds it: what its frame says that nothing
+/// else does. The seq is implied by the device's counter at the drain,
+/// and the id, `imp`, header and checksum follow from the rest.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    device: DeviceId,
+    geo: Geo,
+}
+
+// A field added to `Pending` regrows every bid of the backlog.
+const _: () = assert!(std::mem::size_of::<Pending>() == 24);
 
 #[derive(Debug, Default)]
 struct SinkState {
     /// Next `seq` to assign, per device.
     next_seq: BTreeMap<u64, u64>,
-    /// Encoded frames awaiting a pump, back to back in submission order
-    /// across fixed-size chunks; every chunk but the last is full.
-    chunks: Vec<BytesMut>,
+    /// Bids awaiting a pump, in submission order across fixed-size
+    /// chunks; every chunk but the last is full.
+    chunks: Vec<Vec<Pending>>,
 }
 
 /// A shared, thread-safe collection point for emitted bid requests.
@@ -53,11 +64,11 @@ struct SinkState {
 /// fleet's `ServerOptions` template), so sequences stay continuous across
 /// worker restarts and fabric heals.
 ///
-/// Pending frames live back to back in chunks of [`CHUNK_FRAMES`] frames,
-/// each allocated once at full size and never grown, so a pending bid
-/// costs exactly its 60 wire bytes and the backlog never copies itself.
-/// No index is kept: [`BidSink::drain`] reads each frame's `(device,
-/// seq)` key back from the frame.
+/// A pending bid is held as a 24-byte `(device, geo)` record, not as its
+/// 60-byte frame, in chunks of [`CHUNK_FRAMES`] records, each allocated
+/// once at full size and never grown, so the backlog never copies itself.
+/// [`BidSink::submit`] only counts and appends; [`BidSink::drain`] encodes
+/// every frame once, in canonical order.
 #[derive(Debug, Default)]
 pub struct BidSink {
     state: Mutex<SinkState>,
@@ -70,8 +81,8 @@ impl BidSink {
         BidSink::default()
     }
 
-    /// Encodes and enqueues one bid request for `device` at `geo`,
-    /// returning the assigned per-device sequence number.
+    /// Enqueues one bid request for `device` at `geo`, returning the
+    /// assigned per-device sequence number.
     ///
     /// `geo` must be a *released* obfuscated coordinate; this method is a
     /// modelled wire sink in the flow-analysis lint.
@@ -80,12 +91,12 @@ impl BidSink {
         let counter = state.next_seq.entry(device.raw()).or_insert(0);
         let seq = *counter;
         *counter += 1;
-        let request = BidRequest::new(device, seq, geo);
+        let bid = Pending { device, geo };
         match state.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_BYTES => request.encode_into(chunk),
+            Some(chunk) if chunk.len() < CHUNK_FRAMES => chunk.push(bid),
             _ => {
-                let mut chunk = BytesMut::with_capacity(CHUNK_BYTES);
-                request.encode_into(&mut chunk);
+                let mut chunk = Vec::with_capacity(CHUNK_FRAMES);
+                chunk.push(bid);
                 state.chunks.push(chunk);
             }
         }
@@ -93,33 +104,41 @@ impl BidSink {
     }
 
     /// Drains every pending request in canonical `(device, seq)` order.
-    /// Each returned frame is a zero-copy view into a drained chunk.
+    /// The frames are encoded here, back to back in that order into one
+    /// buffer of exactly their size; each returned frame is a zero-copy
+    /// view into it.
     pub fn drain(&self) -> Vec<PendingBid> {
-        let chunks: Vec<Bytes> = std::mem::take(&mut self.state.lock().chunks)
-            .into_iter()
-            .map(BytesMut::freeze)
-            .collect();
-        // `(device, seq, submission position)`, positions counted across
-        // the chunks in order.
-        let mut keys: Vec<(u64, u64, usize)> = chunks
-            .iter()
-            .flat_map(|chunk| chunk.chunks_exact(REQUEST_FRAME_LEN))
-            .enumerate()
-            .map(|(at, frame)| {
-                let (device, seq) = BidRequest::frame_key(frame);
-                (device, seq, at)
-            })
-            .collect();
-        // `(device, seq)` keys are unique, so an unstable sort is canonical.
-        keys.sort_unstable_by_key(|&(device, seq, _)| (device, seq));
+        // The backlog and the counters come from one lock hold, so a
+        // device's `k` pending bids are its last `k` submissions: seqs
+        // `next - k .. next`, in submission order.
+        let (chunks, next_seq) = {
+            let mut state = self.state.lock();
+            if state.chunks.is_empty() {
+                return Vec::new();
+            }
+            (std::mem::take(&mut state.chunks), state.next_seq.clone())
+        };
+        let mut pending = chunks.concat();
+        drop(chunks);
+        // Stable, so each device's bids stay in submission order.
+        pending.sort_by_key(|bid| bid.device);
+
+        let mut keys = Vec::with_capacity(pending.len());
+        let mut frames = BytesMut::with_capacity(pending.len() * REQUEST_FRAME_LEN);
+        for run in pending.chunk_by(|a, b| a.device == b.device) {
+            let device = run[0].device;
+            let next = next_seq[&device.raw()];
+            for (seq, bid) in (next - run.len() as u64..).zip(run) {
+                BidRequest::new(device, seq, bid.geo).encode_into(&mut frames);
+                keys.push((device, seq));
+            }
+        }
+        let frames = frames.freeze();
         keys.into_iter()
-            .map(|(device, seq, at)| {
-                let offset = at % CHUNK_FRAMES * REQUEST_FRAME_LEN;
-                PendingBid {
-                    device: DeviceId::new(device),
-                    seq,
-                    frame: chunks[at / CHUNK_FRAMES].slice(offset..offset + REQUEST_FRAME_LEN),
-                }
+            .enumerate()
+            .map(|(at, (device, seq))| {
+                let offset = at * REQUEST_FRAME_LEN;
+                PendingBid { device, seq, frame: frames.slice(offset..offset + REQUEST_FRAME_LEN) }
             })
             .collect()
     }
@@ -127,8 +146,7 @@ impl BidSink {
     /// Number of requests awaiting a drain.
     #[must_use]
     pub fn pending(&self) -> usize {
-        let bytes: usize = self.state.lock().chunks.iter().map(|c| c.len()).sum();
-        bytes / REQUEST_FRAME_LEN
+        self.state.lock().chunks.iter().map(Vec::len).sum()
     }
 
     /// Total requests submitted so far (drained or not).

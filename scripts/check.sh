@@ -25,6 +25,11 @@ cargo build --workspace --no-default-features
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy over fleetbench -- -D warnings"
+# fleetbench is its own workspace, so the step above never reaches it: a
+# library API change that leaves the benchmark with warnings shows here.
+cargo clippy --offline --manifest-path fleetbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Neither the build nor clippy resolves doc links: a doc that still links
 # to a deleted or private item only shows up here.
