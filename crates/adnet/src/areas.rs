@@ -42,11 +42,6 @@ impl AreaGrid {
         AreaGrid { cell_size_m }
     }
 
-    /// The cell side length in meters.
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_size_m
-    }
-
     /// The area id containing `p`.
     ///
     /// Ids are collision-free for cell coordinates within ±32,767 of the

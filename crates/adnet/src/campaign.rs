@@ -1,4 +1,4 @@
-use privlocad_geo::{Circle, Point};
+use privlocad_geo::Point;
 use serde::{Deserialize, Serialize};
 
 use crate::AdError;
@@ -83,16 +83,6 @@ impl Targeting {
             Targeting::Country(c) => c == country,
         }
     }
-
-    /// The targeting disc for radius campaigns, `None` otherwise.
-    pub fn as_circle(&self) -> Option<Circle> {
-        match *self {
-            Targeting::Radius { center, radius_m } => {
-                Some(Circle::new(center, radius_m).expect("validated at construction"))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// An advertiser's campaign: targeting plus a fixed CPM bid.
@@ -145,7 +135,8 @@ impl Campaign {
     }
 
     /// The campaign's geo-targeting.
-    pub fn targeting(&self) -> Targeting {
+    #[cfg(test)]
+    pub(crate) fn targeting(&self) -> Targeting {
         self.targeting
     }
 
@@ -197,16 +188,6 @@ mod tests {
         let country = Targeting::Country(86);
         assert!(country.matches(Point::ORIGIN, 0, 86));
         assert!(!country.matches(Point::ORIGIN, 0, 1));
-    }
-
-    #[test]
-    fn as_circle_only_for_radius() {
-        let t = Targeting::radius(Point::new(1.0, 2.0), 500.0).unwrap();
-        let c = t.as_circle().unwrap();
-        assert_eq!(c.center(), Point::new(1.0, 2.0));
-        assert_eq!(c.radius(), 500.0);
-        assert!(Targeting::Area(1).as_circle().is_none());
-        assert!(Targeting::Country(1).as_circle().is_none());
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl BidExchange {
         &self.network
     }
 
-    /// Mutable access to the ad network, e.g. to attach serving policies.
-    pub fn network_mut(&mut self) -> &mut AdNetwork {
-        &mut self.network
-    }
-
     /// Flushes the accumulated exchange counters into `telemetry`'s
     /// registry, resetting the local buffer. Every metric registers on
     /// every drain so the exported schema stays stable.

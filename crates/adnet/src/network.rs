@@ -58,12 +58,14 @@ impl AdNetwork {
 
     /// Configures how reported locations resolve to administrative-area
     /// ids (enables `Targeting::Area` campaigns).
+    // lint:allow(dead-pub): integration-test hook: tests/marketplace.rs configures area campaigns through it
     pub fn set_area_grid(&mut self, grid: crate::AreaGrid) {
         self.area_grid = Some(grid);
     }
 
     /// Sets the country id carried by every request (enables
     /// `Targeting::Country` campaigns).
+    // lint:allow(dead-pub): integration-test hook: tests/marketplace.rs configures country campaigns through it
     pub fn set_country(&mut self, country: u16) {
         self.country = country;
     }
@@ -74,6 +76,7 @@ impl AdNetwork {
     }
 
     /// The delivery state (spend, impressions) of a campaign.
+    // lint:allow(dead-pub): integration-test hook: the adnet proptests, core's bid_exchange and tests/marketplace.rs read pacing state through it
     pub fn serving_state(&self, campaign: CampaignId) -> ServingState {
         self.ledger.state(campaign)
     }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// One mile in meters.
-pub const MILE_M: f64 = 1_609.344;
+const MILE_M: f64 = 1_609.344;
 
 /// A platform's allowed radius-targeting range, in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,16 +24,16 @@ impl RadiusLimits {
 }
 
 /// Google Ads: 5 km – 65 km.
-pub const GOOGLE: RadiusLimits =
+pub(crate) const GOOGLE: RadiusLimits =
     RadiusLimits { name: "Google", min_radius_m: 5_000.0, max_radius_m: 65_000.0 };
 
 /// Microsoft Advertising: 1 km – 800 km (also quoted as 1–800 miles; the
 /// paper lists both, we take the metric row).
-pub const MICROSOFT: RadiusLimits =
+const MICROSOFT: RadiusLimits =
     RadiusLimits { name: "Microsoft", min_radius_m: 1_000.0, max_radius_m: 800_000.0 };
 
 /// Facebook (Meta): 1 mile – 50 miles.
-pub const FACEBOOK: RadiusLimits =
+const FACEBOOK: RadiusLimits =
     RadiusLimits { name: "Facebook", min_radius_m: MILE_M, max_radius_m: 50.0 * MILE_M };
 
 /// Tencent: 500 m – 25 km.
@@ -43,13 +43,9 @@ pub const TENCENT: RadiusLimits =
 /// All surveyed platforms, in Table I order.
 pub const ALL: [RadiusLimits; 4] = [GOOGLE, MICROSOFT, FACEBOOK, TENCENT];
 
-/// The paper's chosen evaluation targeting radius `R = 5 km`: "the minimal
-/// value of the common interval from 5 km to 25 km" across the four
-/// platforms — i.e. the interval every platform supports.
-pub const EVALUATION_TARGETING_RADIUS_M: f64 = 5_000.0;
-
 /// The common radius interval supported by every surveyed platform,
-/// `(max of minima, min of maxima)` = (5 km, 25 km).
+/// `(max of minima, min of maxima)` = (5 km, 25 km). The paper's
+/// evaluation targeting radius `R = 5 km` is its minimum.
 pub fn common_interval() -> (f64, f64) {
     let lo = ALL.iter().map(|p| p.min_radius_m).fold(f64::MIN, f64::max);
     let hi = ALL.iter().map(|p| p.max_radius_m).fold(f64::MAX, f64::min);
@@ -59,6 +55,10 @@ pub fn common_interval() -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's evaluation targeting radius `R = 5 km`: "the minimal
+    /// value of the common interval from 5 km to 25 km".
+    const EVALUATION_TARGETING_RADIUS_M: f64 = 5_000.0;
 
     #[test]
     fn table_one_values() {

@@ -52,16 +52,19 @@ pub struct ServingState {
 
 impl ServingState {
     /// Total spend so far.
+    // lint:allow(dead-pub): integration-test hook: the adnet proptests, core's bid_exchange and tests/marketplace.rs check budget pacing with it
     pub fn spent(&self) -> f64 {
         self.spent
     }
 
     /// Impressions served to one device.
+    // lint:allow(dead-pub): integration-test hook: core's bid_exchange checks per-device frequency caps with it
     pub fn impressions_for(&self, device: DeviceId) -> u32 {
         self.impressions.get(&device.raw()).copied().unwrap_or(0)
     }
 
     /// Total impressions across devices.
+    // lint:allow(dead-pub): integration-test hook: the adnet proptests and core's bid_exchange count delivered impressions with it
     pub fn total_impressions(&self) -> u32 {
         self.impressions.values().sum()
     }

@@ -135,7 +135,7 @@ impl DeobfuscationAttack {
     /// check-in streams; passing the same [`AttackScratch`] keeps the
     /// clustering and working buffers allocated across trials. The
     /// scratch never changes results — it is pure acceleration state.
-    pub fn infer_top_locations_with(
+    fn infer_top_locations_with(
         &self,
         checkins: &[Point],
         k: usize,
@@ -242,7 +242,7 @@ fn mean_of(pool: &[Point], members: &[usize]) -> Option<Point> {
 /// the clustering buffers, the mutable check-in pool, and the trimming
 /// membership bitmap all survive across invocations.
 #[derive(Debug, Default)]
-pub struct AttackScratch {
+struct AttackScratch {
     clusters: ClusterScratch,
     pool: Vec<Point>,
     in_cluster: Vec<bool>,

@@ -86,11 +86,6 @@ impl AttackStats {
         self.users
     }
 
-    /// Number of tracked ranks.
-    pub fn max_rank(&self) -> usize {
-        self.distances.len()
-    }
-
     /// Fraction of users whose rank-`k` inference landed within
     /// `threshold_m` meters (the paper's attack success rate).
     ///
@@ -120,36 +115,6 @@ impl AttackStats {
     /// Panics if `k` is not a tracked rank.
     pub fn success_curve(&self, k: usize, thresholds: &[f64]) -> Vec<f64> {
         thresholds.iter().map(|&t| self.success_rate(k, t)).collect()
-    }
-
-    /// Mean rank-`k` inference distance over users where the attack
-    /// produced an inference, or `None` if it never did.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not a tracked rank.
-    pub fn mean_distance(&self, k: usize) -> Option<f64> {
-        let xs: Vec<f64> = self.distances[k].iter().filter_map(|d| *d).collect();
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
-    }
-
-    /// Median rank-`k` inference distance, or `None` when no inferences
-    /// exist at that rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not a tracked rank.
-    pub fn median_distance(&self, k: usize) -> Option<f64> {
-        let mut xs: Vec<f64> = self.distances[k].iter().filter_map(|d| *d).collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_by(f64::total_cmp);
-        Some(xs[xs.len() / 2])
     }
 }
 
@@ -215,23 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_median() {
-        let mut s = AttackStats::new(1);
-        for d in [100.0, 200.0, 600.0] {
-            s.record(&[Some(d)]);
-        }
-        s.record(&[None]);
-        assert!((s.mean_distance(0).unwrap() - 300.0).abs() < 1e-12);
-        assert!((s.median_distance(0).unwrap() - 200.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_stats() {
         let s = AttackStats::new(3);
         assert_eq!(s.users(), 0);
-        assert_eq!(s.max_rank(), 3);
+        assert_eq!(s.distances.len(), 3);
         assert_eq!(s.success_rate(0, 100.0), 0.0);
-        assert_eq!(s.mean_distance(0), None);
-        assert_eq!(s.median_distance(0), None);
     }
 }

@@ -54,6 +54,6 @@ mod profiling;
 pub mod semantics;
 
 pub use clustering::{connectivity_clusters, connectivity_clusters_with, Cluster, ClusterScratch};
-pub use deobfuscation::{AttackConfig, AttackScratch, DeobfuscationAttack, InferredLocation};
+pub use deobfuscation::{AttackConfig, DeobfuscationAttack, InferredLocation};
 pub use exchange::ExchangeObservations;
 pub use profiling::{LocationProfile, ProfileEntry};

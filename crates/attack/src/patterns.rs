@@ -93,22 +93,6 @@ impl MobilityPattern {
     pub fn total_transitions(&self) -> u32 {
         self.transitions.iter().flatten().sum()
     }
-
-    /// The most frequent directed transition `(from, to)`, or `None` when
-    /// no transitions were observed.
-    pub fn dominant_transition(&self) -> Option<(usize, usize)> {
-        let mut best = None;
-        let mut best_count = 0;
-        for (i, row) in self.transitions.iter().enumerate() {
-            for (j, &c) in row.iter().enumerate() {
-                if c > best_count {
-                    best_count = c;
-                    best = Some((i, j));
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +127,6 @@ mod tests {
         assert_eq!(p.transitions[0][1], 5);
         assert_eq!(p.transitions[1][0], 5);
         assert_eq!(p.total_transitions(), 10);
-        assert!(matches!(p.dominant_transition(), Some((0, 1)) | Some((1, 0))));
         // Peak hours land in the right part of the day.
         let home_peak = p.peak_hour(0).unwrap();
         assert!(home_peak == 7 || home_peak == 21);
@@ -186,7 +169,6 @@ mod tests {
         let p = MobilityPattern::infer(&[], &[top(0, 0.0)], 500.0);
         assert_eq!(p.support, vec![0]);
         assert_eq!(p.peak_hour(0), None);
-        assert_eq!(p.dominant_transition(), None);
         let q = MobilityPattern::infer(&[obs(0, 0.0)], &[], 500.0);
         assert_eq!(q.unassigned, 1);
         assert!(q.hourly.is_empty());

@@ -67,6 +67,7 @@ impl LocationProfile {
     ///
     /// Used by the Edge-PrivLocAd location-management module when the edge
     /// device already knows which place each check-in belongs to.
+    // lint:allow(dead-pub): integration-test hook: the attack and core proptests build profiles from entries with it
     pub fn from_entries<I: IntoIterator<Item = ProfileEntry>>(entries: I) -> Self {
         let mut entries: Vec<ProfileEntry> = entries.into_iter().collect();
         entries.sort_by_key(|e| std::cmp::Reverse(e.frequency));
@@ -129,11 +130,6 @@ impl LocationProfile {
                 (f / sum) * (sum / f).ln()
             })
             .sum()
-    }
-
-    /// Location entropy in bits (base-2 variant of Equation 3).
-    pub fn entropy_bits(&self) -> f64 {
-        self.entropy() / std::f64::consts::LN_2
     }
 
     /// Iterates over the entries in decreasing-frequency order.
@@ -227,7 +223,6 @@ mod tests {
         });
         let p = LocationProfile::from_entries(entries);
         assert!((p.entropy() - 8f64.ln()).abs() < 1e-12);
-        assert!((p.entropy_bits() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -187,47 +187,6 @@ pub fn classify(
         .collect()
 }
 
-/// A time-sliced refinement of the de-obfuscation attack: cluster the
-/// night-time and working-hour observations *separately* before inferring
-/// tops.
-///
-/// The paper's Algorithm 1 ignores timestamps, so under heavy noise the
-/// workplace cluster can drown in the home cluster's skirt. Exploiting the
-/// diurnal structure — the same structure the semantic classifier reads —
-/// separates the two populations before clustering, sharpening top-2
-/// recovery. This goes slightly beyond the paper's attack and demonstrates
-/// that the longitudinal threat is, if anything, *worse* than Fig. 6
-/// suggests.
-///
-/// Returns at most two locations: rank 0 from the night slice (home
-/// candidate), rank 1 from the working-hour slice (workplace candidate).
-pub fn time_sliced_top2(
-    observations: &[TimedObservation],
-    attack: &crate::DeobfuscationAttack,
-    config: &SemanticConfig,
-) -> Vec<InferredLocation> {
-    let mut night = Vec::new();
-    let mut work = Vec::new();
-    for obs in observations {
-        let hour = hour_of(obs.timestamp_s);
-        let dow = weekday_of(obs.timestamp_s, config.epoch_day_of_week);
-        let weekend = dow >= 5;
-        if weekend || hour >= config.night_start_hour || hour < config.night_end_hour {
-            night.push(obs.location);
-        } else if (config.work_start_hour..config.work_end_hour).contains(&hour) {
-            work.push(obs.location);
-        }
-    }
-    let mut result = Vec::new();
-    if let Some(home) = attack.infer_top_locations(&night, 1).into_iter().next() {
-        result.push(InferredLocation { rank: 0, ..home });
-    }
-    if let Some(office) = attack.infer_top_locations(&work, 1).into_iter().next() {
-        result.push(InferredLocation { rank: 1, ..office });
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,57 +268,6 @@ mod tests {
         let out = classify(&observations, &tops, &SemanticConfig::default());
         assert_eq!(out[0].label, SemanticLabel::Home);
         assert_eq!(out[1].label, SemanticLabel::Work);
-    }
-
-    #[test]
-    fn time_slicing_recovers_both_places_under_heavy_noise() {
-        use privlocad_mechanisms::{PlanarLaplace, PlanarLaplaceParams};
-        let mech =
-            PlanarLaplace::new(PlanarLaplaceParams::from_level(2f64.ln(), 200.0).unwrap());
-        let mut rng = privlocad_geo::rng::seeded(44);
-        let home = Point::new(0.0, 0.0);
-        let office = Point::new(6_000.0, 0.0);
-        // Weekday commute over ~70 weeks, every report obfuscated.
-        let mut observations = Vec::new();
-        for day in 0..500i64 {
-            let dow = (day + 5) % 7;
-            if dow < 5 {
-                observations.push(TimedObservation {
-                    timestamp_s: day * 86_400 + 11 * 3_600,
-                    location: mech.sample(office, &mut rng),
-                });
-            }
-            observations.push(TimedObservation {
-                timestamp_s: day * 86_400 + 22 * 3_600,
-                location: mech.sample(home, &mut rng),
-            });
-        }
-        let attack = crate::DeobfuscationAttack::for_planar_laplace(&mech, 0.05).unwrap();
-        let sliced = time_sliced_top2(&observations, &attack, &SemanticConfig::default());
-        assert_eq!(sliced.len(), 2);
-        assert!(
-            sliced[0].location.distance(home) < 150.0,
-            "home error {}",
-            sliced[0].location.distance(home)
-        );
-        assert!(
-            sliced[1].location.distance(office) < 200.0,
-            "office error {}",
-            sliced[1].location.distance(office)
-        );
-    }
-
-    #[test]
-    fn time_slicing_handles_empty_slices() {
-        let attack = crate::DeobfuscationAttack::new(crate::AttackConfig::new(50.0, 500.0));
-        // Only night observations: just the home candidate comes back.
-        let night: Vec<TimedObservation> = (0..20)
-            .map(|i| TimedObservation { timestamp_s: i * 86_400 + 22 * 3_600, location: Point::ORIGIN })
-            .collect();
-        let sliced = time_sliced_top2(&night, &attack, &SemanticConfig::default());
-        assert_eq!(sliced.len(), 1);
-        assert_eq!(sliced[0].rank, 0);
-        assert!(time_sliced_top2(&[], &attack, &SemanticConfig::default()).is_empty());
     }
 
     #[test]

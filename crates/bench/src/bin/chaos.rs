@@ -130,6 +130,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use privlocad_lint::json::{render, validate_bench_report};
+    use privlocad_telemetry::{SpendEvent, SpendKind};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -137,7 +138,9 @@ mod tests {
 
     fn row(name: &str) -> ChaosRow {
         let telemetry = privlocad_telemetry::Telemetry::new();
-        telemetry.ledger().record_candidate_set(1, privlocad_telemetry::top_key(1.0, 2.0), 1.0, 1e-4, 10);
+        let top = privlocad_telemetry::top_key(1.0, 2.0);
+        let kind = SpendKind::CandidateSet { top, epsilon: 1.0, delta: 1e-4, n: 10 };
+        telemetry.ledger().record(SpendEvent { user: 1, kind });
         ChaosRow {
             name: name.to_owned(),
             wall_ms: 12.5,

@@ -378,23 +378,22 @@ fn drive_shard(
         );
     }
     clean_handle.shutdown().expect("replay shutdown");
-    let clean_snap =
-        clean_server.join().expect("fault-free server cannot fail").snapshot();
+    let clean = clean_server.join().expect("fault-free server cannot fail");
     assert_eq!(
-        candidate_redraws(&clean_snap, &faulty_snap).expect("snapshots are well-formed"),
+        candidate_redraws(&clean.snapshot(), &faulty_snap).expect("snapshots are well-formed"),
         0,
         "a crash-restore cycle re-drew a released candidate set"
     );
+    let encoded = faulty.checkpoint();
     assert_eq!(
-        faulty_snap.encode(),
-        clean_snap.encode(),
+        encoded,
+        clean.checkpoint(),
         "final device state must match the fault-free run bit-for-bit"
     );
 
     // Time the recovery path itself on the final checkpoint: decode the
     // versioned checksummed log and rebuild a device from it, through the
     // same zero-copy pooled path the supervisor takes.
-    let encoded = faulty_snap.encode();
     let mut recovery_ns = f64::INFINITY;
     for _ in 0..8 {
         let start = Instant::now();
@@ -638,7 +637,7 @@ fn fabric_fleet(config: &Config, shards: usize, plan: ChannelFaultPlan, kills: b
     // Time the recovery path on the first shard's final checkpoint, same
     // as the channel-level scenarios.
     if let Some(device) = devices.first() {
-        let encoded = device.snapshot().encode();
+        let encoded = device.checkpoint();
         for _ in 0..8 {
             let start = Instant::now();
             let restored =

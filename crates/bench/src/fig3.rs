@@ -56,7 +56,7 @@ pub struct Outcome {
 }
 
 /// Check-in-count bucket boundaries used for the trend curve.
-pub const BUCKETS: [usize; 7] = [20, 50, 100, 250, 500, 1_000, 3_000];
+const BUCKETS: [usize; 7] = [20, 50, 100, 250, 500, 1_000, 3_000];
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> Outcome {

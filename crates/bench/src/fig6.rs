@@ -214,11 +214,6 @@ impl Outcome {
         t
     }
 
-    /// The arm whose label contains `needle`, if any.
-    pub fn arm(&self, needle: &str) -> Option<&Arm> {
-        self.arms.iter().find(|a| a.label.contains(needle))
-    }
-
     /// A 95 % Wilson confidence-interval table for the top-1 success rate
     /// at one threshold — the headline Fig. 6 numbers with error bars.
     ///
@@ -298,8 +293,9 @@ mod tests {
     #[test]
     fn table_and_lookup() {
         let out = run(&Config { users: 10, ..small() });
-        assert!(out.arm("Edge-PrivLocAd").is_some());
-        assert!(out.arm("nonexistent").is_none());
+        let has = |needle: &str| out.arms.iter().any(|a| a.label.contains(needle));
+        assert!(has("Edge-PrivLocAd"));
+        assert!(!has("nonexistent"));
         assert_eq!(out.table().len(), out.arms.len() * 2);
     }
 

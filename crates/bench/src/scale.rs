@@ -36,7 +36,7 @@ use crate::{fnv1a, FNV_OFFSET};
 /// Users per shard: fleets are partitioned into `ceil(users / 10_000)`
 /// shards, so per-shard work (and recovery time) stays flat as the fleet
 /// grows.
-pub const SHARD_USERS: usize = 10_000;
+const SHARD_USERS: usize = 10_000;
 
 /// Check-ins per user before the window close.
 const CHECKINS: usize = 8;
@@ -81,7 +81,7 @@ pub struct ScaleRow {
     pub recovery_ms: f64,
     /// Slowest single shard's decode+restore, milliseconds — the
     /// wall-clock a crash actually costs, which stays flat as the fleet
-    /// grows because shard size is pinned at [`SHARD_USERS`].
+    /// grows because shard size is pinned at 10,000 users.
     pub per_shard_recovery_ms: f64,
     /// Shard-count-invariant output digest (hex): XOR of per-user
     /// FNV-1a hashes over `(user, reported location)`.
@@ -264,6 +264,7 @@ pub fn run(config: &Config) -> Outcome {
 
 /// A protocol-level scale workload for one user, in serving order — what
 /// the invariance integration test drives through real servers.
+// lint:allow(dead-pub): integration-test hook: bench's shard_invariance replays the scale workload with it
 pub fn user_workload(user: UserId, checkins: usize) -> Vec<ClientRequest> {
     let home = home_of(user.raw() as usize);
     (0..checkins)

@@ -100,7 +100,7 @@ pub fn run(config: &Config) -> Outcome {
 
 impl Outcome {
     /// `true` iff every configuration satisfies its claim.
-    pub fn all_hold(&self) -> bool {
+    fn all_hold(&self) -> bool {
         self.rows.iter().all(|r| r.holds)
     }
 

@@ -173,14 +173,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Sets the nomadic planar-Laplace level `l` at radius `r_m`
-    /// (default `ln 4` at 200 m).
-    pub fn nomadic_level(mut self, l: f64, r_m: f64) -> Self {
-        self.nomadic_l = l;
-        self.nomadic_r = r_m;
-        self
-    }
-
     /// Sets the η threshold (default 80 % of window check-ins).
     pub fn eta(mut self, eta: EtaThreshold) -> Self {
         self.eta = eta;
@@ -287,7 +279,6 @@ mod tests {
             .epsilon(1.5)
             .delta(0.005)
             .n_fold(4)
-            .nomadic_level(2f64.ln(), 100.0)
             .eta(EtaThreshold::Count(500))
             .profile_theta_m(25.0)
             .top_match_radius_m(300.0)

@@ -323,19 +323,13 @@ impl EdgeDevice {
         );
     }
 
-    /// Closes the window of every known user; returns the total number of
-    /// freshly obfuscated top locations (the Table II workload).
-    pub fn finalize_all(&mut self) -> usize {
-        let users: Vec<UserId> = self.users.keys().collect();
-        users.into_iter().map(|u| self.finalize_window(u)).sum()
-    }
-
     /// Drops every user's cached posterior-weight table.
     ///
     /// The cache is pure post-processing acceleration, so flushing never
     /// changes outputs — the tables are rebuilt from the permanent
     /// candidates on the next request. Exists so tests (and paranoid
     /// operators) can force the from-scratch path.
+    // lint:allow(dead-pub): integration-test hook: core's serving_determinism forces the from-scratch selection path with it
     pub fn flush_selection_cache(&mut self) {
         for state in self.users.values_mut() {
             state.selection.invalidate();
@@ -433,11 +427,9 @@ impl EdgeDevice {
     }
 
     /// Encodes the device into one contiguous checkpoint buffer (the
-    /// length-prefixed frame format of [`crate::recovery`]) — what a
-    /// serving shard hands out as its committed state
-    /// ([`crate::EdgeServer::last_checkpoint`]) and
-    /// [`EdgeDevice::restore_from_checkpoint`] decodes without per-record
-    /// allocation.
+    /// length-prefixed frame format of [`crate::recovery`]) — what
+    /// [`EdgeDevice::restore_from_checkpoint`] rebuilds a device from
+    /// without per-record allocation.
     ///
     /// The image is streamed straight from the live user states into one
     /// buffer allocated once at its exact length: a first pass interns the
@@ -447,53 +439,15 @@ impl EdgeDevice {
         crate::recovery::stream_image(self)
     }
 
-    /// A 64-bit FNV-1a digest of the committed checkpoint bytes — a
-    /// compact equality witness over the device's complete state (window
-    /// buffers, candidate sets, posterior tables, RNG positions). Two
-    /// devices with equal digests would resume identically; the chaos
-    /// harness compares faulty against fault-free runs with it.
-    pub fn state_digest(&self) -> u64 {
-        privlocad_openrtb::fnv1a64(&self.checkpoint())
-    }
-
-    /// Rebuilds a device from a checkpoint. Every user's RNG stream
-    /// resumes exactly where the captured device left it, so any draw that
-    /// was in flight when the original crashed is re-executed identically —
-    /// a mid-window restart never re-draws candidates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError`] if the snapshot carries a corrupt table
-    /// image or an invalid posterior table.
-    pub fn restore(
-        config: SystemConfig,
-        snapshot: &DeviceSnapshot,
-    ) -> Result<EdgeDevice, RecoveryError> {
-        Self::restore_from(config, snapshot.clone())
-    }
-
-    /// [`EdgeDevice::restore`], consuming the snapshot: every user record's
-    /// buffers, profile, top set, and the pooled sets and posterior CDFs
-    /// are moved into the rebuilt device instead of cloned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError`] if the snapshot carries a corrupt table
-    /// image or an invalid posterior table.
-    pub fn restore_from(
-        config: SystemConfig,
-        snapshot: DeviceSnapshot,
-    ) -> Result<EdgeDevice, RecoveryError> {
-        snapshot.restore_users(&config).map(|restored| Self::restored(config, restored))
-    }
-
-    /// Rebuilds the device straight from an encoded checkpoint, reading
-    /// the image once: each pooled candidate set and posterior table is
+    /// Rebuilds a device from a checkpoint image, reading it once. Every
+    /// user's RNG stream resumes exactly where the captured device left
+    /// it, so any draw that was in flight when the original crashed is
+    /// re-executed identically — a mid-window restart never re-draws
+    /// candidates. Each pooled candidate set and posterior table is
     /// materialized once and shared by every user record that cites it,
     /// and each user frame becomes its serving state as soon as it is
-    /// read — no [`DeviceSnapshot`] is built. Restores and fails exactly
-    /// like [`DeviceSnapshot::decode`] followed by
-    /// [`EdgeDevice::restore_from`].
+    /// read — no [`DeviceSnapshot`] is built. The image reader is the one
+    /// behind [`DeviceSnapshot::decode`], so the two fail alike.
     ///
     /// # Errors
     ///
@@ -565,7 +519,8 @@ impl EdgeDevice {
     }
 
     /// Privacy-budget events awaiting delivery to a ledger.
-    pub fn pending_spends(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_spends(&self) -> usize {
         self.pending_spends.len()
     }
 
@@ -596,48 +551,6 @@ impl EdgeDevice {
         for event in self.pending_spends.drain(..) {
             counters.ledger.record(event);
         }
-    }
-
-    /// Replaces this device's state with a checkpoint, refusing any
-    /// snapshot that would *forget* candidates this device has already
-    /// released ([`RecoveryError::BudgetViolation`]): a forgotten top
-    /// location would be silently re-obfuscated at its next window close,
-    /// double-spending the one-and-only `(r, ε, δ, n)` budget.
-    ///
-    /// This is the conservative operator-facing path (e.g. rolling back to
-    /// an older checkpoint by hand). The crash-recovery supervisor uses
-    /// [`EdgeDevice::restore`] directly: it only ever restores the latest
-    /// committed checkpoint, whose candidates are a superset of anything a
-    /// client has observed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::BudgetViolation`] naming the first user
-    /// whose released candidates the snapshot lost, or any decode error
-    /// from the snapshot itself. On error, `self` is unchanged.
-    pub fn adopt_snapshot(&mut self, snapshot: &DeviceSnapshot) -> Result<(), RecoveryError> {
-        for (user, state) in self.users.keys().zip(self.users.values()) {
-            let live = state.obfuscation.table();
-            if live.is_empty() {
-                continue;
-            }
-            let Some(record) = snapshot.record(user) else {
-                return Err(RecoveryError::BudgetViolation { user: user.raw() });
-            };
-            for (top, candidates) in live.entries() {
-                let kept = record
-                    .table
-                    .iter()
-                    .find(|(t, _)| *t == top)
-                    .map(|&(_, idx)| snapshot.set(idx, user.raw()))
-                    .transpose()?;
-                if kept != Some(candidates) {
-                    return Err(RecoveryError::BudgetViolation { user: user.raw() });
-                }
-            }
-        }
-        *self = EdgeDevice::restore(self.config, snapshot)?;
-        Ok(())
     }
 
     /// Measures the resident state of this shard: bytes attributable to
@@ -745,21 +658,6 @@ mod tests {
         let p = e.reported_location(UserId::new(77), Point::ORIGIN);
         assert!(p.is_finite());
         assert!(e.candidates(UserId::new(77), Point::ORIGIN).is_none());
-    }
-
-    #[test]
-    fn finalize_all_covers_every_user() {
-        let mut e = edge();
-        for u in 0..5u32 {
-            for _ in 0..30 {
-                e.report_checkin(UserId::new(u), Point::new(u as f64 * 10_000.0, 0.0));
-            }
-        }
-        let fresh = e.finalize_all();
-        assert_eq!(fresh, 5);
-        assert_eq!(e.user_count(), 5);
-        // Re-finalizing with no new data generates nothing new.
-        assert_eq!(e.finalize_all(), 0);
     }
 
     #[test]
@@ -877,7 +775,6 @@ mod tests {
         let user = UserId::new(9);
         settle_home(&mut e, user, Point::new(100.0, 100.0));
         let report = e.risk_report(user).unwrap();
-        assert!(report.needs_permanent_protection());
         assert_eq!(report.flagged().len(), 1);
         assert!(report.entropy < 0.1, "single-location window");
         assert!(e.risk_report(UserId::new(12345)).is_none());
@@ -946,7 +843,8 @@ mod tests {
         original.reported_location(user, Point::new(40_000.0, 0.0)); // nomadic draw
 
         let snap = original.snapshot();
-        let mut restored = EdgeDevice::restore(original.config(), &snap).unwrap();
+        let mut restored =
+            EdgeDevice::restore_from_checkpoint(original.config(), &original.checkpoint()).unwrap();
         assert_eq!(restored.user_count(), 1);
         // Candidates restored bit-for-bit: no re-draw happened.
         assert_eq!(
@@ -979,37 +877,14 @@ mod tests {
         for _ in 0..45 {
             original.report_checkin(user, home);
         }
-        let snap = original.snapshot();
-        let mut restored = EdgeDevice::restore(original.config(), &snap).unwrap();
+        let mut restored =
+            EdgeDevice::restore_from_checkpoint(original.config(), &original.checkpoint()).unwrap();
         // Both close the window now: identical top set and candidates.
         assert_eq!(restored.finalize_window(user), original.finalize_window(user));
         assert_eq!(
             restored.candidates(user, home).unwrap(),
             original.candidates(user, home).unwrap()
         );
-    }
-
-    #[test]
-    fn adopt_snapshot_refuses_to_forget_released_candidates() {
-        let mut e = edge();
-        let user = UserId::new(3);
-        let home = Point::new(2_000.0, 0.0);
-        // Checkpoint taken before any candidates were released.
-        e.report_checkin(user, home);
-        let early = e.snapshot();
-        // Candidates released after the checkpoint.
-        settle_home(&mut e, user, home);
-        let released = e.candidates(user, home).unwrap().to_vec();
-        // Rolling back would forget them: refused, state untouched.
-        assert_eq!(
-            e.adopt_snapshot(&early),
-            Err(crate::recovery::RecoveryError::BudgetViolation { user: 3 })
-        );
-        assert_eq!(e.candidates(user, home).unwrap(), released.as_slice());
-        // Adopting a checkpoint that kept every released set is fine.
-        let current = e.snapshot();
-        e.adopt_snapshot(&current).unwrap();
-        assert_eq!(e.candidates(user, home).unwrap(), released.as_slice());
     }
 
     #[test]
@@ -1056,8 +931,7 @@ mod tests {
         assert_eq!(totals.restores, 0);
 
         // A restore drains per-user restore events.
-        let snap = e.snapshot();
-        let mut restored = EdgeDevice::restore(e.config(), &snap).unwrap();
+        let mut restored = EdgeDevice::restore_from_checkpoint(e.config(), &e.checkpoint()).unwrap();
         assert_eq!(restored.stats().restores, 1);
         assert_eq!(restored.pending_spends(), 1);
         restored.drain_telemetry(&telemetry);

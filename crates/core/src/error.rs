@@ -95,7 +95,7 @@ mod tests {
             SystemError::InvalidWindow,
             SystemError::UnknownUser(3),
             SystemError::WorkerFailed { restarts: 4 },
-            SystemError::Recovery(RecoveryError::BudgetViolation { user: 5 }),
+            SystemError::Recovery(RecoveryError::InvalidPosterior { user: 5 }),
         ] {
             assert!(!e.to_string().is_empty());
         }

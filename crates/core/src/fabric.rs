@@ -25,7 +25,7 @@
 //!    under a transmission budget so a dead link fails a request
 //!    explicitly instead of hanging it.
 //! 3. **Privacy-safe degradation.** While a breaker is open, location
-//!    requests are served from a bounded [`StaleCache`] holding only
+//!    requests are served from a bounded stale cache holding only
 //!    *previously released obfuscated* locations (decoded from earlier
 //!    responses — never fresh draws, never true locations), or rejected
 //!    with an explicit [`FabricError::Degraded`]. Degradation fails
@@ -195,7 +195,7 @@ impl Default for BreakerConfig {
 
 /// The breaker's position in its open/half-open/closed cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Calls pass through; failures accumulate.
     Closed,
     /// Calls are shed (degraded serving) until the cooldown elapses.
@@ -335,7 +335,7 @@ impl CircuitBreaker {
 /// flow analysis (the `degraded-cache` pattern) so a fresh taint source
 /// can never reach it.
 #[derive(Debug)]
-pub struct StaleCache {
+struct StaleCache {
     capacity: usize,
     entries: BTreeMap<u32, Point>,
     order: std::collections::VecDeque<u32>,
@@ -343,7 +343,7 @@ pub struct StaleCache {
 
 impl StaleCache {
     /// An empty cache holding at most `capacity` lanes (clamped ≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         StaleCache {
             capacity: capacity.max(1),
             entries: BTreeMap::new(),
@@ -354,7 +354,7 @@ impl StaleCache {
     /// Records `released` as the last released location on `lane`,
     /// evicting the oldest lane when full. Callers must only ever pass
     /// locations decoded from a response frame — never device state.
-    pub fn insert(&mut self, lane: u32, released: Point) {
+    fn insert(&mut self, lane: u32, released: Point) {
         if self.entries.insert(lane, released).is_none() {
             self.order.push_back(lane);
             while self.entries.len() > self.capacity {
@@ -366,18 +366,8 @@ impl StaleCache {
     }
 
     /// The last released location on `lane`, if any survives.
-    pub fn get(&self, lane: u32) -> Option<Point> {
+    fn get(&self, lane: u32) -> Option<Point> {
         self.entries.get(&lane).copied()
-    }
-
-    /// Number of lanes currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no lane is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -459,11 +449,6 @@ impl ServedLocation {
         match *self {
             ServedLocation::Fresh(p) | ServedLocation::Degraded(p) => p,
         }
-    }
-
-    /// True when the answer came from the degradation ladder.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, ServedLocation::Degraded(_))
     }
 }
 
@@ -557,7 +542,7 @@ struct LinkState {
 /// # Examples
 ///
 /// ```
-/// use privlocad::{ChannelFaultPlan, FabricOptions, FabricRouter, SystemConfig};
+/// use privlocad::{ChannelFaultPlan, FabricOptions, FabricRouter, ServedLocation, SystemConfig};
 /// use privlocad_geo::Point;
 /// use privlocad_mobility::UserId;
 ///
@@ -580,7 +565,7 @@ struct LinkState {
 /// }
 /// assert_eq!(fabric.finalize_window(user)?, 1);
 /// let served = fabric.request_location(user, Point::new(100.0, 100.0))?;
-/// assert!(!served.is_degraded());
+/// assert!(matches!(served, ServedLocation::Fresh(_)));
 /// fabric.shutdown()?;
 /// fabric.join()?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -921,6 +906,7 @@ impl FabricRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_openrtb::fnv1a64;
 
     fn config() -> SystemConfig {
         SystemConfig::builder().build().unwrap()
@@ -989,15 +975,15 @@ mod tests {
     #[test]
     fn stale_cache_is_bounded_and_last_release_wins() {
         let mut cache = StaleCache::new(2);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         cache.insert(1, Point::new(1.0, 1.0));
         cache.insert(1, Point::new(2.0, 2.0));
         assert_eq!(cache.get(1), Some(Point::new(2.0, 2.0)));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         cache.insert(2, Point::new(3.0, 3.0));
         cache.insert(3, Point::new(4.0, 4.0));
         // Lane 1 (oldest) was evicted to stay within capacity.
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(cache.get(1), None);
         assert_eq!(cache.get(3), Some(Point::new(4.0, 4.0)));
     }
@@ -1022,7 +1008,7 @@ mod tests {
             let stats = fabric.stats();
             fabric.shutdown().unwrap();
             let digests: Vec<u64> =
-                fabric.join().unwrap().iter().map(EdgeDevice::state_digest).collect();
+                fabric.join().unwrap().iter().map(|d| fnv1a64(&d.checkpoint())).collect();
             (reports, digests, stats)
         };
         let clean = drive(FabricOptions::default());
@@ -1105,7 +1091,7 @@ mod tests {
         }
         fabric.finalize_window(user).unwrap();
         let released = fabric.request_location(user, home_of(user)).unwrap();
-        assert!(!released.is_degraded());
+        assert!(matches!(released, ServedLocation::Fresh(_)));
         // Outage: two failures open the breaker.
         for _ in 0..2 {
             assert_eq!(
@@ -1203,7 +1189,7 @@ mod tests {
             });
             ledger.assert_no_double_spend(released).unwrap();
             let charged = ledger.totals().candidate_sets;
-            let digests: Vec<u64> = devices.iter().map(EdgeDevice::state_digest).collect();
+            let digests: Vec<u64> = devices.iter().map(|d| fnv1a64(&d.checkpoint())).collect();
             (reports, digests, stats, charged)
         };
         let clean = drive(Vec::new(), 8);

@@ -22,7 +22,7 @@
 //!    posterior-proportional probability (Algorithm 4) — pure
 //!    post-processing, so no extra privacy is spent — and reports it to
 //!    the ad network. Returned ads are filtered to the user's true area of
-//!    interest ([`filter_ads`]) before delivery.
+//!    interest ([`filter_ads_by`]) before delivery.
 //!
 //! Check-ins at *nomadic* (non-top) locations fall back to classic
 //! one-time planar-Laplace geo-IND, which is safe for locations the user
@@ -75,8 +75,8 @@ mod user;
 
 pub use arena::{CandidateArena, PreparedSet};
 pub use fabric::{
-    BreakerConfig, BreakerEvent, BreakerState, ChannelFaultPlan, FabricError, FabricOptions,
-    FabricRouter, FabricStats, LaneOutage, ServedLocation, StaleCache,
+    BreakerConfig, BreakerEvent, ChannelFaultPlan, FabricError, FabricOptions, FabricRouter,
+    FabricStats, LaneOutage, ServedLocation,
 };
 pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
 pub use shard::{ShardRouter, StateFootprint};
@@ -87,7 +87,7 @@ pub use server::{
 pub use config::{EtaThreshold, SelectionKind, SystemConfig, SystemConfigBuilder};
 pub use edge::{DeviceStats, EdgeDevice};
 pub use error::SystemError;
-pub use filter::{filter_ads, filter_ads_by};
+pub use filter::filter_ads_by;
 pub use fleet::EdgeFleet;
 pub use management::{frequent_location_set, LocationManager};
 pub use obfuscation::{ObfuscationModule, ObfuscationTable};

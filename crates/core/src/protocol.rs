@@ -189,7 +189,7 @@ const MAX_REQUEST_LEN: usize = 1 + 4 + 8 + 8 + 8;
 
 /// Upper bound on a frame's length in bytes, sequenced envelope included:
 /// the longest, a sequenced check-in, is 42 bytes.
-pub const MAX_FRAME_LEN: usize = 64;
+const MAX_FRAME_LEN: usize = 64;
 
 fn need(buf: &[u8], needed: usize) -> Result<(), FrameError> {
     if buf.len() < needed {
@@ -224,7 +224,7 @@ pub struct SequenceHeader {
 }
 
 /// Byte length of a sequenced-frame header: tag, lane, seq, checksum.
-pub const SEQUENCED_HEADER_LEN: usize = 13;
+const SEQUENCED_HEADER_LEN: usize = 13;
 
 /// FNV-1a (32-bit) over the header fields and the inner frame — the
 /// transit checksum a sequenced frame carries so that *any* corruption,
@@ -254,7 +254,7 @@ fn sequenced_checksum(lane: u32, seq: u32, inner: &[u8]) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if the wrapped frame would exceed [`MAX_FRAME_LEN`] — inner
+/// Panics if the wrapped frame would exceed the 64-byte frame cap — inner
 /// frames produced by [`ClientRequest::encode`] never do.
 pub fn encode_sequenced(lane: u32, seq: u32, request: &ClientRequest) -> Vec<u8> {
     // One buffer, written once: the header with a zeroed checksum slot,

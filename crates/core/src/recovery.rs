@@ -20,33 +20,26 @@
 //! plus a thousand 20-byte references — this is what keeps the per-shard
 //! bytes/user budget flat as the fleet grows (DESIGN.md §16).
 //!
-//! The byte log ([`DeviceSnapshot::encode`]) is versioned,
-//! length-prefix-framed, and FNV-1a checksummed. Version 2 is the only
-//! format: one contiguous buffer per device, every pool entry and user
-//! record carried as a length-prefixed frame. One in-place slice reader
-//! reads it, for [`DeviceSnapshot::decode`] and for
-//! [`crate::EdgeDevice::restore_from_checkpoint`] alike; the restore takes
-//! each pool entry and user frame straight into live serving state as it
-//! is read, so the only allocations are that state (one `Arc` per
-//! **distinct** candidate set, not one per user record). Bit rot in
-//! persisted state surfaces as a structured [`RecoveryError`] instead of
-//! a corrupted privacy ledger. A live device streams the same image
-//! straight from its user states ([`crate::EdgeDevice::checkpoint`]); one
-//! frame writer serves both.
+//! The image is versioned, length-prefix-framed, and FNV-1a checksummed.
+//! Version 2 is the only format: one contiguous buffer per device, every
+//! pool entry and user record carried as a length-prefixed frame. A live
+//! device streams it straight from its user states
+//! ([`crate::EdgeDevice::checkpoint`]), and one in-place slice reader
+//! reads it, for [`crate::EdgeDevice::restore_from_checkpoint`] and for
+//! [`DeviceSnapshot::decode`] alike. The restore takes each pool entry and
+//! user frame straight into live serving state as it is read, so the only
+//! allocations are that state (one `Arc` per **distinct** candidate set,
+//! not one per user record); the decode collects the same parts into a
+//! read-only view for audits. Bit rot in persisted state surfaces as a
+//! structured [`RecoveryError`] instead of a corrupted privacy ledger.
 //!
 //! A serving shard ([`crate::EdgeServer`]) keeps no image between
 //! requests. It commits by **undo**: before a request it saves the state
 //! of the user the request touches, and a request that dies is rolled
 //! back from that save in place. Its device is therefore its committed
-//! state between requests, and an image is streamed from it only when one
-//! is read ([`crate::EdgeServer::last_checkpoint`]); the fabric heals a
-//! failed shard in place around that same device, with no image at all.
-//!
-//! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
-//! live device refuses to adopt a snapshot that has *forgotten* any of
-//! its released candidates ([`RecoveryError::BudgetViolation`]), because
-//! the forgotten top location would be silently re-obfuscated at the
-//! next window close.
+//! state between requests: an image is streamed from it only when a shard
+//! is joined or checkpointed, and the fabric heals a failed shard in place
+//! around that same device, with no image at all.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,9 +150,9 @@ fn user_frame_len(
 }
 
 /// One user frame's fields, borrowed from live serving state
-/// ([`Pools::put_user`]) or from a decoded record ([`UserRecord::frame`]).
-/// Both go through [`put_user_frame`], so the v2 user layout is written in
-/// one place.
+/// ([`Pools::put_user`]). The corruption tests write hand-built records
+/// through the same [`put_user_frame`], so the v2 user layout is written
+/// in one place.
 struct UserFrame<'a> {
     user: u32,
     windows_closed: u64,
@@ -185,9 +178,8 @@ impl UserFrame<'_> {
 }
 
 /// Writes one user frame, length prefix first — the one writer of the v2
-/// user layout, behind the streamed checkpoint and
-/// [`DeviceSnapshot::encode`]. The flow lint models it as a sink: it
-/// serializes true window state.
+/// user layout, behind the streamed checkpoint. The flow lint models it as
+/// a sink: it serializes true window state.
 fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
     buf.put_u32((frame.len() - 4) as u32);
     buf.put_u32(frame.user);
@@ -233,22 +225,6 @@ pub(crate) struct UserRecord {
     pub(crate) table: Vec<(Point, u32)>,
     /// The posterior cache: `(top, CDF-pool index)`.
     pub(crate) cache: Vec<(Point, u32)>,
-}
-
-impl UserRecord {
-    fn frame(&self) -> UserFrame<'_> {
-        UserFrame {
-            user: self.user.raw(),
-            windows_closed: self.windows_closed,
-            rng_words: self.rng_words,
-            buffer: &self.buffer,
-            profile: &self.profile,
-            top_set: &self.top_set,
-            table_radius: self.table_radius,
-            table: &self.table,
-            cache: &self.cache,
-        }
-    }
 }
 
 /// The two pools of a v2 image streamed from a live device: candidate
@@ -333,8 +309,7 @@ impl Pools {
 
 /// Streams a v2 image of `edge` straight from its live state into one
 /// buffer allocated once at its exact length. Pass 1 interns both pools
-/// and sums the frame lengths; pass 2 writes. Byte-identical to
-/// `edge.snapshot().encode()` without building the snapshot.
+/// and sums the frame lengths; pass 2 writes.
 pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
     let mut pools = Pools::default();
     let mut frames = 0;
@@ -377,7 +352,8 @@ enum Section {
 /// Receives the parts of a v2 image in image order: the set pool, the CDF
 /// pool, then one record per user frame, each bounds-checked by
 /// [`read_image`]. [`DeviceSnapshot`] collects them; [`Restore`] builds
-/// live serving state from them as they arrive.
+/// live serving state from them as they arrive. The two sinks see the
+/// same parts, so they fail alike on every defect the reader finds.
 trait ImageSink {
     /// Reserves for the `count` entries of the section about to arrive.
     fn reserve(&mut self, section: Section, count: usize);
@@ -389,10 +365,7 @@ trait ImageSink {
 /// A restore in progress: each pooled set is kept as the shared handle it
 /// arrives in, each CDF is validated once into its [`PosteriorTable`], and
 /// each user record becomes its [`UserState`] at once
-/// ([`restore_user_owned`]). Both restore paths — from bytes
-/// ([`restore_image`]) and from an owned snapshot
-/// ([`DeviceSnapshot::restore_users`]) — run this one body, so they fail
-/// alike.
+/// ([`restore_user_owned`]).
 struct Restore<'c> {
     config: &'c SystemConfig,
     pools: RestorePools,
@@ -513,10 +486,13 @@ fn restore_user_owned(
     Ok(UserState { manager, obfuscation, selection, stream })
 }
 
-/// A full checkpoint of one edge device: every user's state plus each
-/// user's stream position and the master seed the streams derive from,
-/// captured by [`crate::EdgeDevice::snapshot`] and restored by
-/// [`crate::EdgeDevice::restore`].
+/// The read-only decoded view of one device's checkpoint image: every
+/// user's state plus each user's stream position and the master seed the
+/// streams derive from ([`crate::EdgeDevice::snapshot`],
+/// [`DeviceSnapshot::decode`]). Audits read it — the released sets, the
+/// candidate re-draws between two images — and nothing restores from it:
+/// a device comes back from the bytes
+/// ([`crate::EdgeDevice::restore_from_checkpoint`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
     /// The master seed of the captured device's per-user streams.
@@ -556,26 +532,6 @@ impl DeviceSnapshot {
             .ok_or(RecoveryError::BadPoolRef { user })
     }
 
-    /// Restores the snapshot's users, moving every pooled set, CDF and
-    /// record out of it — nothing is cloned — through the same restore
-    /// body as [`restore_image`]; returns the master seed with the users.
-    pub(crate) fn restore_users(
-        self,
-        config: &SystemConfig,
-    ) -> Result<(u64, UserMap<UserState>), RecoveryError> {
-        let DeviceSnapshot { master, sets, cdfs, users } = self;
-        let mut restore = Restore::new(config);
-        restore.reserve(Section::Sets, sets.len());
-        sets.into_iter().for_each(|set| restore.set(set));
-        restore.reserve(Section::Cdfs, cdfs.len());
-        cdfs.into_iter().for_each(|cdf| restore.cdf(cdf));
-        restore.reserve(Section::Users, users.len());
-        for record in users {
-            restore.user(record)?;
-        }
-        restore.finish(master)
-    }
-
     /// Every `(user, top location)` pair holding a released permanent
     /// candidate set in this snapshot — the live-set input to the privacy
     /// ledger's double-spend audit
@@ -595,34 +551,8 @@ impl DeviceSnapshot {
         Ok(sets)
     }
 
-    /// Serializes the snapshot into the versioned, length-prefix-framed,
-    /// FNV-1a-checksummed byte log (format version 2): one contiguous
-    /// buffer, pools first, then one frame per user holding `u32`
-    /// references into them. An edge deployment persists this image
-    /// durably and restores it with [`DeviceSnapshot::decode`] on
-    /// startup.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        put_header(&mut buf, self.master);
-        put_pools(&mut buf, self.sets.iter().map(|s| &**s), self.cdfs.iter().map(Vec::as_slice));
-        buf.put_u32(self.users.len() as u32);
-        for record in &self.users {
-            put_user_frame(&mut buf, &record.frame());
-        }
-        seal(buf)
-    }
-
-    /// The exact byte length of [`DeviceSnapshot::encode`]'s image, which
-    /// it reserves up front.
-    pub(crate) fn encoded_len(&self) -> usize {
-        IMAGE_FIXED_LEN
-            + self.sets.iter().map(|s| set_entry_len(s.len())).sum::<usize>()
-            + self.cdfs.iter().map(|c| cdf_entry_len(c.len())).sum::<usize>()
-            + self.users.iter().map(|r| r.frame().len()).sum::<usize>()
-    }
-
-    /// Restores a snapshot from its v2 byte log: the records of the one
-    /// image reader, collected.
+    /// Decodes a v2 checkpoint image: the records of the one image reader,
+    /// collected.
     ///
     /// Total: truncated, oversized, bit-flipped, or wrong-format input
     /// yields a structured [`RecoveryError`], never a panic or an
@@ -923,7 +853,7 @@ pub fn candidate_redraws(
     Ok(redraws)
 }
 
-/// Error restoring or validating a [`DeviceSnapshot`].
+/// Error reading a checkpoint image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryError {
     /// The log ends before its declared content.
@@ -960,13 +890,6 @@ pub enum RecoveryError {
         /// The raw id of the affected user.
         user: u32,
     },
-    /// Adopting the snapshot would forget candidates the live device has
-    /// already released: the affected user's next window close would
-    /// silently re-draw them, double-spending the privacy budget.
-    BudgetViolation {
-        /// The raw id of the affected user.
-        user: u32,
-    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -996,11 +919,6 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::InvalidPosterior { user } => {
                 write!(f, "invalid checkpointed posterior table for user {user}")
             }
-            RecoveryError::BudgetViolation { user } => write!(
-                f,
-                "restoring would forget released candidates of user {user}; \
-                 the next window close would re-draw them (privacy budget double-spend)"
-            ),
         }
     }
 }
@@ -1033,6 +951,33 @@ mod tests {
         }
     }
 
+    impl DeviceSnapshot {
+        /// Writes the snapshot as a v2 image through the production frame
+        /// writers: the hand-built images the corruption tests start from.
+        fn encode(&self) -> Bytes {
+            let mut buf = BytesMut::new();
+            put_header(&mut buf, self.master);
+            let cdfs = self.cdfs.iter().map(Vec::as_slice);
+            put_pools(&mut buf, self.sets.iter().map(|s| &**s), cdfs);
+            buf.put_u32(self.users.len() as u32);
+            for r in &self.users {
+                let frame = UserFrame {
+                    user: r.user.raw(),
+                    windows_closed: r.windows_closed,
+                    rng_words: r.rng_words,
+                    buffer: &r.buffer,
+                    profile: &r.profile,
+                    top_set: &r.top_set,
+                    table_radius: r.table_radius,
+                    table: &r.table,
+                    cache: &r.cache,
+                };
+                put_user_frame(&mut buf, &frame);
+            }
+            seal(buf)
+        }
+    }
+
     /// Corrupt a field, then re-stamp a valid checksum so the defect
     /// reaches the structural check.
     fn restamp(mut body: Vec<u8>) -> Vec<u8> {
@@ -1042,40 +987,48 @@ mod tests {
         body
     }
 
-    /// Restores `image` through the one-pass reader and through
-    /// `DeviceSnapshot::decode` + `restore_from`, asserts that the two
-    /// agree — on the error, or on the restored device's checkpoint bytes
-    /// — and returns the outcome. Errors compare by `Debug`, so a NaN
-    /// radius matches itself.
+    /// Decodes `image` and restores a device from it — the one reader into
+    /// its two sinks — asserts that they agree, and returns the restored
+    /// device's checkpoint or the error. They agree when both refuse the
+    /// image with the same error, when only the restore refuses a pooled
+    /// CDF as a posterior table (the decoder takes any CDF bytes), or when
+    /// the device holds the decoded user states: its snapshot is the
+    /// decoded one. Errors compare by `Debug`, so a NaN radius matches
+    /// itself.
     fn restore_both(image: &[u8]) -> Result<Bytes, String> {
         let config = SystemConfig::builder().build().unwrap();
-        let outcome = |restored: Result<crate::EdgeDevice, RecoveryError>| {
-            restored.map(|device| device.checkpoint()).map_err(|e| format!("{e:?}"))
-        };
-        let streamed = outcome(crate::EdgeDevice::restore_from_checkpoint(config, image));
-        let decoded = outcome(
-            DeviceSnapshot::decode(image)
-                .and_then(|snap| crate::EdgeDevice::restore_from(config, snap)),
-        );
-        assert_eq!(streamed, decoded, "the two restore paths disagree");
-        streamed
+        let restored = crate::EdgeDevice::restore_from_checkpoint(config, image);
+        match (DeviceSnapshot::decode(image), restored) {
+            (Ok(snap), Ok(device)) => {
+                assert_eq!(device.snapshot(), snap, "the restored device is not the decoded one");
+                Ok(device.checkpoint())
+            }
+            (Ok(_), Err(e @ RecoveryError::InvalidPosterior { .. })) => Err(format!("{e:?}")),
+            (Err(a), Err(b)) => {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "decode and restore disagree");
+                Err(format!("{a:?}"))
+            }
+            (decoded, restored) => {
+                panic!("decode and restore disagree: {decoded:?} against {:?}", restored.err())
+            }
+        }
     }
 
     /// `DeviceSnapshot::decode`'s error for `image`, asserted to be what
-    /// both restore paths report too.
+    /// the restore reports too.
     fn decode_err(image: &[u8]) -> RecoveryError {
         let err = DeviceSnapshot::decode(image).expect_err("a defective image must not decode");
         assert_eq!(restore_both(image), Err(format!("{err:?}")));
         err
     }
 
-    /// The one-pass restore rebuilds exactly what decoding a snapshot and
-    /// restoring it does, and the restored device checkpoints back to
-    /// the image it came from: for the fixtures and for a settled device
-    /// with several closed windows per user, open windows, served and
-    /// nomadic requests, and a candidate set shared by two users.
+    /// The one-pass restore holds exactly the decoded user states, and
+    /// the restored device checkpoints back to the image it came from:
+    /// for the fixtures and for a settled device with several closed
+    /// windows per user, open windows, served and nomadic requests, and a
+    /// candidate set shared by two users.
     #[test]
-    fn streamed_restore_matches_decode_and_restore_from() {
+    fn streamed_restore_matches_decode() {
         let mut open = snapshot();
         open.users[0].table.clear();
         open.users[0].cache.clear();
@@ -1128,23 +1081,11 @@ mod tests {
         assert_eq!(restore_both(&image), Ok(image));
     }
 
-    /// `encode` reserves exactly the image it writes — no growth on the
-    /// way — for the fixtures and for a settled device's snapshot, and
-    /// the streamed checkpoint is the same bytes.
+    /// The test writer writes the streamed checkpoint's bytes for a
+    /// settled device's snapshot, so the hand-built images above are in
+    /// the production layout.
     #[test]
-    fn encode_reserves_exactly_its_image() {
-        let mut open = snapshot();
-        open.users[0].table.clear();
-        open.users[0].cache.clear();
-        let mut two = snapshot();
-        let mut second = two.users[0].clone();
-        second.user = UserId::new(8);
-        second.rng_words = [1, 2, 3, 4];
-        two.users.push(second);
-        for snap in [snapshot(), open, two] {
-            assert_eq!(snap.encoded_len(), snap.encode().len());
-        }
-
+    fn test_writer_matches_the_streamed_checkpoint() {
         let config = SystemConfig::builder().build().unwrap();
         let mut edge = crate::EdgeDevice::new(config, 5);
         for u in 0..4u32 {
@@ -1163,10 +1104,7 @@ mod tests {
                 }
             }
         }
-        let snap = edge.snapshot();
-        let image = snap.encode();
-        assert_eq!(snap.encoded_len(), image.len());
-        assert_eq!(image, edge.checkpoint());
+        assert_eq!(edge.snapshot().encode(), edge.checkpoint());
     }
 
     #[test]
@@ -1304,7 +1242,7 @@ mod tests {
     fn corrupt_frames_are_structural_errors() {
         // Byte offset of the first set frame's length prefix: the header
         // plus set_count(4). Every case is refused alike by the decoder
-        // and by both restore paths (`decode_err`).
+        // and by the restore (`decode_err`).
         let frame_len_at = V2_HEADER_LEN + 4;
         let log = snapshot().encode().to_vec();
 
@@ -1347,14 +1285,15 @@ mod tests {
 
     #[test]
     fn invalid_pooled_posterior_is_caught_at_pool_build() {
-        // The decoder takes any CDF bytes; both restore paths refuse a
-        // pooled table that is not a CDF and blame the first user whose
-        // cache cites it.
+        // The decoder takes any CDF bytes; the restore refuses a pooled
+        // table that is not a CDF and blames the first user whose cache
+        // cites it.
         let refused = |snap: &DeviceSnapshot| {
             let image = snap.encode();
             assert_eq!(&DeviceSnapshot::decode(&image).unwrap(), snap);
             let config = SystemConfig::builder().build().unwrap();
-            let err = crate::EdgeDevice::restore(config, snap).expect_err("invalid CDF restored");
+            let err = crate::EdgeDevice::restore_from_checkpoint(config, &image)
+                .expect_err("invalid CDF restored");
             assert_eq!(restore_both(&image), Err(format!("{err:?}")));
             err
         };
@@ -1420,7 +1359,6 @@ mod tests {
             RecoveryError::InvalidRadius(f64::NAN),
             RecoveryError::BadPoolRef { user: 6 },
             RecoveryError::InvalidPosterior { user: 4 },
-            RecoveryError::BudgetViolation { user: 5 },
         ] {
             assert!(!e.to_string().is_empty());
             assert!(e.source().is_none());

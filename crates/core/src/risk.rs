@@ -126,11 +126,6 @@ impl RiskReport {
             .filter(|l| l.recommendation == Recommendation::PermanentObfuscation)
             .collect()
     }
-
-    /// Returns `true` if any location needs permanent protection.
-    pub fn needs_permanent_protection(&self) -> bool {
-        !self.flagged().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(report.locations[2].recommendation, Recommendation::OneTimeGeoInd);
         assert_eq!(report.locations[3].recommendation, Recommendation::OneTimeGeoInd);
         assert_eq!(report.flagged().len(), 2);
-        assert!(report.needs_permanent_protection());
     }
 
     #[test]
@@ -177,7 +171,7 @@ mod tests {
     fn empty_profile_is_riskless() {
         let report = RiskAssessor::default().assess(&LocationProfile::default());
         assert!(report.locations.is_empty());
-        assert!(!report.needs_permanent_protection());
+        assert!(report.flagged().is_empty());
         assert_eq!(report.entropy, 0.0);
     }
 

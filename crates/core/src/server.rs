@@ -153,18 +153,12 @@ impl EdgeHandle {
         self.call_raw(request.encode_vec())
     }
 
-    /// [`EdgeHandle::call`] with reject-instead-of-wait overload semantics:
-    /// once [`ServerOptions::queue_capacity`] callers already wait on the
-    /// shard, fails fast with [`TransportError::Overloaded`] instead of
-    /// waiting too.
-    pub fn try_call(&self, request: ClientRequest) -> Result<EdgeResponse, TransportError> {
-        self.try_call_raw(request.encode_vec())
-    }
-
-    /// [`EdgeHandle::try_call`] with a deterministic retry budget: on
-    /// [`TransportError::Overloaded`], backs off (bounded exponential
-    /// yield spins — no wall clock) and retries until `policy` is
-    /// exhausted. Every other outcome, a disconnect included, is returned
+    /// [`EdgeHandle::call`] with reject-instead-of-wait overload semantics
+    /// and a deterministic retry budget: once
+    /// [`ServerOptions::queue_capacity`] callers already wait on the shard,
+    /// an attempt fails fast with [`TransportError::Overloaded`] instead of
+    /// waiting too, backs off (bounded exponential yield spins — no wall
+    /// clock) and retries until `policy` is exhausted. Every other outcome, a disconnect included, is returned
     /// as it comes: nothing revives a stopped or failed shard between
     /// attempts.
     pub fn call_with_retry(
@@ -200,8 +194,8 @@ impl EdgeHandle {
     }
 
     /// [`EdgeHandle::call_raw`] with reject-instead-of-wait overload
-    /// semantics.
-    pub fn try_call_raw(&self, frame: impl AsRef<[u8]>) -> Result<EdgeResponse, TransportError> {
+    /// semantics: one attempt of [`EdgeHandle::call_with_retry`].
+    fn try_call_raw(&self, frame: impl AsRef<[u8]>) -> Result<EdgeResponse, TransportError> {
         let capacity = self.shard.queue_capacity;
         let admitted = self.shard.waiting.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
             (n < capacity).then_some(n + 1)
@@ -285,9 +279,10 @@ impl EdgeHandle {
 /// Tuning knobs for a supervised [`EdgeServer`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// How many callers may wait on the shard's lock before
-    /// [`EdgeHandle::try_call`] rejects with [`TransportError::Overloaded`]
-    /// ([`EdgeHandle::call`] waits regardless). Counted per shard, even
+    /// How many callers may wait on the shard's lock before an attempt of
+    /// [`EdgeHandle::call_with_retry`] is rejected with
+    /// [`TransportError::Overloaded`] ([`EdgeHandle::call`] waits
+    /// regardless). Counted per shard, even
     /// when shards share a hub.
     pub queue_capacity: usize,
     /// Consecutive malformed frames from one client before the server
@@ -317,9 +312,10 @@ pub struct ServerOptions {
     /// of being double-applied. Clamped to at least 1.
     pub dedup_window: usize,
     /// Start the device from this committed checkpoint instead of empty
-    /// — how a shard resumes a persisted device (an earlier shard's
-    /// [`EdgeServer::last_checkpoint`], say) without re-drawing a single
-    /// released candidate ([`crate::recovery`]). An
+    /// — how a shard resumes a persisted device (the
+    /// [`EdgeDevice::checkpoint`] of an earlier shard's joined device, say)
+    /// without re-drawing a single released candidate
+    /// ([`crate::recovery`]). An
     /// unreadable checkpoint fails the shard (every call observes a
     /// disconnect and [`EdgeServer::join`] returns the recovery error),
     /// never silently serves from empty state. The spawn reads the image
@@ -483,8 +479,8 @@ pub struct HealthSnapshot {
     /// Callers currently waiting for a shard's lock (approximate under
     /// concurrency).
     pub queue_depth: u64,
-    /// Steps committed (one per frame stepped): each is a recovery point
-    /// the device can be read back at ([`EdgeServer::last_checkpoint`]).
+    /// Steps committed (one per frame stepped): each is a recovery point,
+    /// the device as it stands between steps.
     pub checkpoints: u64,
     /// Duplicate sequenced deliveries answered from the dedup window's
     /// cached responses instead of being re-applied.
@@ -540,7 +536,6 @@ pub struct HealthSnapshot {
 pub struct EdgeServer {
     shard: Arc<Shard>,
     telemetry: Telemetry,
-    tracer: Tracer,
 }
 
 impl EdgeServer {
@@ -560,43 +555,24 @@ impl EdgeServer {
     ) -> (EdgeServer, EdgeHandle) {
         let telemetry = options.telemetry.clone();
         let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let tracer = Tracer::default();
         let queue_capacity = options.queue_capacity.max(1);
-        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics), tracer.clone());
+        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics), Tracer::default());
         let shard = Arc::new(Shard {
             core: Mutex::new(core),
             metrics,
-            // lint:allow(telemetry-hygiene): per-shard admission count that `try_call` bounds, not a metric — the hub-wide `server.queue_depth` gauge is the exported view
+            // lint:allow(telemetry-hygiene): per-shard admission count that `try_call_raw` bounds, not a metric — the hub-wide `server.queue_depth` gauge is the exported view
             waiting: AtomicUsize::new(0),
             queue_capacity,
             // lint:allow(telemetry-hygiene): client-identity allocator, not a metric — never exported
             next_client: AtomicU64::new(1),
         });
         let handle = EdgeHandle { shard: Arc::clone(&shard), client: 0 };
-        (EdgeServer { shard, telemetry, tracer }, handle)
-    }
-
-    /// The last committed recovery checkpoint (empty when the shard has no
-    /// device: its restore image was unreadable): the versioned v2 byte
-    /// image, streamed on demand from the device as it stood after its
-    /// last committed step. The shard keeps no image — a request that
-    /// dies is undone in place — so this waits out a step in progress
-    /// rather than read one half-served. It is also what a shard that
-    /// failed past its restart budget leaves behind, its last request
-    /// rolled back.
-    ///
-    /// A shard started from it ([`ServerOptions::restore_from`]) resumes
-    /// the committed state exactly — released candidate sets, window
-    /// buffers, and RNG positions — so not a single released candidate is
-    /// ever re-drawn. The fabric needs no image: it revives a failed shard
-    /// in place around the same committed device ([`crate::fabric`]).
-    pub fn last_checkpoint(&self) -> Bytes {
-        self.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
+        (EdgeServer { shard, telemetry }, handle)
     }
 
     /// Revives a stopped or failed shard in place around its committed
-    /// device, as a shard restored from [`EdgeServer::last_checkpoint`]
-    /// would start. Returns `false`, and leaves the shard as it is, when
+    /// device, as a shard restored from that device's checkpoint would
+    /// start. Returns `false`, and leaves the shard as it is, when
     /// there is no device to revive.
     pub(crate) fn revive(&self) -> bool {
         self.shard.core.lock().revive()
@@ -612,17 +588,6 @@ impl EdgeServer {
     /// [`ServerOptions::telemetry`], or the private default).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The shard's span tracer. Every step records six spans that tile it
-    /// in order — `server.decode`, `server.serve_batch`, `server.commit`,
-    /// `server.drain`, `server.emit`, `server.encode` — on a logical clock
-    /// that advances one tick per decoded request, never wall time. A
-    /// retried request records one `server.serve_batch` span over all its
-    /// attempts. The ring keeps the latest spans only, and is empty with
-    /// the `trace` feature off.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Stops the shard, if no client has shut it down yet, and returns the
@@ -648,7 +613,7 @@ struct Shard {
     core: Mutex<ShardCore>,
     metrics: Arc<ServerMetrics>,
     /// Callers admitted to wait for the lock that do not hold it yet —
-    /// what [`ServerOptions::queue_capacity`] bounds for `try_call`.
+    /// what [`ServerOptions::queue_capacity`] bounds for `try_call_raw`.
     waiting: AtomicUsize,
     queue_capacity: usize,
     next_client: AtomicU64,
@@ -674,8 +639,9 @@ struct ShardCore {
     /// recovery checkpoint: a reply leaves only after its request commits,
     /// and a request that dies is undone in place from the pre-request
     /// state of its user, so nothing a client has observed is ever rolled
-    /// back. No byte image is kept; one is streamed only when someone
-    /// reads it ([`EdgeServer::last_checkpoint`]). `None` once
+    /// back. No byte image is kept: a shard that failed past its restart
+    /// budget leaves this device behind, its last request rolled back, and
+    /// the fabric revives the shard around it in place. `None` once
     /// [`EdgeServer::join`] took it, or when the restore image was
     /// unreadable.
     device: Option<EdgeDevice>,
@@ -702,6 +668,13 @@ struct ShardCore {
     /// first application.
     lanes: BTreeMap<u32, LaneState>,
     metrics: Arc<ServerMetrics>,
+    /// The shard's span tracer. Every step records six spans that tile it
+    /// in order — `server.decode`, `server.serve_batch`, `server.commit`,
+    /// `server.drain`, `server.emit`, `server.encode` — on a logical clock
+    /// that advances one tick per decoded request, never wall time. A
+    /// retried request records one `server.serve_batch` span over all its
+    /// attempts. The ring keeps the latest spans only, and is empty with
+    /// the `trace` feature off.
     tracer: Tracer,
 }
 
@@ -866,8 +839,8 @@ impl ShardCore {
                             // explicitly and stop serving — never a hang,
                             // never an escaped panic. The rollback already
                             // returned the device to its committed state,
-                            // which the core keeps for `last_checkpoint` and
-                            // `revive`; its undrained telemetry is never
+                            // which the core keeps for `join` and `revive`;
+                            // its undrained telemetry is never
                             // drained — only committed requests ever reach
                             // the ledger.
                             let restarts = self.restarts;
@@ -1359,7 +1332,7 @@ mod tests {
         assert_eq!(err, TransportError::WorkerFailed { restarts: 2 });
         // The request was dropped after the rollback: no check-in survived.
         let fresh = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 11);
-        assert_eq!(server.last_checkpoint(), fresh.checkpoint());
+        assert_eq!(committed_image(&server), fresh.checkpoint());
         let health = server.health();
         assert_eq!((health.restarts, health.failed_replies), (2, 1));
         // The shard serves on: the next request is its first.
@@ -1377,7 +1350,7 @@ mod tests {
             spawn_with(ServerOptions { queue_capacity: 1, ..ServerOptions::default() });
         let metrics = Arc::clone(&handle.shard.metrics);
         handle.shard.waiting.fetch_add(1, Ordering::Relaxed);
-        let err = handle.try_call(ClientRequest::Shutdown).unwrap_err();
+        let err = handle.try_call_raw(ClientRequest::Shutdown.encode_vec()).unwrap_err();
         assert_eq!(err, TransportError::Overloaded);
         let policy = RetryPolicy { max_attempts: 3, backoff_base: 4, backoff_cap: 64 };
         let err = handle.call_with_retry(ClientRequest::Shutdown, &policy).unwrap_err();
@@ -1408,7 +1381,7 @@ mod tests {
             let waiters: Vec<_> = (0..2)
                 .map(|t| {
                     let handle = busy_handle.clone();
-                    scope.spawn(move || handle.try_call(check_in(t)))
+                    scope.spawn(move || handle.try_call_raw(check_in(t).encode_vec()))
                 })
                 .collect();
             let waiting = || busy_handle.shard.waiting.load(Ordering::Relaxed);
@@ -1417,11 +1390,11 @@ mod tests {
             }
             assert_eq!(waiting(), 2, "both callers under the capacity are admitted");
             // Two callers wait: the third is shed at once...
-            assert_eq!(busy_handle.try_call(check_in(2)).unwrap_err(), TransportError::Overloaded);
+            assert_eq!(busy_handle.try_call_raw(check_in(2).encode_vec()).unwrap_err(), TransportError::Overloaded);
             // ...while the other shard still admits, though the hub-wide
             // gauge already counts two waiters.
             assert_eq!(busy.health().queue_depth, 2);
-            assert_eq!(idle_handle.try_call(check_in(0)).unwrap(), EdgeResponse::Ack);
+            assert_eq!(idle_handle.try_call_raw(check_in(0).encode_vec()).unwrap(), EdgeResponse::Ack);
             drop(held);
             for waiter in waiters {
                 assert_eq!(waiter.join().unwrap().unwrap(), EdgeResponse::Ack);
@@ -1621,10 +1594,8 @@ mod tests {
         prime(&handle);
         let mut split: Vec<Point> =
             (0..4).map(|_| handle.request_location(user, home).unwrap()).collect();
-        let snapshot = server.last_checkpoint();
-        assert!(!snapshot.is_empty());
         handle.shutdown().unwrap();
-        server.join().unwrap();
+        let snapshot = server.join().unwrap().checkpoint();
         let image = snapshot.clone();
         let (server, handle) = EdgeServer::spawn_with(
             config,
@@ -1752,7 +1723,7 @@ mod tests {
             assert_eq!(handle.call(request).unwrap_err(), TransportError::Disconnected, "{case}");
             // The step rolled its request back before the shard gave up:
             // what it leaves is the committed device, byte for byte.
-            let last = server.last_checkpoint();
+            let last = committed_image(&server);
             assert_eq!(last, expected.checkpoint(), "{case}");
             assert_eq!(server.join().unwrap_err(), SystemError::WorkerFailed { restarts: 1 });
 
@@ -1836,8 +1807,15 @@ mod tests {
             let err = handle.request_location(UserId::new(user), Point::ORIGIN).unwrap_err();
             assert_eq!(err, TransportError::Disconnected);
         }
-        assert!(server.last_checkpoint().is_empty());
+        assert!(committed_image(&server).is_empty());
         assert!(matches!(server.join().unwrap_err(), SystemError::Recovery(_)));
+    }
+
+    /// The checkpoint of the shard's committed device, read under the
+    /// shard lock so a step in progress is waited out; empty when the
+    /// shard has no device.
+    fn committed_image(server: &EdgeServer) -> Bytes {
+        server.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
     }
 
     /// Steps `frame` as this handle's client on the test thread and
@@ -1920,7 +1898,7 @@ mod tests {
         let (server, handle) = spawn();
         handle.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
         handle.shutdown().unwrap();
-        let tracer = server.tracer().clone();
+        let tracer = handle.shard.core.lock().tracer.clone();
         server.join().unwrap();
         let records = tracer.records();
         // Two steps — the check-in, then the shutdown — each recorded as

@@ -19,6 +19,7 @@ use privlocad::{
 };
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::fnv1a64;
 use privlocad_telemetry::{top_key, Telemetry};
 
 const USERS: u32 = 24;
@@ -108,7 +109,7 @@ fn run_fleet(shards: usize, plan: ChannelFaultPlan, kills: bool) -> FleetRun {
         }
     }
     released.sort();
-    let mut digests: Vec<u64> = devices.iter().map(|d| d.state_digest()).collect();
+    let mut digests: Vec<u64> = devices.iter().map(|d| fnv1a64(&d.checkpoint())).collect();
     digests.sort_unstable();
     FleetRun {
         reports,

@@ -3,10 +3,10 @@
 //! (or a clean decode of a different valid frame), never a panic — a
 //! malformed radio frame must cost the sender a strike, not the edge
 //! worker its life. A checkpoint image, truncated or flipped, must be
-//! refused (or restored) alike by both restore paths.
+//! refused (or read) alike by the decoder and the restore.
 
 use privlocad::protocol::{split_sequenced, ClientRequest, EdgeResponse};
-use privlocad::recovery::DeviceSnapshot;
+use privlocad::recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
 use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
@@ -116,19 +116,29 @@ fn sealed(body: &[u8]) -> Vec<u8> {
     image
 }
 
-/// Restores `image` through the one-pass reader and through
-/// `DeviceSnapshot::decode` + `restore_from`, and returns the outcome once
-/// both agree: the same error, or devices with the same checkpoint bytes.
+/// Decodes `image` and restores a device from it — the one image reader
+/// into its two sinks — and returns the restored device's checkpoint or
+/// the error once they agree: both refuse the image with the same error,
+/// only the restore refuses a pooled CDF as a posterior table (the decoder
+/// takes any CDF bytes), or the device holds every decoded candidate set
+/// unchanged. A valid image need not be canonical (a flip may orphan a
+/// pool entry or reorder users), so a success is compared by the released
+/// sets, not the bytes.
 fn restore_both(config: SystemConfig, image: &[u8]) -> Result<Vec<u8>, String> {
-    let outcome = |restored: Result<EdgeDevice, _>| {
-        restored.map(|device| device.checkpoint().to_vec()).map_err(|e| format!("{e:?}"))
-    };
-    let streamed = outcome(EdgeDevice::restore_from_checkpoint(config, image));
-    let decoded = outcome(
-        DeviceSnapshot::decode(image).and_then(|snap| EdgeDevice::restore_from(config, snap)),
-    );
-    assert_eq!(streamed, decoded, "restore paths disagree on {image:?}");
-    streamed
+    match (DeviceSnapshot::decode(image), EdgeDevice::restore_from_checkpoint(config, image)) {
+        (Ok(snap), Ok(device)) => {
+            assert_eq!(candidate_redraws(&snap, &device.snapshot()), Ok(0), "on {image:?}");
+            Ok(device.checkpoint().to_vec())
+        }
+        (Ok(_), Err(e @ RecoveryError::InvalidPosterior { .. })) => Err(format!("{e:?}")),
+        (Err(a), Err(b)) => {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "decode and restore disagree");
+            Err(format!("{a:?}"))
+        }
+        (decoded, restored) => {
+            panic!("decode and restore disagree on {image:?}: {decoded:?}, {:?}", restored.err())
+        }
+    }
 }
 
 #[test]

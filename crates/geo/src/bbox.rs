@@ -44,30 +44,6 @@ impl BoundingBox {
         Ok(BoundingBox { min_lat, max_lat, min_lon, max_lon })
     }
 
-    /// Southernmost latitude.
-    #[inline]
-    pub fn min_lat(&self) -> f64 {
-        self.min_lat
-    }
-
-    /// Northernmost latitude.
-    #[inline]
-    pub fn max_lat(&self) -> f64 {
-        self.max_lat
-    }
-
-    /// Westernmost longitude.
-    #[inline]
-    pub fn min_lon(&self) -> f64 {
-        self.min_lon
-    }
-
-    /// Easternmost longitude.
-    #[inline]
-    pub fn max_lon(&self) -> f64 {
-        self.max_lon
-    }
-
     /// The box's center point.
     pub fn center(&self) -> GeoPoint {
         GeoPoint::new(
@@ -165,8 +141,8 @@ mod tests {
     #[test]
     fn shrink_reduces_extent() {
         let bb = shanghai().shrink(0.1).unwrap();
-        assert!((bb.min_lat() - 30.8).abs() < 1e-12);
-        assert!((bb.max_lat() - 31.3).abs() < 1e-12);
+        assert!((bb.min_lat - 30.8).abs() < 1e-12);
+        assert!((bb.max_lat - 31.3).abs() < 1e-12);
         assert!(shanghai().shrink(0.5).is_err()); // 30.7+0.5 > 31.4-0.5
     }
 

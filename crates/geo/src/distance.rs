@@ -1,28 +1,17 @@
+#[cfg(test)]
 use crate::GeoPoint;
 
 /// Mean Earth radius in meters (IUGG mean radius R₁).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Great-circle distance between two WGS-84 points, in meters, by the
-/// haversine formula.
-///
-/// Used to validate the planar [`LocalProjection`](crate::LocalProjection)
-/// and to compute true ground distances for reporting; everything inside the
-/// mechanisms uses planar [`Point::distance`](crate::Point::distance)
-/// instead, which is what the paper's formulas assume.
-///
-/// # Examples
-///
-/// ```
-/// use privlocad_geo::{haversine_m, GeoPoint};
-///
-/// let a = GeoPoint::new(31.0, 121.0)?;
-/// let b = GeoPoint::new(31.0, 122.0)?;
-/// let d = haversine_m(a, b);
-/// assert!((d - 95_321.0).abs() < 200.0); // ~95.3 km along the 31°N parallel
-/// # Ok::<(), privlocad_geo::GeoError>(())
-/// ```
-pub fn haversine_m(a: GeoPoint, b: GeoPoint) -> f64 {
+/// haversine formula: the oracle the planar
+/// [`LocalProjection`](crate::LocalProjection) is validated against.
+/// Everything inside the mechanisms uses planar
+/// [`Point::distance`](crate::Point::distance) instead, which is what the
+/// paper's formulas assume.
+#[cfg(test)]
+pub(crate) fn haversine_m(a: GeoPoint, b: GeoPoint) -> f64 {
     let (lat1, lon1) = (a.lat().to_radians(), a.lon().to_radians());
     let (lat2, lon2) = (b.lat().to_radians(), b.lon().to_radians());
     let dlat = lat2 - lat1;

@@ -45,7 +45,6 @@ pub mod rng;
 
 pub use bbox::BoundingBox;
 pub use circle::Circle;
-pub use distance::{haversine_m, EARTH_RADIUS_M};
 pub use error::GeoError;
 pub use point::{centroid, GeoPoint, Point};
 pub use projection::LocalProjection;

@@ -63,18 +63,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Euclidean norm (distance from the origin), in meters.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.x.hypot(self.y)
-    }
-
-    /// The midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
     /// Translates the point by a polar offset `(radius, angle)`.
     ///
     /// This is the geometric core of Algorithm 3 in the paper: an obfuscated

@@ -1,6 +1,7 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{GeoError, GeoPoint, Point, EARTH_RADIUS_M};
+use crate::distance::EARTH_RADIUS_M;
+use crate::{GeoError, GeoPoint, Point};
 
 /// An equirectangular projection between WGS-84 and a local tangent plane.
 ///
@@ -68,7 +69,7 @@ impl LocalProjection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::haversine_m;
+    use crate::distance::haversine_m;
 
     fn proj() -> LocalProjection {
         LocalProjection::new(GeoPoint::new(31.05, 121.5).unwrap())
@@ -78,7 +79,7 @@ mod tests {
     fn origin_maps_to_planar_origin() {
         let p = proj();
         let o = p.to_local(p.origin());
-        assert!(o.norm() < 1e-9);
+        assert!(o.distance(Point::ORIGIN) < 1e-9);
     }
 
     #[test]

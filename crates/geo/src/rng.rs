@@ -54,7 +54,7 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
 /// The second deviate of each accepted pair is intentionally discarded to
 /// keep the function stateless; mechanisms that need 2-D noise use
 /// [`gaussian_2d`], which consumes the whole pair.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u = 2.0 * rng.gen::<f64>() - 1.0;
         let v = 2.0 * rng.gen::<f64>() - 1.0;
@@ -101,7 +101,7 @@ pub fn gaussian_2d<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Point {
 /// This is the radial law of an isotropic 2-D Gaussian: Equation 15 of the
 /// paper gives the radial CDF `F_R(r) = 1 − exp(−r²/2σ²)`, inverted here as
 /// `r = σ·sqrt(−2·ln(1 − s))` for uniform `s`.
-pub fn rayleigh<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
+fn rayleigh<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     let s: f64 = rng.gen();
     sigma * (-2.0 * (1.0 - s).ln()).sqrt()
 }

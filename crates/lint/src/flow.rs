@@ -110,10 +110,9 @@ const SANITIZERS: &[FnPat] = &[
 const SINKS: &[FnPat] = &[
     pat(Some("core"), Some("EdgeResponse"), "encode"),
     pat(Some("core"), Some("EdgeResponse"), "encode_into"),
-    pat(Some("core"), Some("DeviceSnapshot"), "encode"),
-    // The one v2 user-frame writer behind `DeviceSnapshot::encode` and the
-    // streamed checkpoint: it serializes a user's true window state, so it
-    // is a sink in its own right.
+    // The one v2 user-frame writer behind the streamed checkpoint: it
+    // serializes a user's true window state, so it is a sink in its own
+    // right.
     pat(Some("core"), None, "put_user_frame"),
     // The degraded-serving stale cache: entries are replayed verbatim to
     // clients while a shard's breaker is open, so writing a true location

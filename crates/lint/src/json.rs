@@ -35,6 +35,7 @@ impl Json {
         }
     }
 
+    // lint:allow(dead-pub): integration-test hook: live_workspace.rs and bench's report tests read JSON numbers through it
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
@@ -42,6 +43,7 @@ impl Json {
         }
     }
 
+    // lint:allow(dead-pub): integration-test hook: bench's ledger and repro tests read JSON arrays through it
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(a) => Some(a),

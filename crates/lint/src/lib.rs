@@ -13,7 +13,8 @@
 //!    checked constructors.
 //!
 //! Plus supporting hygiene: panic-free library code in the proof-adjacent
-//! crates, an auditable `unsafe` story, and an offline supply chain.
+//! crates, an auditable `unsafe` story, an offline supply chain, and no
+//! public library surface that no program reaches ([`deadpub`]).
 //!
 //! The pass is a hand-rolled lexer ([`lexer`]) feeding a token-level rule
 //! engine ([`rules`]) — deliberately not a full parser: every invariant here
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
+pub mod deadpub;
 pub mod flow;
 pub mod json;
 pub mod lexer;
@@ -44,7 +46,7 @@ use report::Report;
 use rules::{check_file, FileContext, Finding};
 
 /// Name of the checked-in allowlist file at the workspace root.
-pub const ALLOWLIST_FILE: &str = "lint.allow";
+const ALLOWLIST_FILE: &str = "lint.allow";
 
 /// Runs the full lint pass over the workspace rooted at `root`.
 ///
@@ -98,6 +100,14 @@ pub fn run(root: &Path) -> Report {
     let functions_indexed = table.len();
     findings.extend(flow::analyze(&table));
     let flow_analysis_ms = flow_start.elapsed().as_secs_f64() * 1e3;
+
+    // Dead-pub phase: fleetbench is read for the names it uses, nothing else.
+    let names_only: Vec<lexer::LexedFile> = walk::name_only_sources(root)
+        .iter()
+        .filter_map(|rel| fs::read_to_string(root.join(rel)).ok())
+        .map(|text| lexer::lex(&text))
+        .collect();
+    findings.extend(deadpub::analyze(&lexed_files, &parsed, &names_only));
 
     findings.extend(manifest::check_manifests(root));
 

@@ -91,20 +91,20 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
+pub(crate) enum Tok {
     Ident(String),
     Num,
     Sym(char),
 }
 
 #[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
+pub(crate) struct Spanned {
+    pub(crate) tok: Tok,
     /// Byte column of the token start within its line.
     col: usize,
 }
 
-fn tokenize(code: &str) -> Vec<Spanned> {
+pub(crate) fn tokenize(code: &str) -> Vec<Spanned> {
     let mut out = Vec::new();
     let mut chars = code.char_indices().peekable();
     while let Some((start, c)) = chars.next() {

@@ -87,6 +87,10 @@ pub const RULES: &[Rule] = &[
         summary: "RNG streams in result-producing crates must be seeded from derive_seed-derived state",
     },
     Rule {
+        name: "dead-pub",
+        summary: "pub library items must be named by non-test code outside their file (fleetbench counts) or justified",
+    },
+    Rule {
         name: "allow-syntax",
         summary: "lint:allow suppressions must name a known rule and carry a justification",
     },

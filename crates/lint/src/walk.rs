@@ -44,6 +44,16 @@ pub fn rust_sources(root: &Path) -> Vec<PathBuf> {
     rel
 }
 
+/// The sources read only for the names they use: the benchmark under
+/// `fleetbench/src`, its own workspace, which no rule checks but whose
+/// calls keep library items alive ([`crate::deadpub`]). Relative to `root`,
+/// sorted.
+pub fn name_only_sources(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    collect(&root.join("fleetbench/src"), &mut files);
+    files.into_iter().filter_map(|p| p.strip_prefix(root).ok().map(Path::to_path_buf)).collect()
+}
+
 fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();

@@ -76,6 +76,33 @@ fn live_workspace_flow_analysis_is_clean_and_substantial() {
 }
 
 #[test]
+fn live_workspace_has_no_unreached_pub_surface() {
+    let report = run(&workspace_root());
+    // Every pub library item is named by a program, fleetbench included,
+    // or justified by the contract that keeps it.
+    let loud: Vec<String> = report
+        .unsuppressed()
+        .filter(|f| f.rule == "dead-pub")
+        .map(|f| format!("{}:{} {}", f.file, f.line, f.message))
+        .collect();
+    assert!(loud.is_empty(), "active dead-pub findings:\n{}", loud.join("\n"));
+    // The justified items still fire and resolve: a scan that saw no pub
+    // items would also report zero.
+    let justified: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "dead-pub")
+        .filter_map(|f| f.suppressed.as_deref())
+        .collect();
+    assert!(!justified.is_empty(), "expected justified dead-pub items to resolve");
+    assert!(justified.iter().all(|why| {
+        ["README-documented API", "integration-test hook", "public signature"]
+            .iter()
+            .any(|contract| why.starts_with(contract))
+    }));
+}
+
+#[test]
 fn live_json_report_parses_with_our_own_parser() {
     let report = run(&workspace_root());
     let doc = json::parse(&report.render_json()).expect("report JSON must parse");

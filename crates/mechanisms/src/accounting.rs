@@ -42,37 +42,6 @@ pub fn basic_composition(
     Ok((epsilon * k as f64, delta * k as f64))
 }
 
-/// Splits an overall `(ε, δ)` budget evenly across `k` releases, the
-/// calibration used by the plain-composition baseline.
-///
-/// # Errors
-///
-/// Returns a [`MechanismError`] on the same invalid inputs as
-/// [`basic_composition`].
-///
-/// # Examples
-///
-/// ```
-/// use privlocad_mechanisms::{basic_composition, split_budget};
-///
-/// let (e, d) = split_budget(1.0, 0.01, 10)?;
-/// let (te, td) = basic_composition(e, d, 10)?;
-/// assert!((te - 1.0).abs() < 1e-12 && (td - 0.01).abs() < 1e-12);
-/// # Ok::<(), privlocad_mechanisms::MechanismError>(())
-/// ```
-pub fn split_budget(epsilon: f64, delta: f64, k: usize) -> Result<(f64, f64), MechanismError> {
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(MechanismError::InvalidEpsilon(epsilon));
-    }
-    if !delta.is_finite() || delta <= 0.0 || delta >= 1.0 {
-        return Err(MechanismError::InvalidDelta(delta));
-    }
-    if k == 0 {
-        return Err(MechanismError::InvalidFold(0));
-    }
-    Ok((epsilon / k as f64, delta / k as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,16 +51,6 @@ mod tests {
         let (e, d) = basic_composition(0.5, 0.001, 4).unwrap();
         assert!((e - 2.0).abs() < 1e-12);
         assert!((d - 0.004).abs() < 1e-15);
-    }
-
-    #[test]
-    fn split_then_compose_round_trips() {
-        for k in [1usize, 2, 5, 100] {
-            let (e, d) = split_budget(1.5, 0.01, k).unwrap();
-            let (te, td) = basic_composition(e, d, k).unwrap();
-            assert!((te - 1.5).abs() < 1e-12);
-            assert!((td - 0.01).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -108,8 +67,5 @@ mod tests {
         assert!(basic_composition(1.0, 0.0, 1).is_err());
         assert!(basic_composition(1.0, 1.0, 1).is_err());
         assert!(basic_composition(1.0, 0.01, 0).is_err());
-        assert!(split_budget(-1.0, 0.01, 2).is_err());
-        assert!(split_budget(1.0, 2.0, 2).is_err());
-        assert!(split_budget(1.0, 0.01, 0).is_err());
     }
 }

@@ -48,7 +48,7 @@ impl NaivePostProcessing {
     /// # Panics
     ///
     /// Panics if `spread_radius` is not positive and finite.
-    pub fn with_spread_radius(params: GeoIndParams, spread_radius: f64) -> Self {
+    fn with_spread_radius(params: GeoIndParams, spread_radius: f64) -> Self {
         assert!(
             spread_radius.is_finite() && spread_radius > 0.0,
             "spread radius must be positive and finite"
@@ -66,12 +66,6 @@ impl NaivePostProcessing {
     #[inline]
     pub fn params(&self) -> GeoIndParams {
         self.params
-    }
-
-    /// The disc radius used for the uniform post-processing samples.
-    #[inline]
-    pub fn spread_radius(&self) -> f64 {
-        self.spread_radius
     }
 }
 
@@ -109,12 +103,12 @@ impl Lppm for NaivePostProcessing {
 /// # Examples
 ///
 /// ```
-/// use privlocad_mechanisms::{GeoIndParams, NFoldGaussian, PlainComposition};
+/// use privlocad_geo::{rng::seeded, Point};
+/// use privlocad_mechanisms::{GeoIndParams, Lppm, PlainComposition};
 ///
-/// let params = GeoIndParams::new(500.0, 1.0, 0.01, 10)?;
-/// let comp = PlainComposition::new(params);
-/// let nfold = NFoldGaussian::new(params);
-/// assert!(comp.per_output_sigma() > nfold.sigma());
+/// let comp = PlainComposition::new(GeoIndParams::new(500.0, 1.0, 0.01, 10)?);
+/// let mut rng = seeded(22);
+/// assert_eq!(comp.obfuscate(Point::ORIGIN, &mut rng).len(), 10);
 /// # Ok::<(), privlocad_mechanisms::MechanismError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -136,12 +130,6 @@ impl PlainComposition {
     #[inline]
     pub fn params(&self) -> GeoIndParams {
         self.params
-    }
-
-    /// The noise deviation of each individual output.
-    #[inline]
-    pub fn per_output_sigma(&self) -> f64 {
-        self.per_output.sigma()
     }
 }
 
@@ -182,20 +170,20 @@ mod tests {
             .iter()
             .flat_map(|a| outs.iter().map(move |b| a.distance(*b)))
             .fold(0.0f64, f64::max);
-        assert!(max_pair <= 2.0 * m.spread_radius() + 1e-9);
+        assert!(max_pair <= 2.0 * m.spread_radius + 1e-9);
     }
 
     #[test]
     fn post_processing_default_spread_is_single_sigma() {
         let p = params(7);
         let m = NaivePostProcessing::new(p);
-        assert!((m.spread_radius() - p.sigma_single()).abs() < 1e-12);
+        assert!((m.spread_radius - p.sigma_single()).abs() < 1e-12);
     }
 
     #[test]
     fn post_processing_custom_spread() {
         let m = NaivePostProcessing::with_spread_radius(params(3), 250.0);
-        assert_eq!(m.spread_radius(), 250.0);
+        assert_eq!(m.spread_radius, 250.0);
     }
 
     #[test]
@@ -211,9 +199,9 @@ mod tests {
             let comp = PlainComposition::new(p);
             let nfold = NFoldGaussian::new(p);
             assert!(
-                comp.per_output_sigma() > nfold.sigma(),
+                comp.per_output.sigma() > nfold.sigma(),
                 "n = {n}: composition σ {} should exceed n-fold σ {}",
-                comp.per_output_sigma(),
+                comp.per_output.sigma(),
                 nfold.sigma()
             );
         }
@@ -225,7 +213,7 @@ mod tests {
         let comp = PlainComposition::new(p);
         // σ_c = (n·r/ε)·sqrt(ln(n²/δ²) + ε/n)
         let expected = 10.0 * 500.0 / 1.0 * ((100.0f64 / (0.01 * 0.01)).ln() + 0.1).sqrt();
-        assert!((comp.per_output_sigma() - expected).abs() < 1e-6);
+        assert!((comp.per_output.sigma() - expected).abs() < 1e-6);
     }
 
     #[test]
@@ -236,8 +224,8 @@ mod tests {
         let outs = comp.obfuscate(Point::ORIGIN, &mut rng);
         assert_eq!(outs.len(), 10);
         // RMS distance from truth should be near √2·σ_c.
-        let rms = (outs.iter().map(|q| q.norm().powi(2)).sum::<f64>() / 10.0).sqrt();
-        assert!(rms > comp.per_output_sigma() * 0.4); // loose sanity bound
+        let rms = (outs.iter().map(|q| q.distance_sq(Point::ORIGIN)).sum::<f64>() / 10.0).sqrt();
+        assert!(rms > comp.per_output.sigma() * 0.4); // loose sanity bound
     }
 
     #[test]
@@ -245,7 +233,7 @@ mod tests {
         let p = params(1);
         let comp = PlainComposition::new(p);
         let nfold = NFoldGaussian::new(p);
-        assert!((comp.per_output_sigma() - nfold.sigma()).abs() < 1e-12);
+        assert!((comp.per_output.sigma() - nfold.sigma()).abs() < 1e-12);
     }
 
     #[test]

@@ -173,18 +173,6 @@ impl NFoldGaussian {
         self.transform_lanes(reals, scratch, lanes);
     }
 
-    /// Single-real convenience over
-    /// [`NFoldGaussian::obfuscate_shared_stream_into`].
-    pub fn obfuscate_stream_into<R: Rng + ?Sized>(
-        &self,
-        real: Point,
-        rng: &mut R,
-        scratch: &mut BatchScratch,
-        lanes: &mut CandidateLanes,
-    ) {
-        self.obfuscate_shared_stream_into(std::slice::from_ref(&real), rng, scratch, lanes);
-    }
-
     /// The shared transform: `scratch.uniforms` holds `2·n` stream-order
     /// variates per real (`θ-uniform, s-uniform` interleaved); deinterleave
     /// into angle/radius lanes, then offset from each real's center.
@@ -245,7 +233,7 @@ mod tests {
         let mut lanes = CandidateLanes::new();
         let real = Point::new(10.0, -20.0);
         let mut rng = seeded(3);
-        m.obfuscate_stream_into(real, &mut rng, &mut scratch, &mut lanes);
+        m.obfuscate_shared_stream_into(&[real], &mut rng, &mut scratch, &mut lanes);
         assert_eq!(lanes.len(), 5);
         assert!(!lanes.is_empty());
         assert_eq!(lanes.xs().len(), 5);
@@ -265,7 +253,7 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let mut lanes = CandidateLanes::new();
         let mut rng = seeded(19);
-        m.obfuscate_stream_into(real, &mut rng, &mut scratch, &mut lanes);
+        m.obfuscate_shared_stream_into(&[real], &mut rng, &mut scratch, &mut lanes);
         let mut scalar_rng = seeded(19);
         let scalar = m.obfuscate(real, &mut scalar_rng);
         assert_eq!(lanes.iter().collect::<Vec<_>>(), scalar);
@@ -277,8 +265,8 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let mut lanes = CandidateLanes::new();
         let mut rng = seeded(5);
-        m.obfuscate_stream_into(Point::ORIGIN, &mut rng, &mut scratch, &mut lanes);
-        m.obfuscate_stream_into(Point::new(1.0, 1.0), &mut rng, &mut scratch, &mut lanes);
+        m.obfuscate_shared_stream_into(&[Point::ORIGIN], &mut rng, &mut scratch, &mut lanes);
+        m.obfuscate_shared_stream_into(&[Point::new(1.0, 1.0)], &mut rng, &mut scratch, &mut lanes);
         assert_eq!(lanes.len(), 6);
         lanes.clear();
         assert!(lanes.is_empty());

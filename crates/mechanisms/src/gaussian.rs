@@ -1,4 +1,4 @@
-use privlocad_geo::{centroid, rng::uniform_angle, Point};
+use privlocad_geo::{rng::uniform_angle, Point};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -72,14 +72,6 @@ impl NFoldGaussian {
         self.sigma * (-2.0 * (1.0 - s).ln()).sqrt()
     }
 
-    /// CDF of the noise radius (Equation 15): `F_R(r) = 1 − e^{−r²/2σ²}`.
-    pub fn radial_cdf(&self, r: f64) -> f64 {
-        if r <= 0.0 {
-            return 0.0;
-        }
-        1.0 - (-r * r / (2.0 * self.sigma * self.sigma)).exp()
-    }
-
     /// The confidence radius `r_α` with `Pr[dist(p, q) > r_α] ≤ α`
     /// (Rayleigh tail: `r_α = σ·sqrt(−2·ln α)`).
     ///
@@ -91,15 +83,6 @@ impl NFoldGaussian {
             return Err(MechanismError::InvalidProbability(alpha));
         }
         Ok(self.sigma * (-2.0 * alpha.ln()).sqrt())
-    }
-
-    /// The sufficient statistic of a released set: the sample mean.
-    ///
-    /// Returns `None` for an empty set. Under this mechanism the mean is
-    /// `N(p, σ²/n)`-distributed and carries all information about `p`
-    /// (Fisher–Neyman factorization; Section VI).
-    pub fn sufficient_statistic(outputs: &[Point]) -> Option<Point> {
-        centroid(outputs)
     }
 }
 
@@ -134,10 +117,16 @@ impl Lppm for NFoldGaussian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privlocad_geo::rng::seeded;
+    use privlocad_geo::{centroid, rng::seeded};
 
     fn mech(r: f64, eps: f64, delta: f64, n: usize) -> NFoldGaussian {
         NFoldGaussian::new(GeoIndParams::new(r, eps, delta, n).unwrap())
+    }
+
+    /// CDF of the noise radius (Equation 15), `F_R(r) = 1 − e^{−r²/2σ²}`:
+    /// the analytic law the quantile is checked against.
+    fn radial_cdf(m: &NFoldGaussian, r: f64) -> f64 {
+        1.0 - (-r * r / (2.0 * m.sigma() * m.sigma())).exp()
     }
 
     #[test]
@@ -153,7 +142,7 @@ mod tests {
         let m = mech(500.0, 1.0, 0.01, 3);
         for &s in &[0.0, 0.1, 0.5, 0.9, 0.999] {
             let r = m.radial_quantile(s);
-            assert!((m.radial_cdf(r) - s).abs() < 1e-12, "s={s}");
+            assert!((radial_cdf(&m, r) - s).abs() < 1e-12, "s={s}");
         }
     }
 
@@ -186,7 +175,8 @@ mod tests {
         let mut dev = 0.0;
         for _ in 0..trials {
             let outs = m.obfuscate(real, &mut rng);
-            let mean = NFoldGaussian::sufficient_statistic(&outs).unwrap();
+            // The sample mean is the release's sufficient statistic (Section VI).
+            let mean = centroid(&outs).unwrap();
             dev += (mean.x - real.x).powi(2) + (mean.y - real.y).powi(2);
         }
         // E[|mean − p|²] = 2σ²/n.
@@ -202,13 +192,8 @@ mod tests {
     fn confidence_radius_matches_rayleigh_tail() {
         let m = mech(500.0, 1.0, 0.01, 1);
         let r = m.confidence_radius(0.05).unwrap();
-        assert!((m.radial_cdf(r) - 0.95).abs() < 1e-12);
+        assert!((radial_cdf(&m, r) - 0.95).abs() < 1e-12);
         assert!(m.confidence_radius(0.0).is_err());
-    }
-
-    #[test]
-    fn sufficient_statistic_of_empty_set_is_none() {
-        assert!(NFoldGaussian::sufficient_statistic(&[]).is_none());
     }
 
     #[test]

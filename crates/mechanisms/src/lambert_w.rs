@@ -8,6 +8,7 @@
 //! method to full double precision.
 
 /// `1/e`, the branch point of the real Lambert W function.
+// lint:allow(dead-pub): integration-test hook: the mechanisms proptests bound the Lambert W domain with it
 pub const INV_E: f64 = 1.0 / std::f64::consts::E;
 
 /// Halley refinement of `w` such that `w·eʷ = x`.
@@ -46,6 +47,7 @@ fn halley(mut w: f64, x: f64) -> f64 {
 /// let w = w0(1.0); // Ω constant ≈ 0.567143
 /// assert!((w * w.exp() - 1.0).abs() < 1e-12);
 /// ```
+// lint:allow(dead-pub): integration-test hook: the mechanisms proptests check the W identity on both real branches with it
 pub fn w0(x: f64) -> f64 {
     if x.is_nan() || x < -INV_E {
         return f64::NAN;

@@ -46,19 +46,18 @@ mod gaussian;
 pub mod lambert_w;
 mod params;
 mod planar_laplace;
-pub mod remap;
 mod selection;
 pub mod special;
 mod traits;
 pub mod verifier;
 
-pub use accounting::{basic_composition, split_budget};
+pub use accounting::basic_composition;
 pub use baselines::{NaivePostProcessing, PlainComposition};
 pub use batch::{BatchScratch, CandidateLanes};
 pub use error::MechanismError;
 pub use gaussian::NFoldGaussian;
 pub use params::{GeoIndParams, PlanarLaplaceParams};
-pub use planar_laplace::{DiscretePlanarLaplace, PlanarLaplace};
+pub use planar_laplace::PlanarLaplace;
 pub use selection::{
     PosteriorSelector, PosteriorTable, SelectionCache, SelectionStrategy, UniformSelector,
 };

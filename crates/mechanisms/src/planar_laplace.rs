@@ -56,6 +56,7 @@ impl PlanarLaplace {
     }
 
     /// CDF of the noise radius: `C(r) = 1 − (1 + εr)·e^{−εr}`.
+    // lint:allow(dead-pub): integration-test hook: the mechanisms proptests check the radius quantile against this analytic CDF
     pub fn radial_cdf(&self, r: f64) -> f64 {
         if r <= 0.0 {
             return 0.0;
@@ -96,11 +97,6 @@ impl PlanarLaplace {
         Ok(self.radial_quantile(1.0 - alpha))
     }
 
-    /// Expected distance between the real and the released location,
-    /// `E[R] = 2/ε`.
-    pub fn expected_distance(&self) -> f64 {
-        2.0 / self.params.epsilon_per_meter()
-    }
 }
 
 impl Lppm for PlanarLaplace {
@@ -117,87 +113,6 @@ impl Lppm for PlanarLaplace {
     }
 }
 
-/// The discretized planar Laplace mechanism: continuous noise snapped to a
-/// reporting grid (Section 4 of Andrés et al.).
-///
-/// Real LBA requests carry finite-precision coordinates; reporting on a
-/// grid of step `u` both matches that reality and avoids revealing
-/// arbitrarily precise noise values. Privacy is unchanged: for every
-/// output cell the density ratio between two real locations is bounded by
-/// `e^{ε·d}` pointwise (triangle inequality), so integrating over the
-/// cell preserves ε-geo-IND exactly. (Floating-point *arithmetic*
-/// precision attacks, their §4.3, are outside this model.)
-///
-/// # Examples
-///
-/// ```
-/// use privlocad_geo::{rng::seeded, Point};
-/// use privlocad_mechanisms::{DiscretePlanarLaplace, PlanarLaplace, PlanarLaplaceParams};
-///
-/// let inner = PlanarLaplace::new(PlanarLaplaceParams::from_level(4f64.ln(), 200.0)?);
-/// let mech = DiscretePlanarLaplace::new(inner, 100.0);
-/// let mut rng = seeded(9);
-/// let q = mech.sample(Point::new(37.0, -12.0), &mut rng);
-/// assert_eq!(q.x.rem_euclid(100.0), 0.0);
-/// assert_eq!(q.y.rem_euclid(100.0), 0.0);
-/// # Ok::<(), privlocad_mechanisms::MechanismError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiscretePlanarLaplace {
-    inner: PlanarLaplace,
-    grid_step_m: f64,
-}
-
-impl DiscretePlanarLaplace {
-    /// Creates the mechanism with a reporting grid of step `grid_step_m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid_step_m` is not positive and finite.
-    pub fn new(inner: PlanarLaplace, grid_step_m: f64) -> Self {
-        assert!(
-            grid_step_m.is_finite() && grid_step_m > 0.0,
-            "grid step must be positive and finite"
-        );
-        DiscretePlanarLaplace { inner, grid_step_m }
-    }
-
-    /// The wrapped continuous mechanism.
-    pub fn inner(&self) -> &PlanarLaplace {
-        &self.inner
-    }
-
-    /// The reporting-grid step in meters.
-    pub fn grid_step_m(&self) -> f64 {
-        self.grid_step_m
-    }
-
-    /// Releases one grid-snapped obfuscated location.
-    pub fn sample<R: Rng + ?Sized>(&self, real: Point, rng: &mut R) -> Point {
-        self.snap(self.inner.sample(real, rng))
-    }
-
-    /// Snaps a point to the nearest grid vertex.
-    pub fn snap(&self, p: Point) -> Point {
-        let u = self.grid_step_m;
-        Point::new((p.x / u).round() * u, (p.y / u).round() * u)
-    }
-}
-
-impl Lppm for DiscretePlanarLaplace {
-    fn obfuscate_into(&self, real: Point, rng: &mut dyn RngCore, out: &mut Vec<Point>) {
-        out.push(self.sample(real, rng));
-    }
-
-    fn output_count(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "discrete-planar-laplace"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +120,12 @@ mod tests {
 
     fn mech(l: f64, r: f64) -> PlanarLaplace {
         PlanarLaplace::new(PlanarLaplaceParams::from_level(l, r).unwrap())
+    }
+
+    /// Expected distance between the real and the released location,
+    /// `E[R] = 2/ε`: the analytic mean the sampler is checked against.
+    fn expected_distance(m: &PlanarLaplace) -> f64 {
+        2.0 / m.params().epsilon_per_meter()
     }
 
     #[test]
@@ -242,7 +163,7 @@ mod tests {
         let mut rng = seeded(5);
         let n = 50_000;
         let within_300: f64 = (0..n)
-            .filter(|_| m.sample(Point::ORIGIN, &mut rng).norm() <= 300.0)
+            .filter(|_| m.sample(Point::ORIGIN, &mut rng).distance(Point::ORIGIN) <= 300.0)
             .count() as f64;
         let frac = within_300 / n as f64;
         let expected = m.radial_cdf(300.0);
@@ -255,10 +176,10 @@ mod tests {
         let mut rng = seeded(6);
         let n = 50_000;
         let mean: f64 = (0..n)
-            .map(|_| m.sample(Point::ORIGIN, &mut rng).norm())
+            .map(|_| m.sample(Point::ORIGIN, &mut rng).distance(Point::ORIGIN))
             .sum::<f64>()
             / n as f64;
-        let expected = m.expected_distance();
+        let expected = expected_distance(&m);
         assert!((mean - expected).abs() < 0.02 * expected, "mean {mean} vs {expected}");
     }
 
@@ -270,7 +191,7 @@ mod tests {
         let mut rng = seeded(9);
         let n = 50_000;
         let beyond = (0..n)
-            .filter(|_| m.sample(Point::ORIGIN, &mut rng).norm() > r95)
+            .filter(|_| m.sample(Point::ORIGIN, &mut rng).distance(Point::ORIGIN) > r95)
             .count() as f64;
         let frac = beyond / n as f64;
         assert!((frac - 0.05).abs() < 0.01, "tail fraction {frac}");
@@ -288,7 +209,7 @@ mod tests {
         // Smaller l (stricter) → smaller ε → larger expected radius.
         let strict = mech(2f64.ln(), 200.0);
         let loose = mech(6f64.ln(), 200.0);
-        assert!(strict.expected_distance() > loose.expected_distance());
+        assert!(expected_distance(&strict) > expected_distance(&loose));
     }
 
     #[test]
@@ -323,75 +244,6 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 10, "too few dense cells checked");
-    }
-
-    #[test]
-    fn discrete_outputs_lie_on_the_grid() {
-        let m = DiscretePlanarLaplace::new(mech(4f64.ln(), 200.0), 50.0);
-        let mut rng = seeded(15);
-        for _ in 0..200 {
-            let q = m.sample(Point::new(123.4, -567.8), &mut rng);
-            assert!((q.x / 50.0 - (q.x / 50.0).round()).abs() < 1e-9);
-            assert!((q.y / 50.0 - (q.y / 50.0).round()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn snap_moves_at_most_half_diagonal() {
-        let m = DiscretePlanarLaplace::new(mech(2f64.ln(), 200.0), 100.0);
-        let mut rng = seeded(16);
-        for _ in 0..200 {
-            let p = Point::new(rng.gen_range(-1e4..1e4), rng.gen_range(-1e4..1e4));
-            let snapped = m.snap(p);
-            assert!(p.distance(snapped) <= 100.0 * std::f64::consts::SQRT_2 / 2.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn discrete_geo_ind_ratio_holds_empirically() {
-        // The grid cells ARE the discretization, so exact cell counts test
-        // the ε-geo-IND ratio directly.
-        let m = DiscretePlanarLaplace::new(mech(4f64.ln(), 200.0), 100.0);
-        let eps = m.inner().params().epsilon_per_meter();
-        let p0 = Point::ORIGIN;
-        let p1 = Point::new(100.0, 0.0);
-        let bound = (eps * p0.distance(p1)).exp();
-        let mut rng = seeded(17);
-        let n = 150_000usize;
-        use std::collections::HashMap;
-        let mut c0: HashMap<(i64, i64), f64> = HashMap::new();
-        let mut c1: HashMap<(i64, i64), f64> = HashMap::new();
-        let key = |p: Point| ((p.x / 100.0).round() as i64, (p.y / 100.0).round() as i64);
-        for _ in 0..n {
-            *c0.entry(key(m.sample(p0, &mut rng))).or_default() += 1.0;
-            *c1.entry(key(m.sample(p1, &mut rng))).or_default() += 1.0;
-        }
-        let mut checked = 0;
-        for (k, v0) in &c0 {
-            if *v0 < 300.0 {
-                continue;
-            }
-            let v1 = c1.get(k).copied().unwrap_or(0.0).max(1.0);
-            assert!(v0 / v1 < bound * 1.3, "cell {k:?} ratio {} bound {bound}", v0 / v1);
-            checked += 1;
-        }
-        assert!(checked > 5);
-    }
-
-    #[test]
-    fn discrete_accessors_and_name() {
-        let inner = mech(2f64.ln(), 200.0);
-        let m = DiscretePlanarLaplace::new(inner, 25.0);
-        assert_eq!(m.grid_step_m(), 25.0);
-        assert_eq!(m.inner(), &inner);
-        assert_eq!(m.name(), "discrete-planar-laplace");
-        assert_eq!(m.output_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid step")]
-    fn discrete_rejects_bad_step() {
-        let _ = DiscretePlanarLaplace::new(mech(2f64.ln(), 200.0), -1.0);
     }
 
     #[test]

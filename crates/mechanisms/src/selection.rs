@@ -95,6 +95,7 @@ impl PosteriorSelector {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
+    // lint:allow(dead-pub): integration-test hook: the mechanisms proptests and core's selection tests check Equation 18 through it
     pub fn probabilities(&self, candidates: &[Point]) -> Vec<f64> {
         let mut out = Vec::with_capacity(candidates.len());
         self.probabilities_into(candidates, &mut out);
@@ -108,7 +109,7 @@ impl PosteriorSelector {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
-    pub fn probabilities_into(&self, candidates: &[Point], out: &mut Vec<f64>) {
+    fn probabilities_into(&self, candidates: &[Point], out: &mut Vec<f64>) {
         let (mean, max, total) = self.weight_stats(candidates);
         let two_sigma_sq = 2.0 * self.sigma * self.sigma;
         out.reserve(candidates.len());
@@ -327,7 +328,7 @@ impl PosteriorTable {
     /// # Panics
     ///
     /// Panics if the table is empty.
-    pub fn draw_batch<R: RngCore + ?Sized>(
+    fn draw_batch<R: RngCore + ?Sized>(
         &self,
         count: usize,
         rng: &mut R,

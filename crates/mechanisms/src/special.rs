@@ -9,17 +9,7 @@
 ///
 /// Uses the Abramowitz–Stegun 7.1.26 rational approximation with the
 /// symmetry `erf(−x) = −erf(x)`.
-///
-/// # Examples
-///
-/// ```
-/// use privlocad_mechanisms::special::erf;
-///
-/// assert!((erf(0.0)).abs() < 1e-12);
-/// assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-/// assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-/// ```
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }

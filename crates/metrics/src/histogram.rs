@@ -107,39 +107,9 @@ impl Histogram {
         &self.counts
     }
 
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations above the range.
-    pub fn overflow(&self) -> u64 {
-        self.above
-    }
-
     /// All observations seen, including under/overflow.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// The `[lo, hi)` bounds of bin `i` (the last bin is closed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let width = (self.max - self.min) / self.counts.len() as f64;
-        (self.min + i as f64 * width, self.min + (i + 1) as f64 * width)
-    }
-
-    /// Per-bin fractions of the in-range mass (empty histogram → zeros).
-    pub fn fractions(&self) -> Vec<f64> {
-        let in_range: u64 = self.counts.iter().sum();
-        if in_range == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / in_range as f64).collect()
     }
 
     /// A compact sparkline-style rendering, one character per bin.
@@ -176,8 +146,7 @@ mod tests {
         h.add(0.5); // second bin
         h.add(1.0); // max belongs to the last bin
         assert_eq!(h.counts(), &[2, 2]);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!((h.below, h.above), (0, 0));
     }
 
     #[test]
@@ -186,29 +155,13 @@ mod tests {
         h.add(-0.1);
         h.add(1.1);
         h.add(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!((h.below, h.above), (1, 1));
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn bin_ranges_partition_the_interval() {
-        let h = Histogram::new(0.0, 1.0, 4).unwrap();
-        assert_eq!(h.bin_range(0), (0.0, 0.25));
-        assert_eq!(h.bin_range(3), (0.75, 1.0));
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let h = Histogram::of(&[0.1, 0.2, 0.3, 0.9], 0.0, 1.0, 5).unwrap();
-        let f = h.fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_histogram_fractions_and_sparkline() {
         let h = Histogram::new(0.0, 1.0, 3).unwrap();
-        assert_eq!(h.fractions(), vec![0.0, 0.0, 0.0]);
         assert_eq!(h.sparkline().chars().count(), 3);
     }
 
@@ -218,12 +171,5 @@ mod tests {
         let s: Vec<char> = h.sparkline().chars().collect();
         assert_eq!(s.len(), 10);
         assert_eq!(s[9], '█');
-    }
-
-    #[test]
-    #[should_panic(expected = "bin index")]
-    fn bin_range_bounds_checked() {
-        let h = Histogram::new(0.0, 1.0, 2).unwrap();
-        let _ = h.bin_range(2);
     }
 }

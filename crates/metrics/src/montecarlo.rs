@@ -128,25 +128,6 @@ impl Fanout {
         })
     }
 
-    /// Like [`Fanout::map`], but each item additionally receives an RNG
-    /// seeded from `(seed, index)` — the user-level sharding used by the
-    /// edge-device sweeps, where item `i` is user `i`.
-    pub fn map_seeded<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I, &mut StdRng) -> T + Sync,
-    {
-        let seed = self.seed;
-        self.run_sharded(items.len(), |base, slots| {
-            for (offset, out) in slots.iter_mut().enumerate() {
-                let index = base + offset;
-                let mut rng = seeded(derive_seed(seed, index as u64));
-                *out = Some(f(index, &items[index], &mut rng));
-            }
-        })
-    }
-
     /// The sharding engine: splits `0..n` into contiguous chunks, one per
     /// worker, and lets `run_shard` fill each chunk's slots.
     fn run_sharded<T, F>(&self, n: usize, run_shard: F) -> Vec<T>
@@ -206,6 +187,7 @@ where
 /// # Panics
 ///
 /// Panics if `workers` is zero.
+// lint:allow(dead-pub): integration-test hook: tests/concurrency.rs pins worker-count invariance with it
 pub fn run_trials_with_workers<T, F>(trials: usize, seed: u64, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -296,17 +278,6 @@ mod tests {
         let parallel = Fanout::with_threads(0, 8).map(&items, |i, &x| x * 2 + i as u64);
         assert_eq!(serial, parallel);
         assert_eq!(serial[3], 9);
-    }
-
-    #[test]
-    fn map_seeded_derives_per_item_rngs() {
-        let items: Vec<u32> = (0..64).collect();
-        let f = |_: usize, &x: &u32, rng: &mut StdRng| (x, rng.gen::<u64>());
-        let one = Fanout::with_threads(11, 1).map_seeded(&items, f);
-        let many = Fanout::with_threads(11, 5).map_seeded(&items, f);
-        assert_eq!(one, many);
-        // Per-item streams must be distinct.
-        assert_ne!(one[0].1, one[1].1);
     }
 
     #[test]

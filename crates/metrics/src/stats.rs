@@ -210,11 +210,10 @@ pub fn wilson_interval(successes: usize, trials: usize, confidence: f64) -> (f64
 /// use privlocad_metrics::stats::Ecdf;
 ///
 /// let ecdf = Ecdf::new(&[1.0, 2.0, 2.0, 5.0]);
-/// assert_eq!(ecdf.eval(0.0), 0.0);
-/// assert_eq!(ecdf.eval(2.0), 0.75);
-/// assert_eq!(ecdf.eval(10.0), 1.0);
+/// assert_eq!(ecdf.eval_many(&[0.0, 2.0, 10.0]), vec![0.0, 0.75, 1.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lint:allow(dead-pub): integration-test hook: the metrics proptests check ECDF monotonicity with it
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -232,7 +231,7 @@ impl Ecdf {
     }
 
     /// `F(x)`: the fraction of the sample ≤ `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    fn eval(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
@@ -241,6 +240,7 @@ impl Ecdf {
     }
 
     /// Evaluates the ECDF at each of `xs`.
+    // lint:allow(dead-pub): integration-test hook: the metrics proptests check ECDF monotonicity with it
     pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.eval(x)).collect()
     }

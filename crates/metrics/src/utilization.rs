@@ -40,6 +40,7 @@ pub fn analytic(aoi: &Circle, aor_center: Point) -> f64 {
 /// # Panics
 ///
 /// Panics if `resolution` is zero.
+// lint:allow(dead-pub): integration-test hook: the metrics proptests check the grid coverage against the analytic rate with it
 pub fn coverage_grid(aoi: &Circle, aor_centers: &[Point], resolution: usize) -> f64 {
     assert!(resolution > 0, "resolution must be positive");
     let r = aoi.radius();
@@ -118,6 +119,7 @@ pub fn measure(mech: &dyn Lppm, targeting_radius_m: f64, trials: usize, seed: u6
 /// # Panics
 ///
 /// Panics if `targeting_radius_m` is invalid or `samples_per_trial` is 0.
+// lint:allow(dead-pub): integration-test hook: the metrics proptests measure utilization over explicit centers with it
 pub fn measure_with(
     mech: &dyn Lppm,
     targeting_radius_m: f64,

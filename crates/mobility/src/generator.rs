@@ -80,15 +80,6 @@ impl PopulationConfig {
         PopulationConfigBuilder::default()
     }
 
-    /// The full paper-scale population: 37,262 users.
-    ///
-    /// Generating every trace of this population yields tens of millions of
-    /// check-ins; prefer [`PopulationConfig::generate_user`] streaming over
-    /// materializing the whole [`Dataset`] at this scale.
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::builder().num_users(37_262).seed(seed).build()
-    }
-
     /// Number of users in the population.
     pub fn num_users(&self) -> usize {
         self.num_users
@@ -386,6 +377,7 @@ impl PopulationConfigBuilder {
     /// # Panics
     ///
     /// Panics unless `1 ≤ min ≤ max`.
+    // lint:allow(dead-pub): integration-test hook: the mobility proptests bound generated check-in counts with it
     pub fn checkin_range(mut self, min: usize, max: usize) -> Self {
         assert!(min >= 1 && min <= max, "invalid check-in range");
         self.config.min_checkins = min;
@@ -401,33 +393,13 @@ impl PopulationConfigBuilder {
         self
     }
 
-    /// Sets the GPS jitter deviation in meters (default 15 m, so the 50 m
-    /// profiling threshold groups same-place check-ins as in the paper).
-    pub fn gps_sigma_m(mut self, sigma: f64) -> Self {
-        assert!(sigma.is_finite() && sigma >= 0.0, "gps sigma must be non-negative");
-        self.config.gps_sigma_m = sigma;
-        self
-    }
-
-    /// Sets the fraction of "diverse" users with flat, many-place activity
-    /// (default 0.12, calibrated so ~88–90 % of users stay below entropy 2
-    /// as in the paper's Fig. 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the fraction is in `[0, 1]`.
-    pub fn diverse_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
-        self.config.diverse_fraction = fraction;
-        self
-    }
-
     /// Clusters homes around `count` urban hotspot centers with the given
     /// Gaussian spread (default: 0 hotspots, i.e. uniform homes).
     ///
     /// # Panics
     ///
     /// Panics if `sigma_m` is not positive and finite.
+    // lint:allow(dead-pub): README-documented API: the crates/mobility row's optional urban hotspots
     pub fn hotspots(mut self, count: usize, sigma_m: f64) -> Self {
         assert!(sigma_m.is_finite() && sigma_m > 0.0, "hotspot sigma must be positive");
         self.config.hotspots = count;
@@ -442,6 +414,7 @@ impl PopulationConfigBuilder {
     /// # Panics
     ///
     /// Panics unless the probability is in `[0, 1]`.
+    // lint:allow(dead-pub): README-documented API: the crates/mobility row's mid-study relocations, which tests/system_adaptation.rs drives
     pub fn relocation_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.config.relocation_probability = p;
@@ -700,7 +673,6 @@ mod tests {
             .seed(99)
             .checkin_range(30, 100)
             .checkin_log_normal(4.0, 0.5)
-            .gps_sigma_m(5.0)
             .bounding_box(bbox)
             .build();
         assert_eq!(c.num_users(), 12);
@@ -795,14 +767,5 @@ mod tests {
         for i in 0..10u32 {
             assert!(c.generate_user(i).truth.relocation.is_none());
         }
-    }
-
-    #[test]
-    fn paper_scale_population_size() {
-        let c = PopulationConfig::paper_scale(1);
-        assert_eq!(c.num_users(), 37_262);
-        // Still cheap to generate any single user.
-        let u = c.generate_user(37_261);
-        assert!(u.checkins.len() >= 20);
     }
 }

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod generator;
-pub mod io;
 pub mod shanghai;
 mod temporal;
 mod trace;

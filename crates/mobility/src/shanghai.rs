@@ -21,20 +21,17 @@ pub fn center() -> GeoPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_geo::Point;
 
     #[test]
     fn box_matches_paper() {
-        let bb = bounding_box();
-        assert_eq!(bb.min_lat(), 30.7);
-        assert_eq!(bb.max_lat(), 31.4);
-        assert_eq!(bb.min_lon(), 121.0);
-        assert_eq!(bb.max_lon(), 122.0);
+        assert_eq!(bounding_box(), BoundingBox::new(30.7, 31.4, 121.0, 122.0).unwrap());
     }
 
     #[test]
     fn projection_is_centered() {
         let p = projection();
-        assert!(p.to_local(center()).norm() < 1e-9);
+        assert!(p.to_local(center()).distance(Point::ORIGIN) < 1e-9);
     }
 
     #[test]

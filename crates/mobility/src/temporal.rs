@@ -72,7 +72,7 @@ impl Timestamp {
 
     /// Day of week, 0 = Monday … 6 = Sunday.
     #[inline]
-    pub fn day_of_week(self) -> u8 {
+    fn day_of_week(self) -> u8 {
         ((self.day() + EPOCH_DOW) % 7) as u8
     }
 
@@ -83,8 +83,10 @@ impl Timestamp {
     }
 
     /// Returns `true` during typical working hours (09:00–18:59) on a
-    /// weekday — the window the generator assigns to workplace check-ins.
-    pub fn is_working_hours(self) -> bool {
+    /// weekday — the window the generator assigns to workplace check-ins,
+    /// and the oracle its tests check them against.
+    #[cfg(test)]
+    pub(crate) fn is_working_hours(self) -> bool {
         self.is_weekday() && (9..19).contains(&self.hour())
     }
 }

@@ -28,7 +28,7 @@ pub const WIRE_VERSION: u8 = 1;
 pub const KIND_BID_REQUEST: u8 = 0x01;
 
 /// Frame kind byte for [`BidResponse`].
-pub const KIND_BID_RESPONSE: u8 = 0x02;
+const KIND_BID_RESPONSE: u8 = 0x02;
 
 /// Frame header length: version, kind, and the `u16` body length.
 pub const HEADER_LEN: usize = 4;
@@ -43,10 +43,10 @@ pub const REQUEST_BODY_LEN: usize = 8 + 8 + 12 + 24;
 pub(crate) const REQUEST_FRAME_LEN: usize = HEADER_LEN + REQUEST_BODY_LEN + CHECKSUM_LEN;
 
 /// Version-1 no-bid [`BidResponse`] body length: `id` + seatbid flag.
-pub const RESPONSE_NOBID_BODY_LEN: usize = 8 + 1;
+const RESPONSE_NOBID_BODY_LEN: usize = 8 + 1;
 
 /// Version-1 winning [`BidResponse`] body length: no-bid body + [`SeatBid`].
-pub const RESPONSE_WIN_BODY_LEN: usize = RESPONSE_NOBID_BODY_LEN + 8 + 20;
+const RESPONSE_WIN_BODY_LEN: usize = RESPONSE_NOBID_BODY_LEN + 8 + 20;
 
 /// FNV-1a 32-bit hash — the frame checksum.
 #[must_use]

@@ -39,8 +39,8 @@ pub mod sink;
 
 pub use codec::{
     fnv1a32, fnv1a64, Bid, BidRequest, BidResponse, DecodeError, Device, DeviceId, FrameRef,
-    Geo, Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, KIND_BID_RESPONSE,
-    REQUEST_BODY_LEN, RESPONSE_NOBID_BODY_LEN, RESPONSE_WIN_BODY_LEN, WIRE_VERSION,
+    Geo, Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, REQUEST_BODY_LEN,
+    WIRE_VERSION,
 };
 pub use log::{BidExchangeLog, ExchangeRecord};
 pub use sink::{BidSink, PendingBid};

@@ -2,7 +2,7 @@
 //!
 //! Every auctioned request appends one [`ExchangeRecord`] holding both the
 //! decoded objects and the exact wire frames. Records are keyed by
-//! `(device, seq)`, so iteration order, [`BidExchangeLog::wire_bytes`] and
+//! `(device, seq)`, so iteration order, the log's wire bytes and
 //! [`BidExchangeLog::digest`] are pure functions of the per-device request
 //! sequences: two fleets serving the same workload produce bit-identical
 //! logs regardless of shard count or fault schedule, and the digest is the
@@ -120,7 +120,7 @@ impl BidExchangeLog {
     /// canonical order) into one byte stream — the log "as the attacker
     /// taps it".
     #[must_use]
-    pub fn wire_bytes(&self) -> Bytes {
+    fn wire_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
         for record in self.records.values() {
             buf.extend_from_slice(&record.request_frame);
@@ -129,8 +129,8 @@ impl BidExchangeLog {
         buf.freeze()
     }
 
-    /// FNV-1a-64 digest of [`BidExchangeLog::wire_bytes`] — the cheap
-    /// bit-identity witness used by the determinism tests.
+    /// FNV-1a-64 digest of the log's wire bytes — the cheap bit-identity
+    /// witness used by the determinism tests.
     #[must_use]
     pub fn digest(&self) -> u64 {
         fnv1a64(&self.wire_bytes())

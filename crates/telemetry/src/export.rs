@@ -121,7 +121,7 @@ fn num(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{top_key, Telemetry};
+    use crate::{top_key, SpendEvent, SpendKind, Telemetry};
 
     fn sample_hub() -> Telemetry {
         let telemetry = Telemetry::new();
@@ -130,8 +130,10 @@ mod tests {
         registry.counter("server.wakeups", Determinism::Scheduling).add(3);
         registry.gauge("server.queue_depth", Determinism::Scheduling).add(2);
         registry.histogram("server.batch_size", Determinism::Scheduling).observe(4);
-        telemetry.ledger().record_candidate_set(1, top_key(10.0, 20.0), 1.0, 1e-4, 10);
-        telemetry.ledger().record_window_close(1);
+        let top = top_key(10.0, 20.0);
+        let set = SpendKind::CandidateSet { top, epsilon: 1.0, delta: 1e-4, n: 10 };
+        telemetry.ledger().record(SpendEvent { user: 1, kind: set });
+        telemetry.ledger().record(SpendEvent { user: 1, kind: SpendKind::WindowClose });
         telemetry
     }
 

@@ -167,11 +167,13 @@ struct LedgerInner {
 /// # Examples
 ///
 /// ```
-/// use privlocad_telemetry::{top_key, Ledger};
+/// use privlocad_telemetry::{top_key, Ledger, SpendEvent, SpendKind};
 ///
 /// let ledger = Ledger::new();
-/// ledger.record_candidate_set(7, top_key(100.0, 200.0), 1.0, 1e-4, 10);
-/// ledger.record_window_close(7);
+/// let top = top_key(100.0, 200.0);
+/// let set = SpendKind::CandidateSet { top, epsilon: 1.0, delta: 1e-4, n: 10 };
+/// ledger.record(SpendEvent { user: 7, kind: set });
+/// ledger.record(SpendEvent { user: 7, kind: SpendKind::WindowClose });
 /// let totals = ledger.totals();
 /// assert_eq!(totals.candidate_sets, 1);
 /// assert!(ledger.assert_no_double_spend([(7, top_key(100.0, 200.0))]).is_ok());
@@ -202,21 +204,6 @@ impl Ledger {
             SpendKind::Restore => totals.restores += 1,
         }
         inner.events += 1;
-    }
-
-    /// Records a fresh candidate-set draw.
-    pub fn record_candidate_set(&self, user: u64, top: TopKey, epsilon: f64, delta: f64, n: u32) {
-        self.record(SpendEvent { user, kind: SpendKind::CandidateSet { top, epsilon, delta, n } });
-    }
-
-    /// Records a window close.
-    pub fn record_window_close(&self, user: u64) {
-        self.record(SpendEvent { user, kind: SpendKind::WindowClose });
-    }
-
-    /// Records a checkpoint restore.
-    pub fn record_restore(&self, user: u64) {
-        self.record(SpendEvent { user, kind: SpendKind::Restore });
     }
 
     /// Number of events recorded so far.
@@ -284,13 +271,18 @@ impl Ledger {
 mod tests {
     use super::*;
 
+    /// Records a fresh candidate-set draw of `n = 10` points.
+    fn candidate_set(ledger: &Ledger, user: u64, top: TopKey, epsilon: f64, delta: f64) {
+        ledger.record(SpendEvent { user, kind: SpendKind::CandidateSet { top, epsilon, delta, n: 10 } });
+    }
+
     #[test]
     fn composition_totals_are_k_fold() {
         // k draws at (ε, δ) compose to (kε, kδ) under basic composition.
         let ledger = Ledger::new();
         let (eps, delta, k) = (0.4, 1e-3, 7u64);
         for i in 0..k {
-            ledger.record_candidate_set(3, top_key(i as f64, 0.0), eps, delta, 10);
+            candidate_set(&ledger, 3, top_key(i as f64, 0.0), eps, delta);
         }
         let totals = ledger.totals();
         assert_eq!(totals.candidate_sets, k);
@@ -302,10 +294,10 @@ mod tests {
     #[test]
     fn per_user_totals_stay_separate() {
         let ledger = Ledger::new();
-        ledger.record_candidate_set(1, top_key(0.0, 0.0), 1.0, 1e-4, 10);
-        ledger.record_candidate_set(2, top_key(0.0, 0.0), 2.0, 2e-4, 10);
-        ledger.record_window_close(1);
-        ledger.record_restore(2);
+        candidate_set(&ledger, 1, top_key(0.0, 0.0), 1.0, 1e-4);
+        candidate_set(&ledger, 2, top_key(0.0, 0.0), 2.0, 2e-4);
+        ledger.record(SpendEvent { user: 1, kind: SpendKind::WindowClose });
+        ledger.record(SpendEvent { user: 2, kind: SpendKind::Restore });
         let users = ledger.user_totals();
         assert_eq!(users.len(), 2);
         assert!((users[0].1.epsilon - 1.0).abs() < 1e-12);
@@ -320,9 +312,9 @@ mod tests {
         let ledger = Ledger::new();
         let tops = [top_key(1.0, 2.0), top_key(3.0, 4.0)];
         for &top in &tops {
-            ledger.record_candidate_set(9, top, 1.0, 1e-4, 10);
+            candidate_set(&ledger, 9, top, 1.0, 1e-4);
         }
-        ledger.record_restore(9);
+        ledger.record(SpendEvent { user: 9, kind: SpendKind::Restore });
         let live: Vec<_> = tops.iter().map(|&t| (9, t)).collect();
         assert!(ledger.assert_no_double_spend(live).is_ok());
     }
@@ -331,8 +323,8 @@ mod tests {
     fn audit_trips_on_a_double_spend() {
         let ledger = Ledger::new();
         let top = top_key(5.0, 5.0);
-        ledger.record_candidate_set(4, top, 1.0, 1e-4, 10);
-        ledger.record_candidate_set(4, top, 1.0, 1e-4, 10);
+        candidate_set(&ledger, 4, top, 1.0, 1e-4);
+        candidate_set(&ledger, 4, top, 1.0, 1e-4);
         assert_eq!(
             ledger.assert_no_double_spend([(4, top)]),
             Err(LedgerError::DoubleSpend { user: 4, top, count: 2 })
@@ -345,7 +337,7 @@ mod tests {
         // is exactly what a forged or out-of-band-restored snapshot looks
         // like.
         let ledger = Ledger::new();
-        ledger.record_candidate_set(4, top_key(5.0, 5.0), 1.0, 1e-4, 10);
+        candidate_set(&ledger, 4, top_key(5.0, 5.0), 1.0, 1e-4);
         let forged = top_key(99.0, 99.0);
         assert_eq!(
             ledger.assert_no_double_spend([(4, top_key(5.0, 5.0)), (4, forged)]),
@@ -359,10 +351,10 @@ mod tests {
         // the aggregates keep what the events said.
         let ledger = Ledger::new();
         assert!(ledger.is_empty());
-        ledger.record_window_close(2);
-        ledger.record_candidate_set(1, top_key(0.0, 0.0), 1.0, 1e-4, 10);
-        ledger.record_restore(2);
-        ledger.record_restore(3);
+        ledger.record(SpendEvent { user: 2, kind: SpendKind::WindowClose });
+        candidate_set(&ledger, 1, top_key(0.0, 0.0), 1.0, 1e-4);
+        ledger.record(SpendEvent { user: 2, kind: SpendKind::Restore });
+        ledger.record(SpendEvent { user: 3, kind: SpendKind::Restore });
         ledger.record(SpendEvent { user: 1, kind: SpendKind::Restore });
         assert_eq!(ledger.len(), 5);
         let totals = ledger.totals();

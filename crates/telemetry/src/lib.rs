@@ -25,8 +25,7 @@
 //!   users and released sets, not with a fleet's uptime.
 //!
 //! [`Telemetry`] bundles a registry and a ledger into the hub the serving
-//! stack threads through its layers; [`TelemetrySink`] + [`JsonSink`]
-//! export it. Two export shapes exist: [`Telemetry::to_json`] (everything,
+//! stack threads through its layers. Two export shapes exist: [`Telemetry::to_json`] (everything,
 //! including scheduling-dependent metrics) and
 //! [`Telemetry::deterministic_json`] (only [`Determinism::Deterministic`]
 //! metrics plus the ledger — the byte-identical-across-thread-counts
@@ -44,7 +43,7 @@ pub use ledger::{
     top_key, Ledger, LedgerError, LedgerTotals, SpendEvent, SpendKind, TopKey, UserTotals,
 };
 pub use registry::{
-    Counter, Determinism, Gauge, Histogram, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
+    Counter, Determinism, Gauge, Histogram, MetricsSnapshot, Registry,
 };
 pub use trace::{Span, SpanRecord, Tracer};
 
@@ -99,56 +98,8 @@ impl Telemetry {
     /// [`Determinism::Deterministic`] metrics plus the ledger. For a fixed
     /// seed and workload this string is byte-identical regardless of
     /// thread or shard count — the surface the determinism tests pin.
+    // lint:allow(dead-pub): integration-test hook: bench's shard_invariance and telemetry_determinism pin this export
     pub fn deterministic_json(&self) -> String {
         export::render(self, true)
-    }
-}
-
-/// A destination for telemetry exports.
-pub trait TelemetrySink {
-    /// Renders the hub's current state.
-    fn export(&self, telemetry: &Telemetry) -> String;
-}
-
-/// The built-in JSON sink.
-///
-/// `deterministic_only` selects between [`Telemetry::deterministic_json`]
-/// and the full [`Telemetry::to_json`] export.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonSink {
-    /// Restrict the export to the thread-count-invariant surface.
-    pub deterministic_only: bool,
-}
-
-impl TelemetrySink for JsonSink {
-    fn export(&self, telemetry: &Telemetry) -> String {
-        if self.deterministic_only {
-            telemetry.deterministic_json()
-        } else {
-            telemetry.to_json()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sink_selects_the_export_surface() {
-        let telemetry = Telemetry::new();
-        telemetry
-            .registry()
-            .counter("a.deterministic", Determinism::Deterministic)
-            .inc();
-        telemetry
-            .registry()
-            .counter("a.scheduling", Determinism::Scheduling)
-            .inc();
-        let full = JsonSink { deterministic_only: false }.export(&telemetry);
-        let det = JsonSink { deterministic_only: true }.export(&telemetry);
-        assert!(full.contains("a.scheduling"));
-        assert!(!det.contains("a.scheduling"));
-        assert!(det.contains("a.deterministic"));
     }
 }

@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 ///
 /// Bucket 0 counts zero-valued observations; bucket `b >= 1` counts values
 /// in `[2^(b-1), 2^b)`, with the final bucket absorbing everything larger.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Default shard count for [`Registry::default`].
 const DEFAULT_SHARDS: usize = 8;
@@ -96,7 +96,7 @@ impl Registry {
 
     /// Creates a registry with exactly `shards` accumulator shards
     /// (clamped to at least one).
-    pub fn with_shards(shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         let shards = shards.max(1);
         Registry {
             inner: Arc::new(Inner {
@@ -105,11 +105,6 @@ impl Registry {
                 next_shard: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// Number of accumulator shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     fn register(&self, name: &str, kind: MetricKind, class: Determinism) -> usize {

@@ -39,7 +39,6 @@ mod enabled {
     #[derive(Debug)]
     struct Ring {
         seq: u64,
-        recorded: u64,
         capacity: usize,
         spans: VecDeque<SpanRecord>,
     }
@@ -62,16 +61,10 @@ mod enabled {
             Tracer {
                 inner: Arc::new(Mutex::new(Ring {
                     seq: 0,
-                    recorded: 0,
                     capacity: capacity.max(1),
                     spans: VecDeque::new(),
                 })),
             }
-        }
-
-        /// Whether tracing is compiled in.
-        pub fn enabled() -> bool {
-            true
         }
 
         /// Advances the logical clock by `events` processed events and
@@ -103,11 +96,6 @@ mod enabled {
         pub fn records(&self) -> Vec<SpanRecord> {
             self.inner.lock().spans.iter().cloned().collect()
         }
-
-        /// Total spans ever recorded, including ones evicted from the ring.
-        pub fn span_count(&self) -> u64 {
-            self.inner.lock().recorded
-        }
     }
 
     /// An open span; records itself on drop.
@@ -137,7 +125,6 @@ mod enabled {
                 ring.spans.pop_front();
             }
             ring.spans.push_back(record);
-            ring.recorded += 1;
         }
     }
 }
@@ -156,11 +143,6 @@ mod enabled {
             Tracer
         }
 
-        /// Whether tracing is compiled in.
-        pub fn enabled() -> bool {
-            false
-        }
-
         /// No-op; always returns 0.
         pub fn advance(&self, _events: u64) -> u64 {
             0
@@ -174,11 +156,6 @@ mod enabled {
         /// Always empty.
         pub fn records(&self) -> Vec<SpanRecord> {
             Vec::new()
-        }
-
-        /// Always 0.
-        pub fn span_count(&self) -> u64 {
-            0
         }
     }
 
@@ -210,7 +187,6 @@ mod tests {
         assert_eq!(records[0].name, "decode");
         assert_eq!((records[0].seq_start, records[0].seq_end), (0, 3));
         assert_eq!((records[1].seq_start, records[1].seq_end), (3, 5));
-        assert_eq!(tracer.span_count(), 2);
         #[cfg(not(feature = "wallclock"))]
         assert!(records.iter().all(|r| r.ticks == 0));
     }
@@ -227,7 +203,6 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].name, "b");
         assert_eq!(records[1].name, "c");
-        assert_eq!(tracer.span_count(), 3);
     }
 
     #[test]
@@ -237,7 +212,5 @@ mod tests {
         let _span = tracer.span("decode");
         assert_eq!(tracer.advance(3), 0);
         assert!(tracer.records().is_empty());
-        assert_eq!(tracer.span_count(), 0);
-        assert!(!Tracer::enabled());
     }
 }

@@ -1,9 +1,6 @@
 //! Integration: the utility pipeline (mechanisms → metrics) reproduces the
-//! paper's qualitative utility claims at reduced scale, plus the remapping
-//! extension's interplay with the metrics.
+//! paper's qualitative utility claims at reduced scale.
 
-use privlocad_geo::Point;
-use privlocad_mechanisms::remap::{remap_mean, DiscretePrior, NoiseModel};
 use privlocad_mechanisms::{
     GeoIndParams, NFoldGaussian, NaivePostProcessing, PlainComposition, PosteriorSelector,
     UniformSelector,
@@ -48,35 +45,4 @@ fn fig9_posterior_selection_preserves_efficacy() {
     let e_post = mean(&efficacy::measure(&mech, &posterior, 5_000.0, 3_000, 3));
     let e_unif = mean(&efficacy::measure(&mech, &uniform, 5_000.0, 3_000, 3));
     assert!(e_post > e_unif, "posterior {e_post} <= uniform {e_unif}");
-}
-
-#[test]
-fn remapping_improves_utilization_when_the_prior_is_informative() {
-    // A user known to visit a handful of POIs: remapping each candidate
-    // toward the posterior mean pulls the AOR back over the AOI.
-    let pois = [
-        Point::ORIGIN,
-        Point::new(6_000.0, 0.0),
-        Point::new(0.0, 6_000.0),
-        Point::new(-6_000.0, -2_000.0),
-    ];
-    let prior = DiscretePrior::uniform(pois).unwrap();
-    let params = GeoIndParams::new(500.0, 1.0, 0.01, 1).unwrap();
-    let mech = NFoldGaussian::new(params);
-    let noise = NoiseModel::Gaussian { sigma_m: mech.sigma() };
-    let aoi = privlocad_geo::Circle::new(Point::ORIGIN, 5_000.0).unwrap();
-    let mut rng = privlocad_geo::rng::seeded(8);
-    let trials = 1_500;
-    let (mut raw, mut remapped) = (0.0, 0.0);
-    for _ in 0..trials {
-        let q = mech.sample_one(Point::ORIGIN, &mut rng);
-        raw += utilization::analytic(&aoi, q);
-        remapped += utilization::analytic(&aoi, remap_mean(q, &prior, noise));
-    }
-    assert!(
-        remapped > raw * 1.1,
-        "remapped UR {} should beat raw UR {}",
-        remapped / trials as f64,
-        raw / trials as f64
-    );
 }
