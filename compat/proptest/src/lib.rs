@@ -203,7 +203,7 @@ pub fn any<A: Arbitrary>() -> Any<A> {
 
 /// Collection strategies.
 pub mod collection {
-    use super::{Strategy, StdRng};
+    use super::{StdRng, Strategy};
     use rand::Rng;
 
     /// A half-open or inclusive length range for [`vec()`].
@@ -256,7 +256,7 @@ pub mod collection {
 
 /// Option strategies.
 pub mod option {
-    use super::{Strategy, StdRng};
+    use super::{StdRng, Strategy};
     use rand::Rng;
 
     /// Strategy returned by [`of`].

@@ -15,7 +15,9 @@ pub enum AdError {
 impl fmt::Display for AdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AdError::InvalidRadius(v) => write!(f, "targeting radius {v} must be positive and finite"),
+            AdError::InvalidRadius(v) => {
+                write!(f, "targeting radius {v} must be positive and finite")
+            }
             AdError::InvalidBid(v) => write!(f, "bid price {v} must be positive and finite"),
             AdError::NonFiniteLocation => write!(f, "location coordinates must be finite"),
         }
@@ -30,11 +32,9 @@ mod tests {
 
     #[test]
     fn display_nonempty() {
-        for e in [
-            AdError::InvalidRadius(-1.0),
-            AdError::InvalidBid(0.0),
-            AdError::NonFiniteLocation,
-        ] {
+        for e in
+            [AdError::InvalidRadius(-1.0), AdError::InvalidBid(0.0), AdError::NonFiniteLocation]
+        {
             assert!(!e.to_string().is_empty());
         }
     }

@@ -113,13 +113,8 @@ mod tests {
 
     fn exchange() -> BidExchange {
         let campaigns = vec![
-            Campaign::new(
-                0u64,
-                "near",
-                Targeting::radius(Point::ORIGIN, 5_000.0).unwrap(),
-                8.0,
-            )
-            .unwrap(),
+            Campaign::new(0u64, "near", Targeting::radius(Point::ORIGIN, 5_000.0).unwrap(), 8.0)
+                .unwrap(),
             Campaign::new(
                 1u64,
                 "also-near",
@@ -139,11 +134,8 @@ mod tests {
         let mut ex = exchange();
         assert_eq!(ex.pump(&sink).unwrap(), 2);
         assert_eq!(sink.pending(), 0);
-        let records: Vec<(u64, bool)> = ex
-            .log()
-            .records()
-            .map(|r| (r.request.device.id.raw(), r.response.is_win()))
-            .collect();
+        let records: Vec<(u64, bool)> =
+            ex.log().records().map(|r| (r.request.device.id.raw(), r.response.is_win())).collect();
         assert_eq!(records, vec![(1, false), (2, true)]);
         assert_eq!(ex.log().revenue_micros(), 5_000_000);
     }

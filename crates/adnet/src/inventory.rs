@@ -125,10 +125,8 @@ mod tests {
     #[test]
     fn bids_positive_and_varied() {
         let cfg = InventoryConfig { count: 100, ..InventoryConfig::default() };
-        let bids: Vec<f64> = generate(&cfg, shanghai_box(), &proj(), 2)
-            .iter()
-            .map(|c| c.bid_cpm())
-            .collect();
+        let bids: Vec<f64> =
+            generate(&cfg, shanghai_box(), &proj(), 2).iter().map(|c| c.bid_cpm()).collect();
         assert!(bids.iter().all(|&b| b > 0.0));
         let distinct = {
             let mut b = bids.clone();

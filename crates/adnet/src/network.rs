@@ -48,12 +48,7 @@ impl AdNetwork {
     /// [`AdNetwork::set_area_grid`] / [`AdNetwork::set_country`] configure
     /// the request-side resolution.
     pub fn new(campaigns: Vec<Campaign>) -> Self {
-        AdNetwork {
-            campaigns,
-            ledger: ServingLedger::new(),
-            area_grid: None,
-            country: 0,
-        }
+        AdNetwork { campaigns, ledger: ServingLedger::new(), area_grid: None, country: 0 }
     }
 
     /// Configures how reported locations resolve to administrative-area
@@ -97,10 +92,7 @@ impl AdNetwork {
     /// the configured country id.
     pub fn matching(&self, location: Point) -> Vec<&Campaign> {
         let area = self.area_grid.map_or(0, |g| g.area_of(location));
-        self.campaigns
-            .iter()
-            .filter(|c| c.matches(location, area, self.country))
-            .collect()
+        self.campaigns.iter().filter(|c| c.matches(location, area, self.country)).collect()
     }
 
     /// Runs a second-price auction among matching campaigns without
@@ -246,13 +238,10 @@ mod tests {
         use crate::{AreaGrid, Targeting};
         let grid = AreaGrid::new(10_000.0);
         let downtown = grid.area_of(Point::new(5_000.0, 5_000.0));
-        let mut net = AdNetwork::new(vec![Campaign::new(
-            0u64,
-            "city-wide",
-            Targeting::Area(downtown),
-            3.0,
-        )
-        .unwrap()]);
+        let mut net =
+            AdNetwork::new(vec![
+                Campaign::new(0u64, "city-wide", Targeting::Area(downtown), 3.0).unwrap()
+            ]);
         // Without a grid the area campaign never matches.
         assert!(net.matching(Point::new(5_000.0, 5_000.0)).is_empty());
         net.set_area_grid(grid);
@@ -265,8 +254,9 @@ mod tests {
     fn country_campaigns_match_after_configuration() {
         use crate::Targeting;
         let mut net =
-            AdNetwork::new(vec![Campaign::new(0u64, "national", Targeting::Country(86), 1.0)
-                .unwrap()]);
+            AdNetwork::new(vec![
+                Campaign::new(0u64, "national", Targeting::Country(86), 1.0).unwrap()
+            ]);
         assert!(net.matching(Point::ORIGIN).is_empty());
         net.set_country(86);
         assert_eq!(net.matching(Point::ORIGIN).len(), 1);
@@ -312,16 +302,14 @@ mod tests {
             radius_campaign(0, 0.0, 5_000.0, 8.0),
             radius_campaign(1, 0.0, 5_000.0, 5.0),
         ]);
-        let request =
-            privlocad_openrtb::BidRequest::new(Did::new(1), 0, Geo { x: 100.0, y: 0.0 });
+        let request = privlocad_openrtb::BidRequest::new(Did::new(1), 0, Geo { x: 100.0, y: 0.0 });
         let response = net.serve_exchange(&request);
         assert_eq!(response.id, request.id);
         let sb = response.seatbid.unwrap();
         assert_eq!(sb.seat, 0, "highest bidder wins");
         assert_eq!(sb.bid.price_micros, 5_000_000, "pays the second price in micros");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
-        let far =
-            privlocad_openrtb::BidRequest::new(Did::new(1), 1, Geo { x: 50_000.0, y: 0.0 });
+        let far = privlocad_openrtb::BidRequest::new(Did::new(1), 1, Geo { x: 50_000.0, y: 0.0 });
         assert!(!net.serve_exchange(&far).is_win(), "out of radius is a no-bid");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
     }

@@ -189,10 +189,7 @@ mod tests {
     #[test]
     fn combined_constraints() {
         let mut ledger = ServingLedger::new();
-        ledger.set_policy(
-            C,
-            ServingPolicy::unlimited().with_budget(100.0).with_frequency_cap(1),
-        );
+        ledger.set_policy(C, ServingPolicy::unlimited().with_budget(100.0).with_frequency_cap(1));
         assert!(ledger.eligible(C, D));
         ledger.record(C, D, 1.0);
         assert!(!ledger.eligible(C, D), "capped even with budget left");

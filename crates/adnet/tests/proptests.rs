@@ -1,8 +1,6 @@
 //! Property-based tests for the advertising substrate.
 
-use privlocad_adnet::{
-    AdNetwork, BidRequest, Campaign, DeviceId, Targeting,
-};
+use privlocad_adnet::{AdNetwork, BidRequest, Campaign, DeviceId, Targeting};
 use privlocad_geo::Point;
 use proptest::prelude::*;
 
@@ -18,11 +16,7 @@ fn campaign(id: u64) -> impl Strategy<Value = Campaign> {
 
 fn inventory() -> impl Strategy<Value = Vec<Campaign>> {
     proptest::collection::vec(any::<u8>(), 0..12).prop_flat_map(|ids| {
-        let strategies: Vec<_> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, _)| campaign(i as u64))
-            .collect();
+        let strategies: Vec<_> = ids.iter().enumerate().map(|(i, _)| campaign(i as u64)).collect();
         strategies
     })
 }

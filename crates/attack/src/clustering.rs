@@ -320,11 +320,7 @@ mod tests {
     #[test]
     fn transitive_chaining_joins_clusters() {
         // 0-1-2 chained at 40 m steps (pairwise 0-2 distance is 80 > θ).
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(40.0, 0.0),
-            Point::new(80.0, 0.0),
-        ];
+        let pts = vec![Point::new(0.0, 0.0), Point::new(40.0, 0.0), Point::new(80.0, 0.0)];
         let clusters = connectivity_clusters(&pts, 50.0);
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].members, vec![0, 1, 2]);
@@ -359,9 +355,7 @@ mod tests {
     #[test]
     fn clusters_partition_the_input() {
         let mut rng = seeded(8);
-        let pts: Vec<Point> = (0..500)
-            .map(|_| gaussian_2d(&mut rng, 2_000.0))
-            .collect();
+        let pts: Vec<Point> = (0..500).map(|_| gaussian_2d(&mut rng, 2_000.0)).collect();
         let clusters = connectivity_clusters(&pts, 50.0);
         let mut seen = vec![false; pts.len()];
         for c in &clusters {
@@ -375,11 +369,7 @@ mod tests {
 
     #[test]
     fn deterministic_ordering() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1_000.0, 0.0),
-            Point::new(2_000.0, 0.0),
-        ];
+        let pts = vec![Point::new(0.0, 0.0), Point::new(1_000.0, 0.0), Point::new(2_000.0, 0.0)];
         let a = connectivity_clusters(&pts, 50.0);
         let b = connectivity_clusters(&pts, 50.0);
         assert_eq!(a, b);
@@ -426,9 +416,8 @@ mod tests {
         let mut rng = seeded(13);
         let mut scratch = ClusterScratch::default();
         for round in 0..4 {
-            let pts: Vec<Point> = (0..300)
-                .map(|_| gaussian_2d(&mut rng, 1_000.0 + 500.0 * round as f64))
-                .collect();
+            let pts: Vec<Point> =
+                (0..300).map(|_| gaussian_2d(&mut rng, 1_000.0 + 500.0 * round as f64)).collect();
             let fresh = connectivity_clusters(&pts, 50.0);
             let reused = connectivity_clusters_with(&pts, 50.0, &mut scratch);
             assert_eq!(fresh, reused, "round {round}");

@@ -96,10 +96,7 @@ impl DeobfuscationAttack {
     /// # Errors
     ///
     /// Returns [`MechanismError::InvalidProbability`] if `alpha ∉ (0, 1)`.
-    pub fn for_planar_laplace(
-        mech: &PlanarLaplace,
-        alpha: f64,
-    ) -> Result<Self, MechanismError> {
+    pub fn for_planar_laplace(mech: &PlanarLaplace, alpha: f64) -> Result<Self, MechanismError> {
         let r_alpha = mech.confidence_radius(alpha)?;
         Ok(Self::new(AttackConfig::new(50.0, r_alpha)))
     }
@@ -149,7 +146,8 @@ impl DeobfuscationAttack {
             if pool.is_empty() {
                 break;
             }
-            let clusters = connectivity_clusters_with(pool, self.config.theta, &mut scratch.clusters);
+            let clusters =
+                connectivity_clusters_with(pool, self.config.theta, &mut scratch.clusters);
             let seed_members = clusters[0].members.clone();
             let members = if self.config.trimming {
                 self.trim(pool, seed_members, &mut scratch.in_cluster)
@@ -453,9 +451,7 @@ mod tests {
         let mech = laplace(6f64.ln());
         let home = Point::new(-4_000.0, 2_500.0);
         let mut rng = seeded(61);
-        let obs: Vec<Point> = (0..700)
-            .flat_map(|_| mech.obfuscate(home, &mut rng))
-            .collect();
+        let obs: Vec<Point> = (0..700).flat_map(|_| mech.obfuscate(home, &mut rng)).collect();
         let attack = DeobfuscationAttack::for_planar_laplace(&mech, 0.05).unwrap();
         let top1 = &attack.infer_top_locations(&obs, 1)[0];
         assert!(top1.location.distance(home) < 100.0);

@@ -34,12 +34,7 @@ pub fn rank_distances(inferred: &[InferredLocation], truth: &[Point]) -> Vec<Opt
     truth
         .iter()
         .enumerate()
-        .map(|(k, t)| {
-            inferred
-                .iter()
-                .find(|i| i.rank == k)
-                .map(|i| i.location.distance(*t))
-        })
+        .map(|(k, t)| inferred.iter().find(|i| i.rank == k).map(|i| i.location.distance(*t)))
         .collect()
 }
 
@@ -99,10 +94,7 @@ impl AttackStats {
         if bucket.is_empty() {
             return 0.0;
         }
-        let hits = bucket
-            .iter()
-            .filter(|d| matches!(d, Some(x) if *x <= threshold_m))
-            .count();
+        let hits = bucket.iter().filter(|d| matches!(d, Some(x) if *x <= threshold_m)).count();
         hits as f64 / bucket.len() as f64
     }
 

@@ -136,11 +136,7 @@ mod tests {
 
     #[test]
     fn unsorted_input_is_sorted_internally() {
-        let observations = vec![
-            obs(3 * 3_600, 9_000.0),
-            obs(3_600, 0.0),
-            obs(5 * 3_600, 0.0),
-        ];
+        let observations = vec![obs(3 * 3_600, 9_000.0), obs(3_600, 0.0), obs(5 * 3_600, 0.0)];
         let tops = [top(0, 0.0), top(1, 9_000.0)];
         let p = MobilityPattern::infer(&observations, &tops, 500.0);
         // Time order: home → work → home.

@@ -148,10 +148,7 @@ impl LocationProfile {
     pub fn merge(&self, other: &LocationProfile, theta: f64) -> LocationProfile {
         let mut merged: Vec<ProfileEntry> = Vec::new();
         for e in self.entries.iter().chain(other.entries.iter()) {
-            match merged
-                .iter_mut()
-                .find(|m| m.location.distance(e.location) <= theta)
-            {
+            match merged.iter_mut().find(|m| m.location.distance(e.location) <= theta) {
                 Some(m) => {
                     // Frequency-weighted centroid keeps the location stable.
                     let fm = m.frequency as f64;
@@ -251,9 +248,10 @@ mod tests {
             ProfileEntry { location: Point::new(0.0, 0.0), frequency: 30 },
             ProfileEntry { location: Point::new(9_000.0, 0.0), frequency: 10 },
         ]);
-        let b = LocationProfile::from_entries([
-            ProfileEntry { location: Point::new(20.0, 0.0), frequency: 50 },
-        ]);
+        let b = LocationProfile::from_entries([ProfileEntry {
+            location: Point::new(20.0, 0.0),
+            frequency: 50,
+        }]);
         let m = a.merge(&b, 50.0);
         assert_eq!(m.len(), 2);
         assert_eq!(m.entries()[0].frequency, 80);

@@ -63,15 +63,11 @@ fn bench_table3_output_selection(runner: &mut Runner) {
             }
             edge.finalize_window(user);
         }
-        runner.bench_throughput(
-            &format!("table3_output_selection/{users}"),
-            users as u64,
-            || {
-                for (i, &home) in homes.iter().enumerate() {
-                    std::hint::black_box(edge.reported_location(UserId::new(i as u32), home));
-                }
-            },
-        );
+        runner.bench_throughput(&format!("table3_output_selection/{users}"), users as u64, || {
+            for (i, &home) in homes.iter().enumerate() {
+                std::hint::black_box(edge.reported_location(UserId::new(i as u32), home));
+            }
+        });
     }
 }
 

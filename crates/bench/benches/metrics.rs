@@ -33,11 +33,9 @@ fn bench_union_coverage(runner: &mut Runner) {
 fn bench_measure_pipeline(runner: &mut Runner) {
     let mech = NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, 10).unwrap());
     for trials in [500usize, 2_000] {
-        runner.bench_throughput(
-            &format!("utilization/measure/{trials}"),
-            trials as u64,
-            || utilization::measure(&mech, 5_000.0, trials, 1),
-        );
+        runner.bench_throughput(&format!("utilization/measure/{trials}"), trials as u64, || {
+            utilization::measure(&mech, 5_000.0, trials, 1)
+        });
     }
 }
 

@@ -151,8 +151,7 @@ impl Outcome {
 
 /// The truncated synthetic population the fleet replays.
 fn traces(config: &Config) -> Vec<UserTrace> {
-    let population =
-        PopulationConfig::builder().num_users(config.users).seed(config.seed).build();
+    let population = PopulationConfig::builder().num_users(config.users).seed(config.seed).build();
     (0..config.users)
         .map(|i| {
             let mut trace = population.generate_user(i as u32);
@@ -241,8 +240,7 @@ fn fleet_pending(
     }
     router.shutdown().expect("fleet shuts down cleanly");
     router.join().expect("every shard survives its schedule");
-    let restarts =
-        hub.registry().snapshot().counter("server.restarts").unwrap_or(0);
+    let restarts = hub.registry().snapshot().counter("server.restarts").unwrap_or(0);
     (sink.drain(), restarts)
 }
 
@@ -318,13 +316,13 @@ pub fn run(config: &Config) -> Outcome {
         let (pending, restarts) = fleet_pending(config, &traces, shards, 0);
         assert_eq!(restarts, 0, "a clean run must not restart");
         let exchange = settle(&campaigns, policy, &pending);
-        digests.push((format!("auction/clean/{shards}"), format!("{:016x}", exchange.log().digest())));
+        digests
+            .push((format!("auction/clean/{shards}"), format!("{:016x}", exchange.log().digest())));
         if reference.is_none() {
             reference = Some((pending, exchange));
         }
     }
-    let (pending, exchange) =
-        reference.expect("the 1-shard run is always the reference");
+    let (pending, exchange) = reference.expect("the 1-shard run is always the reference");
     let expected_kills: u64 = {
         let sys = SystemConfig::builder().build().expect("default config is valid");
         (0..4u64)
@@ -408,10 +406,7 @@ pub fn run(config: &Config) -> Outcome {
     });
     let measurements = runner.finish();
     let per_req = |label: &str| {
-        let m = measurements
-            .iter()
-            .find(|m| m.label == label)
-            .expect("every stage was measured");
+        let m = measurements.iter().find(|m| m.label == label).expect("every stage was measured");
         m.min_ns_per_iter / m.elements.unwrap_or(1) as f64
     };
     let serve_ns = per_req("auction/serve_baseline");

@@ -80,10 +80,7 @@ fn row_to_json(row: &AuctionRow) -> Json {
 
 /// The `auction` family: the exchange row and its hub.
 fn update(row: &AuctionRow, telemetry_json: String) -> Update {
-    Update {
-        rows: vec![row_to_json(row)],
-        telemetry: vec![("auction".to_owned(), telemetry_json)],
-    }
+    Update { rows: vec![row_to_json(row)], telemetry: vec![("auction".to_owned(), telemetry_json)] }
 }
 
 fn header(opts: &Options) -> Header<'static> {
@@ -105,11 +102,7 @@ fn main() -> ExitCode {
         "\ndeterminism: exchange log {} across {} fleet runs ({})",
         if out.digests_agree() { "bit-identical" } else { "DIVERGED" },
         out.digests.len(),
-        out.digests
-            .iter()
-            .map(|(label, _)| label.as_str())
-            .collect::<Vec<_>>()
-            .join(", "),
+        out.digests.iter().map(|(label, _)| label.as_str()).collect::<Vec<_>>().join(", "),
     );
     println!(
         "codec: decode {:.1} ns/req = {:.2}% of one request through a live shard \

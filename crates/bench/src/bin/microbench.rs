@@ -104,9 +104,7 @@ fn main() -> ExitCode {
         out.pairs_verified
     );
     if let Some(speedup) = out.speedup() {
-        println!(
-            "batched vs cold candidate install: {speedup:.1}x (acceptance floor: 4x)"
-        );
+        println!("batched vs cold candidate install: {speedup:.1}x (acceptance floor: 4x)");
     }
     let snapshot = out.telemetry.registry().snapshot();
     let fresh = snapshot.counter("edge.fresh_candidate_sets").unwrap_or(0);
@@ -149,8 +147,9 @@ mod tests {
         let o = parse_args(&[]).unwrap();
         assert_eq!((o.config.users, o.config.tops, o.config.edges, o.config.n), (64, 2, 32, 24));
         assert_eq!(o.bench_json, PathBuf::from("BENCH_repro.json"));
-        let o = parse_args(&args("--users 8 --tops 3 --edges 4 --n 6 --seed 9 --bench-json m.json"))
-            .unwrap();
+        let o =
+            parse_args(&args("--users 8 --tops 3 --edges 4 --n 6 --seed 9 --bench-json m.json"))
+                .unwrap();
         assert_eq!((o.config.users, o.config.tops, o.config.edges, o.config.n), (8, 3, 4, 6));
         assert_eq!(o.config.seed, 9);
         assert_eq!(o.bench_json, PathBuf::from("m.json"));

@@ -261,9 +261,7 @@ fn run_fig7(opts: &Options) -> (Option<usize>, Option<usize>) {
         ..fig7::Config::default()
     });
     emit(&out.table(), opts, "fig7.csv");
-    println!(
-        "paper at n=10: n-fold ~100% UR, post-processing ~58%, plain composition ~20%\n"
-    );
+    println!("paper at n=10: n-fold ~100% UR, post-processing ~58%, plain composition ~20%\n");
     (None, Some(trials))
 }
 
@@ -304,10 +302,7 @@ fn scalability_config(opts: &Options) -> tables::Config {
 }
 
 fn run_verify(opts: &Options) -> (Option<usize>, Option<usize>) {
-    let out = verify::run(&verify::Config {
-        threads: opts.threads,
-        ..verify::Config::default()
-    });
+    let out = verify::run(&verify::Config { threads: opts.threads, ..verify::Config::default() });
     emit(&out.table(), opts, "verify.csv");
     println!(
         "Section VI: sigma from Theorem 2 must achieve delta <= 0.01 at the \

@@ -69,8 +69,7 @@ impl Config {
     /// The mechanism parameters of the benchmark workload: the paper's
     /// defaults with the configured candidate count.
     fn geo_ind(&self) -> GeoIndParams {
-        GeoIndParams::new(500.0, 1.0, 0.01, self.n)
-            .expect("benchmark geo-ind parameters are valid")
+        GeoIndParams::new(500.0, 1.0, 0.01, self.n).expect("benchmark geo-ind parameters are valid")
     }
 }
 

@@ -134,8 +134,16 @@ impl Outcome {
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "chaos: seeded faults over the supervised serving path",
-            &["scenario", "shards", "faults", "survived", "restarts", "dups", "degraded",
-              "recovery µs"],
+            &[
+                "scenario",
+                "shards",
+                "faults",
+                "survived",
+                "restarts",
+                "dups",
+                "degraded",
+                "recovery µs",
+            ],
         );
         for row in &self.rows {
             table.push_row(vec![
@@ -234,12 +242,7 @@ fn corrupt_frame(rng: &mut StdRng, template: &ClientRequest) -> Vec<u8> {
 /// the server's fault-plan clock (successfully decoded non-shutdown
 /// requests; corrupted frames never advance it, so the ordinal of a valid
 /// request equals its position in the valid stream).
-fn kill_schedule(
-    mix: FaultMix,
-    config: &Config,
-    shard_seed: u64,
-    shard_users: usize,
-) -> Vec<u64> {
+fn kill_schedule(mix: FaultMix, config: &Config, shard_seed: u64, shard_users: usize) -> Vec<u64> {
     let ops_per_user = (config.checkins + 1 + config.requests) as u64;
     let total_ops = shard_users as u64 * ops_per_user;
     match mix {
@@ -292,15 +295,14 @@ fn drive_shard(
     // The valid stream and its observed response frames, for the replay.
     let mut transcript: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let mut op = 0usize;
-    let exchange = |handle: &EdgeHandle,
-                        request: ClientRequest,
-                        transcript: &mut Vec<(Vec<u8>, Vec<u8>)>| {
-        let frame = request.encode().to_vec();
-        let response = handle
-            .call_raw(&frame)
-            .unwrap_or_else(|e| panic!("valid request must survive the faults: {e}"));
-        transcript.push((frame, response.encode().to_vec()));
-    };
+    let exchange =
+        |handle: &EdgeHandle, request: ClientRequest, transcript: &mut Vec<(Vec<u8>, Vec<u8>)>| {
+            let frame = request.encode().to_vec();
+            let response = handle
+                .call_raw(&frame)
+                .unwrap_or_else(|e| panic!("valid request must survive the faults: {e}"));
+            transcript.push((frame, response.encode().to_vec()));
+        };
 
     for &u in &users {
         let user = UserId::new(u as u32);
@@ -312,8 +314,7 @@ fn drive_shard(
                 // below covers that path) and the valid stream is never
                 // collateral damage.
                 let polluter = handle.clone();
-                let template =
-                    ClientRequest::CheckIn { user, location: home, timestamp: t as i64 };
+                let template = ClientRequest::CheckIn { user, location: home, timestamp: t as i64 };
                 match polluter.call_raw(corrupt_frame(&mut corrupt_rng, &template)) {
                     Err(TransportError::Malformed { .. }) => faults += 1,
                     other => panic!("corrupted frame must be rejected, got {other:?}"),
@@ -582,19 +583,23 @@ fn fabric_fleet(config: &Config, shards: usize, plan: ChannelFaultPlan, kills: b
         Vec::new()
     };
     let expected_kills: u64 = kill_plans.iter().map(|p| p.remaining() as u64).sum();
-    let fabric = FabricRouter::spawn(sys, derive_seed(config.seed, 0xfab0), FabricOptions {
-        shards,
-        fault_plan: plan,
-        kill_plans,
-        server: ServerOptions {
-            telemetry: hub.clone(),
-            max_restarts: (config.kills as u32).max(8),
-            backoff_base: 1,
-            backoff_cap: 1,
-            ..ServerOptions::default()
+    let fabric = FabricRouter::spawn(
+        sys,
+        derive_seed(config.seed, 0xfab0),
+        FabricOptions {
+            shards,
+            fault_plan: plan,
+            kill_plans,
+            server: ServerOptions {
+                telemetry: hub.clone(),
+                max_restarts: (config.kills as u32).max(8),
+                backoff_base: 1,
+                backoff_cap: 1,
+                ..ServerOptions::default()
+            },
+            ..FabricOptions::default()
         },
-        ..FabricOptions::default()
-    });
+    );
     for t in 0..config.checkins {
         for u in 0..config.users {
             fabric
@@ -736,17 +741,21 @@ fn degraded_scenario(config: &Config, shards: usize) -> ChaosRow {
     // Lane-0 ordinals: `checkins` check-ins, the window close, then one
     // released request — the outage starts right after it.
     let outage_from = config.checkins as u64 + 2;
-    let fabric = FabricRouter::spawn(sys, seed, FabricOptions {
-        shards,
-        fault_plan: ChannelFaultPlan {
-            seed,
-            outages: vec![LaneOutage { lane: 0, from: outage_from, calls: 3 }],
-            ..ChannelFaultPlan::none()
+    let fabric = FabricRouter::spawn(
+        sys,
+        seed,
+        FabricOptions {
+            shards,
+            fault_plan: ChannelFaultPlan {
+                seed,
+                outages: vec![LaneOutage { lane: 0, from: outage_from, calls: 3 }],
+                ..ChannelFaultPlan::none()
+            },
+            breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 16 },
+            server: ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() },
+            ..FabricOptions::default()
         },
-        breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 16 },
-        server: ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() },
-        ..FabricOptions::default()
-    });
+    );
     for t in 0..config.checkins {
         for u in 0..config.users {
             fabric.check_in(UserId::new(u as u32), home_of(u), t as i64).expect("priming check-in");
@@ -820,17 +829,21 @@ fn degraded_scenario(config: &Config, shards: usize) -> ChaosRow {
     // A permanently dead wire with a tiny transmission budget: calls must
     // fail with a structured deadline, never hang or retry forever.
     let dead_seed = derive_seed(seed, 0xdead);
-    let dead = FabricRouter::spawn(sys, dead_seed, FabricOptions {
-        shards: 1,
-        fault_plan: ChannelFaultPlan {
-            seed: dead_seed,
-            drop_per_mille: 1_000,
-            ..ChannelFaultPlan::none()
+    let dead = FabricRouter::spawn(
+        sys,
+        dead_seed,
+        FabricOptions {
+            shards: 1,
+            fault_plan: ChannelFaultPlan {
+                seed: dead_seed,
+                drop_per_mille: 1_000,
+                ..ChannelFaultPlan::none()
+            },
+            breaker: BreakerConfig { failure_threshold: 1, cooldown: 2, max_cooldown: 4 },
+            call_budget: 2,
+            ..FabricOptions::default()
         },
-        breaker: BreakerConfig { failure_threshold: 1, cooldown: 2, max_cooldown: 4 },
-        call_budget: 2,
-        ..FabricOptions::default()
-    });
+    );
     let mut deadline_misses = 0u64;
     for t in 0..3 {
         match dead.check_in(user, home_of(0), t) {

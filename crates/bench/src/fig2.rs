@@ -98,11 +98,7 @@ pub fn run(config: &Config) -> Outcome {
         })
         .collect();
 
-    Outcome {
-        observations: week.len(),
-        tops: labeled,
-        transitions: pattern.total_transitions(),
-    }
+    Outcome { observations: week.len(), tops: labeled, transitions: pattern.total_transitions() }
 }
 
 impl Outcome {

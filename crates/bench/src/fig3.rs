@@ -60,10 +60,7 @@ const BUCKETS: [usize; 7] = [20, 50, 100, 250, 500, 1_000, 3_000];
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> Outcome {
-    let population = PopulationConfig::builder()
-        .num_users(config.users)
-        .seed(config.seed)
-        .build();
+    let population = PopulationConfig::builder().num_users(config.users).seed(config.seed).build();
     let theta = config.theta_m;
     let points: Vec<UserPoint> = run_trials(config.users, config.seed, |i, _| {
         let user = population.generate_user(i as u32);
@@ -130,12 +127,8 @@ mod tests {
         counts.sort_unstable();
         let median = counts[counts.len() / 2];
         let half = |pred: &dyn Fn(usize) -> bool| {
-            let xs: Vec<f64> = out
-                .points
-                .iter()
-                .filter(|p| pred(p.checkins))
-                .map(|p| p.entropy)
-                .collect();
+            let xs: Vec<f64> =
+                out.points.iter().filter(|p| pred(p.checkins)).map(|p| p.entropy).collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };
         let light = half(&|c| c < median);

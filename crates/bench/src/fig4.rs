@@ -91,10 +91,8 @@ pub fn run(config: &Config) -> Outcome {
         .collect();
 
     let r_alpha = mech.confidence_radius(config.alpha).expect("alpha validated");
-    let attack = DeobfuscationAttack::new(privlocad_attack::AttackConfig::new(
-        config.theta_m,
-        r_alpha,
-    ));
+    let attack =
+        DeobfuscationAttack::new(privlocad_attack::AttackConfig::new(config.theta_m, r_alpha));
     let home = victim.truth.top_locations[0];
 
     let windows = [("one week", 7i64), ("one month", 30), ("full year", 365)]
@@ -103,9 +101,7 @@ pub fn run(config: &Config) -> Outcome {
             let observed: Vec<Point> =
                 year.iter().filter(|(d, _)| *d < days).map(|(_, p)| *p).collect();
             let inferred = attack.infer_top_locations(&observed, 1);
-            let err = inferred
-                .first()
-                .map_or(f64::INFINITY, |i| i.location.distance(home));
+            let err = inferred.first().map_or(f64::INFINITY, |i| i.location.distance(home));
             WindowResult {
                 label: label.to_string(),
                 days,
@@ -146,10 +142,7 @@ mod tests {
         assert_eq!(out.windows.len(), 3);
         let week = out.windows[0].inference_error_m;
         let year = out.windows[2].inference_error_m;
-        assert!(
-            year < week,
-            "year error {year} should beat week error {week}"
-        );
+        assert!(year < week, "year error {year} should beat week error {week}");
         // The paper's full-year figure: tens of meters.
         assert!(year < 100.0, "full-year error {year} m");
         assert!(out.windows[2].observations > out.windows[0].observations);

@@ -83,30 +83,20 @@ pub struct Outcome {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> Outcome {
-    let population = PopulationConfig::builder()
-        .num_users(config.users)
-        .seed(config.seed)
-        .build();
+    let population = PopulationConfig::builder().num_users(config.users).seed(config.seed).build();
 
     // Pre-build the attacked mechanisms and their attack configurations.
     let one_time: Vec<PlanarLaplace> = config
         .one_time_levels
         .iter()
         .map(|&l| {
-            PlanarLaplace::new(
-                PlanarLaplaceParams::from_level(l, 200.0).expect("valid level"),
-            )
+            PlanarLaplace::new(PlanarLaplaceParams::from_level(l, 200.0).expect("valid level"))
         })
         .collect();
     let defenses: Vec<SystemConfig> = config
         .defense_epsilons
         .iter()
-        .map(|&eps| {
-            SystemConfig::builder()
-                .epsilon(eps)
-                .build()
-                .expect("valid defense epsilon")
-        })
+        .map(|&eps| SystemConfig::builder().epsilon(eps).build().expect("valid defense epsilon"))
         .collect();
 
     let alpha = config.alpha;
@@ -114,64 +104,51 @@ pub fn run(config: &Config) -> Outcome {
     let arm_count = one_time.len() + defenses.len();
 
     // distances[user][arm] = [top1, top2]
-    let per_user: Vec<Vec<[Option<f64>; 2]>> =
-        run_trials(config.users, config.seed, |i, rng| {
-            let user = population.generate_user(i as u32);
-            let truth = [user.truth.top_locations[0], user.truth.top_locations[1]];
-            let mut rows: Vec<[Option<f64>; 2]> = Vec::with_capacity(arm_count);
+    let per_user: Vec<Vec<[Option<f64>; 2]>> = run_trials(config.users, config.seed, |i, rng| {
+        let user = population.generate_user(i as u32);
+        let truth = [user.truth.top_locations[0], user.truth.top_locations[1]];
+        let mut rows: Vec<[Option<f64>; 2]> = Vec::with_capacity(arm_count);
 
-            for mech in &one_time {
-                let observed: Vec<_> = user
-                    .checkins
-                    .iter()
-                    .map(|c| mech.sample(c.location, rng))
-                    .collect();
-                let mut attack_cfg = DeobfuscationAttack::for_planar_laplace(mech, alpha)
-                    .expect("valid alpha")
-                    .config();
-                if no_trim {
-                    attack_cfg = attack_cfg.without_trimming();
-                }
-                let inferred =
-                    DeobfuscationAttack::new(attack_cfg).infer_top_locations(&observed, 2);
-                let d = rank_distances(&inferred, &truth);
-                rows.push([d[0], d[1]]);
+        for mech in &one_time {
+            let observed: Vec<_> =
+                user.checkins.iter().map(|c| mech.sample(c.location, rng)).collect();
+            let mut attack_cfg =
+                DeobfuscationAttack::for_planar_laplace(mech, alpha).expect("valid alpha").config();
+            if no_trim {
+                attack_cfg = attack_cfg.without_trimming();
             }
+            let inferred = DeobfuscationAttack::new(attack_cfg).infer_top_locations(&observed, 2);
+            let d = rank_distances(&inferred, &truth);
+            rows.push([d[0], d[1]]);
+        }
 
-            for (k, sys) in defenses.iter().enumerate() {
-                // Arm k is one fleet on master derive_seed(seed, k + 1);
-                // per-user streams make a device per user equivalent.
-                let mut edge = EdgeDevice::new(*sys, derive_seed(config.seed, (k + 1) as u64));
-                let sink = BidSink::new();
-                replay_trace(&mut edge, &user, &sink);
-                let seen = observe(&sink).expect("frames the sink encoded decode");
-                let observed = seen.locations_of(DeviceId::new(u64::from(user.user.raw())));
-                let gaussian = NFoldGaussian::new(sys.geo_ind());
-                let mut attack_cfg = DeobfuscationAttack::for_gaussian(&gaussian, alpha)
-                    .expect("valid alpha")
-                    .config();
-                if no_trim {
-                    attack_cfg = attack_cfg.without_trimming();
-                }
-                let inferred =
-                    DeobfuscationAttack::new(attack_cfg).infer_top_locations(observed, 2);
-                let d = rank_distances(&inferred, &truth);
-                rows.push([d[0], d[1]]);
+        for (k, sys) in defenses.iter().enumerate() {
+            // Arm k is one fleet on master derive_seed(seed, k + 1);
+            // per-user streams make a device per user equivalent.
+            let mut edge = EdgeDevice::new(*sys, derive_seed(config.seed, (k + 1) as u64));
+            let sink = BidSink::new();
+            replay_trace(&mut edge, &user, &sink);
+            let seen = observe(&sink).expect("frames the sink encoded decode");
+            let observed = seen.locations_of(DeviceId::new(u64::from(user.user.raw())));
+            let gaussian = NFoldGaussian::new(sys.geo_ind());
+            let mut attack_cfg =
+                DeobfuscationAttack::for_gaussian(&gaussian, alpha).expect("valid alpha").config();
+            if no_trim {
+                attack_cfg = attack_cfg.without_trimming();
             }
-            rows
-        });
+            let inferred = DeobfuscationAttack::new(attack_cfg).infer_top_locations(observed, 2);
+            let d = rank_distances(&inferred, &truth);
+            rows.push([d[0], d[1]]);
+        }
+        rows
+    });
 
     // Aggregate per arm.
     let labels: Vec<String> = config
         .one_time_levels
         .iter()
         .map(|l| format!("one-time geo-IND l=ln({:.0})", l.exp()))
-        .chain(
-            config
-                .defense_epsilons
-                .iter()
-                .map(|e| format!("Edge-PrivLocAd eps={e}")),
-        )
+        .chain(config.defense_epsilons.iter().map(|e| format!("Edge-PrivLocAd eps={e}")))
         .collect();
     let arms = labels
         .into_iter()
@@ -199,10 +176,8 @@ impl Outcome {
         let mut header: Vec<String> = vec!["configuration".into(), "rank".into()];
         header.extend(self.thresholds_m.iter().map(|t| format!("<= {t:.0} m")));
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        let mut t = Table::new(
-            format!("Fig. 6 — attack success over {} users", self.users),
-            &header_refs,
-        );
+        let mut t =
+            Table::new(format!("Fig. 6 — attack success over {} users", self.users), &header_refs);
         for arm in &self.arms {
             let mut row1 = vec![arm.label.clone(), "top-1".into()];
             row1.extend(arm.top1.iter().map(|&v| pct(v)));
@@ -232,8 +207,7 @@ impl Outcome {
         );
         for arm in &self.arms {
             let successes = (arm.top1[idx] * self.users as f64).round() as usize;
-            let (lo, hi) =
-                privlocad_metrics::stats::wilson_interval(successes, self.users, 0.95);
+            let (lo, hi) = privlocad_metrics::stats::wilson_interval(successes, self.users, 0.95);
             t.push_row(vec![arm.label.clone(), pct(arm.top1[idx]), pct(lo), pct(hi)]);
         }
         t
@@ -260,16 +234,8 @@ mod tests {
         let idx_200 = out.thresholds_m.iter().position(|&t| t == 200.0).unwrap();
         let attack = &out.arms[0];
         let defense = &out.arms[1];
-        assert!(
-            attack.top1[idx_200] > 0.6,
-            "one-time top-1@200m {}",
-            attack.top1[idx_200]
-        );
-        assert!(
-            defense.top1[idx_200] < 0.1,
-            "defense top-1@200m {}",
-            defense.top1[idx_200]
-        );
+        assert!(attack.top1[idx_200] > 0.6, "one-time top-1@200m {}", attack.top1[idx_200]);
+        assert!(defense.top1[idx_200] < 0.1, "defense top-1@200m {}", defense.top1[idx_200]);
         // Defense strictly better (lower recovery) than the attacked
         // baseline at every threshold.
         for k in 0..out.thresholds_m.len() {

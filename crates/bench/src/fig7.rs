@@ -124,10 +124,8 @@ pub fn run(config: &Config) -> Outcome {
             let params = GeoIndParams::new(config.r_m, config.epsilon, config.delta, n)
                 .expect("valid sweep parameters");
             let mech = kind.build(params);
-            let fan = Fanout::with_threads(
-                config.seed ^ (n as u64) << 8 ^ kind as u64,
-                config.threads,
-            );
+            let fan =
+                Fanout::with_threads(config.seed ^ (n as u64) << 8 ^ kind as u64, config.threads);
             let urs = utilization::measure_fanout(
                 mech.as_ref(),
                 config.targeting_radius_m,

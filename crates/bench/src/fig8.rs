@@ -86,7 +86,10 @@ pub fn run(config: &Config) -> Outcome {
                     .expect("valid sweep parameters");
                 let mech = NFoldGaussian::new(params);
                 let fan = Fanout::with_threads(
-                    config.seed ^ (n as u64) ^ ((r_m as u64) << 16) ^ ((epsilon * 10.0) as u64) << 32,
+                    config.seed
+                        ^ (n as u64)
+                        ^ ((r_m as u64) << 16)
+                        ^ ((epsilon * 10.0) as u64) << 32,
                     config.threads,
                 );
                 let urs = utilization::measure_fanout(
@@ -111,9 +114,7 @@ pub fn run(config: &Config) -> Outcome {
 impl Outcome {
     /// Looks up one cell.
     pub fn cell(&self, epsilon: f64, r_m: f64, n: usize) -> Option<&Cell> {
-        self.cells
-            .iter()
-            .find(|c| c.epsilon == epsilon && c.r_m == r_m && c.n == n)
+        self.cells.iter().find(|c| c.epsilon == epsilon && c.r_m == r_m && c.n == n)
     }
 
     /// Renders the paper-style summary table.

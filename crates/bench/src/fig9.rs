@@ -155,10 +155,7 @@ mod tests {
         for &r in &[500.0, 800.0] {
             let e1 = out.cell(r, 1).unwrap().posterior;
             let e10 = out.cell(r, 10).unwrap().posterior;
-            assert!(
-                e10 > 0.35 * e1,
-                "r={r}: efficacy fell from {e1} to {e10}"
-            );
+            assert!(e10 > 0.35 * e1, "r={r}: efficacy fell from {e1} to {e10}");
             assert!(e10 > 0.15, "r={r}: absolute efficacy {e10}");
         }
     }
@@ -177,7 +174,13 @@ mod tests {
 
     #[test]
     fn ablation_can_be_disabled() {
-        let out = run(&Config { include_uniform_ablation: false, trials: 500, rs_m: vec![500.0], ns: vec![1], ..Config::default() });
+        let out = run(&Config {
+            include_uniform_ablation: false,
+            trials: 500,
+            rs_m: vec![500.0],
+            ns: vec![1],
+            ..Config::default()
+        });
         assert!(out.cells[0].uniform.is_none());
         assert_eq!(out.table().len(), 1);
     }

@@ -95,8 +95,7 @@ impl Runner {
 
     fn push_row(&mut self, label: &str, elements: Option<u64>, f: &mut dyn FnMut()) {
         let sample_iters = calibrate(f);
-        let samples: Vec<f64> =
-            (0..SAMPLES).map(|_| sample(f, sample_iters)).collect();
+        let samples: Vec<f64> = (0..SAMPLES).map(|_| sample(f, sample_iters)).collect();
         let row = summarize(label, elements, samples);
         println!("{}", render(&row));
         self.rows.push(row);

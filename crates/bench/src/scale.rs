@@ -187,9 +187,8 @@ fn assert_partition_invariance(config: &Config, probe: usize) {
     }
     let mut routed = 0u64;
     for u in 0..probe {
-        let report = router
-            .request_location(UserId::new(u as u32), home_of(u))
-            .expect("location request");
+        let report =
+            router.request_location(UserId::new(u as u32), home_of(u)).expect("location request");
         routed ^= user_digest(u as u32, report);
     }
     router.shutdown().expect("shutdown");

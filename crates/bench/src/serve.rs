@@ -203,8 +203,8 @@ pub fn run(config: &Config) -> Outcome {
             let r = legacy_edge.config().top_match_radius_m();
             r * r
         };
-        let legacy_users: std::collections::BTreeMap<UserId, (Point, Vec<Point>)> = (0
-            ..config.users)
+        let legacy_users: std::collections::BTreeMap<UserId, (Point, Vec<Point>)> = (0..config
+            .users)
             .map(|u| {
                 let user = UserId::new(u as u32);
                 let top = home_of(u);
@@ -377,10 +377,7 @@ mod tests {
         assert_eq!(metrics.counter("edge.location_requests"), Some(config.requests as u64));
         assert_eq!(metrics.counter("edge.posterior_cache_hits"), Some(config.requests as u64));
         assert_eq!(metrics.counter("edge.posterior_cache_misses"), Some(0));
-        assert_eq!(
-            out.telemetry.ledger().totals().candidate_sets,
-            config.users as u64
-        );
+        assert_eq!(out.telemetry.ledger().totals().candidate_sets, config.users as u64);
     }
 
     #[test]

@@ -45,11 +45,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            user_counts: vec![2_000, 4_000, 8_000, 16_000, 32_000],
-            seed: 0,
-            threads: 0,
-        }
+        Config { user_counts: vec![2_000, 4_000, 8_000, 16_000, 32_000], seed: 0, threads: 0 }
     }
 }
 
@@ -100,10 +96,8 @@ pub(crate) fn partition(count: usize, workers: usize) -> Vec<Range<usize>> {
 /// range of users.
 pub fn run_table2(config: &Config) -> Outcome {
     let max_users = config.user_counts.iter().copied().max().unwrap_or(0);
-    let population = PopulationConfig::builder()
-        .num_users(max_users.max(1))
-        .seed(config.seed)
-        .build();
+    let population =
+        PopulationConfig::builder().num_users(max_users.max(1)).seed(config.seed).build();
     let sys = SystemConfig::builder().build().expect("default config is valid");
     let window_secs = sys.window_days() as i64 * SECONDS_PER_DAY;
     let fan = Fanout::with_threads(config.seed, config.threads);

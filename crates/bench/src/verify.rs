@@ -83,8 +83,8 @@ pub fn run(config: &Config) -> Outcome {
         }
     }
     let rows = Fanout::with_threads(0, config.threads).map(&grid, |_, &(epsilon, r_m, n)| {
-        let params = GeoIndParams::new(r_m, epsilon, config.delta, n)
-            .expect("valid sweep parameters");
+        let params =
+            GeoIndParams::new(r_m, epsilon, config.delta, n).expect("valid sweep parameters");
         let v = verify_nfold_gaussian(params);
         Row {
             epsilon,
@@ -167,5 +167,4 @@ mod tests {
         assert_eq!(t.len(), 2 + 1);
         assert!(t.render().contains("all configurations hold"));
     }
-
 }

@@ -39,8 +39,7 @@ fn surviving_workload_is_independent_of_the_shard_count() {
     // valid stream must survive at both, and the kill scenarios must
     // actually have killed (and restarted) workers at both.
     for family in ["chaos/corruption", "chaos/worker_kill", "chaos/mid_window_restart"] {
-        let at: Vec<_> =
-            out.rows.iter().filter(|r| r.name.starts_with(family)).collect();
+        let at: Vec<_> = out.rows.iter().filter(|r| r.name.starts_with(family)).collect();
         assert_eq!(at.len(), 2, "{family} must run at two shard counts");
         assert_eq!(
             at[0].requests_survived, at[1].requests_survived,

@@ -25,14 +25,9 @@ fn assert_thread_count_invariant(label: &str, render: impl Fn(usize) -> String) 
 #[test]
 fn fig7_table_is_thread_count_invariant() {
     assert_thread_count_invariant("fig7", |threads| {
-        fig7::run(&fig7::Config {
-            trials: 400,
-            ns: vec![1, 4],
-            threads,
-            ..fig7::Config::default()
-        })
-        .table()
-        .render()
+        fig7::run(&fig7::Config { trials: 400, ns: vec![1, 4], threads, ..fig7::Config::default() })
+            .table()
+            .render()
     });
 }
 
@@ -70,9 +65,7 @@ fn fig9_table_is_thread_count_invariant() {
 #[test]
 fn verify_table_is_thread_count_invariant() {
     assert_thread_count_invariant("verify", |threads| {
-        verify::run(&verify::Config { threads, ..verify::Config::default() })
-            .table()
-            .render()
+        verify::run(&verify::Config { threads, ..verify::Config::default() }).table().render()
     });
 }
 
@@ -83,12 +76,7 @@ fn verify_table_is_thread_count_invariant() {
 #[test]
 fn table2_digest_is_thread_count_invariant() {
     let digest = |threads| {
-        tables::run_table2(&tables::Config {
-            user_counts: vec![40, 120],
-            seed: 7,
-            threads,
-        })
-        .digest
+        tables::run_table2(&tables::Config { user_counts: vec![40, 120], seed: 7, threads }).digest
     };
     let baseline = digest(1);
     for threads in thread_counts() {
@@ -99,12 +87,7 @@ fn table2_digest_is_thread_count_invariant() {
 #[test]
 fn table3_digest_is_thread_count_invariant() {
     let digest = |threads| {
-        tables::run_table3(&tables::Config {
-            user_counts: vec![40, 120],
-            seed: 7,
-            threads,
-        })
-        .digest
+        tables::run_table3(&tables::Config { user_counts: vec![40, 120], seed: 7, threads }).digest
     };
     let baseline = digest(1);
     for threads in thread_counts() {

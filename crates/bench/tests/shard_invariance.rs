@@ -63,9 +63,8 @@ fn run_fleet(shards: usize, kills: bool) -> (u64, String, Telemetry, Vec<(u64, T
                     router.finalize_window(user).expect("window close survives");
                 }
                 ClientRequest::RequestLocation { location, .. } => {
-                    reports.push(
-                        router.request_location(user, location).expect("request survives"),
-                    );
+                    reports
+                        .push(router.request_location(user, location).expect("request survives"));
                 }
                 other => panic!("unexpected workload op {other:?}"),
             }

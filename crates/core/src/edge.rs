@@ -128,7 +128,8 @@ pub(crate) struct DeviceCounters {
 impl DeviceCounters {
     pub(crate) fn open(telemetry: &Telemetry) -> Self {
         DeviceCounters {
-            counters: DEVICE_COUNTERS.map(|(name, class)| telemetry.registry().counter(name, class)),
+            counters: DEVICE_COUNTERS
+                .map(|(name, class)| telemetry.registry().counter(name, class)),
             ledger: telemetry.ledger().clone(),
         }
     }
@@ -382,11 +383,7 @@ impl EdgeDevice {
     ///
     /// `Shutdown` is a transport-level concern; at the device level it is
     /// a no-op acknowledged with [`EdgeResponse::Ack`].
-    pub fn serve_batch(
-        &mut self,
-        requests: &[ClientRequest],
-        responses: &mut Vec<EdgeResponse>,
-    ) {
+    pub fn serve_batch(&mut self, requests: &[ClientRequest], responses: &mut Vec<EdgeResponse>) {
         responses.extend(requests.iter().map(|&request| self.serve(request)));
     }
 
@@ -457,7 +454,8 @@ impl EdgeDevice {
         config: SystemConfig,
         log: &[u8],
     ) -> Result<EdgeDevice, RecoveryError> {
-        crate::recovery::restore_image(&config, log).map(|restored| Self::restored(config, restored))
+        crate::recovery::restore_image(&config, log)
+            .map(|restored| Self::restored(config, restored))
     }
 
     /// A device serving restored `users` under seed `master`.
@@ -684,12 +682,7 @@ mod tests {
         let candidates = e.candidates(user, home).unwrap().to_vec();
         let mech = NFoldGaussian::new(e.config().geo_ind());
         let probs = PosteriorSelector::new(mech.sigma()).probabilities(&candidates);
-        let best = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
+        let best = probs.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         let mut counts = vec![0usize; candidates.len()];
         for _ in 0..2_000 {
             let rep = e.reported_location(user, home);
@@ -708,13 +701,7 @@ mod tests {
         settle_home(&mut e, user, home);
         // One campaign right at home, one far outside any plausible AOR.
         let mut network = AdNetwork::new(vec![
-            Campaign::new(
-                0u64,
-                "local",
-                Targeting::radius(home, 25_000.0).unwrap(),
-                2.0,
-            )
-            .unwrap(),
+            Campaign::new(0u64, "local", Targeting::radius(home, 25_000.0).unwrap(), 2.0).unwrap(),
             Campaign::new(
                 1u64,
                 "remote",
@@ -752,10 +739,7 @@ mod tests {
 
     #[test]
     fn uniform_selection_ablation_reports_all_candidates() {
-        let config = SystemConfig::builder()
-            .selection(SelectionKind::Uniform)
-            .build()
-            .unwrap();
+        let config = SystemConfig::builder().selection(SelectionKind::Uniform).build().unwrap();
         let mut e = EdgeDevice::new(config, 1);
         let user = UserId::new(6);
         let home = Point::ORIGIN;
@@ -817,10 +801,7 @@ mod tests {
         assert_eq!(responses, expected);
 
         // Spot-check the shape: one window close, reports from candidates.
-        assert_eq!(
-            responses[40],
-            EdgeResponse::WindowClosed { fresh_obfuscations: 1 }
-        );
+        assert_eq!(responses[40], EdgeResponse::WindowClosed { fresh_obfuscations: 1 });
         let candidates = batched.candidates(user, home).unwrap();
         for r in &responses[41..61] {
             match r {
@@ -851,10 +832,7 @@ mod tests {
             restored.candidates(user, home).unwrap(),
             original.candidates(user, home).unwrap()
         );
-        assert_eq!(
-            crate::recovery::candidate_redraws(&snap, &restored.snapshot()).unwrap(),
-            0
-        );
+        assert_eq!(crate::recovery::candidate_redraws(&snap, &restored.snapshot()).unwrap(), 0);
         // And the RNG resumes the exact stream: future outputs agree.
         for _ in 0..20 {
             assert_eq!(
@@ -931,7 +909,8 @@ mod tests {
         assert_eq!(totals.restores, 0);
 
         // A restore drains per-user restore events.
-        let mut restored = EdgeDevice::restore_from_checkpoint(e.config(), &e.checkpoint()).unwrap();
+        let mut restored =
+            EdgeDevice::restore_from_checkpoint(e.config(), &e.checkpoint()).unwrap();
         assert_eq!(restored.stats().restores, 1);
         assert_eq!(restored.pending_spends(), 1);
         restored.drain_telemetry(&telemetry);

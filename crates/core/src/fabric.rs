@@ -135,9 +135,7 @@ impl ChannelFaultPlan {
     /// Draws the fault profile for one delivery. Pure in `(self, lane,
     /// ordinal)`.
     fn draw(&self, lane: u32, ordinal: u64) -> DeliveryProfile {
-        if self.drop_per_mille == 0
-            && self.duplicate_per_mille == 0
-            && self.corrupt_per_mille == 0
+        if self.drop_per_mille == 0 && self.duplicate_per_mille == 0 && self.corrupt_per_mille == 0
         {
             return DeliveryProfile::default();
         }
@@ -312,10 +310,7 @@ impl CircuitBreaker {
                     self.state = BreakerState::Open;
                     self.sheds = 0;
                     self.cooldown = self.config.cooldown.max(1);
-                    trace.push(BreakerEvent::Opened {
-                        shard,
-                        failures: self.consecutive_failures,
-                    });
+                    trace.push(BreakerEvent::Opened { shard, failures: self.consecutive_failures });
                 }
             }
             BreakerState::Open => {}
@@ -672,11 +667,9 @@ impl FabricRouter {
         location: Point,
         timestamp: i64,
     ) -> Result<(), FabricError> {
-        match self.guard_write(self.call(user, ClientRequest::CheckIn {
-            user,
-            location,
-            timestamp,
-        }))? {
+        match self
+            .guard_write(self.call(user, ClientRequest::CheckIn { user, location, timestamp }))?
+        {
             EdgeResponse::Ack => Ok(()),
             _ => Err(FabricError::Transport(TransportError::UnexpectedResponse)),
         }
@@ -1013,10 +1006,8 @@ mod tests {
         };
         let clean = drive(FabricOptions::default());
         assert_eq!(clean.2, FabricStats::default());
-        let faulty = drive(FabricOptions {
-            fault_plan: chaos_plan(23),
-            ..FabricOptions::default()
-        });
+        let faulty =
+            drive(FabricOptions { fault_plan: chaos_plan(23), ..FabricOptions::default() });
         // Faults were actually injected, and every one was masked: the
         // outputs and full device state match the fault-free run.
         assert!(faulty.2.drops_injected > 0);
@@ -1030,11 +1021,11 @@ mod tests {
     #[test]
     fn duplicate_suppression_totals_are_shard_count_invariant() {
         let drive = |shards: usize| {
-            let fabric = FabricRouter::spawn(config(), 31, FabricOptions {
-                shards,
-                fault_plan: chaos_plan(31),
-                ..FabricOptions::default()
-            });
+            let fabric = FabricRouter::spawn(
+                config(),
+                31,
+                FabricOptions { shards, fault_plan: chaos_plan(31), ..FabricOptions::default() },
+            );
             let users: Vec<UserId> = (0..8).map(UserId::new).collect();
             for t in 0..40 {
                 for &u in &users {
@@ -1075,15 +1066,19 @@ mod tests {
         // Lane 0 goes dark for 3 calls starting at its 42nd delivery
         // (after priming: 40 check-ins + finalize + 1 request = 42).
         let outage = LaneOutage { lane: 0, from: 42, calls: 3 };
-        let fabric = FabricRouter::spawn(config(), 5, FabricOptions {
-            fault_plan: ChannelFaultPlan {
-                seed: 5,
-                outages: vec![outage],
-                ..ChannelFaultPlan::none()
+        let fabric = FabricRouter::spawn(
+            config(),
+            5,
+            FabricOptions {
+                fault_plan: ChannelFaultPlan {
+                    seed: 5,
+                    outages: vec![outage],
+                    ..ChannelFaultPlan::none()
+                },
+                breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 8 },
+                ..FabricOptions::default()
             },
-            breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 8 },
-            ..FabricOptions::default()
-        });
+        );
         let user = UserId::new(0);
         let fresh = UserId::new(1);
         for t in 0..40 {
@@ -1122,10 +1117,7 @@ mod tests {
             fabric.request_location(user, home_of(user)).unwrap_err(),
             FabricError::Unreachable { shard: 0 }
         );
-        assert_eq!(
-            fabric.trace().last(),
-            Some(&BreakerEvent::Reopened { shard: 0, cooldown: 8 })
-        );
+        assert_eq!(fabric.trace().last(), Some(&BreakerEvent::Reopened { shard: 0, cooldown: 8 }));
         // ...and after 7 more degraded sheds the second probe lands past
         // the outage window and closes it.
         let mut degraded_serves = 0;
@@ -1154,16 +1146,20 @@ mod tests {
     fn healed_shard_resumes_bit_for_bit() {
         use privlocad_telemetry::top_key;
         let drive = |kill_plans: Vec<FaultPlan>, max_restarts: u32| {
-            let fabric = FabricRouter::spawn(config(), 13, FabricOptions {
-                kill_plans,
-                server: ServerOptions {
-                    max_restarts,
-                    backoff_base: 1,
-                    backoff_cap: 1,
-                    ..ServerOptions::default()
+            let fabric = FabricRouter::spawn(
+                config(),
+                13,
+                FabricOptions {
+                    kill_plans,
+                    server: ServerOptions {
+                        max_restarts,
+                        backoff_base: 1,
+                        backoff_cap: 1,
+                        ..ServerOptions::default()
+                    },
+                    ..FabricOptions::default()
                 },
-                ..FabricOptions::default()
-            });
+            );
             let users: Vec<UserId> = (0..3).map(UserId::new).collect();
             for t in 0..40 {
                 for &u in &users {
@@ -1207,20 +1203,24 @@ mod tests {
 
     #[test]
     fn lost_shard_past_heal_budget_fails_explicitly() {
-        let fabric = FabricRouter::spawn(config(), 3, FabricOptions {
-            // Every served ordinal is a kill point: the first heal's
-            // replacement is clean, but the original dies immediately
-            // and a zero heal budget leaves nothing to swap in.
-            kill_plans: vec![FaultPlan::kill_at(0..4)],
-            max_heals: 0,
-            server: ServerOptions {
-                max_restarts: 0,
-                backoff_base: 1,
-                backoff_cap: 1,
-                ..ServerOptions::default()
+        let fabric = FabricRouter::spawn(
+            config(),
+            3,
+            FabricOptions {
+                // Every served ordinal is a kill point: the first heal's
+                // replacement is clean, but the original dies immediately
+                // and a zero heal budget leaves nothing to swap in.
+                kill_plans: vec![FaultPlan::kill_at(0..4)],
+                max_heals: 0,
+                server: ServerOptions {
+                    max_restarts: 0,
+                    backoff_base: 1,
+                    backoff_cap: 1,
+                    ..ServerOptions::default()
+                },
+                ..FabricOptions::default()
             },
-            ..FabricOptions::default()
-        });
+        );
         let user = UserId::new(0);
         let err = fabric.check_in(user, home_of(user), 0).unwrap_err();
         assert_eq!(err, FabricError::ShardLost { shard: 0 });
@@ -1242,13 +1242,17 @@ mod tests {
         edge.finalize_window(user);
         let mut image = edge.checkpoint().to_vec();
         *image.last_mut().unwrap() ^= 1;
-        let fabric = FabricRouter::spawn(config(), 3, FabricOptions {
-            server: ServerOptions {
-                restore_from: Some(bytes::Bytes::from(image)),
-                ..ServerOptions::default()
+        let fabric = FabricRouter::spawn(
+            config(),
+            3,
+            FabricOptions {
+                server: ServerOptions {
+                    restore_from: Some(bytes::Bytes::from(image)),
+                    ..ServerOptions::default()
+                },
+                ..FabricOptions::default()
             },
-            ..FabricOptions::default()
-        });
+        );
         // No fresh draw from a device that forgot the user's candidates:
         // the call fails, and nothing was healed.
         assert_eq!(
@@ -1264,17 +1268,17 @@ mod tests {
     fn deadline_budget_bounds_a_dead_wire() {
         // 100% drop rate with the 2-drop cap still converges; a budget
         // of 1 cannot absorb even one drop and must fail explicitly.
-        let plan = ChannelFaultPlan {
-            seed: 9,
-            drop_per_mille: 1_000,
-            ..ChannelFaultPlan::none()
-        };
-        let fabric = FabricRouter::spawn(config(), 9, FabricOptions {
-            fault_plan: plan.clone(),
-            call_budget: 1,
-            breaker: BreakerConfig { failure_threshold: 1, cooldown: 1, max_cooldown: 2 },
-            ..FabricOptions::default()
-        });
+        let plan = ChannelFaultPlan { seed: 9, drop_per_mille: 1_000, ..ChannelFaultPlan::none() };
+        let fabric = FabricRouter::spawn(
+            config(),
+            9,
+            FabricOptions {
+                fault_plan: plan.clone(),
+                call_budget: 1,
+                breaker: BreakerConfig { failure_threshold: 1, cooldown: 1, max_cooldown: 2 },
+                ..FabricOptions::default()
+            },
+        );
         let user = UserId::new(0);
         assert_eq!(
             fabric.check_in(user, home_of(user), 0).unwrap_err(),

@@ -56,8 +56,13 @@ mod tests {
     use privlocad_adnet::Targeting;
 
     fn radius_ad(id: u64, x: f64) -> Campaign {
-        Campaign::new(id, format!("ad{id}"), Targeting::radius(Point::new(x, 0.0), 5_000.0).unwrap(), 1.0)
-            .unwrap()
+        Campaign::new(
+            id,
+            format!("ad{id}"),
+            Targeting::radius(Point::new(x, 0.0), 5_000.0).unwrap(),
+            1.0,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -150,8 +150,7 @@ impl EdgeFleet {
             ObfuscationModule::new(self.config.geo_ind(), self.config.top_match_radius_m())
         });
         let top_points: Vec<Point> = tops.iter().map(|e| e.location).collect();
-        let fresh =
-            self.arena.prepare(authority, &top_points, self.master, &mut self.pair_counter);
+        let fresh = self.arena.prepare(authority, &top_points, self.master, &mut self.pair_counter);
 
         // 4. Install the merged protection on every edge: per edge this is
         //    an `Arc` bump per set, not a candidate-vector clone plus a

@@ -74,20 +74,20 @@ mod shard;
 mod user;
 
 pub use arena::{CandidateArena, PreparedSet};
+pub use config::{EtaThreshold, SelectionKind, SystemConfig, SystemConfigBuilder};
+pub use edge::{DeviceStats, EdgeDevice};
+pub use error::SystemError;
 pub use fabric::{
     BreakerConfig, BreakerEvent, ChannelFaultPlan, FabricError, FabricOptions, FabricRouter,
     FabricStats, LaneOutage, ServedLocation,
 };
-pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
-pub use shard::{ShardRouter, StateFootprint};
-pub use risk::{LocationRisk, Recommendation, RiskAssessor, RiskReport};
-pub use server::{
-    EdgeHandle, EdgeServer, FaultPlan, HealthSnapshot, RetryPolicy, ServerOptions, TransportError,
-};
-pub use config::{EtaThreshold, SelectionKind, SystemConfig, SystemConfigBuilder};
-pub use edge::{DeviceStats, EdgeDevice};
-pub use error::SystemError;
 pub use filter::filter_ads_by;
 pub use fleet::EdgeFleet;
 pub use management::{frequent_location_set, LocationManager};
 pub use obfuscation::{ObfuscationModule, ObfuscationTable};
+pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
+pub use risk::{LocationRisk, Recommendation, RiskAssessor, RiskReport};
+pub use server::{
+    EdgeHandle, EdgeServer, FaultPlan, HealthSnapshot, RetryPolicy, ServerOptions, TransportError,
+};
+pub use shard::{ShardRouter, StateFootprint};

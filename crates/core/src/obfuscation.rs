@@ -298,8 +298,8 @@ impl ObfuscationModule {
         let radius_sq = self.table.match_radius_m() * self.table.match_radius_m();
         let mut fresh: Vec<Point> = Vec::new();
         for &top in tops {
-            let covered = self.table.contains(top)
-                || fresh.iter().any(|f| f.distance_sq(top) <= radius_sq);
+            let covered =
+                self.table.contains(top) || fresh.iter().any(|f| f.distance_sq(top) <= radius_sq);
             if !covered {
                 fresh.push(top);
             }

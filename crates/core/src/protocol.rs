@@ -236,12 +236,7 @@ fn sequenced_checksum(lane: u32, seq: u32, inner: &[u8]) -> u32 {
     const OFFSET: u32 = 0x811c_9dc5;
     const PRIME: u32 = 0x0100_0193;
     let mut hash = OFFSET;
-    for byte in lane
-        .to_be_bytes()
-        .iter()
-        .chain(seq.to_be_bytes().iter())
-        .chain(inner.iter())
-    {
+    for byte in lane.to_be_bytes().iter().chain(seq.to_be_bytes().iter()).chain(inner.iter()) {
         hash ^= u32::from(*byte);
         hash = hash.wrapping_mul(PRIME);
     }
@@ -563,9 +558,7 @@ mod tests {
     fn error_display() {
         assert_eq!(FrameError::Empty.to_string(), "empty frame");
         assert!(FrameError::UnknownTag(0xAB).to_string().contains("0xab"));
-        assert!(FrameError::Truncated { needed: 20, got: 3 }
-            .to_string()
-            .contains("need 20"));
+        assert!(FrameError::Truncated { needed: 20, got: 3 }.to_string().contains("need 20"));
         assert!(FrameError::TrailingBytes { tag: 0x01, extra: 4 }
             .to_string()
             .contains("4 trailing"));

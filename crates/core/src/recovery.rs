@@ -469,15 +469,13 @@ fn restore_user_owned(
     }
     let mut table = ObfuscationTable::new(record.table_radius);
     for (top, idx) in record.table {
-        let set =
-            pools.sets.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
+        let set = pools.sets.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
         table.insert_shared(top, Arc::clone(set));
     }
     let obfuscation = ObfuscationModule::from_table(config.geo_ind(), table);
     let mut selection = SelectionCache::new();
     for (top, idx) in record.cache {
-        let shared =
-            pools.tables.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
+        let shared = pools.tables.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
         selection.install_shared(top, Arc::clone(shared));
     }
     // Resume the user's private stream at its exact saved position — a
@@ -526,10 +524,7 @@ impl DeviceSnapshot {
 
     /// The pooled candidate set behind reference `idx` of `user`.
     pub(crate) fn set(&self, idx: u32, user: u32) -> Result<&[Point], RecoveryError> {
-        self.sets
-            .get(idx as usize)
-            .map(|s| &**s)
-            .ok_or(RecoveryError::BadPoolRef { user })
+        self.sets.get(idx as usize).map(|s| &**s).ok_or(RecoveryError::BadPoolRef { user })
     }
 
     /// Every `(user, top location)` pair holding a released permanent
@@ -1213,10 +1208,7 @@ mod tests {
         let log = snapshot().encode().to_vec();
         let mut bad = log.clone();
         bad[0] = 0x00;
-        assert!(matches!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::BadMagic(_))
-        ));
+        assert!(matches!(DeviceSnapshot::decode(&restamp(bad)), Err(RecoveryError::BadMagic(_))));
         let mut bad = log.clone();
         bad[5] = 0xEE;
         assert!(matches!(

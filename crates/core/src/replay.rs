@@ -119,11 +119,7 @@ mod tests {
     use crate::SystemConfig;
 
     fn population(n: usize) -> PopulationConfig {
-        PopulationConfig::builder()
-            .num_users(n)
-            .seed(5)
-            .checkin_log_normal(5.5, 0.4)
-            .build()
+        PopulationConfig::builder().num_users(n).seed(5).checkin_log_normal(5.5, 0.4).build()
     }
 
     /// Replays `trace` on a fresh device over `master` and returns what

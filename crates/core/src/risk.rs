@@ -185,9 +185,6 @@ mod tests {
     #[test]
     fn recommendation_display() {
         assert_eq!(Recommendation::OneTimeGeoInd.to_string(), "one-time geo-IND");
-        assert_eq!(
-            Recommendation::PermanentObfuscation.to_string(),
-            "permanent obfuscation"
-        );
+        assert_eq!(Recommendation::PermanentObfuscation.to_string(), "permanent obfuscation");
     }
 }

@@ -248,11 +248,7 @@ impl EdgeHandle {
     }
 
     /// Asks for the location to report for an ad request.
-    pub fn request_location(
-        &self,
-        user: UserId,
-        location: Point,
-    ) -> Result<Point, TransportError> {
+    pub fn request_location(&self, user: UserId, location: Point) -> Result<Point, TransportError> {
         match self.call(ClientRequest::RequestLocation { user, location })? {
             EdgeResponse::ReportedLocation { location } => Ok(location),
             _ => Err(TransportError::UnexpectedResponse),
@@ -1195,10 +1191,8 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_rejected_then_client_dropped() {
-        let (server, handle) = spawn_with(ServerOptions {
-            malformed_limit: 3,
-            ..ServerOptions::default()
-        });
+        let (server, handle) =
+            spawn_with(ServerOptions { malformed_limit: 3, ..ServerOptions::default() });
         let polluter = handle.clone();
         // Strikes 1 and 2: explicit Malformed rejections with a countdown.
         for strikes_left in [2u32, 1] {
@@ -1206,10 +1200,7 @@ mod tests {
             assert_eq!(err, TransportError::Malformed { strikes_left });
         }
         // Strike 3: the client is dropped; its reply channel just closes.
-        assert_eq!(
-            polluter.call_raw(vec![0xFF]).unwrap_err(),
-            TransportError::Disconnected
-        );
+        assert_eq!(polluter.call_raw(vec![0xFF]).unwrap_err(), TransportError::Disconnected);
         // And stays dropped even for well-formed frames.
         assert_eq!(
             polluter.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap_err(),
@@ -1226,10 +1217,8 @@ mod tests {
 
     #[test]
     fn well_formed_frames_reset_the_strike_count() {
-        let (server, handle) = spawn_with(ServerOptions {
-            malformed_limit: 2,
-            ..ServerOptions::default()
-        });
+        let (server, handle) =
+            spawn_with(ServerOptions { malformed_limit: 2, ..ServerOptions::default() });
         for _ in 0..4 {
             let err = handle.call_raw(vec![0xEE]).unwrap_err();
             assert_eq!(err, TransportError::Malformed { strikes_left: 1 });
@@ -1265,10 +1254,8 @@ mod tests {
     #[test]
     fn faulty_run_matches_fault_free_run_bit_for_bit() {
         let drive = |fault_plan: FaultPlan| {
-            let (server, handle) = spawn_with(ServerOptions {
-                fault_plan,
-                ..ServerOptions::default()
-            });
+            let (server, handle) =
+                spawn_with(ServerOptions { fault_plan, ..ServerOptions::default() });
             let user = UserId::new(4);
             let home = Point::new(75.0, -25.0);
             for t in 0..25 {
@@ -1390,11 +1377,17 @@ mod tests {
             }
             assert_eq!(waiting(), 2, "both callers under the capacity are admitted");
             // Two callers wait: the third is shed at once...
-            assert_eq!(busy_handle.try_call_raw(check_in(2).encode_vec()).unwrap_err(), TransportError::Overloaded);
+            assert_eq!(
+                busy_handle.try_call_raw(check_in(2).encode_vec()).unwrap_err(),
+                TransportError::Overloaded
+            );
             // ...while the other shard still admits, though the hub-wide
             // gauge already counts two waiters.
             assert_eq!(busy.health().queue_depth, 2);
-            assert_eq!(idle_handle.try_call_raw(check_in(0).encode_vec()).unwrap(), EdgeResponse::Ack);
+            assert_eq!(
+                idle_handle.try_call_raw(check_in(0).encode_vec()).unwrap(),
+                EdgeResponse::Ack
+            );
             drop(held);
             for waiter in waiters {
                 assert_eq!(waiter.join().unwrap().unwrap(), EdgeResponse::Ack);
@@ -1481,10 +1474,8 @@ mod tests {
     fn sequenced_duplicates_replay_without_reapplying() {
         use crate::protocol::encode_sequenced;
         let hub = Telemetry::new();
-        let (server, handle) = spawn_with(ServerOptions {
-            telemetry: hub.clone(),
-            ..ServerOptions::default()
-        });
+        let (server, handle) =
+            spawn_with(ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() });
         let user = UserId::new(5);
         let home = Point::new(25.0, 75.0);
         for t in 0..30i64 {
@@ -1515,20 +1506,14 @@ mod tests {
     #[test]
     fn sequences_older_than_the_window_are_rejected() {
         use crate::protocol::encode_sequenced;
-        let (server, handle) = spawn_with(ServerOptions {
-            dedup_window: 2,
-            ..ServerOptions::default()
-        });
+        let (server, handle) =
+            spawn_with(ServerOptions { dedup_window: 2, ..ServerOptions::default() });
         let user = UserId::new(1);
         let checkin = |seq: u32| {
             encode_sequenced(
                 1,
                 seq,
-                &ClientRequest::CheckIn {
-                    user,
-                    location: Point::ORIGIN,
-                    timestamp: seq as i64,
-                },
+                &ClientRequest::CheckIn { user, location: Point::ORIGIN, timestamp: seq as i64 },
             )
         };
         for seq in 0..5 {

@@ -189,11 +189,7 @@ impl ShardRouter {
     /// # Errors
     ///
     /// Propagates the shard's [`TransportError`].
-    pub fn request_location(
-        &self,
-        user: UserId,
-        location: Point,
-    ) -> Result<Point, TransportError> {
+    pub fn request_location(&self, user: UserId, location: Point) -> Result<Point, TransportError> {
         self.handle(user).request_location(user, location)
     }
 

@@ -302,8 +302,7 @@ impl UserState {
         scratch: &mut BatchScratch,
         lanes: &mut CandidateLanes,
     ) -> usize {
-        let tops: Vec<Point> =
-            self.manager.finalize_window().iter().map(|e| e.location).collect();
+        let tops: Vec<Point> = self.manager.finalize_window().iter().map(|e| e.location).collect();
         self.selection.invalidate();
         let fresh =
             self.obfuscation.obfuscate_top_set_with(&tops, &mut self.stream, scratch, lanes);

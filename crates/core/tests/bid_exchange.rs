@@ -173,8 +173,7 @@ fn ledger_spend_matches_the_wire_and_respects_caps() {
     let devices: Vec<DeviceId> = exchange.log().devices();
     for campaign in &campaigns {
         let state = exchange.network().serving_state(campaign.id());
-        let (wire_micros, wire_wins) =
-            spend.get(&campaign.id().raw()).copied().unwrap_or((0, 0));
+        let (wire_micros, wire_wins) = spend.get(&campaign.id().raw()).copied().unwrap_or((0, 0));
         // Prices cross the wire as round(cpm * 1e6): the ledger's float
         // spend and the wire total agree to within half a micro per win.
         let ledger_micros = state.spent() * 1e6;

@@ -59,23 +59,27 @@ struct FleetRun {
 /// witness the contracts compare.
 fn run_fleet(shards: usize, plan: ChannelFaultPlan, kills: bool) -> FleetRun {
     let hub = Telemetry::new();
-    let fabric = FabricRouter::spawn(config(), MASTER, FabricOptions {
-        shards,
-        fault_plan: plan,
-        kill_plans: if kills {
-            // One early crash per shard, well within the restart budget.
-            (0..shards).map(|_| FaultPlan::kill_at([5])).collect()
-        } else {
-            Vec::new()
+    let fabric = FabricRouter::spawn(
+        config(),
+        MASTER,
+        FabricOptions {
+            shards,
+            fault_plan: plan,
+            kill_plans: if kills {
+                // One early crash per shard, well within the restart budget.
+                (0..shards).map(|_| FaultPlan::kill_at([5])).collect()
+            } else {
+                Vec::new()
+            },
+            server: ServerOptions {
+                telemetry: hub.clone(),
+                backoff_base: 1,
+                backoff_cap: 1,
+                ..ServerOptions::default()
+            },
+            ..FabricOptions::default()
         },
-        server: ServerOptions {
-            telemetry: hub.clone(),
-            backoff_base: 1,
-            backoff_cap: 1,
-            ..ServerOptions::default()
-        },
-        ..FabricOptions::default()
-    });
+    );
     let users: Vec<UserId> = (0..USERS).map(UserId::new).collect();
     for t in 0..40 {
         for &u in &users {
@@ -183,16 +187,20 @@ fn duplication_survival_is_shard_count_invariant() {
 fn breaker_trace(shards: usize) -> Vec<BreakerEvent> {
     // Outage: user 0's deliveries 42..45 fail (40 check-ins + finalize
     // + 1 released request precede it).
-    let fabric = FabricRouter::spawn(config(), MASTER, FabricOptions {
-        shards,
-        fault_plan: ChannelFaultPlan {
-            seed: MASTER,
-            outages: vec![LaneOutage { lane: 0, from: 42, calls: 3 }],
-            ..ChannelFaultPlan::none()
+    let fabric = FabricRouter::spawn(
+        config(),
+        MASTER,
+        FabricOptions {
+            shards,
+            fault_plan: ChannelFaultPlan {
+                seed: MASTER,
+                outages: vec![LaneOutage { lane: 0, from: 42, calls: 3 }],
+                ..ChannelFaultPlan::none()
+            },
+            breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 16 },
+            ..FabricOptions::default()
         },
-        breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, max_cooldown: 16 },
-        ..FabricOptions::default()
-    });
+    );
     let users: Vec<UserId> = (0..12).map(UserId::new).collect();
     for t in 0..40 {
         for &u in &users {

@@ -17,10 +17,20 @@ const REQUESTS_PER_CYCLE: usize = 25;
 
 fn network() -> AdNetwork {
     AdNetwork::new(vec![
-        Campaign::new(0u64, "home-cafe", Targeting::radius(Point::new(0.0, 0.0), 25_000.0).unwrap(), 2.0)
-            .unwrap(),
-        Campaign::new(1u64, "office-gym", Targeting::radius(Point::new(9_000.0, 0.0), 25_000.0).unwrap(), 3.0)
-            .unwrap(),
+        Campaign::new(
+            0u64,
+            "home-cafe",
+            Targeting::radius(Point::new(0.0, 0.0), 25_000.0).unwrap(),
+            2.0,
+        )
+        .unwrap(),
+        Campaign::new(
+            1u64,
+            "office-gym",
+            Targeting::radius(Point::new(9_000.0, 0.0), 25_000.0).unwrap(),
+            3.0,
+        )
+        .unwrap(),
         Campaign::new(2u64, "countrywide", Targeting::Country(86), 1.0).unwrap(),
     ])
 }

@@ -46,12 +46,9 @@ impl BoundingBox {
 
     /// The box's center point.
     pub fn center(&self) -> GeoPoint {
-        GeoPoint::new(
-            (self.min_lat + self.max_lat) / 2.0,
-            (self.min_lon + self.max_lon) / 2.0,
-        )
-        // lint:allow(panic-hygiene): provably infallible — the midpoint of an in-range coordinate pair stays in range
-        .expect("center of a valid box is valid")
+        GeoPoint::new((self.min_lat + self.max_lat) / 2.0, (self.min_lon + self.max_lon) / 2.0)
+            // lint:allow(panic-hygiene): provably infallible — the midpoint of an in-range coordinate pair stays in range
+            .expect("center of a valid box is valid")
     }
 
     /// Returns `true` if `p` lies inside the box (inclusive).

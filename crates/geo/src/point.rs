@@ -322,10 +322,7 @@ mod tests {
         assert!(matches!(GeoPoint::new(90.1, 0.0), Err(GeoError::InvalidLatitude(_))));
         assert!(matches!(GeoPoint::new(0.0, -180.5), Err(GeoError::InvalidLongitude(_))));
         assert!(matches!(GeoPoint::new(f64::NAN, 0.0), Err(GeoError::InvalidLatitude(_))));
-        assert!(matches!(
-            GeoPoint::new(0.0, f64::INFINITY),
-            Err(GeoError::InvalidLongitude(_))
-        ));
+        assert!(matches!(GeoPoint::new(0.0, f64::INFINITY), Err(GeoError::InvalidLongitude(_))));
     }
 
     #[test]

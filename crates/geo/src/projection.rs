@@ -33,10 +33,7 @@ pub struct LocalProjection {
 impl LocalProjection {
     /// Creates a projection anchored at `origin`.
     pub fn new(origin: GeoPoint) -> Self {
-        LocalProjection {
-            origin,
-            cos_lat0: origin.lat().to_radians().cos(),
-        }
+        LocalProjection { origin, cos_lat0: origin.lat().to_radians().cos() }
     }
 
     /// The anchor point mapped to the planar origin.
@@ -101,10 +98,7 @@ mod tests {
         let planar = p.to_local(a).distance(p.to_local(b));
         let sphere = haversine_m(a, b);
         // < 0.1% distortion over ~44 km
-        assert!(
-            (planar - sphere).abs() / sphere < 1e-3,
-            "planar {planar} vs haversine {sphere}"
-        );
+        assert!((planar - sphere).abs() / sphere < 1e-3, "planar {planar} vs haversine {sphere}");
     }
 
     #[test]

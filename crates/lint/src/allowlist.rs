@@ -46,10 +46,7 @@ const MARKER: &str = "lint:allow";
 
 /// Extracts inline allows from a lexed file. Malformed suppressions become
 /// `allow-syntax` findings instead of allows.
-pub fn parse_inline_allows(
-    rel_path: &str,
-    file: &LexedFile,
-) -> (Vec<InlineAllow>, Vec<Finding>) {
+pub fn parse_inline_allows(rel_path: &str, file: &LexedFile) -> (Vec<InlineAllow>, Vec<Finding>) {
     let mut allows = Vec::new();
     let mut findings = Vec::new();
     for (idx, lexed) in file.lines.iter().enumerate() {
@@ -95,14 +92,10 @@ fn parse_marker(text: &str) -> Result<(Vec<String>, String), String> {
     let rest = rest
         .strip_prefix('(')
         .ok_or_else(|| "suppression must list rules: `lint:allow(<rule>): <why>`".to_owned())?;
-    let close = rest
-        .find(')')
-        .ok_or_else(|| "unclosed rule list in `lint:allow(...)`".to_owned())?;
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .collect();
+    let close =
+        rest.find(')').ok_or_else(|| "unclosed rule list in `lint:allow(...)`".to_owned())?;
+    let rules: Vec<String> =
+        rest[..close].split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect();
     if rules.is_empty() {
         return Err("empty rule list in `lint:allow()`".to_owned());
     }
@@ -119,10 +112,7 @@ fn parse_marker(text: &str) -> Result<(Vec<String>, String), String> {
 
 /// Parses the allowlist file. Unknown rules and malformed lines become
 /// `allow-syntax` findings attached to the allowlist file itself.
-pub fn parse_allowlist(
-    file_name: &str,
-    contents: &str,
-) -> (Vec<AllowlistEntry>, Vec<Finding>) {
+pub fn parse_allowlist(file_name: &str, contents: &str) -> (Vec<AllowlistEntry>, Vec<Finding>) {
     let mut entries = Vec::new();
     let mut findings = Vec::new();
     for (idx, raw) in contents.lines().enumerate() {

@@ -110,8 +110,8 @@ pub fn analyze(
         }
         for (item, owner) in scan.items.iter().zip(&owners) {
             let name = item.name.as_str();
-            let elsewhere = naming.get(name).copied().unwrap_or(0)
-                > usize::from(scan.names.contains(name));
+            let elsewhere =
+                naming.get(name).copied().unwrap_or(0) > usize::from(scan.names.contains(name));
             let typed = matches!(item.kind, "struct" | "enum" | "trait" | "type");
             let in_sibling_api = typed
                 && in_api.get(name).copied().unwrap_or(0) > usize::from(item.api.contains(name));
@@ -140,9 +140,7 @@ pub fn analyze(
 /// A library target of a workspace crate: `crates/*/src/**` outside
 /// `src/bin/` and `src/main.rs`.
 fn is_library(ctx: &FileContext) -> bool {
-    ctx.kind == FileKind::Lib
-        && ctx.crate_name.is_some()
-        && !ctx.rel_path.ends_with("/src/main.rs")
+    ctx.kind == FileKind::Lib && ctx.crate_name.is_some() && !ctx.rel_path.ends_with("/src/main.rs")
 }
 
 fn scan(lexed: &LexedFile, kind: FileKind, library: bool) -> FileScan {
@@ -247,7 +245,9 @@ fn pub_item(toks: &Tokens, at: usize) -> Option<PubItem> {
     loop {
         match (ident(toks, j), sym(toks, j)) {
             (Some("unsafe" | "async" | "extern"), _) | (_, Some('"')) => j += 1,
-            (Some("const"), _) if matches!(ident(toks, j + 1), Some("fn" | "unsafe" | "extern")) => {
+            (Some("const"), _)
+                if matches!(ident(toks, j + 1), Some("fn" | "unsafe" | "extern")) =>
+            {
                 j += 1
             }
             _ => break,

@@ -42,11 +42,7 @@ struct FnPat {
     name: &'static str,
 }
 
-const fn pat(
-    krate: Option<&'static str>,
-    ty: Option<&'static str>,
-    name: &'static str,
-) -> FnPat {
+const fn pat(krate: Option<&'static str>, ty: Option<&'static str>, name: &'static str) -> FnPat {
     FnPat { krate, ty, name }
 }
 
@@ -146,22 +142,119 @@ const MAX_WITNESS_HOPS: usize = 8;
 /// whole call graph together. Qualified calls (`StaleCache::insert(..)`)
 /// still resolve. Sorted for binary search.
 const UBIQUITOUS_METHODS: &[&str] = &[
-    "all", "and_then", "any", "append", "as_bytes", "as_mut", "as_ref", "as_slice",
-    "as_str", "borrow", "borrow_mut", "chain", "chars", "chunks", "clear", "clone",
-    "cloned", "cmp", "collect", "contains", "contains_key", "copied", "count",
-    "dedup", "drain", "ends_with", "entry", "enumerate", "eq", "extend", "fill",
-    "filter", "filter_map", "find", "find_map", "first", "flat_map", "flatten",
-    "fold", "for_each", "get", "get_mut", "insert", "into_iter", "is_empty",
-    "iter", "iter_mut", "join", "keys", "last", "len", "lines", "lock", "map",
-    "map_err", "max", "max_by", "max_by_key", "min", "min_by", "min_by_key",
-    "next", "ok", "or_else", "or_insert_with", "parse", "partition", "peek",
-    "pop", "position", "push", "push_str", "read", "recv", "remove", "repeat",
-    "replace", "reserve", "resize", "retain", "rev", "send", "skip", "skip_while",
-    "sort", "sort_by", "sort_by_key", "sort_unstable", "spawn", "split",
-    "split_at", "split_off", "split_whitespace", "starts_with", "strip_prefix",
-    "sum", "swap", "take", "take_while", "to_owned", "to_string", "to_vec",
-    "trim", "truncate", "try_into", "unwrap_or", "unwrap_or_default",
-    "unwrap_or_else", "values", "values_mut", "windows", "write", "write_all",
+    "all",
+    "and_then",
+    "any",
+    "append",
+    "as_bytes",
+    "as_mut",
+    "as_ref",
+    "as_slice",
+    "as_str",
+    "borrow",
+    "borrow_mut",
+    "chain",
+    "chars",
+    "chunks",
+    "clear",
+    "clone",
+    "cloned",
+    "cmp",
+    "collect",
+    "contains",
+    "contains_key",
+    "copied",
+    "count",
+    "dedup",
+    "drain",
+    "ends_with",
+    "entry",
+    "enumerate",
+    "eq",
+    "extend",
+    "fill",
+    "filter",
+    "filter_map",
+    "find",
+    "find_map",
+    "first",
+    "flat_map",
+    "flatten",
+    "fold",
+    "for_each",
+    "get",
+    "get_mut",
+    "insert",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "join",
+    "keys",
+    "last",
+    "len",
+    "lines",
+    "lock",
+    "map",
+    "map_err",
+    "max",
+    "max_by",
+    "max_by_key",
+    "min",
+    "min_by",
+    "min_by_key",
+    "next",
+    "ok",
+    "or_else",
+    "or_insert_with",
+    "parse",
+    "partition",
+    "peek",
+    "pop",
+    "position",
+    "push",
+    "push_str",
+    "read",
+    "recv",
+    "remove",
+    "repeat",
+    "replace",
+    "reserve",
+    "resize",
+    "retain",
+    "rev",
+    "send",
+    "skip",
+    "skip_while",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "sort_unstable",
+    "spawn",
+    "split",
+    "split_at",
+    "split_off",
+    "split_whitespace",
+    "starts_with",
+    "strip_prefix",
+    "sum",
+    "swap",
+    "take",
+    "take_while",
+    "to_owned",
+    "to_string",
+    "to_vec",
+    "trim",
+    "truncate",
+    "try_into",
+    "unwrap_or",
+    "unwrap_or_default",
+    "unwrap_or_else",
+    "values",
+    "values_mut",
+    "windows",
+    "write",
+    "write_all",
     "zip",
 ];
 
@@ -369,9 +462,7 @@ fn location_leak(table: &SymbolTable<'_>) -> Vec<Finding> {
                     let resolved = table.resolve(i, call);
                     if resolved.iter().any(|&c| class[c] == Class::Sanitizer) {
                         state = None;
-                    } else if let Some(&c) =
-                        resolved.iter().find(|&&c| taint[c].is_some())
-                    {
+                    } else if let Some(&c) = resolved.iter().find(|&&c| taint[c].is_some()) {
                         state = Some(Witness { line: call.line, callee: Some(c) });
                     }
                 }
@@ -410,11 +501,7 @@ fn location_leak(table: &SymbolTable<'_>) -> Vec<Finding> {
         if item.in_test || matches!(file.kind, FileKind::Test | FileKind::Example) {
             continue;
         }
-        if file
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| LEAK_EXEMPT_CRATES.contains(&c))
-        {
+        if file.crate_name.as_deref().is_some_and(|c| LEAK_EXEMPT_CRATES.contains(&c)) {
             continue;
         }
         let mut armed: Option<(usize, Witness)> = None; // (call ordinal, origin)
@@ -474,12 +561,7 @@ fn leak_finding(
     up.reverse();
     hops.extend(up);
 
-    hops.push(format!(
-        "`{}` ({}:{})",
-        table.qualified_name(carrier),
-        file.rel_path,
-        sink_line
-    ));
+    hops.push(format!("`{}` ({}:{})", table.qualified_name(carrier), file.rel_path, sink_line));
 
     // Sink side: walk the reach witnesses down to the pattern sink.
     let mut at = Some(sink_entry);
@@ -524,10 +606,7 @@ fn seed_flow(table: &SymbolTable<'_>) -> Vec<Finding> {
     let in_scope = |file: &ParsedFile, item: &FnItem| {
         !item.in_test
             && matches!(file.kind, FileKind::Lib | FileKind::Bin)
-            && file
-                .crate_name
-                .as_deref()
-                .is_some_and(|c| RESULT_PRODUCING.contains(&c))
+            && file.crate_name.as_deref().is_some_and(|c| RESULT_PRODUCING.contains(&c))
     };
 
     // Seed the obligation set from raw RNG-constructor call sites, then
@@ -542,18 +621,17 @@ fn seed_flow(table: &SymbolTable<'_>) -> Vec<Finding> {
             for (ord, call) in item.calls.iter().enumerate() {
                 // Raw constructors are external (vendored rand), matched by
                 // name; passthrough targets are resolved workspace fns.
-                let targets: Vec<(usize, Option<usize>)> = if RNG_CTORS
-                    .contains(&call.callee.as_str())
-                {
-                    vec![(0usize, None)]
-                } else {
-                    table
-                        .resolve(i, call)
-                        .into_iter()
-                        .filter(|c| obligations.contains_key(c))
-                        .map(|c| (obligations[&c].arg_index, Some(c)))
-                        .collect()
-                };
+                let targets: Vec<(usize, Option<usize>)> =
+                    if RNG_CTORS.contains(&call.callee.as_str()) {
+                        vec![(0usize, None)]
+                    } else {
+                        table
+                            .resolve(i, call)
+                            .into_iter()
+                            .filter(|c| obligations.contains_key(c))
+                            .map(|c| (obligations[&c].arg_index, Some(c)))
+                            .collect()
+                    };
                 for (arg_index, target) in targets {
                     let key = (i, ord, target.unwrap_or(usize::MAX));
                     if !checked.insert(key) {
@@ -580,8 +658,13 @@ fn seed_flow(table: &SymbolTable<'_>) -> Vec<Finding> {
                         SeedVerdict::Literal => {
                             if in_scope(file, item) {
                                 findings.push(seed_finding(
-                                    table, file, call, arg, target,
-                                    ctor_name(&call.callee), &obligations,
+                                    table,
+                                    file,
+                                    call,
+                                    arg,
+                                    target,
+                                    ctor_name(&call.callee),
+                                    &obligations,
                                 ));
                             }
                         }
@@ -726,8 +809,7 @@ mod tests {
 
     fn analyze_mini(extra: &[(&str, &str)]) -> Vec<Finding> {
         let owned = mini(extra);
-        let borrowed: Vec<(&str, &str)> =
-            owned.iter().map(|(r, s)| (*r, s.as_str())).collect();
+        let borrowed: Vec<(&str, &str)> = owned.iter().map(|(r, s)| (*r, s.as_str())).collect();
         let parsed = parse_all(&borrowed);
         let table = SymbolTable::build(&parsed);
         analyze(&table)
@@ -739,8 +821,7 @@ mod tests {
             "crates/core/src/leak.rs",
             "impl Device {\n    fn leak(&self) -> Bytes {\n        let top = self.manager.top_set();\n        self.response.encode()\n    }\n}\n",
         )]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         let f = leaks[0];
         assert_eq!(f.file, "crates/core/src/leak.rs");
@@ -756,10 +837,7 @@ mod tests {
             "crates/core/src/ok.rs",
             "impl Device {\n    fn served(&self) -> Bytes {\n        let top = self.manager.top_set();\n        let c = self.module.candidates_for(top);\n        self.response.encode()\n    }\n}\n",
         )]);
-        assert!(
-            findings.iter().all(|f| f.rule != "location-leak"),
-            "findings: {findings:?}"
-        );
+        assert!(findings.iter().all(|f| f.rule != "location-leak"), "findings: {findings:?}");
     }
 
     #[test]
@@ -771,8 +849,7 @@ mod tests {
              \x20   fn ship(&self, b: Bytes) {\n        self.response.encode()\n    }\n\
              \x20   fn handle(&self) {\n        let p = self.current();\n        self.ship(p)\n    }\n}\n",
         )]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         let msg = &leaks[0].message;
         assert!(msg.contains("`Device::current`"), "{msg}");
@@ -794,8 +871,7 @@ mod tests {
                 "impl Device {\n    fn emit(&self) {\n        let top = self.manager.top_set();\n        self.sink.submit(id, top)\n    }\n}\n",
             ),
         ]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         assert!(leaks[0].message.contains("`BidSink::submit`"), "{}", leaks[0].message);
         // ...while the served (obfuscated) location may be bid on freely.
@@ -806,10 +882,7 @@ mod tests {
                 "impl Device {\n    fn emit(&self) {\n        let top = self.manager.top_set();\n        let c = self.module.candidates_for(top);\n        self.sink.submit(id, c)\n    }\n}\n",
             ),
         ]);
-        assert!(
-            findings.iter().all(|f| f.rule != "location-leak"),
-            "findings: {findings:?}"
-        );
+        assert!(findings.iter().all(|f| f.rule != "location-leak"), "findings: {findings:?}");
         // The sink's own encoder appends frames into a caller's buffer;
         // that form is egress too, under the same rule.
         let encoder = (
@@ -823,8 +896,7 @@ mod tests {
                 "impl Device {\n    fn emit(&self, buf: &mut BytesMut) {\n        let top = self.manager.top_set();\n        BidRequest::new(id, 0, top).encode_into(buf)\n    }\n}\n",
             ),
         ]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         assert!(leaks[0].message.contains("`BidRequest::encode_into`"), "{}", leaks[0].message);
         let findings = analyze_mini(&[
@@ -834,10 +906,7 @@ mod tests {
                 "impl Device {\n    fn emit(&self, buf: &mut BytesMut) {\n        let top = self.manager.top_set();\n        let c = self.module.candidates_for(top);\n        BidRequest::new(id, 0, c).encode_into(buf)\n    }\n}\n",
             ),
         ]);
-        assert!(
-            findings.iter().all(|f| f.rule != "location-leak"),
-            "findings: {findings:?}"
-        );
+        assert!(findings.iter().all(|f| f.rule != "location-leak"), "findings: {findings:?}");
     }
 
     #[test]
@@ -855,8 +924,7 @@ mod tests {
                 "impl Device {\n    fn dump(&self, buf: &mut Vec<u8>) {\n        let frame = UserFrame {\n            top_set: self.manager.top_set(),\n        };\n        put_user_frame(buf, &frame)\n    }\n}\n",
             ),
         ]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         assert_eq!((leaks[0].file.as_str(), leaks[0].line), ("crates/core/src/dump.rs", 6));
         assert!(leaks[0].message.contains("`put_user_frame`"), "{}", leaks[0].message);
@@ -868,8 +936,7 @@ mod tests {
                 "impl Device {\n    fn emit(&self, buf: &mut Vec<u8>, frame: &UserFrame) {\n        put_user_frame(buf, frame)\n    }\n    fn dump(&self, buf: &mut Vec<u8>) {\n        let tops = self.manager.top_set();\n        self.emit(buf, &tops)\n    }\n}\n",
             ),
         ]);
-        let leaks: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "location-leak").collect();
+        let leaks: Vec<&Finding> = findings.iter().filter(|f| f.rule == "location-leak").collect();
         assert_eq!(leaks.len(), 1, "findings: {findings:?}");
         assert!(leaks[0].message.contains("`Device::emit`"), "{}", leaks[0].message);
         assert!(leaks[0].message.contains("`put_user_frame`"), "{}", leaks[0].message);
@@ -929,14 +996,8 @@ mod tests {
     #[test]
     fn seed_flow_exempts_tests_and_non_result_crates() {
         let parsed = parse_all(&[
-            (
-                "crates/lint/src/x.rs",
-                "fn f() {\n    let r = StdRng::seed_from_u64(42);\n}\n",
-            ),
-            (
-                "crates/core/tests/t.rs",
-                "fn f() {\n    let r = StdRng::seed_from_u64(42);\n}\n",
-            ),
+            ("crates/lint/src/x.rs", "fn f() {\n    let r = StdRng::seed_from_u64(42);\n}\n"),
+            ("crates/core/tests/t.rs", "fn f() {\n    let r = StdRng::seed_from_u64(42);\n}\n"),
         ]);
         let table = SymbolTable::build(&parsed);
         assert!(analyze(&table).iter().all(|f| f.rule != "seed-flow"));

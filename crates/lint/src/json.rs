@@ -180,8 +180,7 @@ impl Parser {
                         let mut code = 0u32;
                         for _ in 0..4 {
                             let c = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + c.to_digit(16).ok_or("invalid hex in \\u escape")?;
+                            code = code * 16 + c.to_digit(16).ok_or("invalid hex in \\u escape")?;
                         }
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
@@ -285,10 +284,8 @@ pub fn escape(s: &str) -> String {
 /// `runs` array whose entries each carry `name` and `wall_ms`.
 pub fn validate_bench_report(text: &str) -> Result<(), String> {
     let doc = parse(text)?;
-    let experiment = doc
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or("missing string key `experiment`")?;
+    let experiment =
+        doc.get("experiment").and_then(Json::as_str).ok_or("missing string key `experiment`")?;
     if experiment.is_empty() {
         return Err("`experiment` is empty".to_owned());
     }
@@ -377,9 +374,10 @@ fn validate_telemetry_section(telemetry: &Json) -> Result<(), String> {
             .get("ledger")
             .ok_or(format!("telemetry[`{section}`] missing object key `ledger`"))?;
         for key in ["users", "epsilon_total", "delta_total", "candidate_sets", "window_closes"] {
-            let v = ledger.get(key).and_then(Json::as_num).ok_or(format!(
-                "telemetry[`{section}`] ledger missing numeric key `{key}`"
-            ))?;
+            let v = ledger
+                .get(key)
+                .and_then(Json::as_num)
+                .ok_or(format!("telemetry[`{section}`] ledger missing numeric key `{key}`"))?;
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("telemetry[`{section}`] ledger `{key}` is {v} (want >= 0)"));
             }
@@ -416,7 +414,9 @@ fn validate_serve_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 1.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"
+            ));
         }
     }
     Ok(())
@@ -456,7 +456,9 @@ fn validate_scale_row(
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 1.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"
+            ));
         }
     }
     let bpu = run
@@ -526,7 +528,9 @@ fn validate_chaos_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 0.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 0)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 0)"
+            ));
         }
     }
     let threads = run
@@ -574,7 +578,9 @@ fn validate_fabric_columns(i: usize, name: &str, run: &Json) -> Result<(), Strin
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 0.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 0)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 0)"
+            ));
         }
         *slot = v;
     }
@@ -628,9 +634,8 @@ fn validate_microbench_row(i: usize, name: &str, run: &Json) -> Result<(), Strin
         ));
     }
     if let Some(ratio) = run.get("ratio") {
-        let ratio = ratio
-            .as_num()
-            .ok_or(format!("runs[{i}] (`{name}`) has a non-numeric `ratio`"))?;
+        let ratio =
+            ratio.as_num().ok_or(format!("runs[{i}] (`{name}`) has a non-numeric `ratio`"))?;
         if !ratio.is_finite() || ratio < 1.0 {
             return Err(format!(
                 "runs[{i}] (`{name}`) has invalid `ratio` {ratio} (want finite >= 1)"
@@ -667,7 +672,9 @@ fn validate_lint_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 1.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"
+            ));
         }
     }
     Ok(())
@@ -732,7 +739,9 @@ fn validate_auction_row(i: usize, name: &str, run: &Json) -> Result<(), String> 
             .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
         // lint:allow(float-eq): exact integrality test — fract() of an integral f64 is exactly 0.0
         if v.fract() != 0.0 || v < 1.0 {
-            return Err(format!("runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"));
+            return Err(format!(
+                "runs[{i}] (`{name}`) has invalid `{key}` {v} (want integer >= 1)"
+            ));
         }
     }
     let digest = run
@@ -804,8 +813,9 @@ mod tests {
         // A serve row missing its triple is rejected...
         let missing = report(r#"{"name": "serve/batched", "wall_ms": 10.0}"#);
         assert!(validate_bench_report(&missing).unwrap_err().contains("requests_per_sec"));
-        let no_batch =
-            report(r#"{"name": "serve/x", "wall_ms": 1.0, "requests_per_sec": 10.0, "threads": 1}"#);
+        let no_batch = report(
+            r#"{"name": "serve/x", "wall_ms": 1.0, "requests_per_sec": 10.0, "threads": 1}"#,
+        );
         assert!(validate_bench_report(&no_batch).unwrap_err().contains("batch"));
         // ...as are nonsense values.
         let zero_rps = report(
@@ -817,8 +827,7 @@ mod tests {
         );
         assert!(validate_bench_report(&frac_batch).is_err());
         // Any row claiming requests_per_sec needs the shape, serve-named or not.
-        let sneaky =
-            report(r#"{"name": "other", "wall_ms": 1.0, "requests_per_sec": 5.0}"#);
+        let sneaky = report(r#"{"name": "other", "wall_ms": 1.0, "requests_per_sec": 5.0}"#);
         assert!(validate_bench_report(&sneaky).is_err());
     }
 
@@ -933,9 +942,8 @@ mod tests {
         // An auction row missing its record is rejected...
         let missing = report(r#"{"name": "auction/exchange", "wall_ms": 1.0}"#);
         assert!(validate_bench_report(&missing).unwrap_err().contains("auctions_per_sec"));
-        let no_decode = report(
-            r#"{"name": "auction/exchange", "wall_ms": 1.0, "auctions_per_sec": 10.0}"#,
-        );
+        let no_decode =
+            report(r#"{"name": "auction/exchange", "wall_ms": 1.0, "auctions_per_sec": 10.0}"#);
         assert!(validate_bench_report(&no_decode).unwrap_err().contains("decode_ns_per_req"));
         // ...as are nonsense values.
         assert!(validate_bench_report(&base(r#", "auctions_per_sec": 0"#))
@@ -959,9 +967,7 @@ mod tests {
         assert!(validate_bench_report(&base(r#", "requests": 2.5"#))
             .unwrap_err()
             .contains("requests"));
-        assert!(validate_bench_report(&base(r#", "digest": """#))
-            .unwrap_err()
-            .contains("digest"));
+        assert!(validate_bench_report(&base(r#", "digest": """#)).unwrap_err().contains("digest"));
         // Any row claiming auctions_per_sec needs the record, auction-named
         // or not.
         let sneaky = report(r#"{"name": "other", "wall_ms": 1.0, "auctions_per_sec": 5.0}"#);
@@ -1162,7 +1168,10 @@ mod tests {
             "runs": [{"name": "fig9", "wall_ms": 82.3, "threads": 4}]}"#;
         assert!(validate_bench_report(good).is_ok());
         assert!(validate_bench_report("{}").is_err());
-        assert!(validate_bench_report(r#"{"experiment": "all", "seed": 0, "threads": 1, "runs": []}"#).is_err());
+        assert!(validate_bench_report(
+            r#"{"experiment": "all", "seed": 0, "threads": 1, "runs": []}"#
+        )
+        .is_err());
         let bad_run = r#"{"experiment": "all", "seed": 0, "threads": 1, "runs": [{"name": "x"}]}"#;
         assert!(validate_bench_report(bad_run).is_err());
         assert!(validate_bench_report("not json").is_err());

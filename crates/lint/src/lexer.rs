@@ -46,11 +46,17 @@ enum State {
     /// Nesting depth (Rust block comments nest).
     BlockComment(u32),
     /// In a string literal; `true` when the previous char was a backslash.
-    Str { escaped: bool },
+    Str {
+        escaped: bool,
+    },
     /// In a raw string closed by `"` followed by this many `#`s.
-    RawStr { hashes: u32 },
+    RawStr {
+        hashes: u32,
+    },
     /// In a char literal; `true` when the previous char was a backslash.
-    Char { escaped: bool },
+    Char {
+        escaped: bool,
+    },
 }
 
 /// Lexes `src` into per-line code masks and comment text.

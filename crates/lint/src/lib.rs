@@ -92,10 +92,8 @@ pub fn run(root: &Path) -> Report {
     // never feeds results, only the budget check and the BENCH row.
     // lint:allow(determinism-time): measuring the analysis phase itself is this rule's one sanctioned use; the reading gates CI wall-time, not experiment output
     let flow_start = std::time::Instant::now();
-    let parsed: Vec<parser::ParsedFile> = lexed_files
-        .iter()
-        .map(|(ctx, lexed)| parser::parse_file(ctx, lexed))
-        .collect();
+    let parsed: Vec<parser::ParsedFile> =
+        lexed_files.iter().map(|(ctx, lexed)| parser::parse_file(ctx, lexed)).collect();
     let table = flow::SymbolTable::build(&parsed);
     let functions_indexed = table.len();
     findings.extend(flow::analyze(&table));

@@ -44,9 +44,7 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--root" => opts.root = take_value(&mut args, "--root")?.into(),
             "--json" => opts.json_out = Some(take_value(&mut args, "--json")?.into()),
-            "--bench-json" => {
-                opts.bench_json = Some(take_value(&mut args, "--bench-json")?.into())
-            }
+            "--bench-json" => opts.bench_json = Some(take_value(&mut args, "--bench-json")?.into()),
             "--flow-budget-ms" => {
                 let raw = take_value(&mut args, "--flow-budget-ms")?;
                 let ms: f64 = raw

@@ -77,7 +77,14 @@ fn check_root_manifest(root: &Path, out: &mut Vec<Finding>) {
             continue;
         }
         if spec.contains("registry") {
-            push(out, file, line_no, format!("dependency `{name}` names a registry; only vendored compat/ paths are allowed"));
+            push(
+                out,
+                file,
+                line_no,
+                format!(
+                    "dependency `{name}` names a registry; only vendored compat/ paths are allowed"
+                ),
+            );
             continue;
         }
         let Some(path) = extract_path(spec) else {
@@ -85,11 +92,21 @@ fn check_root_manifest(root: &Path, out: &mut Vec<Finding>) {
             continue;
         };
         if !(path.starts_with("crates/") || path.starts_with("compat/")) {
-            push(out, file, line_no, format!("dependency `{name}` points outside crates/ and compat/ (`{path}`)"));
+            push(
+                out,
+                file,
+                line_no,
+                format!("dependency `{name}` points outside crates/ and compat/ (`{path}`)"),
+            );
             continue;
         }
         if !root.join(&path).join("Cargo.toml").is_file() {
-            push(out, file, line_no, format!("dependency `{name}` path `{path}` does not resolve to a vendored crate"));
+            push(
+                out,
+                file,
+                line_no,
+                format!("dependency `{name}` path `{path}` does not resolve to a vendored crate"),
+            );
         }
     }
 }
@@ -119,7 +136,9 @@ fn check_member_manifest(manifest: &Path, rel: &str, out: &mut Vec<Finding>) {
             || section.starts_with("[dev-dependencies.")
             || section.starts_with("[build-dependencies.");
         if in_dep_table {
-            if line.starts_with("git") || line.starts_with("registry") || line.starts_with("version")
+            if line.starts_with("git")
+                || line.starts_with("registry")
+                || line.starts_with("version")
             {
                 push(out, rel, line_no, format!("dependency table `{section}` must use `workspace = true` or a `path`, not `{line}`"));
             }
@@ -194,7 +213,10 @@ mod tests {
         assert!(
             findings.is_empty(),
             "unexpected manifest findings: {:?}",
-            findings.iter().map(|f| format!("{}:{} {}", f.file, f.line, f.message)).collect::<Vec<_>>()
+            findings
+                .iter()
+                .map(|f| format!("{}:{} {}", f.file, f.line, f.message))
+                .collect::<Vec<_>>()
         );
     }
 }

@@ -86,8 +86,8 @@ const ARG_CAP: usize = 400;
 /// Keywords that look like `ident (` but never denote a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "loop", "return", "fn", "in", "as", "move", "impl", "where",
-    "pub", "use", "let", "else", "unsafe", "dyn", "ref", "box", "await", "struct", "enum",
-    "trait", "type", "mod", "const", "static", "crate", "super",
+    "pub", "use", "let", "else", "unsafe", "dyn", "ref", "box", "await", "struct", "enum", "trait",
+    "type", "mod", "const", "static", "crate", "super",
 ];
 
 #[derive(Debug, Clone, PartialEq)]
@@ -286,8 +286,7 @@ pub fn parse_file(ctx: &FileContext, file: &LexedFile) -> ParsedFile {
                     pending_type = None;
                     if let Some(pl) = pending_let.take() {
                         if pl.derived {
-                            if let (Some(name), Some((item, _))) = (pl.name, open_fns.last_mut())
-                            {
+                            if let (Some(name), Some((item, _))) = (pl.name, open_fns.last_mut()) {
                                 item.derived_lets.push(name);
                             }
                         }
@@ -635,7 +634,8 @@ mod tests {
 
     #[test]
     fn cfg_test_fns_are_marked() {
-        let src = "fn lib_fn() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { lib_fn(); }\n}\n";
+        let src =
+            "fn lib_fn() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { lib_fn(); }\n}\n";
         let parsed = parse("crates/core/src/a.rs", src);
         assert!(!parsed.fns[0].in_test);
         assert!(parsed.fns[1].in_test);
@@ -652,7 +652,8 @@ mod tests {
 
     #[test]
     fn nested_braces_keep_fn_attribution() {
-        let src = "fn outer() {\n    let c = |x: u64| {\n        inner(x)\n    };\n    other();\n}\n\
+        let src =
+            "fn outer() {\n    let c = |x: u64| {\n        inner(x)\n    };\n    other();\n}\n\
                    fn after() { tail(); }\n";
         let parsed = parse("crates/core/src/a.rs", src);
         assert_eq!(parsed.fns[0].name, "outer");

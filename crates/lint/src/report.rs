@@ -85,7 +85,8 @@ impl Report {
             );
             match &f.suppressed {
                 Some(j) => {
-                    let _ = write!(out, "\"suppressed\": true, \"justification\": \"{}\"", escape(j));
+                    let _ =
+                        write!(out, "\"suppressed\": true, \"justification\": \"{}\"", escape(j));
                 }
                 None => {
                     let _ = write!(out, "\"suppressed\": false, \"justification\": null");

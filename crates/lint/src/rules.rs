@@ -258,9 +258,8 @@ pub fn check_file(ctx: &FileContext, file: &LexedFile) -> Vec<Finding> {
     let order_scope =
         ctx.crate_is(RESULT_PRODUCING) && matches!(ctx.kind, FileKind::Lib | FileKind::Bin);
     let float_scope = matches!(ctx.kind, FileKind::Lib | FileKind::Bin);
-    let seed_scope = ctx.crate_is(SEED_DISCIPLINE)
-        || ctx.crate_name.is_none()
-        || ctx.kind == FileKind::Example;
+    let seed_scope =
+        ctx.crate_is(SEED_DISCIPLINE) || ctx.crate_name.is_none() || ctx.kind == FileKind::Example;
     let telemetry_scope =
         ctx.crate_is(TELEMETRY_SCOPE) && matches!(ctx.kind, FileKind::Lib | FileKind::Bin);
     let params_scope = !ctx.rel_path.ends_with(PARAMS_MODULE);
@@ -295,7 +294,9 @@ pub fn check_file(ctx: &FileContext, file: &LexedFile) -> Vec<Finding> {
                 push(
                     line_no,
                     "determinism-rng",
-                    format!("`{needle}` draws OS entropy; construct RNGs from `derive_seed` instead"),
+                    format!(
+                        "`{needle}` draws OS entropy; construct RNGs from `derive_seed` instead"
+                    ),
                 );
             }
         }
@@ -372,9 +373,8 @@ pub fn check_file(ctx: &FileContext, file: &LexedFile) -> Vec<Finding> {
 
         if channel_scope && !in_test {
             let channel_op = CHANNEL_OPS.iter().any(|op| find_token(code, op).is_some());
-            let panics = [".unwrap()", ".expect("]
-                .iter()
-                .any(|needle| find_token(code, needle).is_some());
+            let panics =
+                [".unwrap()", ".expect("].iter().any(|needle| find_token(code, needle).is_some());
             if channel_op && panics {
                 push(
                     line_no,
@@ -604,7 +604,8 @@ mod tests {
         assert!(rules_hit("crates/bench/src/bin/chaos.rs", src).contains(&"channel-hygiene"));
         // Out of scope: non-serving crates and test code.
         assert!(!rules_hit("crates/lint/src/x.rs", src).contains(&"channel-hygiene"));
-        let test_src = "#[cfg(test)]\nmod tests {\n fn f(tx: Sender<u8>) { tx.send(1).unwrap(); }\n}\n";
+        let test_src =
+            "#[cfg(test)]\nmod tests {\n fn f(tx: Sender<u8>) { tx.send(1).unwrap(); }\n}\n";
         assert!(!rules_hit("crates/core/src/server.rs", test_src).contains(&"channel-hygiene"));
         // Handled channel results and non-channel expects stay quiet.
         let handled = "fn f(tx: Sender<u8>) { let _ = tx.send(1); }\n";
@@ -614,10 +615,7 @@ mod tests {
         // Every guarded channel op is covered.
         for op in ["try_send(0)", "recv()", "try_recv()", "recv_timeout(d)"] {
             let src = format!("fn f(c: C) {{ c.{op}.expect(\"peer alive\"); }}\n");
-            assert!(
-                rules_hit("crates/core/src/x.rs", &src).contains(&"channel-hygiene"),
-                "{op}"
-            );
+            assert!(rules_hit("crates/core/src/x.rs", &src).contains(&"channel-hygiene"), "{op}");
         }
     }
 

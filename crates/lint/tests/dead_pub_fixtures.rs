@@ -48,12 +48,10 @@ fn an_item_named_only_at_its_definition_is_a_finding() {
                pub fn caller() -> u32 {\n    lonely()\n}\n\
                pub struct Grid;\n\
                impl Grid {\n    pub fn cell_size(&self) -> f64 {\n        1.0\n    }\n}\n";
-    let example = "fn main() {\n    let _ = privlocad_geo::caller();\n    let _ = privlocad_geo::Grid;\n}\n";
-    let findings = dead_pub(
-        &[("crates/geo/src/grid.rs", lib), ("examples/demo.rs", example)],
-        &[],
-        "",
-    );
+    let example =
+        "fn main() {\n    let _ = privlocad_geo::caller();\n    let _ = privlocad_geo::Grid;\n}\n";
+    let findings =
+        dead_pub(&[("crates/geo/src/grid.rs", lib), ("examples/demo.rs", example)], &[], "");
     // `lonely` is called from its own file only; `cell_size` nowhere.
     assert_eq!(
         active(&findings, "dead-pub"),
@@ -126,18 +124,18 @@ fn a_type_named_in_a_sibling_pub_signature_or_field_is_quiet() {
                pub struct Own;\n\
                impl Own {\n    pub fn new() -> Own {\n        Own\n    }\n}\n";
     let example = "fn main() {\n    privlocad_geo::configure(Default::default());\n    let _ = Other::new();\n}\n";
-    let findings = dead_pub(
-        &[("crates/geo/src/config.rs", lib), ("examples/demo.rs", example)],
-        &[],
-        "",
-    );
+    let findings =
+        dead_pub(&[("crates/geo/src/config.rs", lib), ("examples/demo.rs", example)], &[], "");
     // `Options` and `Report` sit in `configure`'s signature and `Inner` in
     // `Report`'s pub field. A private field keeps nothing, and a method's
     // signature does not keep its own impl type (`new` is named by the
     // example's `Other::new`).
     assert_eq!(
         active(&findings, "dead-pub"),
-        ["crates/geo/src/config.rs:10 pub struct Hidden", "crates/geo/src/config.rs:11 pub struct Own"]
+        [
+            "crates/geo/src/config.rs:10 pub struct Hidden",
+            "crates/geo/src/config.rs:11 pub struct Own"
+        ]
     );
 }
 

@@ -44,28 +44,22 @@ fn assert_quiet(findings: &[Finding]) {
 
 #[test]
 fn determinism_time_fires_and_suppresses() {
-    let findings =
-        lint("crates/bench/src/fx.rs", include_str!("fixtures/determinism_time.rs"));
+    let findings = lint("crates/bench/src/fx.rs", include_str!("fixtures/determinism_time.rs"));
     assert_eq!(active(&findings, "determinism-time").len(), 2, "{findings:?}");
 
-    let findings = lint(
-        "crates/bench/src/fx.rs",
-        include_str!("fixtures/determinism_time_suppressed.rs"),
-    );
+    let findings =
+        lint("crates/bench/src/fx.rs", include_str!("fixtures/determinism_time_suppressed.rs"));
     assert_quiet(&findings);
     assert!(findings.iter().any(|f| f.rule == "determinism-time" && !f.is_active()));
 }
 
 #[test]
 fn determinism_rng_fires_and_suppresses() {
-    let findings =
-        lint("crates/geo/src/fx.rs", include_str!("fixtures/determinism_rng.rs"));
+    let findings = lint("crates/geo/src/fx.rs", include_str!("fixtures/determinism_rng.rs"));
     assert_eq!(active(&findings, "determinism-rng").len(), 3, "{findings:?}");
 
-    let findings = lint(
-        "crates/geo/src/fx.rs",
-        include_str!("fixtures/determinism_rng_suppressed.rs"),
-    );
+    let findings =
+        lint("crates/geo/src/fx.rs", include_str!("fixtures/determinism_rng_suppressed.rs"));
     assert_quiet(&findings);
 }
 
@@ -79,10 +73,8 @@ fn determinism_seed_fires_in_scope_and_suppresses() {
     let findings = lint("crates/geo/src/fx.rs", src);
     assert!(active(&findings, "determinism-seed").is_empty());
 
-    let findings = lint(
-        "crates/bench/src/fx.rs",
-        include_str!("fixtures/determinism_seed_suppressed.rs"),
-    );
+    let findings =
+        lint("crates/bench/src/fx.rs", include_str!("fixtures/determinism_seed_suppressed.rs"));
     assert_quiet(&findings);
 }
 
@@ -97,10 +89,8 @@ fn order_stability_fires_and_suppresses() {
     let findings = lint("tests/fx.rs", src);
     assert!(active(&findings, "order-stability").is_empty());
 
-    let findings = lint(
-        "crates/attack/src/fx.rs",
-        include_str!("fixtures/order_stability_suppressed.rs"),
-    );
+    let findings =
+        lint("crates/attack/src/fx.rs", include_str!("fixtures/order_stability_suppressed.rs"));
     assert_quiet(&findings);
 }
 
@@ -114,10 +104,8 @@ fn privacy_params_fires_and_suppresses() {
     let findings = lint("crates/mechanisms/src/params.rs", src);
     assert!(active(&findings, "privacy-params").is_empty());
 
-    let findings = lint(
-        "crates/mechanisms/src/fx.rs",
-        include_str!("fixtures/privacy_params_suppressed.rs"),
-    );
+    let findings =
+        lint("crates/mechanisms/src/fx.rs", include_str!("fixtures/privacy_params_suppressed.rs"));
     assert_quiet(&findings);
 }
 
@@ -167,8 +155,7 @@ fn channel_hygiene_fires_and_suppresses() {
 
 #[test]
 fn unsafe_audit_fires_and_safety_comment_satisfies_it() {
-    let findings =
-        lint("crates/geo/src/fx.rs", include_str!("fixtures/unsafe_audit.rs"));
+    let findings = lint("crates/geo/src/fx.rs", include_str!("fixtures/unsafe_audit.rs"));
     assert_eq!(active(&findings, "unsafe-audit").len(), 1, "{findings:?}");
 
     // A `// SAFETY:` comment is the fix, not a suppression: no allow needed.
@@ -205,7 +192,8 @@ fn manifest_deps_fires_on_bad_fixture_workspace() {
 
 #[test]
 fn unjustified_allow_is_an_allow_syntax_finding() {
-    let src = "fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic-hygiene)\n    x.unwrap()\n}\n";
+    let src =
+        "fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic-hygiene)\n    x.unwrap()\n}\n";
     let findings = lint("crates/core/src/fx.rs", src);
     assert_eq!(active(&findings, "allow-syntax").len(), 1, "{findings:?}");
     // The malformed allow suppresses nothing: the panic finding stays active.

@@ -88,8 +88,7 @@ fn location_leak_is_quiet_when_sanitized_or_suppressed() {
         "sanitized `served` path must stay quiet: {findings:?}"
     );
 
-    let findings =
-        flow_lint(path, include_str!("fixtures/flow/location_leak_suppressed.rs"));
+    let findings = flow_lint(path, include_str!("fixtures/flow/location_leak_suppressed.rs"));
     assert_quiet(&findings);
     assert!(findings.iter().any(|f| f.rule == "location-leak" && !f.is_active()));
 }

@@ -38,11 +38,11 @@ fn live_workspace_scan_is_substantial() {
     // suppression resolution broke, not that the code got cleaner.
     assert!(report.suppressed_count() > 0, "expected documented suppressions to resolve");
     // Every suppressed finding carries its justification into the report.
-    assert!(report
-        .findings
-        .iter()
-        .filter(|f| !f.is_active())
-        .all(|f| !f.suppressed.as_deref().unwrap_or("").is_empty()));
+    assert!(report.findings.iter().filter(|f| !f.is_active()).all(|f| !f
+        .suppressed
+        .as_deref()
+        .unwrap_or("")
+        .is_empty()));
 }
 
 #[test]

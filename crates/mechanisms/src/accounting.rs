@@ -25,11 +25,7 @@ use crate::MechanismError;
 /// assert!((delta - 1e-3).abs() < 1e-15);
 /// # Ok::<(), privlocad_mechanisms::MechanismError>(())
 /// ```
-pub fn basic_composition(
-    epsilon: f64,
-    delta: f64,
-    k: usize,
-) -> Result<(f64, f64), MechanismError> {
+pub fn basic_composition(epsilon: f64, delta: f64, k: usize) -> Result<(f64, f64), MechanismError> {
     if !epsilon.is_finite() || epsilon <= 0.0 {
         return Err(MechanismError::InvalidEpsilon(epsilon));
     }

@@ -55,11 +55,7 @@ impl NaivePostProcessing {
         );
         // lint:allow(panic-hygiene): provably infallible — with_n only rejects n = 0
         let single = params.with_n(1).expect("n = 1 is always valid");
-        NaivePostProcessing {
-            params,
-            base: NFoldGaussian::new(single),
-            spread_radius,
-        }
+        NaivePostProcessing { params, base: NFoldGaussian::new(single), spread_radius }
     }
 
     /// The geo-IND parameters (of the single anchored release).
@@ -120,10 +116,7 @@ pub struct PlainComposition {
 impl PlainComposition {
     /// Creates the baseline by splitting the budget across `n` outputs.
     pub fn new(params: GeoIndParams) -> Self {
-        PlainComposition {
-            params,
-            per_output: NFoldGaussian::new(params.composition_split()),
-        }
+        PlainComposition { params, per_output: NFoldGaussian::new(params.composition_split()) }
     }
 
     /// The overall geo-IND parameters guaranteed by composition.
@@ -239,9 +232,6 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let p = params(2);
-        assert_ne!(
-            NaivePostProcessing::new(p).name(),
-            PlainComposition::new(p).name()
-        );
+        assert_ne!(NaivePostProcessing::new(p).name(), PlainComposition::new(p).name());
     }
 }

@@ -151,9 +151,7 @@ mod tests {
         let m = mech(500.0, 1.0, 0.01, 1);
         let mut rng = seeded(8);
         let n = 60_000;
-        let xs: Vec<f64> = (0..n)
-            .map(|_| m.sample_one(Point::ORIGIN, &mut rng).x)
-            .collect();
+        let xs: Vec<f64> = (0..n).map(|_| m.sample_one(Point::ORIGIN, &mut rng).x).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
         assert!(mean.abs() < 0.02 * m.sigma(), "mean {mean}");

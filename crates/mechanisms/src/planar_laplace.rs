@@ -96,7 +96,6 @@ impl PlanarLaplace {
         }
         Ok(self.radial_quantile(1.0 - alpha))
     }
-
 }
 
 impl Lppm for PlanarLaplace {
@@ -175,10 +174,9 @@ mod tests {
         let m = mech(2f64.ln(), 200.0); // E[R] = 2/ε = 400/ln2 ≈ 577 m
         let mut rng = seeded(6);
         let n = 50_000;
-        let mean: f64 = (0..n)
-            .map(|_| m.sample(Point::ORIGIN, &mut rng).distance(Point::ORIGIN))
-            .sum::<f64>()
-            / n as f64;
+        let mean: f64 =
+            (0..n).map(|_| m.sample(Point::ORIGIN, &mut rng).distance(Point::ORIGIN)).sum::<f64>()
+                / n as f64;
         let expected = expected_distance(&m);
         assert!((mean - expected).abs() < 0.02 * expected, "mean {mean} vs {expected}");
     }

@@ -114,9 +114,7 @@ impl PosteriorSelector {
         let two_sigma_sq = 2.0 * self.sigma * self.sigma;
         out.reserve(candidates.len());
         out.extend(
-            candidates
-                .iter()
-                .map(|q| (-q.distance_sq(mean) / two_sigma_sq - max).exp() / total),
+            candidates.iter().map(|q| (-q.distance_sq(mean) / two_sigma_sq - max).exp() / total),
         );
     }
 
@@ -328,12 +326,7 @@ impl PosteriorTable {
     /// # Panics
     ///
     /// Panics if the table is empty.
-    fn draw_batch<R: RngCore + ?Sized>(
-        &self,
-        count: usize,
-        rng: &mut R,
-        out: &mut Vec<usize>,
-    ) {
+    fn draw_batch<R: RngCore + ?Sized>(&self, count: usize, rng: &mut R, out: &mut Vec<usize>) {
         out.reserve(count);
         for _ in 0..count {
             out.push(self.draw(rng));
@@ -509,11 +502,7 @@ mod tests {
     fn candidate_nearest_mean_is_most_likely() {
         let sel = PosteriorSelector::new(500.0);
         // Mean is ~ (525, 0); candidate 1 is closest to it.
-        let cands = [
-            Point::new(0.0, 0.0),
-            Point::new(600.0, 0.0),
-            Point::new(1_500.0, 0.0),
-        ];
+        let cands = [Point::new(0.0, 0.0), Point::new(600.0, 0.0), Point::new(1_500.0, 0.0)];
         let p = sel.probabilities(&cands);
         assert!(p[1] > p[0] && p[1] > p[2], "{p:?}");
     }
@@ -537,11 +526,7 @@ mod tests {
     #[test]
     fn empirical_selection_matches_probabilities() {
         let sel = PosteriorSelector::new(500.0);
-        let cands = [
-            Point::new(0.0, 0.0),
-            Point::new(400.0, 0.0),
-            Point::new(0.0, 900.0),
-        ];
+        let cands = [Point::new(0.0, 0.0), Point::new(400.0, 0.0), Point::new(0.0, 900.0)];
         let probs = sel.probabilities(&cands);
         let mut rng = seeded(33);
         let trials = 100_000;
@@ -558,11 +543,7 @@ mod tests {
     #[test]
     fn far_outlier_gets_negligible_probability() {
         let sel = PosteriorSelector::new(200.0);
-        let cands = [
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(50_000.0, 0.0),
-        ];
+        let cands = [Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(50_000.0, 0.0)];
         let p = sel.probabilities(&cands);
         assert!(p[2] < 1e-6, "{p:?}");
     }
@@ -594,11 +575,7 @@ mod tests {
 
     #[test]
     fn select_batch_matches_repeated_select() {
-        let cands = [
-            Point::new(0.0, 0.0),
-            Point::new(400.0, 0.0),
-            Point::new(0.0, 900.0),
-        ];
+        let cands = [Point::new(0.0, 0.0), Point::new(400.0, 0.0), Point::new(0.0, 900.0)];
         let posterior = PosteriorSelector::new(500.0);
         let uniform = UniformSelector::new();
         for strategy in [&posterior as &dyn SelectionStrategy, &uniform] {
@@ -707,11 +684,7 @@ mod tests {
     #[test]
     fn cached_draws_follow_the_posterior_distribution() {
         let sel = PosteriorSelector::new(500.0);
-        let cands = [
-            Point::new(0.0, 0.0),
-            Point::new(400.0, 0.0),
-            Point::new(0.0, 900.0),
-        ];
+        let cands = [Point::new(0.0, 0.0), Point::new(400.0, 0.0), Point::new(0.0, 900.0)];
         let probs = sel.probabilities(&cands);
         let table = sel.table(&cands);
         let mut rng = seeded(44);

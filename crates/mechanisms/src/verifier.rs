@@ -181,10 +181,7 @@ mod tests {
         let base = verify_nfold_gaussian(GeoIndParams::new(500.0, 1.0, 0.01, 1).unwrap());
         for n in [2usize, 5, 10, 50] {
             let v = verify_nfold_gaussian(GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap());
-            assert!(
-                (v.achieved_delta - base.achieved_delta).abs() < 1e-15,
-                "n = {n}"
-            );
+            assert!((v.achieved_delta - base.achieved_delta).abs() < 1e-15, "n = {n}");
         }
     }
 
@@ -193,13 +190,9 @@ mod tests {
         let p = GeoIndParams::new(500.0, 1.0, 0.25, 5).unwrap();
         // Use a *less* private configuration (big δ ⇒ small σ) so the MC
         // estimator has non-trivial mass to find.
-        let analytic =
-            gaussian_delta(p.epsilon(), p.r(), p.sigma() / (p.n() as f64).sqrt());
+        let analytic = gaussian_delta(p.epsilon(), p.r(), p.sigma() / (p.n() as f64).sqrt());
         let mc = empirical_gaussian_delta(p, 200_000, 99).unwrap();
-        assert!(
-            (mc - analytic).abs() < 5e-4,
-            "monte carlo {mc} vs analytic {analytic}"
-        );
+        assert!((mc - analytic).abs() < 5e-4, "monte carlo {mc} vs analytic {analytic}");
     }
 
     #[test]

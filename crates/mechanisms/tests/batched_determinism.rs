@@ -16,9 +16,7 @@ fn mech(n: usize) -> NFoldGaussian {
 }
 
 fn reals(count: usize) -> Vec<Point> {
-    (0..count)
-        .map(|i| Point::new(1_000.0 * i as f64, -250.0 * (i % 7) as f64))
-        .collect()
+    (0..count).map(|i| Point::new(1_000.0 * i as f64, -250.0 * (i % 7) as f64)).collect()
 }
 
 /// The reference: the scalar `sample_one` loop, one derived stream per real.
@@ -69,18 +67,15 @@ fn thread_sharding_cannot_change_the_output() {
                 let mut handles = Vec::new();
                 for (w, part) in points.chunks(chunk).enumerate() {
                     let m = &m;
-                    handles.push(scope.spawn(move || {
-                        batched(m, part, FIRST_INDEX + (w * chunk) as u64)
-                    }));
+                    handles.push(
+                        scope.spawn(move || batched(m, part, FIRST_INDEX + (w * chunk) as u64)),
+                    );
                 }
                 for handle in handles {
                     sharded.extend(handle.join().expect("worker panicked"));
                 }
             });
-            assert_eq!(
-                sharded, whole,
-                "batch {batch} across {threads} threads diverged"
-            );
+            assert_eq!(sharded, whole, "batch {batch} across {threads} threads diverged");
         }
     }
 }

@@ -60,9 +60,7 @@ pub fn measure_fanout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privlocad_mechanisms::{
-        GeoIndParams, NFoldGaussian, PosteriorSelector, UniformSelector,
-    };
+    use privlocad_mechanisms::{GeoIndParams, NFoldGaussian, PosteriorSelector, UniformSelector};
 
     fn mech(n: usize) -> NFoldGaussian {
         NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap())
@@ -127,10 +125,7 @@ mod tests {
         let uniform = UniformSelector::new();
         let e_post = mean(&measure(&m, &posterior, 5_000.0, 3_000, 8));
         let e_unif = mean(&measure(&m, &uniform, 5_000.0, 3_000, 8));
-        assert!(
-            e_post > e_unif,
-            "posterior {e_post} should beat uniform {e_unif}"
-        );
+        assert!(e_post > e_unif, "posterior {e_post} should beat uniform {e_unif}");
     }
 
     #[test]
@@ -139,5 +134,4 @@ mod tests {
         let sel = PosteriorSelector::new(m.sigma());
         assert_eq!(measure(&m, &sel, 5_000.0, 50, 1), measure(&m, &sel, 5_000.0, 50, 1));
     }
-
 }

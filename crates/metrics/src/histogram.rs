@@ -42,7 +42,9 @@ pub enum HistogramError {
 impl std::fmt::Display for HistogramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HistogramError::InvalidRange => write!(f, "histogram range must be finite and non-empty"),
+            HistogramError::InvalidRange => {
+                write!(f, "histogram range must be finite and non-empty")
+            }
             HistogramError::NoBins => write!(f, "histogram needs at least one bin"),
         }
     }

@@ -259,15 +259,11 @@ mod tests {
     fn scratch_reuse_matches_plain_run() {
         let fan = Fanout::with_threads(3, 4);
         let plain = fan.run_trials(200, |i, rng| i as u64 + rng.gen::<u64>() % 100);
-        let scratched = fan.run_trials_with_scratch(
-            200,
-            Vec::<u64>::new,
-            |i, rng, buf| {
-                buf.clear();
-                buf.push(rng.gen::<u64>() % 100);
-                i as u64 + buf[0]
-            },
-        );
+        let scratched = fan.run_trials_with_scratch(200, Vec::<u64>::new, |i, rng, buf| {
+            buf.clear();
+            buf.push(rng.gen::<u64>() % 100);
+            i as u64 + buf[0]
+        });
         assert_eq!(plain, scratched);
     }
 

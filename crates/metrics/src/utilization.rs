@@ -195,11 +195,8 @@ mod tests {
 
     #[test]
     fn union_coverage_never_below_best_single(/* union ⊇ each member */) {
-        let centers = [
-            Point::new(3_000.0, 0.0),
-            Point::new(-4_000.0, 1_000.0),
-            Point::new(0.0, 6_000.0),
-        ];
+        let centers =
+            [Point::new(3_000.0, 0.0), Point::new(-4_000.0, 1_000.0), Point::new(0.0, 6_000.0)];
         let union = coverage_grid(&aoi(), &centers, 300);
         for &c in &centers {
             assert!(union >= analytic(&aoi(), c) - 0.01);

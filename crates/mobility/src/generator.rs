@@ -562,11 +562,7 @@ mod tests {
         let c = small_config();
         let u = c.generate_user(1);
         let home = u.truth.top_locations[0];
-        let near_home = u
-            .checkins
-            .iter()
-            .filter(|ck| ck.location.distance(home) < 100.0)
-            .count();
+        let near_home = u.checkins.iter().filter(|ck| ck.location.distance(home) < 100.0).count();
         let share = near_home as f64 / u.checkins.len() as f64;
         assert!(share >= 0.3, "top-1 share {share}");
     }
@@ -580,12 +576,8 @@ mod tests {
         // Nomadic spots are unknown here, so only verify top check-ins: at
         // least the top-1 cluster must be tight.
         let home = places.remove(0);
-        let near: Vec<f64> = u
-            .checkins
-            .iter()
-            .map(|ck| ck.location.distance(home))
-            .filter(|d| *d < 200.0)
-            .collect();
+        let near: Vec<f64> =
+            u.checkins.iter().map(|ck| ck.location.distance(home)).filter(|d| *d < 200.0).collect();
         assert!(!near.is_empty());
         assert!(near.iter().cloned().fold(0.0, f64::max) < 120.0);
     }
@@ -627,16 +619,10 @@ mod tests {
         let u = c.generate_user(5);
         let home = u.truth.top_locations[0];
         let work = u.truth.top_locations[1];
-        let home_checkins: Vec<_> = u
-            .checkins
-            .iter()
-            .filter(|ck| ck.location.distance(home) < 100.0)
-            .collect();
-        let work_checkins: Vec<_> = u
-            .checkins
-            .iter()
-            .filter(|ck| ck.location.distance(work) < 100.0)
-            .collect();
+        let home_checkins: Vec<_> =
+            u.checkins.iter().filter(|ck| ck.location.distance(home) < 100.0).collect();
+        let work_checkins: Vec<_> =
+            u.checkins.iter().filter(|ck| ck.location.distance(work) < 100.0).collect();
         assert!(home_checkins.iter().all(|ck| {
             let h = ck.time.hour();
             h >= 19 || h <= 8
@@ -650,10 +636,7 @@ mod tests {
         let ds = c.generate();
         assert_eq!(ds.len(), 5);
         assert!(!ds.is_empty());
-        assert_eq!(
-            ds.total_checkins(),
-            ds.iter().map(|u| u.checkins.len()).sum::<usize>()
-        );
+        assert_eq!(ds.total_checkins(), ds.iter().map(|u| u.checkins.len()).sum::<usize>());
         let ids: Vec<u32> = (&ds).into_iter().map(|u| u.user.raw()).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
@@ -684,11 +667,8 @@ mod tests {
 
     #[test]
     fn relocation_moves_late_home_checkins() {
-        let c = PopulationConfig::builder()
-            .num_users(40)
-            .seed(77)
-            .relocation_probability(1.0)
-            .build();
+        let c =
+            PopulationConfig::builder().num_users(40).seed(77).relocation_probability(1.0).build();
         let mut saw_relocation = false;
         for i in 0..40u32 {
             let u = c.generate_user(i);
@@ -709,8 +689,10 @@ mod tests {
                 }
             }
             // Both homes carry real mass.
-            let old = u.checkins.iter().filter(|c| c.location.distance(rel.old_home) < 100.0).count();
-            let new = u.checkins.iter().filter(|c| c.location.distance(rel.new_home) < 100.0).count();
+            let old =
+                u.checkins.iter().filter(|c| c.location.distance(rel.old_home) < 100.0).count();
+            let new =
+                u.checkins.iter().filter(|c| c.location.distance(rel.new_home) < 100.0).count();
             assert!(old > 0 && new > 0, "user {i}: old {old} new {new}");
         }
         assert!(saw_relocation);
@@ -719,16 +701,12 @@ mod tests {
     #[test]
     fn hotspots_concentrate_homes() {
         let uniform = PopulationConfig::builder().num_users(60).seed(3).build();
-        let clustered = PopulationConfig::builder()
-            .num_users(60)
-            .seed(3)
-            .hotspots(3, 2_000.0)
-            .build();
+        let clustered =
+            PopulationConfig::builder().num_users(60).seed(3).hotspots(3, 2_000.0).build();
         // Mean pairwise home distance shrinks under clustering.
         let spread = |c: &PopulationConfig| {
-            let homes: Vec<_> = (0..60u32)
-                .map(|i| c.generate_user(i).truth.top_locations[0])
-                .collect();
+            let homes: Vec<_> =
+                (0..60u32).map(|i| c.generate_user(i).truth.top_locations[0]).collect();
             let mut total = 0.0;
             let mut pairs = 0usize;
             for i in 0..homes.len() {
@@ -747,14 +725,8 @@ mod tests {
     #[test]
     fn hotspot_centers_shared_across_users() {
         // With one hotspot and tight spread, all homes huddle together.
-        let c = PopulationConfig::builder()
-            .num_users(20)
-            .seed(8)
-            .hotspots(1, 1_000.0)
-            .build();
-        let homes: Vec<_> = (0..20u32)
-            .map(|i| c.generate_user(i).truth.top_locations[0])
-            .collect();
+        let c = PopulationConfig::builder().num_users(20).seed(8).hotspots(1, 1_000.0).build();
+        let homes: Vec<_> = (0..20u32).map(|i| c.generate_user(i).truth.top_locations[0]).collect();
         let centroid = privlocad_geo::centroid(&homes).unwrap();
         for h in &homes {
             assert!(h.distance(centroid) < 6_000.0, "home {h} strayed from the hotspot");

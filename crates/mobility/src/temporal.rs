@@ -113,9 +113,8 @@ mod tests {
     #[test]
     fn weekday_cycle() {
         // Days 0..6 = Sat, Sun, Mon, Tue, Wed, Thu, Fri.
-        let dows: Vec<u8> = (0..7)
-            .map(|d| Timestamp::from_day_time(d, 12, 0, 0).day_of_week())
-            .collect();
+        let dows: Vec<u8> =
+            (0..7).map(|d| Timestamp::from_day_time(d, 12, 0, 0).day_of_week()).collect();
         assert_eq!(dows, vec![5, 6, 0, 1, 2, 3, 4]);
     }
 

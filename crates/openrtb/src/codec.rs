@@ -140,17 +140,7 @@ impl std::error::Error for DecodeError {}
 /// in this crate because it is a *wire* concept; `privlocad-adnet` re-exports
 /// it for its serving ledger and auction requests.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    Serialize,
-    Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct DeviceId(u64);
 
@@ -422,11 +412,8 @@ impl BidResponse {
             1 => {
                 frame.check_body_len(RESPONSE_WIN_BODY_LEN)?;
                 let seat = body.get_u64();
-                let bid = Bid {
-                    imp: body.get_u32(),
-                    price_micros: body.get_u64(),
-                    adm: body.get_u64(),
-                };
+                let bid =
+                    Bid { imp: body.get_u32(), price_micros: body.get_u64(), adm: body.get_u64() };
                 Ok(BidResponse { id, seatbid: Some(SeatBid { seat, bid }) })
             }
             other => Err(DecodeError::BadSeatBidFlag(other)),
@@ -638,10 +625,7 @@ mod tests {
             // instead; everything else must die on the checksum, because the
             // semantic version/kind checks run only on intact frames.
             assert!(
-                matches!(
-                    err,
-                    DecodeError::ChecksumMismatch { .. } | DecodeError::Truncated { .. }
-                ),
+                matches!(err, DecodeError::ChecksumMismatch { .. } | DecodeError::Truncated { .. }),
                 "byte {i}: unexpected error {err:?}"
             );
         }

@@ -38,9 +38,8 @@ pub mod log;
 pub mod sink;
 
 pub use codec::{
-    fnv1a32, fnv1a64, Bid, BidRequest, BidResponse, DecodeError, Device, DeviceId, FrameRef,
-    Geo, Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, REQUEST_BODY_LEN,
-    WIRE_VERSION,
+    fnv1a32, fnv1a64, Bid, BidRequest, BidResponse, DecodeError, Device, DeviceId, FrameRef, Geo,
+    Imp, SeatBid, CHECKSUM_LEN, HEADER_LEN, KIND_BID_REQUEST, REQUEST_BODY_LEN, WIRE_VERSION,
 };
 pub use log::{BidExchangeLog, ExchangeRecord};
 pub use sink::{BidSink, PendingBid};

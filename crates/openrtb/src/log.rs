@@ -167,8 +167,7 @@ mod tests {
         settle(&mut log, 1, 1, 11.0, false);
         settle(&mut log, 1, 0, 10.0, true);
         assert_eq!(log.devices(), vec![DeviceId::new(1), DeviceId::new(2)]);
-        let xs: Vec<f64> =
-            log.locations_of(DeviceId::new(1)).iter().map(|p| p.x).collect();
+        let xs: Vec<f64> = log.locations_of(DeviceId::new(1)).iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![10.0, 11.0]);
         assert_eq!(log.locations_of(DeviceId::new(3)), Vec::new());
         assert_eq!(log.wins(), 2);

@@ -176,8 +176,7 @@ mod tests {
         sink.submit(DeviceId::new(1), Geo::default());
         sink.submit(DeviceId::new(9), Geo::default());
         let drained = sink.drain();
-        let keys: Vec<(u64, u64)> =
-            drained.iter().map(|p| (p.device.raw(), p.seq)).collect();
+        let keys: Vec<(u64, u64)> = drained.iter().map(|p| (p.device.raw(), p.seq)).collect();
         assert_eq!(keys, vec![(1, 0), (9, 0), (9, 1)]);
         assert_eq!(sink.pending(), 0);
         // Sequences keep counting after a drain.

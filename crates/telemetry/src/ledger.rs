@@ -273,7 +273,10 @@ mod tests {
 
     /// Records a fresh candidate-set draw of `n = 10` points.
     fn candidate_set(ledger: &Ledger, user: u64, top: TopKey, epsilon: f64, delta: f64) {
-        ledger.record(SpendEvent { user, kind: SpendKind::CandidateSet { top, epsilon, delta, n: 10 } });
+        ledger.record(SpendEvent {
+            user,
+            kind: SpendKind::CandidateSet { top, epsilon, delta, n: 10 },
+        });
     }
 
     #[test]

@@ -42,9 +42,7 @@ mod trace;
 pub use ledger::{
     top_key, Ledger, LedgerError, LedgerTotals, SpendEvent, SpendKind, TopKey, UserTotals,
 };
-pub use registry::{
-    Counter, Determinism, Gauge, Histogram, MetricsSnapshot, Registry,
-};
+pub use registry::{Counter, Determinism, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use trace::{Span, SpanRecord, Tracer};
 
 /// The observability hub threaded through the serving stack: one metrics

@@ -110,10 +110,7 @@ impl Registry {
     fn register(&self, name: &str, kind: MetricKind, class: Determinism) -> usize {
         let mut dir = self.inner.directory.lock();
         if let Some(meta) = dir.metrics.get(name) {
-            assert!(
-                meta.kind == kind,
-                "metric `{name}` already registered with a different kind"
-            );
+            assert!(meta.kind == kind, "metric `{name}` already registered with a different kind");
             return meta.index;
         }
         let index = match kind {

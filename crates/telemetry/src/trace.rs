@@ -115,12 +115,8 @@ mod enabled {
             #[cfg(not(feature = "wallclock"))]
             let ticks = 0;
             let mut ring = self.inner.lock();
-            let record = SpanRecord {
-                name: self.name,
-                seq_start: self.seq_start,
-                seq_end: ring.seq,
-                ticks,
-            };
+            let record =
+                SpanRecord { name: self.name, seq_start: self.seq_start, seq_end: ring.seq, ticks };
             if ring.spans.len() == ring.capacity {
                 ring.spans.pop_front();
             }

@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             user_won += usize::from(record.response.is_win());
             let truth = user.checkins[record.request.seq as usize].location;
             let matching = exchange.network().matching(record.location());
-            user_delivered +=
-                filter_ads_by(matching, truth, config.targeting_radius_m()).len();
+            user_delivered += filter_ads_by(matching, truth, config.targeting_radius_m()).len();
         }
         exposed.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
         exposed.dedup();

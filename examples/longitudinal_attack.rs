@@ -27,11 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Arm 1: one-time geo-IND (planar Laplace, l = ln 4 at 200 m) ---
     let mech = PlanarLaplace::new(PlanarLaplaceParams::from_level(4f64.ln(), 200.0)?);
     let mut rng = seeded(1);
-    let observed: Vec<_> = victim
-        .checkins
-        .iter()
-        .map(|c| mech.sample(c.location, &mut rng))
-        .collect();
+    let observed: Vec<_> =
+        victim.checkins.iter().map(|c| mech.sample(c.location, &mut rng)).collect();
     let attack = DeobfuscationAttack::for_planar_laplace(&mech, 0.05)?;
     let inferred = attack.infer_top_locations(&observed, 2);
     println!("\none-time geo-IND (every report freshly obfuscated):");

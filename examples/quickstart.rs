@@ -69,11 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     exchange.pump(&sink)?;
     for record in exchange.log().records() {
         let reported = record.location();
-        let delivered = filter_ads_by(
-            exchange.network().matching(reported),
-            home,
-            config.targeting_radius_m(),
-        );
+        let delivered =
+            filter_ads_by(exchange.network().matching(reported), home, config.targeting_radius_m());
         println!(
             "request {}: reported {} -> {} ad(s) delivered{}",
             record.request.seq,

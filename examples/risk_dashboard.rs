@@ -26,14 +26,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         edge.report_checkin(user.user, c.location);
     }
     let fresh = edge.finalize_window(user.user);
-    println!("first {}-day window closed: {fresh} top location(s) obfuscated\n", config.window_days());
+    println!(
+        "first {}-day window closed: {fresh} top location(s) obfuscated\n",
+        config.window_days()
+    );
 
     // The dashboard.
     let report = edge.risk_report(user.user).expect("user has state");
     println!(
         "window entropy: {:.2} nats ({})",
         report.entropy,
-        if report.entropy < 2.0 { "routine-bound user — high longitudinal exposure" } else { "diverse activity" }
+        if report.entropy < 2.0 {
+            "routine-bound user — high longitudinal exposure"
+        } else {
+            "diverse activity"
+        }
     );
     println!(
         "{:<28} {:>9} {:>16} {:>18}  recommendation",

@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --all --check"
+# rustfmt.toml holds the house style; fleetbench is its own workspace, so
+# `--all` leaves it alone.
+cargo fmt --all --check
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

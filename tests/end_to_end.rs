@@ -14,11 +14,7 @@ use privlocad_mobility::{shanghai, PopulationConfig, UserTrace};
 use privlocad_openrtb::{BidRequest, BidSink, DeviceId};
 
 fn population() -> PopulationConfig {
-    PopulationConfig::builder()
-        .num_users(8)
-        .seed(1234)
-        .checkin_log_normal(5.6, 0.3)
-        .build()
+    PopulationConfig::builder().num_users(8).seed(1234).checkin_log_normal(5.6, 0.3).build()
 }
 
 /// What the attacker observes of `user` replayed on a device over `master`.
@@ -45,11 +41,8 @@ fn attack_beats_one_time_geoind_but_not_the_system() {
 
         // One-time geo-IND arm.
         let mut rng = privlocad_geo::rng::seeded(9_000 + i as u64);
-        let observed_laplace: Vec<_> = user
-            .checkins
-            .iter()
-            .map(|c| laplace.sample(c.location, &mut rng))
-            .collect();
+        let observed_laplace: Vec<_> =
+            user.checkins.iter().map(|c| laplace.sample(c.location, &mut rng)).collect();
         let attack = DeobfuscationAttack::for_planar_laplace(&laplace, 0.05).unwrap();
         let d = rank_distances(&attack.infer_top_locations(&observed_laplace, 1), &truth);
         if matches!(d[0], Some(x) if x <= 200.0) {
@@ -68,10 +61,7 @@ fn attack_beats_one_time_geoind_but_not_the_system() {
         leak_hits >= 6,
         "one-time geo-IND should leak most users' top-1 ({leak_hits}/8 within 200 m)"
     );
-    assert_eq!(
-        defense_hits, 0,
-        "Edge-PrivLocAd should not leak any top-1 within 200 m"
-    );
+    assert_eq!(defense_hits, 0, "Edge-PrivLocAd should not leak any top-1 within 200 m");
 }
 
 #[test]

@@ -2,9 +2,7 @@
 //! frequency caps, area grid) served through the Edge-PrivLocAd pipeline.
 
 use privlocad::{filter_ads_by, EdgeDevice, SystemConfig};
-use privlocad_adnet::{
-    AdNetwork, AreaGrid, Campaign, CampaignId, ServingPolicy, Targeting,
-};
+use privlocad_adnet::{AdNetwork, AreaGrid, Campaign, CampaignId, ServingPolicy, Targeting};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 use privlocad_openrtb::{BidRequest, DeviceId, Geo};
@@ -45,18 +43,12 @@ fn mixed_targeting_marketplace_over_obfuscated_requests() {
     let mut network = AdNetwork::new(vec![
         // A radius campaign around home, wide enough to catch obfuscated
         // candidates (sigma ~5 km).
-        Campaign::new(0, "local-radius", Targeting::radius(home, 25_000.0).unwrap(), 5.0)
-            .unwrap(),
+        Campaign::new(0, "local-radius", Targeting::radius(home, 25_000.0).unwrap(), 5.0).unwrap(),
         // A country-wide campaign.
         Campaign::new(1, "national", Targeting::Country(86), 1.0).unwrap(),
         // An area campaign for the 40 km super-cell around the origin.
-        Campaign::new(
-            2,
-            "district",
-            Targeting::Area(AreaGrid::new(40_000.0).area_of(home)),
-            2.0,
-        )
-        .unwrap(),
+        Campaign::new(2, "district", Targeting::Area(AreaGrid::new(40_000.0).area_of(home)), 2.0)
+            .unwrap(),
     ]);
     network.set_country(86);
     network.set_area_grid(AreaGrid::new(40_000.0));

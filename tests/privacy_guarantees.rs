@@ -32,9 +32,8 @@ fn sample_mean_is_the_sufficient_statistic_in_practice() {
         let params = GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap();
         let mech = NFoldGaussian::new(params);
         let trials = 6_000;
-        let means: Vec<Point> = (0..trials)
-            .map(|_| centroid(&mech.obfuscate(p, &mut rng)).unwrap())
-            .collect();
+        let means: Vec<Point> =
+            (0..trials).map(|_| centroid(&mech.obfuscate(p, &mut rng)).unwrap()).collect();
         let grand = centroid(&means).unwrap();
         assert!(grand.distance(p) < 80.0, "n={n}: grand mean off by {}", grand.distance(p));
         let var_x = means.iter().map(|m| (m.x - p.x).powi(2)).sum::<f64>() / trials as f64;
@@ -87,10 +86,7 @@ fn composition_baseline_noise_dominates_nfold_noise() {
         let nfold = NFoldGaussian::new(params).sigma();
         let comp = NFoldGaussian::new(params.composition_split()).sigma();
         let ratio = comp / nfold;
-        assert!(
-            ratio > (n as f64).sqrt() * 0.9,
-            "n={n}: composition/nfold sigma ratio {ratio}"
-        );
+        assert!(ratio > (n as f64).sqrt() * 0.9, "n={n}: composition/nfold sigma ratio {ratio}");
     }
 }
 

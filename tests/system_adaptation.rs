@@ -21,16 +21,10 @@ fn relocated_user() -> UserTrace {
     for i in 0..60u32 {
         let u = population.generate_user(i);
         if let Some(rel) = u.truth.relocation {
-            let old = u
-                .checkins
-                .iter()
-                .filter(|c| c.location.distance(rel.old_home) < 100.0)
-                .count();
-            let new = u
-                .checkins
-                .iter()
-                .filter(|c| c.location.distance(rel.new_home) < 100.0)
-                .count();
+            let old =
+                u.checkins.iter().filter(|c| c.location.distance(rel.old_home) < 100.0).count();
+            let new =
+                u.checkins.iter().filter(|c| c.location.distance(rel.new_home) < 100.0).count();
             if old >= 100 && new >= 100 {
                 return u;
             }
@@ -97,13 +91,7 @@ fn both_homes_stay_hidden_from_the_longitudinal_attacker() {
     let attack = DeobfuscationAttack::for_gaussian(&mech, 0.05).unwrap();
     let inferred = attack.infer_top_locations(&observed, 3);
     for inf in &inferred {
-        assert!(
-            inf.location.distance(rel.old_home) > 200.0,
-            "old home leaked within 200 m"
-        );
-        assert!(
-            inf.location.distance(rel.new_home) > 200.0,
-            "new home leaked within 200 m"
-        );
+        assert!(inf.location.distance(rel.old_home) > 200.0, "old home leaked within 200 m");
+        assert!(inf.location.distance(rel.new_home) > 200.0, "new home leaked within 200 m");
     }
 }

@@ -17,8 +17,7 @@ fn fig7_ordering_holds_end_to_end() {
     let params = GeoIndParams::new(500.0, 1.0, 0.01, 10).unwrap();
     let trials = 400;
     let nfold = mean(&utilization::measure(&NFoldGaussian::new(params), 5_000.0, trials, 1));
-    let post =
-        mean(&utilization::measure(&NaivePostProcessing::new(params), 5_000.0, trials, 1));
+    let post = mean(&utilization::measure(&NaivePostProcessing::new(params), 5_000.0, trials, 1));
     let comp = mean(&utilization::measure(&PlainComposition::new(params), 5_000.0, trials, 1));
     assert!(nfold > post && post > comp, "{nfold} / {post} / {comp}");
 }
