@@ -317,12 +317,15 @@ fn collect_body_api(toks: &Tokens, start: usize, item: &mut PubItem) {
         }
         k += 1;
     }
+    if sym(toks, k) == Some(';') {
+        return; // a unit struct
+    }
     // Inside the body, both depths count from the body's own bracket.
     let mut depth = 0;
     let mut braces = 0;
     // For struct fields: whether the field being read is `pub`, once known.
     let mut field_pub: Option<bool> = None;
-    while k < toks.len() && sym(toks, k) != Some(';') {
+    while k < toks.len() {
         depth += nesting(toks, k);
         match sym(toks, k) {
             Some('{') => braces += 1,
@@ -374,7 +377,7 @@ mod tests {
                    pub const N: Width = 3;\n\
                    pub enum E { A(Payload), B { x: Named } }\n\
                    pub type Alias = Target<Inner>;\n\
-                   pub trait T { fn m(&self) -> Out { Default } }\n\
+                   pub trait T { fn sig(&self) -> Sig; fn m(&self) -> Out { Default } }\n\
                    pub struct Tuple(pub Shown, Hidden2);\n";
         let got = items(src);
         let names: Vec<(&str, &str)> = got.iter().map(|(n, k, _)| (n.as_str(), *k)).collect();
@@ -396,7 +399,7 @@ mod tests {
         assert_eq!(api(2), vec!["Width"]);
         assert_eq!(api(3), vec!["A", "B", "Named", "Payload"]);
         assert_eq!(api(4), vec!["Inner", "Target"]);
-        assert_eq!(api(5), vec!["Out", "fn", "m", "self"]);
+        assert_eq!(api(5), vec!["Out", "Sig", "fn", "m", "self", "sig"]);
         assert_eq!(api(6), vec!["Shown"]);
     }
 
