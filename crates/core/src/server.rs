@@ -158,9 +158,9 @@ impl EdgeHandle {
     /// [`ServerOptions::queue_capacity`] callers already wait on the shard,
     /// an attempt fails fast with [`TransportError::Overloaded`] instead of
     /// waiting too, backs off (bounded exponential yield spins — no wall
-    /// clock) and retries until `policy` is exhausted. Every other outcome, a disconnect included, is returned
-    /// as it comes: nothing revives a stopped or failed shard between
-    /// attempts.
+    /// clock) and retries until `policy` is exhausted. Every other
+    /// outcome, a disconnect included, is returned as it comes: nothing
+    /// revives a stopped or failed shard between attempts.
     pub fn call_with_retry(
         &self,
         request: ClientRequest,

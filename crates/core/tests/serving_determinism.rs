@@ -199,8 +199,9 @@ fn golden_workload(edge: &mut EdgeDevice) {
 }
 
 /// The v2 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` and its
-/// length, pinned for a device with per-user streams. Any change to the byte layout, the header's generator
-/// words or op-counter slot, or the per-user draws shows up here.
+/// length, pinned for a device with per-user streams. Any change to the
+/// byte layout, the header's generator words or op-counter slot, or the
+/// per-user draws shows up here.
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {
     let config = SystemConfig::builder().build().unwrap();
