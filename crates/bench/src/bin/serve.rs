@@ -171,7 +171,7 @@ mod tests {
             wall_ms: 25.0,
             users,
             shards: users.div_ceil(10_000),
-            bytes_per_user: 1_800.0,
+            bytes_per_user: 644.0,
             checkpoint_encode_ms: 4.0,
             recovery_ms: 9.0,
             per_shard_recovery_ms: 9.0,

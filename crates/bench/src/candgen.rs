@@ -4,16 +4,16 @@
 //! One measured iteration models a fleet closing one window for every
 //! user: each `(user, top)` pair draws its permanent `n`-fold candidate
 //! set from the derived stream `seeded(derive_seed(seed, pair_index))`,
-//! then the set is installed on every edge serving the user (candidates
-//! into the obfuscation table, posterior table into the selection cache).
+//! then the set is installed on every edge serving the user (candidates and
+//! their posterior weights into the obfuscation table).
 //!
 //! 1. `candidate_install/cold` — a faithful replica of the pre-arena
 //!    path: per pair a scalar [`Lppm::obfuscate`] call, then **per edge**
-//!    a `Vec` clone of the candidates plus a full posterior-table build.
+//!    a copy of the candidates plus a full posterior-weight pass.
 //! 2. `candidate_install/batched` — the shipped path:
 //!    [`CandidateArena::prepare`] batch-generates every pair through the
-//!    lane kernel and stages shared sets; per edge the install is two
-//!    `Arc` clones.
+//!    lane kernel and stages shared sets; per edge the install is one
+//!    `Arc` clone.
 //!
 //! Both stages draw the *identical* candidate streams (verified
 //! bit-for-bit, untimed, before measurement), so the ratio isolates the
@@ -24,13 +24,11 @@
 //! ([`Runner::bench_throughput_paired`], nine samples, fastest kept) so a
 //! scheduling burst on single-core CI hits both sides symmetrically.
 
-use std::sync::Arc;
-
 use privlocad::{CandidateArena, EdgeDevice, ObfuscationModule, ObfuscationTable, SystemConfig};
 use privlocad_attack::ProfileEntry;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
-use privlocad_mechanisms::{GeoIndParams, Lppm, NFoldGaussian, PosteriorSelector, SelectionCache};
+use privlocad_mechanisms::{GeoIndParams, Lppm, NFoldGaussian, PosteriorSelector};
 use privlocad_mobility::UserId;
 use privlocad_telemetry::Telemetry;
 
@@ -55,9 +53,9 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         // 64 users × 2 tops keeps one iteration around a millisecond.
-        // The arena's win scales with edges × n (the per-edge clone and
-        // posterior rebuild it removes are both O(n); the shared install
-        // is two `Arc` bumps regardless of n), so the defaults model the
+        // The arena's win scales with edges × n (the per-edge copy and
+        // weight pass it removes are both O(n); the shared install is one
+        // `Arc` bump regardless of n), so the defaults model the
         // regime the arena exists for: a metro-scale fleet (32 edges) at
         // a high-protection operating point (n = 24, above the paper's
         // 1..=10 figure sweep). EXPERIMENTS.md tabulates smaller fleets.
@@ -143,29 +141,26 @@ fn entries_of(config: &Config, user: usize) -> Vec<ProfileEntry> {
 }
 
 /// The per-stage install target, modeling the edge's persistent per-user
-/// state: on a real device the table and cache already exist when a window
-/// closes, so their backing allocation is not part of install cost.
-/// Clearing instead of reallocating keeps both stages alloc-free on the
-/// container side and leaves only the work the arena actually changes in
-/// the measurement.
+/// state: on a real device the table already exists when a window closes,
+/// so its backing allocation is not part of install cost. Clearing instead
+/// of reallocating keeps both stages alloc-free on the container side and
+/// leaves only the work the arena actually changes in the measurement.
 struct EdgeScratch {
     table: ObfuscationTable,
-    cache: SelectionCache,
 }
 
 impl EdgeScratch {
     fn new(radius: f64) -> Self {
-        EdgeScratch { table: ObfuscationTable::new(radius), cache: SelectionCache::new() }
+        EdgeScratch { table: ObfuscationTable::new(radius) }
     }
 
     fn clear(&mut self) {
         self.table.clear();
-        self.cache.invalidate();
     }
 }
 
 /// One cold window close for `user`: scalar generation per pair, then per
-/// edge a candidate clone plus a posterior-table rebuild — the exact
+/// edge a copy of the candidates beside their posterior weights — the
 /// per-edge work [`EdgeDevice::install_protection`] did before the arena.
 fn cold_user(
     config: &Config,
@@ -186,8 +181,7 @@ fn cold_user(
     for _ in 0..config.edges {
         scratch.clear();
         for (top, candidates) in &sets {
-            scratch.table.insert(*top, candidates.clone());
-            scratch.cache.install(*top, selector.table(candidates));
+            scratch.table.insert(*top, selector.table(candidates));
         }
         sink += scratch.table.len();
     }
@@ -196,7 +190,7 @@ fn cold_user(
 
 /// One batched window close for `user`: the arena generates every pair
 /// through the lane kernel and stages shared sets; per edge the install is
-/// two `Arc` clones into the cleared [`EdgeScratch`].
+/// one `Arc` clone per set into the cleared [`EdgeScratch`].
 fn batched_user(
     config: &Config,
     arena: &mut CandidateArena,
@@ -213,8 +207,7 @@ fn batched_user(
     for _ in 0..config.edges {
         scratch.clear();
         for set in arena.sets() {
-            scratch.table.insert_shared(set.top(), Arc::clone(set.candidates()));
-            scratch.cache.install_shared(set.top(), Arc::clone(set.table()));
+            scratch.table.insert(set.top(), set.candidates().clone());
         }
         sink += scratch.table.len();
     }
@@ -237,9 +230,8 @@ fn verify_bit_identity(config: &Config, sys: &SystemConfig) -> usize {
             let pair = (u * config.tops + t) as u64;
             let mut rng = seeded(derive_seed(config.seed, pair));
             let scalar = mech.obfuscate(set.top(), &mut rng);
-            assert_eq!(
-                &set.candidates()[..],
-                &scalar[..],
+            assert!(
+                set.candidates().points().eq(scalar),
                 "batched stream diverged from scalar at user {u} top {t}"
             );
             verified += 1;

@@ -180,7 +180,7 @@ mod tests {
                     row(r#"{"name": "serve/batched_cached/64", "wall_ms": 2.5,
                             "requests_per_sec": 3.0, "batch": 64, "threads": 1}"#),
                     row(r#"{"name": "serve/scale/10000", "wall_ms": 25.0, "users": 10000,
-                            "shards": 1, "bytes_per_user": 1800.0, "checkpoint_encode_ms": 4.0,
+                            "shards": 1, "bytes_per_user": 644.0, "checkpoint_encode_ms": 4.0,
                             "recovery_ms": 9.0, "per_shard_recovery_ms": 9.0,
                             "digest": "00f00ba900f00ba9"}"#),
                 ],

@@ -13,7 +13,7 @@
 //!    after the legacy stage so their ratio is taken under the same
 //!    scheduling conditions).
 //! 3. `serve/single_cached` — one request per [`EdgeDevice::serve_batch`]
-//!    call, posterior tables served from the selection cache.
+//!    call, each draw reading the posterior weights stored with its set.
 //! 4. `serve/partitioned_batched/{B}x{T}` — `T` worker threads, each
 //!    owning one per-user-stream [`EdgeDevice`] over a contiguous range of
 //!    users and serving `B`-request batches per
@@ -208,7 +208,7 @@ pub fn run(config: &Config) -> Outcome {
             .map(|u| {
                 let user = UserId::new(u as u32);
                 let top = home_of(u);
-                (user, (top, legacy_edge.candidates(user, top).expect("settled").to_vec()))
+                (user, (top, legacy_edge.candidates(user, top).expect("settled")))
             })
             .collect();
         let mut rng = seeded(derive_seed(config.seed, 0x1e9acc));
@@ -371,8 +371,8 @@ mod tests {
         assert_eq!(table.len(), 4);
 
         // The untimed telemetry pass profiles the exact workload: every
-        // request is a posterior cache hit, and the ledger holds one
-        // budget spend per settled user.
+        // request draws from a set that already holds its weights (a cache
+        // hit), and the ledger holds one budget spend per settled user.
         let metrics = out.telemetry.registry().snapshot();
         assert_eq!(metrics.counter("edge.location_requests"), Some(config.requests as u64));
         assert_eq!(metrics.counter("edge.posterior_cache_hits"), Some(config.requests as u64));

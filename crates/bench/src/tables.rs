@@ -139,7 +139,7 @@ pub fn run_table2(config: &Config) -> Outcome {
                     let mut h = FNV_OFFSET;
                     if let Some(&first) = windows[u].first() {
                         if let Some(candidates) = edge.candidates(UserId::new(u as u32), first) {
-                            for &c in candidates {
+                            for c in candidates {
                                 h = fnv1a_point(h, c);
                             }
                         }

@@ -1,32 +1,27 @@
 //! The candidate arena: reusable batched-generation buffers plus the
-//! staged, Arc-shared `(top, candidates, posterior table)` sets a fleet
-//! install distributes to its edges.
+//! staged, shared `(top, candidate set)` pairs a fleet install distributes
+//! to its edges.
 //!
 //! The pre-arena install path paid, **per edge**: one `Vec` clone of every
-//! candidate set plus one posterior-table build (`n` exponentials). The
+//! candidate set plus one posterior-weight pass (`n` exponentials). The
 //! arena moves all of that to the authority: candidates are drawn once
-//! through the batched lane kernel, each set lands in one `Arc<[Point]>`,
-//! and each *distinct* set gets exactly one `Arc<PosteriorTable>` — edges
-//! then install `Arc::clone` handles. Because a candidate set is permanent
-//! and a posterior table is a pure deterministic function of
-//! `(candidates, σ)`, sharing the allocations cannot change any reported
-//! location.
-
-use std::sync::Arc;
+//! through the batched lane kernel, and each set lands beside its posterior
+//! weights in one [`PosteriorTable`] allocation — edges then install `Arc`
+//! handles. Because a candidate set is permanent and its weights are a pure
+//! deterministic function of the set and σ, sharing the allocation cannot
+//! change any reported location.
 
 use privlocad_geo::Point;
-use privlocad_mechanisms::{BatchScratch, CandidateLanes, PosteriorSelector, PosteriorTable};
+use privlocad_mechanisms::{BatchScratch, CandidateLanes, PosteriorTable};
 
 use crate::ObfuscationModule;
 
-/// One staged install unit: a queried top location, the shared permanent
-/// candidates covering it, and the shared posterior table over those
-/// candidates.
+/// One staged install unit: a queried top location and the shared
+/// permanent candidate set covering it, weights included.
 #[derive(Debug, Clone)]
 pub struct PreparedSet {
     top: Point,
-    candidates: Arc<[Point]>,
-    table: Arc<PosteriorTable>,
+    candidates: PosteriorTable,
 }
 
 impl PreparedSet {
@@ -37,13 +32,8 @@ impl PreparedSet {
     }
 
     /// The shared permanent candidate set.
-    pub fn candidates(&self) -> &Arc<[Point]> {
+    pub fn candidates(&self) -> &PosteriorTable {
         &self.candidates
-    }
-
-    /// The shared posterior table over [`PreparedSet::candidates`].
-    pub fn table(&self) -> &Arc<PosteriorTable> {
-        &self.table
     }
 }
 
@@ -53,7 +43,7 @@ impl PreparedSet {
 /// the staged [`PreparedSet`]s of the current install; both keep their
 /// allocations across [`CandidateArena::prepare`] calls, so a long-running
 /// fleet closes windows with zero steady-state allocation beyond the
-/// permanent `Arc`s themselves.
+/// permanent sets themselves.
 #[derive(Debug, Default)]
 pub struct CandidateArena {
     scratch: BatchScratch,
@@ -71,9 +61,8 @@ impl CandidateArena {
     /// generation, one derived stream per fresh `(window, top)` pair via
     /// `master`/`pair_counter` — see
     /// [`ObfuscationModule::obfuscate_top_set_derived`]), then stages one
-    /// [`PreparedSet`] per queried top: the covering shared candidates and
-    /// one shared posterior table per *distinct* covering set. Returns the
-    /// number of freshly generated sets.
+    /// [`PreparedSet`] per queried top: a handle to the covering set.
+    /// Returns the number of freshly generated sets.
     pub fn prepare(
         &mut self,
         authority: &mut ObfuscationModule,
@@ -89,21 +78,14 @@ impl CandidateArena {
             &mut self.scratch,
             &mut self.lanes,
         );
-        let selector = PosteriorSelector::new(authority.mechanism().sigma());
         for &top in tops {
             let candidates = authority
                 .table()
-                .get_shared(top)
+                .get(top)
                 // lint:allow(panic-hygiene): provably infallible — obfuscate_top_set_derived just covered every queried top
-                .expect("top covered after batched obfuscation");
-            let candidates = Arc::clone(candidates);
-            // Drifted tops can share one covering set; build its posterior
-            // table once and hand out clones.
-            let table = match self.sets.iter().find(|s| Arc::ptr_eq(&s.candidates, &candidates)) {
-                Some(staged) => Arc::clone(&staged.table),
-                None => Arc::new(selector.table(&candidates)),
-            };
-            self.sets.push(PreparedSet { top, candidates, table });
+                .expect("top covered after batched obfuscation")
+                .clone();
+            self.sets.push(PreparedSet { top, candidates });
         }
         fresh
     }
@@ -131,27 +113,18 @@ impl CandidateArena {
     }
 
     /// Accounts the staged shared sets into `fp` with caller-owned dedup
-    /// state — the fleet-footprint leg that covers `Arc`s the staging
-    /// area keeps alive. Sets already counted through a device that
-    /// installed them (the common case) dedup to zero extra bytes.
+    /// state — the fleet-footprint leg that covers sets the staging area
+    /// keeps alive. Sets already counted through a device that installed
+    /// them (the common case) dedup to zero extra bytes.
     pub(crate) fn accumulate_footprint(
         &self,
         fp: &mut crate::StateFootprint,
         seen_sets: &mut std::collections::BTreeSet<usize>,
-        seen_tables: &mut std::collections::BTreeSet<usize>,
     ) {
-        use std::mem::size_of;
         for set in &self.sets {
-            if seen_sets.insert(set.candidates.as_ptr() as usize) {
+            if seen_sets.insert(set.candidates.addr()) {
                 fp.distinct_candidate_sets += 1;
-                fp.shared_bytes +=
-                    (set.candidates.len() * size_of::<Point>() + 2 * size_of::<usize>()) as u64;
-            }
-            if seen_tables.insert(Arc::as_ptr(&set.table) as usize) {
-                fp.distinct_posterior_tables += 1;
-                fp.shared_bytes += (std::mem::size_of_val(set.table.cdf())
-                    + size_of::<PosteriorTable>()
-                    + 2 * size_of::<usize>()) as u64;
+                fp.shared_bytes += set.candidates.heap_bytes() as u64;
             }
         }
     }
@@ -161,7 +134,7 @@ impl CandidateArena {
 mod tests {
     use super::*;
     use privlocad_geo::rng::{derive_seed, seeded};
-    use privlocad_mechanisms::{GeoIndParams, Lppm};
+    use privlocad_mechanisms::{GeoIndParams, Lppm, NFoldGaussian, PosteriorSelector};
 
     fn authority(n: usize) -> ObfuscationModule {
         ObfuscationModule::new(GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap(), 200.0)
@@ -179,21 +152,22 @@ mod tests {
         assert_eq!(counter, 2);
         assert_eq!(arena.len(), 3);
         assert!(!arena.is_empty());
-        // The drifted duplicate shares both allocations with set 0.
+        // The drifted duplicate shares set 0's allocation, weights included.
         let sets = arena.sets();
-        assert!(Arc::ptr_eq(sets[0].candidates(), sets[2].candidates()));
-        assert!(Arc::ptr_eq(sets[0].table(), sets[2].table()));
-        assert!(!Arc::ptr_eq(sets[0].candidates(), sets[1].candidates()));
+        assert_eq!(sets[0].candidates().addr(), sets[2].candidates().addr());
+        assert_ne!(sets[0].candidates().addr(), sets[1].candidates().addr());
         // Candidates match the derived-stream scalar reference.
-        let mech = *auth.mechanism();
+        let mech = NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, 6).unwrap());
         for (k, set) in sets[..2].iter().enumerate() {
             let mut rng = seeded(derive_seed(7, k as u64));
-            assert_eq!(&set.candidates()[..], mech.obfuscate(set.top(), &mut rng));
+            let points: Vec<Point> = set.candidates().points().collect();
+            assert_eq!(points, mech.obfuscate(set.top(), &mut rng));
         }
-        // And each table is exactly the per-edge rebuild it replaces.
-        let selector = PosteriorSelector::new(auth.mechanism().sigma());
+        // And each set's weights are exactly the per-edge build they replace.
+        let selector = PosteriorSelector::new(mech.sigma());
         for set in sets {
-            assert_eq!(**set.table(), selector.table(set.candidates()));
+            let points: Vec<Point> = set.candidates().points().collect();
+            assert_eq!(*set.candidates(), selector.table(&points));
         }
     }
 
@@ -204,12 +178,12 @@ mod tests {
         let mut counter = 0u64;
         let tops = [Point::new(0.0, 0.0)];
         arena.prepare(&mut auth, &tops, 3, &mut counter);
-        let first = Arc::clone(arena.sets()[0].candidates());
+        let first = arena.sets()[0].candidates().clone();
         // Second window: the same top generates nothing new and re-stages
         // the same permanent allocation.
         let fresh = arena.prepare(&mut auth, &tops, 3, &mut counter);
         assert_eq!(fresh, 0);
         assert_eq!(counter, 1);
-        assert!(Arc::ptr_eq(arena.sets()[0].candidates(), &first));
+        assert_eq!(arena.sets()[0].candidates().addr(), first.addr());
     }
 }

@@ -1,5 +1,4 @@
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use privlocad_geo::rng::{derive_seed, seeded};
@@ -59,9 +58,10 @@ pub struct DeviceStats {
     /// Permanent candidate sets generated — each one a `(r, ε, δ, n)`
     /// budget spend mirrored as a [`SpendKind::CandidateSet`] ledger event.
     pub fresh_candidate_sets: u64,
-    /// Posterior-table lookups answered from the selection cache.
+    /// Posterior draws from a set whose weights were already stored —
+    /// every draw, unless the request had to draw the set itself.
     pub posterior_cache_hits: u64,
-    /// Posterior-table lookups that rebuilt the table.
+    /// Posterior draws whose request first drew, and weighed, the set.
     pub posterior_cache_misses: u64,
     /// Reports drawn by posterior selection over permanent candidates.
     pub posterior_draws: u64,
@@ -163,13 +163,13 @@ fn record_fresh_sets(
 
 /// A trusted edge device serving many users (Fig. 5).
 ///
-/// Owns every user's location-management state, obfuscation table, and
-/// posterior-selection cache, and performs output selection per ad
-/// request. Every user draws from a private RNG stream derived from the
-/// device's master seed, so a user's outputs depend only on `(master, user
-/// id, that user's own operation sequence)`: parallel serving runs one
-/// device per worker thread, and outputs do not depend on how users are
-/// partitioned over the devices ([`crate::ShardRouter`]).
+/// Owns every user's location-management state and obfuscation table,
+/// whose candidate sets carry their posterior weights, and performs output
+/// selection per ad request. Every user draws from a private RNG stream
+/// derived from the device's master seed, so a user's outputs depend only
+/// on `(master, user id, that user's own operation sequence)`: parallel
+/// serving runs one device per worker thread, and outputs do not depend on
+/// how users are partitioned over the devices ([`crate::ShardRouter`]).
 #[derive(Debug)]
 pub struct EdgeDevice {
     config: SystemConfig,
@@ -242,9 +242,9 @@ impl EdgeDevice {
     }
 
     /// Closes the user's profile window: recomputes the η-frequent
-    /// location set, generates permanent candidates for any new top
-    /// location, and rebuilds the posterior-selection cache for the new
-    /// top set. Returns the number of freshly obfuscated top locations.
+    /// location set and generates permanent candidates, weights included,
+    /// for any new top location. Returns the number of freshly obfuscated
+    /// top locations.
     pub fn finalize_window(&mut self, user: UserId) -> usize {
         let config = self.config;
         let state = user_entry(&mut self.users, &config, self.master, user);
@@ -253,7 +253,7 @@ impl EdgeDevice {
         // Candidate generation draws from the user's private stream, so the
         // sets a user receives never depend on how other users' operations
         // interleave on this shard.
-        let fresh = state.finalize_window_with(&config, scratch, lanes);
+        let fresh = state.finalize_window_with(scratch, lanes);
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -272,16 +272,12 @@ impl EdgeDevice {
     /// obfuscating anything — the first half of the multi-edge flow, where
     /// a fleet authority merges partial profiles before a single
     /// obfuscation pass. Returns `None` for unknown users.
-    ///
-    /// Invalidates the user's posterior-selection cache: the merged top
-    /// set installed afterwards may differ from the local one.
     pub fn close_window_profile(
         &mut self,
         user: UserId,
     ) -> Option<privlocad_attack::LocationProfile> {
         let state = self.users.get_mut(user)?;
         state.manager.finalize_window();
-        state.selection.invalidate();
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -294,9 +290,8 @@ impl EdgeDevice {
     ///
     /// The staged sets arrive as shared [`PreparedSet`] handles (see
     /// [`CandidateArena::prepare`]): installing is an `Arc` bump, not a
-    /// `Vec` clone, and the pre-warmed posterior tables are shared too —
-    /// the first ad request after installation serves from cache without
-    /// this device ever rebuilding a table the authority already built.
+    /// `Vec` clone, and the posterior weights the authority computed come
+    /// with the set — this device never recomputes them.
     pub fn install_protection(
         &mut self,
         user: UserId,
@@ -306,12 +301,10 @@ impl EdgeDevice {
         let config = self.config;
         let state = user_entry(&mut self.users, &config, self.master, user);
         state.manager.set_top_set(tops);
-        state.selection.invalidate();
         let sets_before = state.obfuscation.table().len();
         for set in sets {
-            state.obfuscation.install_shared(set.top(), Arc::clone(set.candidates()));
+            state.obfuscation.install(set.top(), set.candidates().clone());
         }
-        state.warm_selection_prepared(&config, sets);
         // The fleet spent the budget when it generated these sets; the
         // install point is where this device's ledger learns about it.
         record_fresh_sets(
@@ -324,19 +317,6 @@ impl EdgeDevice {
         );
     }
 
-    /// Drops every user's cached posterior-weight table.
-    ///
-    /// The cache is pure post-processing acceleration, so flushing never
-    /// changes outputs — the tables are rebuilt from the permanent
-    /// candidates on the next request. Exists so tests (and paranoid
-    /// operators) can force the from-scratch path.
-    // lint:allow(dead-pub): integration-test hook: core's serving_determinism forces the from-scratch selection path with it
-    pub fn flush_selection_cache(&mut self) {
-        for state in self.users.values_mut() {
-            state.selection.invalidate();
-        }
-    }
-
     /// Assesses the longitudinal exposure of a user's last profiled window
     /// (the "assess the risk of location privacy breaches" role of the
     /// edge). Returns `None` for unknown users.
@@ -345,14 +325,12 @@ impl EdgeDevice {
         Some(crate::RiskAssessor::default().assess(state.manager.profile()))
     }
 
-    /// The permanent candidates covering `location`, if the user is at a
-    /// protected top location. Borrows straight from the obfuscation
-    /// table — clone with `.to_vec()` if you need to hold the set across
-    /// later `&mut self` calls.
-    pub fn candidates(&self, user: UserId, location: Point) -> Option<&[Point]> {
+    /// A copy of the permanent candidates covering `location`, if the user
+    /// is at a protected top location.
+    pub fn candidates(&self, user: UserId, location: Point) -> Option<Vec<Point>> {
         let state = self.users.get(user)?;
         let top = state.manager.matching_top(location, self.config.top_match_radius_m())?;
-        state.obfuscation.table().get(top)
+        Some(state.obfuscation.table().get(top)?.points().collect())
     }
 
     /// Produces the location to report for an ad request at
@@ -546,20 +524,22 @@ impl EdgeDevice {
                 counter.add(delta);
             }
         }
-        for event in self.pending_spends.drain(..) {
+        // The buffer goes with its events: a drained device keeps no staged
+        // capacity (the in-process settle stages a window of them).
+        for event in std::mem::take(&mut self.pending_spends) {
             counters.ledger.record(event);
         }
     }
 
     /// Measures the resident state of this shard: bytes attributable to
-    /// individual users versus bytes in shared pools (candidate sets and
-    /// posterior tables stored once per *distinct* `Arc`, however many
-    /// users cite them). The scale bench reports
+    /// individual users versus bytes in shared pools (candidate sets,
+    /// weights included, stored once per *distinct* allocation, however
+    /// many users cite them). The scale bench reports
     /// [`StateFootprint::bytes_per_user`] from this — see DESIGN.md §16
     /// for the budget it is held to.
     pub fn footprint(&self) -> StateFootprint {
         let mut fp = StateFootprint::default();
-        self.accumulate_footprint(&mut fp, &mut BTreeSet::new(), &mut BTreeSet::new());
+        self.accumulate_footprint(&mut fp, &mut BTreeSet::new());
         fp
     }
 
@@ -570,7 +550,6 @@ impl EdgeDevice {
         &self,
         fp: &mut StateFootprint,
         seen_sets: &mut BTreeSet<usize>,
-        seen_tables: &mut BTreeSet<usize>,
     ) {
         use std::mem::size_of;
         fp.users += self.users.len();
@@ -579,23 +558,12 @@ impl EdgeDevice {
             bytes += std::mem::size_of_val(state.manager.buffered());
             bytes += (state.manager.profile().entries().len() + state.manager.top_set().len())
                 * size_of::<privlocad_attack::ProfileEntry>();
-            for (_, shared) in state.obfuscation.table().shared_entries() {
+            for (_, set) in state.obfuscation.table().entries() {
                 fp.candidate_set_refs += 1;
-                bytes += size_of::<(Point, Arc<[Point]>)>();
-                if seen_sets.insert(shared.as_ptr() as usize) {
+                bytes += size_of::<(Point, PosteriorTable)>();
+                if seen_sets.insert(set.addr()) {
                     fp.distinct_candidate_sets += 1;
-                    // Payload plus the strong/weak counts in the Arc header.
-                    fp.shared_bytes +=
-                        (shared.len() * size_of::<Point>() + 2 * size_of::<usize>()) as u64;
-                }
-            }
-            for (_, shared) in state.selection.shared_entries() {
-                bytes += size_of::<(Point, Arc<PosteriorTable>)>();
-                if seen_tables.insert(Arc::as_ptr(shared) as usize) {
-                    fp.distinct_posterior_tables += 1;
-                    fp.shared_bytes += (std::mem::size_of_val(shared.cdf())
-                        + size_of::<PosteriorTable>()
-                        + 2 * size_of::<usize>()) as u64;
+                    fp.shared_bytes += set.heap_bytes() as u64;
                 }
             }
             fp.user_bytes += bytes as u64;
@@ -629,7 +597,7 @@ mod tests {
         let user = UserId::new(1);
         let home = Point::new(1_000.0, 1_000.0);
         settle_home(&mut e, user, home);
-        let candidates = e.candidates(user, home).unwrap().to_vec();
+        let candidates = e.candidates(user, home).unwrap();
         assert_eq!(candidates.len(), 10);
         for _ in 0..50 {
             let reported = e.reported_location(user, home);
@@ -664,10 +632,10 @@ mod tests {
         let user = UserId::new(3);
         let home = Point::new(500.0, 500.0);
         settle_home(&mut e, user, home);
-        let before = e.candidates(user, home).unwrap().to_vec();
+        let before = e.candidates(user, home).unwrap();
         // Same home appears in the next window: candidates must not change.
         settle_home(&mut e, user, home);
-        let after = e.candidates(user, home).unwrap().to_vec();
+        let after = e.candidates(user, home).unwrap();
         assert_eq!(before, after);
     }
 
@@ -679,7 +647,7 @@ mod tests {
         let user = UserId::new(4);
         let home = Point::new(0.0, 0.0);
         settle_home(&mut e, user, home);
-        let candidates = e.candidates(user, home).unwrap().to_vec();
+        let candidates = e.candidates(user, home).unwrap();
         let mech = NFoldGaussian::new(e.config().geo_ind());
         let probs = PosteriorSelector::new(mech.sigma()).probabilities(&candidates);
         let best = probs.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
@@ -744,7 +712,7 @@ mod tests {
         let user = UserId::new(6);
         let home = Point::ORIGIN;
         settle_home(&mut e, user, home);
-        let candidates = e.candidates(user, home).unwrap().to_vec();
+        let candidates = e.candidates(user, home).unwrap();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..500 {
             let rep = e.reported_location(user, home);
@@ -1005,8 +973,8 @@ mod tests {
         assert_eq!(fp.users, 2);
         assert_eq!(fp.candidate_set_refs, 2);
         assert_eq!(fp.distinct_candidate_sets, 1, "shared set stored once");
-        assert_eq!(fp.distinct_posterior_tables, 1, "shared table stored once");
-        assert!(fp.user_bytes > 0 && fp.shared_bytes > 0);
+        assert_eq!(fp.shared_bytes, 10 * 24 + 16, "one block: ten points and their weights");
+        assert!(fp.user_bytes > 0);
         assert!(fp.bytes_per_user() > 0.0);
 
         // The snapshot pools it once too, and the pooled restore rebuilds
@@ -1018,25 +986,55 @@ mod tests {
         assert_eq!(rfp.users, 2);
         assert_eq!(rfp.candidate_set_refs, 2);
         assert_eq!(rfp.distinct_candidate_sets, 1);
-        assert_eq!(rfp.distinct_posterior_tables, 1);
+        assert_eq!(rfp, fp);
         assert_eq!(restored.checkpoint(), e.checkpoint());
     }
 
     #[test]
-    fn flush_selection_cache_does_not_change_outputs() {
-        let run = |flush: bool| {
-            let mut e = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 31);
-            let user = UserId::new(0);
-            settle_home(&mut e, user, Point::new(3.0, 4.0));
-            (0..25)
-                .map(|_| {
-                    if flush {
-                        e.flush_selection_cache();
-                    }
-                    e.reported_location(user, Point::new(3.0, 4.0))
-                })
-                .collect::<Vec<_>>()
+    fn a_close_rebuilds_no_weights() {
+        let mut e = edge();
+        let user = UserId::new(3);
+        let home = Point::new(2_000.0, 0.0);
+        let office = Point::new(9_000.0, 0.0);
+        settle_home(&mut e, user, home);
+        let stored = |e: &EdgeDevice| {
+            e.users.get(user).unwrap().obfuscation.table().get(home).unwrap().addr()
         };
-        assert_eq!(run(false), run(true));
+        let before = stored(&e);
+        for _ in 0..4 {
+            e.reported_location(user, home);
+        }
+        // The next window keeps home and adds an office: the home set and
+        // its weights stay where they are, the office set is weighed as
+        // it is drawn.
+        for _ in 0..30 {
+            e.report_checkin(user, home);
+            e.report_checkin(user, office);
+        }
+        assert_eq!(e.finalize_window(user), 1);
+        assert_eq!(stored(&e), before);
+        for at in [home, office, home, office, Point::new(60_000.0, 0.0)] {
+            e.reported_location(user, at);
+        }
+        let telemetry = Telemetry::new();
+        e.drain_telemetry(&telemetry);
+        let metrics = telemetry.registry().snapshot();
+        assert_eq!(metrics.counter("edge.posterior_draws"), Some(8));
+        assert_eq!(metrics.counter("edge.posterior_cache_hits"), Some(8));
+        assert_eq!(metrics.counter("edge.posterior_cache_misses"), Some(0));
+    }
+
+    #[test]
+    fn a_drained_device_keeps_no_staged_capacity() {
+        let mut e = edge();
+        for u in 0..20 {
+            settle_home(&mut e, UserId::new(u), Point::new(f64::from(u) * 3_000.0, 0.0));
+        }
+        assert_eq!(e.pending_spends(), 40, "a close and a fresh set per user");
+        e.drain_telemetry(&Telemetry::new());
+        assert_eq!(e.pending_spends.capacity(), 0);
+        // The next spend starts a buffer of its own.
+        settle_home(&mut e, UserId::new(0), Point::ORIGIN);
+        assert_eq!(e.pending_spends(), 1);
     }
 }

@@ -144,8 +144,8 @@ impl EdgeFleet {
         // 3. One fleet-level obfuscation authority per user: candidates
         //    are drawn once, permanently, regardless of which edge asked.
         //    The arena batch-generates every fresh set through the lane
-        //    kernel and stages shared `(candidates, posterior table)`
-        //    handles for all queried tops.
+        //    kernel and stages a shared handle to each queried top's set,
+        //    posterior weights included.
         let authority = self.authorities.entry(user).or_insert_with(|| {
             ObfuscationModule::new(self.config.geo_ind(), self.config.top_match_radius_m())
         });
@@ -154,7 +154,7 @@ impl EdgeFleet {
 
         // 4. Install the merged protection on every edge: per edge this is
         //    an `Arc` bump per set, not a candidate-vector clone plus a
-        //    posterior-table rebuild.
+        //    posterior-weight pass.
         for edge in &mut self.edges {
             edge.install_protection(user, tops.clone(), self.arena.sets());
         }
@@ -170,20 +170,19 @@ impl EdgeFleet {
 
     /// Measures the fleet's resident state ([`crate::StateFootprint`]).
     ///
-    /// Shared pools dedup *across* edges: a candidate set or posterior
-    /// table installed on every edge by [`EdgeFleet::finalize_user_window`]
-    /// is one `Arc` fleet-wide and is counted once, while `users` and
+    /// Shared pools dedup *across* edges: a candidate set installed on
+    /// every edge by [`EdgeFleet::finalize_user_window`] is one `Arc`
+    /// fleet-wide and is counted once, while `users` and
     /// `candidate_set_refs` count per-edge residency (a commuter served by
     /// two edges contributes two resident user states). The staging
     /// arena's live handles are included under the same dedup.
     pub fn footprint(&self) -> crate::StateFootprint {
         let mut fp = crate::StateFootprint::default();
         let mut seen_sets = std::collections::BTreeSet::new();
-        let mut seen_tables = std::collections::BTreeSet::new();
         for edge in &self.edges {
-            edge.accumulate_footprint(&mut fp, &mut seen_sets, &mut seen_tables);
+            edge.accumulate_footprint(&mut fp, &mut seen_sets);
         }
-        self.arena.accumulate_footprint(&mut fp, &mut seen_sets, &mut seen_tables);
+        self.arena.accumulate_footprint(&mut fp, &mut seen_sets);
         fp
     }
 }
@@ -239,7 +238,7 @@ mod tests {
             f.report_checkin(user, home);
         }
         f.finalize_user_window(user);
-        let from_a = f.edge(0).candidates(user, home).unwrap().to_vec();
+        let from_a = f.edge(0).candidates(user, home).unwrap();
         let from_b = f.edge(1).candidates(user, home).unwrap();
         assert_eq!(from_a, from_b, "fleet-wide consistency");
         // Requests through the fleet use exactly those candidates.
@@ -258,7 +257,7 @@ mod tests {
             f.report_checkin(user, home);
         }
         f.finalize_user_window(user);
-        let before = f.edge(0).candidates(user, home).unwrap().to_vec();
+        let before = f.edge(0).candidates(user, home).unwrap();
         // A later window with the same home (centroid drifts slightly).
         for _ in 0..30 {
             f.report_checkin(user, home + Point::new(5.0, -3.0));
@@ -340,11 +339,10 @@ mod tests {
         // One user resident on both edges, each edge citing both sets…
         assert_eq!(fp.users, 2);
         assert_eq!(fp.candidate_set_refs, 4);
-        // …but the Arc-shared install stores each set (and its warmed
-        // posterior table) exactly once fleet-wide.
+        // …but the Arc-shared install stores each set, weights included,
+        // exactly once fleet-wide.
         assert_eq!(fp.distinct_candidate_sets, 2);
-        assert_eq!(fp.distinct_posterior_tables, 2);
-        assert!(fp.shared_bytes > 0);
+        assert_eq!(fp.shared_bytes, 2 * (10 * 24 + 16));
         assert_eq!(fp.total_bytes(), fp.user_bytes + fp.shared_bytes);
         // Sanity: summing per-edge footprints double counts the pools.
         let naive: u64 = (0..f.len()).map(|i| f.edge(i).footprint().shared_bytes).sum();

@@ -21,8 +21,8 @@
 //!
 //! [`StateFootprint`] is the memory side of the same story: compact
 //! per-shard state measured in bytes per user, with pooled candidate
-//! sets and posterior tables counted once however many users share
-//! them.
+//! sets (posterior weights included) counted once however many users
+//! share them.
 
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
@@ -34,10 +34,10 @@ use crate::{EdgeDevice, SystemConfig, SystemError};
 /// Measured resident state of one shard ([`EdgeDevice::footprint`]).
 ///
 /// Splits bytes into what each user uniquely owns (`user_bytes`: window
-/// buffers, profiles, top sets, table/cache reference entries) and what
-/// lives once in shared pools (`shared_bytes`: distinct candidate sets
-/// and posterior tables, stored per distinct `Arc` regardless of how
-/// many users cite them).
+/// buffers, profiles, top sets, table entries) and what lives once in
+/// shared pools (`shared_bytes`: distinct candidate sets with their
+/// posterior weights, stored per distinct `Arc` regardless of how many
+/// users cite them).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StateFootprint {
     /// Users resident on the shard.
@@ -51,8 +51,6 @@ pub struct StateFootprint {
     /// Candidate-set references across all user tables (≥ distinct when
     /// fleet installs share sets between users).
     pub candidate_set_refs: usize,
-    /// Distinct cached posterior tables (pool entries).
-    pub distinct_posterior_tables: usize,
 }
 
 impl StateFootprint {

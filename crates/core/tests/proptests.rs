@@ -58,7 +58,7 @@ proptest! {
             edge.report_checkin(user, home);
         }
         prop_assert_eq!(edge.finalize_window(user), 1);
-        let candidates = edge.candidates(user, home).unwrap().to_vec();
+        let candidates = edge.candidates(user, home).unwrap();
         prop_assert_eq!(candidates.len(), config.geo_ind().n());
         for _ in 0..requests {
             let reported = edge.reported_location(user, home);

@@ -87,11 +87,14 @@ const SANITIZERS: &[FnPat] = &[
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_with"),
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_derived"),
     pat(Some("core"), None, "reported_location"),
-    // The selection-warming pair reads the true top set only as a cache
-    // *key*; what it produces is posterior-selection state over the
-    // already-released candidate sets — the sanitized side of the boundary.
-    pat(Some("core"), Some("UserState"), "warm_selection"),
-    pat(Some("core"), Some("UserState"), "warm_selection_prepared"),
+    // The checkpoint's cache section is derived from the true top set,
+    // which these read only to find the released sets it covers: the
+    // writer's first pass produces pool indices over already-released
+    // candidate sets, and the restore's two checks only compare an image's
+    // references with them — the sanitized side of the boundary.
+    pat(Some("core"), Some("Pools"), "intern"),
+    pat(Some("core"), Some("Restore"), "user"),
+    pat(Some("core"), Some("Restore"), "finish"),
     // The checkpoint is a trusted-store boundary, not a wire egress: the
     // bytes it returns hold true window state by design (restores must be
     // bit-identical), are streamed on demand from the committed device, and

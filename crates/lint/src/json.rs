@@ -422,6 +422,10 @@ fn validate_serve_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// DESIGN.md §16's budget for the scale profile's resident state, in bytes
+/// per user: a capacity row above it is refused.
+const SCALE_BYTES_PER_USER_BUDGET: f64 = 1024.0;
+
 fn is_scale_row(name: &str) -> bool {
     name == "serve/scale" || name.starts_with("serve/scale/")
 }
@@ -438,7 +442,10 @@ fn is_scale_row(name: &str) -> bool {
 /// sizes must be strictly increasing in file order, so the scale table always
 /// reads as one sweep and a rerun can't interleave stale rows with fresh
 /// ones. Wall-clock *values* are deliberately not gated — CI machines vary —
-/// only the record's shape and its internal consistency.
+/// only the record's shape and its internal consistency. The one value that
+/// is gated is a seed-pure count, not a timing: a `serve/scale/...` row's
+/// `bytes_per_user` must stay within DESIGN.md §16's per-user budget
+/// ([`SCALE_BYTES_PER_USER_BUDGET`]).
 fn validate_scale_row(
     i: usize,
     name: &str,
@@ -467,6 +474,12 @@ fn validate_scale_row(
         .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `bytes_per_user`"))?;
     if !bpu.is_finite() || bpu <= 0.0 {
         return Err(format!("runs[{i}] (`{name}`) has non-positive `bytes_per_user` {bpu}"));
+    }
+    if is_scale_row(name) && bpu > SCALE_BYTES_PER_USER_BUDGET {
+        return Err(format!(
+            "runs[{i}] (`{name}`) has `bytes_per_user` {bpu} over the \
+             {SCALE_BYTES_PER_USER_BUDGET} B per-user budget (DESIGN.md §16)"
+        ));
     }
     let mut timings = [0.0; 3];
     for (slot, key) in
@@ -838,7 +851,7 @@ mod tests {
         };
         let good = report(
             r#"{"name": "serve/scale/10000", "wall_ms": 40.0, "users": 10000, "shards": 1,
-                "bytes_per_user": 1800.5, "checkpoint_encode_ms": 2.0, "recovery_ms": 5.0,
+                "bytes_per_user": 644.5, "checkpoint_encode_ms": 2.0, "recovery_ms": 5.0,
                 "per_shard_recovery_ms": 5.0, "digest": "00f00ba900f00ba9"}"#,
         );
         // A capacity row is exempt from the serving triple (no requests_per_sec).
@@ -859,6 +872,11 @@ mod tests {
         assert!(validate_bench_report(&base(r#""bytes_per_user": 0"#))
             .unwrap_err()
             .contains("bytes_per_user"));
+        // The per-user budget holds at its edge and refuses past it.
+        assert!(validate_bench_report(&base(r#""bytes_per_user": 1024"#)).is_ok());
+        assert!(validate_bench_report(&base(r#""bytes_per_user": 1024.5"#))
+            .unwrap_err()
+            .contains("per-user budget"));
         assert!(validate_bench_report(&base(r#""recovery_ms": -1"#))
             .unwrap_err()
             .contains("recovery_ms"));
@@ -870,7 +888,7 @@ mod tests {
         let shrinking = report(&format!(
             "{row10k}, {row16}",
             row10k = r#"{"name": "serve/scale/10000", "wall_ms": 40.0, "users": 10000,
-                "shards": 1, "bytes_per_user": 1800.5, "checkpoint_encode_ms": 2.0,
+                "shards": 1, "bytes_per_user": 644.5, "checkpoint_encode_ms": 2.0,
                 "recovery_ms": 5.0, "per_shard_recovery_ms": 5.0, "digest": "aa"}"#,
             row16 = r#"{"name": "serve/scale/16", "wall_ms": 1.0, "users": 16, "shards": 1,
                 "bytes_per_user": 9.0, "checkpoint_encode_ms": 1.0, "recovery_ms": 2.0,

@@ -501,15 +501,16 @@ fn operand_right(code: &str, after_op: usize) -> String {
 }
 
 /// True for float literals (`1.0`, `0.`, `2.5e3` reduces to digit/dot run)
-/// and float-constant paths (`f64::NAN`, `f32::EPSILON`).
+/// and float-constant paths (`f64::NAN`, `f32::EPSILON`). A Rust float
+/// literal starts with a digit, so an operand that starts with `.` is a
+/// tuple field (the `.1` of `toks[i].1`), not a float.
 fn is_floaty(tok: &str) -> bool {
     if tok.contains("f64::") || tok.contains("f32::") {
         return true;
     }
     let t = tok.strip_prefix('-').unwrap_or(tok);
-    !t.is_empty()
+    t.starts_with(|c: char| c.is_ascii_digit())
         && t.contains('.')
-        && t.chars().any(|c| c.is_ascii_digit())
         && t.chars().all(|c| c.is_ascii_digit() || c == '.' || c == '_')
 }
 
@@ -586,6 +587,9 @@ mod tests {
         assert!(float_eq_positions("let y = x == n;").is_empty());
         // Integer comparison is fine.
         assert!(float_eq_positions("if k == 10 {").is_empty());
+        // So is a tuple field: `.1` after a bracket is not a float literal.
+        assert!(float_eq_positions("toks[i - 1].1 == Tok::Sym('a')").is_empty());
+        assert!(!float_eq_positions("toks[i].1 == 2.0").is_empty());
     }
 
     #[test]

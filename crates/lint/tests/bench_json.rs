@@ -1,12 +1,14 @@
 //! `--bench-json` schema checks against checked-in fixtures: the serving
 //! rows appended by `bench serve` must carry the full throughput triple
 //! (`requests_per_sec`, `batch`, `threads`), and the validator must reject
-//! reports that claim throughput without it.
+//! reports that claim throughput without it, or a capacity row over the
+//! per-user state budget.
 
 use privlocad_lint::json::{parse, render, validate_bench_report};
 
 const OK: &str = include_str!("fixtures/bench_serve_ok.json");
 const BAD: &str = include_str!("fixtures/bench_serve_bad.json");
+const OVER_BUDGET: &str = include_str!("fixtures/bench_scale_over_budget.json");
 
 #[test]
 fn serve_fixture_with_full_triple_passes() {
@@ -18,6 +20,15 @@ fn serve_fixture_missing_batch_and_threads_fails() {
     let err = validate_bench_report(BAD).unwrap_err();
     assert!(err.contains("serve/batched_cached/64"), "{err}");
     assert!(err.contains("batch") || err.contains("threads"), "{err}");
+}
+
+#[test]
+fn scale_row_over_the_per_user_budget_fails() {
+    // DESIGN.md §16 holds the scale profile to 1 KiB of resident state per
+    // user; a row claiming more is refused, whatever else it gets right.
+    let err = validate_bench_report(OVER_BUDGET).unwrap_err();
+    assert!(err.contains("serve/scale/10000") && err.contains("per-user budget"), "{err}");
+    validate_bench_report(&OVER_BUDGET.replace("1790", "644")).expect("644 B is within budget");
 }
 
 #[test]

@@ -5,3 +5,8 @@ fn check(x: f64, y: f64) -> bool {
     }
     y != f64::INFINITY
 }
+
+// Not a finding: a tuple-field comparison (`.1` after `]` is a field).
+fn second_fields_match(pairs: &[(u8, u8)], i: usize) -> bool {
+    pairs[i].1 == pairs[0].1
+}

@@ -24,7 +24,6 @@
 
 use std::f64::consts::PI;
 use std::ops::Range;
-use std::sync::Arc;
 
 use privlocad_geo::rng::{derive_seed, fill_uniform, seeded};
 use privlocad_geo::Point;
@@ -90,19 +89,15 @@ impl CandidateLanes {
         self.xs.iter().zip(&self.ys).map(|(&x, &y)| Point::new(x, y))
     }
 
-    /// Copies the candidates in `range` into a freshly allocated shared
-    /// slice — the handoff from flat lanes to the permanent, Arc-shared
-    /// storage of an obfuscation table.
+    /// The candidates in `range`, in order — the handoff from flat lanes
+    /// to a permanent [`crate::PosteriorTable`], which reads them without
+    /// an intermediate copy.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds.
-    pub fn arc_points(&self, range: Range<usize>) -> Arc<[Point]> {
-        self.xs[range.clone()]
-            .iter()
-            .zip(&self.ys[range])
-            .map(|(&x, &y)| Point::new(x, y))
-            .collect()
+    pub fn points(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = Point> + Clone + '_ {
+        self.xs[range.clone()].iter().zip(&self.ys[range]).map(|(&x, &y)| Point::new(x, y))
     }
 }
 
@@ -242,8 +237,7 @@ mod tests {
         for (i, &p) in collected.iter().enumerate() {
             assert_eq!(lanes.point(i), p);
         }
-        let arc = lanes.arc_points(1..4);
-        assert_eq!(&arc[..], &collected[1..4]);
+        assert!(lanes.points(1..4).eq(collected[1..4].iter().copied()));
     }
 
     #[test]

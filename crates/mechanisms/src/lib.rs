@@ -58,7 +58,5 @@ pub use error::MechanismError;
 pub use gaussian::NFoldGaussian;
 pub use params::{GeoIndParams, PlanarLaplaceParams};
 pub use planar_laplace::PlanarLaplace;
-pub use selection::{
-    PosteriorSelector, PosteriorTable, SelectionCache, SelectionStrategy, UniformSelector,
-};
+pub use selection::{PosteriorSelector, PosteriorTable, SelectionStrategy, UniformSelector};
 pub use traits::Lppm;

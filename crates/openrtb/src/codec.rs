@@ -62,7 +62,15 @@ pub fn fnv1a32(data: &[u8]) -> u32 {
 /// FNV-1a 64-bit hash — request ids, creative ids and log digests.
 #[must_use]
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Continues an FNV-1a-64 hash from the state `hash` over `data`. Fed a
+/// message piece by piece from `fnv1a64(&[])` (the offset basis), it
+/// returns [`fnv1a64`] of the concatenated pieces without copying them
+/// together.
+#[must_use]
+pub fn fnv1a64_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

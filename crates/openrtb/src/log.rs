@@ -8,11 +8,11 @@
 //! logs regardless of shard count or fault schedule, and the digest is the
 //! cheap equality witness the integration tests compare.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use privlocad_geo::Point;
 use std::collections::BTreeMap;
 
-use crate::codec::{fnv1a64, BidRequest, BidResponse, DeviceId};
+use crate::codec::{fnv1a64, fnv1a64_extend, BidRequest, BidResponse, DeviceId};
 
 /// One auctioned request: decoded objects plus the exact wire frames.
 #[derive(Debug, Clone)]
@@ -116,24 +116,16 @@ impl BidExchangeLog {
         self.records.values().filter(|r| r.response.is_win()).count()
     }
 
-    /// Concatenates every frame (request then response, per record, in
-    /// canonical order) into one byte stream — the log "as the attacker
-    /// taps it".
-    #[must_use]
-    fn wire_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        for record in self.records.values() {
-            buf.extend_from_slice(&record.request_frame);
-            buf.extend_from_slice(&record.response_frame);
-        }
-        buf.freeze()
-    }
-
-    /// FNV-1a-64 digest of the log's wire bytes — the cheap bit-identity
-    /// witness used by the determinism tests.
+    /// FNV-1a-64 digest of the log's wire bytes — every frame, request
+    /// then response, per record, in canonical order: the log "as the
+    /// attacker taps it". Hashed in place, record by record; the cheap
+    /// bit-identity witness used by the determinism tests.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a64(&self.wire_bytes())
+        self.records.values().fold(fnv1a64(&[]), |hash, record| {
+            let hash = fnv1a64_extend(hash, &record.request_frame);
+            fnv1a64_extend(hash, &record.response_frame)
+        })
     }
 }
 
@@ -174,6 +166,13 @@ mod tests {
         assert_eq!(log.revenue_micros(), 2_000_000);
     }
 
+    /// Every frame, request then response, per record, in canonical
+    /// order: the byte stream the digest hashes.
+    fn wire_bytes(log: &BidExchangeLog) -> Vec<u8> {
+        let frames = log.records.values().flat_map(|r| [&r.request_frame, &r.response_frame]);
+        frames.flat_map(|frame| frame.iter().copied()).collect()
+    }
+
     #[test]
     fn digest_is_insertion_order_independent() {
         let mut a = BidExchangeLog::new();
@@ -183,7 +182,21 @@ mod tests {
         settle(&mut b, 2, 0, 2.0, false);
         settle(&mut b, 1, 0, 1.0, true);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.wire_bytes(), b.wire_bytes());
+        assert_eq!(wire_bytes(&a), wire_bytes(&b));
+    }
+
+    #[test]
+    fn streamed_digest_is_the_hash_of_the_concatenated_frames() {
+        let mut log = BidExchangeLog::new();
+        assert_eq!(log.digest(), fnv1a64(&[]));
+        for (device, seq) in [(3, 0), (1, 2), (1, 0), (2, 5)] {
+            settle(&mut log, device, seq, device as f64 + seq as f64, seq % 2 == 0);
+            assert_eq!(log.digest(), fnv1a64(&wire_bytes(&log)));
+        }
+        // Piece by piece from the empty hash is the one-shot hash.
+        let bytes = wire_bytes(&log);
+        let (head, tail) = bytes.split_at(17);
+        assert_eq!(fnv1a64_extend(fnv1a64_extend(fnv1a64(&[]), head), tail), fnv1a64(&bytes));
     }
 
     #[test]

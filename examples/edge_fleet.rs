@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         module.table().len()
     );
     for &t in &top_points {
-        let cands = module.table().get(t).expect("just obfuscated");
-        let mean = privlocad_geo::centroid(cands).expect("non-empty");
+        let cands: Vec<Point> = module.table().get(t).expect("just obfuscated").points().collect();
+        let mean = privlocad_geo::centroid(&cands).expect("non-empty");
         println!(
             "  {} -> {} permanent candidates, centroid {:.0} m away",
             t,
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let fresh = fleet.finalize_user_window(user);
     println!("fleet window closed: {fresh} top location(s) obfuscated once, fleet-wide");
-    let from_a = fleet.edge(0).candidates(user, home).expect("edge A protects home").to_vec();
+    let from_a = fleet.edge(0).candidates(user, home).expect("edge A protects home");
     let from_b = fleet.edge(1).candidates(user, home).expect("edge B protects home");
     assert_eq!(from_a, from_b);
     println!(

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("window closed: {fresh} top location(s) obfuscated permanently");
 
     // 4. Ad requests from home reuse the same candidate set forever.
-    let candidates = edge.candidates(user, home).expect("home is a top location").to_vec();
+    let candidates = edge.candidates(user, home).expect("home is a top location");
     println!("permanent candidates ({}):", candidates.len());
     for c in &candidates {
         println!("  {c}  ({:.0} m from home)", c.distance(home));

@@ -66,7 +66,7 @@ fn output_selection_only_reveals_already_released_points() {
         edge.report_checkin(user, home);
     }
     edge.finalize_window(user);
-    let candidates = edge.candidates(user, home).unwrap().to_vec();
+    let candidates = edge.candidates(user, home).unwrap();
     let mut seen = std::collections::HashSet::new();
     for _ in 0..5_000 {
         let reported = edge.reported_location(user, home);
