@@ -90,6 +90,7 @@ fn scale_row_to_json(row: &ScaleRow) -> Json {
     obj.insert("users".to_owned(), Json::Num(row.users as f64));
     obj.insert("shards".to_owned(), Json::Num(row.shards as f64));
     obj.insert("bytes_per_user".to_owned(), Json::Num(row.bytes_per_user));
+    obj.insert("image_bytes_per_user".to_owned(), Json::Num(row.image_bytes_per_user));
     obj.insert("checkpoint_encode_ms".to_owned(), Json::Num(row.checkpoint_encode_ms));
     obj.insert("recovery_ms".to_owned(), Json::Num(row.recovery_ms));
     obj.insert("per_shard_recovery_ms".to_owned(), Json::Num(row.per_shard_recovery_ms));
@@ -172,6 +173,7 @@ mod tests {
             users,
             shards: users.div_ceil(10_000),
             bytes_per_user: 644.0,
+            image_bytes_per_user: 312.0,
             checkpoint_encode_ms: 4.0,
             recovery_ms: 9.0,
             per_shard_recovery_ms: 9.0,

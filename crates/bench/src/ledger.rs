@@ -146,7 +146,8 @@ mod tests {
             {{"name": "serve/legacy_single", "wall_ms": 9.9, "requests_per_sec": 1.0,
              "batch": 1, "threads": 1}},
             {{"name": "serve/scale/16", "wall_ms": 3.0, "users": 16, "shards": 1,
-             "bytes_per_user": 9.0, "checkpoint_encode_ms": 1.0, "recovery_ms": 1.0,
+             "bytes_per_user": 9.0, "image_bytes_per_user": 7.0,
+             "checkpoint_encode_ms": 1.0, "recovery_ms": 1.0,
              "per_shard_recovery_ms": 1.0, "digest": "aa"}},
             {{"name": "chaos/flood/2", "wall_ms": 1.0, "faults_injected": 4,
              "requests_survived": 100, "restarts": 0, "recovery_ns": 0, "threads": 2}},
@@ -180,7 +181,8 @@ mod tests {
                     row(r#"{"name": "serve/batched_cached/64", "wall_ms": 2.5,
                             "requests_per_sec": 3.0, "batch": 64, "threads": 1}"#),
                     row(r#"{"name": "serve/scale/10000", "wall_ms": 25.0, "users": 10000,
-                            "shards": 1, "bytes_per_user": 644.0, "checkpoint_encode_ms": 4.0,
+                            "shards": 1, "bytes_per_user": 644.0,
+                            "image_bytes_per_user": 312.0, "checkpoint_encode_ms": 4.0,
                             "recovery_ms": 9.0, "per_shard_recovery_ms": 9.0,
                             "digest": "00f00ba900f00ba9"}"#),
                 ],

@@ -36,16 +36,3 @@ pub mod scale;
 pub mod serve;
 pub mod tables;
 pub mod verify;
-
-/// FNV-1a-64 offset basis: the starting state of [`fnv1a`].
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into the running FNV-1a-64 state `hash` — the one hash
-/// behind every seed-pure output digest the harnesses report (start from
-/// [`FNV_OFFSET`]).
-pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}

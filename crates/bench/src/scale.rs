@@ -29,9 +29,9 @@ use privlocad::protocol::ClientRequest;
 use privlocad::{EdgeDevice, ShardRouter, SystemConfig};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{fnv1a64_extend, FNV1A64_OFFSET};
 
 use crate::report::Table;
-use crate::{fnv1a, FNV_OFFSET};
 
 /// Users per shard: fleets are partitioned into `ceil(users / 10_000)`
 /// shards, so per-shard work (and recovery time) stays flat as the fleet
@@ -74,6 +74,9 @@ pub struct ScaleRow {
     /// Resident bytes per user, aggregated over all shards
     /// ([`privlocad::StateFootprint::bytes_per_user`]).
     pub bytes_per_user: f64,
+    /// Checkpoint image bytes per user: the shards' image bytes over the
+    /// fleet's users, a seed-pure count.
+    pub image_bytes_per_user: f64,
     /// Total checkpoint encode time across all shards, milliseconds
     /// (fastest of the per-shard samples).
     pub checkpoint_encode_ms: f64,
@@ -100,13 +103,23 @@ impl Outcome {
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "sharded fleet capacity",
-            &["fleet", "shards", "B/user", "ckpt ms", "recover ms", "per-shard ms", "digest"],
+            &[
+                "fleet",
+                "shards",
+                "B/user",
+                "image B/user",
+                "ckpt ms",
+                "recover ms",
+                "per-shard ms",
+                "digest",
+            ],
         );
         for row in &self.rows {
             table.push_row(vec![
                 row.users.to_string(),
                 row.shards.to_string(),
                 format!("{:.0}", row.bytes_per_user),
+                format!("{:.0}", row.image_bytes_per_user),
                 format!("{:.1}", row.checkpoint_encode_ms),
                 format!("{:.1}", row.recovery_ms),
                 format!("{:.1}", row.per_shard_recovery_ms),
@@ -125,9 +138,9 @@ fn home_of(user: usize) -> Point {
 /// One user's contribution to the stage digest: FNV-1a over the user id
 /// and the raw bits of the reported location.
 fn user_digest(user: u32, report: Point) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, &user.to_le_bytes());
-    hash = fnv1a(hash, &report.x.to_bits().to_le_bytes());
-    fnv1a(hash, &report.y.to_bits().to_le_bytes())
+    let mut hash = fnv1a64_extend(FNV1A64_OFFSET, &user.to_le_bytes());
+    hash = fnv1a64_extend(hash, &report.x.to_bits().to_le_bytes());
+    fnv1a64_extend(hash, &report.y.to_bits().to_le_bytes())
 }
 
 /// Settles every user of `shard` (ids ≡ shard mod shards, below `size`)
@@ -202,6 +215,7 @@ fn measure(config: &Config, size: usize) -> ScaleRow {
     let stage_start = Instant::now();
     let shards = size.div_ceil(SHARD_USERS);
     let mut total_bytes = 0u64;
+    let mut image_bytes = 0usize;
     let mut encode_ms = 0.0f64;
     let mut recovery_ms = 0.0f64;
     let mut worst_shard_ms = 0.0f64;
@@ -218,6 +232,7 @@ fn measure(config: &Config, size: usize) -> ScaleRow {
             shard_encode = shard_encode.min(start.elapsed().as_secs_f64() * 1e3);
         }
         drop(edge);
+        image_bytes += log.len();
 
         let sys = SystemConfig::builder().build().expect("default config is valid");
         let mut shard_recover = f64::INFINITY;
@@ -241,6 +256,7 @@ fn measure(config: &Config, size: usize) -> ScaleRow {
         users: size,
         shards,
         bytes_per_user: total_bytes as f64 / size as f64,
+        image_bytes_per_user: image_bytes as f64 / size as f64,
         checkpoint_encode_ms: encode_ms,
         recovery_ms,
         per_shard_recovery_ms: worst_shard_ms,
@@ -284,7 +300,7 @@ mod tests {
         let row = &out.rows[0];
         assert_eq!(row.name, "serve/scale/96");
         assert_eq!((row.users, row.shards), (96, 1));
-        assert!(row.bytes_per_user > 0.0);
+        assert!(row.bytes_per_user > 0.0 && row.image_bytes_per_user > 0.0);
         assert!(row.checkpoint_encode_ms >= 0.0 && row.recovery_ms >= 0.0);
         assert!(row.per_shard_recovery_ms <= row.recovery_ms + 1e-9);
         assert_eq!(row.digest.len(), 16);

@@ -25,10 +25,10 @@ use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_geo::Point;
 use privlocad_metrics::montecarlo::Fanout;
 use privlocad_mobility::{PopulationConfig, UserId, SECONDS_PER_DAY};
+use privlocad_openrtb::{fnv1a64_extend, FNV1A64_OFFSET};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
-use crate::{fnv1a, FNV_OFFSET};
 
 /// Configuration for the scalability experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,7 +77,8 @@ pub struct Outcome {
 }
 
 fn fnv1a_point(hash: u64, p: Point) -> u64 {
-    fnv1a(fnv1a(hash, &p.x.to_bits().to_le_bytes()), &p.y.to_bits().to_le_bytes())
+    let hash = fnv1a64_extend(hash, &p.x.to_bits().to_le_bytes());
+    fnv1a64_extend(hash, &p.y.to_bits().to_le_bytes())
 }
 
 /// Splits users `0..count` into at most `workers` contiguous ranges, one
@@ -102,7 +103,7 @@ pub fn run_table2(config: &Config) -> Outcome {
     let window_secs = sys.window_days() as i64 * SECONDS_PER_DAY;
     let fan = Fanout::with_threads(config.seed, config.threads);
 
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A64_OFFSET;
     let rows = config
         .user_counts
         .iter()
@@ -136,7 +137,7 @@ pub fn run_table2(config: &Config) -> Outcome {
             // in user order (untimed; pure reads).
             for (edge, users) in devices.iter().zip(&ranges) {
                 for u in users.clone() {
-                    let mut h = FNV_OFFSET;
+                    let mut h = FNV1A64_OFFSET;
                     if let Some(&first) = windows[u].first() {
                         if let Some(candidates) = edge.candidates(UserId::new(u as u32), first) {
                             for c in candidates {
@@ -144,7 +145,7 @@ pub fn run_table2(config: &Config) -> Outcome {
                             }
                         }
                     }
-                    digest = fnv1a(digest, &h.to_le_bytes());
+                    digest = fnv1a64_extend(digest, &h.to_le_bytes());
                 }
             }
             let work = devices.iter().map(|d| d.stats().fresh_candidate_sets).sum();
@@ -169,7 +170,7 @@ pub fn run_table3(config: &Config) -> Outcome {
         .map(|i| Point::new((i % 1_000) as f64 * 1_000.0, (i / 1_000) as f64 * 1_000.0))
         .collect();
 
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A64_OFFSET;
     let rows = config
         .user_counts
         .iter()

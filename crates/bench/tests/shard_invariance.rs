@@ -12,9 +12,9 @@
 use privlocad::protocol::ClientRequest;
 use privlocad::{FaultPlan, ServerOptions, ShardRouter, SystemConfig};
 use privlocad_bench::scale::user_workload;
-use privlocad_bench::{fnv1a, FNV_OFFSET};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{fnv1a64_extend, FNV1A64_OFFSET};
 use privlocad_telemetry::{top_key, Telemetry, TopKey};
 
 const USERS: u32 = 48;
@@ -25,10 +25,10 @@ const MASTER: u64 = 7;
 /// user's own operation order. XOR-folding the per-user hashes makes the
 /// fleet digest insensitive to how users interleave across shards.
 fn user_digest(user: u32, reports: &[Point]) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, &user.to_le_bytes());
+    let mut hash = fnv1a64_extend(FNV1A64_OFFSET, &user.to_le_bytes());
     for report in reports {
-        hash = fnv1a(hash, &report.x.to_bits().to_le_bytes());
-        hash = fnv1a(hash, &report.y.to_bits().to_le_bytes());
+        hash = fnv1a64_extend(hash, &report.x.to_bits().to_le_bytes());
+        hash = fnv1a64_extend(hash, &report.y.to_bits().to_le_bytes());
     }
     hash
 }

@@ -382,11 +382,13 @@ impl EdgeDevice {
         }
     }
 
-    /// Captures a full recovery checkpoint: every user's window state,
-    /// permanent candidate sets, and posterior tables, plus each user's
-    /// raw RNG stream words — enough to resume serving bit-for-bit where
-    /// the device stood, without re-drawing a single released candidate
-    /// (see [`crate::recovery`] for why re-drawing is a privacy violation).
+    /// Captures a full recovery checkpoint: every user's window state and
+    /// permanent candidate sets, plus each user's raw RNG stream words —
+    /// enough to resume serving bit-for-bit where the device stood, without
+    /// re-drawing a single released candidate (see [`crate::recovery`] for
+    /// why re-drawing is a privacy violation). The posterior weights are
+    /// not captured: they are a function of each set and the σ the image's
+    /// header records.
     ///
     /// This is the decode of [`EdgeDevice::checkpoint`]'s image, so the
     /// snapshot and the committed bytes cannot disagree.
@@ -408,8 +410,9 @@ impl EdgeDevice {
     ///
     /// The image is streamed straight from the live user states into one
     /// buffer allocated once at its exact length: a first pass interns the
-    /// candidate-set and posterior-table pools and sums the frame lengths,
-    /// a second writes. No [`DeviceSnapshot`] is built on the way.
+    /// candidate-set pool and sums the frame lengths, a second writes. The
+    /// header binds the config's σ and selection kind; no posterior weight
+    /// is written. No [`DeviceSnapshot`] is built on the way.
     pub fn checkpoint(&self) -> Bytes {
         crate::recovery::stream_image(self)
     }
@@ -418,16 +421,18 @@ impl EdgeDevice {
     /// user's RNG stream resumes exactly where the captured device left
     /// it, so any draw that was in flight when the original crashed is
     /// re-executed identically — a mid-window restart never re-draws
-    /// candidates. Each pooled candidate set and posterior table is
-    /// materialized once and shared by every user record that cites it,
-    /// and each user frame becomes its serving state as soon as it is
-    /// read — no [`DeviceSnapshot`] is built. The image reader is the one
-    /// behind [`DeviceSnapshot::decode`], so the two fail alike.
+    /// candidates. Each pooled candidate set is materialized once, its
+    /// posterior weights recomputed under `config`, and shared by every
+    /// user record that cites it, and each user frame becomes its serving
+    /// state as soon as it is read — no [`DeviceSnapshot`] is built. The
+    /// image reader is the one behind [`DeviceSnapshot::decode`], so the
+    /// two fail alike.
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError`] on a corrupt or truncated checkpoint, or
-    /// on an invalid posterior table.
+    /// Returns [`RecoveryError`] on a corrupt or truncated checkpoint, and
+    /// [`RecoveryError::InvalidPosterior`] on an image whose σ or selection
+    /// kind is not `config`'s, or whose table section overlaps.
     pub fn restore_from_checkpoint(
         config: SystemConfig,
         log: &[u8],

@@ -11,23 +11,23 @@
 //!
 //! [`DeviceSnapshot`] captures everything a device needs to resume
 //! exactly where it stood: per-user candidate sets (the obfuscation
-//! table), the posterior cumulative weights each protected top draws
-//! from, the open window's check-in buffer, the profile, the window epoch,
-//! and the generator state. Candidate sets and weights are **pooled**: the
+//! table), the open window's check-in buffer, the profile, the window
+//! epoch, and the generator state. Candidate sets are **pooled**: the
 //! image stores each distinct set once (deduplicated by allocation at
-//! capture time) and user records hold `u32` references into the pools, so
+//! capture time) and user records hold `u32` references into the pool, so
 //! a fleet-distributed set shared by a thousand users costs one pool entry
 //! plus a thousand 20-byte references — this is what keeps the per-shard
 //! bytes/user budget flat as the fleet grows (DESIGN.md §16).
 //!
-//! A live device keeps each set's weights inside the set, so the image's
-//! cache section is derived when it is written (`CdfPool`): each user cites
-//! the covering set of every top-set entry its table covers. The restore
-//! recomputes each pooled set's weights and refuses any other cache section
-//! as [`RecoveryError::InvalidPosterior`].
+//! The posterior weights a protected top draws from (Algorithm 4) are
+//! post-processing over its set, a pure function of the set and σ, so the
+//! image does not carry them: the header binds σ and the selection kind,
+//! and the restore recomputes each pooled set's weights, refusing an
+//! image written under another σ or selection kind as
+//! [`RecoveryError::InvalidPosterior`].
 //!
 //! The image is versioned, length-prefix-framed, and FNV-1a checksummed.
-//! Version 2 is the only format: one contiguous buffer per device, every
+//! Version 3 is the only format: one contiguous buffer per device, every
 //! pool entry and user record carried as a length-prefixed frame. A live
 //! device streams it straight from its user states
 //! ([`crate::EdgeDevice::checkpoint`]), and one in-place slice reader
@@ -35,10 +35,9 @@
 //! [`DeviceSnapshot::decode`] alike. The restore takes each pool entry and
 //! user frame straight into live serving state as it is read, so the only
 //! allocations are that state (one allocation per **distinct** candidate
-//! set, not one per user record, and none per pooled CDF); the decode
-//! collects the same parts into a read-only view for audits. Bit rot in
-//! persisted state surfaces as a structured [`RecoveryError`] instead of a
-//! corrupted privacy ledger.
+//! set, not one per user record); the decode collects the same parts into
+//! a read-only view for audits. Bit rot in persisted state surfaces as a
+//! structured [`RecoveryError`] instead of a corrupted privacy ledger.
 //!
 //! A serving shard ([`crate::EdgeServer`]) keeps no image between
 //! requests. It commits by **undo**: before a request it saves the state
@@ -53,7 +52,6 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_attack::{LocationProfile, ProfileEntry};
-use privlocad_geo::rng::seeded;
 use privlocad_geo::Point;
 use privlocad_mechanisms::{NFoldGaussian, PosteriorSelector, PosteriorTable};
 use privlocad_mobility::UserId;
@@ -65,37 +63,54 @@ use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SelectionKind,
 
 /// Log magic: `"PLAD"` big-endian.
 const MAGIC: u32 = 0x504C_4144;
-/// Log format version: pooled, length-prefix-framed.
-const VERSION: u16 = 2;
+/// Log format version: pooled sets, length-prefix-framed user records,
+/// and σ and the selection kind bound in the header.
+const VERSION: u16 = 3;
 
-/// The v2 header's stream byte: per-user RNG streams derived from the
-/// master seed, the only mode a device has. Any other value — 0 marks an
-/// image of a device-wide generator — is refused as
-/// [`RecoveryError::BadStreamMode`].
-const PER_USER_STREAMS: u8 = 1;
+/// Fixed header bytes of a v3 image: magic, version, master, σ's bits and
+/// the selection byte.
+const HEADER_LEN: usize = 4 + 2 + 8 + 8 + 1;
 
-/// Fixed header bytes of a v2 image: magic, version, stream byte +
-/// master, four RNG words, and the always-zero op-counter slot.
-const V2_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 32 + 8;
+/// Fixed bytes of every v3 image: the header, the set-pool and user
+/// counts, and the trailing FNV-1a checksum.
+const IMAGE_FIXED_LEN: usize = HEADER_LEN + 2 * 4 + 8;
 
-/// Fixed bytes of every v2 image: the header, the set-pool, CDF-pool and
-/// user counts, and the trailing FNV-1a checksum.
-const IMAGE_FIXED_LEN: usize = V2_HEADER_LEN + 3 * 4 + 8;
+/// What a v3 header binds an image to, after its magic and version: the
+/// master seed its per-user streams derive from, and the two config
+/// values its sets' posterior weights derive from — σ, as `f64` bits, and
+/// the selection kind, as one byte.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub(crate) master: u64,
+    sigma: u64,
+    selection: u8,
+}
 
-/// Writes the fixed v2 header: magic, version, stream byte, master, four
-/// RNG words and the op-counter slot. The words are the untouched
-/// device-wide generator of a per-user device, `seeded(master)`, so they
-/// are a function of the master and the decoder skips them; the op-counter
-/// slot is always zero. Both stay so the byte layout is unchanged.
-fn put_header<B: BufMut>(buf: &mut B, master: u64) {
+impl Header {
+    /// The header of a device with seed `master` under `config`.
+    fn of(config: &SystemConfig, master: u64) -> Self {
+        let selection = match config.selection() {
+            SelectionKind::Posterior => 0,
+            SelectionKind::Uniform => 1,
+        };
+        Header { master, sigma: sigma(config).to_bits(), selection }
+    }
+}
+
+/// The n-fold mechanism's σ under `config`: what every set's posterior
+/// weights are computed with.
+fn sigma(config: &SystemConfig) -> f64 {
+    NFoldGaussian::new(config.geo_ind()).sigma()
+}
+
+/// Writes the fixed v3 header: magic, version, master, σ's bits and the
+/// selection byte.
+fn put_header<B: BufMut>(buf: &mut B, header: Header) {
     buf.put_u32(MAGIC);
     buf.put_u16(VERSION);
-    buf.put_u8(PER_USER_STREAMS);
-    buf.put_u64(master);
-    for word in seeded(master).state() {
-        buf.put_u64(word);
-    }
-    buf.put_u64(0);
+    buf.put_u64(header.master);
+    buf.put_u64(header.sigma);
+    buf.put_u8(header.selection);
 }
 
 /// Appends the FNV-1a checksum of everything written so far and freezes
@@ -112,57 +127,32 @@ fn set_entry_len(points: usize) -> usize {
     4 + 4 + points * 16
 }
 
-/// Encoded bytes of one CDF-pool entry: length prefix, weight count and
-/// `weights` weights.
-fn cdf_entry_len(weights: usize) -> usize {
-    4 + 4 + weights * 8
-}
-
-/// Writes the two pool sections: each a count, then one length-prefixed
-/// frame per entry.
-fn put_pools<B, S, C>(
-    buf: &mut B,
-    sets: impl ExactSizeIterator<Item = S>,
-    cdfs: impl ExactSizeIterator<Item = C>,
-) where
+/// Writes the set pool: a count, then one length-prefixed frame per set.
+fn put_sets<B, S>(buf: &mut B, sets: impl ExactSizeIterator<Item = S>)
+where
     B: BufMut,
     S: ExactSizeIterator<Item = Point>,
-    C: ExactSizeIterator<Item = f64>,
 {
     buf.put_u32(sets.len() as u32);
     for set in sets {
         buf.put_u32((set_entry_len(set.len()) - 4) as u32);
         put_points(buf, set);
     }
-    buf.put_u32(cdfs.len() as u32);
-    for cdf in cdfs {
-        buf.put_u32((cdf_entry_len(cdf.len()) - 4) as u32);
-        buf.put_u32(cdf.len() as u32);
-        for w in cdf {
-            buf.put_f64(w);
-        }
-    }
 }
 
 /// Encoded bytes of one user frame, its length prefix included: the
 /// fixed fields plus `buffer` check-ins, `profile` and `top_set` entries,
-/// and `table` and `cache` pool references.
-fn user_frame_len(
-    buffer: usize,
-    profile: usize,
-    top_set: usize,
-    table: usize,
-    cache: usize,
-) -> usize {
+/// and `table` pool references.
+fn user_frame_len(buffer: usize, profile: usize, top_set: usize, table: usize) -> usize {
     // Length prefix, user id, window epoch, four RNG words, match radius
-    // and the five section counts; then 16-byte points, 24-byte profile
+    // and the four section counts; then 16-byte points, 24-byte profile
     // entries and 20-byte pool references.
-    4 + 4 + 8 + 32 + 8 + 5 * 4 + buffer * 16 + (profile + top_set) * 24 + (table + cache) * 20
+    4 + 4 + 8 + 32 + 8 + 4 * 4 + buffer * 16 + (profile + top_set) * 24 + table * 20
 }
 
 /// One user frame's fields, borrowed from live serving state
 /// ([`Pools::put_user`]). The corruption tests write hand-built records through
-/// the same [`put_user_frame`], so the v2 user layout is written in one
+/// the same [`put_user_frame`], so the v3 user layout is written in one
 /// place.
 struct UserFrame<'a> {
     user: u32,
@@ -173,22 +163,15 @@ struct UserFrame<'a> {
     top_set: &'a [ProfileEntry],
     table_radius: f64,
     table: &'a [(Point, u32)],
-    cache: &'a [(Point, u32)],
 }
 
 impl UserFrame<'_> {
     fn len(&self) -> usize {
-        user_frame_len(
-            self.buffer.len(),
-            self.profile.len(),
-            self.top_set.len(),
-            self.table.len(),
-            self.cache.len(),
-        )
+        user_frame_len(self.buffer.len(), self.profile.len(), self.top_set.len(), self.table.len())
     }
 }
 
-/// Writes one user frame, length prefix first — the one writer of the v2
+/// Writes one user frame, length prefix first — the one writer of the v3
 /// user layout, behind the streamed checkpoint. The flow lint models it as
 /// a sink: it serializes true window state.
 fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
@@ -202,19 +185,16 @@ fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
     put_entries(buf, frame.profile);
     put_entries(buf, frame.top_set);
     buf.put_f64(frame.table_radius);
-    for refs in [frame.table, frame.cache] {
-        buf.put_u32(refs.len() as u32);
-        for &(top, idx) in refs {
-            buf.put_f64(top.x);
-            buf.put_f64(top.y);
-            buf.put_u32(idx);
-        }
+    buf.put_u32(frame.table.len() as u32);
+    for &(top, idx) in frame.table {
+        buf.put_f64(top.x);
+        buf.put_f64(top.y);
+        buf.put_u32(idx);
     }
 }
 
-/// One user's checkpointed serving state. Bulky payloads (candidate
-/// sets, posterior CDFs) live in the snapshot-level pools; the record
-/// holds `u32` references into them.
+/// One user's checkpointed serving state. Candidate sets live in the
+/// snapshot-level pool; the record holds `u32` references into it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct UserRecord {
     pub(crate) user: UserId,
@@ -234,13 +214,10 @@ pub(crate) struct UserRecord {
     /// the released candidate sets whose loss would be a budget
     /// violation.
     pub(crate) table: Vec<(Point, u32)>,
-    /// The cache section: `(top, CDF-pool index)` per top-set entry the
-    /// table covers, in top-set order.
-    pub(crate) cache: Vec<(Point, u32)>,
 }
 
-/// The two pools of a v2 image, interned from live user states, and every
-/// user's references into them.
+/// The set pool of a v3 image, interned from live user states, and every
+/// user's references into it.
 ///
 /// A set that one table entry holds (no other handle to it is alive) takes
 /// the next index with no lookup; a shared set — a fleet install cited by
@@ -250,93 +227,54 @@ pub(crate) struct UserRecord {
 /// the (ascending) user sequence, which keeps the image deterministic: no
 /// handle outside the device changes an index.
 ///
-/// Pass 1 ([`Pools::intern`], then [`Pools::pool_cdfs`]) classifies each
-/// reference once and records its index; pass 2 ([`Pools::put_user`])
-/// replays them. The pools borrow the sets from the user states they were
-/// interned from, so no set can be freed, and its address reused, while an
-/// index is live.
-#[derive(Debug)]
+/// Pass 1 ([`Pools::intern`]) classifies each reference once and records
+/// its index; pass 2 ([`Pools::put_user`]) replays them. The pool borrows
+/// the sets from the user states they were interned from, so no set can
+/// be freed, and its address reused, while an index is live.
+#[derive(Debug, Default)]
 struct Pools<'d> {
-    config: &'d SystemConfig,
     sets: Vec<&'d PosteriorTable>,
     /// Address → pool index of the shared sets; lookup only, never
     /// iterated.
     shared_sets: BTreeMap<usize, u32>,
-    cdf_pool: CdfPool,
-    /// The set-pool index of each pooled CDF's set.
-    cdfs: Vec<u32>,
     /// Per user, in order: the set-pool index of each table entry.
     table_refs: Vec<u32>,
-    /// Per user, in order: the CDF-pool index of each covered top
-    /// ([`covered_tops`]); its covering set's set-pool index until
-    /// [`Pools::pool_cdfs`].
-    cache_refs: Vec<u32>,
-    /// How many table and cache references pass 2 has replayed.
-    replayed: (usize, usize),
+    /// How many table references pass 2 has replayed.
+    replayed: usize,
     /// The pool references of the user written last.
     table: Vec<(Point, u32)>,
-    cache: Vec<(Point, u32)>,
 }
 
 impl<'d> Pools<'d> {
-    fn new(config: &'d SystemConfig) -> Self {
-        Pools {
-            config,
-            sets: Vec::new(),
-            shared_sets: BTreeMap::new(),
-            cdf_pool: CdfPool::default(),
-            cdfs: Vec::new(),
-            table_refs: Vec::new(),
-            cache_refs: Vec::new(),
-            replayed: (0, 0),
-            table: Vec::new(),
-            cache: Vec::new(),
-        }
-    }
-
     /// Interns every candidate set `state` cites, records the pool index of
-    /// each table entry and the covering set of each covered top, and
-    /// returns the user's frame length.
+    /// each table entry, and returns the user's frame length.
     fn intern(&mut self, state: &'d UserState) -> usize {
         let table = state.obfuscation.table();
-        let first = self.table_refs.len();
         for (_, set) in table.entries() {
-            let idx = pool(&mut self.sets, &mut self.shared_sets, set);
-            self.cdf_pool.cite(idx);
+            let next = self.sets.len() as u32;
+            let idx = if set.is_shared() {
+                *self.shared_sets.entry(set.addr()).or_insert(next)
+            } else {
+                next
+            };
+            if idx == next {
+                self.sets.push(set);
+            }
             self.table_refs.push(idx);
         }
-        let cited = self.cache_refs.len();
-        for (_, entry) in covered_tops(self.config, state) {
-            self.cache_refs.push(self.table_refs[first + entry]);
-        }
         let (buffer, profile, top_set) = state.manager.window_lens();
-        user_frame_len(buffer, profile, top_set, table.len(), self.cache_refs.len() - cited)
-    }
-
-    /// Gives every cache reference its CDF index ([`CdfPool::index`]),
-    /// once every table entry's citation is counted.
-    fn pool_cdfs(&mut self) {
-        for r in &mut self.cache_refs {
-            let set = *r;
-            *r = self.cdf_pool.index(set);
-            if *r as usize == self.cdfs.len() {
-                self.cdfs.push(set);
-            }
-        }
+        user_frame_len(buffer, profile, top_set, table.len())
     }
 
     /// Writes the frame of `state`, the next user in pass 1's order, with
     /// the pool references pass 1 recorded for it. The one place live true
     /// state reaches [`put_user_frame`], behind the streamed checkpoint.
     fn put_user<B: BufMut>(&mut self, buf: &mut B, user: UserId, state: &UserState) {
-        let (table_at, cache_at) = self.replayed;
         let entries = state.obfuscation.table().entries();
+        let refs = &self.table_refs[self.replayed..];
         self.table.clear();
-        self.table.extend(entries.zip(&self.table_refs[table_at..]).map(|((t, _), &i)| (t, i)));
-        let tops = covered_tops(self.config, state);
-        self.cache.clear();
-        self.cache.extend(tops.zip(&self.cache_refs[cache_at..]).map(|((t, _), &i)| (t, i)));
-        self.replayed = (table_at + self.table.len(), cache_at + self.cache.len());
+        self.table.extend(entries.zip(refs).map(|((t, _), &i)| (t, i)));
+        self.replayed += self.table.len();
         let frame = UserFrame {
             user: user.raw(),
             windows_closed: state.manager.windows_closed() as u64,
@@ -346,92 +284,24 @@ impl<'d> Pools<'d> {
             top_set: state.manager.top_set(),
             table_radius: state.obfuscation.table().match_radius_m(),
             table: &self.table,
-            cache: &self.cache,
         };
         // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; the image is streamed on demand inside the trusted edge and its only consumers are the restore paths (DESIGN.md §12)
         put_user_frame(buf, &frame);
     }
 }
 
-/// Pools `set` in `entries` and returns its index: a set no other handle
-/// shares takes the next index; a shared one is looked up by address in
-/// `shared` first.
-fn pool<'d>(
-    entries: &mut Vec<&'d PosteriorTable>,
-    shared: &mut BTreeMap<usize, u32>,
-    set: &'d PosteriorTable,
-) -> u32 {
-    let next = entries.len() as u32;
-    if set.is_shared() {
-        let idx = *shared.entry(set.addr()).or_insert(next);
-        if idx != next {
-            return idx;
-        }
-    }
-    entries.push(set);
-    next
-}
-
-/// The CDF pool's one rule, which the writer follows and the restore
-/// checks: a cache reference whose covering set one table entry on the
-/// device cites pools its own copy of the set's weights; the weights of a
-/// set that several cite are pooled once, at its first reference. Sets are
-/// named by set-pool index and citations are counted over the device's
-/// table entries, which the image carries, never over a set's live
-/// handles, so a handle held outside the device changes no index.
-#[derive(Debug, Default)]
-struct CdfPool {
-    /// Table entries citing each pooled set, saturating.
-    cites: Vec<u8>,
-    /// Set-pool index → CDF index of a set cited more than once.
-    shared: BTreeMap<u32, u32>,
-    /// CDFs pooled so far.
-    len: u32,
-}
-
-impl CdfPool {
-    /// Counts one table entry citing set `set`.
-    fn cite(&mut self, set: u32) {
-        let set = set as usize;
-        if set >= self.cites.len() {
-            self.cites.resize(set + 1, 0);
-        }
-        self.cites[set] = self.cites[set].saturating_add(1);
-    }
-
-    /// The CDF index of the next cache reference, whose covering set is
-    /// `set`, a set some counted table entry cites; `len` when the
-    /// reference pools a new CDF.
-    fn index(&mut self, set: u32) -> u32 {
-        let next = self.len;
-        let idx = match self.cites[set as usize] {
-            1 => next,
-            _ => *self.shared.entry(set).or_insert(next),
-        };
-        self.len += u32::from(idx == next);
-        idx
-    }
-}
-
-/// Streams a v2 image of `edge` straight from its live state into one
-/// buffer allocated once at its exact length. Pass 1 interns both pools
+/// Streams a v3 image of `edge` straight from its live state into one
+/// buffer allocated once at its exact length. Pass 1 interns the set pool
 /// and sums the frame lengths; pass 2 writes, replaying pass 1's
 /// references.
 pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
-    let config = edge.config();
-    let mut pools = Pools::new(&config);
-    let mut frames = 0;
-    for (_, state) in edge.user_states() {
-        frames += pools.intern(state);
-    }
-    pools.pool_cdfs();
-    let cdf_sets = pools.cdfs.iter().map(|&set| pools.sets[set as usize]);
+    let mut pools = Pools::default();
+    let frames: usize = edge.user_states().map(|(_, state)| pools.intern(state)).sum();
     let sets: usize = pools.sets.iter().map(|set| set_entry_len(set.len())).sum();
-    let cdfs: usize = cdf_sets.clone().map(|set| cdf_entry_len(set.len())).sum();
-    let len = IMAGE_FIXED_LEN + sets + cdfs + frames;
+    let len = IMAGE_FIXED_LEN + sets + frames;
     let mut buf = BytesMut::with_capacity(len);
-    put_header(&mut buf, edge.master());
-    put_pools(&mut buf, pools.sets.iter().map(|set| set.points()), cdf_sets.map(|set| set.cdf()));
+    put_header(&mut buf, Header::of(&edge.config(), edge.master()));
+    put_sets(&mut buf, pools.sets.iter().map(|set| set.points()));
     buf.put_u32(edge.user_count() as u32);
     for (user, state) in edge.user_states() {
         pools.put_user(&mut buf, user, state);
@@ -441,62 +311,45 @@ pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
     image
 }
 
-/// A section of a v2 image, announced to an [`ImageSink`] before its
+/// A section of a v3 image, announced to an [`ImageSink`] before its
 /// entries arrive.
 #[derive(Debug, Clone, Copy)]
 enum Section {
     Sets,
-    Cdfs,
     Users,
 }
 
-/// Receives the parts of a v2 image in image order: the set pool, the CDF
-/// pool, then one record per user frame, each bounds-checked by
-/// [`read_image`]. [`DeviceSnapshot`] collects them; [`Restore`] builds
-/// live serving state from them as they arrive. The two sinks see the
-/// same parts, so they fail alike on every defect the reader finds.
-trait ImageSink<'a> {
+/// Receives the parts of a v3 image in image order: the set pool, then
+/// one record per user frame, each bounds-checked by [`read_image`].
+/// [`DeviceSnapshot`] collects them; [`Restore`] builds live serving state
+/// from them as they arrive. The two sinks see the same parts, so they
+/// fail alike on every defect the reader finds.
+trait ImageSink {
     /// Reserves for the `count` entries of the section about to arrive.
     fn reserve(&mut self, section: Section, count: usize);
     fn set(&mut self, points: impl ExactSizeIterator<Item = Point> + Clone);
-    /// A pooled CDF: its weights' big-endian bytes, borrowed from the image.
-    fn cdf(&mut self, weights: &'a [u8]);
     fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError>;
 }
 
 /// A restore in progress: each pooled set is weighed into its
-/// [`PosteriorTable`] as it arrives, each pooled CDF stays where it is in
-/// the image, and each user record becomes its [`UserState`] at once
-/// ([`restore_user_owned`]). A record's cache references must name its
-/// covered top-set entries ([`covered_tops`]); the CDFs they cite are
-/// checked by [`Restore::finish`].
-struct Restore<'a, 'c> {
+/// [`PosteriorTable`] under the restoring config's σ as it arrives, and
+/// each user record becomes its [`UserState`] at once
+/// ([`restore_user_owned`]).
+struct Restore<'c> {
     config: &'c SystemConfig,
     selector: PosteriorSelector,
     sets: Vec<PosteriorTable>,
-    cdfs: Vec<&'a [u8]>,
     users: UserMap<UserState>,
-    /// The restored table entries' citations.
-    cdf_pool: CdfPool,
-    /// The set-pool index of each table entry of the user restored last.
-    entries: Vec<u32>,
-    /// Every cache reference, in image order: the CDF index it cites and
-    /// the set-pool index of its covering set.
-    cited: Vec<(u32, u32)>,
-    /// The first user whose cache references name other tops.
-    misnamed: Option<u32>,
+    /// The first user whose table section holds two entries within its
+    /// match radius, which no device writes: [`Restore::finish`] refuses
+    /// the image.
+    overlapping: Option<u32>,
 }
 
-impl<'a> ImageSink<'a> for Restore<'a, '_> {
+impl ImageSink for Restore<'_> {
     fn reserve(&mut self, section: Section, count: usize) {
         match section {
             Section::Sets => self.sets.reserve_exact(count),
-            // A device cites each pooled CDF once unless several table
-            // entries cite its set.
-            Section::Cdfs => {
-                self.cdfs.reserve_exact(count);
-                self.cited.reserve_exact(count);
-            }
             Section::Users => self.users.reserve(count),
         }
     }
@@ -505,135 +358,70 @@ impl<'a> ImageSink<'a> for Restore<'a, '_> {
         self.sets.push(PosteriorTable::new(&self.selector, points));
     }
 
-    fn cdf(&mut self, weights: &'a [u8]) {
-        self.cdfs.push(weights);
-    }
-
-    fn user(&mut self, mut record: UserRecord) -> Result<(), RecoveryError> {
-        let cache = std::mem::take(&mut record.cache);
-        let user = record.user;
-        let state = restore_user_owned(self.config, record, &self.sets, &mut self.entries)?;
-        for &set in &self.entries {
-            self.cdf_pool.cite(set);
-        }
-        let named = {
-            let mut tops = covered_tops(self.config, &state);
-            let (entries, cited) = (&self.entries, &mut self.cited);
-            cache.iter().all(|&(top, cdf)| match tops.next() {
-                Some((t, entry)) if same_bits(top, t) => {
-                    cited.push((cdf, entries[entry]));
-                    true
-                }
-                _ => false,
-            }) && tops.next().is_none()
-        };
-        if !named {
-            self.misnamed.get_or_insert(user.raw());
+    fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError> {
+        let (user, entries) = (record.user, record.table.len());
+        let state = restore_user_owned(self.config, record, &self.sets)?;
+        if state.obfuscation.table().len() != entries {
+            self.overlapping.get_or_insert(user.raw());
         }
         self.users.insert(user, state);
         Ok(())
     }
 }
 
-impl<'a, 'c> Restore<'a, 'c> {
+impl<'c> Restore<'c> {
     fn new(config: &'c SystemConfig) -> Self {
         Restore {
             config,
-            selector: PosteriorSelector::new(NFoldGaussian::new(config.geo_ind()).sigma()),
+            selector: PosteriorSelector::new(sigma(config)),
             sets: Vec::new(),
-            cdfs: Vec::new(),
             users: UserMap::new(),
-            cdf_pool: CdfPool::default(),
-            entries: Vec::new(),
-            cited: Vec::new(),
-            misnamed: None,
+            overlapping: None,
         }
     }
 
-    /// The restored users of a device with seed `master`, once the image
-    /// has been read — if its cache section is the one the writer derives
-    /// from them. With every restored table entry's citation counted,
-    /// [`CdfPool`] gives each cache reference the CDF index the writer
-    /// gives it, and the CDF it cites is compared in place, bit for bit,
-    /// with its set's recomputed weights. Anything else is
-    /// [`RecoveryError::InvalidPosterior`], naming the first user whose
-    /// references differ (`u32::MAX` for references or CDFs past the last
-    /// user's).
-    fn finish(self, master: u64) -> Result<(u64, UserMap<UserState>), RecoveryError> {
-        let Restore { config, sets, cdfs, users, mut cdf_pool, cited, misnamed, .. } = self;
-        let invalid = |user| Err(RecoveryError::InvalidPosterior { user });
-        if let Some(user) = misnamed {
-            return invalid(user);
+    /// The restored users and master seed of an image read with `header`
+    /// — if the header binds the restoring config's σ and selection kind,
+    /// so the weights the restore computed are the ones the writing device
+    /// drew from, and no table section overlaps. Anything else is
+    /// [`RecoveryError::InvalidPosterior`] (with no user for the header),
+    /// reported after any structural defect in the image, so the decoder
+    /// and the restore agree on every defect the reader finds.
+    fn finish(self, header: Header) -> Result<(u64, UserMap<UserState>), RecoveryError> {
+        if header != Header::of(self.config, header.master) {
+            return Err(RecoveryError::InvalidPosterior { user: u32::MAX });
         }
-        let mut cited = cited.into_iter();
-        for (user, state) in users.keys().zip(users.values()) {
-            for _ in covered_tops(config, state) {
-                // A cited index is inside the image's CDF pool (`get_refs`).
-                let exact = cited.next().is_some_and(|(cdf, set)| {
-                    cdf_pool.index(set) == cdf
-                        && same_weights(&sets[set as usize], cdfs[cdf as usize])
-                });
-                if !exact {
-                    return invalid(user.raw());
-                }
-            }
+        if let Some(user) = self.overlapping {
+            return Err(RecoveryError::InvalidPosterior { user });
         }
-        if cited.next().is_some() || cdf_pool.len as usize != cdfs.len() {
-            return invalid(u32::MAX);
-        }
-        Ok((master, users))
+        Ok((header.master, self.users))
     }
 }
 
-/// Whether two points have the same bits: what a checkpoint writes.
-fn same_bits(a: Point, b: Point) -> bool {
-    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
-}
-
-/// Whether a pooled CDF's bytes are `set`'s weights, bit for bit.
-fn same_weights(set: &PosteriorTable, weights: &[u8]) -> bool {
-    weights.len() == set.len() * 8
-        && set.cdf().zip(weights.chunks_exact(8)).all(|(w, mut b)| w.to_bits() == b.get_u64())
-}
-
-/// The top-set entries of `state` that a table entry covers, in top-set
-/// order, with the position of the covering entry in the table: the tops a
-/// checkpoint gives a cache reference, none on a device without posterior
-/// selection.
-fn covered_tops<'s>(
-    config: &SystemConfig,
-    state: &'s UserState,
-) -> impl Iterator<Item = (Point, usize)> + 's {
-    let table = state.obfuscation.table();
-    let posterior = config.selection() == SelectionKind::Posterior;
-    let tops = if posterior { state.manager.top_set() } else { &[] };
-    tops.iter().filter_map(move |entry| Some((entry.location, table.position(entry.location)?)))
-}
-
-/// Restores the users of a v2 image straight into live serving state,
+/// Restores the users of a v3 image straight into live serving state,
 /// reading the image once; returns its master seed with the users.
 pub(crate) fn restore_image(
     config: &SystemConfig,
     buf: &[u8],
 ) -> Result<(u64, UserMap<UserState>), RecoveryError> {
     let mut restore = Restore::new(config);
-    let master = read_image(buf, &mut restore)?;
-    restore.finish(master)
+    let header = read_image(buf, &mut restore)?;
+    restore.finish(header)
 }
 
 /// Rebuilds one user's serving state from its checkpoint record: window
 /// state verbatim (profile entries in their recorded order — the order is
 /// load-bearing, `from_checkins` does not sort), the private RNG stream at
 /// its saved position, and the obfuscation table as shared handles into
-/// the restored set pool, recording in `entries` the set-pool index of
-/// each table entry it restores. The record is consumed: the check-in buffer,
-/// profile, and top set move straight into the rebuilt state with no
-/// intermediate clones.
+/// the restored set pool. An entry within the match radius of an earlier
+/// one is dropped, as a live table drops it; the restore refuses such an
+/// image ([`Restore::finish`]). The record is consumed: the check-in
+/// buffer, profile, and top set move straight into the rebuilt state with
+/// no intermediate clones.
 fn restore_user_owned(
     config: &SystemConfig,
     record: UserRecord,
     sets: &[PosteriorTable],
-    entries: &mut Vec<u32>,
 ) -> Result<UserState, RecoveryError> {
     let user = record.user.raw();
     let mut manager = LocationManager::new(config.profile_theta_m(), config.eta());
@@ -648,12 +436,9 @@ fn restore_user_owned(
     }
     let mut table = ObfuscationTable::new(record.table_radius);
     table.reserve_exact(record.table.len());
-    entries.clear();
     for (top, idx) in record.table {
         let set = sets.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
-        if table.insert(top, set.clone()) {
-            entries.push(idx);
-        }
+        table.insert(top, set.clone());
     }
     let obfuscation = ObfuscationModule::from_table(config.geo_ind(), table);
     // Resume the user's private stream at its exact saved position — a
@@ -671,12 +456,11 @@ fn restore_user_owned(
 /// ([`crate::EdgeDevice::restore_from_checkpoint`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
-    /// The master seed of the captured device's per-user streams.
-    pub(crate) master: u64,
+    /// The image's header: the captured device's master seed, σ and
+    /// selection kind.
+    pub(crate) header: Header,
     /// Distinct permanent candidate sets, in first-seen capture order.
     pub(crate) sets: Vec<Arc<[Point]>>,
-    /// Distinct posterior cumulative-weight tables, first-seen order.
-    pub(crate) cdfs: Vec<Vec<f64>>,
     pub(crate) users: Vec<UserRecord>,
 }
 
@@ -724,7 +508,7 @@ impl DeviceSnapshot {
         Ok(sets)
     }
 
-    /// Decodes a v2 checkpoint image: the records of the one image reader,
+    /// Decodes a v3 checkpoint image: the records of the one image reader,
     /// collected.
     ///
     /// Total: truncated, oversized, bit-flipped, or wrong-format input
@@ -737,27 +521,22 @@ impl DeviceSnapshot {
     /// Returns [`RecoveryError`] describing the first defect found.
     pub fn decode(buf: &[u8]) -> Result<Self, RecoveryError> {
         let mut snapshot =
-            DeviceSnapshot { master: 0, sets: Vec::new(), cdfs: Vec::new(), users: Vec::new() };
-        snapshot.master = read_image(buf, &mut snapshot)?;
+            DeviceSnapshot { header: Header::default(), sets: Vec::new(), users: Vec::new() };
+        snapshot.header = read_image(buf, &mut snapshot)?;
         Ok(snapshot)
     }
 }
 
-impl ImageSink<'_> for DeviceSnapshot {
+impl ImageSink for DeviceSnapshot {
     fn reserve(&mut self, section: Section, count: usize) {
         match section {
             Section::Sets => self.sets.reserve_exact(count),
-            Section::Cdfs => self.cdfs.reserve_exact(count),
             Section::Users => self.users.reserve_exact(count),
         }
     }
 
     fn set(&mut self, points: impl ExactSizeIterator<Item = Point> + Clone) {
         self.sets.push(points.collect());
-    }
-
-    fn cdf(&mut self, weights: &[u8]) {
-        self.cdfs.push(weights.chunks_exact(8).map(|mut w| w.get_f64()).collect());
     }
 
     fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError> {
@@ -837,13 +616,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads a v2 image into `sink` and returns its master seed — the one
-/// reader of the layout, behind [`DeviceSnapshot::decode`] and
-/// [`restore_image`]. The checksum is verified before any field is
-/// trusted; every frame and pool reference is bounds-checked before its
-/// part reaches the sink; and no section count is reserved for beyond what
-/// the remaining bytes can hold.
-fn read_image<'a>(buf: &'a [u8], sink: &mut impl ImageSink<'a>) -> Result<u64, RecoveryError> {
+/// Reads a v3 image into `sink` and returns its header — the one reader
+/// of the layout, behind [`DeviceSnapshot::decode`] and [`restore_image`].
+/// The checksum is verified before any field is trusted; every frame and
+/// pool reference is bounds-checked before its part reaches the sink; and
+/// no section count is reserved for beyond what the remaining bytes can
+/// hold.
+fn read_image(buf: &[u8], sink: &mut impl ImageSink) -> Result<Header, RecoveryError> {
     if buf.len() < 8 {
         return Err(RecoveryError::Truncated);
     }
@@ -863,17 +642,8 @@ fn read_image<'a>(buf: &'a [u8], sink: &mut impl ImageSink<'a>) -> Result<u64, R
         VERSION => {}
         v => return Err(RecoveryError::UnsupportedVersion(v)),
     }
-    r.need(1 + 8 + 4 * 8 + 8 + 4)?;
-    match r.get_u8()? {
-        PER_USER_STREAMS => {}
-        m => return Err(RecoveryError::BadStreamMode(m)),
-    }
-    let master = r.get_u64()?;
-    // The four device-wide generator words (`seeded(master)`, see
-    // `put_header`) and the op-counter slot carry nothing to restore.
-    for _ in 0..5 {
-        r.get_u64()?;
-    }
+    r.need(HEADER_LEN - 6 + 4)?;
+    let header = Header { master: r.get_u64()?, sigma: r.get_u64()?, selection: r.get_u8()? };
 
     let sets = r.get_u32()? as usize;
     sink.reserve(Section::Sets, sets.min(r.buf.len() / set_entry_len(0)));
@@ -888,30 +658,21 @@ fn read_image<'a>(buf: &'a [u8], sink: &mut impl ImageSink<'a>) -> Result<u64, R
         sink.set(points_of(points));
     }
 
-    let cdfs = r.get_u32()? as usize;
-    sink.reserve(Section::Cdfs, cdfs.min(r.buf.len() / cdf_entry_len(0)));
-    for _ in 0..cdfs {
-        let mut f = r.frame()?;
-        let weights = f.items(8)?;
-        f.finish()?;
-        sink.cdf(weights);
-    }
-
     let users = r.get_u32()? as usize;
-    sink.reserve(Section::Users, users.min(r.buf.len() / user_frame_len(0, 0, 0, 0, 0)));
+    sink.reserve(Section::Users, users.min(r.buf.len() / user_frame_len(0, 0, 0, 0)));
     for _ in 0..users {
         let mut f = r.frame()?;
-        let record = get_user(&mut f, sets, cdfs)?;
+        let record = get_user(&mut f, sets)?;
         f.finish()?;
         sink.user(record)?;
     }
     r.finish()?;
-    Ok(master)
+    Ok(header)
 }
 
-/// Reads one user frame's body; its pool references must fall inside
-/// pools of `sets` and `cdfs` entries.
-fn get_user(f: &mut Reader<'_>, sets: usize, cdfs: usize) -> Result<UserRecord, RecoveryError> {
+/// Reads one user frame's body; its pool references must fall inside a
+/// pool of `sets` entries.
+fn get_user(f: &mut Reader<'_>, sets: usize) -> Result<UserRecord, RecoveryError> {
     f.need(12)?;
     let user = UserId::new(f.get_u32()?);
     let windows_closed = f.get_u64()?;
@@ -927,7 +688,6 @@ fn get_user(f: &mut Reader<'_>, sets: usize, cdfs: usize) -> Result<UserRecord, 
         return Err(RecoveryError::InvalidRadius(table_radius));
     }
     let table = get_refs(f, sets, user)?;
-    let cache = get_refs(f, cdfs, user)?;
     Ok(UserRecord {
         user,
         windows_closed,
@@ -937,7 +697,6 @@ fn get_user(f: &mut Reader<'_>, sets: usize, cdfs: usize) -> Result<UserRecord, 
         top_set,
         table_radius,
         table,
-        cache,
     })
 }
 
@@ -1042,11 +801,8 @@ pub enum RecoveryError {
     Truncated,
     /// The log does not start with the snapshot magic.
     BadMagic(u32),
-    /// The log was written by an unknown format version.
+    /// The log was written by an unknown or retired format version.
     UnsupportedVersion(u16),
-    /// The log carries a stream byte other than per-user streams — an
-    /// unknown value, or 0 from the retired device-wide generator mode.
-    BadStreamMode(u8),
     /// The FNV-1a checksum does not match the body — bit rot or
     /// truncation in persisted state.
     ChecksumMismatch {
@@ -1060,16 +816,16 @@ pub enum RecoveryError {
     /// A user record's obfuscation-table match radius is not positive and
     /// finite.
     InvalidRadius(f64),
-    /// A user record references a pooled candidate set or posterior
-    /// table that is not present in the snapshot.
+    /// A user record references a pooled candidate set that is not present
+    /// in the snapshot.
     BadPoolRef {
         /// The raw id of the affected user.
         user: u32,
     },
-    /// The image's posterior weights are not the ones a device would
-    /// checkpoint: an empty pooled set, a cache reference other than the
-    /// covered top-set entries, or a pooled CDF that is not its set's
-    /// weights bit for bit.
+    /// The image's sets cannot be served as the restoring device's
+    /// posterior tables: an empty pooled set, a header whose σ or
+    /// selection kind is not the restoring config's, or a user table with
+    /// two entries within its match radius.
     InvalidPosterior {
         /// The raw id of the affected user, or `u32::MAX` when no user
         /// owns the defect.
@@ -1084,9 +840,6 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::BadMagic(m) => write!(f, "bad snapshot magic {m:#010x}"),
             RecoveryError::UnsupportedVersion(v) => {
                 write!(f, "unsupported snapshot version {v}")
-            }
-            RecoveryError::BadStreamMode(m) => {
-                write!(f, "unknown snapshot stream mode {m}")
             }
             RecoveryError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -1114,21 +867,13 @@ impl std::error::Error for RecoveryError {}
 mod tests {
     use super::*;
 
-    /// The cumulative weights a default-config device stores with `set`:
-    /// what the image pools for every cache reference to it.
-    fn weights(set: &[Point]) -> Vec<f64> {
-        let sigma = NFoldGaussian::new(SystemConfig::builder().build().unwrap().geo_ind()).sigma();
-        PosteriorSelector::new(sigma).table(set).cdf().collect()
-    }
-
-    /// A one-user image in the layout every device commits: the per-user
-    /// header and a user frame carrying its stream words.
+    /// A one-user image in the layout every device commits: the header of
+    /// a default-config device and a user frame carrying its stream words.
     fn snapshot() -> DeviceSnapshot {
-        let set: Arc<[Point]> = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)].into();
+        let config = SystemConfig::builder().build().unwrap();
         DeviceSnapshot {
-            master: 0xfeed,
-            cdfs: vec![weights(&set)],
-            sets: vec![set],
+            header: Header::of(&config, 0xfeed),
+            sets: vec![vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)].into()],
             users: vec![UserRecord {
                 user: UserId::new(7),
                 windows_closed: 2,
@@ -1138,19 +883,17 @@ mod tests {
                 top_set: vec![ProfileEntry { location: Point::new(10.0, 20.0), frequency: 30 }],
                 table_radius: 200.0,
                 table: vec![(Point::new(10.0, 20.0), 0)],
-                cache: vec![(Point::new(10.0, 20.0), 0)],
             }],
         }
     }
 
     impl DeviceSnapshot {
-        /// Writes the snapshot as a v2 image through the production frame
+        /// Writes the snapshot as a v3 image through the production frame
         /// writers: the hand-built images the corruption tests start from.
         fn encode(&self) -> Bytes {
             let mut buf = BytesMut::new();
-            put_header(&mut buf, self.master);
-            let sets = self.sets.iter().map(|s| s.iter().copied());
-            put_pools(&mut buf, sets, self.cdfs.iter().map(|c| c.iter().copied()));
+            put_header(&mut buf, self.header);
+            put_sets(&mut buf, self.sets.iter().map(|s| s.iter().copied()));
             buf.put_u32(self.users.len() as u32);
             for r in &self.users {
                 let frame = UserFrame {
@@ -1162,7 +905,6 @@ mod tests {
                     top_set: &r.top_set,
                     table_radius: r.table_radius,
                     table: &r.table,
-                    cache: &r.cache,
                 };
                 put_user_frame(&mut buf, &frame);
             }
@@ -1179,14 +921,14 @@ mod tests {
         body
     }
 
-    /// Decodes `image` and restores a device from it — the one reader into
-    /// its two sinks — asserts that they agree, and returns the restored
-    /// device's checkpoint or the error. They agree when both refuse the
-    /// image with the same error, when only the restore refuses a pooled
-    /// CDF as a posterior table (the decoder takes any CDF bytes), or when
-    /// the device holds the decoded user states: its snapshot is the
-    /// decoded one. Errors compare by `Debug`, so a NaN radius matches
-    /// itself.
+    /// Decodes `image` and restores a default-config device from it — the
+    /// one reader into its two sinks — asserts that they agree, and returns
+    /// the restored device's checkpoint or the error. They agree when both
+    /// refuse the image with the same error, when only the restore refuses
+    /// it as [`RecoveryError::InvalidPosterior`] (the decoder binds no
+    /// config and builds no table), or when the device holds the decoded
+    /// user states: its snapshot is the decoded one. Errors compare by
+    /// `Debug`, so a NaN radius matches itself.
     fn restore_both(image: &[u8]) -> Result<Bytes, String> {
         let config = SystemConfig::builder().build().unwrap();
         let restored = crate::EdgeDevice::restore_from_checkpoint(config, image);
@@ -1214,6 +956,21 @@ mod tests {
         err
     }
 
+    /// A device under `config` with three settled users, two protected tops
+    /// each.
+    fn settled_device(config: SystemConfig) -> crate::EdgeDevice {
+        let mut edge = crate::EdgeDevice::new(config, 23);
+        for u in 0..3u32 {
+            let user = UserId::new(u);
+            for _ in 0..30 {
+                edge.report_checkin(user, Point::new(f64::from(u) * 6_000.0, 0.0));
+                edge.report_checkin(user, Point::new(f64::from(u) * 6_000.0, 2_500.0));
+            }
+            edge.finalize_window(user);
+        }
+        edge
+    }
+
     /// The one-pass restore holds exactly the decoded user states, and
     /// the restored device checkpoints back to the image it came from:
     /// for the fixtures and for a settled device with several closed
@@ -1223,9 +980,7 @@ mod tests {
     fn streamed_restore_matches_decode() {
         let mut open = snapshot();
         open.users[0].table.clear();
-        open.users[0].cache.clear();
         open.sets.clear();
-        open.cdfs.clear();
         let mut two = snapshot();
         let mut second = two.users[0].clone();
         second.user = UserId::new(8);
@@ -1271,17 +1026,15 @@ mod tests {
         let snap = DeviceSnapshot::decode(&image).unwrap();
         let record = |u: u32| snap.record(UserId::new(u)).unwrap();
         assert_eq!(record(20).table[0].1, record(21).table[0].1, "one pooled set for both");
-        // Two table entries cite the set, so its weights are pooled once.
-        let cdf = record(20).cache[0].1;
-        assert_eq!(record(21).cache.iter().map(|r| r.1).collect::<Vec<_>>(), [cdf, cdf]);
+        assert_eq!((record(21).top_set.len(), record(21).table.len()), (2, 1));
         assert_eq!(restore_both(&image), Ok(image));
     }
 
     /// A fleet edge's image depends on the edge alone. A user whose merged
     /// top set has two entries under one covering set — a set the fleet's
-    /// authority, its staging arena and the other edge hold too — pools
-    /// the set's weights once per entry, as on a single device, and every
-    /// edge restores from its checkpoint and re-streams it byte for byte.
+    /// authority, its staging arena and the other edge hold too — is
+    /// written as on a single device, and every edge restores from its
+    /// checkpoint and re-streams it byte for byte.
     #[test]
     fn fleet_edge_checkpoints_restore_and_restream() {
         let config = SystemConfig::builder().build().unwrap();
@@ -1305,7 +1058,6 @@ mod tests {
             let snap = DeviceSnapshot::decode(&image).unwrap();
             let record = snap.record(user).unwrap();
             assert_eq!((record.top_set.len(), record.table.len()), (2, 1), "edge {i}");
-            assert_eq!(record.cache.iter().map(|r| r.1).collect::<Vec<_>>(), [0, 1], "edge {i}");
             let restored = crate::EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
             assert_eq!(restored.checkpoint(), image, "edge {i}");
         }
@@ -1347,10 +1099,9 @@ mod tests {
         assert_eq!(back.users().collect::<Vec<_>>(), vec![(UserId::new(7), 2)]);
         assert_eq!(back.distinct_candidate_sets(), 1);
 
-        // A user whose first window is still open: no table, no cache.
+        // A user whose first window is still open: no table.
         let mut open = snapshot();
         open.users[0].table.clear();
-        open.users[0].cache.clear();
         assert_eq!(DeviceSnapshot::decode(&open.encode()).unwrap(), open);
     }
 
@@ -1360,7 +1111,7 @@ mod tests {
         // log independently: users at different positions of their
         // streams come back at exactly those positions.
         let mut snap = snapshot();
-        snap.master = 0xbeef;
+        snap.header.master = 0xbeef;
         let mut second = snap.users[0].clone();
         second.user = UserId::new(8);
         second.rng_words = [1, 2, 3, 4];
@@ -1368,22 +1119,21 @@ mod tests {
         let log = snap.encode();
         let back = DeviceSnapshot::decode(&log).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.master, 0xbeef);
+        assert_eq!(back.header.master, 0xbeef);
         assert_eq!(back.users[0].rng_words, [9, 8, 7, 6]);
         assert_eq!(back.users[1].rng_words, [1, 2, 3, 4]);
-        // The header's generator words are the master's untouched
-        // device-wide stream, which the decoder skips.
-        for (i, word) in seeded(0xbeef).state().into_iter().enumerate() {
-            let at = 4 + 2 + 1 + 8 + 8 * i;
-            assert_eq!(log[at..at + 8], word.to_be_bytes(), "header word {i}");
-        }
+        // After magic and version the header holds the master, σ's bits
+        // and the selection byte (0: posterior), then the set count.
+        let sigma = sigma(&SystemConfig::builder().build().unwrap());
+        assert_eq!(log[6..14], 0xbeef_u64.to_be_bytes());
+        assert_eq!(log[14..22], sigma.to_bits().to_be_bytes());
+        assert_eq!(log[22..HEADER_LEN + 4], [0, 0, 0, 0, 1]);
     }
 
     #[test]
     fn shared_sets_are_pooled_once() {
-        // Two users sharing one candidate set and one posterior table:
-        // the pools stay at length 1 and the encoded log carries the
-        // payload once.
+        // Two users sharing one candidate set: the pool stays at length 1
+        // and the encoded log carries the payload once.
         let top = Point::new(10.0, 20.0);
         let base = snapshot();
         let mut two = base.clone();
@@ -1394,11 +1144,9 @@ mod tests {
         let solo_extra = {
             let mut solo = base.clone();
             solo.sets.push(vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)].into());
-            solo.cdfs.push(solo.cdfs[0].clone());
             let mut second = solo.users[0].clone();
             second.user = UserId::new(8);
             second.table = vec![(top, 1)];
-            second.cache = vec![(top, 1)];
             solo.users.push(second);
             solo.encode().len()
         };
@@ -1450,13 +1198,15 @@ mod tests {
             DeviceSnapshot::decode(&restamp(bad)),
             Err(RecoveryError::UnsupportedVersion(_))
         ));
-        // The retired v1 layout is refused by its version field.
-        let mut bad = log.clone();
-        bad[5] = 1;
-        assert_eq!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::UnsupportedVersion(1))
-        );
+        // The retired v1 and v2 layouts are refused by their version field.
+        for retired in [1, 2] {
+            let mut bad = log.clone();
+            bad[5] = retired;
+            assert_eq!(
+                decode_err(&restamp(bad)),
+                RecoveryError::UnsupportedVersion(u16::from(retired))
+            );
+        }
         let mut bad = log;
         bad.splice(bad.len() - 8..bad.len() - 8, [0u8]);
         assert!(matches!(
@@ -1470,7 +1220,7 @@ mod tests {
         // Byte offset of the first set frame's length prefix: the header
         // plus set_count(4). Every case is refused alike by the decoder
         // and by the restore (`decode_err`).
-        let frame_len_at = V2_HEADER_LEN + 4;
+        let frame_len_at = HEADER_LEN + 4;
         let log = snapshot().encode().to_vec();
 
         // Frame length pointing past the end of the buffer.
@@ -1485,17 +1235,6 @@ mod tests {
         bad[frame_len_at..frame_len_at + 4].copy_from_slice(&(declared + 1).to_be_bytes());
         decode_err(&restamp(bad));
 
-        // Unknown stream-mode discriminant.
-        let mut bad = log.clone();
-        bad[6] = 9;
-        assert!(matches!(decode_err(&restamp(bad)), RecoveryError::BadStreamMode(9)));
-
-        // Stream byte 0 marks an image of the retired device-wide
-        // generator mode: refused, like the v1 layout.
-        let mut bad = log.clone();
-        bad[6] = 0;
-        assert_eq!(decode_err(&restamp(bad)), RecoveryError::BadStreamMode(0));
-
         // A pool reference past the pool bounds.
         let mut snap = snapshot();
         snap.users[0].table[0].1 = 5;
@@ -1508,104 +1247,63 @@ mod tests {
             decode_err(&snap.encode()),
             RecoveryError::InvalidRadius(r) if r.is_nan()
         ));
-    }
 
-    #[test]
-    fn invalid_pooled_posterior_is_caught_at_pool_build() {
-        // The decoder takes any CDF bytes; the restore refuses a cache
-        // section other than the one the writer derives, and blames the
-        // first user whose cache is not canonical.
-        let refused = |snap: &DeviceSnapshot| {
-            let image = snap.encode();
-            assert_eq!(&DeviceSnapshot::decode(&image).unwrap(), snap);
-            let config = SystemConfig::builder().build().unwrap();
-            let err = crate::EdgeDevice::restore_from_checkpoint(config, &image)
-                .expect_err("invalid CDF restored");
-            assert_eq!(restore_both(&image), Err(format!("{err:?}")));
-            err
-        };
+        // An empty pooled set has no weights to draw: both sinks refuse it.
         let mut snap = snapshot();
-        snap.cdfs[0] = vec![1.0, 0.5]; // decreasing — not a CDF
-        assert_eq!(refused(&snap), RecoveryError::InvalidPosterior { user: 7 });
+        snap.sets[0] = Vec::new().into();
+        let err = RecoveryError::InvalidPosterior { user: u32::MAX };
+        assert_eq!(decode_err(&snap.encode()), err);
 
-        // Users 7 to 10 share set 0, so they all cite its one CDF: user 9
-        // is the first to cite another — not the set's weights — and user
-        // 10 cites a copy of them under a second index.
-        let top = Point::new(10.0, 20.0);
-        let mut many = snapshot();
-        many.cdfs.push(vec![2.0, 1.0]);
-        many.cdfs.push(many.cdfs[0].clone());
-        for (raw, cdf) in [(8, 0), (9, 1), (10, 2)] {
-            let mut user = many.users[0].clone();
-            user.user = UserId::new(raw);
-            user.cache = vec![(top, cdf)];
-            many.users.push(user);
-        }
-        assert_eq!(refused(&many), RecoveryError::InvalidPosterior { user: 9 });
-        many.users[2].cache = vec![(top, 0)];
-        assert_eq!(refused(&many), RecoveryError::InvalidPosterior { user: 10 });
-
-        // A set one table entry holds takes one CDF per cache reference:
-        // two top-set entries under it citing one pooled CDF are refused.
-        let mut twice = snapshot();
-        let near = Point::new(60.0, 20.0);
-        twice.users[0].top_set.push(ProfileEntry { location: near, frequency: 3 });
-        twice.users[0].cache.push((near, 0));
-        assert_eq!(refused(&twice), RecoveryError::InvalidPosterior { user: 7 });
-        twice.cdfs.push(twice.cdfs[0].clone());
-        twice.users[0].cache[1].1 = 1;
-        assert_eq!(restore_both(&twice.encode()), Ok(twice.encode()));
-
-        // A pooled CDF no user cites is blamed on no user.
-        let mut orphan = snapshot();
-        orphan.cdfs.push(orphan.cdfs[0].clone());
-        assert_eq!(refused(&orphan), RecoveryError::InvalidPosterior { user: u32::MAX });
-
-        // A structural defect in a later frame is still the error reported.
-        let mut image = orphan.encode().to_vec();
-        let radius_at = image.len() - 8 - 2 * (4 + 20) - 8;
-        image[radius_at..radius_at + 8].copy_from_slice(&(-1.0f64).to_be_bytes());
-        assert_eq!(decode_err(&restamp(image)), RecoveryError::InvalidRadius(-1.0));
+        // A structural defect in a later frame is the error reported, not
+        // the defects only the restore refuses before it: a header of
+        // another σ and an overlapping table in the first frame.
+        let mut snap = snapshot();
+        snap.header.sigma ^= 1;
+        let mut later = snap.users[0].clone();
+        later.user = UserId::new(8);
+        later.table_radius = -1.0;
+        snap.users[0].table.push((Point::new(60.0, 20.0), 0));
+        snap.users.push(later);
+        assert_eq!(decode_err(&snap.encode()), RecoveryError::InvalidRadius(-1.0));
     }
 
-    /// A settled device's image, resealed with one pooled weight one ulp
-    /// off its covering set's, or with a cache reference moved to, or
-    /// added for, a top no table entry covers, does not restore.
+    /// The header binds σ and the selection kind: an image a default-config
+    /// device wrote is refused under ε = 1.5 (another σ) and under uniform
+    /// selection, and a uniform device's image under posterior selection;
+    /// under the writer's config each restores and re-streams byte for
+    /// byte.
     #[test]
-    fn restore_refuses_an_ulp_off_cdf_and_an_uncovered_cache_ref() {
+    fn restore_refuses_an_image_of_another_sigma_or_selection() {
         let config = SystemConfig::builder().build().unwrap();
-        let mut edge = crate::EdgeDevice::new(config, 23);
-        for u in 0..3u32 {
-            let user = UserId::new(u);
-            for _ in 0..30 {
-                edge.report_checkin(user, Point::new(f64::from(u) * 6_000.0, 0.0));
-                edge.report_checkin(user, Point::new(f64::from(u) * 6_000.0, 2_500.0));
-            }
-            edge.finalize_window(user);
+        let wider = SystemConfig::builder().epsilon(1.5).build().unwrap();
+        let uniform = SystemConfig::builder().selection(SelectionKind::Uniform).build().unwrap();
+        assert_ne!(sigma(&wider).to_bits(), sigma(&config).to_bits());
+        let refused = RecoveryError::InvalidPosterior { user: u32::MAX };
+        let image = settled_device(config).checkpoint();
+        assert_eq!(restore_both(&image), Ok(image.clone()));
+        for other in [wider, uniform] {
+            let err = crate::EdgeDevice::restore_from_checkpoint(other, &image).err();
+            assert_eq!(err, Some(refused.clone()));
         }
-        let snap = edge.snapshot();
-        assert_eq!(snap.encode(), edge.checkpoint());
-        assert_eq!(restore_both(&snap.encode()), Ok(edge.checkpoint()));
-        let record = snap.record(UserId::new(1)).unwrap();
-        let (top, cdf) = record.cache[1];
+        let image = settled_device(uniform).checkpoint();
+        let restored = crate::EdgeDevice::restore_from_checkpoint(uniform, &image).unwrap();
+        assert_eq!(restored.checkpoint(), image);
+        assert_eq!(restore_both(&image), Err(format!("{refused:?}")));
+    }
 
-        let mut off = snap.clone();
-        let w = &mut off.cdfs[cdf as usize][4];
-        *w = f64::from_bits(w.to_bits() + 1);
-        let err = RecoveryError::InvalidPosterior { user: 1 };
-        assert_eq!(restore_both(&off.encode()), Err(format!("{err:?}")));
-
-        let uncovered = top + Point::new(0.0, 9_000.0);
-        for added in [false, true] {
-            let mut bad = snap.clone();
-            let user = bad.users.iter_mut().find(|r| r.user == UserId::new(1)).unwrap();
-            if added {
-                user.cache.push((uncovered, cdf));
-            } else {
-                user.cache[1].0 = uncovered;
-            }
-            assert_eq!(restore_both(&bad.encode()), Err(format!("{err:?}")));
-        }
+    /// A table section with two entries within the match radius, which no
+    /// device writes (a live table keeps the first), is refused, naming
+    /// the user, instead of restoring with the second entry dropped. An
+    /// entry beyond the radius is a second protected top and restores.
+    #[test]
+    fn restore_refuses_overlapping_table_entries() {
+        let mut snap = snapshot();
+        snap.users[0].table.push((Point::new(60.0, 20.0), 0));
+        let err = RecoveryError::InvalidPosterior { user: 7 };
+        assert_eq!(restore_both(&snap.encode()), Err(format!("{err:?}")));
+        snap.users[0].table[1].0 = Point::new(10_000.0, 20.0);
+        let image = snap.encode();
+        assert_eq!(restore_both(&image), Ok(image));
     }
 
     #[test]
@@ -1633,7 +1331,6 @@ mod tests {
             RecoveryError::Truncated,
             RecoveryError::BadMagic(0xDEAD_BEEF),
             RecoveryError::UnsupportedVersion(9),
-            RecoveryError::BadStreamMode(3),
             RecoveryError::ChecksumMismatch { stored: 1, computed: 2 },
             RecoveryError::TrailingBytes(3),
             RecoveryError::InvalidRadius(f64::NAN),

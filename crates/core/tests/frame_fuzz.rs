@@ -87,8 +87,8 @@ proptest! {
 }
 
 /// A small checkpoint image touching every section: a settled user (a
-/// candidate set, a posterior table, a served stream position) with an
-/// open window, and a user whose first window is still open.
+/// candidate set, a served stream position) with an open window, and a
+/// user whose first window is still open.
 fn checkpoint_image(config: SystemConfig) -> Vec<u8> {
     let mut edge = EdgeDevice::new(config, 3);
     let (settled, fresh) = (UserId::new(0), UserId::new(1));
@@ -119,8 +119,8 @@ fn sealed(body: &[u8]) -> Vec<u8> {
 /// Decodes `image` and restores a device from it — the one image reader
 /// into its two sinks — and returns the restored device's checkpoint or
 /// the error once they agree: both refuse the image with the same error,
-/// only the restore refuses a pooled CDF as a posterior table (the decoder
-/// takes any CDF bytes), or the device holds every decoded candidate set
+/// only the restore refuses it as `InvalidPosterior` (the decoder binds no
+/// config and builds no table), or the device holds every decoded candidate set
 /// unchanged. A valid image need not be canonical (a flip may orphan a
 /// pool entry or reorder users), so a success is compared by the released
 /// sets, not the bytes.

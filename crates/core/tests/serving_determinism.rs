@@ -172,8 +172,8 @@ fn per_user_streams_are_invariant_to_partition_and_cache_state() {
     }
 }
 
-/// A small seeded workload that touches every field of a v2 checkpoint:
-/// two top locations per user (candidate-set and CDF pools), served
+/// A small seeded workload that touches every field of a v3 checkpoint:
+/// two top locations per user (the candidate-set pool), served
 /// requests at both tops and at a nomadic position (RNG positions), and
 /// an open window of buffered check-ins.
 fn golden_workload(edge: &mut EdgeDevice) {
@@ -202,18 +202,22 @@ fn golden_workload(edge: &mut EdgeDevice) {
     }
 }
 
-/// The v2 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` and its
+/// The v3 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` and its
 /// length, pinned for a device with per-user streams. Any change to the
-/// byte layout, the header's generator words or op-counter slot, or the
-/// per-user draws shows up here.
+/// byte layout, the header's σ or selection byte, or the per-user draws
+/// shows up here. The v2 image of this device was 3,451 bytes; v3 drops
+/// its 8 pooled CDFs (8 × 88 bytes), the CDF count (4), the 4 users' cache
+/// counts (4 × 4) and their 8 cache references (8 × 20), and 41 retired
+/// header bytes (the stream byte, four generator words and the op-counter
+/// slot), and adds σ's 8 bytes and the selection byte: 2,535 bytes.
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {
     let config = SystemConfig::builder().build().unwrap();
     let mut device = EdgeDevice::new(config, 2024);
     golden_workload(&mut device);
     let image = device.checkpoint();
-    assert_eq!(image.len(), 3_451);
-    assert_eq!(fnv1a64(&image), 0x0496_1cc9_7991_f31e);
+    assert_eq!(image.len(), 2_535);
+    assert_eq!(fnv1a64(&image), 0xabd1_a273_041e_2bc5);
     // The restore brings the device back to the same bytes, holding what
     // the decoder reads from them.
     let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
@@ -224,7 +228,7 @@ fn checkpoint_bytes_match_the_golden_digests() {
 
 /// One user whose second window profiles two tops, 240 m apart, that the
 /// first window's candidate set covers alike: two top-set entries share
-/// one covering set, so the image pools that set's weights once per entry.
+/// one covering set.
 fn shared_cover_workload(edge: &mut EdgeDevice) {
     let user = UserId::new(3);
     let home = Point::new(2_000.0, -1_000.0);
@@ -249,17 +253,19 @@ fn shared_cover_workload(edge: &mut EdgeDevice) {
 }
 
 /// The second frozen image: two top-set entries under one covering set.
-/// 651 bytes are one pooled set, two pooled CDFs and one user frame with
-/// two profile entries, two top-set entries, one table ref and two cache
-/// refs.
+/// In v2 its 651 bytes were one pooled set, two pooled CDFs and one user
+/// frame with two profile entries, two top-set entries, one table ref and
+/// two cache refs. v3 drops the two CDFs (2 × 88 bytes), the CDF count
+/// (4), the user's cache count (4) and its two cache refs (2 × 20), and 41
+/// retired header bytes, and adds 9 (σ and the selection byte): 395 bytes.
 #[test]
 fn shared_cover_checkpoint_matches_its_golden_digest() {
     let config = SystemConfig::builder().build().unwrap();
     let mut device = EdgeDevice::new(config, 2024);
     shared_cover_workload(&mut device);
     let image = device.checkpoint();
-    assert_eq!(image.len(), 651);
-    assert_eq!(fnv1a64(&image), 0xaac3_11e1_5fb2_c531);
+    assert_eq!(image.len(), 395);
+    assert_eq!(fnv1a64(&image), 0xe9b0_de5f_de7b_98fb);
     let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
     assert_eq!(restored.checkpoint(), image);
 }

@@ -87,14 +87,6 @@ const SANITIZERS: &[FnPat] = &[
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_with"),
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_derived"),
     pat(Some("core"), None, "reported_location"),
-    // The checkpoint's cache section is derived from the true top set,
-    // which these read only to find the released sets it covers: the
-    // writer's first pass produces pool indices over already-released
-    // candidate sets, and the restore's two checks only compare an image's
-    // references with them — the sanitized side of the boundary.
-    pat(Some("core"), Some("Pools"), "intern"),
-    pat(Some("core"), Some("Restore"), "user"),
-    pat(Some("core"), Some("Restore"), "finish"),
     // The checkpoint is a trusted-store boundary, not a wire egress: the
     // bytes it returns hold true window state by design (restores must be
     // bit-identical), are streamed on demand from the committed device, and
@@ -109,7 +101,7 @@ const SANITIZERS: &[FnPat] = &[
 const SINKS: &[FnPat] = &[
     pat(Some("core"), Some("EdgeResponse"), "encode"),
     pat(Some("core"), Some("EdgeResponse"), "encode_into"),
-    // The one v2 user-frame writer behind the streamed checkpoint: it
+    // The one v3 user-frame writer behind the streamed checkpoint: it
     // serializes a user's true window state, so it is a sink in its own
     // right.
     pat(Some("core"), None, "put_user_frame"),

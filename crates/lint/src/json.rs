@@ -422,9 +422,14 @@ fn validate_serve_row(i: usize, name: &str, run: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// DESIGN.md §16's budget for the scale profile's resident state, in bytes
-/// per user: a capacity row above it is refused.
+/// DESIGN.md §16's budget for the scale profile's resident state and for
+/// its checkpoint image, each in bytes per user: a capacity row above it on
+/// either is refused.
 const SCALE_BYTES_PER_USER_BUDGET: f64 = 1024.0;
+
+/// The per-user byte counts a capacity row carries: resident state and
+/// checkpoint image.
+const SCALE_PER_USER_KEYS: [&str; 2] = ["bytes_per_user", "image_bytes_per_user"];
 
 fn is_scale_row(name: &str) -> bool {
     name == "serve/scale" || name.starts_with("serve/scale/")
@@ -432,9 +437,10 @@ fn is_scale_row(name: &str) -> bool {
 
 /// Validates the fleet-capacity rows appended by the `serve` driver's scale
 /// stage: any run named `serve/scale/...` — and, symmetrically, any run that
-/// claims a `bytes_per_user` figure — must carry the full capacity record
-/// (integral `users` ≥ 1, integral `shards` ≥ 1, finite `bytes_per_user` > 0,
-/// finite `checkpoint_encode_ms` / `recovery_ms` / `per_shard_recovery_ms`
+/// claims a `bytes_per_user` or `image_bytes_per_user` figure — must carry
+/// the full capacity record (integral `users` ≥ 1, integral `shards` ≥ 1,
+/// finite `bytes_per_user` and `image_bytes_per_user` > 0, finite
+/// `checkpoint_encode_ms` / `recovery_ms` / `per_shard_recovery_ms`
 /// ≥ 0, and a non-empty `digest`). Two cross-field invariants are enforced:
 /// the worst single shard cannot have taken longer than all shards together
 /// (`per_shard_recovery_ms` ≤ `recovery_ms` — the sum of non-negative floats
@@ -442,18 +448,18 @@ fn is_scale_row(name: &str) -> bool {
 /// sizes must be strictly increasing in file order, so the scale table always
 /// reads as one sweep and a rerun can't interleave stale rows with fresh
 /// ones. Wall-clock *values* are deliberately not gated — CI machines vary —
-/// only the record's shape and its internal consistency. The one value that
-/// is gated is a seed-pure count, not a timing: a `serve/scale/...` row's
-/// `bytes_per_user` must stay within DESIGN.md §16's per-user budget
-/// ([`SCALE_BYTES_PER_USER_BUDGET`]).
+/// only the record's shape and its internal consistency. The two values that
+/// are gated are seed-pure counts, not timings: a `serve/scale/...` row's
+/// `bytes_per_user` and `image_bytes_per_user` must each stay within
+/// DESIGN.md §16's per-user budget ([`SCALE_BYTES_PER_USER_BUDGET`]).
 fn validate_scale_row(
     i: usize,
     name: &str,
     run: &Json,
     last_users: &mut Option<f64>,
 ) -> Result<(), String> {
-    let has_bpu = run.get("bytes_per_user").is_some();
-    if !is_scale_row(name) && !has_bpu {
+    let claims_bytes = SCALE_PER_USER_KEYS.iter().any(|key| run.get(key).is_some());
+    if !is_scale_row(name) && !claims_bytes {
         return Ok(());
     }
     for key in ["users", "shards"] {
@@ -468,18 +474,20 @@ fn validate_scale_row(
             ));
         }
     }
-    let bpu = run
-        .get("bytes_per_user")
-        .and_then(Json::as_num)
-        .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `bytes_per_user`"))?;
-    if !bpu.is_finite() || bpu <= 0.0 {
-        return Err(format!("runs[{i}] (`{name}`) has non-positive `bytes_per_user` {bpu}"));
-    }
-    if is_scale_row(name) && bpu > SCALE_BYTES_PER_USER_BUDGET {
-        return Err(format!(
-            "runs[{i}] (`{name}`) has `bytes_per_user` {bpu} over the \
-             {SCALE_BYTES_PER_USER_BUDGET} B per-user budget (DESIGN.md §16)"
-        ));
+    for key in SCALE_PER_USER_KEYS {
+        let v = run
+            .get(key)
+            .and_then(Json::as_num)
+            .ok_or(format!("runs[{i}] (`{name}`) missing numeric key `{key}`"))?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err(format!("runs[{i}] (`{name}`) has non-positive `{key}` {v}"));
+        }
+        if is_scale_row(name) && v > SCALE_BYTES_PER_USER_BUDGET {
+            return Err(format!(
+                "runs[{i}] (`{name}`) has `{key}` {v} over the \
+                 {SCALE_BYTES_PER_USER_BUDGET} B per-user budget (DESIGN.md §16)"
+            ));
+        }
     }
     let mut timings = [0.0; 3];
     for (slot, key) in
@@ -851,7 +859,8 @@ mod tests {
         };
         let good = report(
             r#"{"name": "serve/scale/10000", "wall_ms": 40.0, "users": 10000, "shards": 1,
-                "bytes_per_user": 644.5, "checkpoint_encode_ms": 2.0, "recovery_ms": 5.0,
+                "bytes_per_user": 644.5, "image_bytes_per_user": 312.0,
+                "checkpoint_encode_ms": 2.0, "recovery_ms": 5.0,
                 "per_shard_recovery_ms": 5.0, "digest": "00f00ba900f00ba9"}"#,
         );
         // A capacity row is exempt from the serving triple (no requests_per_sec).
@@ -863,7 +872,8 @@ mod tests {
         let base = |patch: &str| {
             report(&format!(
                 r#"{{"name": "serve/scale/16", "wall_ms": 1.0, "users": 16, "shards": 1,
-                    "bytes_per_user": 9.0, "checkpoint_encode_ms": 1.0, "recovery_ms": 2.0,
+                    "bytes_per_user": 9.0, "image_bytes_per_user": 7.0,
+                    "checkpoint_encode_ms": 1.0, "recovery_ms": 2.0,
                     "per_shard_recovery_ms": 2.0, "digest": "ab", {patch}}}"#
             ))
         };
@@ -872,11 +882,16 @@ mod tests {
         assert!(validate_bench_report(&base(r#""bytes_per_user": 0"#))
             .unwrap_err()
             .contains("bytes_per_user"));
-        // The per-user budget holds at its edge and refuses past it.
-        assert!(validate_bench_report(&base(r#""bytes_per_user": 1024"#)).is_ok());
-        assert!(validate_bench_report(&base(r#""bytes_per_user": 1024.5"#))
+        assert!(validate_bench_report(&base(r#""image_bytes_per_user": 0"#))
             .unwrap_err()
-            .contains("per-user budget"));
+            .contains("image_bytes_per_user"));
+        // The per-user budget holds at its edge and refuses past it, for the
+        // resident state and the image alike.
+        for key in SCALE_PER_USER_KEYS {
+            assert!(validate_bench_report(&base(&format!(r#""{key}": 1024"#))).is_ok());
+            let err = validate_bench_report(&base(&format!(r#""{key}": 1024.5"#))).unwrap_err();
+            assert!(err.contains("per-user budget") && err.contains(key), "{err}");
+        }
         assert!(validate_bench_report(&base(r#""recovery_ms": -1"#))
             .unwrap_err()
             .contains("recovery_ms"));
@@ -888,18 +903,23 @@ mod tests {
         let shrinking = report(&format!(
             "{row10k}, {row16}",
             row10k = r#"{"name": "serve/scale/10000", "wall_ms": 40.0, "users": 10000,
-                "shards": 1, "bytes_per_user": 644.5, "checkpoint_encode_ms": 2.0,
-                "recovery_ms": 5.0, "per_shard_recovery_ms": 5.0, "digest": "aa"}"#,
+                "shards": 1, "bytes_per_user": 644.5, "image_bytes_per_user": 312.0,
+                "checkpoint_encode_ms": 2.0, "recovery_ms": 5.0,
+                "per_shard_recovery_ms": 5.0, "digest": "aa"}"#,
             row16 = r#"{"name": "serve/scale/16", "wall_ms": 1.0, "users": 16, "shards": 1,
-                "bytes_per_user": 9.0, "checkpoint_encode_ms": 1.0, "recovery_ms": 2.0,
+                "bytes_per_user": 9.0, "image_bytes_per_user": 7.0,
+                "checkpoint_encode_ms": 1.0, "recovery_ms": 2.0,
                 "per_shard_recovery_ms": 2.0, "digest": "ab"}"#,
         ));
         assert!(validate_bench_report(&shrinking)
             .unwrap_err()
             .contains("strictly increasing fleet sizes"));
-        // Any row claiming bytes_per_user needs the record, scale-named or not.
-        let sneaky = report(r#"{"name": "other", "wall_ms": 1.0, "bytes_per_user": 9.0}"#);
-        assert!(validate_bench_report(&sneaky).unwrap_err().contains("users"));
+        // Any row claiming either per-user count needs the record,
+        // scale-named or not.
+        for key in SCALE_PER_USER_KEYS {
+            let sneaky = report(&format!(r#"{{"name": "other", "wall_ms": 1.0, "{key}": 9.0}}"#));
+            assert!(validate_bench_report(&sneaky).unwrap_err().contains("users"));
+        }
     }
 
     #[test]

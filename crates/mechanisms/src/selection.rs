@@ -321,12 +321,6 @@ impl PosteriorTable {
         self.entries.iter().map(|&(q, _)| q)
     }
 
-    /// The cumulative weights, in candidate order — what a checkpoint
-    /// carries, and what a restore recomputes from the points and compares.
-    pub fn cdf(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-        self.entries.iter().map(|&(_, c)| c)
-    }
-
     /// Returns `true` while another handle to this allocation is alive
     /// (a set a fleet installed on several users or edges).
     pub fn is_shared(&self) -> bool {
@@ -615,15 +609,20 @@ mod tests {
         }
     }
 
+    /// The cumulative weights of `table`, in candidate order.
+    fn cdf(table: &PosteriorTable) -> Vec<f64> {
+        table.entries.iter().map(|&(_, c)| c).collect()
+    }
+
     #[test]
     fn table_cdf_round_trips_bit_for_bit() {
-        // A checkpoint carries the points and the cumulative weights; the
-        // restore recomputes the weights from the points and must land on
-        // the carried bits exactly.
+        // A checkpoint carries the points only; the restore recomputes the
+        // weights from them and must land on the live set's bits exactly.
         let sel = PosteriorSelector::new(500.0);
         let table = sel.table(&released_set(10, 3).1);
         let rebuilt = PosteriorTable::new(&sel, table.points());
-        assert!(rebuilt.cdf().map(f64::to_bits).eq(table.cdf().map(f64::to_bits)));
+        let bits = |t: &PosteriorTable| cdf(t).into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&rebuilt), bits(&table));
         assert_eq!(rebuilt, table);
         for seed in 0..32 {
             assert_eq!(rebuilt.draw(&mut seeded(seed)), table.draw(&mut seeded(seed)));
@@ -632,13 +631,12 @@ mod tests {
 
     #[test]
     fn cache_entries_and_install_round_trip() {
-        // The image's cache section pools each set's cumulative weights:
-        // the last one is the set's total weight, the weights never
-        // decrease, and the first is the first candidate's own weight.
+        // A set holds its cumulative weights: the last one is the set's
+        // total weight, the weights never decrease, and the first is the
+        // first candidate's own weight.
         let sel = PosteriorSelector::new(500.0);
         let cands = [Point::new(0.0, 0.0), Point::new(200.0, 0.0), Point::new(0.0, 650.0)];
-        let table = sel.table(&cands);
-        let cdf: Vec<f64> = table.cdf().collect();
+        let cdf = cdf(&sel.table(&cands));
         let probs = sel.probabilities(&cands);
         let total = cdf[cdf.len() - 1];
         assert!(cdf.windows(2).all(|w| w[0] <= w[1]));

@@ -59,16 +59,20 @@ pub fn fnv1a32(data: &[u8]) -> u32 {
     hash
 }
 
+/// FNV-1a-64 offset basis: the hash of no bytes, where
+/// [`fnv1a64_extend`] starts a message.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash — request ids, creative ids and log digests.
 #[must_use]
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    fnv1a64_extend(0xcbf2_9ce4_8422_2325, data)
+    fnv1a64_extend(FNV1A64_OFFSET, data)
 }
 
 /// Continues an FNV-1a-64 hash from the state `hash` over `data`. Fed a
-/// message piece by piece from `fnv1a64(&[])` (the offset basis), it
-/// returns [`fnv1a64`] of the concatenated pieces without copying them
-/// together.
+/// message piece by piece from [`FNV1A64_OFFSET`], it returns [`fnv1a64`]
+/// of the concatenated pieces without copying them together — the one
+/// hash behind every seed-pure output digest the harnesses report.
 #[must_use]
 pub fn fnv1a64_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {

@@ -81,6 +81,7 @@ grep -q 'requests_per_sec' "$smoke_dir/BENCH_serve.json"
 # internal consistency above).
 grep -q 'serve/scale/10000' "$smoke_dir/BENCH_serve.json"
 grep -q '"bytes_per_user"' "$smoke_dir/BENCH_serve.json"
+grep -q '"image_bytes_per_user"' "$smoke_dir/BENCH_serve.json"
 grep -q '"digest"' "$smoke_dir/BENCH_serve.json"
 grep -q 'batched+cached vs legacy single-request path' "$smoke_dir/serve.out"
 # Telemetry smoke: the serving hub lands in the log (validated above by
