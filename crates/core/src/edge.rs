@@ -560,9 +560,7 @@ impl EdgeDevice {
         fp.users += self.users.len();
         for state in self.users.values() {
             let mut bytes = size_of::<UserId>() + size_of::<UserState>();
-            bytes += std::mem::size_of_val(state.manager.buffered());
-            bytes += (state.manager.profile().entries().len() + state.manager.top_set().len())
-                * size_of::<privlocad_attack::ProfileEntry>();
+            bytes += state.manager.stored_bytes();
             for (_, set) in state.obfuscation.table().entries() {
                 fp.candidate_set_refs += 1;
                 bytes += size_of::<(Point, PosteriorTable)>();
@@ -993,6 +991,38 @@ mod tests {
         assert_eq!(rfp.distinct_candidate_sets, 1);
         assert_eq!(rfp, fp);
         assert_eq!(restored.checkpoint(), e.checkpoint());
+    }
+
+    /// A merged top set that is not the user's profile prefix keeps its
+    /// own entries through checkpoint, restore and re-checkpoint; one that
+    /// is the prefix stays the prefix, and the footprint counts no copy of
+    /// it.
+    #[test]
+    fn installed_top_sets_keep_their_form_across_a_restore() {
+        let config = SystemConfig::builder().build().unwrap();
+        let (settled, merged) = (UserId::new(1), UserId::new(2));
+        let home = Point::new(1_000.0, 0.0);
+        let mut e = edge();
+        settle_home(&mut e, settled, home);
+        settle_home(&mut e, merged, home);
+        let prefix = e.users.get(settled).unwrap().manager.top_set().to_vec();
+        let tops = vec![privlocad_attack::ProfileEntry { frequency: 90, ..prefix[0] }];
+        e.install_protection(settled, prefix.clone(), &[]);
+        e.install_protection(merged, tops.clone(), &[]);
+        let aliased = |e: &EdgeDevice, user| {
+            let manager = &e.users.get(user).unwrap().manager;
+            manager.top_set().as_ptr() == manager.profile().entries().as_ptr()
+        };
+        let image = e.checkpoint();
+        let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
+        for device in [&e, &restored] {
+            assert!(aliased(device, settled), "the prefix is stored once");
+            assert!(!aliased(device, merged), "the merged set keeps its own entries");
+            assert_eq!(device.users.get(merged).unwrap().manager.top_set(), tops);
+        }
+        assert_eq!(restored.checkpoint(), image);
+        let stored = |user| e.users.get(user).unwrap().manager.stored_bytes();
+        assert_eq!(stored(merged), stored(settled) + 24);
     }
 
     #[test]

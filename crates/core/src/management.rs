@@ -27,33 +27,75 @@ use crate::EtaThreshold;
 /// assert_eq!(tops.len(), 2); // 70 + 20 = 90 ≥ 85
 /// ```
 pub fn frequent_location_set(profile: &LocationProfile, eta: EtaThreshold) -> Vec<ProfileEntry> {
+    profile.entries()[..frequent_prefix_len(profile, eta)].to_vec()
+}
+
+/// How many entries the η-frequent prefix of `profile` holds
+/// ([`frequent_location_set`]'s length).
+fn frequent_prefix_len(profile: &LocationProfile, eta: EtaThreshold) -> usize {
     let target = eta.resolve(profile.total_checkins());
     let mut total = 0usize;
-    let mut set = Vec::new();
-    for entry in profile.iter() {
+    for (i, entry) in profile.iter().enumerate() {
         total += entry.frequency;
-        set.push(*entry);
         if total >= target {
-            break;
+            return i + 1;
         }
     }
-    set
+    profile.len()
+}
+
+/// Where a manager keeps its η-frequent set.
+///
+/// A window close computes the set as a prefix of the profile it just
+/// built, so it stores only the prefix length. A fleet install of a merged
+/// set that is not such a prefix keeps its own exact-size copy.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum TopSet {
+    /// The profile's first `k` entries.
+    Prefix(usize),
+    /// Entries that are not a prefix of the profile.
+    Installed(Box<[ProfileEntry]>),
+}
+
+impl TopSet {
+    /// The one canonical form of `tops` over `profile`: the prefix length
+    /// when `tops` equals the profile's first entries bit for bit, an
+    /// exact-size copy otherwise. Every stored set goes through here, so
+    /// equal window states compare equal and re-stream the same bytes.
+    fn of(profile: &LocationProfile, tops: Vec<ProfileEntry>) -> TopSet {
+        let bits = |e: &ProfileEntry| (e.location.x.to_bits(), e.location.y.to_bits(), e.frequency);
+        let prefix = profile.entries().get(..tops.len());
+        if prefix.is_some_and(|p| p.iter().map(bits).eq(tops.iter().map(bits))) {
+            TopSet::Prefix(tops.len())
+        } else {
+            TopSet::Installed(tops.into_boxed_slice())
+        }
+    }
+
+    /// How many entries the set holds.
+    fn len(&self) -> usize {
+        match self {
+            TopSet::Prefix(k) => *k,
+            TopSet::Installed(tops) => tops.len(),
+        }
+    }
 }
 
 /// The location-management module of one user on the edge device.
 ///
 /// Buffers the current window's check-ins; on window end
 /// ([`LocationManager::finalize_window`]) rebuilds the profile and the
-/// η-frequent location set. The set is re-computed periodically "since
-/// users will possibly (although not frequently) change their top
-/// locations in real life" (Section V-B).
+/// η-frequent location set, which it keeps as the length of the profile
+/// prefix it is. The set is re-computed periodically "since users will
+/// possibly (although not frequently) change their top locations in real
+/// life" (Section V-B).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LocationManager {
     theta_m: f64,
     eta: EtaThreshold,
     buffer: Vec<Point>,
     profile: LocationProfile,
-    top_set: Vec<ProfileEntry>,
+    top_set: TopSet,
     windows_closed: usize,
 }
 
@@ -71,13 +113,20 @@ impl LocationManager {
             eta,
             buffer: Vec::new(),
             profile: LocationProfile::default(),
-            top_set: Vec::new(),
+            top_set: TopSet::Prefix(0),
             windows_closed: 0,
         }
     }
 
     /// Buffers one true-location check-in for the current window.
+    ///
+    /// A full buffer grows by a quarter (at least 8 check-ins), not by
+    /// doubling: a device holds thousands of open windows at once, and
+    /// doubling leaves each up to half empty.
     pub fn record(&mut self, location: Point) {
+        if self.buffer.len() == self.buffer.capacity() {
+            self.buffer.reserve_exact((self.buffer.len() / 4).max(8));
+        }
         self.buffer.push(location);
     }
 
@@ -100,11 +149,21 @@ impl LocationManager {
         (self.buffer.len(), self.profile.len(), self.top_set.len())
     }
 
-    /// Reinstates checkpointed window state verbatim: the open window's
-    /// buffer, the last computed profile (in its recorded entry order),
-    /// the η-frequent set, and the window epoch. θ and η keep their
-    /// constructor values — they come from the device config, which the
-    /// restore caller supplies.
+    /// Bytes of window state this manager stores: the buffered check-ins,
+    /// the profile entries and, when it is not a profile prefix, the
+    /// η-frequent set — counted by length, read without touching a
+    /// location.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        let installed = if let TopSet::Installed(tops) = &self.top_set { tops.len() } else { 0 };
+        self.buffer.len() * size_of::<Point>()
+            + (self.profile.len() + installed) * size_of::<ProfileEntry>()
+    }
+
+    /// Reinstates checkpointed window state: the open window's buffer, the
+    /// last computed profile (in its recorded entry order), the η-frequent
+    /// set in its canonical form ([`LocationManager::set_top_set`]), and
+    /// the window epoch. θ and η keep their constructor values — they come
+    /// from the device config, which the restore caller supplies.
     pub(crate) fn restore_window_state(
         &mut self,
         buffer: Vec<Point>,
@@ -113,8 +172,8 @@ impl LocationManager {
         windows_closed: usize,
     ) {
         self.buffer = buffer;
+        self.top_set = TopSet::of(&profile, top_set);
         self.profile = profile;
-        self.top_set = top_set;
         self.windows_closed = windows_closed;
     }
 
@@ -129,17 +188,20 @@ impl LocationManager {
     pub fn finalize_window(&mut self) -> &[ProfileEntry] {
         if !self.buffer.is_empty() {
             self.profile = LocationProfile::from_checkins(&self.buffer, self.theta_m);
-            self.top_set = frequent_location_set(&self.profile, self.eta);
+            self.top_set = TopSet::Prefix(frequent_prefix_len(&self.profile, self.eta));
             self.buffer = Vec::new();
         }
         self.windows_closed += 1;
-        &self.top_set
+        self.top_set()
     }
 
     /// The current η-frequent location set (empty before the first window
     /// closes).
     pub fn top_set(&self) -> &[ProfileEntry] {
-        &self.top_set
+        match &self.top_set {
+            TopSet::Prefix(k) => &self.profile.entries()[..*k],
+            TopSet::Installed(tops) => tops,
+        }
     }
 
     /// The last computed profile.
@@ -158,8 +220,12 @@ impl LocationManager {
     /// *local* part of the profile; after the partial profiles are merged,
     /// the merged top set is installed back into every edge serving the
     /// user so any of them answers ad requests consistently.
+    ///
+    /// A set equal, bit for bit, to the first entries of this manager's
+    /// profile is stored as that prefix; any other keeps an exact-size
+    /// copy.
     pub fn set_top_set(&mut self, tops: Vec<ProfileEntry>) {
-        self.top_set = tops;
+        self.top_set = TopSet::of(&self.profile, tops);
     }
 
     /// Finds the top location nearest to `location` within `match_radius_m`
@@ -171,7 +237,7 @@ impl LocationManager {
         // filter + min_by pass.
         let radius_sq = match_radius_m * match_radius_m;
         let mut best: Option<(f64, Point)> = None;
-        for entry in &self.top_set {
+        for entry in self.top_set() {
             let d_sq = entry.location.distance_sq(location);
             if d_sq <= radius_sq && best.is_none_or(|(b, _)| d_sq < b) {
                 best = Some((d_sq, entry.location));
@@ -259,6 +325,61 @@ mod tests {
         assert_eq!(m.finalize_window(), fresh.finalize_window());
         assert_eq!(m.profile(), fresh.profile());
         assert_eq!(m.buffer.capacity(), 0);
+    }
+
+    /// Over a long window the buffer's capacity stays within a quarter
+    /// (plus 8 check-ins) of what it holds.
+    #[test]
+    fn open_window_grows_by_a_quarter() {
+        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        for i in 0..50_000 {
+            m.record(Point::new(f64::from(i % 97) * 10.0, 0.0));
+            let (len, cap) = (m.buffer.len(), m.buffer.capacity());
+            assert!(4 * cap <= 5 * len + 32, "capacity {cap} for {len} check-ins");
+        }
+    }
+
+    /// A manager with a three-place profile and a two-entry η-prefix.
+    fn settled() -> LocationManager {
+        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        for (x, n) in [(0.0, 60), (9_000.0, 30), (20_000.0, 10)] {
+            for _ in 0..n {
+                m.record(Point::new(x, 0.0));
+            }
+        }
+        m.finalize_window();
+        m
+    }
+
+    #[test]
+    fn closed_window_top_set_is_a_profile_prefix() {
+        let m = settled();
+        assert_eq!(m.top_set, TopSet::Prefix(2));
+        let (tops, entries) = (m.top_set().as_ptr_range(), m.profile().entries().as_ptr_range());
+        assert!(entries.start == tops.start && tops.end <= entries.end, "inside the profile");
+        assert_eq!(m.top_set(), frequent_location_set(m.profile(), m.eta));
+    }
+
+    #[test]
+    fn installed_top_sets_are_stored_canonically() {
+        let mut m = settled();
+        let prefix = m.profile().entries()[..1].to_vec();
+        m.set_top_set(prefix.clone());
+        assert_eq!(m.top_set, TopSet::Prefix(1), "a prefix is stored as its length");
+        assert_eq!(m.top_set(), prefix);
+        // The same place with another count (a merged profile's) is not.
+        let merged = vec![ProfileEntry { frequency: 95, ..prefix[0] }];
+        m.set_top_set(merged.clone());
+        assert_eq!(m.top_set, TopSet::Installed(merged.clone().into_boxed_slice()));
+        assert_eq!(m.top_set(), merged);
+        // Equal as floats is not enough: -0.0 would re-stream other bytes.
+        let signed = ProfileEntry { location: Point::new(-0.0, 0.0), ..prefix[0] };
+        assert_eq!(signed, prefix[0]);
+        m.set_top_set(vec![signed]);
+        assert!(matches!(m.top_set, TopSet::Installed(_)));
+        m.set_top_set(vec![]);
+        assert!(m.top_set().is_empty());
+        assert_eq!(m.top_set, TopSet::Prefix(0));
     }
 
     #[test]

@@ -42,8 +42,8 @@ impl ObfuscationTable {
         ObfuscationTable { match_radius_m, entries: Vec::new() }
     }
 
-    /// Makes room for exactly `additional` more entries: a restore knows
-    /// how many sets each table holds.
+    /// Makes room for exactly `additional` more entries: a restore or a
+    /// window close knows how many sets it adds.
     pub(crate) fn reserve_exact(&mut self, additional: usize) {
         self.entries.reserve_exact(additional);
     }
@@ -90,8 +90,16 @@ impl ObfuscationTable {
         if self.contains(location) {
             return false;
         }
-        self.entries.push((location, candidates));
+        self.push(location, candidates);
         true
+    }
+
+    /// Appends an entry, growing the table by exactly that entry when it
+    /// is full: a device holds thousands of tables of a few sets each, and
+    /// a doubled one would pin the spare slots for good.
+    fn push(&mut self, location: Point, candidates: PosteriorTable) {
+        self.entries.reserve_exact(1);
+        self.entries.push((location, candidates));
     }
 
     /// Drops every entry while keeping the allocated capacity, so a table
@@ -182,7 +190,7 @@ impl ObfuscationModule {
             None => {
                 let candidates = self.mechanism.obfuscate(top, rng);
                 let set = self.selector().table(&candidates);
-                self.table.entries.push((top, set));
+                self.table.push(top, set);
                 self.table.len() - 1
             }
         };
@@ -292,6 +300,7 @@ impl ObfuscationModule {
     fn install_lanes(&mut self, fresh: &[Point], lanes: &CandidateLanes) -> usize {
         let n = self.mechanism.params().n();
         let selector = self.selector();
+        self.table.reserve_exact(fresh.len());
         for (i, &top) in fresh.iter().enumerate() {
             let set = PosteriorTable::new(&selector, lanes.points(i * n..(i + 1) * n));
             self.table.insert(top, set);
@@ -463,6 +472,20 @@ mod tests {
         // Permanence still holds for the shared path.
         assert!(!a.install(Point::new(5.0, 0.0), candidates.clone()));
         assert_eq!(a.table().len(), 1);
+    }
+
+    #[test]
+    fn tables_hold_no_spare_capacity() {
+        let mut m = module(3);
+        let mut rng = seeded(6);
+        let spare = |m: &ObfuscationModule| m.table.entries.capacity() - m.table.len();
+        let tops = [Point::new(0.0, 0.0), Point::new(8_000.0, 0.0), Point::new(0.0, 8_000.0)];
+        assert_eq!(m.obfuscate_top_set(&tops, &mut rng), 3, "a window close");
+        assert_eq!(spare(&m), 0);
+        assert!(m.install(Point::new(20_000.0, 0.0), set(&[Point::ORIGIN; 3])), "a fleet install");
+        assert_eq!(spare(&m), 0);
+        let _ = m.candidates_for(Point::new(-20_000.0, 0.0), &mut rng);
+        assert_eq!((m.table().len(), spare(&m)), (5, 0), "a lazy draw");
     }
 
     #[test]

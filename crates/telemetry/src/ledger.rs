@@ -8,16 +8,18 @@
 //! an auditable record: every spend (candidate-set draw, window close,
 //! checkpoint restore) is recorded as a [`SpendEvent`] and folded into
 //! per-user aggregates — running totals composed with basic composition
-//! (k draws at `(ε, δ)` cost `(kε, kδ)`) and a pay count per `(user, top)`
-//! candidate set — and [`Ledger::assert_no_double_spend`] cross-checks the
-//! recovery layer's `candidate_redraws == 0` invariant from the other
-//! side: a candidate set that exists on a device but was never (or more
-//! than once) paid for in the ledger is an audit failure.
+//! (k draws at `(ε, δ)` cost `(kε, kδ)`) — while each candidate-set spend
+//! appends its `(user, top)` key to a log, and
+//! [`Ledger::assert_no_double_spend`] cross-checks the recovery layer's
+//! `candidate_redraws == 0` invariant from the other side: a candidate set
+//! that exists on a device but was never (or more than once) paid for in
+//! the ledger is an audit failure.
 //!
 //! The events themselves are counted, not kept. Every export and audit
-//! reads only the aggregates, and a log would grow with every window close
-//! and restore a long-running fleet performs; the aggregates grow only
-//! with users and released sets.
+//! reads only the aggregates and the key log, and an event log would grow
+//! with every window close and restore a long-running fleet performs; the
+//! aggregates grow only with users, the key log by 24 bytes per released
+//! set.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -156,8 +158,10 @@ impl std::error::Error for LedgerError {}
 struct LedgerInner {
     /// Events recorded so far.
     events: u64,
-    /// How many times each `(user, top)` candidate set was paid for.
-    spends: BTreeMap<(u64, TopKey), u64>,
+    /// The `(user, top)` key of every candidate-set spend, appended as
+    /// recorded; the audit sorts it in place, so a key paid for twice
+    /// appears twice.
+    spends: Vec<(u64, TopKey)>,
     totals: BTreeMap<u64, UserTotals>,
 }
 
@@ -198,7 +202,7 @@ impl Ledger {
                 totals.epsilon += epsilon;
                 totals.delta += delta;
                 totals.candidate_sets += 1;
-                *inner.spends.entry((event.user, top)).or_insert(0) += 1;
+                inner.spends.push((event.user, top));
             }
             SpendKind::WindowClose => totals.window_closes += 1,
             SpendKind::Restore => totals.restores += 1,
@@ -238,7 +242,8 @@ impl Ledger {
 
     /// Audits the exactly-once spend invariant against the candidate sets
     /// actually live on devices (`live` is every `(user, top)` with a
-    /// released permanent set, e.g. decoded from final checkpoints).
+    /// released permanent set, e.g. decoded from final checkpoints). Sorts
+    /// the key log in place while holding the lock.
     ///
     /// # Errors
     ///
@@ -249,16 +254,16 @@ impl Ledger {
         &self,
         live: impl IntoIterator<Item = (u64, TopKey)>,
     ) -> Result<(), LedgerError> {
-        let inner = self.inner.lock();
-        for (&(user, top), &count) in &inner.spends {
-            if count > 1 {
-                return Err(LedgerError::DoubleSpend { user, top, count });
+        let mut inner = self.inner.lock();
+        let spends = &mut inner.spends;
+        spends.sort_unstable();
+        for run in spends.chunk_by(|a, b| a == b) {
+            if let [(user, top), _, ..] = *run {
+                return Err(LedgerError::DoubleSpend { user, top, count: run.len() as u64 });
             }
         }
-        let mut missing: Vec<(u64, TopKey)> = live
-            .into_iter()
-            .filter(|&(user, top)| !inner.spends.contains_key(&(user, top)))
-            .collect();
+        let mut missing: Vec<(u64, TopKey)> =
+            live.into_iter().filter(|key| spends.binary_search(key).is_err()).collect();
         missing.sort_unstable();
         match missing.first() {
             Some(&(user, top)) => Err(LedgerError::Unrecorded { user, top }),
@@ -346,6 +351,51 @@ mod tests {
             ledger.assert_no_double_spend([(4, top_key(5.0, 5.0)), (4, forged)]),
             Err(LedgerError::Unrecorded { user: 4, top: forged })
         );
+    }
+
+    #[test]
+    fn audit_names_the_first_failure_in_key_order() {
+        let (a, b, c) = (top_key(1.0, 0.0), top_key(2.0, 0.0), top_key(3.0, 0.0));
+        // Keys out of (user, top) order; user 5's `b` paid twice, user 4's
+        // live `c` never paid.
+        let ledger = Ledger::new();
+        for (user, top) in [(9, a), (5, b), (2, c), (5, a), (5, b)] {
+            candidate_set(&ledger, user, top, 1.0, 1e-4);
+        }
+        let live = [(9, a), (5, b), (2, c), (5, a), (4, c)];
+        assert_eq!(
+            ledger.assert_no_double_spend(live),
+            Err(LedgerError::DoubleSpend { user: 5, top: b, count: 2 })
+        );
+        // Records after the audit sorted the log are audited too.
+        for (user, top) in [(5, b), (1, a)] {
+            candidate_set(&ledger, user, top, 1.0, 1e-4);
+        }
+        assert_eq!(
+            ledger.assert_no_double_spend(live),
+            Err(LedgerError::DoubleSpend { user: 5, top: b, count: 3 })
+        );
+
+        // With no key paid twice, the first missing live key in order wins.
+        let clean = Ledger::new();
+        for (user, top) in [(9, a), (2, c), (5, a)] {
+            candidate_set(&clean, user, top, 1.0, 1e-4);
+        }
+        let live = [(9, a), (7, b), (5, a), (3, c), (3, b), (2, c)];
+        assert_eq!(
+            clean.assert_no_double_spend(live),
+            Err(LedgerError::Unrecorded { user: 3, top: b })
+        );
+        for (user, top) in [(3, b), (3, c)] {
+            candidate_set(&clean, user, top, 1.0, 1e-4);
+        }
+        assert_eq!(
+            clean.assert_no_double_spend(live),
+            Err(LedgerError::Unrecorded { user: 7, top: b })
+        );
+        candidate_set(&clean, 7, b, 1.0, 1e-4);
+        assert_eq!(clean.assert_no_double_spend(live), Ok(()));
+        assert_eq!(clean.totals().candidate_sets, 6);
     }
 
     #[test]

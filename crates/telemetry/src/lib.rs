@@ -19,8 +19,8 @@
 //!   test/CI builds.
 //! * [`Ledger`] — per-user aggregates of every privacy-budget spend
 //!   (candidate-set draws, window closes, checkpoint restores): composed
-//!   running totals, a pay count per candidate set, and a double-spend
-//!   audit that cross-checks the recovery layer's `candidate_redraws == 0`
+//!   running totals, a log of each paid-for `(user, top)` key, and a
+//!   double-spend audit that cross-checks the recovery layer's `candidate_redraws == 0`
 //!   invariant. Events are counted, not kept, so the ledger grows with
 //!   users and released sets, not with a fleet's uptime.
 //!

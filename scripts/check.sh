@@ -80,6 +80,11 @@ grep -q 'requests_per_sec' "$smoke_dir/BENCH_serve.json"
 # the same shared-host reason (the lint schema still checks the row's
 # internal consistency above).
 grep -q 'serve/scale/10000' "$smoke_dir/BENCH_serve.json"
+# Pinned seed-pure outputs of the scale row: the served-output digest and
+# the checkpoint image's bytes per user. A change that moves either
+# updates the pin and says why.
+grep -q '"digest": "e9e917e7f8085064", "image_bytes_per_user": 308.0039, "name": "serve/scale/10000"' \
+    "$smoke_dir/BENCH_serve.json"
 grep -q '"bytes_per_user"' "$smoke_dir/BENCH_serve.json"
 grep -q '"image_bytes_per_user"' "$smoke_dir/BENCH_serve.json"
 grep -q '"digest"' "$smoke_dir/BENCH_serve.json"
@@ -135,16 +140,20 @@ echo "==> bench auction (smoke, reduced sizes)"
 # The binary asserts the hard contracts untimed (exchange-log digests
 # bit-identical at 1/4/16 shards and under one kill per shard,
 # commit-phase emission exactly-once) and refuses to write the row if
-# they fail. It also enforces the codec <10 % gate: decode (~75 ns) over
-# one request through a live shard run on the caller (~1.5 µs) reads
-# 4-7 % on a shared 2-vCPU host (EXPERIMENTS.md) — under the ceiling, with
-# 1.4-2.5x headroom. Full-size numbers live in BENCH_repro.json,
-# regenerated on a quiet host.
+# they fail. It also enforces the codec <10 % gate: decode (~60-75 ns)
+# over one request through a live shard run on the caller (~0.8-1.5 µs)
+# read 4.4-8.6 % at this smoke size and 7.7-8.0 % at full size
+# (`auction --seed 0`) on a shared 2-vCPU host (EXPERIMENTS.md) — under
+# the ceiling, with 1.16-2.3x headroom here and 1.25-1.3x at full size.
+# Full-size numbers live in BENCH_repro.json, regenerated on a quiet host.
 ./target/release/auction \
     --users 6 --checkins 40 --campaigns 60 --kills 1 --seed 1 \
     --bench-json "$smoke_dir/BENCH_auction.json" >"$smoke_dir/auction.out"
 ./target/release/privlocad-lint --root . --bench-json "$smoke_dir/BENCH_auction.json"
 grep -q 'auction/exchange' "$smoke_dir/BENCH_auction.json"
+# Pinned exchange-log digest of this smoke; a change that moves it updates
+# the pin and says why.
+grep -q '"digest": "a4c5591fa8b77fab", "name": "auction/exchange"' "$smoke_dir/BENCH_auction.json"
 grep -q '"decode_ns_per_req"' "$smoke_dir/BENCH_auction.json"
 grep -q '"attack_success_live"' "$smoke_dir/BENCH_auction.json"
 grep -q '"digest"' "$smoke_dir/BENCH_auction.json"
