@@ -87,11 +87,17 @@ fn row_to_json(row: &ChaosRow) -> Json {
     Json::Obj(obj)
 }
 
-/// The `chaos` family: one row and one telemetry hub per scenario.
+/// The `chaos` family: one row and one telemetry hub per scenario. Each
+/// hub goes out in its seed-pure export: a scheduling-class counter (a
+/// flood's overload rejections, say) depends on how the scenario's threads
+/// interleave, and the restarts the scenarios assert are in their rows.
 fn update(rows: &[ChaosRow]) -> Update {
     Update {
         rows: rows.iter().map(row_to_json).collect(),
-        telemetry: rows.iter().map(|row| (row.name.clone(), row.telemetry.to_json())).collect(),
+        telemetry: rows
+            .iter()
+            .map(|row| (row.name.clone(), row.telemetry.deterministic_json()))
+            .collect(),
     }
 }
 
@@ -130,7 +136,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use privlocad_lint::json::{render, validate_bench_report};
-    use privlocad_telemetry::{SpendEvent, SpendKind};
+    use privlocad_telemetry::{Determinism, SpendEvent, SpendKind};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -182,5 +188,20 @@ mod tests {
         let doc =
             ledger::merge(None, &header(&opts), update(&[row("chaos/corruption/1")])).unwrap();
         validate_bench_report(&render(&doc)).expect("fresh log must validate");
+    }
+
+    /// A scenario's exported hub holds its deterministic counters and none
+    /// of its scheduling-class ones, so one seed writes one export.
+    #[test]
+    fn telemetry_export_is_seed_pure() {
+        let flood = row("chaos/flood/4");
+        let registry = flood.telemetry.registry();
+        registry.counter("server.requests", Determinism::Deterministic).add(12);
+        registry.counter("server.overload_rejections", Determinism::Scheduling).add(2);
+        let update = update(&[flood]);
+        let (name, hub) = &update.telemetry[0];
+        assert_eq!(name, "chaos/flood/4");
+        assert!(hub.contains("\"server.requests\""), "{hub}");
+        assert!(!hub.contains("server.overload_rejections"), "{hub}");
     }
 }

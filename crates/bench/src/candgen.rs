@@ -147,11 +147,13 @@ fn entries_of(config: &Config, user: usize) -> Vec<ProfileEntry> {
 /// leaves only the work the arena actually changes in the measurement.
 struct EdgeScratch {
     table: ObfuscationTable,
+    /// The device's match radius, which every insert looks tops up by.
+    radius: f64,
 }
 
 impl EdgeScratch {
     fn new(radius: f64) -> Self {
-        EdgeScratch { table: ObfuscationTable::new(radius) }
+        EdgeScratch { table: ObfuscationTable::default(), radius }
     }
 
     fn clear(&mut self) {
@@ -181,7 +183,7 @@ fn cold_user(
     for _ in 0..config.edges {
         scratch.clear();
         for (top, candidates) in &sets {
-            scratch.table.insert(*top, selector.table(candidates));
+            scratch.table.insert(*top, selector.table(candidates), scratch.radius);
         }
         sink += scratch.table.len();
     }
@@ -194,20 +196,19 @@ fn cold_user(
 fn batched_user(
     config: &Config,
     arena: &mut CandidateArena,
-    radius: f64,
+    mech: &NFoldGaussian,
     scratch: &mut EdgeScratch,
     pair_counter: &mut u64,
     user: usize,
-    geo_ind: GeoIndParams,
 ) -> usize {
     let tops: Vec<Point> = (0..config.tops).map(|t| top_of(user, t)).collect();
-    let mut authority = ObfuscationModule::new(geo_ind, radius);
-    arena.prepare(&mut authority, &tops, config.seed, pair_counter);
+    let mut authority = ObfuscationModule::default();
+    arena.prepare(&mut authority, mech, scratch.radius, &tops, config.seed, pair_counter);
     let mut sink = 0usize;
     for _ in 0..config.edges {
         scratch.clear();
         for set in arena.sets() {
-            scratch.table.insert(set.top(), set.candidates().clone());
+            scratch.table.insert(set.top(), set.candidates().clone(), scratch.radius);
         }
         sink += scratch.table.len();
     }
@@ -218,14 +219,14 @@ fn batched_user(
 /// candidates the cold scalar path draws from the same derived streams.
 /// Returns the number of pairs compared.
 fn verify_bit_identity(config: &Config, sys: &SystemConfig) -> usize {
-    let mech = NFoldGaussian::new(config.geo_ind());
+    let (mech, radius) = (NFoldGaussian::new(config.geo_ind()), sys.top_match_radius_m());
     let mut arena = CandidateArena::new();
     let mut counter = 0u64;
     let mut verified = 0usize;
     for u in 0..config.users {
         let tops: Vec<Point> = (0..config.tops).map(|t| top_of(u, t)).collect();
-        let mut authority = ObfuscationModule::new(config.geo_ind(), sys.top_match_radius_m());
-        arena.prepare(&mut authority, &tops, config.seed, &mut counter);
+        let mut authority = ObfuscationModule::default();
+        arena.prepare(&mut authority, &mech, radius, &tops, config.seed, &mut counter);
         for (t, set) in arena.sets().iter().enumerate() {
             let pair = (u * config.tops + t) as u64;
             let mut rng = seeded(derive_seed(config.seed, pair));
@@ -247,13 +248,14 @@ fn verify_bit_identity(config: &Config, sys: &SystemConfig) -> usize {
 fn telemetry_pass(config: &Config, sys: &SystemConfig) -> Telemetry {
     let telemetry = Telemetry::new();
     let mut edge = EdgeDevice::new(*sys, config.seed);
+    let (mech, radius) = (NFoldGaussian::new(config.geo_ind()), sys.top_match_radius_m());
     let mut arena = CandidateArena::new();
     let mut counter = 0u64;
     for u in 0..config.users {
         let user = UserId::new(u as u32);
         let tops: Vec<Point> = (0..config.tops).map(|t| top_of(u, t)).collect();
-        let mut authority = ObfuscationModule::new(config.geo_ind(), sys.top_match_radius_m());
-        arena.prepare(&mut authority, &tops, config.seed, &mut counter);
+        let mut authority = ObfuscationModule::default();
+        arena.prepare(&mut authority, &mech, radius, &tops, config.seed, &mut counter);
         edge.install_protection(user, entries_of(config, u), arena.sets());
         // Permanence: re-installing the same sets must spend nothing.
         edge.install_protection(user, entries_of(config, u), arena.sets());
@@ -270,7 +272,6 @@ pub fn run(config: &Config) -> Outcome {
     let mech = NFoldGaussian::new(config.geo_ind());
     let selector = PosteriorSelector::new(mech.sigma());
     let radius = sys.top_match_radius_m();
-    let geo_ind = config.geo_ind();
     let mut arena = CandidateArena::new();
     let installs = (config.users * config.tops * config.edges) as u64;
 
@@ -290,15 +291,8 @@ pub fn run(config: &Config) -> Outcome {
             let mut counter = 0u64;
             let mut sink = 0usize;
             for u in 0..config.users {
-                sink += batched_user(
-                    config,
-                    &mut arena,
-                    radius,
-                    &mut batched_scratch,
-                    &mut counter,
-                    u,
-                    geo_ind,
-                );
+                sink +=
+                    batched_user(config, &mut arena, &mech, &mut batched_scratch, &mut counter, u);
             }
             sink
         }),

@@ -12,7 +12,7 @@
 //! change any reported location.
 
 use privlocad_geo::Point;
-use privlocad_mechanisms::{BatchScratch, CandidateLanes, PosteriorTable};
+use privlocad_mechanisms::{BatchScratch, CandidateLanes, NFoldGaussian, PosteriorTable};
 
 use crate::ObfuscationModule;
 
@@ -57,8 +57,9 @@ impl CandidateArena {
         CandidateArena::default()
     }
 
-    /// Ensures `authority` covers every location of `tops` (batched
-    /// generation, one derived stream per fresh `(window, top)` pair via
+    /// Ensures `authority` covers every location of `tops` within
+    /// `match_radius_m` meters (batched generation from `mechanism`, one
+    /// derived stream per fresh `(window, top)` pair via
     /// `master`/`pair_counter` — see
     /// [`ObfuscationModule::obfuscate_top_set_derived`]), then stages one
     /// [`PreparedSet`] per queried top: a handle to the covering set.
@@ -66,12 +67,16 @@ impl CandidateArena {
     pub fn prepare(
         &mut self,
         authority: &mut ObfuscationModule,
+        mechanism: &NFoldGaussian,
+        match_radius_m: f64,
         tops: &[Point],
         master: u64,
         pair_counter: &mut u64,
     ) -> usize {
         self.sets.clear();
         let fresh = authority.obfuscate_top_set_derived(
+            mechanism,
+            match_radius_m,
             tops,
             master,
             pair_counter,
@@ -81,7 +86,7 @@ impl CandidateArena {
         for &top in tops {
             let candidates = authority
                 .table()
-                .get(top)
+                .get(top, match_radius_m)
                 // lint:allow(panic-hygiene): provably infallible — obfuscate_top_set_derived just covered every queried top
                 .expect("top covered after batched obfuscation")
                 .clone();
@@ -134,20 +139,21 @@ impl CandidateArena {
 mod tests {
     use super::*;
     use privlocad_geo::rng::{derive_seed, seeded};
-    use privlocad_mechanisms::{GeoIndParams, Lppm, NFoldGaussian, PosteriorSelector};
+    use privlocad_mechanisms::{GeoIndParams, Lppm, PosteriorSelector};
 
-    fn authority(n: usize) -> ObfuscationModule {
-        ObfuscationModule::new(GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap(), 200.0)
+    /// The fleet's n-fold mechanism at `n` candidates.
+    fn mechanism(n: usize) -> NFoldGaussian {
+        NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, n).unwrap())
     }
 
     #[test]
     fn prepare_stages_every_queried_top_with_shared_tables() {
-        let mut auth = authority(6);
+        let (mech, mut auth) = (mechanism(6), ObfuscationModule::default());
         let mut arena = CandidateArena::new();
         let mut counter = 0u64;
         // Two distant tops plus a drifted duplicate of the first.
         let tops = [Point::new(0.0, 0.0), Point::new(9_000.0, 0.0), Point::new(12.0, 5.0)];
-        let fresh = arena.prepare(&mut auth, &tops, 7, &mut counter);
+        let fresh = arena.prepare(&mut auth, &mech, 200.0, &tops, 7, &mut counter);
         assert_eq!(fresh, 2);
         assert_eq!(counter, 2);
         assert_eq!(arena.len(), 3);
@@ -157,7 +163,6 @@ mod tests {
         assert_eq!(sets[0].candidates().addr(), sets[2].candidates().addr());
         assert_ne!(sets[0].candidates().addr(), sets[1].candidates().addr());
         // Candidates match the derived-stream scalar reference.
-        let mech = NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, 6).unwrap());
         for (k, set) in sets[..2].iter().enumerate() {
             let mut rng = seeded(derive_seed(7, k as u64));
             let points: Vec<Point> = set.candidates().points().collect();
@@ -173,15 +178,15 @@ mod tests {
 
     #[test]
     fn prepare_is_permanent_across_calls() {
-        let mut auth = authority(4);
+        let (mech, mut auth) = (mechanism(4), ObfuscationModule::default());
         let mut arena = CandidateArena::new();
         let mut counter = 0u64;
         let tops = [Point::new(0.0, 0.0)];
-        arena.prepare(&mut auth, &tops, 3, &mut counter);
+        arena.prepare(&mut auth, &mech, 200.0, &tops, 3, &mut counter);
         let first = arena.sets()[0].candidates().clone();
         // Second window: the same top generates nothing new and re-stages
         // the same permanent allocation.
-        let fresh = arena.prepare(&mut auth, &tops, 3, &mut counter);
+        let fresh = arena.prepare(&mut auth, &mech, 200.0, &tops, 3, &mut counter);
         assert_eq!(fresh, 0);
         assert_eq!(counter, 1);
         assert_eq!(arena.sets()[0].candidates().addr(), first.addr());

@@ -3,7 +3,7 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
-use privlocad_mechanisms::{PlanarLaplace, PosteriorTable};
+use privlocad_mechanisms::{NFoldGaussian, PlanarLaplace, PosteriorTable};
 use privlocad_mobility::UserId;
 
 use privlocad_telemetry::{
@@ -24,15 +24,10 @@ const USER_STREAM_DOMAIN: u64 = 0x7573_6572_5f73_7472; // "user_str"
 
 /// The user's state on a device with master seed `master`, created on
 /// first sight with the user's private generator.
-fn user_entry<'a>(
-    users: &'a mut UserMap<UserState>,
-    config: &SystemConfig,
-    master: u64,
-    user: UserId,
-) -> &'a mut UserState {
+fn user_entry(users: &mut UserMap<UserState>, master: u64, user: UserId) -> &mut UserState {
     users.entry_or_insert_with(user, || {
         let stream = derive_seed(derive_seed(master, USER_STREAM_DOMAIN), u64::from(user.raw()));
-        UserState::new(config, seeded(stream))
+        UserState::new(seeded(stream))
     })
 }
 
@@ -165,7 +160,8 @@ fn record_fresh_sets(
 ///
 /// Owns every user's location-management state and obfuscation table,
 /// whose candidate sets carry their posterior weights, and performs output
-/// selection per ad request. Every user draws from a private RNG stream
+/// selection per ad request. The config and the two mechanisms built from
+/// it are held once here and lent to every user's calls. Every user draws from a private RNG stream
 /// derived from the device's master seed, so a user's outputs depend only
 /// on `(master, user id, that user's own operation sequence)`: parallel
 /// serving runs one device per worker thread, and outputs do not depend on
@@ -174,6 +170,9 @@ fn record_fresh_sets(
 pub struct EdgeDevice {
     config: SystemConfig,
     nomadic: PlanarLaplace,
+    /// The n-fold Gaussian mechanism every user's candidate sets are drawn
+    /// from, built once from the config.
+    mechanism: NFoldGaussian,
     users: UserMap<UserState>,
     /// Serving observations since the last [`EdgeDevice::drain_telemetry`].
     /// Deliberately *not* part of [`DeviceSnapshot`]: telemetry describes a
@@ -201,6 +200,7 @@ impl EdgeDevice {
     pub fn new(config: SystemConfig, master: u64) -> Self {
         EdgeDevice {
             nomadic: PlanarLaplace::new(config.nomadic()),
+            mechanism: NFoldGaussian::new(config.geo_ind()),
             config,
             users: UserMap::new(),
             stats: DeviceStats::default(),
@@ -231,7 +231,7 @@ impl EdgeDevice {
     }
 
     fn state_mut(&mut self, user: UserId) -> &mut UserState {
-        user_entry(&mut self.users, &self.config, self.master, user)
+        user_entry(&mut self.users, self.master, user)
     }
 
     /// Records a true-location check-in into the user's current profile
@@ -247,13 +247,13 @@ impl EdgeDevice {
     /// top locations.
     pub fn finalize_window(&mut self, user: UserId) -> usize {
         let config = self.config;
-        let state = user_entry(&mut self.users, &config, self.master, user);
+        let state = user_entry(&mut self.users, self.master, user);
         let sets_before = state.obfuscation.table().len();
         let (scratch, lanes) = self.arena.buffers();
         // Candidate generation draws from the user's private stream, so the
         // sets a user receives never depend on how other users' operations
         // interleave on this shard.
-        let fresh = state.finalize_window_with(scratch, lanes);
+        let fresh = state.finalize_window_with(&config, &self.mechanism, scratch, lanes);
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -277,7 +277,7 @@ impl EdgeDevice {
         user: UserId,
     ) -> Option<privlocad_attack::LocationProfile> {
         let state = self.users.get_mut(user)?;
-        state.manager.finalize_window();
+        state.manager.finalize_window(self.config.profile_theta_m(), self.config.eta());
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -299,11 +299,12 @@ impl EdgeDevice {
         sets: &[PreparedSet],
     ) {
         let config = self.config;
-        let state = user_entry(&mut self.users, &config, self.master, user);
+        let state = user_entry(&mut self.users, self.master, user);
         state.manager.set_top_set(tops);
         let sets_before = state.obfuscation.table().len();
         for set in sets {
-            state.obfuscation.install(set.top(), set.candidates().clone());
+            let candidates = set.candidates().clone();
+            state.obfuscation.install(set.top(), candidates, config.top_match_radius_m());
         }
         // The fleet spent the budget when it generated these sets; the
         // install point is where this device's ledger learns about it.
@@ -329,8 +330,9 @@ impl EdgeDevice {
     /// is at a protected top location.
     pub fn candidates(&self, user: UserId, location: Point) -> Option<Vec<Point>> {
         let state = self.users.get(user)?;
-        let top = state.manager.matching_top(location, self.config.top_match_radius_m())?;
-        Some(state.obfuscation.table().get(top)?.points().collect())
+        let radius = self.config.top_match_radius_m();
+        let top = state.manager.matching_top(location, radius)?;
+        Some(state.obfuscation.table().get(top, radius)?.points().collect())
     }
 
     /// Produces the location to report for an ad request at
@@ -339,11 +341,11 @@ impl EdgeDevice {
     /// planar-Laplace obfuscation for nomadic positions.
     pub fn reported_location(&mut self, user: UserId, current_true: Point) -> Point {
         // Split borrows: no per-request copy of the config.
-        let Self { users, config, nomadic, stats, pending_spends, master, .. } = self;
-        let state = user_entry(users, config, *master, user);
+        let Self { users, config, nomadic, mechanism, stats, pending_spends, master, .. } = self;
+        let state = user_entry(users, *master, user);
         let sets_before = state.obfuscation.table().len();
         let mut request = RequestStats::default();
-        let point = state.reported_location(config, nomadic, current_true, &mut request);
+        let point = state.reported_location(config, nomadic, mechanism, current_true, &mut request);
         stats.location_requests += 1;
         stats.absorb(request);
         // A first request at a freshly merged top can draw its permanent
@@ -404,15 +406,16 @@ impl EdgeDevice {
     }
 
     /// Encodes the device into one contiguous checkpoint buffer (the
-    /// length-prefixed frame format of [`crate::recovery`]) — what
+    /// counted frame format of [`crate::recovery`]) — what
     /// [`EdgeDevice::restore_from_checkpoint`] rebuilds a device from
     /// without per-record allocation.
     ///
     /// The image is streamed straight from the live user states into one
     /// buffer allocated once at its exact length: a first pass interns the
     /// candidate-set pool and sums the frame lengths, a second writes. The
-    /// header binds the config's σ and selection kind; no posterior weight
-    /// is written. No [`DeviceSnapshot`] is built on the way.
+    /// header binds the config's σ, match radius and selection kind; no
+    /// posterior weight is written. No [`DeviceSnapshot`] is built on the
+    /// way.
     pub fn checkpoint(&self) -> Bytes {
         crate::recovery::stream_image(self)
     }
@@ -430,9 +433,10 @@ impl EdgeDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError`] on a corrupt or truncated checkpoint, and
-    /// [`RecoveryError::InvalidPosterior`] on an image whose σ or selection
-    /// kind is not `config`'s, or whose table section overlaps.
+    /// Returns [`RecoveryError`] on a corrupt, truncated or non-canonical
+    /// checkpoint, and [`RecoveryError::InvalidPosterior`] on an image whose
+    /// σ, match radius or selection kind is not `config`'s, or whose table
+    /// section overlaps.
     pub fn restore_from_checkpoint(
         config: SystemConfig,
         log: &[u8],
@@ -578,7 +582,7 @@ impl EdgeDevice {
 mod tests {
     use super::*;
     use privlocad_adnet::{AdNetwork, Campaign, Targeting};
-    use privlocad_mechanisms::{NFoldGaussian, PosteriorSelector};
+    use privlocad_mechanisms::PosteriorSelector;
     use privlocad_openrtb::BidSink;
 
     use crate::SelectionKind;
@@ -963,11 +967,12 @@ mod tests {
         let tops = vec![privlocad_attack::ProfileEntry { location: top, frequency: 60 }];
 
         // A fleet-style install: one prepared set shared by two users.
-        let mut authority =
-            crate::ObfuscationModule::new(config.geo_ind(), config.top_match_radius_m());
+        let mut authority = crate::ObfuscationModule::default();
+        let (mechanism, radius) =
+            (NFoldGaussian::new(config.geo_ind()), config.top_match_radius_m());
         let mut arena = CandidateArena::new();
         let mut pair_counter = 0;
-        arena.prepare(&mut authority, &[top], 11, &mut pair_counter);
+        arena.prepare(&mut authority, &mechanism, radius, &[top], 11, &mut pair_counter);
         let mut e = edge();
         e.install_protection(UserId::new(1), tops.clone(), arena.sets());
         e.install_protection(UserId::new(2), tops, arena.sets());
@@ -994,15 +999,19 @@ mod tests {
     }
 
     /// A merged top set that is not the user's profile prefix keeps its
-    /// own entries through checkpoint, restore and re-checkpoint; one that
-    /// is the prefix stays the prefix, and the footprint counts no copy of
-    /// it.
+    /// own entries through checkpoint, restore and re-checkpoint, and the
+    /// image writes them out; a window-closed set, and an installed one
+    /// that is the prefix, stay the prefix, which the image writes as its
+    /// length, and the footprint counts no copy of it.
     #[test]
     fn installed_top_sets_keep_their_form_across_a_restore() {
+        use crate::management::TopSet;
+
         let config = SystemConfig::builder().build().unwrap();
-        let (settled, merged) = (UserId::new(1), UserId::new(2));
+        let (closed, settled, merged) = (UserId::new(0), UserId::new(1), UserId::new(2));
         let home = Point::new(1_000.0, 0.0);
         let mut e = edge();
+        settle_home(&mut e, closed, home);
         settle_home(&mut e, settled, home);
         settle_home(&mut e, merged, home);
         let prefix = e.users.get(settled).unwrap().manager.top_set().to_vec();
@@ -1014,9 +1023,14 @@ mod tests {
             manager.top_set().as_ptr() == manager.profile().entries().as_ptr()
         };
         let image = e.checkpoint();
+        let snap = DeviceSnapshot::decode(&image).unwrap();
+        let form = |user| &snap.record(user).unwrap().top_set;
+        assert_eq!(*form(closed), TopSet::Prefix(1), "a window close writes its prefix");
+        assert_eq!(*form(settled), TopSet::Prefix(1), "an installed prefix too");
+        assert_eq!(*form(merged), TopSet::Installed(tops.clone().into_boxed_slice()));
         let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
         for device in [&e, &restored] {
-            assert!(aliased(device, settled), "the prefix is stored once");
+            assert!(aliased(device, closed) && aliased(device, settled), "prefixes stored once");
             assert!(!aliased(device, merged), "the merged set keeps its own entries");
             assert_eq!(device.users.get(merged).unwrap().manager.top_set(), tops);
         }
@@ -1033,7 +1047,8 @@ mod tests {
         let office = Point::new(9_000.0, 0.0);
         settle_home(&mut e, user, home);
         let stored = |e: &EdgeDevice| {
-            e.users.get(user).unwrap().obfuscation.table().get(home).unwrap().addr()
+            let table = e.users.get(user).unwrap().obfuscation.table();
+            table.get(home, e.config.top_match_radius_m()).unwrap().addr()
         };
         let before = stored(&e);
         for _ in 0..4 {

@@ -3,6 +3,7 @@ use std::collections::BTreeMap;
 use privlocad_attack::LocationProfile;
 use privlocad_geo::rng::derive_seed;
 use privlocad_geo::Point;
+use privlocad_mechanisms::NFoldGaussian;
 use privlocad_mobility::UserId;
 
 use crate::{frequent_location_set, CandidateArena, EdgeDevice, ObfuscationModule, SystemConfig};
@@ -46,6 +47,9 @@ pub struct EdgeFleet {
     config: SystemConfig,
     sites: Vec<Point>,
     edges: Vec<EdgeDevice>,
+    /// The n-fold Gaussian mechanism every per-user authority draws with,
+    /// built once from the config.
+    mechanism: NFoldGaussian,
     authorities: BTreeMap<UserId, ObfuscationModule>,
     /// Batched-generation buffers plus the staged shared sets of the
     /// current install, reused across every window close.
@@ -75,6 +79,7 @@ impl EdgeFleet {
             .map(|i| EdgeDevice::new(config, derive_seed(seed, i as u64)))
             .collect();
         EdgeFleet {
+            mechanism: NFoldGaussian::new(config.geo_ind()),
             config,
             sites,
             edges,
@@ -146,11 +151,16 @@ impl EdgeFleet {
         //    The arena batch-generates every fresh set through the lane
         //    kernel and stages a shared handle to each queried top's set,
         //    posterior weights included.
-        let authority = self.authorities.entry(user).or_insert_with(|| {
-            ObfuscationModule::new(self.config.geo_ind(), self.config.top_match_radius_m())
-        });
+        let authority = self.authorities.entry(user).or_default();
         let top_points: Vec<Point> = tops.iter().map(|e| e.location).collect();
-        let fresh = self.arena.prepare(authority, &top_points, self.master, &mut self.pair_counter);
+        let fresh = self.arena.prepare(
+            authority,
+            &self.mechanism,
+            self.config.top_match_radius_m(),
+            &top_points,
+            self.master,
+            &mut self.pair_counter,
+        );
 
         // 4. Install the merged protection on every edge: per edge this is
         //    an `Arc` bump per set, not a candidate-vector clone plus a

@@ -48,23 +48,31 @@ fn frequent_prefix_len(profile: &LocationProfile, eta: EtaThreshold) -> usize {
 ///
 /// A window close computes the set as a prefix of the profile it just
 /// built, so it stores only the prefix length. A fleet install of a merged
-/// set that is not such a prefix keeps its own exact-size copy.
+/// set that is not such a prefix keeps its own exact-size copy. A
+/// checkpoint writes the set in the same form (DESIGN.md §12).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum TopSet {
+pub(crate) enum TopSet {
     /// The profile's first `k` entries.
     Prefix(usize),
     /// Entries that are not a prefix of the profile.
     Installed(Box<[ProfileEntry]>),
 }
 
+impl Default for TopSet {
+    fn default() -> Self {
+        TopSet::Prefix(0)
+    }
+}
+
 impl TopSet {
     /// The one canonical form of `tops` over `profile`: the prefix length
     /// when `tops` equals the profile's first entries bit for bit, an
-    /// exact-size copy otherwise. Every stored set goes through here, so
+    /// exact-size copy otherwise. Every stored set goes through here, and a
+    /// checkpoint reader refuses any set it would not store this way, so
     /// equal window states compare equal and re-stream the same bytes.
-    fn of(profile: &LocationProfile, tops: Vec<ProfileEntry>) -> TopSet {
+    pub(crate) fn of(profile: &[ProfileEntry], tops: Vec<ProfileEntry>) -> TopSet {
         let bits = |e: &ProfileEntry| (e.location.x.to_bits(), e.location.y.to_bits(), e.frequency);
-        let prefix = profile.entries().get(..tops.len());
+        let prefix = profile.get(..tops.len());
         if prefix.is_some_and(|p| p.iter().map(bits).eq(tops.iter().map(bits))) {
             TopSet::Prefix(tops.len())
         } else {
@@ -73,7 +81,8 @@ impl TopSet {
     }
 
     /// How many entries the set holds.
-    fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         match self {
             TopSet::Prefix(k) => *k,
             TopSet::Installed(tops) => tops.len(),
@@ -89,10 +98,11 @@ impl TopSet {
 /// prefix it is. The set is re-computed periodically "since users will
 /// possibly (although not frequently) change their top locations in real
 /// life" (Section V-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A manager holds only its user's window state: θ and η are the device's,
+/// passed to each window close.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LocationManager {
-    theta_m: f64,
-    eta: EtaThreshold,
     buffer: Vec<Point>,
     profile: LocationProfile,
     top_set: TopSet,
@@ -100,24 +110,6 @@ pub struct LocationManager {
 }
 
 impl LocationManager {
-    /// Creates a manager with profiling threshold `theta_m` (meters) and
-    /// the η policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta_m` is not positive and finite.
-    pub fn new(theta_m: f64, eta: EtaThreshold) -> Self {
-        assert!(theta_m.is_finite() && theta_m > 0.0, "theta must be positive and finite");
-        LocationManager {
-            theta_m,
-            eta,
-            buffer: Vec::new(),
-            profile: LocationProfile::default(),
-            top_set: TopSet::Prefix(0),
-            windows_closed: 0,
-        }
-    }
-
     /// Buffers one true-location check-in for the current window.
     ///
     /// A full buffer grows by a quarter (at least 8 check-ins), not by
@@ -143,10 +135,22 @@ impl LocationManager {
     }
 
     /// How many check-ins are buffered, profile entries recorded and
-    /// η-frequent entries held — the shape a checkpoint frame is sized by,
-    /// read without touching a location.
+    /// η-frequent entries stored apart from the profile (none for a
+    /// prefix) — the shape a checkpoint frame is sized by, read without
+    /// touching a location.
     pub(crate) fn window_lens(&self) -> (usize, usize, usize) {
-        (self.buffer.len(), self.profile.len(), self.top_set.len())
+        let installed = if let TopSet::Installed(tops) = &self.top_set { tops.len() } else { 0 };
+        (self.buffer.len(), self.profile.len(), installed)
+    }
+
+    /// The η-frequent set's prefix length when it is stored as the
+    /// profile's first entries, `None` when it is stored apart — the form a
+    /// checkpoint writes it in, read without touching a location.
+    pub(crate) fn top_set_prefix(&self) -> Option<usize> {
+        match self.top_set {
+            TopSet::Prefix(k) => Some(k),
+            TopSet::Installed(_) => None,
+        }
     }
 
     /// Bytes of window state this manager stores: the buffered check-ins,
@@ -154,41 +158,41 @@ impl LocationManager {
     /// η-frequent set — counted by length, read without touching a
     /// location.
     pub(crate) fn stored_bytes(&self) -> usize {
-        let installed = if let TopSet::Installed(tops) = &self.top_set { tops.len() } else { 0 };
-        self.buffer.len() * size_of::<Point>()
-            + (self.profile.len() + installed) * size_of::<ProfileEntry>()
+        let (buffer, profile, installed) = self.window_lens();
+        buffer * size_of::<Point>() + (profile + installed) * size_of::<ProfileEntry>()
     }
 
-    /// Reinstates checkpointed window state: the open window's buffer, the
-    /// last computed profile (in its recorded entry order), the η-frequent
-    /// set in its canonical form ([`LocationManager::set_top_set`]), and
-    /// the window epoch. θ and η keep their constructor values — they come
-    /// from the device config, which the restore caller supplies.
-    pub(crate) fn restore_window_state(
-        &mut self,
+    /// A manager holding checkpointed window state: the open window's
+    /// buffer, the last computed profile (in its recorded entry order),
+    /// the η-frequent set in the form the checkpoint reader checked is
+    /// canonical ([`TopSet::of`]), and the window epoch.
+    pub(crate) fn restored(
         buffer: Vec<Point>,
         profile: LocationProfile,
-        top_set: Vec<ProfileEntry>,
+        top_set: TopSet,
         windows_closed: usize,
-    ) {
-        self.buffer = buffer;
-        self.top_set = TopSet::of(&profile, top_set);
-        self.profile = profile;
-        self.windows_closed = windows_closed;
+    ) -> Self {
+        LocationManager { buffer, profile, top_set, windows_closed }
     }
 
     /// Closes the window: rebuilds the profile from the buffered check-ins
-    /// and recomputes the η-frequent location set. Returns the new set.
+    /// at profiling threshold `theta_m` (meters) and recomputes the
+    /// η-frequent location set under `eta`. Returns the new set.
     ///
     /// The closed window's buffer is freed, not cleared: a device holds
     /// thousands of users between windows, and each kept buffer would pin
     /// its high-water capacity until the user's next window fills it.
     ///
     /// An empty window leaves the previous profile in place.
-    pub fn finalize_window(&mut self) -> &[ProfileEntry] {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta_m` is not positive and finite while check-ins are
+    /// buffered ([`LocationProfile::from_checkins`]).
+    pub fn finalize_window(&mut self, theta_m: f64, eta: EtaThreshold) -> &[ProfileEntry] {
         if !self.buffer.is_empty() {
-            self.profile = LocationProfile::from_checkins(&self.buffer, self.theta_m);
-            self.top_set = TopSet::Prefix(frequent_prefix_len(&self.profile, self.eta));
+            self.profile = LocationProfile::from_checkins(&self.buffer, theta_m);
+            self.top_set = TopSet::Prefix(frequent_prefix_len(&self.profile, eta));
             self.buffer = Vec::new();
         }
         self.windows_closed += 1;
@@ -225,7 +229,7 @@ impl LocationManager {
     /// profile is stored as that prefix; any other keeps an exact-size
     /// copy.
     pub fn set_top_set(&mut self, tops: Vec<ProfileEntry>) {
-        self.top_set = TopSet::of(&self.profile, tops);
+        self.top_set = TopSet::of(self.profile.entries(), tops);
     }
 
     /// Finds the top location nearest to `location` within `match_radius_m`
@@ -250,6 +254,9 @@ impl LocationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The profiling threshold every test closes its windows at.
+    const THETA: f64 = 50.0;
 
     fn entry(x: f64, f: usize) -> ProfileEntry {
         ProfileEntry { location: Point::new(x, 0.0), frequency: f }
@@ -286,7 +293,7 @@ mod tests {
 
     #[test]
     fn manager_window_lifecycle() {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        let mut m = LocationManager::default();
         assert!(m.top_set().is_empty());
         assert_eq!(m.pending(), 0);
         for _ in 0..80 {
@@ -296,7 +303,7 @@ mod tests {
             m.record(Point::new(9_000.0, 0.0));
         }
         assert_eq!(m.pending(), 100);
-        let tops = m.finalize_window().to_vec();
+        let tops = m.finalize_window(THETA, EtaThreshold::Fraction(0.8)).to_vec();
         assert_eq!(m.pending(), 0);
         assert_eq!(m.windows_closed(), 1);
         assert_eq!(tops.len(), 1); // 80 ≥ 0.8·100
@@ -314,15 +321,18 @@ mod tests {
                 m.record(Point::new(x + 9_000.0, 0.0));
             }
         };
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        let mut m = LocationManager::default();
         fill(&mut m, 0.0);
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.8));
         assert_eq!(m.buffer.capacity(), 0, "a closed window owns no allocation");
         // A refilled window profiles exactly like a fresh manager's.
         fill(&mut m, 30_000.0);
-        let mut fresh = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        let mut fresh = LocationManager::default();
         fill(&mut fresh, 30_000.0);
-        assert_eq!(m.finalize_window(), fresh.finalize_window());
+        assert_eq!(
+            m.finalize_window(THETA, EtaThreshold::Fraction(0.8)),
+            fresh.finalize_window(THETA, EtaThreshold::Fraction(0.8))
+        );
         assert_eq!(m.profile(), fresh.profile());
         assert_eq!(m.buffer.capacity(), 0);
     }
@@ -331,7 +341,7 @@ mod tests {
     /// (plus 8 check-ins) of what it holds.
     #[test]
     fn open_window_grows_by_a_quarter() {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        let mut m = LocationManager::default();
         for i in 0..50_000 {
             m.record(Point::new(f64::from(i % 97) * 10.0, 0.0));
             let (len, cap) = (m.buffer.len(), m.buffer.capacity());
@@ -341,13 +351,13 @@ mod tests {
 
     /// A manager with a three-place profile and a two-entry η-prefix.
     fn settled() -> LocationManager {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.8));
+        let mut m = LocationManager::default();
         for (x, n) in [(0.0, 60), (9_000.0, 30), (20_000.0, 10)] {
             for _ in 0..n {
                 m.record(Point::new(x, 0.0));
             }
         }
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.8));
         m
     }
 
@@ -357,7 +367,7 @@ mod tests {
         assert_eq!(m.top_set, TopSet::Prefix(2));
         let (tops, entries) = (m.top_set().as_ptr_range(), m.profile().entries().as_ptr_range());
         assert!(entries.start == tops.start && tops.end <= entries.end, "inside the profile");
-        assert_eq!(m.top_set(), frequent_location_set(m.profile(), m.eta));
+        assert_eq!(m.top_set(), frequent_location_set(m.profile(), EtaThreshold::Fraction(0.8)));
     }
 
     #[test]
@@ -384,50 +394,44 @@ mod tests {
 
     #[test]
     fn empty_window_keeps_previous_profile() {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.5));
+        let mut m = LocationManager::default();
         m.record(Point::ORIGIN);
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.5));
         let before = m.top_set().to_vec();
-        m.finalize_window(); // nothing buffered
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.5)); // nothing buffered
         assert_eq!(m.top_set(), before.as_slice());
         assert_eq!(m.windows_closed(), 2);
     }
 
     #[test]
     fn new_window_replaces_profile() {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(0.9));
+        let mut m = LocationManager::default();
         for _ in 0..10 {
             m.record(Point::new(0.0, 0.0));
         }
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.9));
         assert!(m.matching_top(Point::ORIGIN, 200.0).is_some());
         // User moved: next window is all at a new home.
         for _ in 0..10 {
             m.record(Point::new(20_000.0, 0.0));
         }
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(0.9));
         assert!(m.matching_top(Point::ORIGIN, 200.0).is_none());
         assert!(m.matching_top(Point::new(20_000.0, 0.0), 200.0).is_some());
     }
 
     #[test]
     fn matching_top_picks_nearest() {
-        let mut m = LocationManager::new(50.0, EtaThreshold::Fraction(1.0));
+        let mut m = LocationManager::default();
         for _ in 0..10 {
             m.record(Point::new(0.0, 0.0));
         }
         for _ in 0..10 {
             m.record(Point::new(300.0, 0.0));
         }
-        m.finalize_window();
+        m.finalize_window(THETA, EtaThreshold::Fraction(1.0));
         let top = m.matching_top(Point::new(290.0, 0.0), 200.0).unwrap();
         assert!(top.distance(Point::new(300.0, 0.0)) < 1.0);
         assert!(m.matching_top(Point::new(150.0, 5_000.0), 200.0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "theta must be positive")]
-    fn rejects_bad_theta() {
-        let _ = LocationManager::new(0.0, EtaThreshold::Count(1));
     }
 }

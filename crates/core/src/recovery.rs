@@ -21,14 +21,18 @@
 //!
 //! The posterior weights a protected top draws from (Algorithm 4) are
 //! post-processing over its set, a pure function of the set and σ, so the
-//! image does not carry them: the header binds σ and the selection kind,
-//! and the restore recomputes each pooled set's weights, refusing an
-//! image written under another σ or selection kind as
-//! [`RecoveryError::InvalidPosterior`].
+//! image does not carry them: the header binds σ, the match radius and the
+//! selection kind — device constants, not per-user facts — and the restore
+//! recomputes each pooled set's weights, refusing an image written under
+//! another σ, radius or selection kind as
+//! [`RecoveryError::InvalidPosterior`]. A user frame writes the η-frequent
+//! set in the form its manager stores it: the length of the profile prefix
+//! it is, or its own entries when a fleet install stored it apart.
 //!
-//! The image is versioned, length-prefix-framed, and FNV-1a checksummed.
-//! Version 3 is the only format: one contiguous buffer per device, every
-//! pool entry and user record carried as a length-prefixed frame. A live
+//! The image is versioned, counted, and FNV-1a checksummed. Version 4 is
+//! the only format: one contiguous buffer per device, every pool entry a
+//! counted point list and every user frame a fixed run of fields and
+//! counted lists, in ascending user order. A live
 //! device streams it straight from its user states
 //! ([`crate::EdgeDevice::checkpoint`]), and one in-place slice reader
 //! reads it, for [`crate::EdgeDevice::restore_from_checkpoint`] and for
@@ -58,31 +62,46 @@ use privlocad_mobility::UserId;
 use privlocad_openrtb::fnv1a64;
 use rand::rngs::StdRng;
 
+use crate::management::TopSet;
 use crate::user::{UserMap, UserState};
 use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SelectionKind, SystemConfig};
 
 /// Log magic: `"PLAD"` big-endian.
 const MAGIC: u32 = 0x504C_4144;
-/// Log format version: pooled sets, length-prefix-framed user records,
-/// and σ and the selection kind bound in the header.
-const VERSION: u16 = 3;
+/// Log format version: pooled sets, user frames holding only per-user
+/// facts, and σ, the match radius and the selection kind bound in the
+/// header.
+const VERSION: u16 = 4;
 
-/// Fixed header bytes of a v3 image: magic, version, master, σ's bits and
-/// the selection byte.
-const HEADER_LEN: usize = 4 + 2 + 8 + 8 + 1;
+/// Fixed header bytes of a v4 image: magic, version, master, σ's bits,
+/// the match radius's bits and the selection byte.
+const HEADER_LEN: usize = 4 + 2 + 8 + 8 + 8 + 1;
 
-/// Fixed bytes of every v3 image: the header, the set-pool and user
+/// Fixed bytes of every v4 image: the header, the set-pool and user
 /// counts, and the trailing FNV-1a checksum.
 const IMAGE_FIXED_LEN: usize = HEADER_LEN + 2 * 4 + 8;
 
-/// What a v3 header binds an image to, after its magic and version: the
-/// master seed its per-user streams derive from, and the two config
-/// values its sets' posterior weights derive from — σ, as `f64` bits, and
-/// the selection kind, as one byte.
+/// Encoded bytes of one profile or explicit top-set entry: a point and its
+/// frequency as a `u32`.
+const ENTRY_LEN: usize = 16 + 4;
+
+/// Top-set form byte of a set that is the profile's first `k` entries,
+/// written as `k` alone.
+const PREFIX_FORM: u8 = 0;
+/// Top-set form byte of a set stored apart from the profile, written
+/// entry by entry.
+const EXPLICIT_FORM: u8 = 1;
+
+/// What a v4 header binds an image to, after its magic and version: the
+/// master seed its per-user streams derive from, and the three config
+/// values the restored serving state derives from — σ (the sets' posterior
+/// weights) and the match radius (which set covers which top), as `f64`
+/// bits, and the selection kind, as one byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Header {
     pub(crate) master: u64,
     sigma: u64,
+    radius: u64,
     selection: u8,
 }
 
@@ -93,7 +112,12 @@ impl Header {
             SelectionKind::Posterior => 0,
             SelectionKind::Uniform => 1,
         };
-        Header { master, sigma: sigma(config).to_bits(), selection }
+        Header {
+            master,
+            sigma: sigma(config).to_bits(),
+            radius: config.top_match_radius_m().to_bits(),
+            selection,
+        }
     }
 }
 
@@ -103,13 +127,14 @@ fn sigma(config: &SystemConfig) -> f64 {
     NFoldGaussian::new(config.geo_ind()).sigma()
 }
 
-/// Writes the fixed v3 header: magic, version, master, σ's bits and the
-/// selection byte.
+/// Writes the fixed v4 header: magic, version, master, σ's bits, the
+/// match radius's bits and the selection byte.
 fn put_header<B: BufMut>(buf: &mut B, header: Header) {
     buf.put_u32(MAGIC);
     buf.put_u16(VERSION);
     buf.put_u64(header.master);
     buf.put_u64(header.sigma);
+    buf.put_u64(header.radius);
     buf.put_u8(header.selection);
 }
 
@@ -121,13 +146,13 @@ fn seal(mut buf: BytesMut) -> Bytes {
     buf.freeze()
 }
 
-/// Encoded bytes of one set-pool entry: length prefix, point count and
-/// `points` points.
+/// Encoded bytes of one set-pool entry: its point count and `points`
+/// points.
 fn set_entry_len(points: usize) -> usize {
-    4 + 4 + points * 16
+    4 + points * 16
 }
 
-/// Writes the set pool: a count, then one length-prefixed frame per set.
+/// Writes the set pool: a count, then each set as a counted point list.
 fn put_sets<B, S>(buf: &mut B, sets: impl ExactSizeIterator<Item = S>)
 where
     B: BufMut,
@@ -135,47 +160,46 @@ where
 {
     buf.put_u32(sets.len() as u32);
     for set in sets {
-        buf.put_u32((set_entry_len(set.len()) - 4) as u32);
         put_points(buf, set);
     }
 }
 
-/// Encoded bytes of one user frame, its length prefix included: the
-/// fixed fields plus `buffer` check-ins, `profile` and `top_set` entries,
-/// and `table` pool references.
-fn user_frame_len(buffer: usize, profile: usize, top_set: usize, table: usize) -> usize {
-    // Length prefix, user id, window epoch, four RNG words, match radius
-    // and the four section counts; then 16-byte points, 24-byte profile
-    // entries and 20-byte pool references.
-    4 + 4 + 8 + 32 + 8 + 4 * 4 + buffer * 16 + (profile + top_set) * 24 + table * 20
+/// Encoded bytes of one user frame: the fixed fields plus `buffer`
+/// check-ins, `profile` profile entries, `explicit` top-set entries
+/// written out (none for a prefix) and `table` pool references.
+fn user_frame_len(buffer: usize, profile: usize, explicit: usize, table: usize) -> usize {
+    // User id, window epoch and four RNG words; the buffer and profile
+    // counts, the top-set form byte and length, and the table count; then
+    // 16-byte points, 20-byte entries and 20-byte pool references.
+    4 + 8 + 32 + 4 + 4 + 1 + 4 + 4 + buffer * 16 + (profile + explicit) * ENTRY_LEN + table * 20
+}
+
+/// A user frame's η-frequent set, in the form its manager stores it
+/// ([`TopSet`]): the length of a profile prefix, or the entries of a set
+/// stored apart.
+enum FrameTopSet<'a> {
+    Prefix(usize),
+    Explicit(&'a [ProfileEntry]),
 }
 
 /// One user frame's fields, borrowed from live serving state
-/// ([`Pools::put_user`]). The corruption tests write hand-built records through
-/// the same [`put_user_frame`], so the v3 user layout is written in one
-/// place.
+/// ([`Pools::put_user`]). The corruption tests write hand-built records
+/// through the same [`put_user_frame`], so the v4 user layout is written in
+/// one place.
 struct UserFrame<'a> {
     user: u32,
     windows_closed: u64,
     rng_words: [u64; 4],
     buffer: &'a [Point],
     profile: &'a [ProfileEntry],
-    top_set: &'a [ProfileEntry],
-    table_radius: f64,
+    top_set: FrameTopSet<'a>,
     table: &'a [(Point, u32)],
 }
 
-impl UserFrame<'_> {
-    fn len(&self) -> usize {
-        user_frame_len(self.buffer.len(), self.profile.len(), self.top_set.len(), self.table.len())
-    }
-}
-
-/// Writes one user frame, length prefix first — the one writer of the v3
-/// user layout, behind the streamed checkpoint. The flow lint models it as
-/// a sink: it serializes true window state.
+/// Writes one user frame — the one writer of the v4 user layout, behind
+/// the streamed checkpoint. The flow lint models it as a sink: it
+/// serializes true window state.
 fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
-    buf.put_u32((frame.len() - 4) as u32);
     buf.put_u32(frame.user);
     buf.put_u64(frame.windows_closed);
     for word in frame.rng_words {
@@ -183,8 +207,16 @@ fn put_user_frame<B: BufMut>(buf: &mut B, frame: &UserFrame<'_>) {
     }
     put_points(buf, frame.buffer.iter().copied());
     put_entries(buf, frame.profile);
-    put_entries(buf, frame.top_set);
-    buf.put_f64(frame.table_radius);
+    match frame.top_set {
+        FrameTopSet::Prefix(k) => {
+            buf.put_u8(PREFIX_FORM);
+            buf.put_u32(k as u32);
+        }
+        FrameTopSet::Explicit(tops) => {
+            buf.put_u8(EXPLICIT_FORM);
+            put_entries(buf, tops);
+        }
+    }
     buf.put_u32(frame.table.len() as u32);
     for &(top, idx) in frame.table {
         buf.put_f64(top.x);
@@ -206,17 +238,16 @@ pub(crate) struct UserRecord {
     pub(crate) buffer: Vec<Point>,
     /// The last computed profile, in its recorded entry order.
     pub(crate) profile: Vec<ProfileEntry>,
-    /// The η-frequent location set.
-    pub(crate) top_set: Vec<ProfileEntry>,
-    /// The obfuscation table's proximity match radius, meters.
-    pub(crate) table_radius: f64,
+    /// The η-frequent location set, in the one canonical form a manager
+    /// stores it in ([`TopSet::of`]).
+    pub(crate) top_set: TopSet,
     /// The permanent obfuscation table: `(top, candidate-pool index)` —
     /// the released candidate sets whose loss would be a budget
     /// violation.
     pub(crate) table: Vec<(Point, u32)>,
 }
 
-/// The set pool of a v3 image, interned from live user states, and every
+/// The set pool of a v4 image, interned from live user states, and every
 /// user's references into it.
 ///
 /// A set that one table entry holds (no other handle to it is alive) takes
@@ -247,7 +278,9 @@ struct Pools<'d> {
 
 impl<'d> Pools<'d> {
     /// Interns every candidate set `state` cites, records the pool index of
-    /// each table entry, and returns the user's frame length.
+    /// each table entry, and returns the user's frame length — sized from
+    /// stored lengths, its top-set form from the stored form, so this pass
+    /// reads no location.
     fn intern(&mut self, state: &'d UserState) -> usize {
         let table = state.obfuscation.table();
         for (_, set) in table.entries() {
@@ -262,8 +295,8 @@ impl<'d> Pools<'d> {
             }
             self.table_refs.push(idx);
         }
-        let (buffer, profile, top_set) = state.manager.window_lens();
-        user_frame_len(buffer, profile, top_set, table.len())
+        let (buffer, profile, installed) = state.manager.window_lens();
+        user_frame_len(buffer, profile, installed, table.len())
     }
 
     /// Writes the frame of `state`, the next user in pass 1's order, with
@@ -275,14 +308,17 @@ impl<'d> Pools<'d> {
         self.table.clear();
         self.table.extend(entries.zip(refs).map(|((t, _), &i)| (t, i)));
         self.replayed += self.table.len();
+        let top_set = match state.manager.top_set_prefix() {
+            Some(k) => FrameTopSet::Prefix(k),
+            None => FrameTopSet::Explicit(state.manager.top_set()),
+        };
         let frame = UserFrame {
             user: user.raw(),
             windows_closed: state.manager.windows_closed() as u64,
             rng_words: state.stream.state(),
             buffer: state.manager.buffered(),
             profile: state.manager.profile().entries(),
-            top_set: state.manager.top_set(),
-            table_radius: state.obfuscation.table().match_radius_m(),
+            top_set,
             table: &self.table,
         };
         // lint:allow(location-leak): the checkpoint must carry the true window state to restore bit-identically; the image is streamed on demand inside the trusted edge and its only consumers are the restore paths (DESIGN.md §12)
@@ -290,7 +326,7 @@ impl<'d> Pools<'d> {
     }
 }
 
-/// Streams a v3 image of `edge` straight from its live state into one
+/// Streams a v4 image of `edge` straight from its live state into one
 /// buffer allocated once at its exact length. Pass 1 interns the set pool
 /// and sums the frame lengths; pass 2 writes, replaying pass 1's
 /// references.
@@ -311,7 +347,7 @@ pub(crate) fn stream_image(edge: &crate::EdgeDevice) -> Bytes {
     image
 }
 
-/// A section of a v3 image, announced to an [`ImageSink`] before its
+/// A section of a v4 image, announced to an [`ImageSink`] before its
 /// entries arrive.
 #[derive(Debug, Clone, Copy)]
 enum Section {
@@ -319,7 +355,7 @@ enum Section {
     Users,
 }
 
-/// Receives the parts of a v3 image in image order: the set pool, then
+/// Receives the parts of a v4 image in image order: the set pool, then
 /// one record per user frame, each bounds-checked by [`read_image`].
 /// [`DeviceSnapshot`] collects them; [`Restore`] builds live serving state
 /// from them as they arrive. The two sinks see the same parts, so they
@@ -360,7 +396,7 @@ impl ImageSink for Restore<'_> {
 
     fn user(&mut self, record: UserRecord) -> Result<(), RecoveryError> {
         let (user, entries) = (record.user, record.table.len());
-        let state = restore_user_owned(self.config, record, &self.sets)?;
+        let state = restore_user_owned(record, &self.sets, self.config.top_match_radius_m())?;
         if state.obfuscation.table().len() != entries {
             self.overlapping.get_or_insert(user.raw());
         }
@@ -381,9 +417,10 @@ impl<'c> Restore<'c> {
     }
 
     /// The restored users and master seed of an image read with `header`
-    /// — if the header binds the restoring config's σ and selection kind,
-    /// so the weights the restore computed are the ones the writing device
-    /// drew from, and no table section overlaps. Anything else is
+    /// — if the header binds the restoring config's σ, match radius and
+    /// selection kind, so the weights the restore computed are the ones the
+    /// writing device drew from and each top is covered by the set that
+    /// covered it there, and no table section overlaps. Anything else is
     /// [`RecoveryError::InvalidPosterior`] (with no user for the header),
     /// reported after any structural defect in the image, so the decoder
     /// and the restore agree on every defect the reader finds.
@@ -398,7 +435,7 @@ impl<'c> Restore<'c> {
     }
 }
 
-/// Restores the users of a v3 image straight into live serving state,
+/// Restores the users of a v4 image straight into live serving state,
 /// reading the image once; returns its master seed with the users.
 pub(crate) fn restore_image(
     config: &SystemConfig,
@@ -413,34 +450,30 @@ pub(crate) fn restore_image(
 /// state verbatim (profile entries in their recorded order — the order is
 /// load-bearing, `from_checkins` does not sort), the private RNG stream at
 /// its saved position, and the obfuscation table as shared handles into
-/// the restored set pool. An entry within the match radius of an earlier
+/// the restored set pool. An entry within `match_radius_m` of an earlier
 /// one is dropped, as a live table drops it; the restore refuses such an
 /// image ([`Restore::finish`]). The record is consumed: the check-in
 /// buffer, profile, and top set move straight into the rebuilt state with
 /// no intermediate clones.
 fn restore_user_owned(
-    config: &SystemConfig,
     record: UserRecord,
     sets: &[PosteriorTable],
+    match_radius_m: f64,
 ) -> Result<UserState, RecoveryError> {
     let user = record.user.raw();
-    let mut manager = LocationManager::new(config.profile_theta_m(), config.eta());
-    manager.restore_window_state(
+    let manager = LocationManager::restored(
         record.buffer,
         LocationProfile::from_ordered_entries(record.profile),
         record.top_set,
         record.windows_closed as usize,
     );
-    if !(record.table_radius.is_finite() && record.table_radius > 0.0) {
-        return Err(RecoveryError::InvalidRadius(record.table_radius));
-    }
-    let mut table = ObfuscationTable::new(record.table_radius);
+    let mut table = ObfuscationTable::default();
     table.reserve_exact(record.table.len());
     for (top, idx) in record.table {
         let set = sets.get(idx as usize).ok_or(RecoveryError::BadPoolRef { user })?;
-        table.insert(top, set.clone());
+        table.insert(top, set.clone(), match_radius_m);
     }
-    let obfuscation = ObfuscationModule::from_table(config.geo_ind(), table);
+    let obfuscation = ObfuscationModule::from_table(table);
     // Resume the user's private stream at its exact saved position — a
     // restored shard never re-draws anything a user already received.
     let stream = StdRng::from_state(record.rng_words);
@@ -456,8 +489,8 @@ fn restore_user_owned(
 /// ([`crate::EdgeDevice::restore_from_checkpoint`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
-    /// The image's header: the captured device's master seed, σ and
-    /// selection kind.
+    /// The image's header: the captured device's master seed, σ, match
+    /// radius and selection kind.
     pub(crate) header: Header,
     /// Distinct permanent candidate sets, in first-seen capture order.
     pub(crate) sets: Vec<Arc<[Point]>>,
@@ -480,8 +513,10 @@ impl DeviceSnapshot {
         self.sets.len()
     }
 
+    /// The record of `user`: a binary search, since the reader accepts
+    /// user frames in ascending id order only.
     pub(crate) fn record(&self, user: UserId) -> Option<&UserRecord> {
-        self.users.iter().find(|r| r.user == user)
+        self.users.binary_search_by_key(&user, |r| r.user).ok().map(|i| &self.users[i])
     }
 
     /// The pooled candidate set behind reference `idx` of `user`.
@@ -508,7 +543,7 @@ impl DeviceSnapshot {
         Ok(sets)
     }
 
-    /// Decodes a v3 checkpoint image: the records of the one image reader,
+    /// Decodes a v4 checkpoint image: the records of the one image reader,
     /// collected.
     ///
     /// Total: truncated, oversized, bit-flipped, or wrong-format input
@@ -545,8 +580,8 @@ impl ImageSink for DeviceSnapshot {
     }
 }
 
-/// Bounds-checked big-endian reader over a borrowed log body. Frames
-/// ([`Reader::frame`]) are sub-slices of the same buffer — the reader
+/// Bounds-checked big-endian reader over a borrowed log body. Counted
+/// lists ([`Reader::items`]) are sub-slices of the same buffer — the reader
 /// never copies bytes; only the final owned state allocates.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -586,17 +621,6 @@ impl<'a> Reader<'a> {
         Ok(self.buf.get_f64())
     }
 
-    /// Reads a length prefix and splits off that many bytes as a
-    /// sub-reader — the length-prefixed frame primitive. The parent
-    /// advances past the frame whether or not the caller consumes it.
-    fn frame(&mut self) -> Result<Reader<'a>, RecoveryError> {
-        let len = self.get_u32()? as usize;
-        self.need(len)?;
-        let (head, tail) = self.buf.split_at(len);
-        self.buf = tail;
-        Ok(Reader { buf: head })
-    }
-
     /// Reads a `u32` count and splits off that many `width`-byte items.
     fn items(&mut self, width: usize) -> Result<&'a [u8], RecoveryError> {
         let len = (self.get_u32()? as usize).saturating_mul(width);
@@ -616,12 +640,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads a v3 image into `sink` and returns its header — the one reader
+/// Reads a v4 image into `sink` and returns its header — the one reader
 /// of the layout, behind [`DeviceSnapshot::decode`] and [`restore_image`].
-/// The checksum is verified before any field is trusted; every frame and
-/// pool reference is bounds-checked before its part reaches the sink; and
-/// no section count is reserved for beyond what the remaining bytes can
-/// hold.
+/// The checksum is verified before any field is trusted; every part and
+/// pool reference is bounds-checked before it reaches the sink; user frames
+/// must come in ascending id order and each top set in its canonical form,
+/// as every device writes them; and no section count is reserved for
+/// beyond what the remaining bytes can hold.
 fn read_image(buf: &[u8], sink: &mut impl ImageSink) -> Result<Header, RecoveryError> {
     if buf.len() < 8 {
         return Err(RecoveryError::Truncated);
@@ -643,14 +668,21 @@ fn read_image(buf: &[u8], sink: &mut impl ImageSink) -> Result<Header, RecoveryE
         v => return Err(RecoveryError::UnsupportedVersion(v)),
     }
     r.need(HEADER_LEN - 6 + 4)?;
-    let header = Header { master: r.get_u64()?, sigma: r.get_u64()?, selection: r.get_u8()? };
+    let header = Header {
+        master: r.get_u64()?,
+        sigma: r.get_u64()?,
+        radius: r.get_u64()?,
+        selection: r.get_u8()?,
+    };
+    let radius = f64::from_bits(header.radius);
+    if !(radius.is_finite() && radius > 0.0) {
+        return Err(RecoveryError::InvalidRadius(radius));
+    }
 
     let sets = r.get_u32()? as usize;
     sink.reserve(Section::Sets, sets.min(r.buf.len() / set_entry_len(0)));
     for _ in 0..sets {
-        let mut f = r.frame()?;
-        let points = f.items(16)?;
-        f.finish()?;
+        let points = r.items(16)?;
         if points.is_empty() {
             // A released set has n >= 1 points: there are no weights to draw.
             return Err(RecoveryError::InvalidPosterior { user: u32::MAX });
@@ -660,18 +692,23 @@ fn read_image(buf: &[u8], sink: &mut impl ImageSink) -> Result<Header, RecoveryE
 
     let users = r.get_u32()? as usize;
     sink.reserve(Section::Users, users.min(r.buf.len() / user_frame_len(0, 0, 0, 0)));
+    let mut last: Option<UserId> = None;
     for _ in 0..users {
-        let mut f = r.frame()?;
-        let record = get_user(&mut f, sets)?;
-        f.finish()?;
+        let record = get_user(&mut r, sets)?;
+        // A second frame for one user would replace the first on restore,
+        // dropping its released sets; no device writes one.
+        if last.is_some_and(|last| record.user <= last) {
+            return Err(RecoveryError::OutOfOrderUser { user: record.user.raw() });
+        }
+        last = Some(record.user);
         sink.user(record)?;
     }
     r.finish()?;
     Ok(header)
 }
 
-/// Reads one user frame's body; its pool references must fall inside a
-/// pool of `sets` entries.
+/// Reads one user frame; its pool references must fall inside a pool of
+/// `sets` entries.
 fn get_user(f: &mut Reader<'_>, sets: usize) -> Result<UserRecord, RecoveryError> {
     f.need(12)?;
     let user = UserId::new(f.get_u32()?);
@@ -682,22 +719,33 @@ fn get_user(f: &mut Reader<'_>, sets: usize) -> Result<UserRecord, RecoveryError
     }
     let buffer = get_points(f)?;
     let profile = get_entries(f)?;
-    let top_set = get_entries(f)?;
-    let table_radius = f.get_f64()?;
-    if !(table_radius.is_finite() && table_radius > 0.0) {
-        return Err(RecoveryError::InvalidRadius(table_radius));
-    }
+    let top_set = get_top_set(f, &profile, user)?;
     let table = get_refs(f, sets, user)?;
-    Ok(UserRecord {
-        user,
-        windows_closed,
-        rng_words,
-        buffer,
-        profile,
-        top_set,
-        table_radius,
-        table,
-    })
+    Ok(UserRecord { user, windows_closed, rng_words, buffer, profile, top_set, table })
+}
+
+/// Reads a user frame's η-frequent set: a form byte, then the length of a
+/// prefix of `profile` or the entries of a set stored apart. Only the one
+/// canonical form a manager stores ([`TopSet::of`]) is accepted — a prefix
+/// within the profile, explicit entries that are no prefix of it — so
+/// every image read re-streams byte for byte.
+fn get_top_set(
+    f: &mut Reader<'_>,
+    profile: &[ProfileEntry],
+    user: UserId,
+) -> Result<TopSet, RecoveryError> {
+    let refused = RecoveryError::InvalidTopSet { user: user.raw() };
+    match f.get_u8()? {
+        PREFIX_FORM => match f.get_u32()? as usize {
+            k if k <= profile.len() => Ok(TopSet::Prefix(k)),
+            _ => Err(refused),
+        },
+        EXPLICIT_FORM => match TopSet::of(profile, get_entries(f)?) {
+            explicit @ TopSet::Installed(_) => Ok(explicit),
+            TopSet::Prefix(_) => Err(refused),
+        },
+        _ => Err(refused),
+    }
 }
 
 /// Reads a counted list of `(top, pool index)` references into a pool of
@@ -741,21 +789,24 @@ fn get_points(r: &mut Reader<'_>) -> Result<Vec<Point>, RecoveryError> {
     Ok(points_of(r.items(16)?).collect())
 }
 
+/// Writes a counted list of profile entries, each frequency as a `u32`: a
+/// frequency counts one window's check-ins, and a window's check-in count
+/// is written as a `u32` too (DESIGN.md §12).
 fn put_entries<B: BufMut>(buf: &mut B, entries: &[ProfileEntry]) {
     buf.put_u32(entries.len() as u32);
     for e in entries {
         buf.put_f64(e.location.x);
         buf.put_f64(e.location.y);
-        buf.put_u64(e.frequency as u64);
+        buf.put_u32(e.frequency as u32);
     }
 }
 
 fn get_entries(r: &mut Reader<'_>) -> Result<Vec<ProfileEntry>, RecoveryError> {
-    Ok(r.items(24)?
-        .chunks_exact(24)
+    Ok(r.items(ENTRY_LEN)?
+        .chunks_exact(ENTRY_LEN)
         .map(|mut e| ProfileEntry {
             location: Point::new(e.get_f64(), e.get_f64()),
-            frequency: e.get_u64() as usize,
+            frequency: e.get_u32() as usize,
         })
         .collect())
 }
@@ -813,8 +864,7 @@ pub enum RecoveryError {
     },
     /// The log continues past its declared content.
     TrailingBytes(usize),
-    /// A user record's obfuscation-table match radius is not positive and
-    /// finite.
+    /// The image header's match radius is not positive and finite.
     InvalidRadius(f64),
     /// A user record references a pooled candidate set that is not present
     /// in the snapshot.
@@ -823,12 +873,25 @@ pub enum RecoveryError {
         user: u32,
     },
     /// The image's sets cannot be served as the restoring device's
-    /// posterior tables: an empty pooled set, a header whose σ or
-    /// selection kind is not the restoring config's, or a user table with
-    /// two entries within its match radius.
+    /// posterior tables: an empty pooled set, a header whose σ, match
+    /// radius or selection kind is not the restoring config's, or a user
+    /// table with two entries within the match radius.
     InvalidPosterior {
         /// The raw id of the affected user, or `u32::MAX` when no user
         /// owns the defect.
+        user: u32,
+    },
+    /// A user frame's η-frequent set is not in the form a device stores
+    /// it in: an unknown form byte, a prefix longer than the profile, or
+    /// explicit entries equal to the profile's prefix.
+    InvalidTopSet {
+        /// The raw id of the affected user.
+        user: u32,
+    },
+    /// A user frame whose id is not greater than the previous frame's:
+    /// devices write their users in ascending id order, once each.
+    OutOfOrderUser {
+        /// The raw id of the out-of-order frame's user.
         user: u32,
     },
 }
@@ -857,6 +920,12 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::InvalidPosterior { user } => {
                 write!(f, "invalid checkpointed posterior table for user {user}")
             }
+            RecoveryError::InvalidTopSet { user } => {
+                write!(f, "user {user}'s checkpointed top set is not in its canonical form")
+            }
+            RecoveryError::OutOfOrderUser { user } => {
+                write!(f, "user {user}'s snapshot frame is out of ascending id order")
+            }
         }
     }
 }
@@ -880,15 +949,14 @@ mod tests {
                 rng_words: [9, 8, 7, 6],
                 buffer: vec![Point::new(5.0, 6.0)],
                 profile: vec![ProfileEntry { location: Point::new(10.0, 20.0), frequency: 30 }],
-                top_set: vec![ProfileEntry { location: Point::new(10.0, 20.0), frequency: 30 }],
-                table_radius: 200.0,
+                top_set: TopSet::Prefix(1),
                 table: vec![(Point::new(10.0, 20.0), 0)],
             }],
         }
     }
 
     impl DeviceSnapshot {
-        /// Writes the snapshot as a v3 image through the production frame
+        /// Writes the snapshot as a v4 image through the production frame
         /// writers: the hand-built images the corruption tests start from.
         fn encode(&self) -> Bytes {
             let mut buf = BytesMut::new();
@@ -902,8 +970,10 @@ mod tests {
                     rng_words: r.rng_words,
                     buffer: &r.buffer,
                     profile: &r.profile,
-                    top_set: &r.top_set,
-                    table_radius: r.table_radius,
+                    top_set: match &r.top_set {
+                        TopSet::Prefix(k) => FrameTopSet::Prefix(*k),
+                        TopSet::Installed(tops) => FrameTopSet::Explicit(tops),
+                    },
                     table: &r.table,
                 };
                 put_user_frame(&mut buf, &frame);
@@ -1013,10 +1083,11 @@ mod tests {
             edge.report_checkin(UserId::new(1), Point::ORIGIN);
         }
         let top = Point::new(800.0, -300.0);
-        let mut authority =
-            crate::ObfuscationModule::new(config.geo_ind(), config.top_match_radius_m());
+        let mut authority = crate::ObfuscationModule::default();
+        let mechanism = NFoldGaussian::new(config.geo_ind());
         let mut arena = crate::CandidateArena::new();
-        arena.prepare(&mut authority, &[top], 11, &mut 0);
+        let radius = config.top_match_radius_m();
+        arena.prepare(&mut authority, &mechanism, radius, &[top], 11, &mut 0);
         let mut tops = vec![ProfileEntry { location: top, frequency: 60 }];
         edge.install_protection(UserId::new(20), tops.clone(), arena.sets());
         // User 21's second top-set entry is covered by the same set.
@@ -1122,12 +1193,19 @@ mod tests {
         assert_eq!(back.header.master, 0xbeef);
         assert_eq!(back.users[0].rng_words, [9, 8, 7, 6]);
         assert_eq!(back.users[1].rng_words, [1, 2, 3, 4]);
-        // After magic and version the header holds the master, σ's bits
-        // and the selection byte (0: posterior), then the set count.
-        let sigma = sigma(&SystemConfig::builder().build().unwrap());
+        // After magic and version the header holds the master, σ's bits,
+        // the match radius's bits and the selection byte (0: posterior),
+        // then the set count.
+        let config = SystemConfig::builder().build().unwrap();
         assert_eq!(log[6..14], 0xbeef_u64.to_be_bytes());
-        assert_eq!(log[14..22], sigma.to_bits().to_be_bytes());
-        assert_eq!(log[22..HEADER_LEN + 4], [0, 0, 0, 0, 1]);
+        assert_eq!(log[14..22], sigma(&config).to_bits().to_be_bytes());
+        assert_eq!(log[22..30], config.top_match_radius_m().to_bits().to_be_bytes());
+        assert_eq!(log[30..HEADER_LEN + 4], [0, 0, 0, 0, 1]);
+        // The first user frame follows the pool (one two-point set) and the
+        // user count: its id, then its window epoch.
+        let frame = HEADER_LEN + 4 + set_entry_len(2) + 4;
+        assert_eq!(log[frame..frame + 4], 7u32.to_be_bytes());
+        assert_eq!(log[frame + 4..frame + 12], 2u64.to_be_bytes());
     }
 
     #[test]
@@ -1198,8 +1276,9 @@ mod tests {
             DeviceSnapshot::decode(&restamp(bad)),
             Err(RecoveryError::UnsupportedVersion(_))
         ));
-        // The retired v1 and v2 layouts are refused by their version field.
-        for retired in [1, 2] {
+        // The retired v1, v2 and v3 layouts are refused by their version
+        // field.
+        for retired in [1, 2, 3] {
             let mut bad = log.clone();
             bad[5] = retired;
             assert_eq!(
@@ -1217,22 +1296,22 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_structural_errors() {
-        // Byte offset of the first set frame's length prefix: the header
+        // Byte offset of the first pooled set's point count: the header
         // plus set_count(4). Every case is refused alike by the decoder
         // and by the restore (`decode_err`).
-        let frame_len_at = HEADER_LEN + 4;
+        let count_at = HEADER_LEN + 4;
         let log = snapshot().encode().to_vec();
 
-        // Frame length pointing past the end of the buffer.
+        // A point count pointing past the end of the buffer.
         let mut bad = log.clone();
-        bad[frame_len_at..frame_len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(decode_err(&restamp(bad)), RecoveryError::Truncated));
 
-        // Frame declared longer than its own content: the sub-reader
-        // keeps trailing bytes.
+        // A point count one past its content: the set swallows the next
+        // section's bytes, and what follows no longer parses.
         let mut bad = log.clone();
-        let declared = u32::from_be_bytes(bad[frame_len_at..frame_len_at + 4].try_into().unwrap());
-        bad[frame_len_at..frame_len_at + 4].copy_from_slice(&(declared + 1).to_be_bytes());
+        let declared = u32::from_be_bytes(bad[count_at..count_at + 4].try_into().unwrap());
+        bad[count_at..count_at + 4].copy_from_slice(&(declared + 1).to_be_bytes());
         decode_err(&restamp(bad));
 
         // A pool reference past the pool bounds.
@@ -1240,9 +1319,9 @@ mod tests {
         snap.users[0].table[0].1 = 5;
         assert!(matches!(decode_err(&snap.encode()), RecoveryError::BadPoolRef { user: 7 }));
 
-        // A match radius that could not build an obfuscation table.
+        // A header match radius that could not look a top up.
         let mut snap = snapshot();
-        snap.users[0].table_radius = f64::NAN;
+        snap.header.radius = f64::NAN.to_bits();
         assert!(matches!(
             decode_err(&snap.encode()),
             RecoveryError::InvalidRadius(r) if r.is_nan()
@@ -1261,27 +1340,83 @@ mod tests {
         snap.header.sigma ^= 1;
         let mut later = snap.users[0].clone();
         later.user = UserId::new(8);
-        later.table_radius = -1.0;
+        later.top_set = TopSet::Prefix(2);
         snap.users[0].table.push((Point::new(60.0, 20.0), 0));
         snap.users.push(later);
-        assert_eq!(decode_err(&snap.encode()), RecoveryError::InvalidRadius(-1.0));
+        assert_eq!(decode_err(&snap.encode()), RecoveryError::InvalidTopSet { user: 8 });
     }
 
-    /// The header binds σ and the selection kind: an image a default-config
-    /// device wrote is refused under ε = 1.5 (another σ) and under uniform
-    /// selection, and a uniform device's image under posterior selection;
-    /// under the writer's config each restores and re-streams byte for
-    /// byte.
+    /// A top set reads back in the form it was written in — a prefix of
+    /// the profile, or explicit entries that are not one — and an image in
+    /// any form a manager would not store is refused by both sinks: an
+    /// explicit set equal to the profile's prefix, a prefix past the
+    /// profile's end, and an unknown form byte.
+    #[test]
+    fn top_sets_are_read_in_their_canonical_form() {
+        let profile = snapshot().users[0].profile.clone();
+        let merged = vec![ProfileEntry { frequency: 95, ..profile[0] }];
+        for form in [TopSet::Prefix(0), TopSet::Prefix(1), TopSet::Installed(merged.into())] {
+            let mut snap = snapshot();
+            snap.users[0].top_set = form;
+            let image = snap.encode();
+            assert_eq!(DeviceSnapshot::decode(&image).unwrap(), snap);
+            assert_eq!(restore_both(&image), Ok(image));
+        }
+        let refused = RecoveryError::InvalidTopSet { user: 7 };
+        for form in [TopSet::Installed(profile.into()), TopSet::Prefix(2)] {
+            let mut snap = snapshot();
+            snap.users[0].top_set = form;
+            assert_eq!(decode_err(&snap.encode()), refused);
+        }
+        // The form byte sits after the profile: id, epoch, stream words,
+        // the one-point buffer and the one-entry profile.
+        let form_at = HEADER_LEN + 4 + set_entry_len(2) + 4 + 44 + 4 + 16 + 4 + ENTRY_LEN;
+        let mut bad = snapshot().encode().to_vec();
+        assert_eq!(bad[form_at..form_at + 5], [PREFIX_FORM, 0, 0, 0, 1]);
+        bad[form_at] = 2;
+        assert_eq!(decode_err(&restamp(bad)), refused);
+    }
+
+    /// Devices write their users in ascending id order, once each. A
+    /// duplicated frame — which a restore would resolve by keeping the
+    /// later one and forgetting the released sets of the earlier — and two
+    /// swapped frames are refused by both sinks, naming the frame out of
+    /// order.
+    #[test]
+    fn user_frames_out_of_order_are_refused() {
+        let mut two = snapshot();
+        let mut second = two.users[0].clone();
+        second.user = UserId::new(9);
+        second.rng_words = [1, 2, 3, 4];
+        two.users.push(second);
+        let image = two.encode();
+        assert_eq!(restore_both(&image), Ok(image));
+        let mut duplicated = two.clone();
+        duplicated.users[1].user = UserId::new(7);
+        let err = RecoveryError::OutOfOrderUser { user: 7 };
+        assert_eq!(decode_err(&duplicated.encode()), err);
+        let mut swapped = two.clone();
+        swapped.users.swap(0, 1);
+        assert_eq!(decode_err(&swapped.encode()), err);
+    }
+
+    /// The header binds σ, the match radius and the selection kind: an
+    /// image a default-config device wrote is refused under ε = 1.5
+    /// (another σ), under a 300 m match radius and under uniform selection,
+    /// and a uniform device's image under posterior selection; under the
+    /// writer's config each restores and re-streams byte for byte.
     #[test]
     fn restore_refuses_an_image_of_another_sigma_or_selection() {
         let config = SystemConfig::builder().build().unwrap();
         let wider = SystemConfig::builder().epsilon(1.5).build().unwrap();
+        let farther = SystemConfig::builder().top_match_radius_m(300.0).build().unwrap();
         let uniform = SystemConfig::builder().selection(SelectionKind::Uniform).build().unwrap();
         assert_ne!(sigma(&wider).to_bits(), sigma(&config).to_bits());
+        assert_eq!(sigma(&farther).to_bits(), sigma(&config).to_bits());
         let refused = RecoveryError::InvalidPosterior { user: u32::MAX };
         let image = settled_device(config).checkpoint();
         assert_eq!(restore_both(&image), Ok(image.clone()));
-        for other in [wider, uniform] {
+        for other in [wider, farther, uniform] {
             let err = crate::EdgeDevice::restore_from_checkpoint(other, &image).err();
             assert_eq!(err, Some(refused.clone()));
         }
@@ -1336,6 +1471,8 @@ mod tests {
             RecoveryError::InvalidRadius(f64::NAN),
             RecoveryError::BadPoolRef { user: 6 },
             RecoveryError::InvalidPosterior { user: 4 },
+            RecoveryError::InvalidTopSet { user: 3 },
+            RecoveryError::OutOfOrderUser { user: 2 },
         ] {
             assert!(!e.to_string().is_empty());
             assert!(e.source().is_none());

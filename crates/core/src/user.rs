@@ -3,7 +3,9 @@
 //! weights), and the user's private RNG stream.
 
 use privlocad_geo::Point;
-use privlocad_mechanisms::{BatchScratch, CandidateLanes, PlanarLaplace, UniformSelector};
+use privlocad_mechanisms::{
+    BatchScratch, CandidateLanes, NFoldGaussian, PlanarLaplace, UniformSelector,
+};
 use privlocad_mobility::UserId;
 use rand::rngs::StdRng;
 
@@ -211,7 +213,9 @@ pub(crate) struct RequestStats {
     pub(crate) nomadic_draws: u64,
 }
 
-/// One user's state on an edge device.
+/// One user's state on an edge device: only what is the user's own. θ, η,
+/// the match radius and the n-fold mechanism are the device's, passed to
+/// every call that needs them.
 #[derive(Debug, Clone)]
 pub(crate) struct UserState {
     pub(crate) manager: LocationManager,
@@ -224,13 +228,17 @@ pub(crate) struct UserState {
     pub(crate) stream: StdRng,
 }
 
+/// A device holds one `UserState` per user: the window manager (80 B), the
+/// table (24 B) and the stream (32 B), nothing of the device.
+const _: () = assert!(size_of::<UserState>() == 136);
+
 impl UserState {
     /// Fresh state for a user first seen by the device, drawing from
     /// `stream`.
-    pub(crate) fn new(config: &SystemConfig, stream: StdRng) -> Self {
+    pub(crate) fn new(stream: StdRng) -> Self {
         UserState {
-            manager: LocationManager::new(config.profile_theta_m(), config.eta()),
-            obfuscation: ObfuscationModule::new(config.geo_ind(), config.top_match_radius_m()),
+            manager: LocationManager::default(),
+            obfuscation: ObfuscationModule::default(),
             stream,
         }
     }
@@ -246,16 +254,18 @@ impl UserState {
         &mut self,
         config: &SystemConfig,
         nomadic: &PlanarLaplace,
+        mechanism: &NFoldGaussian,
         current_true: Point,
         stats: &mut RequestStats,
     ) -> Point {
         let rng = &mut self.stream;
-        let Some(top) = self.manager.matching_top(current_true, config.top_match_radius_m()) else {
+        let radius = config.top_match_radius_m();
+        let Some(top) = self.manager.matching_top(current_true, radius) else {
             stats.nomadic_draws += 1;
             return nomadic.sample(current_true, rng);
         };
         let sets_before = self.obfuscation.table().len();
-        let set = self.obfuscation.candidates_for(top, rng);
+        let set = self.obfuscation.candidates_for(mechanism, radius, top, rng);
         if config.selection() == SelectionKind::Uniform {
             stats.uniform_draws += 1;
             return set.point(UniformSelector::new().draw(set.len(), rng));
@@ -270,17 +280,29 @@ impl UserState {
         point
     }
 
-    /// Closes the profile window and obfuscates any new top locations;
-    /// returns the number of freshly obfuscated top locations. Each fresh
-    /// set is weighed as it is drawn, so nothing is rebuilt for the new
-    /// top set. The generation buffers are caller-owned: an edge device
-    /// reuses one pair across every window close.
+    /// Closes the profile window under `config`'s θ and η and obfuscates
+    /// any new top locations with `mechanism`; returns the number of
+    /// freshly obfuscated top locations. Each fresh set is weighed as it is
+    /// drawn, so nothing is rebuilt for the new top set. The generation
+    /// buffers are caller-owned: an edge device reuses one pair across
+    /// every window close.
     pub(crate) fn finalize_window_with(
         &mut self,
+        config: &SystemConfig,
+        mechanism: &NFoldGaussian,
         scratch: &mut BatchScratch,
         lanes: &mut CandidateLanes,
     ) -> usize {
-        let tops: Vec<Point> = self.manager.finalize_window().iter().map(|e| e.location).collect();
-        self.obfuscation.obfuscate_top_set_with(&tops, &mut self.stream, scratch, lanes)
+        let closed = self.manager.finalize_window(config.profile_theta_m(), config.eta());
+        let tops: Vec<Point> = closed.iter().map(|e| e.location).collect();
+        let radius = config.top_match_radius_m();
+        self.obfuscation.obfuscate_top_set_with(
+            mechanism,
+            radius,
+            &tops,
+            &mut self.stream,
+            scratch,
+            lanes,
+        )
     }
 }

@@ -172,7 +172,7 @@ fn per_user_streams_are_invariant_to_partition_and_cache_state() {
     }
 }
 
-/// A small seeded workload that touches every field of a v3 checkpoint:
+/// A small seeded workload that touches every field of a v4 checkpoint:
 /// two top locations per user (the candidate-set pool), served
 /// requests at both tops and at a nomadic position (RNG positions), and
 /// an open window of buffered check-ins.
@@ -202,22 +202,26 @@ fn golden_workload(edge: &mut EdgeDevice) {
     }
 }
 
-/// The v3 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` and its
+/// The v4 checkpoint format is frozen: FNV-1a-64 of `checkpoint()` and its
 /// length, pinned for a device with per-user streams. Any change to the
-/// byte layout, the header's σ or selection byte, or the per-user draws
-/// shows up here. The v2 image of this device was 3,451 bytes; v3 drops
-/// its 8 pooled CDFs (8 × 88 bytes), the CDF count (4), the 4 users' cache
-/// counts (4 × 4) and their 8 cache references (8 × 20), and 41 retired
-/// header bytes (the stream byte, four generator words and the op-counter
-/// slot), and adds σ's 8 bytes and the selection byte: 2,535 bytes.
+/// byte layout, the header's σ, radius or selection byte, or the per-user
+/// draws shows up here. The v3 image of this device was 2,535 bytes: 8
+/// pooled sets of 10 points, each a 168-byte frame, and 4 user frames of
+/// 288 bytes (72 fixed, 5 buffered check-ins, 2 profile and 2 top-set
+/// entries of 24 bytes, 2 pool references). v4 adds the match radius to
+/// the header (+8), drops each pooled set's length prefix (8 × 4), and in
+/// each user frame drops the length prefix (4) and the radius (8), writes
+/// the 2 profile frequencies as `u32` (2 × 4) and the window-closed top
+/// set as a prefix length behind a form byte instead of 2 entries (2 × 24
+/// − 1): 2,535 + 8 − 32 − 4 × 67 = 2,243 bytes.
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {
     let config = SystemConfig::builder().build().unwrap();
     let mut device = EdgeDevice::new(config, 2024);
     golden_workload(&mut device);
     let image = device.checkpoint();
-    assert_eq!(image.len(), 2_535);
-    assert_eq!(fnv1a64(&image), 0xabd1_a273_041e_2bc5);
+    assert_eq!(image.len(), 2_243);
+    assert_eq!(fnv1a64(&image), 0x29e5_a931_1108_4007);
     // The restore brings the device back to the same bytes, holding what
     // the decoder reads from them.
     let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
@@ -253,19 +257,21 @@ fn shared_cover_workload(edge: &mut EdgeDevice) {
 }
 
 /// The second frozen image: two top-set entries under one covering set.
-/// In v2 its 651 bytes were one pooled set, two pooled CDFs and one user
-/// frame with two profile entries, two top-set entries, one table ref and
-/// two cache refs. v3 drops the two CDFs (2 × 88 bytes), the CDF count
-/// (4), the user's cache count (4) and its two cache refs (2 × 20), and 41
-/// retired header bytes, and adds 9 (σ and the selection byte): 395 bytes.
+/// In v3 its 395 bytes were a 23-byte header, one 168-byte pooled set and
+/// one 188-byte user frame with two profile entries, two top-set entries
+/// and one table ref. v4 adds the radius to the header (+8), drops the
+/// set's length prefix (4), and in the frame drops the length prefix (4)
+/// and the radius (8), narrows the two profile frequencies (2 × 4) and
+/// writes the top set as a prefix length behind a form byte (2 × 24 − 1):
+/// 395 + 8 − 4 − 67 = 332 bytes.
 #[test]
 fn shared_cover_checkpoint_matches_its_golden_digest() {
     let config = SystemConfig::builder().build().unwrap();
     let mut device = EdgeDevice::new(config, 2024);
     shared_cover_workload(&mut device);
     let image = device.checkpoint();
-    assert_eq!(image.len(), 395);
-    assert_eq!(fnv1a64(&image), 0xe9b0_de5f_de7b_98fb);
+    assert_eq!(image.len(), 332);
+    assert_eq!(fnv1a64(&image), 0x0d78_39c1_0694_b02d);
     let restored = EdgeDevice::restore_from_checkpoint(config, &image).unwrap();
     assert_eq!(restored.checkpoint(), image);
 }

@@ -101,7 +101,7 @@ const SANITIZERS: &[FnPat] = &[
 const SINKS: &[FnPat] = &[
     pat(Some("core"), Some("EdgeResponse"), "encode"),
     pat(Some("core"), Some("EdgeResponse"), "encode_into"),
-    // The one v3 user-frame writer behind the streamed checkpoint: it
+    // The one v4 user-frame writer behind the streamed checkpoint: it
     // serializes a user's true window state, so it is a sink in its own
     // right.
     pat(Some("core"), None, "put_user_frame"),

@@ -96,7 +96,6 @@ impl Telemetry {
     /// [`Determinism::Deterministic`] metrics plus the ledger. For a fixed
     /// seed and workload this string is byte-identical regardless of
     /// thread or shard count — the surface the determinism tests pin.
-    // lint:allow(dead-pub): integration-test hook: bench's shard_invariance and telemetry_determinism pin this export
     pub fn deterministic_json(&self) -> String {
         export::render(self, true)
     }

@@ -14,7 +14,7 @@ use privlocad::{frequent_location_set, EdgeFleet, EtaThreshold, ObfuscationModul
 use privlocad_attack::LocationProfile;
 use privlocad_geo::rng::{gaussian_2d, seeded};
 use privlocad_geo::Point;
-use privlocad_mechanisms::GeoIndParams;
+use privlocad_mechanisms::{GeoIndParams, NFoldGaussian};
 use privlocad_mobility::UserId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,16 +55,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One permanent obfuscation for each — regardless of which edge later
     // serves the request.
-    let params = GeoIndParams::new(500.0, 1.0, 0.01, 10)?;
-    let mut module = ObfuscationModule::new(params, 200.0);
+    let mechanism = NFoldGaussian::new(GeoIndParams::new(500.0, 1.0, 0.01, 10)?);
+    let match_radius_m = 200.0;
+    let mut module = ObfuscationModule::default();
     let top_points: Vec<Point> = tops.iter().map(|t| t.location).collect();
-    let fresh = module.obfuscate_top_set(&top_points, &mut rng);
+    let fresh = module.obfuscate_top_set(&mechanism, match_radius_m, &top_points, &mut rng);
     println!(
         "\nobfuscated {fresh} top location(s); table now protects {} place(s)",
         module.table().len()
     );
     for &t in &top_points {
-        let cands: Vec<Point> = module.table().get(t).expect("just obfuscated").points().collect();
+        let set = module.table().get(t, match_radius_m).expect("just obfuscated");
+        let cands: Vec<Point> = set.points().collect();
         let mean = privlocad_geo::centroid(&cands).expect("non-empty");
         println!(
             "  {} -> {} permanent candidates, centroid {:.0} m away",
