@@ -36,8 +36,9 @@ fn user_entry(users: &mut UserMap<UserState>, master: u64, user: UserId) -> &mut
 /// request. `None` outright for a request that names no user.
 pub(crate) type RequestUndo = Option<(UserId, Option<UserState>)>;
 
-/// Serving observations accumulated by an [`EdgeDevice`] since its last
-/// [`EdgeDevice::drain_telemetry`] call.
+/// Serving observations accumulated by an [`EdgeDevice`] since it was
+/// last drained: by [`EdgeDevice::drain_telemetry`], or by a serving
+/// shard's step, which drains into counter handles it opened once.
 ///
 /// Every field is a pure function of the construction seed and the served
 /// workload, so after a full drain the exported counters are bit-for-bit
@@ -497,8 +498,8 @@ impl EdgeDevice {
         self.restart_run();
     }
 
-    /// Serving observations accumulated since the last
-    /// [`EdgeDevice::drain_telemetry`] call (or construction).
+    /// Serving observations accumulated since the last drain (or
+    /// construction).
     pub fn stats(&self) -> DeviceStats {
         self.stats
     }

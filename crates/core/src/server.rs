@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
-use privlocad_telemetry::{Counter, Determinism, Gauge, Telemetry, Tracer};
+use privlocad_telemetry::{Counter, Determinism, Gauge, Telemetry};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -296,10 +296,10 @@ pub struct ServerOptions {
     /// Deterministic crash schedule, for supervision tests and the chaos
     /// harness. Empty in production.
     pub fault_plan: FaultPlan,
-    /// The telemetry hub this server publishes into: serving metrics,
-    /// logical-clock spans, and the privacy-budget ledger. Defaults to a
-    /// private hub; hand several servers a clone of one hub to aggregate a
-    /// fleet (cloning `ServerOptions` shares the hub — it is a handle).
+    /// The telemetry hub this server publishes into: serving counters and
+    /// gauges, and the privacy-budget ledger. Defaults to a private hub;
+    /// hand several servers a clone of one hub to aggregate a fleet
+    /// (cloning `ServerOptions` shares the hub — it is a handle).
     pub telemetry: Telemetry,
     /// Per-lane exactly-once dedup depth: how many committed sequenced
     /// responses each user lane caches for duplicate replay (see
@@ -552,7 +552,7 @@ impl EdgeServer {
         let telemetry = options.telemetry.clone();
         let metrics = Arc::new(ServerMetrics::new(&telemetry));
         let queue_capacity = options.queue_capacity.max(1);
-        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics), Tracer::default());
+        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics));
         let shard = Arc::new(Shard {
             core: Mutex::new(core),
             metrics,
@@ -664,14 +664,6 @@ struct ShardCore {
     /// first application.
     lanes: BTreeMap<u32, LaneState>,
     metrics: Arc<ServerMetrics>,
-    /// The shard's span tracer. Every step records six spans that tile it
-    /// in order — `server.decode`, `server.serve_batch`, `server.commit`,
-    /// `server.drain`, `server.emit`, `server.encode` — on a logical clock
-    /// that advances one tick per decoded request, never wall time. A
-    /// retried request records one `server.serve_batch` span over all its
-    /// attempts. The ring keeps the latest spans only, and is empty with
-    /// the `trace` feature off.
-    tracer: Tracer,
 }
 
 /// What a step does with its frame.
@@ -732,13 +724,12 @@ impl ShardCore {
         seed: u64,
         mut options: ServerOptions,
         metrics: Arc<ServerMetrics>,
-        tracer: Tracer,
     ) -> ShardCore {
         let device = match options.restore_from.take() {
             Some(image) => EdgeDevice::restore_from_checkpoint(config, &image).map_err(Into::into),
             None => Ok(EdgeDevice::new(config, seed)),
         };
-        ShardCore::around(device, seed, options, metrics, tracer)
+        ShardCore::around(device, seed, options, metrics)
     }
 
     /// A core with nothing served yet around `device`, or failed with its
@@ -748,7 +739,6 @@ impl ShardCore {
         seed: u64,
         mut options: ServerOptions,
         metrics: Arc<ServerMetrics>,
-        tracer: Tracer,
     ) -> ShardCore {
         let (device, status) = match device {
             Ok(edge) => (Some(edge), Status::Serving),
@@ -768,7 +758,6 @@ impl ShardCore {
             banned: BTreeSet::new(),
             lanes: BTreeMap::new(),
             metrics,
-            tracer,
         }
     }
 
@@ -784,8 +773,7 @@ impl ShardCore {
         edge.restart_run();
         let seed = edge.master();
         let options = ServerOptions { fault_plan: FaultPlan::none(), ..self.options.clone() };
-        let (metrics, tracer) = (Arc::clone(&self.metrics), self.tracer.clone());
-        *self = ShardCore::around(Ok(edge), seed, options, metrics, tracer);
+        *self = ShardCore::around(Ok(edge), seed, options, Arc::clone(&self.metrics));
         true
     }
 
@@ -800,14 +788,7 @@ impl ShardCore {
         // Decode phase — total: every frame passes the hardened strict
         // decode, and malformed input costs its sender strikes, never the
         // shard its life.
-        let verdict = {
-            let _span = self.tracer.span("server.decode");
-            let verdict = self.decode(client, frame);
-            // The tracer's logical clock: one tick per decoded request,
-            // never wall time.
-            self.tracer.advance(u64::from(matches!(verdict, Verdict::Serve(..))));
-            verdict
-        };
+        let verdict = self.decode(client, frame);
         let edge = self.device.as_mut()?;
 
         // Serve phase, under the supervisor. Each attempt first saves the
@@ -817,47 +798,43 @@ impl ShardCore {
         // bit-for-bit identical, and an injected fault point has already
         // been consumed. A second panic on the same request fails it
         // explicitly and drops it.
-        let served = {
-            let _span = self.tracer.span("server.serve_batch");
-            match verdict {
-                Verdict::Serve(request, _) => {
-                    let mut attempts = 0;
-                    let response = loop {
-                        let ordinal = self.served;
-                        let plan = &mut self.options.fault_plan;
-                        if let Some(response) = serve_attempt(edge, request, plan, ordinal) {
-                            break response;
-                        }
-                        self.restarts += 1;
-                        self.metrics.restarts.inc();
-                        if self.restarts > self.options.max_restarts {
-                            // Past the restart budget: fail this request
-                            // explicitly and stop serving — never a hang,
-                            // never an escaped panic. The rollback already
-                            // returned the device to its committed state,
-                            // which the core keeps for `join` and `revive`;
-                            // its undrained telemetry is never
-                            // drained — only committed requests ever reach
-                            // the ledger.
-                            let restarts = self.restarts;
-                            self.status = Status::Failed(SystemError::WorkerFailed { restarts });
-                            return Some(failed_reply(restarts, &self.metrics));
-                        }
-                        backoff(&mut self.backoff_rng, self.restarts, &self.options);
-                        attempts += 1;
-                        if attempts >= 2 {
-                            // The request killed its step twice: answer it
-                            // with an explicit failure and serve on with the
-                            // rolled-back device.
-                            return Some(failed_reply(self.restarts, &self.metrics));
-                        }
-                    };
-                    self.served += 1;
-                    self.metrics.requests.inc();
-                    Some(response)
-                }
-                Verdict::Answer(_) | Verdict::Drop => None,
+        let served = match verdict {
+            Verdict::Serve(request, _) => {
+                let mut attempts = 0;
+                let response = loop {
+                    let ordinal = self.served;
+                    let plan = &mut self.options.fault_plan;
+                    if let Some(response) = serve_attempt(edge, request, plan, ordinal) {
+                        break response;
+                    }
+                    self.restarts += 1;
+                    self.metrics.restarts.inc();
+                    if self.restarts > self.options.max_restarts {
+                        // Past the restart budget: fail this request
+                        // explicitly and stop serving — never a hang, never
+                        // an escaped panic. The rollback already returned
+                        // the device to its committed state, which the core
+                        // keeps for `join` and `revive`; its undrained
+                        // telemetry is never drained — only committed
+                        // requests ever reach the ledger.
+                        let restarts = self.restarts;
+                        self.status = Status::Failed(SystemError::WorkerFailed { restarts });
+                        return Some(failed_reply(restarts, &self.metrics));
+                    }
+                    backoff(&mut self.backoff_rng, self.restarts, &self.options);
+                    attempts += 1;
+                    if attempts >= 2 {
+                        // The request killed its step twice: answer it with
+                        // an explicit failure and serve on with the
+                        // rolled-back device.
+                        return Some(failed_reply(self.restarts, &self.metrics));
+                    }
+                };
+                self.served += 1;
+                self.metrics.requests.inc();
+                Some(response)
             }
+            Verdict::Answer(_) | Verdict::Drop => None,
         };
 
         // Commit phase: the request stands, so its undo is gone with its
@@ -866,42 +843,33 @@ impl ShardCore {
         // client nor a reader of the device can observe state a rollback
         // would undo, and a duplicate behind its original can only ever
         // observe the committed response.
-        {
-            let _span = self.tracer.span("server.commit");
-            if let (Verdict::Serve(_, Some(header)), Some(response)) = (verdict, served) {
-                let dedup_window = self.options.dedup_window;
-                self.lanes
-                    .entry(header.lane)
-                    .or_insert_with(|| LaneState::new(dedup_window))
-                    .commit(header.seq, response, dedup_window);
-            }
-            self.metrics.checkpoints.inc();
+        if let (Verdict::Serve(_, Some(header)), Some(response)) = (verdict, served) {
+            let dedup_window = self.options.dedup_window;
+            self.lanes.entry(header.lane).or_insert_with(|| LaneState::new(dedup_window)).commit(
+                header.seq,
+                response,
+                dedup_window,
+            );
         }
+        self.metrics.checkpoints.inc();
         // Telemetry drains strictly after the commit: a crash wipes any
         // undelivered ledger events together with the device state they
         // described, keeping budget-spend delivery exactly-once. The drain
         // of a shutdown's step is the shard's last.
-        {
-            let _span = self.tracer.span("server.drain");
-            edge.drain_into(&self.device_counters);
-        }
+        edge.drain_into(&self.device_counters);
         // Bid emission shares the same post-commit slot and therefore the
         // same exactly-once guarantee: only an applied request emits
         // (replays never reach `Serve`; a killed request rolls back before
         // reaching here).
+        if let (Some(sink), Verdict::Serve(request, _), Some(response)) =
+            (&self.options.bid_sink, verdict, served)
         {
-            let _span = self.tracer.span("server.emit");
-            if let (Some(sink), Verdict::Serve(request, _), Some(response)) =
-                (&self.options.bid_sink, verdict, served)
-            {
-                crate::replay::emit_bids(
-                    sink,
-                    std::slice::from_ref(&request),
-                    std::slice::from_ref(&response),
-                );
-            }
+            crate::replay::emit_bids(
+                sink,
+                std::slice::from_ref(&request),
+                std::slice::from_ref(&response),
+            );
         }
-        let _span = self.tracer.span("server.encode");
         match (served, verdict) {
             (Some(response), _) | (None, Verdict::Answer(response)) => Some(response.encode()),
             (None, _) => None,
@@ -1086,9 +1054,15 @@ mod tests {
 
     #[test]
     fn bid_sink_gets_exactly_one_released_location_per_ad_request() {
+        use crate::protocol::encode_sequenced;
         let sink = Arc::new(privlocad_openrtb::BidSink::new());
+        // Served ordinal 43, the ad request after 40 check-ins, a window
+        // close and two ad requests, kills its step twice.
         let (server, handle) = spawn_with(ServerOptions {
             bid_sink: Some(Arc::clone(&sink)),
+            fault_plan: FaultPlan { kill_at: vec![43, 43] },
+            backoff_base: 1,
+            backoff_cap: 1,
             ..ServerOptions::default()
         });
         let user = UserId::new(3);
@@ -1099,21 +1073,39 @@ mod tests {
         handle.finalize_window(user).unwrap();
         let first = handle.request_location(user, home).unwrap();
         let second = handle.request_location(user, home).unwrap();
+        // The killed request fails before its commit, so neither the drain
+        // nor the emission behind the commit runs: the counters and the
+        // ledger stay as it found them, and no bid leaves.
+        let settled = server.telemetry.deterministic_json();
+        let err = handle.request_location(user, home).unwrap_err();
+        assert_eq!(err, TransportError::WorkerFailed { restarts: 2 });
+        assert_eq!(server.telemetry.deterministic_json(), settled);
+        // A sequenced ad request emits once; its duplicate is answered from
+        // the dedup window with the original's bytes and emits nothing.
+        let sequenced =
+            encode_sequenced(3, 0, &ClientRequest::RequestLocation { user, location: home });
+        let original = call_frame(&handle, sequenced.clone());
+        assert_eq!(call_frame(&handle, sequenced), original);
+        let EdgeResponse::ReportedLocation { location: third } =
+            EdgeResponse::decode(&original).unwrap()
+        else {
+            panic!("a settled user's ad request is answered with a location");
+        };
         handle.shutdown().unwrap();
         server.join().unwrap();
-        // Check-ins and window closes emit nothing; the two ad requests
-        // emit exactly one bid each, carrying the released candidate the
-        // client saw — never the true check-in position.
+        // Check-ins, window closes, the killed request and the duplicate
+        // emit nothing; the three served ad requests emit exactly one bid
+        // each, carrying the released candidate the client saw — never the
+        // true check-in position.
         let pending = sink.drain();
-        assert_eq!(pending.len(), 2);
-        for (bid, reported) in pending.iter().zip([first, second]) {
+        assert_eq!(pending.len(), 3);
+        for (bid, reported) in pending.iter().zip([first, second, third]) {
             let (decoded, _) = privlocad_openrtb::BidRequest::decode_slice(&bid.frame).unwrap();
             assert_eq!(decoded.device.id.raw(), 3);
             assert_eq!(decoded.device.geo.point(), reported);
             assert_ne!(decoded.device.geo.point(), home);
         }
-        assert_eq!(pending[0].seq, 0);
-        assert_eq!(pending[1].seq, 1);
+        assert_eq!(pending.iter().map(|bid| bid.seq).collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]
@@ -1749,7 +1741,7 @@ mod tests {
             let metrics = Arc::new(ServerMetrics::new(&options.telemetry));
             let telemetry = options.telemetry.clone();
             let config = SystemConfig::builder().build().unwrap();
-            (ShardCore::new(config, 11, options, metrics, Tracer::default()), telemetry)
+            (ShardCore::new(config, 11, options, metrics), telemetry)
         };
         let (close, draw) = (killed_requests()[1].1, killed_requests()[2].1);
         // A kill past the zero restart budget fails the core.
@@ -1867,34 +1859,5 @@ mod tests {
         assert_eq!(lane.cached(last), Some(response(last)));
         assert_eq!(lane.cached(oldest), Some(response(oldest)));
         assert_eq!(lane.cached(oldest - 1), None);
-    }
-
-    #[test]
-    #[cfg(feature = "trace")]
-    fn six_spans_tile_every_step() {
-        const STAGES: [&str; 6] = [
-            "server.decode",
-            "server.serve_batch",
-            "server.commit",
-            "server.drain",
-            "server.emit",
-            "server.encode",
-        ];
-        let (server, handle) = spawn();
-        handle.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
-        handle.shutdown().unwrap();
-        let tracer = handle.shard.core.lock().tracer.clone();
-        server.join().unwrap();
-        let records = tracer.records();
-        // Two steps — the check-in, then the shutdown — each recorded as
-        // the six stages in order.
-        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
-        assert_eq!(names, [STAGES, STAGES].concat());
-        // The first covers the logical-clock interval of its one request,
-        // each stage starting where the one before it ended; the shutdown
-        // serves nothing, so its stages all sit at the clock it found.
-        let intervals: Vec<(u64, u64)> = records.iter().map(|r| (r.seq_start, r.seq_end)).collect();
-        assert_eq!(intervals[0], (0, 1));
-        assert!(intervals[1..].iter().all(|&interval| interval == (1, 1)), "{intervals:?}");
     }
 }

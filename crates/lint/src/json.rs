@@ -320,10 +320,11 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
 /// Validates the optional top-level `telemetry` section the bench drivers
 /// append: a map from section name (`serve`, `chaos/...`) to an exported
 /// telemetry hub. Each hub must carry `counters` (non-empty names, integral
-/// values ≥ 0), `histograms` (cumulative bucket arrays, so monotonically
-/// non-decreasing), and a `ledger` whose budget totals are all ≥ 0 — a
+/// values ≥ 0) and a `ledger` whose budget totals are all ≥ 0 — a
 /// benchmark log may omit telemetry entirely, but it may not ship a
-/// malformed or negative-budget snapshot.
+/// malformed or negative-budget snapshot. Other keys (`gauges`, and the
+/// empty `histograms` object hubs exported before the registry lost its
+/// histogram kind) are not checked.
 fn validate_telemetry_section(telemetry: &Json) -> Result<(), String> {
     let Json::Obj(sections) = telemetry else {
         return Err("`telemetry` is not an object".to_owned());
@@ -345,29 +346,6 @@ fn validate_telemetry_section(telemetry: &Json) -> Result<(), String> {
                 return Err(format!(
                     "telemetry[`{section}`] counter `{name}` is {v} (want integer >= 0)"
                 ));
-            }
-        }
-        let histograms = match hub.get("histograms") {
-            Some(Json::Obj(histograms)) => histograms,
-            _ => return Err(format!("telemetry[`{section}`] missing object key `histograms`")),
-        };
-        for (name, value) in histograms {
-            let buckets = value
-                .as_arr()
-                .ok_or(format!("telemetry[`{section}`] histogram `{name}` is not an array"))?;
-            let mut prev = 0.0;
-            for (b, bucket) in buckets.iter().enumerate() {
-                let v = bucket.as_num().ok_or(format!(
-                    "telemetry[`{section}`] histogram `{name}` bucket {b} is not numeric"
-                ))?;
-                if v < prev {
-                    return Err(format!(
-                        "telemetry[`{section}`] histogram `{name}` is not cumulative: \
-                         bucket {b} ({v}) < bucket {} ({prev})",
-                        b.saturating_sub(1)
-                    ));
-                }
-                prev = v;
             }
         }
         let ledger = hub
@@ -1153,47 +1131,38 @@ mod tests {
                     "telemetry": {telemetry}}}"#
             )
         };
-        let hub = |counters: &str, histograms: &str, ledger: &str| {
+        let hub = |counters: &str, ledger: &str| {
             format!(
-                r#"{{"serve": {{"counters": {counters}, "gauges": {{}},
-                     "histograms": {histograms}, "ledger": {ledger}}}}}"#
+                r#"{{"serve": {{"counters": {counters}, "gauges": {{}}, "ledger": {ledger}}}}}"#
             )
         };
         let good_ledger = r#"{"users": 2, "epsilon_total": 2.0, "delta_total": 0.0002,
                               "candidate_sets": 2, "window_closes": 2, "per_user": {}}"#;
         // A well-formed hub passes, and a log with no telemetry at all passes.
-        let good = report(&hub(
-            r#"{"edge.checkins": 24, "server.requests": 40}"#,
-            r#"{"server.batch_size": [0, 3, 5, 5]}"#,
-            good_ledger,
-        ));
+        let good = report(&hub(r#"{"edge.checkins": 24, "server.requests": 40}"#, good_ledger));
         assert!(validate_bench_report(&good).is_ok());
         let none = r#"{"experiment": "serve", "seed": 0, "threads": 1,
                        "runs": [{"name": "fig9", "wall_ms": 1.0}]}"#;
         assert!(validate_bench_report(none).is_ok());
         // Malformed hubs are rejected: fractional/negative counters...
-        let frac = report(&hub(r#"{"edge.checkins": 1.5}"#, "{}", good_ledger));
+        let frac = report(&hub(r#"{"edge.checkins": 1.5}"#, good_ledger));
         assert!(validate_bench_report(&frac).unwrap_err().contains("edge.checkins"));
-        let negative = report(&hub(r#"{"edge.checkins": -3}"#, "{}", good_ledger));
+        let negative = report(&hub(r#"{"edge.checkins": -3}"#, good_ledger));
         assert!(validate_bench_report(&negative).is_err());
-        // ...non-cumulative histogram buckets...
-        let sawtooth = report(&hub("{}", r#"{"server.batch_size": [0, 5, 3]}"#, good_ledger));
-        assert!(validate_bench_report(&sawtooth).unwrap_err().contains("not cumulative"));
         // ...negative or missing ledger totals...
         let debt = report(&hub(
-            "{}",
             "{}",
             r#"{"users": 1, "epsilon_total": -1.0, "delta_total": 0,
                 "candidate_sets": 1, "window_closes": 1, "per_user": {}}"#,
         ));
         assert!(validate_bench_report(&debt).unwrap_err().contains("epsilon_total"));
-        let no_ledger = report(r#"{"serve": {"counters": {}, "gauges": {}, "histograms": {}}}"#);
+        let no_ledger = report(r#"{"serve": {"counters": {}, "gauges": {}}}"#);
         assert!(validate_bench_report(&no_ledger).unwrap_err().contains("ledger"));
         // ...and structurally broken sections.
         let not_obj = report(r#"[1, 2]"#);
         assert!(validate_bench_report(&not_obj).unwrap_err().contains("not an object"));
         let no_counters = report(
-            r#"{"serve": {"gauges": {}, "histograms": {},
+            r#"{"serve": {"gauges": {},
                 "ledger": {"users": 0, "epsilon_total": 0, "delta_total": 0,
                            "candidate_sets": 0, "window_closes": 0, "per_user": {}}}}"#,
         );

@@ -30,15 +30,6 @@ pub(crate) fn render(telemetry: &Telemetry, deterministic_only: bool) -> String 
             push_entry(&mut out, &mut first, name, &value.to_string());
         }
     }
-    out.push_str("}, \"histograms\": {");
-    first = true;
-    for (name, cumulative, class) in &snap.histograms {
-        if keep(*class) {
-            let buckets: Vec<String> = cumulative.iter().map(u64::to_string).collect();
-            push_entry(&mut out, &mut first, name, &format!("[{}]", buckets.join(", ")));
-        }
-    }
-
     out.push_str("}, \"ledger\": ");
     render_ledger(telemetry, &mut out, deterministic_only);
     out.push('}');
@@ -129,7 +120,6 @@ mod tests {
         registry.counter("edge.requests", Determinism::Deterministic).add(12);
         registry.counter("server.wakeups", Determinism::Scheduling).add(3);
         registry.gauge("server.queue_depth", Determinism::Scheduling).add(2);
-        registry.histogram("server.batch_size", Determinism::Scheduling).observe(4);
         let top = top_key(10.0, 20.0);
         let set = SpendKind::CandidateSet { top, epsilon: 1.0, delta: 1e-4, n: 10 };
         telemetry.ledger().record(SpendEvent { user: 1, kind: set });
@@ -140,9 +130,7 @@ mod tests {
     #[test]
     fn full_export_includes_every_section() {
         let json = sample_hub().to_json();
-        for key in
-            ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"ledger\"", "\"per_user\"", "\"1\""]
-        {
+        for key in ["\"counters\"", "\"gauges\"", "\"ledger\"", "\"per_user\"", "\"1\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"edge.requests\": 12"));
@@ -156,7 +144,6 @@ mod tests {
         assert!(json.contains("edge.requests"));
         assert!(!json.contains("server.wakeups"));
         assert!(!json.contains("server.queue_depth"));
-        assert!(!json.contains("server.batch_size"));
         // The budget ledger always ships…
         assert!(json.contains("\"candidate_sets\": 1"));
         // …minus its scheduling-dependent restore/event bookkeeping.

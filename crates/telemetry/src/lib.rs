@@ -3,20 +3,13 @@
 //! Production visibility into an edge fleet normally leans on wall clocks
 //! and free-running atomics — both banned here, because the workspace's
 //! core contract is bit-for-bit reproducibility across thread counts. This
-//! crate provides the three observability primitives the serving stack
+//! crate provides the two observability primitives the serving stack
 //! needs, each designed around that contract:
 //!
-//! * [`Registry`] — a lock-sharded metrics registry (monotonic counters,
-//!   additive gauges, fixed-bucket log-scale histograms). Updates land in
-//!   per-handle shards; snapshots merge the shards in shard order, and
-//!   every merge is a commutative sum, so a snapshot is invariant to how
-//!   work was spread over threads.
-//! * [`Tracer`] — logical-clock span tracing. Spans are stamped with a
-//!   per-device monotonic event sequence number (never wall clock) and
-//!   ring-buffered per worker. With the `trace` feature off the whole API
-//!   compiles to zero-cost no-ops; the optional `wallclock` feature adds
-//!   real tick timings for interactive profiling and is banned from
-//!   test/CI builds.
+//! * [`Registry`] — a lock-sharded metrics registry (monotonic counters and
+//!   additive gauges). Updates land in per-handle shards; snapshots merge
+//!   the shards in shard order, and every merge is a commutative sum, so a
+//!   snapshot is invariant to how work was spread over threads.
 //! * [`Ledger`] — per-user aggregates of every privacy-budget spend
 //!   (candidate-set draws, window closes, checkpoint restores): composed
 //!   running totals, a log of each paid-for `(user, top)` key, and a
@@ -37,13 +30,11 @@
 mod export;
 mod ledger;
 mod registry;
-mod trace;
 
 pub use ledger::{
     top_key, Ledger, LedgerError, LedgerTotals, SpendEvent, SpendKind, TopKey, UserTotals,
 };
-pub use registry::{Counter, Determinism, Gauge, Histogram, MetricsSnapshot, Registry};
-pub use trace::{Span, SpanRecord, Tracer};
+pub use registry::{Counter, Determinism, Gauge, MetricsSnapshot, Registry};
 
 /// The observability hub threaded through the serving stack: one metrics
 /// registry plus one privacy-budget ledger, both cheaply cloneable handles

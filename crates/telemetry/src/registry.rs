@@ -1,7 +1,6 @@
 //! Lock-sharded metrics registry with deterministic merge.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are assigned a shard
-//! round-robin at creation; every update locks only that shard, so
+//! Handles ([`Counter`], [`Gauge`]) are assigned a shard round-robin at creation; every update locks only that shard, so
 //! unrelated workers never contend. A [`Registry::snapshot`] locks the
 //! shards in shard order and merges them with commutative sums — the
 //! merged value is therefore independent of which thread (and which
@@ -10,8 +9,8 @@
 //!
 //! Metrics additionally carry a [`Determinism`] class: `Deterministic`
 //! metrics are pure functions of seed + workload (request counts, fault
-//! injections), `Scheduling` metrics depend on wakeup interleaving (batch
-//! sizes, queue transients). Only the former participate in the
+//! injections), `Scheduling` metrics depend on wakeup interleaving
+//! (wakeups, queue transients). Only the former participate in the
 //! byte-identical export surface.
 
 use std::collections::BTreeMap;
@@ -19,12 +18,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-/// Number of log-scale histogram buckets.
-///
-/// Bucket 0 counts zero-valued observations; bucket `b >= 1` counts values
-/// in `[2^(b-1), 2^b)`, with the final bucket absorbing everything larger.
-const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Default shard count for [`Registry::default`].
 const DEFAULT_SHARDS: usize = 8;
@@ -44,7 +37,6 @@ pub enum Determinism {
 enum MetricKind {
     Counter,
     Gauge,
-    Histogram,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +50,6 @@ struct MetricMeta {
 struct Shard {
     counters: Vec<u64>,
     gauges: Vec<i64>,
-    histograms: Vec<[u64; HISTOGRAM_BUCKETS]>,
 }
 
 #[derive(Debug, Default)]
@@ -66,7 +57,6 @@ struct Directory {
     metrics: BTreeMap<String, MetricMeta>,
     counters: usize,
     gauges: usize,
-    histograms: usize,
 }
 
 #[derive(Debug)]
@@ -122,10 +112,6 @@ impl Registry {
                 dir.gauges += 1;
                 dir.gauges - 1
             }
-            MetricKind::Histogram => {
-                dir.histograms += 1;
-                dir.histograms - 1
-            }
         };
         dir.metrics.insert(name.to_owned(), MetricMeta { kind, class, index });
         index
@@ -158,15 +144,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or re-opens) a fixed-bucket log-scale histogram.
-    pub fn histogram(&self, name: &str, class: Determinism) -> Histogram {
-        Histogram {
-            inner: Arc::clone(&self.inner),
-            index: self.register(name, MetricKind::Histogram, class),
-            shard: self.pick_shard(),
-        }
-    }
-
     /// Merges every shard (in shard order) into a point-in-time snapshot.
     ///
     /// All merges are commutative sums, so for metrics whose total is
@@ -176,7 +153,6 @@ impl Registry {
         let dir = self.inner.directory.lock();
         let mut counters = vec![0u64; dir.counters];
         let mut gauges = vec![0i64; dir.gauges];
-        let mut histograms = vec![[0u64; HISTOGRAM_BUCKETS]; dir.histograms];
         for shard in &self.inner.shards {
             let shard = shard.lock();
             for (i, v) in shard.counters.iter().enumerate() {
@@ -184,11 +160,6 @@ impl Registry {
             }
             for (i, v) in shard.gauges.iter().enumerate() {
                 gauges[i] += v;
-            }
-            for (i, h) in shard.histograms.iter().enumerate() {
-                for (b, v) in h.iter().enumerate() {
-                    histograms[i][b] += v;
-                }
             }
         }
         let mut snap = MetricsSnapshot::default();
@@ -200,13 +171,6 @@ impl Registry {
                 MetricKind::Gauge => {
                     snap.gauges.push((name.clone(), gauges[meta.index], meta.class));
                 }
-                MetricKind::Histogram => {
-                    let mut cumulative = histograms[meta.index];
-                    for b in 1..HISTOGRAM_BUCKETS {
-                        cumulative[b] += cumulative[b - 1];
-                    }
-                    snap.histograms.push((name.clone(), cumulative, meta.class));
-                }
             }
         }
         snap
@@ -214,17 +178,13 @@ impl Registry {
 }
 
 /// A merged, point-in-time view of every registered metric, sorted by
-/// name. Histograms are exported as *cumulative* bucket counts (bucket `b`
-/// holds the number of observations `< 2^b`), so each array is
-/// monotonically non-decreasing by construction.
+/// name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, total, class)` per counter.
     pub counters: Vec<(String, u64, Determinism)>,
     /// `(name, summed deltas, class)` per gauge.
     pub gauges: Vec<(String, i64, Determinism)>,
-    /// `(name, cumulative bucket counts, class)` per histogram.
-    pub histograms: Vec<(String, [u64; HISTOGRAM_BUCKETS], Determinism)>,
 }
 
 impl MetricsSnapshot {
@@ -236,11 +196,6 @@ impl MetricsSnapshot {
     /// Looks up a gauge value by name.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(n, _, _)| n == name).map(|&(_, v, _)| v)
-    }
-
-    /// Looks up a histogram's cumulative buckets by name.
-    pub fn histogram(&self, name: &str) -> Option<&[u64; HISTOGRAM_BUCKETS]> {
-        self.histograms.iter().find(|(n, _, _)| n == name).map(|(_, h, _)| h)
     }
 }
 
@@ -312,33 +267,6 @@ impl Gauge {
     }
 }
 
-/// A log-scale histogram handle bound to one shard.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    inner: Arc<Inner>,
-    index: usize,
-    shard: usize,
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, value: u64) {
-        let bucket = Histogram::bucket(value);
-        let mut shard = self.inner.shards[self.shard].lock();
-        grow(&mut shard.histograms, self.index);
-        shard.histograms[self.index][bucket] += 1;
-    }
-
-    /// The bucket index an observation of `value` lands in.
-    pub fn bucket(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            ((64 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,37 +293,6 @@ mod tests {
         down.sub(3);
         assert_eq!(up.value(), 7);
         assert_eq!(registry.snapshot().gauge("depth"), Some(7));
-    }
-
-    #[test]
-    fn histogram_buckets_are_log_scale() {
-        assert_eq!(Histogram::bucket(0), 0);
-        assert_eq!(Histogram::bucket(1), 1);
-        assert_eq!(Histogram::bucket(2), 2);
-        assert_eq!(Histogram::bucket(3), 2);
-        assert_eq!(Histogram::bucket(4), 3);
-        assert_eq!(Histogram::bucket(1023), 10);
-        assert_eq!(Histogram::bucket(1024), 11);
-        assert_eq!(Histogram::bucket(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_snapshot_is_cumulative_and_monotone() {
-        let registry = Registry::new();
-        let h = registry.histogram("sizes", Determinism::Scheduling);
-        for v in [0, 1, 1, 2, 7, 1024] {
-            h.observe(v);
-        }
-        let snap = registry.snapshot();
-        let buckets = snap.histogram("sizes").unwrap();
-        assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 6);
-        for b in 1..HISTOGRAM_BUCKETS {
-            assert!(buckets[b] >= buckets[b - 1]);
-        }
-        // 0 → bucket 0; the three 1s and 2 land below 4; 7 below 8.
-        assert_eq!(buckets[0], 1);
-        assert_eq!(buckets[2], 4);
-        assert_eq!(buckets[3], 5);
     }
 
     #[test]
