@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use privlocad::replay::schedule;
-use privlocad::{EdgeHandle, EdgeServer, FaultPlan, ServerOptions, ShardRouter, SystemConfig};
+use privlocad::{FaultPlan, ServerOptions, ShardRouter, SystemConfig};
 use privlocad_adnet::inventory::{generate, InventoryConfig};
 use privlocad_adnet::{AdNetwork, BidExchange, Campaign, ServingPolicy};
 use privlocad_attack::evaluation::{rank_distances, AttackStats};
@@ -285,24 +285,24 @@ fn attack_success(
 /// commit, telemetry drain, response encode, all run on the calling
 /// thread — driven over the client↔edge protocol by pipelining clients,
 /// the exact path every bid-emitting ad request rides. Returns the
-/// settled shard plus the prebuilt ad-request targets the timed closure
-/// replays.
-fn serve_baseline(seed: u64) -> (EdgeServer, EdgeHandle, Vec<(UserId, privlocad_geo::Point)>) {
+/// settled one-shard router plus the prebuilt ad-request targets the
+/// timed closure replays.
+fn serve_baseline(seed: u64) -> (ShardRouter, Vec<(UserId, privlocad_geo::Point)>) {
     const USERS: usize = 16;
     const REQUESTS: usize = 4_096;
     let sys = SystemConfig::builder().build().expect("default config is valid");
-    let (server, handle) = EdgeServer::spawn(sys, seed);
+    let router = ShardRouter::spawn(sys, seed, 1);
     let home = |u: usize| privlocad_geo::Point::new(u as f64 * 2_000.0, 0.0);
     for u in 0..USERS {
         let user = UserId::new(u as u32);
         for t in 0..12 {
-            handle.check_in(user, home(u), t).expect("baseline check-in is served");
+            router.check_in(user, home(u), t).expect("baseline check-in is served");
         }
-        handle.finalize_window(user).expect("baseline window closes");
+        router.finalize_window(user).expect("baseline window closes");
     }
     let targets =
         (0..REQUESTS).map(|i| (UserId::new((i % USERS) as u32), home(i % USERS))).collect();
-    (server, handle, targets)
+    (router, targets)
 }
 
 /// Runs the full pipeline and returns the summary row.
@@ -383,17 +383,17 @@ pub fn run(config: &Config) -> Outcome {
         }),
     );
     {
-        let (server, handle, targets) = serve_baseline(derive_seed(config.seed, 0x5e12e));
+        let (router, targets) = serve_baseline(derive_seed(config.seed, 0x5e12e));
         runner.bench_throughput("auction/serve_baseline", targets.len() as u64, || {
             let mut sink = 0usize;
             std::thread::scope(|scope| {
                 let clients: Vec<_> = targets
                     .chunks(targets.len().div_ceil(2))
                     .map(|chunk| {
-                        let handle = handle.clone();
+                        let router = &router;
                         scope.spawn(move || {
                             for &(user, location) in chunk {
-                                handle
+                                router
                                     .request_location(user, location)
                                     .expect("live serve path stays up");
                             }
@@ -407,8 +407,8 @@ pub fn run(config: &Config) -> Outcome {
             });
             sink
         });
-        handle.shutdown().expect("baseline shard shuts down");
-        server.join().expect("baseline shard stops cleanly");
+        router.shutdown().expect("baseline shard shuts down");
+        router.join().expect("baseline shard stops cleanly");
     }
     let auctions = pending.len() as u64;
     runner.bench_throughput("auction/settle", auctions, || {

@@ -1,6 +1,6 @@
 //! The `bench chaos` harness: seeded fault schedules driven through the
-//! supervised [`EdgeServer`] serving path, with the surviving outputs
-//! checked bit-for-bit against a fault-free run.
+//! supervised shard serving path, with the surviving outputs checked
+//! bit-for-bit against a fault-free run.
 //!
 //! Four fault families, each run at every shard count (1 and `threads`
 //! shards, users partitioned round-robin across them):
@@ -35,8 +35,8 @@ use std::time::Instant;
 use privlocad::protocol::{ClientRequest, EdgeResponse};
 use privlocad::{
     candidate_redraws, BreakerConfig, BreakerEvent, ChannelFaultPlan, EdgeDevice, EdgeHandle,
-    EdgeServer, FabricError, FabricOptions, FabricRouter, FaultPlan, LaneOutage, RetryPolicy,
-    ServedLocation, ServerOptions, SystemConfig, TransportError,
+    FabricError, FabricOptions, FabricRouter, FaultPlan, LaneOutage, RetryPolicy, ServedLocation,
+    ServerOptions, ShardRouter, SystemConfig, TransportError,
 };
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
@@ -280,11 +280,18 @@ fn drive_shard(
 
     let plan = FaultPlan::kill_at(kill_schedule(mix, config, shard_seed, users.len()));
     let kills = plan.remaining() as u64;
-    let (server, handle) = EdgeServer::spawn_with(
+    // A one-shard router on the shard's own seed: every user routes to
+    // its one shard.
+    let router = ShardRouter::spawn_with(
         sys,
         shard_seed,
-        ServerOptions { fault_plan: plan, telemetry: hub.clone(), ..ServerOptions::default() },
+        vec![ServerOptions {
+            fault_plan: plan,
+            telemetry: hub.clone(),
+            ..ServerOptions::default()
+        }],
     );
+    let handle = router.handle(UserId::new(0));
 
     let corruptions = if mix == FaultMix::Corruption { config.corruptions } else { 0 };
     let total_ops = users.len() * (config.checkins + 1 + config.requests);
@@ -327,37 +334,37 @@ fn drive_shard(
             } else {
                 ClientRequest::RequestLocation { user, location: home }
             };
-            exchange(&handle, request, &mut transcript);
+            exchange(handle, request, &mut transcript);
             op += 1;
         }
     }
 
     if mix == FaultMix::Corruption {
-        // A vandal spamming garbage until the server drops it: the first
-        // `limit - 1` frames bounce with decrementing strike counts, the
-        // last one closes the vandal's channel (observed as Disconnected).
+        // A vandal spamming garbage until the server drops it: its first
+        // frame bounces with the strikes it has left, each later one
+        // counts down, and the one at the limit closes the vandal's
+        // channel (observed as Disconnected).
         let vandal = handle.clone();
-        let limit = ServerOptions::default().malformed_limit;
-        for strike in 0..limit {
+        let mut strikes_left = match vandal.call_raw(vec![0xEE; 4]) {
+            Err(TransportError::Malformed { strikes_left }) => strikes_left,
+            other => panic!("the vandal's first strike should bounce, got {other:?}"),
+        };
+        faults += 1;
+        while strikes_left > 0 {
             let outcome = vandal.call_raw(vec![0xEE; 4]);
             faults += 1;
-            if strike + 1 < limit {
-                assert!(
-                    matches!(outcome, Err(TransportError::Malformed { .. })),
-                    "vandal strike {strike} should bounce, got {outcome:?}"
-                );
+            strikes_left -= 1;
+            let expected = if strikes_left > 0 {
+                TransportError::Malformed { strikes_left }
             } else {
-                assert_eq!(
-                    outcome,
-                    Err(TransportError::Disconnected),
-                    "vandal must be dropped at the malformed limit"
-                );
-            }
+                TransportError::Disconnected
+            };
+            assert_eq!(outcome, Err(expected), "vandal strikes count down to the ban");
         }
     }
 
-    handle.shutdown().expect("faulty server must still shut down cleanly");
-    let faulty = server.join().expect("supervised worker must survive its schedule");
+    router.shutdown().expect("faulty server must still shut down cleanly");
+    let faulty = router.join().expect("supervised worker must survive its schedule").remove(0);
     let faulty_snap = faulty.snapshot();
     // (The kill-equals-restart check moved to the scenario level: health
     // counters are hub-wide now that the shards share one hub.)
@@ -366,10 +373,10 @@ fn drive_shard(
     // replay server gets a *private* hub: with identical seeds it re-draws
     // every candidate set, which a shared ledger would read as a double
     // spend.
-    let (clean_server, clean_handle) =
-        EdgeServer::spawn_with(sys, shard_seed, ServerOptions::default());
+    let clean_router = ShardRouter::spawn_with(sys, shard_seed, vec![ServerOptions::default()]);
     for (request_frame, response_frame) in &transcript {
-        let response = clean_handle
+        let response = clean_router
+            .handle(UserId::new(0))
             .call_raw(request_frame)
             .expect("fault-free replay must serve every request");
         assert_eq!(
@@ -378,8 +385,8 @@ fn drive_shard(
             "a surviving response diverged from the fault-free run"
         );
     }
-    clean_handle.shutdown().expect("replay shutdown");
-    let clean = clean_server.join().expect("fault-free server cannot fail");
+    clean_router.shutdown().expect("replay shutdown");
+    let clean = clean_router.join().expect("fault-free server cannot fail").remove(0);
     assert_eq!(
         candidate_redraws(&clean.snapshot(), &faulty_snap).expect("snapshots are well-formed"),
         0,
@@ -471,11 +478,16 @@ fn flood_scenario(config: &Config, shards: usize) -> ChaosRow {
     let sys = SystemConfig::builder().build().expect("default config is valid");
     let seed = derive_seed(config.seed, 0xf100d + shards as u64);
     let hub = Telemetry::new();
-    let (server, handle) = EdgeServer::spawn_with(
+    let router = ShardRouter::spawn_with(
         sys,
         seed,
-        ServerOptions { queue_capacity: 2, telemetry: hub.clone(), ..ServerOptions::default() },
+        vec![ServerOptions {
+            queue_capacity: 2,
+            telemetry: hub.clone(),
+            ..ServerOptions::default()
+        }],
     );
+    let handle = router.handle(UserId::new(0));
 
     let clients = (shards * 2).max(2);
     let per_client = (config.requests.max(1)) * 4;
@@ -509,26 +521,28 @@ fn flood_scenario(config: &Config, shards: usize) -> ChaosRow {
         }
     });
 
-    handle.shutdown().expect("flooded server must still shut down cleanly");
-    let health = server.health();
-    let _edge = server.join().expect("flooded server must not crash");
+    router.shutdown().expect("flooded server must still shut down cleanly");
+    let health = hub.registry().snapshot();
+    router.join().expect("flooded server must not crash");
     assert_eq!(
         served + shed,
         (clients * per_client) as u64,
         "every flood request must resolve: served or structurally shed"
     );
-    assert_eq!(health.queue_depth, 0, "queue-depth gauge must return to zero");
+    let depth = health.gauge("server.queue_depth");
+    assert_eq!(depth, Some(0), "queue-depth gauge must return to zero");
+    let overload_rejections = health.counter("server.overload_rejections").unwrap_or(0);
     assert!(
-        health.overload_rejections >= shed,
+        overload_rejections >= shed,
         "every shed request burned at least one overload rejection"
     );
 
     ChaosRow {
         name: format!("chaos/flood/{shards}"),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        faults_injected: health.overload_rejections,
+        faults_injected: overload_rejections,
         requests_survived: served,
-        restarts: health.restarts,
+        restarts: health.counter("server.restarts").unwrap_or(0),
         recovery_ns: 0.0,
         duplicates_injected: 0,
         duplicates_suppressed: 0,

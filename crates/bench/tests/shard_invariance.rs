@@ -7,7 +7,9 @@
 //! telemetry drained after the commit), so a fleet that takes 16 crashes
 //! must publish the same export as one that took a single crash, and the
 //! privacy-budget ledger must still audit exactly-once against the
-//! candidate sets live in the final shard checkpoints.
+//! candidate sets live in the final shard checkpoints. Restarts count
+//! caught crashes, so they are scheduling-classed and sit outside the
+//! export; the raw registry reads one per killed shard.
 
 use privlocad::protocol::ClientRequest;
 use privlocad::{FaultPlan, ServerOptions, ShardRouter, SystemConfig};
@@ -20,6 +22,15 @@ use privlocad_telemetry::{top_key, Telemetry, TopKey};
 const USERS: u32 = 48;
 const CHECKINS: usize = 6;
 const MASTER: u64 = 7;
+
+/// Check-ins and served requests of the whole workload, as the hub
+/// counts them in `edge.checkins` and `server.requests`.
+fn workload_counts() -> (usize, usize) {
+    let ops: Vec<ClientRequest> =
+        (0..USERS).flat_map(|u| user_workload(UserId::new(u), CHECKINS)).collect();
+    let checkins = ops.iter().filter(|op| matches!(op, ClientRequest::CheckIn { .. })).count();
+    (checkins, ops.len())
+}
 
 /// One user's contribution: id plus every reported coordinate, in the
 /// user's own operation order. XOR-folding the per-user hashes makes the
@@ -95,6 +106,12 @@ fn outputs_and_export_are_invariant_across_shard_counts() {
     assert_eq!(d1, d16, "sharding 1 -> 16 changed reported locations");
     assert_eq!(j1, j4, "sharding 1 -> 4 leaked into the deterministic export");
     assert_eq!(j1, j16, "sharding 1 -> 16 leaked into the deterministic export");
+    // The export carries the workload's exact shape, and the clean path
+    // restarted nothing.
+    let (checkins, requests) = workload_counts();
+    assert!(j1.contains(&format!("\"edge.checkins\": {checkins}")), "{j1}");
+    assert!(j1.contains(&format!("\"server.requests\": {requests}")), "{j1}");
+    assert_eq!(hub.registry().snapshot().counter("server.restarts"), Some(0));
     // Exactly one permanent candidate set per user, audited exactly-once.
     assert_eq!(released.len(), USERS as usize);
     hub.ledger().assert_no_double_spend(released).expect("clean fleet ledger audits");
@@ -108,7 +125,7 @@ fn outputs_and_export_survive_one_worker_kill_per_shard() {
     // show in outputs or in the deterministic export.
     let (clean_digest, clean_json, _, _) = run_fleet(1, false);
     let (d1, j1, hub1, released1) = run_fleet(1, true);
-    let (d4, j4, _, released4) = run_fleet(4, true);
+    let (d4, j4, hub4, released4) = run_fleet(4, true);
     let (d16, j16, hub16, released16) = run_fleet(16, true);
     assert_eq!(d1, clean_digest, "a single restore changed reported locations");
     assert_eq!(d4, clean_digest, "4 per-shard restores changed reported locations");
@@ -116,6 +133,10 @@ fn outputs_and_export_survive_one_worker_kill_per_shard() {
     assert_eq!(j1, clean_json, "a restore leaked into the deterministic export");
     assert_eq!(j4, clean_json);
     assert_eq!(j16, clean_json);
+    // Every shard really was killed once.
+    for (hub, kills) in [(&hub1, 1), (&hub4, 4), (&hub16, 16)] {
+        assert_eq!(hub.registry().snapshot().counter("server.restarts"), Some(kills));
+    }
     // Crash-restore cycles never double-charge the budget, at any width.
     assert_eq!(released1.len(), USERS as usize);
     hub1.ledger().assert_no_double_spend(released1).expect("killed 1-shard ledger audits");

@@ -358,7 +358,7 @@ impl EdgeDevice {
     /// Serves a batch of protocol requests in order, pushing exactly one
     /// response per request onto `responses` (appended; the caller owns
     /// clearing) — the unsupervised path trace replays take
-    /// ([`crate::replay`]). A serving shard ([`crate::EdgeServer`]) runs
+    /// ([`crate::replay`]). A serving shard (behind a [`crate::Router`]) runs
     /// the same per-request body one request per step, under its
     /// supervisor.
     ///
@@ -514,7 +514,7 @@ impl EdgeDevice {
     /// registry and the pending budget events into its ledger, resetting
     /// both device-local buffers.
     ///
-    /// A supervised serving shard ([`crate::EdgeServer`]) drains right
+    /// A supervised serving shard (behind a [`crate::Router`]) drains right
     /// *after* each commit — see the `pending_spends` field for why that
     /// ordering gives ledger events exactly-once semantics across
     /// crashes — into counter handles it opens once per shard, the same

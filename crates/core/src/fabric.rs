@@ -3,13 +3,13 @@
 //! circuit breakers, and a privacy-safe degradation ladder.
 //!
 //! [`crate::ShardRouter`] (DESIGN.md §16) assumes its shards answer;
-//! this module drops that assumption. A [`FabricRouter`] is a seeded
-//! link in front of one `ShardRouter`: it spawns, routes, shuts down and
-//! joins its shards through the router, and drives every router↔shard
-//! call through a fault-injectable link governed by a
-//! [`ChannelFaultPlan`] — frames are dropped, duplicated after a delay,
-//! or corrupted in flight under a schedule derived from the master seed
-//! — and keeps the paper's privacy contract intact anyway:
+//! this module drops that assumption. A [`FabricRouter`] is the same
+//! [`Router`] over the [`Faulty`] link: it spawns, routes and joins its
+//! shards as any router does, and drives every router↔shard call through
+//! a fault-injectable link governed by a [`ChannelFaultPlan`] — frames
+//! are dropped, duplicated after a delay, or corrupted in flight under a
+//! schedule derived from the master seed — and keeps the paper's privacy
+//! contract intact anyway:
 //!
 //! 1. **Exactly-once delivery.** Every logical request travels in a
 //!    sequence-numbered envelope ([`crate::protocol::encode_sequenced`])
@@ -52,16 +52,18 @@ use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
-use privlocad_telemetry::Telemetry;
 use rand::Rng;
 
-use crate::protocol::{encode_sequenced, ClientRequest, EdgeResponse};
-use crate::server::{FaultPlan, ServerOptions, TransportError};
-use crate::{EdgeDevice, ShardRouter, SystemConfig, SystemError};
+use crate::protocol::{corrupt_sequenced_checksum, encode_sequenced, ClientRequest, EdgeResponse};
+use crate::server::{EdgeHandle, FaultPlan, ServerOptions, TransportError};
+use crate::{Router, SystemConfig};
 
 /// Domain separator for fault-schedule RNG streams, far from the
 /// per-user serving streams derived in `crate::edge`.
 const FABRIC_FAULT_DOMAIN: u64 = u64::MAX - 2;
+
+/// Lanes the stale cache holds before it evicts the oldest.
+const STALE_CAPACITY: usize = 1_024;
 
 /// A deterministic outage: the link refuses `calls` consecutive
 /// deliveries on one lane (ordinals `from .. from + calls`), as if the
@@ -158,17 +160,6 @@ impl ChannelFaultPlan {
         };
         DeliveryProfile { drops, corrupts, duplicate, corrupt_salt: rng.gen() }
     }
-}
-
-/// Flips one bit inside a sequenced frame's declared checksum. The
-/// recomputed checksum can then never match, so the shard is guaranteed
-/// to detect the damage and answer with a malformed-frame strike — a
-/// corrupted frame can never alias a cached response or apply as fresh.
-fn corrupt_checksum(frame: &mut [u8], salt: u32) {
-    // Checksum bytes sit at 9..13 of the sequenced header.
-    let byte = 9 + (salt as usize % 4);
-    let bit = (salt >> 8) % 8;
-    frame[byte] ^= 1 << bit;
 }
 
 /// Circuit-breaker tuning. All quantities are logical counts — calls
@@ -337,13 +328,9 @@ struct StaleCache {
 }
 
 impl StaleCache {
-    /// An empty cache holding at most `capacity` lanes (clamped ≥ 1).
+    /// An empty cache holding at most `capacity` lanes.
     fn new(capacity: usize) -> Self {
-        StaleCache {
-            capacity: capacity.max(1),
-            entries: BTreeMap::new(),
-            order: std::collections::VecDeque::new(),
-        }
+        StaleCache { capacity, entries: BTreeMap::new(), order: std::collections::VecDeque::new() }
     }
 
     /// Records `released` as the last released location on `lane`,
@@ -479,8 +466,6 @@ pub struct FabricOptions {
     pub fault_plan: ChannelFaultPlan,
     /// Circuit-breaker tuning, one breaker per shard.
     pub breaker: BreakerConfig,
-    /// Stale-cache capacity in lanes.
-    pub stale_capacity: usize,
     /// Transmissions allowed per logical call before it fails with
     /// [`FabricError::DeadlineExceeded`] (clamped ≥ 1).
     pub call_budget: u32,
@@ -500,7 +485,6 @@ impl Default for FabricOptions {
             shards: 1,
             fault_plan: ChannelFaultPlan::none(),
             breaker: BreakerConfig::default(),
-            stale_capacity: 1_024,
             call_budget: 8,
             max_heals: 1,
             kill_plans: Vec::new(),
@@ -527,12 +511,26 @@ struct LinkState {
     heals: u32,
 }
 
-/// The self-healing fleet front: a seeded faulty link in front of one
-/// [`ShardRouter`], keeping its semantics (O(1) user→shard routing,
-/// per-user streams, one shared telemetry hub) under the fault model —
-/// every call crosses a [`ChannelFaultPlan`]-governed link in a
-/// sequenced envelope, under a per-shard circuit breaker, with in-place
-/// healing for shards that die permanently.
+/// The faulty link of a [`FabricRouter`]: per shard, the link state and
+/// circuit breaker every call crosses, plus the stale cache of released
+/// locations and the fault totals the degradation ladder keeps.
+#[derive(Debug)]
+pub struct Faulty {
+    links: Vec<Mutex<LinkState>>,
+    stale: Mutex<StaleCache>,
+    stats: Mutex<FabricStats>,
+    trace: Mutex<Vec<BreakerEvent>>,
+    fault_plan: ChannelFaultPlan,
+    call_budget: u32,
+    max_heals: u32,
+}
+
+/// The self-healing fleet front: a [`Router`] whose calls cross a seeded
+/// faulty link, keeping its semantics (O(1) user→shard routing, per-user
+/// streams, one shared telemetry hub) under the fault model — every call
+/// crosses a [`ChannelFaultPlan`]-governed link in a sequenced envelope,
+/// under a per-shard circuit breaker, with in-place healing for shards
+/// that die permanently.
 ///
 /// # Examples
 ///
@@ -565,81 +563,55 @@ struct LinkState {
 /// fabric.join()?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct FabricRouter {
-    router: ShardRouter,
-    links: Vec<Mutex<LinkState>>,
-    stale: Mutex<StaleCache>,
-    stats: Mutex<FabricStats>,
-    trace: Mutex<Vec<BreakerEvent>>,
-    fault_plan: ChannelFaultPlan,
-    call_budget: u32,
-    max_heals: u32,
-}
+pub type FabricRouter = Router<Faulty>;
 
-impl FabricRouter {
+impl Router<Faulty> {
     /// Spawns `options.shards` supervised shards behind faulty links, one
     /// [`ServerOptions`] per shard: `options.server` with that shard's
     /// entry of `options.kill_plans`. Every shard serves per-user streams
     /// from `master` and publishes into the hub carried by
     /// `options.server.telemetry`.
     pub fn spawn(config: SystemConfig, master: u64, options: FabricOptions) -> FabricRouter {
-        let shard_options = (0..options.shards.max(1))
+        let shards = options.shards.max(1);
+        let shard_options = (0..shards)
             .map(|i| ServerOptions {
                 fault_plan: options.kill_plans.get(i).cloned().unwrap_or_default(),
                 ..options.server.clone()
             })
             .collect();
-        let router = ShardRouter::spawn_with(config, master, shard_options);
-        let links = (0..router.shards())
-            .map(|_| {
-                Mutex::new(LinkState {
-                    breaker: CircuitBreaker::new(options.breaker),
-                    lane_seq: BTreeMap::new(),
-                    lane_ordinal: BTreeMap::new(),
-                    pending: Vec::new(),
-                    heals: 0,
+        let link = Faulty {
+            links: (0..shards)
+                .map(|_| {
+                    Mutex::new(LinkState {
+                        breaker: CircuitBreaker::new(options.breaker),
+                        lane_seq: BTreeMap::new(),
+                        lane_ordinal: BTreeMap::new(),
+                        pending: Vec::new(),
+                        heals: 0,
+                    })
                 })
-            })
-            .collect();
-        FabricRouter {
-            router,
-            links,
-            stale: Mutex::new(StaleCache::new(options.stale_capacity)),
+                .collect(),
+            stale: Mutex::new(StaleCache::new(STALE_CAPACITY)),
             stats: Mutex::new(FabricStats::default()),
             trace: Mutex::new(Vec::new()),
             fault_plan: options.fault_plan,
             call_budget: options.call_budget.max(1),
             max_heals: options.max_heals,
-        }
-    }
-
-    /// Number of shards behind this fabric.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The shard owning `user` ([`ShardRouter::route`]).
-    pub fn route(&self, user: UserId) -> usize {
-        self.router.route(user)
+        };
+        Router::spawn_shards(config, master, shard_options, link)
     }
 
     /// Injected-fault and recovery totals so far.
     pub fn stats(&self) -> FabricStats {
-        let mut stats = *self.stats.lock();
-        stats.breaker_transitions = self.trace.lock().len() as u64;
+        let mut stats = *self.link.stats.lock();
+        stats.breaker_transitions = self.link.trace.lock().len() as u64;
         stats
     }
 
     /// The breaker transition trace so far, in event order — the
     /// deterministic witness compared across shard counts.
     pub fn trace(&self) -> Vec<BreakerEvent> {
-        self.trace.lock().clone()
-    }
-
-    /// The telemetry hub every shard publishes into.
-    pub fn telemetry(&self) -> &Telemetry {
-        self.router.telemetry()
+        self.link.trace.lock().clone()
     }
 
     /// Routes one typed request through the faulty link, the breaker,
@@ -651,8 +623,8 @@ impl FabricRouter {
     /// [`FabricRouter::request_location`] for the degradation ladder.
     pub fn call(&self, user: UserId, request: ClientRequest) -> Result<EdgeResponse, FabricError> {
         let shard = self.route(user);
-        let mut link = self.links[shard].lock();
-        self.drive(shard, &mut link, user.raw(), request)
+        let mut link = self.link.links[shard].lock();
+        self.link.drive(shard, &self.shards[shard], &mut link, user.raw(), request)
     }
 
     /// Routes a check-in. Writes have no privacy-safe degraded answer:
@@ -695,17 +667,17 @@ impl FabricRouter {
                 // The decoded response is a released candidate — the only
                 // thing allowed into the degradation cache. Qualified call:
                 // the flow engine models `StaleCache::insert` as a sink.
-                StaleCache::insert(&mut self.stale.lock(), user.raw(), location);
+                StaleCache::insert(&mut self.link.stale.lock(), user.raw(), location);
                 Ok(ServedLocation::Fresh(location))
             }
             Ok(_) => Err(FabricError::Transport(TransportError::UnexpectedResponse)),
-            Err(FabricError::Degraded { shard }) => match self.stale.lock().get(user.raw()) {
+            Err(FabricError::Degraded { shard }) => match self.link.stale.lock().get(user.raw()) {
                 Some(last_released) => {
-                    self.stats.lock().degraded_serves += 1;
+                    self.link.stats.lock().degraded_serves += 1;
                     Ok(ServedLocation::Degraded(last_released))
                 }
                 None => {
-                    self.stats.lock().degraded_rejections += 1;
+                    self.link.stats.lock().degraded_rejections += 1;
                     Err(FabricError::Degraded { shard })
                 }
             },
@@ -731,15 +703,40 @@ impl FabricRouter {
         outcome: Result<EdgeResponse, FabricError>,
     ) -> Result<EdgeResponse, FabricError> {
         if let Err(FabricError::Degraded { .. }) = &outcome {
-            self.stats.lock().degraded_rejections += 1;
+            self.link.stats.lock().degraded_rejections += 1;
         }
         outcome
     }
 
-    /// The full link + exactly-once + breaker pipeline for one call.
+    /// Flushes every shard's pending duplicates, then stops every shard
+    /// (first failure wins; remaining shards are still asked to stop).
+    /// Delayed copies must not silently disappear, or the
+    /// injected/suppressed accounting would depend on timing; every link
+    /// stays locked until the shards stop, so no call queues another.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's [`TransportError`], if any — a shard
+    /// already lost permanently reports `Disconnected`.
+    pub fn shutdown(&self) -> Result<(), TransportError> {
+        let mut links: Vec<_> = self.link.links.iter().map(|link| link.lock()).collect();
+        for (handle, link) in self.shards.iter().zip(links.iter_mut()) {
+            for dup in link.pending.drain(..) {
+                self.link.stats.lock().duplicates_injected += 1;
+                let _ = handle.call_raw(dup.frame);
+            }
+        }
+        self.stop_shards()
+    }
+}
+
+impl Faulty {
+    /// The full link + exactly-once + breaker pipeline for one call to
+    /// shard `shard`, reached through `handle`.
     fn drive(
         &self,
         shard: usize,
+        handle: &EdgeHandle,
         link: &mut LinkState,
         lane: u32,
         request: ClientRequest,
@@ -764,7 +761,6 @@ impl FabricRouter {
         let profile = self.fault_plan.draw(lane, ordinal);
         let seq = *link.lane_seq.entry(lane).or_insert(0);
         let frame = encode_sequenced(lane, seq, &request);
-        let handle = self.router.handle_at(shard);
         let mut drops_left = profile.drops;
         let mut corrupts_left = profile.corrupts;
         let mut budget = self.call_budget;
@@ -786,13 +782,13 @@ impl FabricRouter {
                 corrupts_left -= 1;
                 self.stats.lock().corruptions_injected += 1;
                 let mut damaged = frame.clone();
-                corrupt_checksum(&mut damaged, profile.corrupt_salt);
+                corrupt_sequenced_checksum(&mut damaged, profile.corrupt_salt);
                 match handle.call_raw(damaged) {
                     // The checksum caught the damage; the strike reply is
                     // the link's cue to retransmit cleanly.
                     Err(TransportError::Malformed { .. }) => continue,
                     Err(TransportError::WorkerFailed { .. } | TransportError::Disconnected) => {
-                        self.heal(shard, link)?;
+                        self.heal(shard, handle, link)?;
                         continue;
                     }
                     // Decode of a checksum-flipped frame cannot succeed;
@@ -806,7 +802,7 @@ impl FabricRouter {
                     // Commit-before-reply means the failed call was never
                     // applied: the healed shard sees the same seq as a
                     // first (and only) application.
-                    self.heal(shard, link)?;
+                    self.heal(shard, handle, link)?;
                     continue;
                 }
                 Err(e) => {
@@ -820,7 +816,7 @@ impl FabricRouter {
         if let Some(delay) = profile.duplicate {
             link.pending.push(PendingDup { countdown: delay, frame });
         }
-        self.flush_due(shard, link);
+        self.flush_due(handle, link);
         Ok(response)
     }
 
@@ -834,8 +830,13 @@ impl FabricRouter {
     /// candidate sets.
     /// Pending stale duplicates are discarded: the healed shard's dedup
     /// window is empty, so re-delivering them would double-apply.
-    fn heal(&self, shard: usize, link: &mut LinkState) -> Result<(), FabricError> {
-        if link.heals >= self.max_heals || !self.router.revive(shard) {
+    fn heal(
+        &self,
+        shard: usize,
+        handle: &EdgeHandle,
+        link: &mut LinkState,
+    ) -> Result<(), FabricError> {
+        if link.heals >= self.max_heals || !handle.revive() {
             link.breaker.record_failure(shard, &mut self.trace.lock());
             return Err(FabricError::ShardLost { shard });
         }
@@ -848,7 +849,7 @@ impl FabricRouter {
     /// Ticks pending duplicates by one delivery and re-sends the due
     /// ones. The shard replays each from its dedup window (or rejects
     /// it as stale) — never a second application.
-    fn flush_due(&self, shard: usize, link: &mut LinkState) {
+    fn flush_due(&self, handle: &EdgeHandle, link: &mut LinkState) {
         let mut i = 0;
         while i < link.pending.len() {
             if link.pending[i].countdown > 1 {
@@ -857,48 +858,16 @@ impl FabricRouter {
             } else {
                 let dup = link.pending.remove(i);
                 self.stats.lock().duplicates_injected += 1;
-                let _ = self.router.handle_at(shard).call_raw(dup.frame);
+                let _ = handle.call_raw(dup.frame);
             }
         }
-    }
-
-    /// Flushes every shard's pending duplicates, then stops every shard
-    /// through the router (first failure wins; remaining shards are still
-    /// asked to stop). Delayed copies must not silently disappear, or the
-    /// injected/suppressed accounting would depend on timing; every link
-    /// stays locked until the shards stop, so no call queues another.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's [`TransportError`], if any — a shard
-    /// already lost permanently reports `Disconnected`.
-    pub fn shutdown(&self) -> Result<(), TransportError> {
-        let mut links: Vec<_> = self.links.iter().map(|link| link.lock()).collect();
-        for (shard, link) in links.iter_mut().enumerate() {
-            for dup in link.pending.drain(..) {
-                self.stats.lock().duplicates_injected += 1;
-                let _ = self.router.handle_at(shard).call_raw(dup.frame);
-            }
-        }
-        self.router.shutdown()
-    }
-
-    /// Stops every shard still serving and returns the final devices in
-    /// shard order ([`ShardRouter::join`]). Nothing waits: the shards
-    /// have no threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's [`SystemError`]; later shards are
-    /// still joined, so each hands its device out.
-    pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
-        self.router.join()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EdgeDevice, SystemError};
     use privlocad_openrtb::fnv1a64;
 
     fn config() -> SystemConfig {

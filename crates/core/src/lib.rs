@@ -79,7 +79,7 @@ pub use edge::{DeviceStats, EdgeDevice};
 pub use error::SystemError;
 pub use fabric::{
     BreakerConfig, BreakerEvent, ChannelFaultPlan, FabricError, FabricOptions, FabricRouter,
-    FabricStats, LaneOutage, ServedLocation,
+    FabricStats, Faulty, LaneOutage, ServedLocation,
 };
 pub use filter::filter_ads_by;
 pub use fleet::EdgeFleet;
@@ -87,7 +87,5 @@ pub use management::{frequent_location_set, LocationManager};
 pub use obfuscation::{ObfuscationModule, ObfuscationTable};
 pub use recovery::{candidate_redraws, DeviceSnapshot, RecoveryError};
 pub use risk::{LocationRisk, Recommendation, RiskAssessor, RiskReport};
-pub use server::{
-    EdgeHandle, EdgeServer, FaultPlan, HealthSnapshot, RetryPolicy, ServerOptions, TransportError,
-};
-pub use shard::{ShardRouter, StateFootprint};
+pub use server::{EdgeHandle, FaultPlan, RetryPolicy, ServerOptions, TransportError};
+pub use shard::{Direct, Router, ShardRouter, StateFootprint};

@@ -3,11 +3,11 @@
 //! Edge-PrivLocAd's deployment separates the mobile client from the edge
 //! device; this module defines the message set exchanged between them and
 //! its compact binary frames.
-//! [`EdgeHandle`](crate::EdgeHandle) (the client side) and
-//! [`EdgeServer`](crate::EdgeServer) implement the two endpoints in
-//! process: a call hands its request frame to the shard and gets the
-//! response frame back on the same thread; a production deployment would
-//! move the same frames over the radio link, one message per frame.
+//! [`EdgeHandle`](crate::EdgeHandle) is the client side of one shard and
+//! the shard it calls the server side, both in process: a call hands its
+//! request frame to the shard and gets the response frame back on the
+//! same thread; a production deployment would move the same frames over
+//! the radio link, one message per frame.
 //!
 //! Frames carry a one-byte tag followed by a fixed layout per message
 //! type, all integers big-endian. Decoding is *total*: every parse path
@@ -20,6 +20,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{fnv1a32_extend, FNV1A32_OFFSET};
 use serde::{Deserialize, Serialize};
 
 /// A client → edge request.
@@ -226,6 +227,9 @@ pub struct SequenceHeader {
 /// Byte length of a sequenced-frame header: tag, lane, seq, checksum.
 const SEQUENCED_HEADER_LEN: usize = 13;
 
+/// Where a sequenced header's checksum sits: its last four bytes.
+const SEQUENCED_CHECKSUM: std::ops::Range<usize> = SEQUENCED_HEADER_LEN - 4..SEQUENCED_HEADER_LEN;
+
 /// FNV-1a (32-bit) over the header fields and the inner frame — the
 /// transit checksum a sequenced frame carries so that *any* corruption,
 /// including of the lane/seq fields themselves, is detected before the
@@ -233,14 +237,18 @@ const SEQUENCED_HEADER_LEN: usize = 13;
 /// lane's sequence number would otherwise replay the wrong cached
 /// response.
 fn sequenced_checksum(lane: u32, seq: u32, inner: &[u8]) -> u32 {
-    const OFFSET: u32 = 0x811c_9dc5;
-    const PRIME: u32 = 0x0100_0193;
-    let mut hash = OFFSET;
-    for byte in lane.to_be_bytes().iter().chain(seq.to_be_bytes().iter()).chain(inner.iter()) {
-        hash ^= u32::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    let hash = fnv1a32_extend(FNV1A32_OFFSET, &lane.to_be_bytes());
+    fnv1a32_extend(fnv1a32_extend(hash, &seq.to_be_bytes()), inner)
+}
+
+/// Flips one bit, chosen by `salt`, inside a sequenced frame's declared
+/// checksum. The recomputed checksum can then never match, so the shard
+/// is guaranteed to detect the damage and answer with a malformed-frame
+/// strike — a corrupted frame can never alias a cached response or apply
+/// as fresh.
+pub(crate) fn corrupt_sequenced_checksum(frame: &mut [u8], salt: u32) {
+    let byte = SEQUENCED_CHECKSUM.start + salt as usize % SEQUENCED_CHECKSUM.len();
+    frame[byte] ^= 1 << ((salt >> 8) % 8);
 }
 
 /// Wraps an encoded request frame in a sequenced delivery envelope:
@@ -262,7 +270,7 @@ pub fn encode_sequenced(lane: u32, seq: u32, request: &ClientRequest) -> Vec<u8>
     request.encode_into(&mut buf);
     assert!(buf.len() <= MAX_FRAME_LEN, "sequenced frame exceeds MAX_FRAME_LEN");
     let checksum = sequenced_checksum(lane, seq, &buf[SEQUENCED_HEADER_LEN..]);
-    buf[SEQUENCED_HEADER_LEN - 4..SEQUENCED_HEADER_LEN].copy_from_slice(&checksum.to_be_bytes());
+    buf[SEQUENCED_CHECKSUM].copy_from_slice(&checksum.to_be_bytes());
     buf
 }
 
@@ -601,6 +609,15 @@ mod tests {
     }
 
     #[test]
+    fn sequenced_frame_bytes_are_pinned() {
+        // Tag, lane 7, seq 3, the FNV-1a-32 checksum over lane, seq and
+        // body, then the inner window-close frame.
+        let wire = encode_sequenced(7, 3, &ClientRequest::FinalizeWindow { user: UserId::new(7) });
+        let pinned = [5, 0, 0, 0, 7, 0, 0, 0, 3, 0xad, 0x02, 0x61, 0x97, 3, 0, 0, 0, 7];
+        assert_eq!(wire, pinned);
+    }
+
+    #[test]
     fn plain_frames_are_not_sequenced() {
         for request in requests() {
             assert_eq!(split_sequenced(&request.encode()), Ok(None));
@@ -644,6 +661,13 @@ mod tests {
             split_sequenced(&wire[..wire.len() - 3]),
             Err(FrameError::ChecksumMismatch { .. })
         ));
+        // So does every flip the fabric injects into the checksum: each
+        // of its 4 bytes, each of 8 bits.
+        for salt in (0..4).flat_map(|byte| (0..8).map(move |bit| byte | bit << 8)) {
+            let mut bad = wire.clone();
+            corrupt_sequenced_checksum(&mut bad, salt);
+            assert!(matches!(split_sequenced(&bad), Err(FrameError::ChecksumMismatch { .. })));
+        }
     }
 
     #[test]

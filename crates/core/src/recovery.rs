@@ -43,7 +43,7 @@
 //! a read-only view for audits. Bit rot in persisted state surfaces as a
 //! structured [`RecoveryError`] instead of a corrupted privacy ledger.
 //!
-//! A serving shard ([`crate::EdgeServer`]) keeps no image between
+//! A serving shard (behind a [`crate::Router`]) keeps no image between
 //! requests. It commits by **undo**: before a request it saves the state
 //! of the user the request touches, and a request that dies is rolled
 //! back from that save in place. Its device is therefore its committed

@@ -6,8 +6,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use privlocad_geo::rng::{derive_seed, seeded};
-use privlocad_geo::Point;
-use privlocad_mobility::UserId;
 use privlocad_telemetry::{Counter, Determinism, Gauge, Telemetry};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -22,13 +20,38 @@ use crate::{EdgeDevice, SystemConfig, SystemError};
 /// away from the per-operation streams the devices derive.
 const SUPERVISOR_STREAM: u64 = u64::MAX - 1;
 
-/// A handle for calling an [`EdgeServer`] from any thread.
+/// Consecutive malformed frames from one client before the shard drops
+/// that client instead of answering it.
+const MALFORMED_LIMIT: u32 = 8;
+
+/// Per-lane exactly-once dedup depth: how many committed sequenced
+/// responses each user lane caches for duplicate replay (see
+/// [`crate::protocol::split_sequenced`]). A duplicate older than the
+/// window is rejected with [`TransportError::StaleSequence`] instead of
+/// being double-applied.
+const DEDUP_WINDOW: usize = 32;
+
+/// The raw connection to one supervised edge shard, callable from any
+/// thread. Only a [`crate::Router`] spawns shards; a one-shard router is a
+/// single edge node, the deployment shape of Fig. 5 where one edge device
+/// fronts many nearby mobile users.
 ///
 /// Cloneable; all clones call the same shard, and each clone has its own
-/// client identity for the server's per-connection error accounting. A
-/// call serves its request on the calling thread. Requests and responses
-/// cross in their binary frame encoding, exactly as they would over a
-/// radio link.
+/// client identity for the shard's per-connection error accounting.
+/// Requests and responses cross in their binary frame encoding, exactly as
+/// they would over a radio link.
+///
+/// There is no serving thread: a call takes the shard's lock and runs its
+/// request to completion on the calling thread, so the lock is what
+/// serializes access to the device. Each request is served under a
+/// supervisor: a panic is caught, the request is rolled back to the
+/// device's last committed state (candidates, posterior tables, window
+/// buffers, and RNG position — see [`crate::recovery`]), and it is retried
+/// once, bit-for-bit. A reply leaves only after its request commits, so a
+/// crash can never expose state that the rollback then undoes. A request
+/// that fails twice, and the one that takes the shard past its restart
+/// budget, is answered explicitly ([`TransportError::WorkerFailed`]),
+/// never left hanging.
 #[derive(Debug)]
 pub struct EdgeHandle {
     shard: Arc<Shard>,
@@ -146,6 +169,47 @@ impl RetryPolicy {
 }
 
 impl EdgeHandle {
+    /// Starts one shard serving per-user streams derived from `seed` and
+    /// returns its first client handle. A [`ServerOptions::restore_from`]
+    /// image is restored here, on the calling thread.
+    pub(crate) fn spawn(config: SystemConfig, seed: u64, options: ServerOptions) -> EdgeHandle {
+        let metrics = Arc::new(ServerMetrics::new(&options.telemetry));
+        let queue_capacity = options.queue_capacity.max(1);
+        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics));
+        let shard = Arc::new(Shard {
+            core: Mutex::new(core),
+            metrics,
+            // lint:allow(telemetry-hygiene): per-shard admission count that `try_call_raw` bounds, not a metric — the hub-wide `server.queue_depth` gauge is the exported view
+            waiting: AtomicUsize::new(0),
+            queue_capacity,
+            // lint:allow(telemetry-hygiene): client-identity allocator, not a metric — never exported
+            next_client: AtomicU64::new(1),
+        });
+        EdgeHandle { shard, client: 0 }
+    }
+
+    /// Revives a stopped or failed shard in place around its committed
+    /// device, as a shard restored from that device's checkpoint would
+    /// start. Returns `false`, and leaves the shard as it is, when there is
+    /// no device to revive.
+    pub(crate) fn revive(&self) -> bool {
+        self.shard.core.lock().revive()
+    }
+
+    /// Stops the shard, if no client has shut it down yet, and hands out
+    /// its device with its final state. Nothing waits: a call in progress
+    /// finishes first, and calls made afterwards observe a disconnect.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::WorkerFailed`] if the shard failed past its
+    /// restart budget (the failing request got an explicit failure, later
+    /// ones a disconnect), or the recovery error if its
+    /// [`ServerOptions::restore_from`] image was unreadable.
+    pub(crate) fn join(&self) -> Result<EdgeDevice, SystemError> {
+        self.shard.core.lock().finish()
+    }
+
     /// Sends one request frame and returns the response: the request is
     /// served on the calling thread once it holds the shard's lock, however
     /// many callers wait ahead of it.
@@ -232,47 +296,9 @@ impl EdgeHandle {
             response => Ok(response),
         }
     }
-
-    /// Reports a check-in (fire-and-forget semantics at the API level; the
-    /// transport still acknowledges).
-    pub fn check_in(
-        &self,
-        user: UserId,
-        location: Point,
-        timestamp: i64,
-    ) -> Result<(), TransportError> {
-        match self.call(ClientRequest::CheckIn { user, location, timestamp })? {
-            EdgeResponse::Ack => Ok(()),
-            _ => Err(TransportError::UnexpectedResponse),
-        }
-    }
-
-    /// Asks for the location to report for an ad request.
-    pub fn request_location(&self, user: UserId, location: Point) -> Result<Point, TransportError> {
-        match self.call(ClientRequest::RequestLocation { user, location })? {
-            EdgeResponse::ReportedLocation { location } => Ok(location),
-            _ => Err(TransportError::UnexpectedResponse),
-        }
-    }
-
-    /// Closes the user's profile window.
-    pub fn finalize_window(&self, user: UserId) -> Result<u32, TransportError> {
-        match self.call(ClientRequest::FinalizeWindow { user })? {
-            EdgeResponse::WindowClosed { fresh_obfuscations } => Ok(fresh_obfuscations),
-            _ => Err(TransportError::UnexpectedResponse),
-        }
-    }
-
-    /// Stops the shard: every later call observes a disconnect.
-    pub fn shutdown(&self) -> Result<(), TransportError> {
-        match self.call(ClientRequest::Shutdown)? {
-            EdgeResponse::Ack => Ok(()),
-            _ => Err(TransportError::UnexpectedResponse),
-        }
-    }
 }
 
-/// Tuning knobs for a supervised [`EdgeServer`].
+/// Tuning knobs for one supervised shard.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// How many callers may wait on the shard's lock before an attempt of
@@ -281,9 +307,6 @@ pub struct ServerOptions {
     /// regardless). Counted per shard, even
     /// when shards share a hub.
     pub queue_capacity: usize,
-    /// Consecutive malformed frames from one client before the server
-    /// drops that client instead of answering it.
-    pub malformed_limit: u32,
     /// Supervised restarts (a caught panic, rolled back and retried) the
     /// shard survives before it fails permanently with
     /// [`SystemError::WorkerFailed`].
@@ -301,19 +324,13 @@ pub struct ServerOptions {
     /// hand several servers a clone of one hub to aggregate a fleet
     /// (cloning `ServerOptions` shares the hub — it is a handle).
     pub telemetry: Telemetry,
-    /// Per-lane exactly-once dedup depth: how many committed sequenced
-    /// responses each user lane caches for duplicate replay (see
-    /// [`crate::protocol::split_sequenced`]). A duplicate older than the
-    /// window is rejected with [`TransportError::StaleSequence`] instead
-    /// of being double-applied. Clamped to at least 1.
-    pub dedup_window: usize,
     /// Start the device from this committed checkpoint instead of empty
     /// — how a shard resumes a persisted device (the
     /// [`EdgeDevice::checkpoint`] of an earlier shard's joined device, say)
     /// without re-drawing a single released candidate
     /// ([`crate::recovery`]). An
     /// unreadable checkpoint fails the shard (every call observes a
-    /// disconnect and [`EdgeServer::join`] returns the recovery error),
+    /// disconnect and [`crate::Router::join`] returns the recovery error),
     /// never silently serves from empty state. The spawn reads the image
     /// once, on the calling thread, and drops its reference as soon as the
     /// device is restored, so the image is freed before the spawn returns
@@ -335,13 +352,11 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             queue_capacity: 1_024,
-            malformed_limit: 8,
             max_restarts: 8,
             backoff_base: 16,
             backoff_cap: 4_096,
             fault_plan: FaultPlan::none(),
             telemetry: Telemetry::new(),
-            dedup_window: 32,
             restore_from: None,
             bid_sink: None,
         }
@@ -437,169 +452,6 @@ impl ServerMetrics {
             queue_depth: registry.gauge("server.queue_depth", Scheduling),
         }
     }
-
-    fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            restarts: self.restarts.value(),
-            malformed_frames: self.malformed_frames.value(),
-            dropped_clients: self.dropped_clients.value(),
-            failed_replies: self.failed_replies.value(),
-            overload_rejections: self.overload_rejections.value(),
-            queue_depth: self.queue_depth.value().max(0) as u64,
-            checkpoints: self.checkpoints.value(),
-            duplicates_suppressed: self.duplicates_suppressed.value(),
-        }
-    }
-}
-
-/// A point-in-time health snapshot of a supervised [`EdgeServer`] — what
-/// a fleet operator scrapes to see a device degrading before it fails.
-///
-/// Backed by the telemetry registry: when several servers share one hub
-/// (see [`ServerOptions::telemetry`]), the numbers are hub-wide totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    /// Supervised restarts so far.
-    pub restarts: u64,
-    /// Malformed request frames rejected by the hardened decode path.
-    pub malformed_frames: u64,
-    /// Clients dropped for exceeding the consecutive-malformed limit.
-    pub dropped_clients: u64,
-    /// Requests answered with an explicit `WorkerFailed` (one that killed
-    /// its step twice, or the one that took the shard past its restart
-    /// budget) instead of left hanging.
-    pub failed_replies: u64,
-    /// Requests rejected with `Overloaded` because
-    /// [`ServerOptions::queue_capacity`] callers already waited.
-    pub overload_rejections: u64,
-    /// Callers currently waiting for a shard's lock (approximate under
-    /// concurrency).
-    pub queue_depth: u64,
-    /// Steps committed (one per frame stepped): each is a recovery point,
-    /// the device as it stands between steps.
-    pub checkpoints: u64,
-    /// Duplicate sequenced deliveries answered from the dedup window's
-    /// cached responses instead of being re-applied.
-    pub duplicates_suppressed: u64,
-}
-
-/// An edge device behind a supervised serving core that its callers run.
-///
-/// [`EdgeServer::spawn`] builds an [`EdgeDevice`] and returns a cloneable
-/// [`EdgeHandle`]; any number of client threads can then check in and
-/// request locations concurrently — the deployment shape of Fig. 5 where
-/// one edge node fronts many nearby mobile users. There is no serving
-/// thread: each call takes the shard's lock and runs its own request to
-/// completion on the calling thread, so the lock is what serializes
-/// access to the device.
-///
-/// The device serves per-user RNG streams derived from the spawn seed
-/// ([`EdgeDevice::new`]): a user's outputs depend only
-/// on the seed and that user's own requests, never on how other clients'
-/// requests interleave with them or on which server of a fleet holds the
-/// user.
-///
-/// Each request is served under a supervisor: a panic is caught, the
-/// request is rolled back to the device's last committed state
-/// (candidates, posterior tables, window buffers, and RNG position — see
-/// [`crate::recovery`]), and it is retried once, bit-for-bit. A reply
-/// leaves only after its request commits, so a crash can never expose
-/// state that the rollback then undoes. A request that fails twice, and
-/// the one that takes the shard past its restart budget, is answered
-/// explicitly ([`TransportError::WorkerFailed`]), never left hanging.
-///
-/// # Examples
-///
-/// ```
-/// use privlocad::{EdgeServer, SystemConfig};
-/// use privlocad_geo::Point;
-/// use privlocad_mobility::UserId;
-///
-/// let (server, handle) = EdgeServer::spawn(SystemConfig::builder().build()?, 5);
-/// let user = UserId::new(1);
-/// for t in 0..30 {
-///     handle.check_in(user, Point::new(100.0, 100.0), t)?;
-/// }
-/// assert_eq!(handle.finalize_window(user)?, 1);
-/// let reported = handle.request_location(user, Point::new(100.0, 100.0))?;
-/// assert!(reported.is_finite());
-/// handle.shutdown()?;
-/// let edge = server.join()?;
-/// assert_eq!(edge.user_count(), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct EdgeServer {
-    shard: Arc<Shard>,
-    telemetry: Telemetry,
-}
-
-impl EdgeServer {
-    /// Starts a shard with default [`ServerOptions`] and returns the
-    /// server plus a client handle.
-    pub fn spawn(config: SystemConfig, seed: u64) -> (EdgeServer, EdgeHandle) {
-        EdgeServer::spawn_with(config, seed, ServerOptions::default())
-    }
-
-    /// Starts a shard with explicit options. A
-    /// [`ServerOptions::restore_from`] image is restored here, on the
-    /// calling thread.
-    pub fn spawn_with(
-        config: SystemConfig,
-        seed: u64,
-        options: ServerOptions,
-    ) -> (EdgeServer, EdgeHandle) {
-        let telemetry = options.telemetry.clone();
-        let metrics = Arc::new(ServerMetrics::new(&telemetry));
-        let queue_capacity = options.queue_capacity.max(1);
-        let core = ShardCore::new(config, seed, options, Arc::clone(&metrics));
-        let shard = Arc::new(Shard {
-            core: Mutex::new(core),
-            metrics,
-            // lint:allow(telemetry-hygiene): per-shard admission count that `try_call_raw` bounds, not a metric — the hub-wide `server.queue_depth` gauge is the exported view
-            waiting: AtomicUsize::new(0),
-            queue_capacity,
-            // lint:allow(telemetry-hygiene): client-identity allocator, not a metric — never exported
-            next_client: AtomicU64::new(1),
-        });
-        let handle = EdgeHandle { shard: Arc::clone(&shard), client: 0 };
-        (EdgeServer { shard, telemetry }, handle)
-    }
-
-    /// Revives a stopped or failed shard in place around its committed
-    /// device, as a shard restored from that device's checkpoint would
-    /// start. Returns `false`, and leaves the shard as it is, when
-    /// there is no device to revive.
-    pub(crate) fn revive(&self) -> bool {
-        self.shard.core.lock().revive()
-    }
-
-    /// The server's current health counters, read from the telemetry
-    /// registry. Hub-wide totals when servers share a hub.
-    pub fn health(&self) -> HealthSnapshot {
-        self.shard.metrics.snapshot()
-    }
-
-    /// The telemetry hub this server publishes into (the one passed via
-    /// [`ServerOptions::telemetry`], or the private default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Stops the shard, if no client has shut it down yet, and returns the
-    /// edge device with its final state for inspection. Nothing waits:
-    /// there is no serving thread, and a call in progress finishes first.
-    /// Calls made afterwards observe a disconnect.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError::WorkerFailed`] if the shard failed past its
-    /// restart budget (the failing request got an explicit failure, later
-    /// ones a disconnect), or the recovery error if its
-    /// [`ServerOptions::restore_from`] image was unreadable.
-    pub fn join(self) -> Result<EdgeDevice, SystemError> {
-        self.shard.core.lock().finish()
-    }
 }
 
 /// One shard as its callers share it: the serving core behind its lock,
@@ -619,7 +471,8 @@ struct Shard {
 #[derive(Debug)]
 enum Status {
     Serving,
-    /// A client shut it down; [`EdgeServer::join`] hands its device out.
+    /// A client shut it down; [`crate::Router::join`] hands its device
+    /// out.
     Stopped,
     /// It went past its restart budget, or its restore image was
     /// unreadable.
@@ -638,12 +491,12 @@ struct ShardCore {
     /// back. No byte image is kept: a shard that failed past its restart
     /// budget leaves this device behind, its last request rolled back, and
     /// the fabric revives the shard around it in place. `None` once
-    /// [`EdgeServer::join`] took it, or when the restore image was
+    /// [`crate::Router::join`] took it, or when the restore image was
     /// unreadable.
     device: Option<EdgeDevice>,
     status: Status,
-    /// The options, with `restore_from` taken, `fault_plan` consumed as
-    /// its points fire, and `malformed_limit` and `dedup_window` clamped.
+    /// The options, with `restore_from` taken and `fault_plan` consumed
+    /// as its points fire.
     options: ServerOptions,
     /// The device's counters and ledger, opened once: every step drains
     /// into the same handles with no registration by name.
@@ -684,7 +537,7 @@ enum Verdict {
 /// Per-user exactly-once state: the next expected sequence number (one
 /// past the highest committed) and the window of recently committed
 /// `(seq, response)` pairs available for duplicate replay. The window is
-/// allocated once at the dedup depth, and a commit makes room before it
+/// allocated once at [`DEDUP_WINDOW`], and a commit makes room before it
 /// adds, so the window never reallocates.
 #[derive(Debug)]
 struct LaneState {
@@ -693,8 +546,8 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn new(dedup_window: usize) -> Self {
-        LaneState { next_seq: 0, window: VecDeque::with_capacity(dedup_window) }
+    fn new() -> Self {
+        LaneState { next_seq: 0, window: VecDeque::with_capacity(DEDUP_WINDOW) }
     }
 
     /// The committed response to `seq`, while it is still in the window.
@@ -703,9 +556,9 @@ impl LaneState {
     }
 
     /// Records `response` as the committed reply to `seq`, evicting the
-    /// oldest entry first once the window holds `dedup_window`.
-    fn commit(&mut self, seq: u32, response: EdgeResponse, dedup_window: usize) {
-        if self.window.len() >= dedup_window {
+    /// oldest entry first once the window holds [`DEDUP_WINDOW`].
+    fn commit(&mut self, seq: u32, response: EdgeResponse) {
+        if self.window.len() >= DEDUP_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back((seq, response));
@@ -737,15 +590,13 @@ impl ShardCore {
     fn around(
         device: Result<EdgeDevice, SystemError>,
         seed: u64,
-        mut options: ServerOptions,
+        options: ServerOptions,
         metrics: Arc<ServerMetrics>,
     ) -> ShardCore {
         let (device, status) = match device {
             Ok(edge) => (Some(edge), Status::Serving),
             Err(e) => (None, Status::Failed(e)),
         };
-        options.malformed_limit = options.malformed_limit.max(1);
-        options.dedup_window = options.dedup_window.max(1);
         ShardCore {
             device,
             status,
@@ -844,12 +695,10 @@ impl ShardCore {
         // would undo, and a duplicate behind its original can only ever
         // observe the committed response.
         if let (Verdict::Serve(_, Some(header)), Some(response)) = (verdict, served) {
-            let dedup_window = self.options.dedup_window;
-            self.lanes.entry(header.lane).or_insert_with(|| LaneState::new(dedup_window)).commit(
-                header.seq,
-                response,
-                dedup_window,
-            );
+            self.lanes
+                .entry(header.lane)
+                .or_insert_with(LaneState::new)
+                .commit(header.seq, response);
         }
         self.metrics.checkpoints.inc();
         // Telemetry drains strictly after the commit: a crash wipes any
@@ -928,16 +777,15 @@ impl ShardCore {
     /// the client observes a disconnect) once the limit is reached.
     fn book_malformed(&mut self, client: u64) -> Verdict {
         self.metrics.malformed_frames.inc();
-        let limit = self.options.malformed_limit;
         let count = self.strikes.entry(client).or_insert(0);
         *count += 1;
-        if *count >= limit {
+        if *count >= MALFORMED_LIMIT {
             self.strikes.remove(&client);
             self.banned.insert(client);
             self.metrics.dropped_clients.inc();
             Verdict::Drop
         } else {
-            let detail = limit - *count;
+            let detail = MALFORMED_LIMIT - *count;
             Verdict::Answer(EdgeResponse::Error { code: ErrorCode::Malformed, detail })
         }
     }
@@ -1025,29 +873,46 @@ fn backoff(rng: &mut StdRng, restarts: u32, options: &ServerOptions) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeviceStats;
+    use crate::{DeviceStats, ShardRouter};
+    use privlocad_geo::Point;
+    use privlocad_mobility::UserId;
 
-    fn spawn() -> (EdgeServer, EdgeHandle) {
-        EdgeServer::spawn(SystemConfig::builder().build().unwrap(), 11)
+    fn spawn() -> ShardRouter {
+        spawn_with(ServerOptions::default())
     }
 
-    fn spawn_with(options: ServerOptions) -> (EdgeServer, EdgeHandle) {
-        EdgeServer::spawn_with(SystemConfig::builder().build().unwrap(), 11, options)
+    /// A one-shard router: a single edge node serving from seed 11.
+    fn spawn_with(options: ServerOptions) -> ShardRouter {
+        ShardRouter::spawn_with(SystemConfig::builder().build().unwrap(), 11, vec![options])
+    }
+
+    /// Joins a one-shard router and hands out its device.
+    fn join(router: ShardRouter) -> Result<EdgeDevice, SystemError> {
+        router.join().map(|mut devices| devices.remove(0))
+    }
+
+    /// A counter of the hub the router's shards publish into.
+    fn counter(router: &ShardRouter, name: &str) -> u64 {
+        router.telemetry().registry().snapshot().counter(name).unwrap()
+    }
+
+    fn check_in(user: u32, timestamp: i64) -> ClientRequest {
+        ClientRequest::CheckIn { user: UserId::new(user), location: Point::ORIGIN, timestamp }
     }
 
     #[test]
     fn full_protocol_round_trip() {
-        let (server, handle) = spawn();
+        let router = spawn();
         let user = UserId::new(3);
         let home = Point::new(10.0, 20.0);
         for t in 0..40 {
-            handle.check_in(user, home, t).unwrap();
+            router.check_in(user, home, t).unwrap();
         }
-        assert_eq!(handle.finalize_window(user).unwrap(), 1);
-        let reported = handle.request_location(user, home).unwrap();
+        assert_eq!(router.finalize_window(user).unwrap(), 1);
+        let reported = router.request_location(user, home).unwrap();
         assert_ne!(reported, home);
-        handle.shutdown().unwrap();
-        let edge = server.join().unwrap();
+        router.shutdown().unwrap();
+        let edge = join(router).unwrap();
         assert_eq!(edge.user_count(), 1);
         assert!(edge.candidates(user, home).unwrap().contains(&reported));
     }
@@ -1058,7 +923,7 @@ mod tests {
         let sink = Arc::new(privlocad_openrtb::BidSink::new());
         // Served ordinal 43, the ad request after 40 check-ins, a window
         // close and two ad requests, kills its step twice.
-        let (server, handle) = spawn_with(ServerOptions {
+        let router = spawn_with(ServerOptions {
             bid_sink: Some(Arc::clone(&sink)),
             fault_plan: FaultPlan { kill_at: vec![43, 43] },
             backoff_base: 1,
@@ -1068,31 +933,31 @@ mod tests {
         let user = UserId::new(3);
         let home = Point::new(10.0, 20.0);
         for t in 0..40 {
-            handle.check_in(user, home, t).unwrap();
+            router.check_in(user, home, t).unwrap();
         }
-        handle.finalize_window(user).unwrap();
-        let first = handle.request_location(user, home).unwrap();
-        let second = handle.request_location(user, home).unwrap();
+        router.finalize_window(user).unwrap();
+        let first = router.request_location(user, home).unwrap();
+        let second = router.request_location(user, home).unwrap();
         // The killed request fails before its commit, so neither the drain
         // nor the emission behind the commit runs: the counters and the
         // ledger stay as it found them, and no bid leaves.
-        let settled = server.telemetry.deterministic_json();
-        let err = handle.request_location(user, home).unwrap_err();
+        let settled = router.telemetry().deterministic_json();
+        let err = router.request_location(user, home).unwrap_err();
         assert_eq!(err, TransportError::WorkerFailed { restarts: 2 });
-        assert_eq!(server.telemetry.deterministic_json(), settled);
+        assert_eq!(router.telemetry().deterministic_json(), settled);
         // A sequenced ad request emits once; its duplicate is answered from
         // the dedup window with the original's bytes and emits nothing.
         let sequenced =
             encode_sequenced(3, 0, &ClientRequest::RequestLocation { user, location: home });
-        let original = call_frame(&handle, sequenced.clone());
-        assert_eq!(call_frame(&handle, sequenced), original);
+        let original = call_frame(&router.shards[0], sequenced.clone());
+        assert_eq!(call_frame(&router.shards[0], sequenced), original);
         let EdgeResponse::ReportedLocation { location: third } =
             EdgeResponse::decode(&original).unwrap()
         else {
             panic!("a settled user's ad request is answered with a location");
         };
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        router.shutdown().unwrap();
+        router.join().unwrap();
         // Check-ins, window closes, the killed request and the duplicate
         // emit nothing; the three served ad requests emit exactly one bid
         // each, carrying the released candidate the client saw — never the
@@ -1122,43 +987,44 @@ mod tests {
         };
         let users: Vec<UserId> = (0..6).map(UserId::new).collect();
         // Serial: one caller, one user after another.
-        let (server, handle) = spawn();
-        let serial: Vec<Vec<EdgeResponse>> = users.iter().map(|&u| replies(&handle, u)).collect();
-        let serial_device = server.join().unwrap();
+        let router = spawn();
+        let serial: Vec<Vec<EdgeResponse>> =
+            users.iter().map(|&u| replies(&router.shards[0], u)).collect();
+        let serial_device = join(router).unwrap();
         // Concurrent: one thread per user, all calling one shard, get
         // every user the replies of the serial run.
-        let (server, handle) = spawn();
+        let router = spawn();
         let concurrent: Vec<Vec<EdgeResponse>> = std::thread::scope(|scope| {
             let callers: Vec<_> = users
                 .iter()
                 .map(|&u| {
-                    let handle = handle.clone();
+                    let handle = router.shards[0].clone();
                     scope.spawn(move || replies(&handle, u))
                 })
                 .collect();
             callers.into_iter().map(|caller| caller.join().unwrap()).collect()
         });
         assert_eq!(concurrent, serial);
-        handle.shutdown().unwrap();
-        let edge = server.join().unwrap();
+        router.shutdown().unwrap();
+        let edge = join(router).unwrap();
         assert_eq!(edge.user_count(), 6);
         assert_eq!(edge.checkpoint(), serial_device.checkpoint());
     }
 
     #[test]
     fn handle_calls_after_shutdown_fail() {
-        let (server, handle) = spawn();
-        handle.shutdown().unwrap();
-        server.join().unwrap();
-        let err = handle.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap_err();
-        assert_eq!(err, TransportError::Disconnected);
+        let router = spawn();
+        let handle = router.shards[0].clone();
+        router.shutdown().unwrap();
+        router.join().unwrap();
+        assert_eq!(handle.call(check_in(0, 0)).unwrap_err(), TransportError::Disconnected);
     }
 
     #[test]
     fn dropping_all_handles_stops_the_loop() {
-        let (server, handle) = spawn();
-        drop(handle);
-        let edge = server.join().unwrap();
+        // Joining stops a shard no client shut down and hands its device
+        // out.
+        let edge = join(spawn()).unwrap();
         assert_eq!(edge.user_count(), 0);
     }
 
@@ -1183,47 +1049,48 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_rejected_then_client_dropped() {
-        let (server, handle) =
-            spawn_with(ServerOptions { malformed_limit: 3, ..ServerOptions::default() });
-        let polluter = handle.clone();
-        // Strikes 1 and 2: explicit Malformed rejections with a countdown.
-        for strikes_left in [2u32, 1] {
+        let router = spawn();
+        let polluter = router.shards[0].clone();
+        // Every strike short of the limit: an explicit Malformed rejection
+        // with a countdown.
+        for strikes_left in (1..MALFORMED_LIMIT).rev() {
             let err = polluter.call_raw(vec![0xFF, 0x00, 0x01]).unwrap_err();
             assert_eq!(err, TransportError::Malformed { strikes_left });
         }
-        // Strike 3: the client is dropped; its reply channel just closes.
+        // The last strike: the client is dropped; its reply channel just
+        // closes.
         assert_eq!(polluter.call_raw(vec![0xFF]).unwrap_err(), TransportError::Disconnected);
         // And stays dropped even for well-formed frames.
-        assert_eq!(
-            polluter.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap_err(),
-            TransportError::Disconnected
-        );
+        assert_eq!(polluter.call(check_in(0, 0)).unwrap_err(), TransportError::Disconnected);
         // The original handle (a different client id) is unaffected.
-        handle.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap();
-        let health = server.health();
-        assert_eq!(health.malformed_frames, 3);
-        assert_eq!(health.dropped_clients, 1);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        router.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap();
+        assert_eq!(counter(&router, "server.malformed_frames"), u64::from(MALFORMED_LIMIT));
+        assert_eq!(counter(&router, "server.dropped_clients"), 1);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn well_formed_frames_reset_the_strike_count() {
-        let (server, handle) =
-            spawn_with(ServerOptions { malformed_limit: 2, ..ServerOptions::default() });
-        for _ in 0..4 {
-            let err = handle.call_raw(vec![0xEE]).unwrap_err();
-            assert_eq!(err, TransportError::Malformed { strikes_left: 1 });
-            // A good frame in between resets the consecutive count.
-            handle.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
+        let router = spawn();
+        for _ in 0..2 {
+            // One strike short of the ban...
+            for strikes_left in (1..MALFORMED_LIMIT).rev() {
+                let err = router.shards[0].call_raw(vec![0xEE]).unwrap_err();
+                assert_eq!(err, TransportError::Malformed { strikes_left });
+            }
+            // ...and a good frame from the same client resets the
+            // consecutive count.
+            router.check_in(UserId::new(1), Point::ORIGIN, 0).unwrap();
         }
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        assert_eq!(counter(&router, "server.dropped_clients"), 0);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn supervisor_restarts_through_injected_faults() {
-        let (server, handle) = spawn_with(ServerOptions {
+        let router = spawn_with(ServerOptions {
             fault_plan: FaultPlan::kill_at([0, 3, 7]),
             ..ServerOptions::default()
         });
@@ -1232,32 +1099,31 @@ mod tests {
         // Every call succeeds: the supervisor rolls the killed request back
         // and retries it.
         for t in 0..30 {
-            handle.check_in(user, home, t).unwrap();
+            router.check_in(user, home, t).unwrap();
         }
-        assert_eq!(handle.finalize_window(user).unwrap(), 1);
-        let reported = handle.request_location(user, home).unwrap();
-        assert_eq!(server.health().restarts, 3);
-        assert!(server.health().checkpoints > 0);
-        handle.shutdown().unwrap();
-        let edge = server.join().unwrap();
+        assert_eq!(router.finalize_window(user).unwrap(), 1);
+        let reported = router.request_location(user, home).unwrap();
+        assert_eq!(counter(&router, "server.restarts"), 3);
+        assert!(counter(&router, "server.checkpoints") > 0);
+        router.shutdown().unwrap();
+        let edge = join(router).unwrap();
         assert!(edge.candidates(user, home).unwrap().contains(&reported));
     }
 
     #[test]
     fn faulty_run_matches_fault_free_run_bit_for_bit() {
         let drive = |fault_plan: FaultPlan| {
-            let (server, handle) =
-                spawn_with(ServerOptions { fault_plan, ..ServerOptions::default() });
+            let router = spawn_with(ServerOptions { fault_plan, ..ServerOptions::default() });
             let user = UserId::new(4);
             let home = Point::new(75.0, -25.0);
             for t in 0..25 {
-                handle.check_in(user, home, t).unwrap();
+                router.check_in(user, home, t).unwrap();
             }
-            handle.finalize_window(user).unwrap();
+            router.finalize_window(user).unwrap();
             let reports: Vec<Point> =
-                (0..10).map(|_| handle.request_location(user, home).unwrap()).collect();
-            handle.shutdown().unwrap();
-            server.join().unwrap();
+                (0..10).map(|_| router.request_location(user, home).unwrap()).collect();
+            router.shutdown().unwrap();
+            router.join().unwrap();
             reports
         };
         let faulty = drive(FaultPlan::kill_at([1, 5, 26, 30, 33]));
@@ -1270,24 +1136,22 @@ mod tests {
         // One kill point per served ordinal: every call crashes the worker
         // once (the retry succeeds because the point is consumed), so the
         // cumulative restart count walks through the budget.
-        let (server, handle) = spawn_with(ServerOptions {
+        let router = spawn_with(ServerOptions {
             fault_plan: FaultPlan::kill_at(0..10),
             max_restarts: 2,
             ..ServerOptions::default()
         });
+        let handle = router.shards[0].clone();
         // Restarts 1 and 2 are within budget: the calls still succeed.
         for t in 0..2 {
-            handle.check_in(UserId::new(0), Point::ORIGIN, t).unwrap();
+            handle.call(check_in(0, t)).unwrap();
         }
         // Restart 3 exceeds it: explicit failure, never a hang.
-        let err = handle.check_in(UserId::new(0), Point::ORIGIN, 2).unwrap_err();
+        let err = handle.call(check_in(0, 2)).unwrap_err();
         assert_eq!(err, TransportError::WorkerFailed { restarts: 3 });
-        assert_eq!(server.join().unwrap_err(), SystemError::WorkerFailed { restarts: 3 });
-        // The loop has terminated; later calls observe a disconnect.
-        assert_eq!(
-            handle.check_in(UserId::new(0), Point::ORIGIN, 3).unwrap_err(),
-            TransportError::Disconnected
-        );
+        assert_eq!(join(router).unwrap_err(), SystemError::WorkerFailed { restarts: 3 });
+        // The shard has stopped; later calls observe a disconnect.
+        assert_eq!(handle.call(check_in(0, 3)).unwrap_err(), TransportError::Disconnected);
     }
 
     #[test]
@@ -1296,37 +1160,34 @@ mod tests {
         // scheduled twice, which `FaultPlan::kill_at` cannot build: the
         // supervisor answers it with an explicit failure and the shard
         // serves on with the rolled-back device.
-        let (server, handle) = spawn_with(ServerOptions {
+        let router = spawn_with(ServerOptions {
             fault_plan: FaultPlan { kill_at: vec![0, 0] },
             backoff_base: 1,
             backoff_cap: 1,
             ..ServerOptions::default()
         });
-        let check_in = |t| ClientRequest::CheckIn {
-            user: UserId::new(1),
-            location: Point::ORIGIN,
-            timestamp: t,
-        };
-        let err = handle.call(check_in(0)).unwrap_err();
+        let handle = &router.shards[0];
+        let err = handle.call(check_in(1, 0)).unwrap_err();
         assert_eq!(err, TransportError::WorkerFailed { restarts: 2 });
         // The request was dropped after the rollback: no check-in survived.
         let fresh = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 11);
-        assert_eq!(committed_image(&server), fresh.checkpoint());
-        let health = server.health();
-        assert_eq!((health.restarts, health.failed_replies), (2, 1));
+        assert_eq!(committed_image(handle), fresh.checkpoint());
+        let failed =
+            (counter(&router, "server.restarts"), counter(&router, "server.failed_replies"));
+        assert_eq!(failed, (2, 1));
         // The shard serves on: the next request is its first.
-        handle.call(check_in(1)).unwrap();
+        handle.call(check_in(1, 1)).unwrap();
         assert_eq!(handle.shard.metrics.requests.value(), 1);
-        handle.shutdown().unwrap();
-        assert_eq!(server.join().unwrap().user_count(), 1);
+        router.shutdown().unwrap();
+        assert_eq!(join(router).unwrap().user_count(), 1);
     }
 
     #[test]
     fn overload_rejects_and_retry_budget_is_bounded() {
         // Client-side path against a full shard: capacity 1, its one
         // waiting slot occupied directly.
-        let (_server, handle) =
-            spawn_with(ServerOptions { queue_capacity: 1, ..ServerOptions::default() });
+        let router = spawn_with(ServerOptions { queue_capacity: 1, ..ServerOptions::default() });
+        let handle = &router.shards[0];
         let metrics = Arc::clone(&handle.shard.metrics);
         handle.shard.waiting.fetch_add(1, Ordering::Relaxed);
         let err = handle.try_call_raw(ClientRequest::Shutdown.encode_vec()).unwrap_err();
@@ -1343,16 +1204,11 @@ mod tests {
     #[test]
     fn try_call_is_overloaded_once_queue_capacity_callers_wait_on_the_shard() {
         // Two shards on one hub, each admitting two waiting callers.
-        let hub = Telemetry::new();
-        let options =
-            ServerOptions { queue_capacity: 2, telemetry: hub.clone(), ..ServerOptions::default() };
-        let (busy, busy_handle) = spawn_with(options.clone());
-        let (_idle, idle_handle) = spawn_with(options);
-        let check_in = |t| ClientRequest::CheckIn {
-            user: UserId::new(1),
-            location: Point::ORIGIN,
-            timestamp: t,
-        };
+        let options = ServerOptions { queue_capacity: 2, ..ServerOptions::default() };
+        let config = SystemConfig::builder().build().unwrap();
+        let router = ShardRouter::spawn_with(config, 11, vec![options.clone(), options]);
+        let (busy_handle, idle_handle) = (&router.shards[0], &router.shards[1]);
+        let queue_depth = || router.telemetry().registry().snapshot().gauge("server.queue_depth");
         std::thread::scope(|scope| {
             // The test holds the busy shard's lock, so the callers it
             // admits wait.
@@ -1360,7 +1216,7 @@ mod tests {
             let waiters: Vec<_> = (0..2)
                 .map(|t| {
                     let handle = busy_handle.clone();
-                    scope.spawn(move || handle.try_call_raw(check_in(t).encode_vec()))
+                    scope.spawn(move || handle.try_call_raw(check_in(1, t).encode_vec()))
                 })
                 .collect();
             let waiting = || busy_handle.shard.waiting.load(Ordering::Relaxed);
@@ -1370,14 +1226,14 @@ mod tests {
             assert_eq!(waiting(), 2, "both callers under the capacity are admitted");
             // Two callers wait: the third is shed at once...
             assert_eq!(
-                busy_handle.try_call_raw(check_in(2).encode_vec()).unwrap_err(),
+                busy_handle.try_call_raw(check_in(1, 2).encode_vec()).unwrap_err(),
                 TransportError::Overloaded
             );
             // ...while the other shard still admits, though the hub-wide
             // gauge already counts two waiters.
-            assert_eq!(busy.health().queue_depth, 2);
+            assert_eq!(queue_depth(), Some(2));
             assert_eq!(
-                idle_handle.try_call_raw(check_in(0).encode_vec()).unwrap(),
+                idle_handle.try_call_raw(check_in(1, 0).encode_vec()).unwrap(),
                 EdgeResponse::Ack
             );
             drop(held);
@@ -1385,42 +1241,39 @@ mod tests {
                 assert_eq!(waiter.join().unwrap().unwrap(), EdgeResponse::Ack);
             }
         });
-        let health = busy.health();
-        assert_eq!((health.queue_depth, health.overload_rejections), (0, 1));
+        assert_eq!(queue_depth(), Some(0));
+        assert_eq!(counter(&router, "server.overload_rejections"), 1);
     }
 
     #[test]
     fn health_snapshot_counts_queue_depth() {
-        let (server, handle) = spawn();
-        handle.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap();
-        let health = server.health();
-        assert_eq!(health.queue_depth, 0);
-        assert_eq!(health.restarts, 0);
-        assert!(health.checkpoints >= 1);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        let router = spawn();
+        router.check_in(UserId::new(0), Point::ORIGIN, 0).unwrap();
+        let health = router.telemetry().registry().snapshot();
+        assert_eq!(health.gauge("server.queue_depth"), Some(0));
+        assert_eq!(health.counter("server.restarts"), Some(0));
+        assert!(health.counter("server.checkpoints").unwrap() >= 1);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn telemetry_hub_records_serving_and_ledger_audits_clean() {
         use privlocad_telemetry::top_key;
         let hub = Telemetry::new();
-        let (server, handle) = EdgeServer::spawn_with(
-            SystemConfig::builder().build().unwrap(),
-            11,
-            ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() },
-        );
+        let router =
+            spawn_with(ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() });
         let user = UserId::new(6);
         let home = Point::new(30.0, 40.0);
         for t in 0..30 {
-            handle.check_in(user, home, t).unwrap();
+            router.check_in(user, home, t).unwrap();
         }
-        assert_eq!(handle.finalize_window(user).unwrap(), 1);
+        assert_eq!(router.finalize_window(user).unwrap(), 1);
         for _ in 0..5 {
-            handle.request_location(user, home).unwrap();
+            router.request_location(user, home).unwrap();
         }
-        handle.shutdown().unwrap();
-        let edge = server.join().unwrap();
+        router.shutdown().unwrap();
+        let edge = join(router).unwrap();
 
         let metrics = hub.registry().snapshot();
         // 30 check-ins + 1 finalize + 5 requests (shutdown is transport-level).
@@ -1466,8 +1319,9 @@ mod tests {
     fn sequenced_duplicates_replay_without_reapplying() {
         use crate::protocol::encode_sequenced;
         let hub = Telemetry::new();
-        let (server, handle) =
+        let router =
             spawn_with(ServerOptions { telemetry: hub.clone(), ..ServerOptions::default() });
+        let handle = &router.shards[0];
         let user = UserId::new(5);
         let home = Point::new(25.0, 75.0);
         for t in 0..30i64 {
@@ -1486,9 +1340,8 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(handle.call_raw(&finalize).unwrap(), first);
         }
-        assert_eq!(server.health().duplicates_suppressed, 3);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        router.shutdown().unwrap();
+        router.join().unwrap();
         let metrics = hub.registry().snapshot();
         assert_eq!(metrics.counter("edge.checkins"), Some(30));
         assert_eq!(metrics.counter("edge.windows_closed"), Some(1));
@@ -1498,42 +1351,34 @@ mod tests {
     #[test]
     fn sequences_older_than_the_window_are_rejected() {
         use crate::protocol::encode_sequenced;
-        let (server, handle) =
-            spawn_with(ServerOptions { dedup_window: 2, ..ServerOptions::default() });
-        let user = UserId::new(1);
-        let checkin = |seq: u32| {
-            encode_sequenced(
-                1,
-                seq,
-                &ClientRequest::CheckIn { user, location: Point::ORIGIN, timestamp: seq as i64 },
-            )
-        };
-        for seq in 0..5 {
+        let router = spawn();
+        let handle = &router.shards[0];
+        let checkin = |seq: u32| encode_sequenced(1, seq, &check_in(1, i64::from(seq)));
+        let window = DEDUP_WINDOW as u32;
+        for seq in 0..window + 3 {
             handle.call_raw(checkin(seq)).unwrap();
         }
-        // The window holds seqs {3, 4}; seq 0 fell out, so its duplicate
-        // is rejected explicitly instead of being double-applied.
-        assert_eq!(
-            handle.call_raw(checkin(0)).unwrap_err(),
-            TransportError::StaleSequence { seq: 0 }
-        );
-        // An in-window duplicate still replays fine.
-        assert_eq!(handle.call_raw(checkin(4)).unwrap(), EdgeResponse::Ack);
-        assert_eq!(server.health().duplicates_suppressed, 1);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        // The window holds seqs 3 ..= window + 2; seqs 0 to 2 fell out, so
+        // their duplicates are rejected explicitly instead of being
+        // double-applied.
+        for seq in [0, 2] {
+            let err = handle.call_raw(checkin(seq)).unwrap_err();
+            assert_eq!(err, TransportError::StaleSequence { seq });
+        }
+        // The oldest in-window duplicate still replays fine.
+        assert_eq!(handle.call_raw(checkin(3)).unwrap(), EdgeResponse::Ack);
+        assert_eq!(counter(&router, "server.duplicates_suppressed"), 1);
+        assert_eq!(counter(&router, "server.stale_rejections"), 2);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn corrupted_sequenced_frames_cost_strikes_not_replays() {
         use crate::protocol::encode_sequenced;
-        let (server, handle) = spawn();
-        let user = UserId::new(2);
-        let good = encode_sequenced(
-            2,
-            0,
-            &ClientRequest::CheckIn { user, location: Point::ORIGIN, timestamp: 0 },
-        );
+        let router = spawn();
+        let handle = &router.shards[0];
+        let good = encode_sequenced(2, 0, &check_in(2, 0));
         handle.call_raw(&good).unwrap();
         // A corrupted duplicate of seq 0: the checksum catches the damage
         // before the dedup window is ever consulted.
@@ -1541,49 +1386,45 @@ mod tests {
         corrupt[6] ^= 0x10;
         let err = handle.call_raw(corrupt).unwrap_err();
         assert!(matches!(err, TransportError::Malformed { .. }));
-        assert_eq!(server.health().duplicates_suppressed, 0);
-        assert_eq!(server.health().malformed_frames, 1);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        assert_eq!(counter(&router, "server.duplicates_suppressed"), 0);
+        assert_eq!(counter(&router, "server.malformed_frames"), 1);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn restore_from_continues_streams_bit_for_bit() {
-        let config = SystemConfig::builder().build().unwrap();
         let user = UserId::new(4);
         let home = Point::new(60.0, 10.0);
-        let prime = |handle: &EdgeHandle| {
+        let prime = |router: &ShardRouter| {
             for t in 0..30 {
-                handle.check_in(user, home, t).unwrap();
+                router.check_in(user, home, t).unwrap();
             }
-            handle.finalize_window(user).unwrap();
+            router.finalize_window(user).unwrap();
         };
-        // Continuous run: five draws on one server.
-        let (server, handle) = EdgeServer::spawn_with(config, 11, ServerOptions::default());
-        prime(&handle);
+        // Continuous run: five draws on one shard.
+        let router = spawn();
+        prime(&router);
         let continuous: Vec<Point> =
-            (0..5).map(|_| handle.request_location(user, home).unwrap()).collect();
-        handle.shutdown().unwrap();
-        server.join().unwrap();
-        // Split run: four draws, then a new server restored from the
+            (0..5).map(|_| router.request_location(user, home).unwrap()).collect();
+        router.shutdown().unwrap();
+        router.join().unwrap();
+        // Split run: four draws, then a new shard restored from the
         // committed checkpoint takes the fifth — bit-for-bit the same.
-        let (server, handle) = EdgeServer::spawn_with(config, 11, ServerOptions::default());
-        prime(&handle);
+        let router = spawn();
+        prime(&router);
         let mut split: Vec<Point> =
-            (0..4).map(|_| handle.request_location(user, home).unwrap()).collect();
-        handle.shutdown().unwrap();
-        let snapshot = server.join().unwrap().checkpoint();
+            (0..4).map(|_| router.request_location(user, home).unwrap()).collect();
+        router.shutdown().unwrap();
+        let snapshot = join(router).unwrap().checkpoint();
         let image = snapshot.clone();
-        let (server, handle) = EdgeServer::spawn_with(
-            config,
-            11,
-            ServerOptions { restore_from: Some(snapshot), ..ServerOptions::default() },
-        );
-        split.push(handle.request_location(user, home).unwrap());
-        // The restored worker reads the image once and lets go of it.
-        assert!(image.is_unique(), "the serving loop still holds the restore image");
-        handle.shutdown().unwrap();
-        assert_eq!(server.join().unwrap().user_count(), 1);
+        let router =
+            spawn_with(ServerOptions { restore_from: Some(snapshot), ..ServerOptions::default() });
+        split.push(router.request_location(user, home).unwrap());
+        // The restored shard reads the image once and lets go of it.
+        assert!(image.is_unique(), "the shard still holds the restore image");
+        router.shutdown().unwrap();
+        assert_eq!(join(router).unwrap().user_count(), 1);
         assert_eq!(split, continuous);
     }
 
@@ -1687,12 +1528,13 @@ mod tests {
         for (case, request) in killed_requests() {
             // No restart to spare: the kill after the second request fails
             // the shard.
-            let (server, handle) = spawn_with(ServerOptions {
+            let router = spawn_with(ServerOptions {
                 fault_plan: FaultPlan::kill_at([1]),
                 max_restarts: 0,
                 restore_from: Some(committed.clone()),
                 ..ServerOptions::default()
             });
+            let handle = &router.shards[0];
             let mut expected = committed_device();
             assert_eq!(handle.call(settle).unwrap(), expected.serve(settle), "{case}");
             let failed = TransportError::WorkerFailed { restarts: 1 };
@@ -1700,25 +1542,25 @@ mod tests {
             assert_eq!(handle.call(request).unwrap_err(), TransportError::Disconnected, "{case}");
             // The step rolled its request back before the shard gave up:
             // what it leaves is the committed device, byte for byte.
-            let last = committed_image(&server);
+            let last = committed_image(handle);
             assert_eq!(last, expected.checkpoint(), "{case}");
-            assert_eq!(server.join().unwrap_err(), SystemError::WorkerFailed { restarts: 1 });
+            assert_eq!(join(router).unwrap_err(), SystemError::WorkerFailed { restarts: 1 });
 
-            // A server restored from it continues every stream bit for
+            // A shard restored from it continues every stream bit for
             // bit: the killed request, then one more draw per user.
             let follow_up: Vec<ClientRequest> = [settle, request]
                 .iter()
                 .filter_map(ClientRequest::user)
                 .map(|user| ClientRequest::RequestLocation { user, location: Point::ORIGIN })
                 .collect();
-            let (server, handle) =
+            let router =
                 spawn_with(ServerOptions { restore_from: Some(last), ..ServerOptions::default() });
             let responses: Vec<EdgeResponse> = std::iter::once(&request)
                 .chain(&follow_up)
-                .map(|&request| handle.call(request).unwrap())
+                .map(|&request| router.shards[0].call(request).unwrap())
                 .collect();
-            handle.shutdown().unwrap();
-            let resumed = server.join().unwrap();
+            router.shutdown().unwrap();
+            let resumed = join(router).unwrap();
             let mut continuous = committed_device();
             let mut expected = Vec::new();
             continuous.serve_batch(&[settle, request], &mut expected);
@@ -1774,25 +1616,25 @@ mod tests {
     fn an_unreadable_restore_image_fails_every_call_and_join() {
         let mut image = committed_device().checkpoint().to_vec();
         *image.last_mut().unwrap() ^= 1;
-        let (server, handle) = spawn_with(ServerOptions {
+        let router = spawn_with(ServerOptions {
             restore_from: Some(Bytes::from(image)),
             ..ServerOptions::default()
         });
         // Never an empty device in its place: no call is served, and there
         // is no committed image to heal from.
         for user in [1, 3] {
-            let err = handle.request_location(UserId::new(user), Point::ORIGIN).unwrap_err();
+            let err = router.request_location(UserId::new(user), Point::ORIGIN).unwrap_err();
             assert_eq!(err, TransportError::Disconnected);
         }
-        assert!(committed_image(&server).is_empty());
-        assert!(matches!(server.join().unwrap_err(), SystemError::Recovery(_)));
+        assert!(committed_image(&router.shards[0]).is_empty());
+        assert!(matches!(join(router).unwrap_err(), SystemError::Recovery(_)));
     }
 
     /// The checkpoint of the shard's committed device, read under the
     /// shard lock so a step in progress is waited out; empty when the
     /// shard has no device.
-    fn committed_image(server: &EdgeServer) -> Bytes {
-        server.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
+    fn committed_image(handle: &EdgeHandle) -> Bytes {
+        handle.shard.core.lock().device.as_ref().map_or_else(Bytes::new, EdgeDevice::checkpoint)
     }
 
     /// Steps `frame` as this handle's client on the test thread and
@@ -1804,7 +1646,8 @@ mod tests {
     #[test]
     fn replayed_duplicates_are_the_original_frames_byte_for_byte() {
         use crate::protocol::encode_sequenced;
-        let (server, handle) = spawn();
+        let router = spawn();
+        let handle = &router.shards[0];
         let user = UserId::new(5);
         let home = Point::new(25.0, 75.0);
         let checkin = |seq: u32| {
@@ -1815,14 +1658,14 @@ mod tests {
             )
         };
         for seq in 0..29 {
-            call_frame(&handle, checkin(seq));
+            call_frame(handle, checkin(seq));
         }
         let frames = [
             checkin(29),
             encode_sequenced(5, 30, &ClientRequest::FinalizeWindow { user }),
             encode_sequenced(5, 31, &ClientRequest::RequestLocation { user, location: home }),
         ];
-        let originals: Vec<Bytes> = frames.iter().map(|f| call_frame(&handle, f.clone())).collect();
+        let originals: Vec<Bytes> = frames.iter().map(|f| call_frame(handle, f.clone())).collect();
         let decoded: Vec<EdgeResponse> =
             originals.iter().map(|f| EdgeResponse::decode(f).unwrap()).collect();
         assert_eq!(decoded[0], EdgeResponse::Ack);
@@ -1832,29 +1675,29 @@ mod tests {
         // its original got, however many times it comes back.
         for _ in 0..2 {
             for (frame, original) in frames.iter().zip(&originals) {
-                assert_eq!(&call_frame(&handle, frame.clone()), original);
+                assert_eq!(&call_frame(handle, frame.clone()), original);
             }
         }
-        assert_eq!(server.health().duplicates_suppressed, 6);
-        handle.shutdown().unwrap();
-        server.join().unwrap();
+        assert_eq!(counter(&router, "server.duplicates_suppressed"), 6);
+        router.shutdown().unwrap();
+        router.join().unwrap();
     }
 
     #[test]
     fn a_lane_window_never_outgrows_its_first_allocation() {
-        let dedup_window = ServerOptions::default().dedup_window;
-        let mut lane = LaneState::new(dedup_window);
+        let mut lane = LaneState::new();
         let capacity = lane.window.capacity();
-        assert!(capacity >= dedup_window);
+        assert!(capacity >= DEDUP_WINDOW);
         let response = |seq: u32| EdgeResponse::WindowClosed { fresh_obfuscations: seq };
-        for seq in 0..3 * dedup_window as u32 {
-            lane.commit(seq, response(seq), dedup_window);
+        let window = DEDUP_WINDOW as u32;
+        for seq in 0..3 * window {
+            lane.commit(seq, response(seq));
             assert_eq!(lane.window.capacity(), capacity, "commit {seq} reallocated the window");
         }
-        // It holds the last `dedup_window` commits, oldest first.
-        assert_eq!(lane.window.len(), dedup_window);
-        let last = 3 * dedup_window as u32 - 1;
-        let oldest = last + 1 - dedup_window as u32;
+        // It holds the last `DEDUP_WINDOW` commits, oldest first.
+        assert_eq!(lane.window.len(), DEDUP_WINDOW);
+        let last = 3 * window - 1;
+        let oldest = last + 1 - window;
         assert_eq!(lane.next_seq, last + 1);
         assert_eq!(lane.cached(last), Some(response(last)));
         assert_eq!(lane.cached(oldest), Some(response(oldest)));

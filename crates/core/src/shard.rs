@@ -1,5 +1,5 @@
-//! Hub-of-hubs fleet sharding: a [`ShardRouter`] in front of N
-//! supervised [`EdgeServer`] shards.
+//! Hub-of-hubs fleet sharding: a [`Router`] in front of N supervised
+//! shards.
 //!
 //! The scalability story of the paper's third design goal, taken past a
 //! single device: a million-user deployment cannot live on one edge
@@ -28,7 +28,8 @@ use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 use privlocad_telemetry::Telemetry;
 
-use crate::server::{EdgeHandle, EdgeServer, ServerOptions, TransportError};
+use crate::protocol::{ClientRequest, EdgeResponse};
+use crate::server::{EdgeHandle, ServerOptions, TransportError};
 use crate::{EdgeDevice, SystemConfig, SystemError};
 
 /// Measured resident state of one shard ([`EdgeDevice::footprint`]).
@@ -69,9 +70,31 @@ impl StateFootprint {
     }
 }
 
-/// A hub-of-hubs fleet front: O(1) user→shard routing over N supervised
-/// [`EdgeServer`] shards serving per-user RNG streams from one master
-/// seed, publishing into one shared telemetry hub.
+/// The fleet front: O(1) user→shard routing over N supervised shards
+/// serving per-user RNG streams from one master seed, publishing into one
+/// shared telemetry hub. Only a router spawns shards, and a one-shard
+/// router is a single edge node.
+///
+/// The link `L` decides how a call reaches its shard: [`Direct`] hands it
+/// to the shard in process ([`ShardRouter`]); [`crate::fabric::Faulty`]
+/// drives it through a seeded faulty link with exactly-once delivery, a
+/// circuit breaker and in-place healing ([`crate::FabricRouter`]).
+#[derive(Debug)]
+pub struct Router<L> {
+    /// One client handle per shard, in shard order.
+    pub(crate) shards: Vec<EdgeHandle>,
+    /// The hub every shard publishes into.
+    telemetry: Telemetry,
+    /// What lies between the router and its shards.
+    pub(crate) link: L,
+}
+
+/// The direct link: every call reaches its shard in process, so a read
+/// cannot degrade and returns the released [`Point`] itself.
+#[derive(Debug)]
+pub struct Direct;
+
+/// A [`Router`] over direct links.
 ///
 /// # Examples
 ///
@@ -93,16 +116,104 @@ impl StateFootprint {
 /// assert_eq!(shards.iter().map(|d| d.user_count()).sum::<usize>(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct ShardRouter {
-    servers: Vec<EdgeServer>,
-    handles: Vec<EdgeHandle>,
+pub type ShardRouter = Router<Direct>;
+
+impl<L> Router<L> {
+    /// Spawns one shard per entry of `options` behind `link` (at least one
+    /// entry required, panics on an empty list), each on its own scoped
+    /// thread, so the shards' [`ServerOptions::restore_from`] restores
+    /// overlap instead of running back to back. Every shard serves
+    /// per-user streams from `master`, which is what makes the router
+    /// shard-count invariant. The router's hub is the first shard's.
+    pub(crate) fn spawn_shards(
+        config: SystemConfig,
+        master: u64,
+        options: Vec<ServerOptions>,
+        link: L,
+    ) -> Router<L> {
+        assert!(!options.is_empty(), "a router needs at least one shard");
+        let telemetry = options[0].telemetry.clone();
+        let shards = std::thread::scope(|scope| {
+            let spawns: Vec<_> = options
+                .into_iter()
+                .map(|shard_options| {
+                    scope.spawn(move || EdgeHandle::spawn(config, master, shard_options))
+                })
+                .collect();
+            spawns
+                .into_iter()
+                .map(|spawn| spawn.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
+        Router { shards, telemetry, link }
+    }
+
+    /// Number of shards behind this router.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard that owns `user`: a stateless modulo over the user id,
+    /// so routing is O(1) with no directory to keep consistent.
+    pub fn route(&self, user: UserId) -> usize {
+        user.raw() as usize % self.shards.len()
+    }
+
+    /// The raw connection to the shard owning `user`, past the link.
+    pub fn handle(&self, user: UserId) -> &EdgeHandle {
+        &self.shards[self.route(user)]
+    }
+
+    /// The telemetry hub the shards publish into (the first shard's; a
+    /// fleet hands every shard a clone of one hub).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Asks every shard to stop (first failure wins; the remaining shards
+    /// are still asked).
+    pub(crate) fn stop_shards(&self) -> Result<(), TransportError> {
+        let mut first_err = None;
+        for shard in &self.shards {
+            let stopped = match shard.call(ClientRequest::Shutdown) {
+                Ok(EdgeResponse::Ack) => continue,
+                Ok(_) => TransportError::UnexpectedResponse,
+                Err(e) => e,
+            };
+            first_err.get_or_insert(stopped);
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Stops every shard still serving and returns the final per-shard
+    /// devices, in shard order, for inspection (footprints, snapshots,
+    /// released-set audits). Nothing waits: the shards have no threads,
+    /// and a call in progress finishes first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's [`SystemError`]: a shard that failed past
+    /// its restart budget, or whose restore image was unreadable. Later
+    /// shards are still joined, so each hands its device out.
+    pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
+        let mut devices = Vec::with_capacity(self.shards.len());
+        let mut first_err = None;
+        for shard in &self.shards {
+            match shard.join() {
+                Ok(device) => devices.push(device),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(devices), Err)
+    }
 }
 
-impl ShardRouter {
-    /// Spawns `shards` supervised edge servers sharing one fresh
-    /// telemetry hub, every shard serving per-user streams derived from
-    /// `master`. `shards` is clamped to at least 1.
+impl Router<Direct> {
+    /// Spawns `shards` shards sharing one fresh telemetry hub, every shard
+    /// serving per-user streams derived from `master`. `shards` is clamped
+    /// to at least 1.
     pub fn spawn(config: SystemConfig, master: u64, shards: usize) -> ShardRouter {
         let hub = Telemetry::new();
         let options = (0..shards.max(1))
@@ -112,62 +223,17 @@ impl ShardRouter {
     }
 
     /// [`ShardRouter::spawn`] with explicit per-shard options — fault
-    /// plans, queue capacities, restore images, or a caller-owned hub. One
-    /// shard is spawned per entry (at least one entry required, panics on
-    /// an empty list), each on its own scoped thread, so the shards'
-    /// [`ServerOptions::restore_from`] restores overlap instead of running
-    /// back to back. Every shard serves per-user streams from `master`,
-    /// which is what makes the router shard-count invariant.
+    /// plans, queue capacities, restore images, or a caller-owned hub —
+    /// one shard per entry ([`Router`]'s spawn).
     pub fn spawn_with(
         config: SystemConfig,
         master: u64,
         options: Vec<ServerOptions>,
     ) -> ShardRouter {
-        assert!(!options.is_empty(), "a shard router needs at least one shard");
-        let (servers, handles) = std::thread::scope(|scope| {
-            let spawns: Vec<_> = options
-                .into_iter()
-                .map(|shard_options| {
-                    scope.spawn(move || EdgeServer::spawn_with(config, master, shard_options))
-                })
-                .collect();
-            spawns
-                .into_iter()
-                .map(|spawn| spawn.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .unzip()
-        });
-        ShardRouter { servers, handles }
+        Router::spawn_shards(config, master, options, Direct)
     }
 
-    /// Number of shards behind this router.
-    pub fn shards(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The shard that owns `user`: a stateless modulo over the user id,
-    /// so routing is O(1) with no directory to keep consistent.
-    pub fn route(&self, user: UserId) -> usize {
-        user.raw() as usize % self.handles.len()
-    }
-
-    /// The client handle of the shard owning `user`.
-    pub fn handle(&self, user: UserId) -> &EdgeHandle {
-        self.handle_at(self.route(user))
-    }
-
-    /// The client handle of shard `index`.
-    pub(crate) fn handle_at(&self, index: usize) -> &EdgeHandle {
-        &self.handles[index]
-    }
-
-    /// Revives shard `index` in place around its committed device
-    /// ([`EdgeServer::revive`]); `false` when it has no device.
-    pub(crate) fn revive(&self, index: usize) -> bool {
-        self.servers[index].revive()
-    }
-
-    /// Routes a check-in to the owning shard
-    /// ([`EdgeHandle::check_in`]).
+    /// Routes a check-in to the owning shard.
     ///
     /// # Errors
     ///
@@ -178,78 +244,46 @@ impl ShardRouter {
         location: Point,
         timestamp: i64,
     ) -> Result<(), TransportError> {
-        self.handle(user).check_in(user, location, timestamp)
+        match self.handle(user).call(ClientRequest::CheckIn { user, location, timestamp })? {
+            EdgeResponse::Ack => Ok(()),
+            _ => Err(TransportError::UnexpectedResponse),
+        }
     }
 
-    /// Routes an ad-request location report to the owning shard
-    /// ([`EdgeHandle::request_location`]).
+    /// Routes an ad request to the owning shard and returns the location
+    /// to report.
     ///
     /// # Errors
     ///
     /// Propagates the shard's [`TransportError`].
     pub fn request_location(&self, user: UserId, location: Point) -> Result<Point, TransportError> {
-        self.handle(user).request_location(user, location)
+        match self.handle(user).call(ClientRequest::RequestLocation { user, location })? {
+            EdgeResponse::ReportedLocation { location } => Ok(location),
+            _ => Err(TransportError::UnexpectedResponse),
+        }
     }
 
-    /// Routes a window close to the owning shard
-    /// ([`EdgeHandle::finalize_window`]).
+    /// Routes a window close to the owning shard and returns how many
+    /// fresh candidate sets it drew.
     ///
     /// # Errors
     ///
     /// Propagates the shard's [`TransportError`].
     pub fn finalize_window(&self, user: UserId) -> Result<u32, TransportError> {
-        self.handle(user).finalize_window(user)
+        match self.handle(user).call(ClientRequest::FinalizeWindow { user })? {
+            EdgeResponse::WindowClosed { fresh_obfuscations } => Ok(fresh_obfuscations),
+            _ => Err(TransportError::UnexpectedResponse),
+        }
     }
 
-    /// Stops every shard (first failure wins, remaining shards are still
-    /// asked to stop).
+    /// Stops every shard: every later call observes a disconnect.
     ///
     /// # Errors
     ///
-    /// Returns the first shard's [`TransportError`], if any.
+    /// Returns the first shard's [`TransportError`], if any; the remaining
+    /// shards are still asked to stop.
     pub fn shutdown(&self) -> Result<(), TransportError> {
-        let mut first_err = None;
-        for handle in &self.handles {
-            if let Err(e) = handle.shutdown() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Stops every shard still serving and returns the final per-shard
-    /// devices, in shard order, for inspection (footprints, snapshots,
-    /// released-set audits). Nothing waits: the shards have no threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's [`SystemError`]; later shards are still
-    /// joined, so each hands its device out.
-    pub fn join(self) -> Result<Vec<EdgeDevice>, SystemError> {
-        drop(self.handles);
-        let mut devices = Vec::with_capacity(self.servers.len());
-        let mut first_err = None;
-        for server in self.servers {
-            match server.join() {
-                Ok(device) => devices.push(device),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(devices),
-        }
-    }
-
-    /// The telemetry hub the shards publish into (all shards share one;
-    /// this is shard 0's handle).
-    pub fn telemetry(&self) -> &Telemetry {
-        self.servers[0].telemetry()
+        self.stop_shards()
     }
 }
 

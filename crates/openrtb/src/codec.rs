@@ -48,10 +48,21 @@ const RESPONSE_NOBID_BODY_LEN: usize = 8 + 1;
 /// Version-1 winning [`BidResponse`] body length: no-bid body + [`SeatBid`].
 const RESPONSE_WIN_BODY_LEN: usize = RESPONSE_NOBID_BODY_LEN + 8 + 20;
 
+/// FNV-1a-32 offset basis: the hash of no bytes, where
+/// [`fnv1a32_extend`] starts a message.
+pub const FNV1A32_OFFSET: u32 = 0x811c_9dc5;
+
 /// FNV-1a 32-bit hash — the frame checksum.
 #[must_use]
 pub fn fnv1a32(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
+    fnv1a32_extend(FNV1A32_OFFSET, data)
+}
+
+/// Continues an FNV-1a-32 hash from the state `hash` over `data`. Fed a
+/// message piece by piece from [`FNV1A32_OFFSET`], it returns [`fnv1a32`]
+/// of the concatenated pieces without copying them together.
+#[must_use]
+pub fn fnv1a32_extend(mut hash: u32, data: &[u8]) -> u32 {
     for &b in data {
         hash ^= u32::from(b);
         hash = hash.wrapping_mul(0x0100_0193);

@@ -113,6 +113,24 @@ grep -q '"chaos/worker_kill/2": {"counters"' "$smoke_dir/BENCH_chaos.json"
 # Each hub is the seed-pure export, so grep a deterministic counter every
 # serving hub carries (restarts are scheduling-class; the rows hold them).
 grep -q '"server.requests"' "$smoke_dir/BENCH_chaos.json"
+# Pinned seed-pure hubs: the corruption hub at 2 shards covers the strike
+# and ban path (24 malformed frames, 2 dropped clients), the fabric hub at
+# 16 shards the exactly-once path (10 duplicates suppressed). A change
+# that moves either updates the pin and says why.
+grep -qF '"chaos/corruption/2": {"counters": {"edge.checkins": 32, '\
+'"edge.fresh_candidate_sets": 4, "edge.location_requests": 16, "edge.nomadic_draws": 0, '\
+'"edge.posterior_cache_hits": 16, "edge.posterior_cache_misses": 0, '\
+'"edge.posterior_draws": 16, "edge.uniform_draws": 0, "edge.windows_closed": 4, '\
+'"server.dropped_clients": 2, "server.duplicates_suppressed": 0, '\
+'"server.malformed_frames": 24, "server.requests": 52, "server.stale_rejections": 0}' \
+    "$smoke_dir/BENCH_chaos.json"
+grep -qF '"chaos/fabric/16": {"counters": {"edge.checkins": 32, '\
+'"edge.fresh_candidate_sets": 4, "edge.location_requests": 16, "edge.nomadic_draws": 0, '\
+'"edge.posterior_cache_hits": 16, "edge.posterior_cache_misses": 0, '\
+'"edge.posterior_draws": 16, "edge.uniform_draws": 0, "edge.windows_closed": 4, '\
+'"server.dropped_clients": 0, "server.duplicates_suppressed": 10, '\
+'"server.malformed_frames": 10, "server.requests": 52, "server.stale_rejections": 0}' \
+    "$smoke_dir/BENCH_chaos.json"
 grep -q 'privacy ledger audit: .* zero double-spends' "$smoke_dir/chaos.out"
 # Fabric rows: the faulty-link sweep (drop+duplicate+delay+corrupt+kill)
 # survives bit-for-bit at 1/4/16 shards, and the degraded ladder walks
