@@ -1,5 +1,5 @@
-//! The `microbench` candidate-install workload: cold scalar generation
-//! versus the batched arena path, measured as a paired ratio.
+//! The `microbench` candidate-install workload: the cold per-edge install
+//! versus the arena's shared install, measured as a paired ratio.
 //!
 //! One measured iteration models a fleet closing one window for every
 //! user: each `(user, top)` pair draws its permanent `n`-fold candidate
@@ -11,9 +11,9 @@
 //!    path: per pair a scalar [`Lppm::obfuscate`] call, then **per edge**
 //!    a copy of the candidates plus a full posterior-weight pass.
 //! 2. `candidate_install/batched` — the shipped path:
-//!    [`CandidateArena::prepare`] batch-generates every pair through the
-//!    lane kernel and stages shared sets; per edge the install is one
-//!    `Arc` clone.
+//!    [`CandidateArena::prepare`] draws every pair with the same scalar
+//!    loop and stages shared sets; per edge the install is one `Arc`
+//!    clone, so the install is batched over the edges.
 //!
 //! Both stages draw the *identical* candidate streams (verified
 //! bit-for-bit, untimed, before measurement), so the ratio isolates the
@@ -190,9 +190,9 @@ fn cold_user(
     sink
 }
 
-/// One batched window close for `user`: the arena generates every pair
-/// through the lane kernel and stages shared sets; per edge the install is
-/// one `Arc` clone per set into the cleared [`EdgeScratch`].
+/// One batched window close for `user`: the arena draws every pair with
+/// the scalar loop and stages shared sets; per edge the install is one
+/// `Arc` clone per set into the cleared [`EdgeScratch`].
 fn batched_user(
     config: &Config,
     arena: &mut CandidateArena,

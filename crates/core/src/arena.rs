@@ -1,18 +1,17 @@
-//! The candidate arena: reusable batched-generation buffers plus the
-//! staged, shared `(top, candidate set)` pairs a fleet install distributes
-//! to its edges.
+//! The candidate arena: the staged, shared `(top, candidate set)` pairs a
+//! fleet install distributes to its edges.
 //!
 //! The pre-arena install path paid, **per edge**: one `Vec` clone of every
 //! candidate set plus one posterior-weight pass (`n` exponentials). The
-//! arena moves all of that to the authority: candidates are drawn once
-//! through the batched lane kernel, and each set lands beside its posterior
-//! weights in one [`PosteriorTable`] allocation — edges then install `Arc`
-//! handles. Because a candidate set is permanent and its weights are a pure
-//! deterministic function of the set and σ, sharing the allocation cannot
-//! change any reported location.
+//! arena moves all of that to the authority: each set is drawn once, by
+//! Algorithm 3's scalar loop, and lands beside its posterior weights in one
+//! [`PosteriorTable`] allocation — edges then install `Arc` handles, the
+//! install batched over every edge. Because a candidate set is permanent
+//! and its weights are a pure deterministic function of the set and σ,
+//! sharing the allocation cannot change any reported location.
 
 use privlocad_geo::Point;
-use privlocad_mechanisms::{BatchScratch, CandidateLanes, NFoldGaussian, PosteriorTable};
+use privlocad_mechanisms::{NFoldGaussian, PosteriorTable};
 
 use crate::ObfuscationModule;
 
@@ -39,15 +38,10 @@ impl PreparedSet {
 
 /// Reusable staging area for fleet-wide protection installs.
 ///
-/// Holds the batched-generation scratch (uniform/angle/radius lanes) and
-/// the staged [`PreparedSet`]s of the current install; both keep their
-/// allocations across [`CandidateArena::prepare`] calls, so a long-running
-/// fleet closes windows with zero steady-state allocation beyond the
-/// permanent sets themselves.
+/// Holds the staged [`PreparedSet`]s of the current install, keeping their
+/// allocation across [`CandidateArena::prepare`] calls.
 #[derive(Debug, Default)]
 pub struct CandidateArena {
-    scratch: BatchScratch,
-    lanes: CandidateLanes,
     sets: Vec<PreparedSet>,
 }
 
@@ -58,8 +52,8 @@ impl CandidateArena {
     }
 
     /// Ensures `authority` covers every location of `tops` within
-    /// `match_radius_m` meters (batched generation from `mechanism`, one
-    /// derived stream per fresh `(window, top)` pair via
+    /// `match_radius_m` meters (drawn from `mechanism`, one derived stream
+    /// per fresh `(window, top)` pair via
     /// `master`/`pair_counter` — see
     /// [`ObfuscationModule::obfuscate_top_set_derived`]), then stages one
     /// [`PreparedSet`] per queried top: a handle to the covering set.
@@ -80,15 +74,13 @@ impl CandidateArena {
             tops,
             master,
             pair_counter,
-            &mut self.scratch,
-            &mut self.lanes,
         );
         for &top in tops {
             let candidates = authority
                 .table()
                 .get(top, match_radius_m)
                 // lint:allow(panic-hygiene): provably infallible — obfuscate_top_set_derived just covered every queried top
-                .expect("top covered after batched obfuscation")
+                .expect("top covered after obfuscation")
                 .clone();
             self.sets.push(PreparedSet { top, candidates });
         }
@@ -108,13 +100,6 @@ impl CandidateArena {
     /// Returns `true` when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
-    }
-
-    /// Split-borrow access to the generation buffers, for install paths
-    /// that batch candidates without staging shared sets (an edge device's
-    /// own window close).
-    pub(crate) fn buffers(&mut self) -> (&mut BatchScratch, &mut CandidateLanes) {
-        (&mut self.scratch, &mut self.lanes)
     }
 
     /// Accounts the staged shared sets into `fp` with caller-owned dedup

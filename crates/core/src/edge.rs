@@ -14,7 +14,7 @@ use crate::protocol::{ClientRequest, EdgeResponse};
 use crate::recovery::{DeviceSnapshot, RecoveryError};
 use crate::shard::StateFootprint;
 use crate::user::{RequestStats, UserMap, UserState};
-use crate::{CandidateArena, PreparedSet, SystemConfig};
+use crate::{PreparedSet, SystemConfig};
 
 /// Domain separator for per-user stream derivation: streams are drawn
 /// from `derive_seed(derive_seed(master, DOMAIN), user)`, so they can
@@ -185,10 +185,6 @@ pub struct EdgeDevice {
     /// undelivered buffer together with the device state it described, and
     /// the post-restore retry regenerates both identically.
     pending_spends: Vec<SpendEvent>,
-    /// Reusable batched candidate-generation buffers, shared by every
-    /// window close on this device. Pure scratch: never part of a
-    /// snapshot, never observable in outputs.
-    arena: CandidateArena,
     /// The master seed every user's private stream derives from.
     master: u64,
 }
@@ -206,7 +202,6 @@ impl EdgeDevice {
             users: UserMap::new(),
             stats: DeviceStats::default(),
             pending_spends: Vec::new(),
-            arena: CandidateArena::new(),
             master,
         }
     }
@@ -250,11 +245,10 @@ impl EdgeDevice {
         let config = self.config;
         let state = user_entry(&mut self.users, self.master, user);
         let sets_before = state.obfuscation.table().len();
-        let (scratch, lanes) = self.arena.buffers();
         // Candidate generation draws from the user's private stream, so the
         // sets a user receives never depend on how other users' operations
         // interleave on this shard.
-        let fresh = state.finalize_window_with(&config, &self.mechanism, scratch, lanes);
+        let fresh = state.finalize_window(&config, &self.mechanism);
         self.stats.windows_closed += 1;
         self.pending_spends
             .push(SpendEvent { user: u64::from(user.raw()), kind: SpendKind::WindowClose });
@@ -290,9 +284,9 @@ impl EdgeDevice {
     /// sets for already-covered locations are ignored (permanence).
     ///
     /// The staged sets arrive as shared [`PreparedSet`] handles (see
-    /// [`CandidateArena::prepare`]): installing is an `Arc` bump, not a
-    /// `Vec` clone, and the posterior weights the authority computed come
-    /// with the set — this device never recomputes them.
+    /// [`crate::CandidateArena::prepare`]): installing is an `Arc` bump,
+    /// not a `Vec` clone, and the posterior weights the authority computed
+    /// come with the set — this device never recomputes them.
     pub fn install_protection(
         &mut self,
         user: UserId,
@@ -455,11 +449,11 @@ impl EdgeDevice {
     }
 
     /// Starts the run-local buffers afresh after the user states were
-    /// restored: the stats count one restore per user, the pending spends
-    /// hold one [`SpendKind::Restore`] per user and nothing else, and the
-    /// scratch arena is new. The one body behind a restore from bytes, a
-    /// rollback ([`EdgeDevice::roll_back`]) and a shard revived in place,
-    /// so all three read alike in the exported counters and the ledger.
+    /// restored: the stats count one restore per user, and the pending
+    /// spends hold one [`SpendKind::Restore`] per user and nothing else.
+    /// The one body behind a restore from bytes, a rollback
+    /// ([`EdgeDevice::roll_back`]) and a shard revived in place, so all
+    /// three read alike in the exported counters and the ledger.
     pub(crate) fn restart_run(&mut self) {
         self.stats = DeviceStats { restores: self.users.len() as u64, ..DeviceStats::default() };
         self.pending_spends.clear();
@@ -468,7 +462,6 @@ impl EdgeDevice {
                 .keys()
                 .map(|user| SpendEvent { user: u64::from(user.raw()), kind: SpendKind::Restore }),
         );
-        self.arena = CandidateArena::new();
     }
 
     /// Saves the pre-request state of the user `request` names — a clone
@@ -484,9 +477,9 @@ impl EdgeDevice {
     /// device.
     ///
     /// Serving a request changes nothing else — the user it names, the
-    /// user map's key set (a first contact), and the stats, pending spends
-    /// and scratch arena — so after this the device equals its state
-    /// before the request, whatever the request did before it died.
+    /// user map's key set (a first contact), and the stats and pending
+    /// spends — so after this the device equals its state before the
+    /// request, whatever the request did before it died.
     pub(crate) fn roll_back(&mut self, undo: RequestUndo) {
         match undo {
             Some((user, Some(state))) => self.users.insert(user, state),
@@ -971,7 +964,7 @@ mod tests {
         let mut authority = crate::ObfuscationModule::default();
         let (mechanism, radius) =
             (NFoldGaussian::new(config.geo_ind()), config.top_match_radius_m());
-        let mut arena = CandidateArena::new();
+        let mut arena = crate::CandidateArena::new();
         let mut pair_counter = 0;
         arena.prepare(&mut authority, &mechanism, radius, &[top], 11, &mut pair_counter);
         let mut e = edge();

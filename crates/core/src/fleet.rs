@@ -51,8 +51,8 @@ pub struct EdgeFleet {
     /// built once from the config.
     mechanism: NFoldGaussian,
     authorities: BTreeMap<UserId, ObfuscationModule>,
-    /// Batched-generation buffers plus the staged shared sets of the
-    /// current install, reused across every window close.
+    /// The staged shared sets of the current install, reused across every
+    /// window close.
     arena: CandidateArena,
     /// Master seed of the fleet's derived candidate streams.
     master: u64,
@@ -148,9 +148,9 @@ impl EdgeFleet {
 
         // 3. One fleet-level obfuscation authority per user: candidates
         //    are drawn once, permanently, regardless of which edge asked.
-        //    The arena batch-generates every fresh set through the lane
-        //    kernel and stages a shared handle to each queried top's set,
-        //    posterior weights included.
+        //    The arena draws every fresh set with the scalar loop and
+        //    stages a shared handle to each queried top's set, posterior
+        //    weights included, for the batched install below.
         let authority = self.authorities.entry(user).or_default();
         let top_points: Vec<Point> = tops.iter().map(|e| e.location).collect();
         let fresh = self.arena.prepare(

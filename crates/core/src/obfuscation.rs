@@ -1,7 +1,6 @@
+use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
-use privlocad_mechanisms::{
-    BatchScratch, CandidateLanes, Lppm, NFoldGaussian, PosteriorSelector, PosteriorTable,
-};
+use privlocad_mechanisms::{Lppm, NFoldGaussian, PosteriorSelector, PosteriorTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -202,10 +201,8 @@ impl ObfuscationModule {
     /// meters; returns how many new candidate sets `mechanism` drew (the
     /// Table II workload per user).
     ///
-    /// Candidates are drawn through the batched lane kernel, consuming
-    /// `rng` in exactly the order the per-top scalar loop would — the
-    /// output is bit-for-bit what the pre-batching implementation
-    /// released from the same stream.
+    /// Each fresh top draws its `n` candidates from `rng` in top order,
+    /// Algorithm 3's scalar loop, and is weighed as it lands.
     pub fn obfuscate_top_set(
         &mut self,
         mechanism: &NFoldGaussian,
@@ -213,31 +210,9 @@ impl ObfuscationModule {
         tops: &[Point],
         rng: &mut dyn RngCore,
     ) -> usize {
-        let mut scratch = BatchScratch::new();
-        let mut lanes = CandidateLanes::new();
-        self.obfuscate_top_set_with(mechanism, match_radius_m, tops, rng, &mut scratch, &mut lanes)
-    }
-
-    /// Scratch-reusing variant of [`ObfuscationModule::obfuscate_top_set`]
-    /// for callers that close many windows (an edge device, the bench
-    /// harness): the uniform/angle/radius lanes live in `scratch`/`lanes`
-    /// and are reused across calls.
-    pub fn obfuscate_top_set_with(
-        &mut self,
-        mechanism: &NFoldGaussian,
-        match_radius_m: f64,
-        tops: &[Point],
-        rng: &mut dyn RngCore,
-        scratch: &mut BatchScratch,
-        lanes: &mut CandidateLanes,
-    ) -> usize {
-        let fresh = self.select_fresh(tops, match_radius_m);
-        if fresh.is_empty() {
-            return 0;
-        }
-        lanes.clear();
-        mechanism.obfuscate_shared_stream_into(&fresh, rng, scratch, lanes);
-        self.install_lanes(mechanism, &fresh, lanes)
+        self.install_fresh(mechanism, match_radius_m, tops, |top, out| {
+            mechanism.obfuscate_into(top, rng, out)
+        })
     }
 
     /// Fleet-authority variant: each fresh top draws from its **own
@@ -246,10 +221,6 @@ impl ObfuscationModule {
     /// every `(user-window, top)` pair a globally unique stream index, so
     /// the generated candidates are independent of batch boundaries and of
     /// how many users closed windows before this one on any given thread.
-    // The device constants, the tops, the stream index and the reused
-    // buffers are each the caller's; bundling any two would only rename
-    // them.
-    #[allow(clippy::too_many_arguments)]
     pub fn obfuscate_top_set_derived(
         &mut self,
         mechanism: &NFoldGaussian,
@@ -257,53 +228,43 @@ impl ObfuscationModule {
         tops: &[Point],
         master: u64,
         pair_counter: &mut u64,
-        scratch: &mut BatchScratch,
-        lanes: &mut CandidateLanes,
     ) -> usize {
-        let fresh = self.select_fresh(tops, match_radius_m);
-        if fresh.is_empty() {
-            return 0;
-        }
-        lanes.clear();
-        mechanism.obfuscate_many_into(&fresh, master, *pair_counter, scratch, lanes);
-        *pair_counter += fresh.len() as u64;
-        self.install_lanes(mechanism, &fresh, lanes)
+        self.install_fresh(mechanism, match_radius_m, tops, |top, out| {
+            let mut rng = seeded(derive_seed(master, *pair_counter));
+            *pair_counter += 1;
+            mechanism.obfuscate_into(top, &mut rng, out);
+        })
     }
 
-    /// The tops needing a fresh candidate set, in input order.
-    ///
-    /// Mirrors the scalar insert-as-you-go loop exactly: a top is fresh
-    /// unless the table already covers it *or* an earlier fresh top of
-    /// this same batch lands within the match radius (the scalar loop
-    /// would have inserted that one before checking this one).
-    fn select_fresh(&self, tops: &[Point], match_radius_m: f64) -> Vec<Point> {
+    /// The one install loop. A top is fresh unless the table covers it or
+    /// an earlier fresh top of this call lands within the match radius;
+    /// the fresh tops are found first, so the table grows once, by exactly
+    /// their number. Then, in top order, `draw` appends each fresh top's
+    /// candidates to one reused buffer, and the set is weighed once into
+    /// its permanent entry. Returns the number of fresh sets.
+    fn install_fresh(
+        &mut self,
+        mechanism: &NFoldGaussian,
+        match_radius_m: f64,
+        tops: &[Point],
+        mut draw: impl FnMut(Point, &mut Vec<Point>),
+    ) -> usize {
         let radius_sq = match_radius_m * match_radius_m;
         let mut fresh: Vec<Point> = Vec::new();
         for &top in tops {
-            let covered = self.table.contains(top, match_radius_m)
-                || fresh.iter().any(|f| f.distance_sq(top) <= radius_sq);
-            if !covered {
+            if !self.table.contains(top, match_radius_m)
+                && !fresh.iter().any(|f| f.distance_sq(top) <= radius_sq)
+            {
                 fresh.push(top);
             }
         }
-        fresh
-    }
-
-    /// Installs the generated lanes: `n` consecutive points per fresh top,
-    /// each read once into its permanent set beside its weights. The fresh
-    /// tops are uncovered and pairwise beyond the match radius
-    /// ([`ObfuscationModule::select_fresh`]), so each one is a new entry.
-    fn install_lanes(
-        &mut self,
-        mechanism: &NFoldGaussian,
-        fresh: &[Point],
-        lanes: &CandidateLanes,
-    ) -> usize {
-        let n = mechanism.params().n();
         let selector = PosteriorSelector::new(mechanism.sigma());
+        let mut candidates = Vec::new();
         self.table.reserve_exact(fresh.len());
-        for (i, &top) in fresh.iter().enumerate() {
-            self.table.push(top, PosteriorTable::new(&selector, lanes.points(i * n..(i + 1) * n)));
+        for &top in &fresh {
+            candidates.clear();
+            draw(top, &mut candidates);
+            self.table.push(top, selector.table(&candidates));
         }
         fresh.len()
     }
@@ -312,8 +273,6 @@ impl ObfuscationModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privlocad_geo::rng::seeded;
-
     use privlocad_mechanisms::GeoIndParams;
 
     /// The match radius every test looks tops up by.
@@ -414,10 +373,9 @@ mod tests {
 
     #[test]
     fn obfuscate_top_set_matches_the_scalar_reference_stream() {
-        // Bit-identity with the pre-batching per-top loop: the batched
-        // kernel consumes the same rng stream and releases the same points,
-        // including the interleaved skip of a top covered by an earlier
-        // fresh set of the same batch.
+        // One stream, drawn top by top: the sets are what per-top
+        // `obfuscate` calls on the same stream release, skipping a top
+        // covered by an earlier fresh set of the same batch.
         let (mech, mut m) = (mechanism(5), ObfuscationModule::default());
         let mut rng = seeded(21);
         let tops = [
@@ -439,44 +397,18 @@ mod tests {
 
     #[test]
     fn derived_top_set_streams_are_indexed_by_pair_counter() {
-        use privlocad_geo::rng::derive_seed;
-        use privlocad_mechanisms::{BatchScratch, CandidateLanes};
         let (mech, mut m) = (mechanism(4), ObfuscationModule::default());
-        let mut scratch = BatchScratch::new();
-        let mut lanes = CandidateLanes::new();
         let mut counter = 3u64;
         let tops = [Point::new(0.0, 0.0), Point::new(9_000.0, 0.0)];
-        assert_eq!(
-            m.obfuscate_top_set_derived(
-                &mech,
-                R,
-                &tops,
-                55,
-                &mut counter,
-                &mut scratch,
-                &mut lanes
-            ),
-            2
-        );
+        assert_eq!(m.obfuscate_top_set_derived(&mech, R, &tops, 55, &mut counter), 2);
         assert_eq!(counter, 5);
         for (k, &top) in tops.iter().enumerate() {
             let mut rng = seeded(derive_seed(55, 3 + k as u64));
             assert_eq!(pts(m.table().get(top, R).unwrap()), mech.obfuscate(top, &mut rng));
         }
-        // Re-running generates nothing and leaves the counter untouched —
-        // candidate permanence survives the batched path.
-        assert_eq!(
-            m.obfuscate_top_set_derived(
-                &mech,
-                R,
-                &tops,
-                55,
-                &mut counter,
-                &mut scratch,
-                &mut lanes
-            ),
-            0
-        );
+        // Re-running generates nothing and leaves the counter untouched:
+        // candidate permanence.
+        assert_eq!(m.obfuscate_top_set_derived(&mech, R, &tops, 55, &mut counter), 0);
         assert_eq!(counter, 5);
     }
 

@@ -818,11 +818,10 @@ fn serve_attempt(
     // `AssertUnwindSafe` is sound because the rollback repairs whatever
     // the unwind leaves torn. Serving changes three things: the slot of
     // the user the request names, the user map's key set (a first contact
-    // adds a slot), and the device's stats, pending spends and scratch
-    // arena. `roll_back` puts the saved slot back, removes a first
-    // contact, and restarts the stats, pending spends and arena as a
-    // restore does. `fault_plan` gives up a kill point before the panic it
-    // causes.
+    // adds a slot), and the device's stats and pending spends. `roll_back`
+    // puts the saved slot back, removes a first contact, and restarts the
+    // stats and pending spends as a restore does. `fault_plan` gives up a
+    // kill point before the panic it causes.
     let outcome =
         catch_unwind(AssertUnwindSafe(|| serve_request(edge, request, fault_plan, ordinal)));
     if outcome.is_err() {

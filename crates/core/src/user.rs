@@ -3,9 +3,7 @@
 //! weights), and the user's private RNG stream.
 
 use privlocad_geo::Point;
-use privlocad_mechanisms::{
-    BatchScratch, CandidateLanes, NFoldGaussian, PlanarLaplace, UniformSelector,
-};
+use privlocad_mechanisms::{NFoldGaussian, PlanarLaplace, UniformSelector};
 use privlocad_mobility::UserId;
 use rand::rngs::StdRng;
 
@@ -283,26 +281,15 @@ impl UserState {
     /// Closes the profile window under `config`'s θ and η and obfuscates
     /// any new top locations with `mechanism`; returns the number of
     /// freshly obfuscated top locations. Each fresh set is weighed as it is
-    /// drawn, so nothing is rebuilt for the new top set. The generation
-    /// buffers are caller-owned: an edge device reuses one pair across
-    /// every window close.
-    pub(crate) fn finalize_window_with(
+    /// drawn, so nothing is rebuilt for the new top set.
+    pub(crate) fn finalize_window(
         &mut self,
         config: &SystemConfig,
         mechanism: &NFoldGaussian,
-        scratch: &mut BatchScratch,
-        lanes: &mut CandidateLanes,
     ) -> usize {
         let closed = self.manager.finalize_window(config.profile_theta_m(), config.eta());
         let tops: Vec<Point> = closed.iter().map(|e| e.location).collect();
         let radius = config.top_match_radius_m();
-        self.obfuscation.obfuscate_top_set_with(
-            mechanism,
-            radius,
-            &tops,
-            &mut self.stream,
-            scratch,
-            lanes,
-        )
+        self.obfuscation.obfuscate_top_set(mechanism, radius, &tops, &mut self.stream)
     }
 }

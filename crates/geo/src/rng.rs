@@ -111,34 +111,6 @@ pub fn uniform_angle<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     rng.gen::<f64>() * 2.0 * PI
 }
 
-/// Fills `out` with uniform variates in `[0, 1)`, one block of draws from a
-/// single pass over the generator.
-///
-/// This is the batched counterpart of calling `rng.gen::<f64>()` once per
-/// value: the `i`-th slot receives exactly the `i`-th draw of the stream, so
-/// a block fill followed by a vectorized transform stays bit-for-bit
-/// identical to the scalar draw-transform-draw loop it replaces. The win is
-/// amortization — one tight fill loop the optimizer can keep in registers,
-/// instead of interleaving generator stepping with downstream math at every
-/// draw site.
-///
-/// ```
-/// use privlocad_geo::rng::{fill_uniform, seeded};
-/// use rand::Rng;
-///
-/// let mut block = [0.0_f64; 8];
-/// fill_uniform(&mut seeded(3), &mut block);
-/// let mut scalar = seeded(3);
-/// for (i, &v) in block.iter().enumerate() {
-///     assert_eq!(v, scalar.gen::<f64>(), "draw {i}");
-/// }
-/// ```
-pub fn fill_uniform<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    for slot in out.iter_mut() {
-        *slot = rng.gen();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,40 +198,6 @@ mod tests {
         let hits = (0..n).filter(|_| rayleigh(&mut rng, 50.0) <= 50.0).count() as f64;
         let frac = hits / n as f64;
         assert!((frac - 0.3935).abs() < 0.01, "frac {frac}");
-    }
-
-    #[test]
-    fn fill_uniform_matches_per_call_draws() {
-        let mut block = vec![0.0; 257];
-        fill_uniform(&mut seeded(91), &mut block);
-        let mut scalar = seeded(91);
-        for (i, &v) in block.iter().enumerate() {
-            assert_eq!(v, scalar.gen::<f64>(), "draw {i} diverged");
-        }
-        assert!(block.iter().all(|&v| (0.0..1.0).contains(&v)));
-    }
-
-    #[test]
-    fn fill_uniform_advances_the_stream() {
-        // Two consecutive fills must consume disjoint stretches of the
-        // stream, exactly like two stretches of scalar draws.
-        let mut rng = seeded(92);
-        let mut first = [0.0; 16];
-        let mut second = [0.0; 16];
-        fill_uniform(&mut rng, &mut first);
-        fill_uniform(&mut rng, &mut second);
-        let mut scalar = seeded(92);
-        let expected: Vec<f64> = (0..32).map(|_| scalar.gen::<f64>()).collect();
-        assert_eq!(&first[..], &expected[..16]);
-        assert_eq!(&second[..], &expected[16..]);
-    }
-
-    #[test]
-    fn fill_uniform_empty_slice_is_a_no_op() {
-        let mut rng = seeded(93);
-        fill_uniform(&mut rng, &mut []);
-        let next: f64 = rng.gen();
-        assert_eq!(next, seeded(93).gen::<f64>());
     }
 
     #[test]

@@ -80,11 +80,9 @@ const SANITIZERS: &[FnPat] = &[
     pat(Some("mechanisms"), None, "obfuscate_batch"),
     pat(Some("mechanisms"), None, "obfuscate_many"),
     pat(Some("mechanisms"), None, "obfuscate_many_into"),
-    pat(Some("mechanisms"), None, "obfuscate_shared_stream_into"),
     pat(Some("mechanisms"), Some("PlanarLaplace"), "sample"),
     pat(Some("core"), Some("ObfuscationModule"), "candidates_for"),
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set"),
-    pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_with"),
     pat(Some("core"), Some("ObfuscationModule"), "obfuscate_top_set_derived"),
     pat(Some("core"), None, "reported_location"),
     // The checkpoint is a trusted-store boundary, not a wire egress: the

@@ -2,7 +2,7 @@ use privlocad_geo::{rng::uniform_angle, Point};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::{BatchScratch, CandidateLanes, GeoIndParams, Lppm, MechanismError};
+use crate::{GeoIndParams, Lppm, MechanismError};
 
 /// The paper's n-fold Gaussian mechanism (Definition 7, Algorithm 3).
 ///
@@ -94,17 +94,6 @@ impl Lppm for NFoldGaussian {
         }
     }
 
-    fn obfuscate_many(&self, reals: &[Point], master: u64, first_index: u64, out: &mut Vec<Point>) {
-        // Lane-oriented override of the per-real scalar default; bit-for-bit
-        // identical under the same derive_seed(master, first_index + i)
-        // stream contract (see crate::batch).
-        let mut scratch = BatchScratch::new();
-        let mut lanes = CandidateLanes::new();
-        self.obfuscate_many_into(reals, master, first_index, &mut scratch, &mut lanes);
-        out.reserve(lanes.len());
-        out.extend(lanes.iter());
-    }
-
     fn output_count(&self) -> usize {
         self.params.n()
     }
@@ -135,6 +124,18 @@ mod tests {
         let mut rng = seeded(2);
         assert_eq!(m.obfuscate(Point::ORIGIN, &mut rng).len(), 10);
         assert_eq!(m.output_count(), 10);
+    }
+
+    #[test]
+    fn seeded_set_bits_are_pinned_at_the_paper_defaults() {
+        // Algorithm 3 at r = 500 m, ε = 1, δ = 0.01, n = 10: the first and
+        // last candidate of one seeded set, bit for bit (≈ (−3996.90,
+        // 4613.26) and (−3266.20, −4136.11)).
+        let m = mech(500.0, 1.0, 0.01, 10);
+        let set = m.obfuscate(Point::new(1_000.0, -2_000.0), &mut seeded(2022));
+        let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+        assert_eq!(bits(set[0]), (0xc0af_39cf_1a79_8264, 0x40b2_0543_3af1_7bb1));
+        assert_eq!(bits(set[9]), (0xc0a9_8466_22aa_9216, 0xc0b0_281b_d450_6880));
     }
 
     #[test]

@@ -61,9 +61,12 @@ pub trait SelectionStrategy: Send + Sync {
 /// `Pr[A = qᵢ] = f(xᵢ, yᵢ) / Σₖ f(xₖ, yₖ)`.
 ///
 /// Candidates close to the mean — the best guess of the true location —
-/// are therefore reported more often, which keeps advertising efficacy
-/// nearly flat as n grows (Fig. 9) while still exposing only permanent,
-/// already-released points.
+/// are therefore reported more often, while only permanent, already
+/// released points are exposed. Efficacy still falls as n grows:
+/// EXPERIMENTS.md measures Fig. 9 at 0.602 for n = 1 and 0.237 for n = 10
+/// (0.159 under uniform selection, r = 800 m), not the flat curve the
+/// paper reports. ROADMAP.md's Fig. 9 item (item 4) traces a likely cause
+/// to the posterior's scale.
 ///
 /// # Examples
 ///

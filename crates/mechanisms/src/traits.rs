@@ -67,9 +67,7 @@ pub trait Lppm: Send + Sync {
     /// Unlike [`Lppm::obfuscate_batch`] (which threads one caller stream
     /// through the whole batch), the per-index contract makes element `i`'s
     /// output independent of batch boundaries and thread sharding — the
-    /// same invariance the parallel execution layer relies on. Mechanisms
-    /// with a vectorizable sampler override this with a lane-oriented
-    /// implementation that is bit-for-bit identical to this default.
+    /// same invariance the parallel execution layer relies on.
     fn obfuscate_many(&self, reals: &[Point], master: u64, first_index: u64, out: &mut Vec<Point>) {
         out.reserve(reals.len() * self.output_count());
         for (i, &real) in reals.iter().enumerate() {

@@ -1,12 +1,12 @@
-//! The batched-sampling determinism contract: `obfuscate_many_into` is
-//! bit-for-bit identical to the scalar `sample_one` loop under the
-//! `derive_seed(master, first_index + i)` per-index stream contract, for
-//! every batch size and thread sharding. This extends the PR 1
-//! `parallel_determinism` coverage to the vectorized candidate generator.
+//! The batch determinism contract of the n-fold Gaussian mechanism:
+//! `Lppm::obfuscate_many` is bit-for-bit the scalar `sample_one` loop
+//! under the `derive_seed(master, first_index + i)` per-index stream
+//! contract, for every batch size and thread sharding. This extends the
+//! `parallel_determinism` coverage to candidate generation.
 
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
-use privlocad_mechanisms::{BatchScratch, CandidateLanes, GeoIndParams, Lppm, NFoldGaussian};
+use privlocad_mechanisms::{GeoIndParams, Lppm, NFoldGaussian};
 
 const MASTER: u64 = 0xC0FF_EE00;
 const FIRST_INDEX: u64 = 13;
@@ -31,11 +31,11 @@ fn scalar_reference(m: &NFoldGaussian, reals: &[Point], first_index: u64) -> Vec
     out
 }
 
-fn batched(m: &NFoldGaussian, reals: &[Point], first_index: u64) -> Vec<Point> {
-    let mut scratch = BatchScratch::new();
-    let mut lanes = CandidateLanes::new();
-    m.obfuscate_many_into(reals, MASTER, first_index, &mut scratch, &mut lanes);
-    lanes.iter().collect()
+/// The batch through a `dyn` handle, as the serving stack holds a mechanism.
+fn batched(m: &dyn Lppm, reals: &[Point], first_index: u64) -> Vec<Point> {
+    let mut out = Vec::new();
+    m.obfuscate_many(reals, MASTER, first_index, &mut out);
+    out
 }
 
 #[test]
@@ -77,63 +77,5 @@ fn thread_sharding_cannot_change_the_output() {
             });
             assert_eq!(sharded, whole, "batch {batch} across {threads} threads diverged");
         }
-    }
-}
-
-#[test]
-fn shared_stream_variant_matches_the_scalar_interleaved_loop() {
-    // The install path's single-stream kernel: one caller RNG threaded
-    // through the whole batch, exactly like the pre-batching per-top loop.
-    let m = mech(8);
-    let points = reals(7);
-    let mut scratch = BatchScratch::new();
-    let mut lanes = CandidateLanes::new();
-    let mut rng = seeded(4242);
-    m.obfuscate_shared_stream_into(&points, &mut rng, &mut scratch, &mut lanes);
-    let mut scalar_rng = seeded(4242);
-    let mut expected = Vec::new();
-    for &real in &points {
-        for _ in 0..m.params().n() {
-            expected.push(m.sample_one(real, &mut scalar_rng));
-        }
-    }
-    assert_eq!(lanes.iter().collect::<Vec<_>>(), expected);
-    // And both ends of the stream line up: the next draw after the batch is
-    // the same in both worlds.
-    use rand::Rng;
-    assert_eq!(rng.gen::<f64>(), scalar_rng.gen::<f64>());
-}
-
-#[test]
-fn trait_entry_point_matches_the_lane_override() {
-    // Lppm::obfuscate_many (the NFoldGaussian lane override) against the
-    // trait's documented contract, via a dyn handle as the serving stack
-    // would hold it.
-    let m = mech(5);
-    let points = reals(9);
-    let handle: &dyn Lppm = &m;
-    let mut via_trait = Vec::new();
-    handle.obfuscate_many(&points, MASTER, FIRST_INDEX, &mut via_trait);
-    assert_eq!(via_trait, scalar_reference(&m, &points, FIRST_INDEX));
-}
-
-#[test]
-fn scratch_reuse_across_batches_is_stateless() {
-    // The arena story: one scratch/lanes pair reused across many batches
-    // must produce the same bytes as fresh buffers every time.
-    let m = mech(4);
-    let mut scratch = BatchScratch::new();
-    let mut lanes = CandidateLanes::new();
-    for round in 0..3u64 {
-        lanes.clear();
-        let points = reals(5 + round as usize);
-        m.obfuscate_many_into(&points, MASTER, round * 100, &mut scratch, &mut lanes);
-        let fresh = {
-            let mut s = BatchScratch::new();
-            let mut l = CandidateLanes::new();
-            m.obfuscate_many_into(&points, MASTER, round * 100, &mut s, &mut l);
-            l.iter().collect::<Vec<_>>()
-        };
-        assert_eq!(lanes.iter().collect::<Vec<_>>(), fresh, "round {round}");
     }
 }
